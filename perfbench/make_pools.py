@@ -15,14 +15,19 @@ test:
 
 Each entry has a descriptive ``kind`` (solve-small: shape |S|x|T|;
 solve-sparse: cutting-plane rounds; pack: outcome of the ``pack`` command,
-one of clean, fallback, guard, exit<code>) and the ``cost_s`` of one run of
-the command when the pool was made.  The sampling ``stratum`` is the kind
-for failing instances and otherwise the cost band: costs within a factor
-of 1.3 share a band.  Cost bands keep the mix of cheap and expensive
+one of clean, fallback, guard, exit<code>) and its ``cost_s``: the median of
+three timed runs of the command, after one untimed run, when the pool was
+made, under the benchmark's fixed ``PYTHONHASHSEED``
+(``workloads.pin_hash_seed``), each read at the benchmark's reference
+machine speed (``reference_time``), so costs timed while the host ran fast
+or slow still rank the instances alike.  The sampling ``stratum`` is the kind for
+failing instances and otherwise the cost band: costs within a factor of
+1.3 share a band.  Cost bands keep the mix of cheap and expensive
 instances, and so throughput and the latency percentiles, nearly the same
 on every seed; failure strata keep every failure class at its pool share.
-Rerun this script only when a generator changes; the benchmark refuses a
-pool whose digests no longer match the generator.
+Rerun this script only when a generator changes or the program's costs
+have moved enough to reorder the pool; the benchmark refuses a pool whose
+digests no longer match the generator.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import io
 import itertools
 import json
 import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -41,6 +47,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
 import workloads  # noqa: E402
+from run import CALIBRATION_REF_S, calibration_chunk  # noqa: E402
 from bbibranch import cli, lpsolve, packing  # noqa: E402
 from bbibranch.bibranching import (bibranching_report,  # noqa: E402
                                    brute_force_shortest, feasibility_witness)
@@ -173,6 +180,17 @@ LABELERS = {"solve-small": label_solve_small,
 COST_BAND_RATIO = 1.3
 
 
+def reference_time(command) -> float:
+    """Seconds ``command()`` takes, over the slowdown of the calibration
+    chunks timed just before and after it (as ``run.SideWork`` scales)."""
+    before = calibration_chunk()
+    start = time.perf_counter()
+    command()
+    elapsed = time.perf_counter() - start
+    slowdown = math.sqrt(before * calibration_chunk()) / CALIBRATION_REF_S
+    return elapsed / slowdown
+
+
 def stratum(kind: str, failing: bool, cost_s: float) -> str:
     if failing:
         return kind
@@ -192,9 +210,10 @@ def build(name, size, scratch: Path):
         labelled = LABELERS[name](instance, shape, path)
         if labelled is not None:
             kind, ref, failing = labelled
-            start = time.perf_counter()
             run_cli([wl.command, str(path)])
-            cost = round(time.perf_counter() - start, 4)
+            costs = [reference_time(lambda: run_cli([wl.command, str(path)]))
+                     for _ in range(3)]
+            cost = round(statistics.median(costs), 4)
             entries.append({"seed": sub_seed, "digest": workloads.text_digest(text),
                             "kind": kind, "stratum": stratum(kind, failing, cost),
                             "m": instance.digraph.num_arcs(), "cost_s": cost,
@@ -223,4 +242,5 @@ def main():
 
 
 if __name__ == "__main__":
+    workloads.pin_hash_seed()
     main()

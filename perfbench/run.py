@@ -1,6 +1,6 @@
 """Benchmark for the bbibranch command line, one workload per run.
 
-    python3 perfbench/run.py --workload solve-small --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload solve-small --seed 1 --seconds 40 --trace 0
 
 Each operation is one user command (``bbibranch solve <file>`` or
 ``bbibranch pack <file>``) run in-process through ``bbibranch.cli.main``
@@ -8,14 +8,19 @@ with default options, so the CLI layer is timed but interpreter start-up
 is not.  The load is a closed loop: one client, one process, one thread,
 each command issued when the previous one has returned.
 
-A run sets up (imports, instance sample, instance files, references) three
-times and reports the median, warms up on one command, then cycles through
-the sample until ``--seconds`` of command time have been spent and at
-least one full pass is done.  Timings use each instance's fastest repeat
-(see ``summarize``).  Every output is checked against the references (see
-``workloads.py``).  With ``--trace 1`` the run ends with one more pass that
-runs each instance untraced and then traced, which yields the per-layer
-metrics (see ``tracing.py``) and the tracing overhead.
+A run sets up (imports, instance sample, instance files, references),
+warms up on one command, then makes a fixed number of full passes over the
+sample: ``--seconds`` over the workload's nominal pass time, at least one
+(see ``passes_for``, ``measure`` and ``summarize``).  The work of a run,
+and with it ``attempted`` and ``failed``, thus does not depend on the
+code's or the host's speed.  Spread over the passes, it times cold
+set-ups in fresh processes and a fixed calibration loop; the declared
+times are scaled to a reference machine speed (see ``SideWork``).  Every
+output is checked against the references (see ``workloads.py``).  The
+script re-executes itself with a fixed ``PYTHONHASHSEED`` first
+(``workloads.pin_hash_seed``).  With ``--trace 1`` the run ends with one more pass
+that runs each instance untraced and then traced, which yields the
+per-layer metrics (see ``tracing.py``) and the tracing overhead.
 
 The last line of standard output is the JSON result; lines before it are
 a readable report.  Run details and the span file go to
@@ -34,6 +39,7 @@ import platform
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import traceback
 from pathlib import Path
@@ -45,7 +51,10 @@ sys.path.insert(0, str(HERE))
 
 import workloads  # noqa: E402
 
-SETUP_REPEATS = 3
+SETUP_PROBES = 15
+CALIBRATE_EVERY_S = 0.25   # command time between calibration chunks
+CALIBRATION_WINDOW = 4     # chunks on each side that set a command's slowdown
+CALIBRATION_REF_S = 0.016  # chunk time that defines the reference speed
 MIN_TAIL_BEYOND = 10
 
 # Outcomes where the program asserted something false about a valid,
@@ -64,6 +73,9 @@ def parse_args(argv):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--instances", type=int,
                         help="sample size override (the smoke test runs tiny samples)")
+    parser.add_argument("--setup-probe", action="store_true",
+                        help="time one cold set-up in this process, print the seconds"
+                             " and exit (a run starts these to measure setup_s)")
     return parser.parse_args(argv)
 
 
@@ -71,25 +83,50 @@ def parse_args(argv):
 # Set-up
 # ---------------------------------------------------------------------------
 
-def set_up(wl, seed, size, workdir: Path):
-    """Sample the pool, write the instance files, load the references."""
+def set_up(wl, seed, size):
+    """Sample the pool, generate the instance texts, load the references."""
     from bbibranch.cli import load_instance_data
 
     pool = workloads.load_pool(wl.name)
     sample = workloads.stratified_sample(pool, size, seed)
-    workdir.mkdir(parents=True, exist_ok=True)
     cases = []
-    for n, entry in enumerate(sample):
+    for entry in sample:
         doc, _shape = wl.generator(entry["seed"])
         text = workloads.instance_text(doc)
         if workloads.text_digest(text) != entry["digest"]:
             raise RuntimeError("pool %s entry %d no longer matches its generator"
                                % (wl.name, entry["seed"]))
-        path = workdir / ("i%04d.json" % n)
-        path.write_text(text, encoding="utf-8")
-        cases.append({"path": str(path), "entry": entry,
+        cases.append({"text": text, "entry": entry,
                       "instance": load_instance_data(doc)})
     return cases
+
+
+def write_instances(cases, workdir: Path) -> None:
+    """Write each case's instance file, the one its command reads."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    for n, case in enumerate(cases):
+        path = workdir / ("i%04d.json" % n)
+        path.write_text(case["text"], encoding="utf-8")
+        case["path"] = str(path)
+
+
+def time_setup(argv) -> float:
+    """Cold set-up time from a fresh process (``--setup-probe``).
+
+    The probe imports ``bbibranch`` and runs ``set_up`` once, so work moved
+    to import time shows in ``setup_s`` as well as work moved into
+    ``set_up``; interpreter start-up is outside the probe's clock.  Writing
+    the instance files (``write_instances``) is not timed: it runs no
+    ``bbibranch`` code, and creating 400 small files on a 2-vCPU VM
+    (ext4) took from 0.04 to 0.27 s within minutes, more than the rest of
+    the set-up.
+    """
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                           "--setup-probe"] + list(argv),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError("set-up probe failed:\n" + proc.stderr)
+    return float(proc.stdout.split()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -121,38 +158,96 @@ def classify(wl, case, code, stdout, stderr):
     return ("ok", None) if problem is None else ("wrong_output", problem)
 
 
-def measure(wl, cases, main, seconds):
-    """Closed loop over the sample until ``seconds`` of command time.
+def calibration_chunk() -> float:
+    """Seconds for a fixed loop of the kind of work the commands do
+    (``Fraction`` arithmetic and small dicts), independent of ``bbibranch``."""
+    from fractions import Fraction
 
-    Passes run the sample in the same order; the loop stops at the end of
-    the first command that brings command time to ``seconds``, but never
-    before one full pass, so every instance runs at least once.
+    start = perf_counter()
+    total = Fraction(0)
+    seen: dict[int, int] = {}
+    for i in range(1, 4000):
+        total += Fraction(i % 13 + 1, i % 97 + 1)
+        seen[i % 101] = seen.get(i % 101, 0) + 1
+    return perf_counter() - start
+
+
+class SideWork:
+    """Work interleaved with the commands, outside their clock.
+
+    A shared host's speed drifts: on a 2-vCPU VM shared with other load, a
+    fixed ``Fraction`` loop ranged from 48 to 91 ms within seconds, and
+    whole 50-s runs of one workload moved by up to 1.6x, far beyond any
+    useful regression bound.  So every ``CALIBRATE_EVERY_S`` of command
+    time the run times ``calibration_chunk``.  A command's slowdown is the
+    median of the chunks around it (``slowdown_at``) over
+    ``CALIBRATION_REF_S``; its time is divided by that, which reads it at
+    the reference speed.  The calibration shares no code with
+    ``bbibranch``, so a change to the program moves the declared figures
+    as it moves the raw ones.  ``SETUP_PROBES`` cold set-ups
+    (``time_setup``) are spread evenly over the run's ``total_ops``
+    commands and scaled the same way.
     """
-    times = [[] for _ in cases]
+
+    def __init__(self, total_ops: int, probe_argv):
+        self.probe_argv = probe_argv
+        self.probe_due = [total_ops * (i + 0.5) / SETUP_PROBES for i in range(SETUP_PROBES)]
+        self.calibration = [calibration_chunk()]
+        self.setup_times: list[tuple[float, int]] = []  # (seconds, position)
+
+    def position(self) -> int:
+        """Chunks timed so far; a command's position is taken before it runs."""
+        return len(self.calibration)
+
+    def after_command(self, busy: float, ops: int) -> None:
+        while busy >= CALIBRATE_EVERY_S * len(self.calibration):
+            self.calibration.append(calibration_chunk())
+        while self.probe_due and ops >= self.probe_due[0]:
+            self.probe_due.pop(0)
+            self.setup_times.append((time_setup(self.probe_argv), self.position()))
+
+    def slowdown_at(self, position: int) -> float:
+        lo = max(0, position - CALIBRATION_WINDOW - 1)
+        window = self.calibration[lo:position + CALIBRATION_WINDOW]
+        return statistics.median(window) / CALIBRATION_REF_S
+
+    def scaled(self, timed: list[tuple[float, int]]) -> list[float]:
+        """Times at the reference speed, from (seconds, position) pairs."""
+        return [t / self.slowdown_at(pos) for t, pos in timed]
+
+
+def passes_for(wl, seconds: float) -> int:
+    """Full passes of a run: ``seconds`` over the nominal pass time, at least one.
+
+    A fixed count, not a time limit: every instance runs equally often
+    whatever the speed, so a faster program gets neither more repeats nor
+    more attempted (or failed) operations, only a shorter run.
+    """
+    return max(1, round(seconds / wl.pass_s))
+
+
+def measure(wl, cases, main, passes, side: SideWork):
+    """Closed loop over the sample, ``passes`` times in the same order."""
+    times = [[] for _ in cases]   # (seconds, calibration position) per instance
     outcome = [None] * len(cases)
     kinds = {}
-    ops = ok_ops = passes = 0
+    ops = ok_ops = 0
     busy = 0.0
-    n = 0
-    while True:
-        case = cases[n]
-        start = perf_counter()
-        code, stdout, stderr = run_command(main, [wl.command, case["path"]])
-        elapsed = perf_counter() - start
-        busy += elapsed
-        ops += 1
-        times[n].append(elapsed)
-        kind, detail = classify(wl, case, code, stdout, stderr)
-        kinds[kind] = kinds.get(kind, 0) + 1
-        ok_ops += kind == "ok"
-        if outcome[n] is None or kind != "ok":
-            outcome[n] = (kind, detail)
-        n += 1
-        if n == len(cases):
-            n = 0
-            passes += 1
-        if passes and busy >= seconds:
-            break
+    for _ in range(passes):
+        for n, case in enumerate(cases):
+            position = side.position()
+            start = perf_counter()
+            code, stdout, stderr = run_command(main, [wl.command, case["path"]])
+            elapsed = perf_counter() - start
+            busy += elapsed
+            ops += 1
+            times[n].append((elapsed, position))
+            kind, detail = classify(wl, case, code, stdout, stderr)
+            kinds[kind] = kinds.get(kind, 0) + 1
+            ok_ops += kind == "ok"
+            if outcome[n] is None or kind != "ok":
+                outcome[n] = (kind, detail)
+            side.after_command(busy, ops)
     return {"times": times, "outcome": outcome, "kinds": kinds, "ops": ops,
             "ok_ops": ok_ops, "busy": busy, "passes": passes}
 
@@ -170,29 +265,43 @@ def tail_percentile(size: int) -> int:
     return 50
 
 
-def summarize(result):
-    """End-to-end timings from each instance's fastest repeat.
+def summarize(result, times):
+    """End-to-end figures of one run from per-instance command ``times``.
 
-    The machine's speed drifts by tens of percent over seconds when other
-    load shares it; each instance's fastest repeat strips that drift within
-    a run.  Throughput is successful instances per second of a pass made
-    of those fastest repeats (a failed instance's time still counts).
-    For p50 and the tail, an instance whose command failed ranks slowest;
-    should a reported percentile land on one, the value is the run's whole
-    command time, the longest that command could have taken within the run.
+    Throughput is the rate observed over the run: successful operations
+    per second of command time, failed operations' time included.  The
+    latency percentiles are over instances, each at the median of its
+    repeats (one per pass), which a single interrupted repeat does not
+    move.  An instance whose
+    command failed ranks slowest; should a reported percentile land on one,
+    the value is the run's whole command time, the longest that command
+    could have taken within the run.
     """
-    best = [min(t) for t in result["times"]]
+    typical = [statistics.median(t) for t in times]
     ok = [kind == "ok" for kind, _ in result["outcome"]]
-    per_case = sorted(b if good else math.inf for b, good in zip(best, ok))
+    per_case = sorted(t if good else math.inf for t, good in zip(typical, ok))
     size = len(per_case)
     tail_p = tail_percentile(size)
+    busy = sum(map(sum, times))
 
     def at(p):
         value = per_case[percentile_rank(size, p)]
-        return result["busy"] if math.isinf(value) else value
+        return busy if math.isinf(value) else value
 
-    return {"ok_ops_per_s": sum(ok) / sum(best), "p50": at(50),
+    return {"ok_ops_per_s": result["ok_ops"] / busy, "p50": at(50),
             "tail": at(tail_p), "tail_p": tail_p, "samples": size}
+
+
+def end_to_end_metrics(result, times, setup_times, peak_rss_mb):
+    """(summary, name -> (value, unit)) from command and set-up times."""
+    summary = summarize(result, times)
+    return summary, {
+        "ok_ops_per_s": (summary["ok_ops_per_s"], "1/s"),
+        "latency_p50_s": (summary["p50"], "s"),
+        "latency_tail_s": (summary["tail"], "s"),
+        "setup_s": (statistics.median(setup_times), "s"),
+        "peak_rss_mb": (peak_rss_mb, "MB"),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +460,7 @@ def environment(wl, args, cases, backend):
         "workload": wl.name, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "rational_backend": backend,
         "python": platform.python_version(), "nproc": os.cpu_count(),
+        "python_hash_seed": os.environ.get("PYTHONHASHSEED"),
         "instances": len(cases), "m_range": [min(ms), max(ms)],
         "pool_seeds": sorted(c["entry"]["seed"] for c in cases),
     }
@@ -365,7 +475,8 @@ def environment(wl, args, cases, backend):
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_args(argv)
     if not (SRC / "bbibranch" / "cli.py").is_file():
         print("perfbench: no bbibranch sources at %s" % SRC, file=sys.stderr)
         return 2
@@ -374,36 +485,39 @@ def main(argv=None) -> int:
     out_dir = Path.cwd() / ".perfbench_out"
     workdir = Path.cwd() / ".perfbench_work" / ("%s-%d-%d" % (wl.name, args.seed, os.getpid()))
 
-    start = perf_counter()
-    if str(SRC) not in sys.path:
+    if args.setup_probe:
+        start = perf_counter()
         sys.path.insert(0, str(SRC))
+        from bbibranch import cli  # noqa: F401
+        from bbibranch.rationals import Q  # noqa: F401
+        set_up(wl, args.seed, size)
+        print(repr(perf_counter() - start))
+        return 0
+
+    sys.path.insert(0, str(SRC))
     from bbibranch import cli
     from bbibranch.rationals import Q
-    import_s = perf_counter() - start
     backend = "%s.%s" % (Q.__module__, Q.__qualname__)
 
     try:
-        setup_times = []
-        for _ in range(SETUP_REPEATS):
-            start = perf_counter()
-            cases = set_up(wl, args.seed, size, workdir)
-            setup_times.append(perf_counter() - start)
-        setup_s = import_s + statistics.median(setup_times)
+        cases = set_up(wl, args.seed, size)
+        write_instances(cases, workdir)
 
         run_command(cli.main, [wl.command, cases[0]["path"]])  # warm-up
-        result = measure(wl, cases, cli.main, args.seconds)
+        passes = passes_for(wl, args.seconds)
+        side = SideWork(passes * len(cases), argv)
+        result = measure(wl, cases, cli.main, passes, side)
         busy = result["busy"]
-        summary = summarize(result)
         failed = result["ops"] - result["ok_ops"]
         wrong = sum(result["kinds"].get(k, 0) for k in WRONG)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        end_to_end = {
-            "ok_ops_per_s": (summary["ok_ops_per_s"], "1/s"),
-            "latency_p50_s": (summary["p50"], "s"),
-            "latency_tail_s": (summary["tail"], "s"),
-            "setup_s": (setup_s, "s"),
-            "peak_rss_mb": (peak_rss_mb, "MB"),
-        }
+        _, raw = end_to_end_metrics(
+            result, [[t for t, _ in timed] for timed in result["times"]],
+            [t for t, _ in side.setup_times], peak_rss_mb)
+        scaled_times = [side.scaled(timed) for timed in result["times"]]
+        summary, end_to_end = end_to_end_metrics(
+            result, scaled_times, side.scaled(side.setup_times), peak_rss_mb)
+        slowdown = [side.slowdown_at(pos) for timed in result["times"] for _, pos in timed]
         layers = None
         if args.trace:
             tracer, layers = traced_pass(wl, cases, cli.main)
@@ -419,16 +533,19 @@ def main(argv=None) -> int:
                        if kind != "ok"})
     print("# env %s" % json.dumps({k: v for k, v in env.items() if k != "pool_seeds"},
                                   sort_keys=True))
-    print("# ops %d (ok %d, failed %d) in %d full passes and %.3f s of command time;"
-          " measured rate %.3f ok/s" % (result["ops"], result["ok_ops"], failed,
-                                        result["passes"], busy, result["ok_ops"] / busy))
+    print("# ops %d (ok %d, failed %d) in %d full passes and %.3f s of command time"
+          % (result["ops"], result["ok_ops"], failed, result["passes"], busy))
     print("# outcomes %s" % json.dumps(result["kinds"], sort_keys=True))
     for seed, kind, detail in failures:
         print("# failed pool seed %d: %s %s" % (seed, kind, detail or ""))
-    print("# timings over %d instances, each at its fastest repeat; tail = p%d"
+    print("# latencies over %d instances, each at the median of its repeats; tail = p%d"
           % (summary["samples"], summary["tail_p"]))
+    print("# slowdown against the reference speed, over commands: median %.4f, range"
+          " %.4f-%.4f (%d calibration chunks); declared times are at the reference speed"
+          % (statistics.median(slowdown), min(slowdown), max(slowdown),
+             len(side.calibration)))
     for name, (value, unit) in end_to_end.items():
-        print("# %-22s %14.6f %s" % (name, value, unit))
+        print("# %-22s %14.6f %-4s  raw %.6f" % (name, value, unit, raw[name][0]))
     print("# %-22s %14.6f %s   (%d/%d)" % ("fail_frac", fail_frac, "ratio",
                                            failed, result["ops"]))
     if layers is not None:
@@ -441,14 +558,16 @@ def main(argv=None) -> int:
                 num, den = RATIO_BASES[name]
                 extra = "   (%s / %s)" % (layers[num][0], layers[den][0])
             print("# %-36s %14.6f %-6s%s" % (name, value, unit, extra))
-        if tracer.missing:
-            print("# untraced (not found): %s" % ", ".join(tracer.missing))
 
     details = {"env": env, "end_to_end": end_to_end, "per_layer": layers,
                "fail_frac": [failed, result["ops"]], "outcomes": result["kinds"],
                "failures": failures, "tail_percentile": summary["tail_p"],
                "latency_samples": summary["samples"], "passes": result["passes"],
-               "setup_times_s": setup_times, "import_s": import_s}
+               "raw_end_to_end": raw,
+               "calibration_s": list(side.calibration),
+               "setup_times_s": side.setup_times,
+               "command_times_s": {c["entry"]["seed"]: t
+                                   for c, t in zip(cases, scaled_times)}}
     out_dir.mkdir(exist_ok=True)
     with open(out_dir / ("result-%s-seed%d-trace%d.json" % (wl.name, args.seed, args.trace)),
               "w", encoding="utf-8") as fh:
@@ -466,4 +585,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    workloads.pin_hash_seed()
     sys.exit(main())

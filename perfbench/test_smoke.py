@@ -47,7 +47,7 @@ def test_workload_prints_every_metric(workload, trace):
     result = json.loads(lines[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True
-    assert result["attempted"] >= 4
+    assert result["attempted"] == 4  # one full pass over four instances
     declared = SPEC["per_layer"] if trace else SPEC["end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
     report = lines[:-1]
@@ -64,6 +64,18 @@ def test_workload_prints_every_metric(workload, trace):
                               if line.startswith("# env "))[len("# env "):])
         for key in ("rational_backend", "python", "nproc", "seed", "m_range"):
             assert key in env
+
+
+def test_missing_trace_target_is_an_error():
+    """A renamed layer boundary stops the traced run instead of reading 0."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    with pytest.raises(LookupError):
+        tracer._patch_function("packing", "no_such_function", "packing.none")
+    with pytest.raises(LookupError):
+        tracer._patch_method("matroids", "SparsityMatroid", "no_such_method", None)
 
 
 def test_refuses_without_sources():

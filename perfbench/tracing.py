@@ -4,9 +4,9 @@ The tracer wraps module-level functions (and two methods) of ``bbibranch``
 at the boundary of each layer; nothing under ``src/`` is edited.  A wrapped
 function that a module imported by name is replaced in every module that
 holds it, so ``from .digraph import max_flow_min_cut`` callers are traced
-too.  A target that no longer exists is skipped and listed in
-``Tracer.missing``, so a later refactor degrades the trace instead of
-breaking the benchmark.
+too.  A target that no longer exists is an error (``LookupError``): a
+per-layer metric must not read 0 because a refactor renamed its boundary,
+so a change that moves a layer boundary updates the targets here.
 
 Spans stay in memory as parallel arrays (name, start, end, parent, op) and
 are written out once, at the end of the run.  A span's self time is its
@@ -43,7 +43,6 @@ class Tracer:
         self.op = array("q")
         self.errors: dict[int, str] = {}
         self.counts: Counter = Counter()
-        self.missing: list[str] = []
         self._stack: list[int] = []
         self._op = -1
         self._patches: list[tuple[object, str, object, object]] = []
@@ -105,8 +104,7 @@ class Tracer:
         mod = importlib.import_module("bbibranch." + module)
         original = getattr(mod, name, None)
         if original is None:
-            self.missing.append("%s.%s" % (module, name))
-            return
+            raise LookupError("trace target bbibranch.%s.%s not found" % (module, name))
         wrapper = self._wrap(original, span, before, after)
         for holder_name in LAYERS:
             holder = importlib.import_module("bbibranch." + holder_name)
@@ -120,8 +118,8 @@ class Tracer:
         klass = getattr(mod, cls, None)
         original = getattr(klass, name, None) if klass is not None else None
         if original is None:
-            self.missing.append("%s.%s.%s" % (module, cls, name))
-            return
+            raise LookupError("trace target bbibranch.%s.%s.%s not found"
+                              % (module, cls, name))
         self._patches.append((klass, name, original,
                               self._wrap(original, span, before, after)))
 

@@ -8,22 +8,41 @@ label and the reference the outputs are checked against.
 ``make_pools.py`` writes the pools; the benchmark only reads them.
 
 A run's seed picks a stratified sample of the pool: every stratum keeps its
-pool share.  Strata are cost bands (and, for ``pack``, the failing
-outcomes), so the mix of cheap and expensive instances, and every failure
-class, is the same on every seed; per-seed spread comes only from the
-instances inside each stratum.
+pool share, and inside a stratum one entry is drawn from each run of
+entries of neighbouring cost.  Strata are cost bands (and, for ``pack``,
+the failing outcomes), so the mix of cheap and expensive instances, and
+every failure class, is the same on every seed; per-seed spread comes only
+from the choice between instances of nearly the same recorded cost.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 POOL_DIR = Path(__file__).resolve().parent / "pools"
+HASH_SEED = "0"
+
+
+def pin_hash_seed() -> None:
+    """Re-execute the running script with ``PYTHONHASHSEED`` fixed, unless it is.
+
+    ``bbibranch`` iterates sets of vertex-id strings, whose order follows the
+    string hash, and the order decides which branch a search or a max-flow
+    tries first: the same ``pack`` instance took 0.034 s per command under
+    one hash seed and 0.067 s under another.  With a fixed seed an instance
+    costs the same in every run and when its pool cost was recorded.  The
+    process is replaced (``execve``), not forked.
+    """
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        os.execve(sys.executable, [sys.executable] + sys.argv,
+                  dict(os.environ, PYTHONHASHSEED=HASH_SEED))
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +141,19 @@ class Workload:
     command: str          # CLI subcommand run on every instance
     generator: Callable[[int], tuple[dict, str]]  # sub-seed -> (document, kind)
     sample_size: int      # instances per run, drawn from the pool
+    pass_s: float         # nominal command seconds of one pass over the sample
 
 
+# ``pass_s`` is the recorded cost of one pass, the summed pool ``cost_s`` of
+# a sample (it varies by under 4 % between seeds), to half a second; a run
+# makes ``round(--seconds / pass_s)`` passes (``run.passes_for``).  ``pack``
+# samples 300 rather than 400 instances: its tail percentile then falls
+# where the costs lie denser (the 8th slowest succeeding instance, not the
+# 6th); in six-run sets that cut the tail's spread from 0.17 to 0.11.
 WORKLOADS = {
-    "solve-small": Workload("solve-small", "solve", gen_solve_small, 300),
-    "solve-sparse": Workload("solve-sparse", "solve", gen_solve_sparse, 40),
-    "pack": Workload("pack", "pack", gen_pack, 400),
+    "solve-small": Workload("solve-small", "solve", gen_solve_small, 300, 11.0),
+    "solve-sparse": Workload("solve-sparse", "solve", gen_solve_sparse, 40, 11.5),
+    "pack": Workload("pack", "pack", gen_pack, 300, 6.0),
 }
 
 
@@ -144,8 +170,11 @@ def stratified_sample(pool: list[dict], size: int, seed: int) -> list[dict]:
     """``size`` entries, each stratum at its pool share, in a seeded order.
 
     Stratum quotas use largest remainders, so they depend only on the pool
-    and ``size``; the seed chooses which entries fill each quota and the
-    order they run in.
+    and ``size``.  Inside a stratum the entries are ranked by ``cost_s`` and
+    cut into ``quota`` runs of neighbours; the seed picks one entry from
+    each run, and the order they all run in.  The sample thus matches the
+    pool's cost distribution quantile by quantile, so the latency
+    percentiles vary little from seed to seed.
     """
     rng = random.Random(seed)
     strata: dict[str, list[dict]] = {}
@@ -159,7 +188,11 @@ def stratified_sample(pool: list[dict], size: int, seed: int) -> list[dict]:
         quota[s] += 1
     chosen = []
     for s in labels:
-        chosen += rng.sample(strata[s], min(quota[s], len(strata[s])))
+        ranked = sorted(strata[s], key=lambda e: (e["cost_s"], e["seed"]))
+        q = min(quota[s], len(ranked))
+        for i in range(q):
+            chosen.append(rng.choice(ranked[i * len(ranked) // q:
+                                            (i + 1) * len(ranked) // q]))
     rng.shuffle(chosen)
     return chosen
 
