@@ -101,6 +101,13 @@ def load_instance_file(path: str) -> tuple[Instance, str]:
     return instance, digest
 
 
+def _load(args) -> tuple[Instance, str]:
+    """Load args.instance and keep its hash on args for failure reports."""
+    instance, digest = load_instance_file(args.instance)
+    args._instance_hash = digest
+    return instance, digest
+
+
 def emit_report(args, payload: dict, instance_hash: str, status: str = "ok") -> None:
     report = {
         "command": [args.command] + getattr(args, "_echo", []),
@@ -117,7 +124,7 @@ def emit_report(args, payload: dict, instance_hash: str, status: str = "ok") -> 
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    instance, digest = load_instance_file(args.instance)
+    instance, digest = _load(args)
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             sol = json.load(fh)
@@ -135,7 +142,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance, digest = load_instance_file(args.instance)
+    instance, digest = _load(args)
     solution = solve_shortest(instance, method=args.method)
     payload = {
         "arcs": sorted(solution.arcs),
@@ -150,7 +157,7 @@ def cmd_solve(args) -> int:
 def cmd_packing_number(args) -> int:
     from .packing import packing_number
 
-    instance, digest = load_instance_file(args.instance)
+    instance, digest = _load(args)
     witness = packing_number(instance)
     payload = {
         "k": witness.k,
@@ -166,7 +173,7 @@ def cmd_packing_number(args) -> int:
 def cmd_pack(args) -> int:
     from .packing import pack_b_bibranchings
 
-    instance, digest = load_instance_file(args.instance)
+    instance, digest = _load(args)
     cert = pack_b_bibranchings(instance)
     payload = {
         "k": cert.k,
@@ -300,7 +307,7 @@ def _check_idp(instance, rng, trials):
 
 
 def cmd_check(args) -> int:
-    instance, digest = load_instance_file(args.instance)
+    instance, digest = _load(args)
     rng = random.Random(args.seed)
     checkers = {"tdi": _check_tdi, "mconvex": _check_mconvex,
                 "exchange": _check_exchange, "idp": _check_idp}
@@ -416,18 +423,17 @@ def main(argv=None) -> int:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleInstance as exc:
-        report = {"command": [args.command] + argv[1:],
-                  "status": "infeasible",
-                  "result": {"message": str(exc),
-                             "witness": _jsonable(exc.witness)}}
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        emit_report(args, {"message": str(exc), "witness": _jsonable(exc.witness)},
+                    getattr(args, "_instance_hash", None), status="infeasible")
         return EXIT_INFEASIBLE
     except GuardError as exc:
         print("guard exceeded: %s" % exc, file=sys.stderr)
         return EXIT_GUARD
     except TheoremViolation as exc:
         print("theorem violation: %s" % exc, file=sys.stderr)
+        emit_report(args, {"message": str(exc), "payload": _jsonable(exc.payload)},
+                    getattr(args, "_instance_hash", None),
+                    status="theorem_violation")
         return EXIT_THEOREM
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .digraph import Digraph, InputError, check_capacities, max_flow_min_cut
-from .rationals import Q, ZERO
+from .digraph import Digraph, InputError, check_capacities
+from .rationals import Q
 
 
 class PartitionMatroid:
@@ -37,9 +37,18 @@ class PartitionMatroid:
 class SparsityMatroid:
     """Independence: |B[X]| <= b(X) - 1 for every nonempty vertex set X.
 
-    The violation test forces each vertex v into X in turn and maximizes
-    |B[X]| - b(X) over X containing v with a project-selection min cut, so
-    the empty set never masks a violation.
+    The test is the pebble game of Lee and Streinu ("Pebble game algorithms
+    and sparse graphs", Discrete Math. 308, 2008) with per-vertex pebble
+    counts b(v) and l = 1.  Each vertex starts with b(v) free pebbles and
+    every accepted arc is oriented out of the vertex that paid a pebble for
+    it, so for every X
+
+        free(X) + out(X) = b(X) - |accepted[X]|,
+
+    where out(X) counts accepted arcs leaving X.  Pebble moves (reversing a
+    path) keep both sides unchanged.  An arc is accepted only when its two
+    endpoints hold two free pebbles, so b(X) - |accepted[X]| >= 1 keeps
+    holding for every X that contains it.
     """
 
     def __init__(self, digraph: Digraph, b: dict[str, int]):
@@ -48,45 +57,69 @@ class SparsityMatroid:
         self._memo: dict[frozenset[int], Optional[frozenset[str]]] = {}
 
     def violation_witness(self, B: Iterable[int]) -> Optional[frozenset[str]]:
-        """A nonempty X minimizing b(X) - |B[X]| when that minimum is <= 0."""
+        """None when B is independent, else a nonempty X with |B[X]| >= b(X)."""
         B = self.digraph.check_arcset(B)
-        if B in self._memo:
-            return self._memo[B]
-        best_value = None
-        best_X = None
-        arcs_list = sorted(B)
-        for v in self.digraph.vertices:
-            nodes = ["src", "snk"]
-            net_arcs = []
-            for a in arcs_list:
-                node = ("arc", a)
-                nodes.append(node)
-                net_arcs.append(("src", node, 1))
-                for endpoint in self.digraph.arcs[a]:
-                    if endpoint != v:
-                        net_arcs.append((node, ("vtx", endpoint), None))
-            for u in self.digraph.vertices:
-                if u != v:
-                    nodes.append(("vtx", u))
-                    net_arcs.append((("vtx", u), "snk", self.b[u]))
-            flow, cut = max_flow_min_cut(nodes, net_arcs, "src", "snk")
-            value = len(B) - int(flow) - self.b[v]  # max over X containing v of |B[X]| - b(X)
-            if best_value is None or value > best_value:
-                best_value = value
-                best_X = frozenset({v} | {u for u in self.digraph.vertices
-                                          if ("vtx", u) in cut})
-        witness = best_X if best_value is not None and best_value >= 0 else None
-        self._memo[B] = witness
-        return witness
+        if B not in self._memo:
+            self._memo[B] = _pebble_game(self.digraph, self.b, B)
+        return self._memo[B]
 
     def independent(self, B: Iterable[int]) -> bool:
         return self.violation_witness(B) is None
 
 
-def sparsity_independent(matroid: SparsityMatroid, B: Iterable[int]):
-    """(True, None) when independent, else (False, violating X)."""
-    witness = matroid.violation_witness(B)
-    return (witness is None), witness
+def _pebble_game(digraph: Digraph, b: dict[str, int],
+                 B: frozenset[int]) -> Optional[frozenset[str]]:
+    """Insert the arcs of B in index order, direction ignored.
+
+    When the endpoints u, w of an arc cannot gather two free pebbles, every
+    vertex reachable from {u, w} along oriented arcs, other than u and w,
+    is out of pebbles, and no oriented arc leaves that reach set R.  Then
+    b(R) - |B[R]| <= free(u) + free(w) - 1 <= 0, and R is returned.
+    """
+    free = dict(b)
+    out: dict[str, list[str]] = {v: [] for v in digraph.vertices}
+    for a in sorted(B):
+        u, w = digraph.arcs[a]
+        while free[u] + free[w] < 2:
+            reach_u = _fetch_pebble(u, w, free, out)
+            if reach_u is not None:
+                reach_w = _fetch_pebble(w, u, free, out)
+                if reach_w is not None:
+                    return frozenset(reach_u).union(reach_w)
+        payer, other = (u, w) if free[u] else (w, u)
+        free[payer] -= 1
+        out[payer].append(other)
+    return None
+
+
+def _fetch_pebble(root: str, keep: str, free: dict[str, int],
+                  out: dict[str, list[str]]) -> Optional[dict]:
+    """Move a free pebble to root from a vertex other than keep.
+
+    Depth-first search along the oriented arcs from root; on finding a free
+    pebble it reverses the path, which moves the pebble to root, and
+    returns None.  Otherwise it returns the vertices reached (root
+    included), none of which except root and keep holds a free pebble.
+    """
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            if y in parent:
+                continue
+            parent[y] = x
+            if free[y] and y != keep:
+                free[y] -= 1
+                free[root] += 1
+                while y != root:
+                    x = parent[y]
+                    out[x].remove(y)
+                    out[y].append(x)
+                    y = x
+                return None
+            stack.append(y)
+    return parent
 
 
 def is_b_branching(digraph: Digraph, b: dict[str, int], B: Iterable[int]) -> bool:

@@ -1,15 +1,18 @@
 """Command-line surface: file formats, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from bbibranch import cli
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data,
                            serialize_instance)
-from bbibranch.errors import InputError
+from bbibranch.errors import InputError, TheoremViolation
 
 from conftest import one_arc_instance
 
@@ -77,6 +80,29 @@ class TestSolveCommand:
         report = json.loads(out.stdout)
         assert report["status"] == "infeasible"
         assert report["result"]["witness"]["witness"] == "t"
+        raw = (tmp_path / "i.json").read_bytes()
+        assert report["instance_hash"] == hashlib.sha256(raw).hexdigest()
+
+    def test_theorem_violation_reports_payload(self, tmp_path, capsys,
+                                               monkeypatch):
+        def violate(instance, method):
+            raise TheoremViolation("optima disagree", payload={
+                "values": (Fraction(1, 3), 2), "set": frozenset({"t", "s"})})
+
+        monkeypatch.setattr(cli, "solve_shortest", violate)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(ONE_ARC))
+        assert cli.main(["solve", str(path)]) == EXIT_THEOREM
+        captured = capsys.readouterr()
+        assert captured.err == "theorem violation: optima disagree\n"
+        report = json.loads(captured.out)
+        assert report["status"] == "theorem_violation"
+        assert report["command"] == ["solve", str(path)]
+        assert report["instance_hash"] == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        assert report["result"] == {
+            "message": "optima disagree",
+            "payload": {"values": ["1/3", 2], "set": ["s", "t"]}}
 
     def test_input_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

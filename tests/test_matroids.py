@@ -3,13 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
 from bbibranch.matroids import (PartitionMatroid, SparsityMatroid,
                                 is_b_branching,
                                 min_weight_b_branching_exact_indegrees,
-                                sparsity_independent,
                                 weighted_matroid_intersection)
 
 from conftest import (all_subsets, oracle_b_branchings, oracle_is_branching,
@@ -47,11 +48,42 @@ class TestSparsityMatroid:
                 continue
             m = SparsityMatroid(D, b)
             for B in all_subsets(D.num_arcs()):
-                ok, witness = sparsity_independent(m, B)
+                witness = m.violation_witness(B)
+                ok = m.independent(B)
+                assert ok == (witness is None)
                 assert ok == oracle_sparsity_independent(D, b, B)
                 if not ok:
                     inside = len(D.induced_arcs(B, witness))
                     assert inside >= sum(b[v] for v in witness)
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_pebble_game_matches_enumeration(self, data):
+        # Parallel and antiparallel arcs come from drawing endpoint pairs
+        # with repetition.  B takes at least half of the drawn arcs, so
+        # about a quarter of the examples are dependent.
+        n = data.draw(st.integers(1, 5), label="n")
+        ids = ["v%d" % i for i in range(n)]
+        b = {v: data.draw(st.integers(1, 3), label="b(%s)" % v) for v in ids}
+        arcs = []
+        if n > 1:
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+            for tail, step in data.draw(st.lists(pairs, min_size=1,
+                                                 max_size=12), label="arcs"):
+                arcs.append((ids[tail], ids[(tail + step) % n]))
+        D = Digraph(ids, arcs)
+        B = data.draw(st.frozensets(st.sampled_from(range(len(arcs))),
+                                    min_size=len(arcs) // 2)
+                      if arcs else st.just(frozenset()), label="B")
+        m = SparsityMatroid(D, b)
+        witness = m.violation_witness(B)
+        assert m.independent(B) == oracle_sparsity_independent(D, b, B)
+        assert m.independent(B) == (witness is None)
+        if witness is not None:
+            assert witness
+            inside = len(D.induced_arcs(B, witness))
+            assert inside >= sum(b[v] for v in witness)
 
 
 class TestBBranching:
