@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .digraph import Bipartition, Digraph, check_capacities
-from .errors import GuardError, InfeasibleInstance, InputError
+from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .matroids import is_b_branching
 from .rationals import Q, ZERO, rat
 
@@ -262,7 +262,6 @@ def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
         if method == "auto" and instance.digraph.num_arcs() <= CROSS_CHECK_ARC_LIMIT:
             other = mconvex.solve_mflow(instance)
             if other.weight != solution.weight:
-                from .errors import TheoremViolation
                 raise TheoremViolation(
                     "LP and submodular-flow optima disagree: %s vs %s"
                     % (solution.weight, other.weight))

@@ -296,7 +296,7 @@ def all_bicuts(instance: Instance) -> list[Bicut]:
     return cuts
 
 
-def _min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicut]]:
+def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicut]]:
     """One minimum cut per forced vertex, from both bicut families."""
     from .digraph import max_flow_min_cut
 
@@ -324,7 +324,7 @@ def separate_bicut(instance: Instance, x: list) -> Optional[Bicut]:
         if Q(x[a]) < 0:
             raise InputError("separation requires x >= 0")
     best = None
-    for value, cut in _min_bicut_candidates(instance, x):
+    for value, cut in min_bicut_candidates(instance, x):
         if value < 1 and (best is None or value < best[0]
                           or (value == best[0] and sorted(cut.U) < sorted(best[1].U))):
             best = (value, cut)
@@ -334,7 +334,7 @@ def separate_bicut(instance: Instance, x: list) -> Optional[Bicut]:
 def _violated_bicuts(instance: Instance, x: list) -> list[Bicut]:
     seen = set()
     out = []
-    for value, cut in _min_bicut_candidates(instance, x):
+    for value, cut in min_bicut_candidates(instance, x):
         if value < 1 and cut.arcs not in seen:
             seen.add(cut.arcs)
             out.append(cut)

@@ -131,6 +131,63 @@ def is_b_branching(digraph: Digraph, b: dict[str, int], B: Iterable[int]) -> boo
     return SparsityMatroid(digraph, b).independent(B)
 
 
+def split_into_b_branchings(digraph: Digraph, b: dict[str, int],
+                            arcs: Iterable[int], lower: list[dict[str, int]],
+                            upper: list[dict[str, int]],
+                            shared: frozenset[int] = frozenset(),
+                            leave_unused: bool = False):
+    """Assign arcs to k = len(upper) classes, each with shared a b-branching.
+
+    Class j (shared included) must have indegree in [lower[j][v],
+    upper[j][v]] at every v; missing entries read 0.  shared must be a
+    b-branching and is not tested.  Depth-first search over the arcs in
+    index order, each tried in classes 0..k-1 and then, with leave_unused,
+    in no class; so the first valid labelling in that order is returned, as
+    a list of k frozensets, or None.  A class takes an arc only below its
+    upper bound and while it stays independent in the sparsity matroid; a
+    node is cut off once some vertex lacks the unplaced in-arcs that the
+    lower bounds still need.
+    """
+    sparsity = SparsityMatroid(digraph, b)
+    vertices = digraph.vertices
+    k = len(upper)
+    lo = [{v: row.get(v, 0) for v in vertices} for row in lower]
+    hi = [{v: row.get(v, 0) for v in vertices} for row in upper]
+    order = sorted(arcs)
+    classes = [set(shared) for _ in range(k)]
+    deg = [{v: digraph.in_degree(shared, v) for v in vertices} for _ in range(k)]
+    if any(deg[j][v] > hi[j][v] for j in range(k) for v in vertices):
+        return None
+    unplaced = {v: 0 for v in vertices}
+    for a in order:
+        unplaced[digraph.head(a)] += 1
+
+    def rec(i: int):
+        for v in vertices:
+            if sum(max(0, lo[j][v] - deg[j][v]) for j in range(k)) > unplaced[v]:
+                return None
+        if i == len(order):
+            return [frozenset(c) for c in classes]
+        a = order[i]
+        head = digraph.head(a)
+        unplaced[head] -= 1
+        for j in range(k):
+            if deg[j][head] < hi[j][head]:
+                classes[j].add(a)
+                deg[j][head] += 1
+                if sparsity.independent(classes[j]):
+                    found = rec(i + 1)
+                    if found is not None:
+                        return found
+                deg[j][head] -= 1
+                classes[j].discard(a)
+        found = rec(i + 1) if leave_unused else None
+        unplaced[head] += 1
+        return found
+
+    return rec(0)
+
+
 def weighted_matroid_intersection(m1, m2, weights, r: int, sense: str = "min"):
     """Optimal common independent set of size exactly r, or None if infeasible.
 

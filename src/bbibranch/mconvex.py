@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Optional
 from .bibranching import Instance, Solution, bibranching_report, feasibility_witness, subgraph
 from .digraph import Digraph, check_capacities
 from .errors import InfeasibleInstance, InputError, TheoremViolation
-from .matroids import (SparsityMatroid, is_b_branching,
-                       min_weight_b_branching_exact_indegrees)
+from .matroids import (is_b_branching, min_weight_b_branching_exact_indegrees,
+                       split_into_b_branchings)
 from .rationals import Q, ZERO
 
 
@@ -64,14 +64,6 @@ class BBranchingOracle:
         return None if result is None else result[0]
 
 
-def eval_f(oracle: BBranchingOracle, x: dict[str, int]):
-    return oracle.eval_f(x)
-
-
-def eval_g(oracle: BBranchingOracle, x: dict[str, int]):
-    return oracle.eval_g(x)
-
-
 def check_mnat_exchange(evaluator: Callable[[dict], object],
                         vertices: Iterable[str],
                         x: dict[str, int], y: dict[str, int]):
@@ -117,91 +109,9 @@ def check_mnat_exchange(evaluator: Callable[[dict], object],
 # Two-partition and exchange lemmas
 # ---------------------------------------------------------------------------
 
-def _partition_with_degrees(digraph: Digraph, b: dict[str, int],
-                            free_arcs: list[int], shared: frozenset[int],
-                            targets1: dict[str, int], targets2: dict[str, int]):
-    """Split free_arcs into two classes (both also containing shared) so that
-    each class is a b-branching with the exact prescribed indegree vector.
-
-    Deterministic backtracking over arcs in index order with degree and
-    sparsity pruning; returns (B1, B2) or None.
-    """
-    sparsity = SparsityMatroid(digraph, b)
-    order = sorted(free_arcs)
-    remaining_in: dict[str, int] = {v: 0 for v in digraph.vertices}
-    for a in order:
-        remaining_in[digraph.head(a)] += 1
-
-    deg1 = {v: 0 for v in digraph.vertices}
-    deg2 = {v: 0 for v in digraph.vertices}
-    for a in shared:
-        deg1[digraph.head(a)] += 1
-        deg2[digraph.head(a)] += 1
-    class1: set[int] = set(shared)
-    class2: set[int] = set(shared)
-
-    def feasible_remaining() -> bool:
-        for v in digraph.vertices:
-            need = (targets1[v] - deg1[v]) + (targets2[v] - deg2[v])
-            if targets1[v] < deg1[v] or targets2[v] < deg2[v]:
-                return False
-            if need > remaining_in[v]:
-                return False
-        return True
-
-    def rec(i: int):
-        if not feasible_remaining():
-            return None
-        if i == len(order):
-            if all(deg1[v] == targets1[v] and deg2[v] == targets2[v]
-                   for v in digraph.vertices):
-                return frozenset(class1), frozenset(class2)
-            return None
-        a = order[i]
-        head = digraph.head(a)
-        remaining_in[head] -= 1
-        for deg, cls, targets in ((deg1, class1, targets1), (deg2, class2, targets2)):
-            if deg[head] < targets[head]:
-                cls.add(a)
-                deg[head] += 1
-                if sparsity.independent(cls):
-                    found = rec(i + 1)
-                    if found is not None:
-                        return found
-                deg[head] -= 1
-                cls.discard(a)
-        remaining_in[head] += 1
-        return None
-
-    return rec(0)
-
-
 def _find_any_two_partition(digraph: Digraph, b: dict[str, int]):
     """Some partition of all arcs into two b-branchings, or None."""
-    sparsity = SparsityMatroid(digraph, b)
-    caps = check_capacities(digraph, b)
-    deg1 = {v: 0 for v in digraph.vertices}
-    deg2 = {v: 0 for v in digraph.vertices}
-    class1: set[int] = set()
-    class2: set[int] = set()
-
-    def rec(i: int):
-        if i == digraph.num_arcs():
-            return frozenset(class1), frozenset(class2)
-        head = digraph.head(i)
-        for deg, cls in ((deg1, class1), (deg2, class2)):
-            if deg[head] < caps[head]:
-                cls.add(i)
-                deg[head] += 1
-                if sparsity.independent(cls):
-                    found = rec(i + 1)
-                    if found is not None:
-                        return found
-                deg[head] -= 1
-                cls.discard(i)
-        return None
-
-    return rec(0)
+    return split_into_b_branchings(digraph, b, digraph.all_arcs, [{}, {}], [b, b])
 
 
 def two_partition(digraph: Digraph, b: dict[str, int],
@@ -230,14 +140,11 @@ def two_partition(digraph: Digraph, b: dict[str, int],
         if sum(b1.get(v, 0) for v in comp) >= bX or sum(b2.get(v, 0) for v in comp) >= bX:
             return None, comp
 
-    t1 = {v: b1.get(v, 0) for v in digraph.vertices}
-    t2 = {v: b2.get(v, 0) for v in digraph.vertices}
-    found = _partition_with_degrees(digraph, b, list(range(digraph.num_arcs())),
-                                    frozenset(), t1, t2)
+    found = split_into_b_branchings(digraph, b, digraph.all_arcs, [b1, b2], [b1, b2])
     if found is None:
         raise TheoremViolation("two-partition condition held but no partition found",
                                payload={"b1": b1, "b2": b2})
-    return found
+    return tuple(found)
 
 
 def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
@@ -285,8 +192,8 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
         b1p[t_vertex] -= 1
         b2p[t_vertex] += 1
 
-    found = _partition_with_degrees(digraph, b, sorted(B1 ^ B2), frozenset(shared),
-                                    b1p, b2p)
+    found = split_into_b_branchings(digraph, b, B1 ^ B2, [b1p, b2p], [b1p, b2p],
+                                    shared)
     if found is None:
         raise TheoremViolation("exchange lemma produced no valid reassignment",
                                payload={"case": case, "s": s, "t": t_vertex})
@@ -353,12 +260,6 @@ def solve_mflow(instance: Instance) -> Solution:
                 z_T[D.head(a)] += 1
         return z_S, z_T
 
-    def g_S(z):
-        return oracle_S.eval_g(z)
-
-    def g_T(z):
-        return oracle_T.eval_g(z)
-
     def shifted(z, deltas):
         out = dict(z)
         for v, d in deltas:
@@ -366,8 +267,8 @@ def solve_mflow(instance: Instance) -> Solution:
         return out
 
     def build_arcs(z_S, z_T):
-        gS0 = g_S(z_S)
-        gT0 = g_T(z_T)
+        gS0 = oracle_S.eval_g(z_S)
+        gT0 = oracle_T.eval_g(z_T)
         arcs: list[_AuxArc] = []
         for a in H:
             u, v = D.arcs[a]
@@ -377,11 +278,11 @@ def solve_mflow(instance: Instance) -> Solution:
                 arcs.append(_AuxArc(u, v, instance.weights[a], a))
 
         def delta_S(deltas):
-            val = g_S(shifted(z_S, deltas))
+            val = oracle_S.eval_g(shifted(z_S, deltas))
             return None if val is None else val - gS0
 
         def delta_T(deltas):
-            val = g_T(shifted(z_T, deltas))
+            val = oracle_T.eval_g(shifted(z_T, deltas))
             return None if val is None else val - gT0
 
         nodes = sorted(instance.S) + sorted(instance.T) + [_NULL]
@@ -445,23 +346,21 @@ def _min_arc_negative_cycle(nodes, arcs):
                                            t.flip if t.flip is not None else -1)):
         out_arcs[arc.tail].append(arc)
 
-    n = len(nodes)
-    for length in range(2, n + 1):
+    # walks[start][v] = best (cost, trace) over walks start -> v with exactly
+    # `length` arcs; each length extends the previous length's table by one arc.
+    walks = {start: {start: (ZERO, ())} for start in nodes}
+    for length in range(1, len(nodes) + 1):
         best = None
         for start in nodes:
-            # dist[v] = best (cost, trace) for walks start -> v of exact length.
-            dist = {start: (ZERO, ())}
-            for _ in range(length):
-                nxt: dict = {}
-                for u, (cost, trace) in dist.items():
-                    for arc in out_arcs[u]:
-                        cand = (cost + arc.cost, trace + (arc,))
-                        key = arc.head
-                        if key not in nxt or cand[0] < nxt[key][0]:
-                            nxt[key] = cand
-                dist = nxt
-            if start in dist and dist[start][0] < 0:
-                cand = (dist[start][0], order[start], dist[start][1])
+            nxt: dict = {}
+            for u, (cost, trace) in walks[start].items():
+                for arc in out_arcs[u]:
+                    cand = (cost + arc.cost, trace + (arc,))
+                    if arc.head not in nxt or cand[0] < nxt[arc.head][0]:
+                        nxt[arc.head] = cand
+            walks[start] = nxt
+            if start in nxt and nxt[start][0] < 0:
+                cand = (nxt[start][0], order[start], nxt[start][1])
                 if best is None or cand[:2] < best[:2]:
                     best = cand
         if best is not None:

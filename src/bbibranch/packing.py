@@ -16,7 +16,9 @@ from typing import Iterable, Optional
 from .bibranching import Instance, bibranching_report, is_b_bibranching, subgraph
 from .digraph import Digraph, check_capacities
 from .errors import GuardError, InputError, TheoremViolation
-from .matroids import SparsityMatroid
+from .lpsolve import (RationalLP, all_bicuts, dump_lp, min_bicut_candidates,
+                      simplex_solve)
+from .matroids import split_into_b_branchings
 from .rationals import Q, ONE, ZERO
 
 FAMILY_SIDE_LIMIT = 12
@@ -41,8 +43,6 @@ class MinMaxWitness:
 
 def packing_number(instance: Instance) -> MinMaxWitness:
     """Exact maximum number of disjoint b-bibranchings, with all witnesses."""
-    from .lpsolve import _min_bicut_candidates
-
     D = instance.digraph
     t_pairs = sorted((len(D.in_arcs(v)) // instance.b[v], v)
                      for v in instance.T)
@@ -50,7 +50,7 @@ def packing_number(instance: Instance) -> MinMaxWitness:
                      for u in instance.S)
     ones = [ONE] * D.num_arcs()
     bicut_best = None
-    for value, bicut in _min_bicut_candidates(instance, ones):
+    for value, bicut in min_bicut_candidates(instance, ones):
         entry = (int(value), tuple(sorted(bicut.U)))
         if bicut_best is None or entry < bicut_best[:2]:
             bicut_best = entry + (bicut.U,)
@@ -126,8 +126,8 @@ class SupermodularOracle:
     """g(C) = max over generating U of k minus the within-side indegree of U.
 
     Side 1 measures arcs of A[T] entering U; side 2 measures arcs of A[S]
-    leaving U.  ``degree_override`` substitutes residual cross-arc data is
-    not needed here because only within-side arcs enter the formula.
+    leaving U.  Cross arcs never enter k - d(U); a smaller ground set (as
+    in the peeling recursion) only changes which sets U generate C.
     """
 
     def __init__(self, family: CutFamilyOracle, k: int):
@@ -233,8 +233,6 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
     vertex is a hard failure carrying the dumped LP, since the intersection
     of the two systems is an integer polyhedron.
     """
-    from .lpsolve import RationalLP, dump_lp, simplex_solve
-
     if p1.var_arcs != p2.var_arcs or p1.k != p2.k:
         raise InputError("the two systems must share ground set and k")
     arcs = p1.var_arcs
@@ -391,52 +389,17 @@ def pack_prescribed_b_branchings(digraph: Digraph, b: dict[str, int],
                 return PrescribedPackingResult(
                     None, {"condition": "cut", "set": X}, hypothesis)
 
-    branchings = _prescribed_search(digraph, b, prescriptions)
+    if digraph.num_arcs() > PRESCRIBED_ARC_LIMIT:
+        raise GuardError("prescribed packing search limited to %d arcs"
+                         % PRESCRIBED_ARC_LIMIT)
+    branchings = split_into_b_branchings(digraph, b, digraph.all_arcs,
+                                         prescriptions, prescriptions,
+                                         leave_unused=True)
     if branchings is None:
         raise TheoremViolation("prescribed packing conditions hold but the "
                                "search found nothing",
                                payload={"prescriptions": prescriptions})
     return PrescribedPackingResult(branchings, None, hypothesis)
-
-
-def _prescribed_search(digraph: Digraph, b: dict[str, int],
-                       prescriptions: list[dict[str, int]]):
-    if digraph.num_arcs() > PRESCRIBED_ARC_LIMIT:
-        raise GuardError("prescribed packing search limited to %d arcs"
-                         % PRESCRIBED_ARC_LIMIT)
-    k = len(prescriptions)
-    sparsity = SparsityMatroid(digraph, b)
-    targets = [{v: bj.get(v, 0) for v in digraph.vertices} for bj in prescriptions]
-    deg = [{v: 0 for v in digraph.vertices} for _ in range(k)]
-    classes: list[set[int]] = [set() for _ in range(k)]
-    remaining_in = {v: len(digraph.in_arcs(v)) for v in digraph.vertices}
-
-    def rec(i: int):
-        for v in digraph.vertices:
-            need = sum(max(0, targets[j][v] - deg[j][v]) for j in range(k))
-            if need > remaining_in[v]:
-                return None
-        if i == digraph.num_arcs():
-            if all(deg[j] == targets[j] for j in range(k)):
-                return [frozenset(c) for c in classes]
-            return None
-        head = digraph.head(i)
-        remaining_in[head] -= 1
-        for j in range(k):
-            if deg[j][head] < targets[j][head]:
-                classes[j].add(i)
-                deg[j][head] += 1
-                if sparsity.independent(classes[j]):
-                    found = rec(i + 1)
-                    if found is not None:
-                        return found
-                deg[j][head] -= 1
-                classes[j].discard(i)
-        found = rec(i + 1)  # leave the arc unused
-        remaining_in[head] += 1
-        return found
-
-    return rec(0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +469,6 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     """Write an integer vector of the k-dilated polytope as a sum of k
     b-bibranching indicators; each original arc a lands in exactly x(a)
     of the returned classes."""
-    from .lpsolve import all_bicuts
-
     D = instance.digraph
     if k < 1:
         raise InputError("k must be at least 1")

@@ -1,5 +1,6 @@
 """Matroid layer against enumeration oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from bbibranch.errors import InputError
 from bbibranch.matroids import (PartitionMatroid, SparsityMatroid,
                                 is_b_branching,
                                 min_weight_b_branching_exact_indegrees,
+                                split_into_b_branchings,
                                 weighted_matroid_intersection)
 
 from conftest import (all_subsets, oracle_b_branchings, oracle_is_branching,
@@ -104,6 +106,54 @@ class TestBBranching:
             if is_b_branching(D, b, B):
                 for a in B:
                     assert is_b_branching(D, b, B - {a})
+
+
+class TestSplitIntoBBranchings:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_first_labelling_in_enumeration_order(self, data):
+        # Label k means "unused", so itertools.product visits labellings in
+        # the search's order: arcs by index, classes before "unused".  Arcs
+        # are endpoint pairs drawn with repetition, so parallel arcs occur;
+        # shared is drawn among the b-branchings, as the search requires.
+        n = data.draw(st.integers(2, 4), label="n")
+        ids = ["v%d" % i for i in range(n)]
+        b = {v: data.draw(st.integers(1, 3), label="b(%s)" % v) for v in ids}
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        arcs = [(ids[tail], ids[(tail + step) % n])
+                for tail, step in data.draw(st.lists(pairs, min_size=1,
+                                                     max_size=7), label="arcs")]
+        D = Digraph(ids, arcs)
+        branchings = set(oracle_b_branchings(D, b))
+        shared = data.draw(st.sampled_from(sorted(branchings, key=sorted)),
+                           label="shared")
+        free = [a for a in range(len(arcs)) if a not in shared]
+        k = data.draw(st.integers(1, 3), label="k")
+        leave_unused = data.draw(st.booleans(), label="leave_unused")
+        # Bounds around the degrees of one drawn labelling: about three
+        # quarters of the examples have an answer.
+        anchor = [data.draw(st.integers(0, k - 1 + leave_unused)) for _ in free]
+        lower, upper = [], []
+        for j in range(k):
+            C = shared | {a for a, lab in zip(free, anchor) if lab == j}
+            d = {v: min(D.in_degree(C, v), b[v]) for v in ids}
+            upper.append({v: data.draw(st.integers(d[v], b[v])) for v in ids})
+            lower.append({v: data.draw(st.integers(0, d[v])) for v in ids})
+
+        expected = None
+        for labels in itertools.product(range(k + leave_unused),
+                                        repeat=len(free)):
+            classes = [shared | frozenset(a for a, lab in zip(free, labels)
+                                          if lab == j) for j in range(k)]
+            if all(C in branchings
+                   and all(lower[j][v] <= D.in_degree(C, v) <= upper[j][v]
+                           for v in ids)
+                   for j, C in enumerate(classes)):
+                expected = classes
+                break
+        assert split_into_b_branchings(D, b, free, lower, upper, shared,
+                                       leave_unused) == expected
 
 
 class TestWeightedIntersection:
