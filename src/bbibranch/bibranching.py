@@ -66,8 +66,8 @@ def bibranching_report(instance: Instance, B: Iterable[int]) -> dict:
     missing_t = sorted(v for v in instance.T if v not in reached)
     report["t_reachable_from_s"] = {"ok": not missing_t,
                                     "witness": missing_t[0] if missing_t else None}
-    stuck_s = sorted(u for u in instance.S
-                     if not (D.reachable_from(B, {u}) & instance.T))
+    reaching = D.reachable_from(B, instance.T, reverse=True)
+    stuck_s = sorted(u for u in instance.S if u not in reaching)
     report["s_reaches_t"] = {"ok": not stuck_s,
                              "witness": stuck_s[0] if stuck_s else None}
     low_in = sorted(v for v in instance.T if D.in_degree(B, v) < instance.b[v])
@@ -145,10 +145,11 @@ class _FastChecker:
         D = instance.digraph
         self.n = len(D.vertices)
         vidx = {v: i for i, v in enumerate(D.vertices)}
-        self.arc_ends = [(vidx[t], vidx[h]) for (t, h) in D.arcs]
+        arc_ends = [(vidx[t], vidx[h]) for (t, h) in D.arcs]
+        self.arc_steps = (arc_ends, [(h, t) for (t, h) in arc_ends])
         self.in_mask = [0] * self.n
         self.out_mask = [0] * self.n
-        for a, (t, h) in enumerate(self.arc_ends):
+        for a, (t, h) in enumerate(arc_ends):
             self.out_mask[t] |= 1 << a
             self.in_mask[h] |= 1 << a
         self.t_need = [(vidx[v], instance.b[v]) for v in sorted(instance.T)]
@@ -167,37 +168,30 @@ class _FastChecker:
         for u, need in self.s_need:
             if (mask & self.out_mask[u]).bit_count() < need:
                 return False
-        # Forward closure from S must cover T.
-        reach = self.s_bits
+        # S must reach all of T, and every S vertex must reach T.
+        if (self._closure(mask, self.s_bits, 0) & self.t_bits) != self.t_bits:
+            return False
+        return (self._closure(mask, self.t_bits, 1) & self.s_bits) == self.s_bits
+
+    def _closure(self, mask: int, seeds: int, direction: int) -> int:
+        """Vertex bits reachable from ``seeds`` over the arcs in ``mask``.
+
+        ``direction`` 0 follows arcs forwards, 1 backwards.
+        """
+        steps = self.arc_steps[direction]
+        reach = seeds
         while True:
             grown = reach
             rest = mask
             while rest:
                 a = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                t, h = self.arc_ends[a]
-                if (grown >> t) & 1:
-                    grown |= 1 << h
+                start, end = steps[a]
+                if (grown >> start) & 1:
+                    grown |= 1 << end
             if grown == reach:
-                break
+                return reach
             reach = grown
-        if (reach & self.t_bits) != self.t_bits:
-            return False
-        # Every S vertex must reach T: backward closure from T.
-        co_reach = self.t_bits
-        while True:
-            grown = co_reach
-            rest = mask
-            while rest:
-                a = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                t, h = self.arc_ends[a]
-                if (grown >> h) & 1:
-                    grown |= 1 << t
-            if grown == co_reach:
-                break
-            co_reach = grown
-        return (co_reach & self.s_bits) == self.s_bits
 
 
 def brute_force_shortest(instance: Instance,

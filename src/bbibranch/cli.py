@@ -265,6 +265,8 @@ def _random_b_branching(rng, digraph, b):
 
 
 def _check_exchange(instance, rng, trials):
+    """The exchange lemma's conclusions on random pairs of b-branchings."""
+    from .matroids import is_b_branching
     from .mconvex import exchange_b_branchings
 
     D = instance.digraph
@@ -282,15 +284,30 @@ def _check_exchange(instance, rng, trials):
         s = rng.choice(sorted(candidates))
         B1p, B2p, case = exchange_b_branchings(D, instance.b, B1, B2, s)
         cases[case] += 1
+        failure = {"s": s, "case": case}
+        if B1p | B2p != B1 | B2 or B1p & B2p != B1 & B2:
+            return False, dict(failure, stage="union")
+        if not (is_b_branching(D, instance.b, B1p)
+                and is_b_branching(D, instance.b, B2p)):
+            return False, dict(failure, stage="branchings")
+        # Case (a) shifts one unit of indegree at s from B2 to B1; case (b)
+        # also shifts one unit back at a single vertex t != s.
         d1 = {v: D.in_degree(B1, v) for v in D.vertices}
         d2 = {v: D.in_degree(B2, v) for v in D.vertices}
         d1p = {v: D.in_degree(B1p, v) for v in D.vertices}
         d2p = {v: D.in_degree(B2p, v) for v in D.vertices}
         d1[s] += 1
         d2[s] -= 1
+        moved = [v for v in D.vertices if (d1p[v], d2p[v]) != (d1[v], d2[v])]
         if case == "a":
-            if d1p != d1 or d2p != d2:
-                return False, {"stage": "degrees", "s": s}
+            degrees_ok = not moved
+        else:
+            degrees_ok = len(moved) == 1 and moved[0] != s
+            if degrees_ok:
+                t = moved[0]
+                degrees_ok = d1p[t] == d1[t] - 1 and d2p[t] == d2[t] + 1
+        if not degrees_ok:
+            return False, dict(failure, stage="degrees")
         done += 1
     return True, {"trials": done, "cases": cases}
 

@@ -119,19 +119,26 @@ class Digraph:
 
     # -- reachability and components ----------------------------------------
 
-    def reachable_from(self, B: Iterable[int], X: Iterable[str]) -> frozenset[str]:
-        """Vertices reachable from X using only arcs of B (includes X)."""
+    def reachable_from(self, B: Iterable[int], X: Iterable[str],
+                       reverse: bool = False) -> frozenset[str]:
+        """Vertices reachable from X using only arcs of B (includes X).
+
+        With ``reverse`` the arcs are followed backwards, which gives the
+        vertices that reach X.
+        """
         B = self.check_arcset(B)
         X = self.check_vertices(X)
         seen = set(X)
         queue = deque(sorted(X, key=self._vindex.get))
-        out_by_b: dict[str, list[str]] = {}
+        step: dict[str, list[str]] = {}
         for a in B:
             tail, head = self.arcs[a]
-            out_by_b.setdefault(tail, []).append(head)
+            if reverse:
+                tail, head = head, tail
+            step.setdefault(tail, []).append(head)
         while queue:
             u = queue.popleft()
-            for w in out_by_b.get(u, ()):
+            for w in step.get(u, ()):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -140,66 +147,21 @@ class Digraph:
     def strong_components(self) -> list[tuple[frozenset[str], bool]]:
         """Strongly connected components, each flagged as source or not.
 
-        A component is a source component when no arc enters it from outside.
-        Components come out in a deterministic (reverse topological of the
-        condensation reversed, i.e. sources first is not guaranteed) order.
+        The component of v is the set of vertices that v reaches and that
+        reach v.  A component is a source component when no arc enters it
+        from outside, that is when the vertices reaching it are the
+        component itself.  Components come out ordered by their first vertex
+        in ``vertices``.
         """
-        index_of: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = [0]
-        components: list[frozenset[str]] = []
-
-        out_by_v = {v: [self.arcs[a][1] for a in self._out_arcs[v]] for v in self.vertices}
-
-        def strongconnect(root: str) -> None:
-            # Iterative Tarjan; recursion depth is unbounded otherwise.
-            work = [(root, 0)]
-            while work:
-                v, pi = work.pop()
-                if pi == 0:
-                    index_of[v] = lowlink[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    on_stack.add(v)
-                recurse = False
-                succs = out_by_v[v]
-                for i in range(pi, len(succs)):
-                    w = succs[i]
-                    if w not in index_of:
-                        work.append((v, i + 1))
-                        work.append((w, 0))
-                        recurse = True
-                        break
-                    if w in on_stack:
-                        lowlink[v] = min(lowlink[v], index_of[w])
-                if recurse:
-                    continue
-                if lowlink[v] == index_of[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(frozenset(comp))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-
-        for v in self.vertices:
-            if v not in index_of:
-                strongconnect(v)
-
         result = []
-        for comp in components:
-            is_source = not any(
-                self.arcs[a][0] not in comp and self.arcs[a][1] in comp
-                for a in range(len(self.arcs))
-            )
-            result.append((comp, is_source))
+        placed: set[str] = set()
+        for v in self.vertices:
+            if v in placed:
+                continue
+            reaching = self.reachable_from(self.all_arcs, {v}, reverse=True)
+            comp = self.reachable_from(self.all_arcs, {v}) & reaching
+            placed |= comp
+            result.append((comp, reaching == comp))
         return result
 
 
@@ -245,22 +207,6 @@ def max_flow_min_cut(nodes, arcs, source, sink):
     node_set = set(nodes)
     if source not in node_set or sink not in node_set:
         raise InputError("source/sink must be network nodes")
-
-    # Unboundedness: a source-sink path over infinite arcs only.
-    inf_adj: dict = {}
-    for tail, head, cap in arcs:
-        if cap is None:
-            inf_adj.setdefault(tail, []).append(head)
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in inf_adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if sink in seen:
-        raise UnboundedFlow("infinite-capacity path from source to sink")
 
     finite_total = sum((Q(c) for _, _, c in arcs if c is not None), ZERO)
     big = finite_total + 1
@@ -310,14 +256,11 @@ def max_flow_min_cut(nodes, arcs, source, sink):
             v = ends[slot ^ 1]
         flow += bottleneck
 
-    # Source side of the min cut = residual-reachable nodes.
-    side = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for slot in adj[u]:
-            w = ends[slot]
-            if w not in side and cap[slot] > 0:
-                side.add(w)
-                queue.append(w)
-    return flow, frozenset(side)
+    # An all-infinite path forces every cut across an arc of capacity big;
+    # without one, the nodes the source reaches over infinite arcs give a
+    # cut of capacity at most finite_total.
+    if flow > finite_total:
+        raise UnboundedFlow("infinite-capacity path from source to sink")
+    # The last search failed, so it ran until its queue was empty: it holds
+    # exactly the residual-reachable nodes, the source side of a min cut.
+    return flow, frozenset(parent_arc)

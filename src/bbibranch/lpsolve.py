@@ -8,9 +8,11 @@ b-bibranching LP, and the desk-scale total-dual-integrality spot check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .bibranching import Instance, Solution, bibranching_report
+from .digraph import max_flow_min_cut
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .rationals import ONE, Q, ZERO, is_integral, rat_str
 
@@ -278,8 +280,6 @@ class Bicut:
 
 def all_bicuts(instance: Instance) -> list[Bicut]:
     """Every bicut, by enumeration of eligible U (desk scale only)."""
-    from itertools import combinations
-
     D = instance.digraph
     cuts = []
     T_sorted = sorted(instance.T)
@@ -298,8 +298,6 @@ def all_bicuts(instance: Instance) -> list[Bicut]:
 
 def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicut]]:
     """One minimum cut per forced vertex, from both bicut families."""
-    from .digraph import max_flow_min_cut
-
     D = instance.digraph
     results = []
     base_arcs = [(D.tail(a), D.head(a), Q(x[a])) for a in range(D.num_arcs())]
@@ -471,8 +469,6 @@ class DualSolution:
 
 def _dual_family(instance: Instance):
     """The set family indexing dual variables: singletons plus U'."""
-    from itertools import combinations
-
     family = [("v", v) for v in sorted(instance.digraph.vertices)]
     T_sorted = sorted(instance.T)
     for size in range(2, len(T_sorted) + 1):

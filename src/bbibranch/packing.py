@@ -264,36 +264,53 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
 # Coloring the cross arcs
 # ---------------------------------------------------------------------------
 
-def _partition_conditions(instance: Instance, k: int,
-                          classes: list[frozenset[int]]) -> Optional[str]:
-    """None when the three partition conditions hold, else a failure tag."""
+def _partition_requirements(instance: Instance, k: int):
+    """The coloring conditions at k: cut rows (side, C, g(C)) and degree caps."""
     D = instance.digraph
+    cuts = []
     for side in (1, 2):
         family = CutFamilyOracle(instance, side)
         g = SupermodularOracle(family, k)
-        for C in family.members():
-            hit = sum(1 for H_j in classes if C & H_j)
-            if hit < g_value(g, C):
-                return "side %d cut %s hit by %d < g = %d" % (
-                    side, sorted(C), hit, g_value(g, C))
+        cuts += [(side, C, g_value(g, C)) for C in family.members()]
+    in_caps = [(v, len(D.in_arcs(v)) - (k - 1) * instance.b[v]) for v in instance.T]
+    out_caps = [(u, len(D.out_arcs(u)) - (k - 1) * instance.b[u]) for u in instance.S]
+    return cuts, in_caps, out_caps
+
+
+def _first_violation(D: Digraph, requirements,
+                     classes: list[frozenset[int]]) -> Optional[str]:
+    """None when the classes meet the requirements, else a failure tag."""
+    cuts, in_caps, out_caps = requirements
+    for side, C, gC in cuts:
+        hit = sum(1 for H_j in classes if C & H_j)
+        if hit < gC:
+            return "side %d cut %s hit by %d < g = %d" % (side, sorted(C), hit, gC)
     for H_j in classes:
-        for v in instance.T:
-            if D.in_degree(H_j, v) > len(D.in_arcs(v)) - (k - 1) * instance.b[v]:
+        for v, cap in in_caps:
+            if D.in_degree(H_j, v) > cap:
                 return "indegree cap at %s" % v
-        for u in instance.S:
-            if D.out_degree(H_j, u) > len(D.out_arcs(u)) - (k - 1) * instance.b[u]:
+        for u, cap in out_caps:
+            if D.out_degree(H_j, u) > cap:
                 return "outdegree cap at %s" % u
     return None
+
+
+def _partition_conditions(instance: Instance, k: int,
+                          classes: list[frozenset[int]]) -> Optional[str]:
+    """None when the three partition conditions hold, else a failure tag."""
+    return _first_violation(instance.digraph, _partition_requirements(instance, k),
+                            classes)
 
 
 def _exhaustive_partition(instance: Instance, k: int) -> Optional[list[frozenset[int]]]:
     H = sorted(instance.cross_arcs())
     if k ** len(H) > EXHAUSTIVE_PARTITION_LIMIT:
         raise GuardError("exhaustive cross-arc partition search too large")
+    requirements = _partition_requirements(instance, k)
     for labels in itertools.product(range(k), repeat=len(H)):
         classes = [frozenset(a for a, lab in zip(H, labels) if lab == j)
                    for j in range(k)]
-        if _partition_conditions(instance, k, classes) is None:
+        if _first_violation(instance.digraph, requirements, classes) is None:
             return classes
     return None
 

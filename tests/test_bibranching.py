@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbibranch.bibranching import (Instance, bibranching_report,
+from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    brute_force_shortest,
                                    check_alternative_description,
                                    feasibility_witness, is_b_bibranching,
@@ -61,6 +63,52 @@ class TestReport:
         report = bibranching_report(inst, {0, 1})
         assert not report["t_indegree"]["ok"]
         assert report["t_indegree"]["witness"] == "t1"
+
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_every_subset_matches_per_vertex_definition(self, data):
+        nS = data.draw(st.integers(1, 3), label="nS")
+        nT = data.draw(st.integers(1, 3), label="nT")
+        s_ids = ["s%d" % i for i in range(nS)]
+        t_ids = ["t%d" % i for i in range(nT)]
+        allowed = [(u, v) for u in s_ids + t_ids for v in s_ids + t_ids
+                   if u != v and not (u in t_ids and v in s_ids)]
+        # Drawn with repetition, so parallel arcs occur.
+        arcs = data.draw(st.lists(st.sampled_from(allowed), max_size=8),
+                         label="arcs")
+        side = {v: "S" for v in s_ids}
+        side.update({v: "T" for v in t_ids})
+        b = {v: data.draw(st.integers(1, 2), label="b(%s)" % v) for v in side}
+        inst = Instance(Digraph(s_ids + t_ids, arcs), side, b, [0] * len(arcs))
+        checker = _FastChecker(inst)
+        for mask in range(1 << len(arcs)):
+            B = [a for a in range(len(arcs)) if (mask >> a) & 1]
+            reach = {u: {u} for u in side}
+            for u in side:
+                grown = True
+                while grown:
+                    grown = False
+                    for a in B:
+                        tail, head = arcs[a]
+                        if tail in reach[u] and head not in reach[u]:
+                            reach[u].add(head)
+                            grown = True
+            failing = {
+                "t_reachable_from_s": [v for v in t_ids
+                                       if not any(v in reach[u] for u in s_ids)],
+                "s_reaches_t": [u for u in s_ids
+                                if not reach[u] & set(t_ids)],
+                "t_indegree": [v for v in t_ids
+                               if sum(arcs[a][1] == v for a in B) < b[v]],
+                "s_outdegree": [u for u in s_ids
+                                if sum(arcs[a][0] == u for a in B) < b[u]],
+            }
+            expected = {name: {"ok": not bad, "witness": min(bad, default=None)}
+                        for name, bad in failing.items()}
+            assert bibranching_report(inst, B) == expected
+            assert checker.valid(mask) == is_b_bibranching(inst, B)
 
 
 class TestAlternativeDescription:

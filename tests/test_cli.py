@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbibranch import cli
+from bbibranch import cli, mconvex
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data,
                            serialize_instance)
@@ -169,6 +169,33 @@ class TestCheckCommand:
         assert out.returncode == EXIT_OK, out.stdout + out.stderr
         report = json.loads(out.stdout)
         assert report["result"]["passed"] is True
+
+
+    def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
+                                            monkeypatch):
+        doc = {"vertices": [{"id": v, "side": "S" if v == "a" else "T", "b": 2}
+                            for v in "axyz"],
+               "arcs": [{"tail": t, "head": h, "weight": 1}
+                        for t, h in ("ax", "ay", "xy", "yz", "zx")]}
+        # B1 = {a->y, y->z}, B2 = {a->x, x->y, z->x}: only x has
+        # d1 < d2, so s = x.  The fake answer keeps union and intersection
+        # and is two b-branchings, but its degrees differ from the shifted
+        # ones at both y and z.
+        drawn = iter([frozenset({1, 3}), frozenset({0, 2, 4})])
+        monkeypatch.setattr(cli, "_random_b_branching",
+                            lambda rng, digraph, b: next(drawn))
+        monkeypatch.setattr(mconvex, "exchange_b_branchings",
+                            lambda digraph, b, B1, B2, s: (
+                                frozenset({0, 1, 2}), frozenset({3, 4}), "b"))
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "exchange", "--trials", "1",
+                         str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_THEOREM
+        assert report["status"] == "failed"
+        assert report["result"]["detail"] == {"stage": "degrees", "s": "x",
+                                              "case": "b"}
 
 
 class TestGenCommand:

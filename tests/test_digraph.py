@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbibranch.digraph import (Bipartition, Digraph, UnboundedFlow,
                                check_capacities, max_flow_min_cut)
@@ -189,3 +191,44 @@ class TestMaxFlow:
             # The returned cut achieves the flow value exactly.
             cap = sum(c for (t, h, c) in arcs if t in cut and h not in cut)
             assert cap == flow
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_unboundedness_and_cut_match_enumeration(self, data):
+        # Parallel arcs and capacities None (infinite) or 0..4; source 0,
+        # sink n - 1.
+        n = data.draw(st.integers(3, 5), label="n")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+        caps = st.one_of(st.none(), st.integers(0, 4))
+        arcs = [(tail, (tail + step) % n, cap) for (tail, step), cap in
+                data.draw(st.lists(st.tuples(pairs, caps), max_size=10),
+                          label="arcs")]
+        nodes = list(range(n))
+        infinite = {0}
+        grown = True
+        while grown:
+            grown = False
+            for tail, head, cap in arcs:
+                if cap is None and tail in infinite and head not in infinite:
+                    infinite.add(head)
+                    grown = True
+        if n - 1 in infinite:
+            with pytest.raises(UnboundedFlow):
+                max_flow_min_cut(nodes, arcs, 0, n - 1)
+            return
+
+        def capacity(side):
+            if any(cap is None and t in side and h not in side
+                   for t, h, cap in arcs):
+                return None
+            return sum(cap for t, h, cap in arcs if t in side and h not in side)
+
+        inner = nodes[1:-1]
+        finite_cuts = [c for r in range(len(inner) + 1)
+                       for combo in itertools.combinations(inner, r)
+                       if (c := capacity({0, *combo})) is not None]
+        flow, side = max_flow_min_cut(nodes, arcs, 0, n - 1)
+        assert flow == min(finite_cuts)
+        assert 0 in side and n - 1 not in side
+        assert capacity(side) == flow
