@@ -235,15 +235,20 @@ def feasibility_witness(instance: Instance) -> Optional[dict]:
     return None
 
 
-def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
-    """Optimal b-bibranching via the LP route, the submodular-flow route, or both."""
-    if method not in ("lp", "mflow", "brute", "auto"):
-        raise InputError("unknown method %r" % (method,))
+def require_feasible(instance: Instance) -> None:
+    """Raise InfeasibleInstance, with the failing condition, unless feasible."""
     failure = feasibility_witness(instance)
     if failure is not None:
         raise InfeasibleInstance(
             "no b-bibranching exists: condition %s fails at %s"
             % (failure["condition"], failure["witness"]), witness=failure)
+
+
+def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
+    """Optimal b-bibranching via the LP route, the submodular-flow route, or both."""
+    if method not in ("lp", "mflow", "brute", "auto"):
+        raise InputError("unknown method %r" % (method,))
+    require_feasible(instance)
 
     from . import lpsolve, mconvex  # local import: those modules use Instance
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .bibranching import Instance, Solution, bibranching_report
+from .bibranching import (Instance, Solution, bibranching_report,
+                          require_feasible)
 from .digraph import max_flow_min_cut
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .rationals import ONE, Q, ZERO, is_integral, rat_str
@@ -546,7 +547,10 @@ def tdi_spot_check(instance: Instance) -> dict:
 
     primal = _unboxed_primal_optimum(instance)
     if primal is None:
-        return {"status": "primal_infeasible", "found": False}
+        # Dropping the box only relaxes the system, so the instance has no
+        # b-bibranching and require_feasible raises with the failing condition.
+        require_feasible(instance)
+        raise TheoremViolation("unboxed LP infeasible on a feasible instance")
 
     family = _dual_family(instance)
     base_lp = _build_dual_lp(instance, family)

@@ -170,6 +170,19 @@ class TestCheckCommand:
         report = json.loads(out.stdout)
         assert report["result"]["passed"] is True
 
+    def test_tdi_on_infeasible_instance_reports_witness(self, tmp_path, capsys):
+        # u has no in-arc, so even the unboxed degree + bicut LP is infeasible.
+        doc = {"vertices": ONE_ARC["vertices"] + [{"id": "u", "side": "T",
+                                                    "b": 1}],
+               "arcs": ONE_ARC["arcs"]}
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "tdi", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_INFEASIBLE
+        assert report["status"] == "infeasible"
+        assert report["result"]["witness"] == {
+            "condition": "t_reachable_from_s", "witness": "u"}
 
     def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
                                             monkeypatch):
