@@ -2,7 +2,7 @@
 
 Forty seeded instances (``conftest.random_instance`` with extra cross arcs)
 are written to files with bare names and run in-process through
-``cli.main`` with five commands each.  The SHA-256 of the exit code,
+``cli.main`` with six commands each.  The SHA-256 of the exit code,
 stdout and stderr of every call must equal the value recorded in
 ``report_digests.json``.  Reports echo the instance path, so the calls run
 from the test's temporary directory.
@@ -34,6 +34,7 @@ COMMANDS = (
     ("packing-number",),
     ("pack",),
     ("check", "--what", "exchange", "--trials", "5", "--seed", "3"),
+    ("check", "--what", "tdi"),
 )
 
 
@@ -84,10 +85,11 @@ def test_reports_match_recorded_digests(tmp_path, monkeypatch):
 
     monkeypatch.setattr(packing, "_exhaustive_partition", counted)
     digests, calls = report_digests(tmp_path)
-    # The draws cover an infeasible solve, a packing of two or more
-    # b-bibranchings and the exhaustive partition fallback.
-    assert any(command == ("solve",) and code == cli.EXIT_INFEASIBLE
-               for command, code, _ in calls)
+    # The draws cover an infeasible solve and TDI check, a packing of two or
+    # more b-bibranchings and the exhaustive partition fallback.
+    for infeasible in (("solve",), ("check", "--what", "tdi")):
+        assert any(command == infeasible and code == cli.EXIT_INFEASIBLE
+                   for command, code, _ in calls)
     assert any(command == ("pack",) and code == cli.EXIT_OK
                and json.loads(out)["result"]["k"] >= 2
                for command, code, out in calls)
