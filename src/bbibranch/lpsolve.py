@@ -60,194 +60,124 @@ class SimplexResult:
     objective: Optional[object] = None
     row_duals: Optional[list] = None   # one per original row
     bound_duals: Optional[list] = None  # one per variable upper bound (None if unbounded above)
-    basis: Optional[list] = None
 
 
 def simplex_solve(lp: RationalLP) -> SimplexResult:
-    """Two-phase simplex with Bland's rule; exact rationals throughout."""
+    """Two-phase simplex with Bland's rule; exact rationals throughout.
+
+    One tableau carries everything.  Its rows are the LP rows with the lower
+    bounds shifted out, then one <= row per finite upper bound, each negated
+    where its right-hand side is negative; every row ends with that
+    right-hand side.  The phase-2 and phase-1 reduced-cost rows come last,
+    so every pivot updates them along with the constraints.  Columns are
+    the variables, then one slack (+1) or surplus (-1) per inequality row,
+    then one artificial per >= or = row, each in row order.
+    """
     n = lp.num_vars
-    minimize = lp.sense == "min"
-    base_cost = [c if minimize else -c for c in lp.objective]
+    flip = 1 if lp.sense == "min" else -1
+    bounded = [j for j in range(n) if lp.upper[j] is not None]
+    rows = [(coeffs, rel,
+             rhs - sum((c * lp.lower[j] for j, c in coeffs.items()), ZERO))
+            for coeffs, rel, rhs in lp.rows]
+    rows += [({j: ONE}, "<=", lp.upper[j] - lp.lower[j]) for j in bounded]
+    m = len(rows)
+    signs = [-1 if rhs < 0 else 1 for _, _, rhs in rows]
+    rels = [{"<=": ">=", ">=": "<=", "=": "="}[rel] if sign < 0 else rel
+            for (_, rel, _), sign in zip(rows, signs)]
+    slack_col = n
+    art_col = art_start = n + sum(rel != "=" for rel in rels)
+    num_cols = art_start + sum(rel != "<=" for rel in rels)
 
-    # Shift variables to lower bound 0 and append upper bounds as rows.
-    work_rows: list[tuple[list, str, object]] = []
-    row_origin: list[tuple[str, int, int]] = []   # (kind, index, sign)
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        dense = [ZERO] * n
-        shift = ZERO
+    tableau: list[list] = []
+    basis: list[int] = []
+    own: list[int] = []  # row i's slack, surplus or (for =) artificial column
+    scale: list = []     # row i's dual is scale[i] times own[i]'s reduced cost
+    for (coeffs, _, rhs), sign, rel in zip(rows, signs, rels):
+        row = [ZERO] * (num_cols + 1)
         for j, c in coeffs.items():
-            dense[j] = c
-            shift += c * lp.lower[j]
-        work_rows.append((dense, rel, rhs - shift))
-        row_origin.append(("row", i, 1))
-    for j in range(n):
-        if lp.upper[j] is not None:
-            dense = [ZERO] * n
-            dense[j] = ONE
-            work_rows.append((dense, "<=", lp.upper[j] - lp.lower[j]))
-            row_origin.append(("ub", j, 1))
-
-    # Normalize to nonnegative right-hand sides.
-    for idx, (dense, rel, rhs) in enumerate(work_rows):
-        if rhs < 0:
-            dense = [-c for c in dense]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            kind, orig, _ = row_origin[idx]
-            row_origin[idx] = (kind, orig, -1)
-            work_rows[idx] = (dense, rel, rhs)
-
-    m = len(work_rows)
-    num_cols = n
-    col_kind = ["x"] * n
-    tableau = [list(dense) for dense, _, _ in work_rows]
-    rhs_col = [rhs for _, _, rhs in work_rows]
-    basis = [-1] * m
-    slack_col_of_row = [-1] * m
-    artificial_cols = []
-
-    def add_column(kind: str, entries: dict[int, object]) -> int:
-        nonlocal num_cols
-        for i in range(m):
-            tableau[i].append(entries.get(i, ZERO))
-        col_kind.append(kind)
-        num_cols += 1
-        return num_cols - 1
-
-    for i, (_, rel, _) in enumerate(work_rows):
+            row[j] = c * sign
+        row[-1] = rhs * sign
+        if rel == "=":
+            own.append(art_col)
+        else:
+            own.append(slack_col)
+            row[slack_col] = ONE if rel == "<=" else -ONE
+            slack_col += 1
         if rel == "<=":
-            col = add_column("slack", {i: ONE})
-            slack_col_of_row[i] = col
-            basis[i] = col
-        elif rel == ">=":
-            col = add_column("surplus", {i: -ONE})
-            slack_col_of_row[i] = col
-        # '=' rows get only an artificial.
-    for i, (_, rel, _) in enumerate(work_rows):
-        if rel in (">=", "="):
-            col = add_column("artificial", {i: ONE})
-            artificial_cols.append(col)
-            basis[i] = col
-            if rel == "=":
-                slack_col_of_row[i] = col
+            basis.append(own[-1])
+        else:
+            row[art_col] = ONE
+            basis.append(art_col)
+            art_col += 1
+        scale.append(-row[own[-1]] * sign * flip)
+        tableau.append(row)
+    tableau.append([c * flip for c in lp.objective] + [ZERO] * (num_cols - n + 1))
+    phase1 = [ZERO] * art_start + [ONE] * (num_cols - art_start) + [ZERO]
+    for i in range(m):
+        if basis[i] >= art_start:
+            phase1 = [a - b for a, b in zip(phase1, tableau[i])]
+    tableau.append(phase1)
 
     def pivot(row: int, col: int) -> None:
         inv = ONE / tableau[row][col]
-        tableau[row] = [c * inv for c in tableau[row]]
-        rhs_col[row] *= inv
-        for i in range(m):
-            if i != row and tableau[i][col] != 0:
-                factor = tableau[i][col]
-                src = tableau[row]
-                dst = tableau[i]
-                for jj in range(num_cols):
-                    if src[jj] != 0:
-                        dst[jj] -= factor * src[jj]
-                rhs_col[i] -= factor * rhs_col[row]
+        src = tableau[row] = [c * inv for c in tableau[row]]
+        nonzero = [(j, c) for j, c in enumerate(src) if c != 0]
+        for i, dst in enumerate(tableau):
+            factor = dst[col]
+            if i != row and factor != 0:
+                for j, c in nonzero:
+                    dst[j] -= factor * c
         basis[row] = col
 
-    def reduced_costs(costs: list) -> list:
-        red = list(costs)
-        for i in range(m):
-            cb = costs[basis[i]]
-            if cb != 0:
-                row = tableau[i]
-                for jj in range(num_cols):
-                    if row[jj] != 0:
-                        red[jj] -= cb * row[jj]
-        return red
-
-    def optimize(costs: list, banned: set[int]) -> str:
+    def optimize(limit: int) -> bool:
+        """Bland's rule on the last row over columns < limit; False if unbounded."""
+        cost = tableau[-1]
         while True:
-            red = reduced_costs(costs)
-            entering = -1
-            for jj in range(num_cols):
-                if jj in banned or jj in basis:
-                    continue
-                if red[jj] < 0:
-                    entering = jj
-                    break
+            entering = next((j for j in range(limit) if cost[j] < 0), -1)
             if entering < 0:
-                return "optimal"
+                return True
             leaving = -1
-            best_ratio = None
             for i in range(m):
                 coef = tableau[i][entering]
                 if coef > 0:
-                    ratio = rhs_col[i] / coef
-                    if (best_ratio is None or ratio < best_ratio
+                    ratio = tableau[i][-1] / coef
+                    if (leaving < 0 or ratio < best_ratio
                             or (ratio == best_ratio and basis[i] < basis[leaving])):
                         best_ratio = ratio
                         leaving = i
             if leaving < 0:
-                return "unbounded"
+                return False
             pivot(leaving, entering)
 
-    # Phase 1: drive out infeasibility.
-    if artificial_cols:
-        costs1 = [ZERO] * num_cols
-        for col in artificial_cols:
-            costs1[col] = ONE
-        optimize(costs1, banned=set())
-        infeas = sum((rhs_col[i] for i in range(m) if basis[i] in artificial_cols), ZERO)
-        if infeas > 0:
-            return SimplexResult(status="infeasible")
-        # Pivot lingering artificials out of the (degenerate) basis.
-        drop_rows = []
-        for i in range(m):
-            if basis[i] in artificial_cols:
-                pivot_col = -1
-                for jj in range(num_cols):
-                    if col_kind[jj] != "artificial" and tableau[i][jj] != 0:
-                        pivot_col = jj
-                        break
-                if pivot_col >= 0:
-                    pivot(i, pivot_col)
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            for i in reversed(drop_rows):
-                del tableau[i], rhs_col[i], basis[i], work_rows[i]
-                del row_origin[i], slack_col_of_row[i]
-            m = len(tableau)
-
-    costs2 = [ZERO] * num_cols
-    for j in range(n):
-        costs2[j] = base_cost[j]
-    status = optimize(costs2, banned=set(artificial_cols))
-    if status == "unbounded":
+    optimize(num_cols)
+    if tableau.pop()[-1] < 0:  # minus the least sum of the artificials
+        return SimplexResult(status="infeasible")
+    # Pivot lingering artificials out of the (degenerate) basis.  A row with
+    # no other nonzero is redundant: it keeps its artificial, no later pivot
+    # touches it, and its dual keeps the default.
+    for i in range(m):
+        if basis[i] >= art_start:
+            col = next((j for j in range(art_start) if tableau[i][j] != 0), -1)
+            if col >= 0:
+                pivot(i, col)
+    if not optimize(art_start):
         return SimplexResult(status="unbounded")
 
-    shifted = [ZERO] * num_cols
-    for i in range(m):
-        shifted[basis[i]] = rhs_col[i]
-    x = [shifted[j] + lp.lower[j] for j in range(n)]
-    objective = sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
-
-    red = reduced_costs(costs2)
+    x = list(lp.lower)
     row_duals = [ZERO] * len(lp.rows)
     bound_duals: list[Optional[object]] = [None] * n
-    for idx in range(m):
-        kind, orig, sign = row_origin[idx]
-        col = slack_col_of_row[idx]
-        if col < 0:
-            continue
-        if col_kind[col] == "slack":
-            y = -red[col]
-        elif col_kind[col] == "surplus":
-            y = red[col]
-        else:  # artificial standing in for an '=' row
-            y = -red[col]
-        y *= sign
-        if not minimize:
-            y = -y
-        if kind == "row":
-            row_duals[orig] = y
-        else:
-            bound_duals[orig] = y
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] += tableau[i][-1]
+        if basis[i] < art_start:
+            y = tableau[-1][own[i]] * scale[i]
+            if i < len(lp.rows):
+                row_duals[i] = y
+            else:
+                bound_duals[bounded[i - len(lp.rows)]] = y
+    objective = sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
     return SimplexResult(status="optimal", x=x, objective=objective,
-                         row_duals=row_duals, bound_duals=bound_duals,
-                         basis=list(basis))
+                         row_duals=row_duals, bound_duals=bound_duals)
 
 
 def dump_lp(lp: RationalLP) -> str:
