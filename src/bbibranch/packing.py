@@ -315,14 +315,16 @@ def _exhaustive_partition(instance: Instance, k: int) -> Optional[list[frozenset
     return None
 
 
-def partition_cross_arcs(instance: Instance, k: int) -> list[frozenset[int]]:
+def partition_cross_arcs(instance: Instance, k: int,
+                         witness: MinMaxWitness) -> list[frozenset[int]]:
     """Split H = A[S,T] into k classes meeting the coloring conditions.
 
-    Peels one class per round as an integral point of the two row systems
-    built on the residual data, then re-verifies the final conditions; a
-    failed verification falls back to exhaustive search before giving up.
+    ``witness`` is the caller's ``packing_number(instance)``.  Peels one class
+    per round as an integral point of the two row systems built on the
+    residual data, then re-verifies the final conditions; a failed
+    verification falls back to exhaustive search before giving up.
     """
-    if k < 1 or k > packing_number(instance).k:
+    if k < 1 or k > witness.k:
         raise InputError("k must lie between 1 and the packing number")
     D = instance.digraph
     classes: list[frozenset[int]] = []
@@ -445,7 +447,7 @@ def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingC
         return PackingCertificate(0, witness, [], [], [], [])
 
     D = instance.digraph
-    classes = partition_cross_arcs(instance, k)
+    classes = partition_cross_arcs(instance, k, witness)
 
     d_T, map_T = subgraph(D, instance.T)
     b_T = {v: instance.b[v] for v in instance.T}

@@ -179,15 +179,18 @@ class TestIntegralPoint:
 class TestPartition:
     def test_k1_returns_all_cross_arcs(self):
         inst = one_arc_instance()
-        assert partition_cross_arcs(inst, 1) == [frozenset({0})]
+        classes = partition_cross_arcs(inst, 1, packing_number(inst))
+        assert classes == [frozenset({0})]
 
     def test_doubled_splits_singletons(self):
-        classes = partition_cross_arcs(doubled_instance(), 2)
+        inst = doubled_instance()
+        classes = partition_cross_arcs(inst, 2, packing_number(inst))
         assert sorted(classes) == [frozenset({0}), frozenset({1})]
 
     def test_rejects_bad_k(self):
         with pytest.raises(InputError):
-            partition_cross_arcs(one_arc_instance(), 2)
+            inst = one_arc_instance()
+            partition_cross_arcs(inst, 2, packing_number(inst))
 
     def test_random_partitions_meet_conditions(self):
         from bbibranch.packing import _partition_conditions
@@ -201,7 +204,7 @@ class TestPartition:
             k = packing_number(inst).k
             if k < 1:
                 continue
-            classes = partition_cross_arcs(inst, k)
+            classes = partition_cross_arcs(inst, k, packing_number(inst))
             assert len(classes) == k
             union = frozenset().union(*classes)
             assert union == inst.cross_arcs()
