@@ -1,8 +1,9 @@
 """Exact rational LP machinery.
 
-A two-phase tableau simplex with Bland's rule over exact rationals, bicut
-separation by max-flow, the primal cutting plane for the shortest
-b-bibranching LP, and the desk-scale total-dual-integrality spot check.
+A two-phase simplex with Bland's rule over exact rationals, on one tableau
+that carries its reduced-cost rows through the pivots; bicut separation by
+max-flow, the primal cutting plane for the shortest b-bibranching LP, and
+the desk-scale total-dual-integrality spot check.
 """
 
 from __future__ import annotations
@@ -467,7 +468,8 @@ def tdi_spot_check(instance: Instance) -> dict:
     """Search for an integral optimal dual matching the primal optimum exactly.
 
     A 'found: False' outcome is a reportable discrepancy with the total dual
-    integrality theorem, never silently accepted.
+    integrality theorem, never silently accepted.  An instance with no
+    b-bibranching raises InfeasibleInstance.
     """
     if len(instance.digraph.vertices) > TDI_VERTEX_LIMIT:
         raise GuardError("TDI spot check limited to %d vertices" % TDI_VERTEX_LIMIT)
