@@ -188,8 +188,8 @@ class TestPartition:
         assert sorted(classes) == [frozenset({0}), frozenset({1})]
 
     def test_rejects_bad_k(self):
+        inst = one_arc_instance()
         with pytest.raises(InputError):
-            inst = one_arc_instance()
             partition_cross_arcs(inst, 2, packing_number(inst))
 
     def test_random_partitions_meet_conditions(self):
@@ -201,10 +201,11 @@ class TestPartition:
             inst = random_instance(rng, rng.randint(1, 2), rng.randint(1, 2),
                                    0.6, 2, 3, max_arcs=10,
                                    extra_cross=rng.randint(0, 3))
-            k = packing_number(inst).k
+            witness = packing_number(inst)
+            k = witness.k
             if k < 1:
                 continue
-            classes = partition_cross_arcs(inst, k, packing_number(inst))
+            classes = partition_cross_arcs(inst, k, witness)
             assert len(classes) == k
             union = frozenset().union(*classes)
             assert union == inst.cross_arcs()
