@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bibranching import Instance, Solution, bibranching_report, feasibility_witness, subgraph
+from .bibranching import Instance, Solution, bibranching_report, require_feasible, subgraph
 from .digraph import Digraph, check_capacities
-from .errors import InfeasibleInstance, InputError, TheoremViolation
+from .errors import InputError, TheoremViolation
 from .matroids import (is_b_branching, min_weight_b_branching_exact_indegrees,
                        split_into_b_branchings)
 from .rationals import Q, ZERO
@@ -241,9 +241,7 @@ def solve_mflow(instance: Instance) -> Solution:
     the cost of completing a boundary vector into branchings/cobranchings.
     Cancellation picks a negative cycle with the fewest arcs.
     """
-    failure = feasibility_witness(instance)
-    if failure is not None:
-        raise InfeasibleInstance("no b-bibranching exists", witness=failure)
+    require_feasible(instance)
 
     D = instance.digraph
     H = sorted(instance.cross_arcs())

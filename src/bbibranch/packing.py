@@ -241,14 +241,23 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
     if violated:
         raise TheoremViolation("uniform point 1/k violates the row system",
                                payload={"rows": violated})
+    return _integral_vertex(arcs, {a: (ZERO, ONE) for a in arcs},
+                            [row[:3] for system in (p1, p2) for row in system.rows])
 
+
+def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
+    """The 0/1 vertex minimizing y(arcs) subject to lower <= y(a) <= upper
+    for bounds[a] = (lower, upper) and rows (coeffs by arc, rel, rhs).
+
+    A non-optimal status or a fractional vertex is a hard failure carrying
+    the dumped LP, since every caller's row system is an integer polyhedron.
+    """
     col = {a: j for j, a in enumerate(arcs)}
     lp = RationalLP(len(arcs), [ONE] * len(arcs), "min")
-    for j in range(len(arcs)):
-        lp.set_bounds(j, ZERO, ONE)
-    for system in (p1, p2):
-        for coeffs, rel, rhs, _tag in system.rows:
-            lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
+    for a in arcs:
+        lp.set_bounds(col[a], *bounds[a])
+    for coeffs, rel, rhs in rows:
+        lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
     result = simplex_solve(lp)
     if result.status != "optimal":
         raise TheoremViolation("row system LP unexpectedly %s" % result.status,
@@ -485,65 +494,49 @@ def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingC
 # ---------------------------------------------------------------------------
 
 def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset[int]]:
-    """Write an integer vector of the k-dilated polytope as a sum of k
-    b-bibranching indicators; each original arc a lands in exactly x(a)
-    of the returned classes."""
+    """Write an integer point x of the k-dilated polytope as a sum of k
+    b-bibranching indicators, peeling one class per exact LP.
+
+    The rows R are the T indegree rows, the S outdegree rows and the bicuts,
+    with need(R) = b(v), b(u) or 1.  With j classes left, the class is an
+    integral vertex of max(0, x(a) - (j-1)) <= y(a) <= min(1, x(a)) and
+    need(R) <= y(R) <= x(R) - (j-1) need(R), so x - y stays in the
+    (j-1)-dilated polytope (Baum and Trotter, SIAM J. Alg. Disc. Meth. 1981).
+    Each arc a lies in exactly x(a) of the classes, returned in peel order.
+    """
     D = instance.digraph
     if k < 1:
         raise InputError("k must be at least 1")
-    x = [x[a] for a in range(D.num_arcs())]
+    arcs = list(range(D.num_arcs()))
+    x = [x[a] for a in arcs]
     for a, val in enumerate(x):
         if not isinstance(val, int) or val < 0 or val > k:
             raise InputError("x(%d) must be an integer in [0, k]" % a)
-    for v in sorted(instance.T):
-        if sum(x[a] for a in D.in_arcs(v)) < k * instance.b[v]:
-            raise InputError("scaled indegree row fails at %s" % v)
-    for u in sorted(instance.S):
-        if sum(x[a] for a in D.out_arcs(u)) < k * instance.b[u]:
-            raise InputError("scaled outdegree row fails at %s" % u)
-    for bicut in all_bicuts(instance):
-        if sum(x[a] for a in bicut.arcs) < k:
-            raise InputError("scaled bicut row fails at U = %s"
-                             % sorted(bicut.U))
+    rows = [(D.in_arcs(v), instance.b[v], "scaled indegree row fails at %s" % v)
+            for v in sorted(instance.T)]
+    rows += [(D.out_arcs(u), instance.b[u], "scaled outdegree row fails at %s" % u)
+             for u in sorted(instance.S)]
+    rows += [(bicut.arcs, 1, "scaled bicut row fails at U = %s" % sorted(bicut.U))
+             for bicut in all_bicuts(instance)]
+    for R, need, message in rows:
+        if sum(x[a] for a in R) < k * need:
+            raise InputError(message)
 
-    # Multigraph with x(a) parallel copies of each arc.
-    copy_of: list[int] = []
-    multi_arcs = []
-    for a in range(D.num_arcs()):
-        for _ in range(x[a]):
-            copy_of.append(a)
-            multi_arcs.append(D.arcs[a])
-    multi = Digraph(D.vertices, multi_arcs)
-    side = {v: ("S" if v in instance.S else "T") for v in D.vertices}
-    weights = [instance.weights[a] for a in copy_of]
-    multi_instance = Instance(multi, side, instance.b, weights)
+    residual = list(x)
+    result = []
+    for j in range(k, 0, -1):
+        bounds = {a: (max(0, residual[a] - (j - 1)), min(1, residual[a]))
+                  for a in arcs}
+        lp_rows = []
+        for R, need, _ in rows:
+            coeffs = {a: 1 for a in R}
+            lp_rows += [(coeffs, ">=", need),
+                        (coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)]
+        point = _integral_vertex(arcs, bounds, lp_rows)
+        result.append(frozenset(a for a in arcs if point[a]))
+        residual = [residual[a] - point[a] for a in arcs]
 
-    certificate = pack_b_bibranchings(multi_instance, k=k)
-    used = [set(cls) for cls in certificate.assembled]
-    leftovers = set(range(multi.num_arcs())) - set().union(*used) \
-        if used else set(range(multi.num_arcs()))
-    used[0] |= leftovers  # superset closure keeps class 0 valid
-
-    # Spread the copies of each arc over distinct classes: keep one copy in
-    # every class already holding the arc, hand spare copies to classes
-    # without it (growing a class keeps it valid).
-    assignment: list[set[int]] = [set() for _ in range(k)]
-    for a in range(D.num_arcs()):
-        holders = sorted(j for j in range(k)
-                         if any(copy_of[c] == a for c in used[j]))
-        spare = x[a] - len(holders)
-        assert spare >= 0
-        for j in holders:
-            assignment[j].add(a)
-        for j in range(k):
-            if spare == 0:
-                break
-            if j not in holders:
-                assignment[j].add(a)
-                spare -= 1
-    result = [frozenset(cls) for cls in assignment]
-
-    counts = [sum(1 for cls in result if a in cls) for a in range(D.num_arcs())]
+    counts = [sum(1 for cls in result if a in cls) for a in arcs]
     if counts != x:
         raise TheoremViolation("decomposition does not sum to x")
     for cls in result:

@@ -211,6 +211,25 @@ class TestCheckCommand:
                                               "case": "b"}
 
 
+    def test_idp_keeps_every_cross_arc_in_every_class(self, tmp_path,
+                                                      capsys):
+        # Each s needs outdegree 2, so the only b-bibranching is all four
+        # arcs and x = 3 on every arc splits into three copies of it.
+        doc = {"vertices": [{"id": v, "side": "S" if v[0] == "s" else "T",
+                             "b": 2 if v[0] == "s" else 1}
+                            for v in ("s0", "s1", "t0", "t1")],
+               "arcs": [{"tail": s, "head": t, "weight": 1}
+                        for s in ("s0", "s1") for t in ("t0", "t1")]}
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "idp", "--trials", "3",
+                         str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert report["result"]["detail"] == {"k": 3,
+                                              "classes": [[0, 1, 2, 3]] * 3}
+
+
 class TestGenCommand:
     def test_deterministic_bytes(self):
         args = ["gen", "--seed", "9", "--nS", "2", "--nT", "2",

@@ -257,7 +257,8 @@ class TestSolveMflow:
         D = Digraph(["s", "t"], [])
         from bbibranch.bibranching import Instance
         inst = Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1}, [])
-        with pytest.raises(InfeasibleInstance):
+        with pytest.raises(InfeasibleInstance,
+                           match="condition t_reachable_from_s fails at t"):
             solve_mflow(inst)
 
     def test_matches_brute_force(self):

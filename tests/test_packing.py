@@ -4,8 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbibranch.bibranching import Instance, is_b_bibranching
+from bbibranch.bibranching import (Instance, feasibility_witness,
+                                   is_b_bibranching)
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
 from bbibranch.matroids import is_b_branching
@@ -351,3 +354,59 @@ class TestIntegerDecomposition:
             for c in classes:
                 assert is_b_bibranching(inst, c)
             done += 1
+
+    def test_class_may_hold_an_arc_once_only(self):
+        # s0 needs outdegree 2 in each class, so both classes must use arc 0
+        # and split arcs 1 and 2; a class can never hold an arc twice.
+        D = Digraph(["s0", "t0"], [("s0", "t0")] * 5)
+        inst = Instance(D, {"s0": "S", "t0": "T"}, {"s0": 2, "t0": 1},
+                        [1] * 5)
+        x = [2, 1, 1, 0, 0]
+        classes = integer_decomposition_check(inst, 2, x)
+        assert [sum(1 for c in classes if a in c) for a in range(5)] == x
+        assert all(is_b_bibranching(inst, c) for c in classes)
+
+    def test_peel_leaves_a_decomposable_rest(self):
+        # x = {1, 3} + {0, 3, 5} + {1, 2, 4}.  The smallest first class is
+        # {1, 3}; peeling it again would leave no arc from S to T, which the
+        # upper row on the bicut U = T forbids.
+        D = Digraph(["s0", "s1", "t0", "t1"],
+                    [("s0", "s1"), ("s0", "t0"), ("s1", "s0"), ("s1", "t1"),
+                     ("t0", "t1"), ("t1", "t0")])
+        inst = Instance(D, {"s0": "S", "s1": "S", "t0": "T", "t1": "T"},
+                        {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, [1] * 6)
+        x = [1, 2, 1, 2, 1, 1]
+        classes = integer_decomposition_check(inst, 3, x)
+        assert [sum(1 for c in classes if a in c) for a in range(6)] == x
+        assert all(is_b_bibranching(inst, c) for c in classes)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_sums_of_b_bibranchings_decompose(self, data):
+        # Instances are redrawn from the same generator until feasible.  A
+        # class is the full arc set minus a drawn subset, or the full arc
+        # set when that is no b-bibranching (superset closure keeps it one).
+        rng = data.draw(st.randoms(use_true_random=False), label="rng")
+        nS = data.draw(st.integers(1, 2), label="nS")
+        nT = data.draw(st.integers(1, 3), label="nT")
+        extra = data.draw(st.integers(0, 4), label="extra_cross")
+        while True:
+            inst = random_instance(rng, nS, nT, 0.7, 3, 5, max_arcs=12,
+                                   extra_cross=extra)
+            if feasibility_witness(inst) is None:
+                break
+        m = inst.digraph.num_arcs()
+        full = frozenset(range(m))
+        k = data.draw(st.integers(2, 4), label="k")
+        x = [0] * m
+        for j in range(k):
+            drop = data.draw(st.frozensets(st.sampled_from(range(m))),
+                             label="drop %d" % j)
+            chosen = full - drop
+            for a in chosen if is_b_bibranching(inst, chosen) else full:
+                x[a] += 1
+        classes = integer_decomposition_check(inst, k, x)
+        assert len(classes) == k
+        assert [sum(1 for c in classes if a in c) for a in range(m)] == x
+        assert all(is_b_bibranching(inst, c) for c in classes)
