@@ -41,6 +41,16 @@ def random_instance(rng: random.Random, nS: int, nT: int, density: float,
     return Instance(Digraph(s_ids + t_ids, arcs), side, b, w)
 
 
+def digest_draws():
+    """The forty seeded instances behind the golden report digests."""
+    rng = random.Random(4004)
+    for _ in range(40):
+        nS = rng.randint(1, 3)
+        nT = rng.randint(1, 3)
+        yield random_instance(rng, nS, nT, rng.uniform(0.3, 0.9), 2, 9,
+                              max_arcs=12, extra_cross=rng.randint(1, 4))
+
+
 def random_digraph(rng: random.Random, n: int, density: float, bmax: int,
                    wmax: int = 9):
     """(digraph, b, weights) without any bipartition structure."""

@@ -1,6 +1,6 @@
 """Golden report digests: a refactor must leave every CLI report unchanged.
 
-Forty seeded instances (``conftest.random_instance`` with extra cross arcs)
+Forty seeded instances (``conftest.digest_draws``, with extra cross arcs)
 are written to files with bare names and run in-process through
 ``cli.main`` with six commands each.  The SHA-256 of the exit code,
 stdout and stderr of every call must equal the value recorded in
@@ -19,13 +19,11 @@ import hashlib
 import io
 import json
 import os
-import random
-import sys
 from pathlib import Path
 
 from bbibranch import cli, packing
 
-from conftest import random_instance
+from conftest import digest_draws
 
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 COMMANDS = (
@@ -36,15 +34,6 @@ COMMANDS = (
     ("check", "--what", "exchange", "--trials", "5", "--seed", "3"),
     ("check", "--what", "tdi"),
 )
-
-
-def _instances():
-    rng = random.Random(4004)
-    for _ in range(40):
-        nS = rng.randint(1, 3)
-        nT = rng.randint(1, 3)
-        yield random_instance(rng, nS, nT, rng.uniform(0.3, 0.9), 2, 9,
-                              max_arcs=12, extra_cross=rng.randint(1, 4))
 
 
 def _run(argv) -> tuple[int, str, str]:
@@ -61,7 +50,7 @@ def report_digests(directory: Path) -> tuple[dict[str, str], list]:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        for i, instance in enumerate(_instances()):
+        for i, instance in enumerate(digest_draws()):
             name = "i%02d.json" % i
             Path(name).write_text(json.dumps(cli.serialize_instance(instance)))
             for command in COMMANDS:

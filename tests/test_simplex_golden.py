@@ -10,9 +10,18 @@ status, ``x``, ``objective``, ``row_duals`` and ``bound_duals`` must equal
 the values recorded in ``simplex_golden.json``; when several optima
 exist, this pins the one Bland's rule reaches.
 
-The recorded file is rewritten by ``python tests/test_simplex_golden.py``
-(with ``src`` on ``PYTHONPATH``); do that only for a change that means to
-alter simplex results, and say so.
+A second set holds LPs shaped like the ones the commands solve, built from
+the forty report-digest draws (``conftest.digest_draws``): the boxed
+degree LP of ``_build_degree_lp`` with every ``all_bicuts`` row, the
+covering dual of the TDI check, and the packing stage systems of
+``build_system`` (both sides, stages max(k, 2) down to 2 for packing
+number k, on the whole cross-arc set) as ``find_integral_point`` poses
+them.  Their results are recorded in ``simplex_golden_production.json``.
+
+The recorded files are rewritten by ``python tests/test_simplex_golden.py``
+(with ``src`` and ``tests`` on ``PYTHONPATH``); do that only for a change
+that means to alter simplex results or the LPs those builders produce,
+and say so.
 """
 
 from __future__ import annotations
@@ -21,10 +30,15 @@ import json
 import random
 from pathlib import Path
 
-from bbibranch.lpsolve import RationalLP, simplex_solve
-from bbibranch.rationals import Q, rat_str
+from bbibranch.lpsolve import (RationalLP, _build_degree_lp, _build_dual_lp,
+                               _dual_family, all_bicuts, simplex_solve)
+from bbibranch.packing import build_system, packing_number
+from bbibranch.rationals import ONE, Q, ZERO, rat_str
+
+from conftest import digest_draws
 
 GOLDEN = Path(__file__).resolve().parent / "simplex_golden.json"
+PRODUCTION = Path(__file__).resolve().parent / "simplex_golden_production.json"
 SEED = 5005
 COUNT = 400
 
@@ -93,18 +107,59 @@ def golden_records() -> list:
     return [record(simplex_solve(random_lp(rng))) for _ in range(COUNT)]
 
 
-def test_simplex_matches_recorded_results():
-    found = golden_records()
-    statuses = {entry[0] for entry in found}
-    assert statuses == {"optimal", "infeasible", "unbounded"}
-    recorded = json.loads(GOLDEN.read_text())
+def production_lps():
+    """The production-shaped LPs of every digest draw, in a fixed order."""
+    for instance in digest_draws():
+        lp = _build_degree_lp(instance, boxed=True)
+        for cut in all_bicuts(instance):
+            lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
+        yield lp
+        yield _build_dual_lp(instance, _dual_family(instance))
+        k = packing_number(instance).k
+        for stage in range(max(k, 2), 1, -1):
+            systems = [build_system(instance, side, stage) for side in (1, 2)]
+            arcs = systems[0].var_arcs
+            col = {a: j for j, a in enumerate(arcs)}
+            lp = RationalLP(len(arcs), [ONE] * len(arcs), "min")
+            for j in range(len(arcs)):
+                lp.set_bounds(j, ZERO, ONE)
+            for system in systems:
+                for coeffs, rel, rhs, _ in system.rows:
+                    lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
+            yield lp
+
+
+def production_records() -> list:
+    return [record(simplex_solve(lp)) for lp in production_lps()]
+
+
+def _assert_matches(found, path):
+    recorded = json.loads(path.read_text())
     assert len(found) == len(recorded)
     for index, (got, want) in enumerate(zip(found, recorded)):
         assert got == want, "LP %d" % index
 
 
+def test_simplex_matches_recorded_results():
+    found = golden_records()
+    statuses = {entry[0] for entry in found}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    _assert_matches(found, GOLDEN)
+
+
+def test_production_shape_lps_match_recorded_results():
+    found = production_records()
+    statuses = {entry[0] for entry in found}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    _assert_matches(found, PRODUCTION)
+
+
+def _write(path, records):
+    path.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in records)
+                    + "\n]\n")
+    print("wrote %d results to %s" % (len(records), path))
+
+
 if __name__ == "__main__":
-    records = golden_records()
-    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in records)
-                      + "\n]\n")
-    print("wrote %d results to %s" % (len(records), GOLDEN))
+    _write(GOLDEN, golden_records())
+    _write(PRODUCTION, production_records())
