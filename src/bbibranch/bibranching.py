@@ -245,21 +245,29 @@ def require_feasible(instance: Instance) -> None:
 
 
 def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
-    """Optimal b-bibranching via the LP route, the submodular-flow route, or both."""
+    """Optimal b-bibranching via the LP route, the submodular-flow route, or both.
+
+    Feasibility is checked once: by solve_mflow when the submodular-flow
+    route runs (first, for the auto cross-check), else by require_feasible.
+    """
     if method not in ("lp", "mflow", "brute", "auto"):
         raise InputError("unknown method %r" % (method,))
-    require_feasible(instance)
 
     from . import lpsolve, mconvex  # local import: those modules use Instance
 
+    cross_check = (method == "auto"
+                   and instance.digraph.num_arcs() <= CROSS_CHECK_ARC_LIMIT)
+    if method == "mflow" or cross_check:
+        other = mconvex.solve_mflow(instance)
+    else:
+        require_feasible(instance)
     if method == "brute":
         solution = brute_force_shortest(instance)
     elif method == "mflow":
-        solution = mconvex.solve_mflow(instance)
+        solution = other
     else:
         solution = lpsolve.solve_primal_cutting_plane(instance).solution
-        if method == "auto" and instance.digraph.num_arcs() <= CROSS_CHECK_ARC_LIMIT:
-            other = mconvex.solve_mflow(instance)
+        if cross_check:
             if other.weight != solution.weight:
                 raise TheoremViolation(
                     "LP and submodular-flow optima disagree: %s vs %s"

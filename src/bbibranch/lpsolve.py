@@ -1,15 +1,18 @@
 """Exact rational LP machinery.
 
-A two-phase simplex with Bland's rule over exact rationals, on one tableau
-that carries its reduced-cost rows through the pivots; bicut separation by
-max-flow, the primal cutting plane for the shortest b-bibranching LP, and
-the desk-scale total-dual-integrality spot check.
+A two-phase simplex with Bland's rule, exact throughout, on one
+fraction-free tableau that carries its reduced-cost rows through the
+pivots: every row is a list of Python ints over one positive row
+denominator; bicut separation by max-flow, the primal cutting plane for
+the shortest b-bibranching LP, and the desk-scale total-dual-integrality
+spot check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd, lcm
 from typing import Optional
 
 from .bibranching import (Instance, Solution, bibranching_report,
@@ -42,7 +45,7 @@ class RationalLP:
     def add_row(self, coeffs: dict[int, object], rel: str, rhs) -> int:
         if rel not in ("<=", ">=", "="):
             raise InputError("relation must be one of <=, >=, =")
-        clean = {j: Q(c) for j, c in coeffs.items() if Q(c) != 0}
+        clean = {j: q for j, c in coeffs.items() if (q := Q(c))}
         for j in clean:
             if not (0 <= j < self.num_vars):
                 raise InputError("row references unknown variable %d" % j)
@@ -64,7 +67,7 @@ class SimplexResult:
 
 
 def simplex_solve(lp: RationalLP) -> SimplexResult:
-    """Two-phase simplex with Bland's rule; exact rationals throughout.
+    """Two-phase simplex with Bland's rule; exact throughout.
 
     One tableau carries everything.  Its rows are the LP rows with the lower
     bounds shifted out, then one <= row per finite upper bound, each negated
@@ -73,14 +76,25 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     so every pivot updates them along with the constraints.  Columns are
     the variables, then one slack (+1) or surplus (-1) per inequality row,
     then one artificial per >= or = row, each in row order.
+
+    Every row is a list of ints over one positive row denominator: entry j
+    of row i stands for tableau[i][j] / dens[i].  A pivot on entry p
+    rewrites each other row r as r*p - f*(pivot row) over den*p,
+    fraction-free as in Bareiss (1968), and divides out the row's gcd.
+    Signs are read off the numerators, and the ratio test cross-multiplies,
+    since a row's denominator cancels from its own ratios.  Rationals are
+    built only for the result.
     """
     n = lp.num_vars
     flip = 1 if lp.sense == "min" else -1
+    shift = {j: v for j, v in enumerate(lp.lower) if v}
     bounded = [j for j in range(n) if lp.upper[j] is not None]
-    rows = [(coeffs, rel,
-             rhs - sum((c * lp.lower[j] for j, c in coeffs.items()), ZERO))
-            for coeffs, rel, rhs in lp.rows]
-    rows += [({j: ONE}, "<=", lp.upper[j] - lp.lower[j]) for j in bounded]
+    rows = []
+    for coeffs, rel, rhs in lp.rows:
+        moved = [c * shift[j] for j, c in coeffs.items() if j in shift]
+        rows.append((coeffs, rel, rhs - sum(moved) if moved else rhs))
+    rows += [({j: ONE}, "<=", lp.upper[j] - shift[j] if j in shift else lp.upper[j])
+             for j in bounded]
     m = len(rows)
     signs = [-1 if rhs < 0 else 1 for _, _, rhs in rows]
     rels = [{"<=": ">=", ">=": "<=", "=": "="}[rel] if sign < 0 else rel
@@ -89,68 +103,98 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     art_col = art_start = n + sum(rel != "=" for rel in rels)
     num_cols = art_start + sum(rel != "<=" for rel in rels)
 
-    tableau: list[list] = []
+    tableau: list[list[int]] = []
+    dens: list[int] = []  # row i stands for tableau[i] / dens[i]
     basis: list[int] = []
-    own: list[int] = []  # row i's slack, surplus or (for =) artificial column
-    scale: list = []     # row i's dual is scale[i] times own[i]'s reduced cost
+    own: list[int] = []   # row i's slack, surplus or (for =) artificial column
+    scale: list[int] = []  # row i's dual is scale[i] times own[i]'s reduced cost
     for (coeffs, _, rhs), sign, rel in zip(rows, signs, rels):
-        row = [ZERO] * (num_cols + 1)
-        for j, c in coeffs.items():
-            row[j] = c * sign
-        row[-1] = rhs * sign
+        terms = [(j, c.numerator, c.denominator) for j, c in coeffs.items()]
+        den = lcm(rhs.denominator, *[q for _, _, q in terms])
+        row = [0] * (num_cols + 1)
+        for j, p, q in terms:
+            row[j] = sign * p * (den // q)
+        row[-1] = sign * rhs.numerator * (den // rhs.denominator)
         if rel == "=":
             own.append(art_col)
         else:
             own.append(slack_col)
-            row[slack_col] = ONE if rel == "<=" else -ONE
+            row[slack_col] = den if rel == "<=" else -den
             slack_col += 1
         if rel == "<=":
             basis.append(own[-1])
         else:
-            row[art_col] = ONE
+            row[art_col] = den
             basis.append(art_col)
             art_col += 1
-        scale.append(-row[own[-1]] * sign * flip)
+        scale.append((1 if rel == ">=" else -1) * sign * flip)
         tableau.append(row)
-    tableau.append([c * flip for c in lp.objective] + [ZERO] * (num_cols - n + 1))
-    phase1 = [ZERO] * art_start + [ONE] * (num_cols - art_start) + [ZERO]
-    for i in range(m):
-        if basis[i] >= art_start:
-            phase1 = [a - b for a, b in zip(phase1, tableau[i])]
+        dens.append(den)
+    den = lcm(*[c.denominator for c in lp.objective])
+    tableau.append([flip * c.numerator * (den // c.denominator) for c in lp.objective]
+                   + [0] * (num_cols - n + 1))
+    dens.append(den)
+    art_rows = [i for i in range(m) if basis[i] >= art_start]
+    den = lcm(*[dens[i] for i in art_rows])
+    phase1 = [0] * art_start + [den] * (num_cols - art_start) + [0]
+    for i in art_rows:
+        f = den // dens[i]
+        phase1 = [a - f * b for a, b in zip(phase1, tableau[i])]
     tableau.append(phase1)
+    dens.append(den)
 
     def pivot(row: int, col: int) -> None:
-        inv = ONE / tableau[row][col]
-        src = tableau[row] = [c * inv for c in tableau[row]]
-        nonzero = [(j, c) for j, c in enumerate(src) if c != 0]
+        src = tableau[row]
+        if src[col] < 0:
+            src = [-c for c in src]
+        g = gcd(*src)
+        if g > 1:
+            src = [c // g for c in src]
+        tableau[row] = src
+        p = dens[row] = src[col]
+        nonzero = [(j, c) for j, c in enumerate(src) if c]
         for i, dst in enumerate(tableau):
-            factor = dst[col]
-            if i != row and factor != 0:
+            f = dst[col]
+            if i == row or not f:
+                continue
+            if p == 1:
                 for j, c in nonzero:
-                    dst[j] -= factor * c
+                    dst[j] -= f * c
+            else:
+                dst = [a * p - f * b for a, b in zip(dst, src)]
+                dens[i] *= p
+            if dens[i] > 1:
+                g = gcd(dens[i], *dst)  # stops computing once it reaches 1
+                if g > 1:
+                    dst = [a // g for a in dst]
+                    dens[i] //= g
+            tableau[i] = dst
         basis[row] = col
 
     def optimize(limit: int) -> bool:
         """Bland's rule on the last row over columns < limit; False if unbounded."""
-        cost = tableau[-1]
         while True:
+            cost = tableau[-1]
             entering = next((j for j in range(limit) if cost[j] < 0), -1)
             if entering < 0:
                 return True
             leaving = -1
             for i in range(m):
-                coef = tableau[i][entering]
-                if coef > 0:
-                    ratio = tableau[i][-1] / coef
-                    if (leaving < 0 or ratio < best_ratio
-                            or (ratio == best_ratio and basis[i] < basis[leaving])):
-                        best_ratio = ratio
-                        leaving = i
+                coef, rhs = tableau[i][entering], tableau[i][-1]
+                if coef <= 0:
+                    continue
+                if leaving >= 0:
+                    # rhs / coef against best_rhs / best_coef, cross-multiplied
+                    left, right = rhs * best_coef, best_rhs * coef
+                    if left > right or (left == right and basis[i] > basis[leaving]):
+                        continue
+                leaving, best_rhs, best_coef = i, rhs, coef
             if leaving < 0:
                 return False
             pivot(leaving, entering)
 
     optimize(num_cols)
+    dens.pop()
     if tableau.pop()[-1] < 0:  # minus the least sum of the artificials
         return SimplexResult(status="infeasible")
     # Pivot lingering artificials out of the (degenerate) basis.  A row with
@@ -158,7 +202,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     # touches it, and its dual keeps the default.
     for i in range(m):
         if basis[i] >= art_start:
-            col = next((j for j in range(art_start) if tableau[i][j] != 0), -1)
+            col = next((j for j in range(art_start) if tableau[i][j]), -1)
             if col >= 0:
                 pivot(i, col)
     if not optimize(art_start):
@@ -167,11 +211,12 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     x = list(lp.lower)
     row_duals = [ZERO] * len(lp.rows)
     bound_duals: list[Optional[object]] = [None] * n
+    cost, cost_den = tableau[-1], dens[-1]
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] += tableau[i][-1]
+            x[basis[i]] += Q(tableau[i][-1], dens[i])
         if basis[i] < art_start:
-            y = tableau[-1][own[i]] * scale[i]
+            y = Q(cost[own[i]] * scale[i], cost_den)
             if i < len(lp.rows):
                 row_duals[i] = y
             else:
@@ -309,8 +354,9 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
             return None, rounds
         if result.status == "unbounded":  # cannot happen with w >= 0, x >= 0
             raise TheoremViolation("cutting-plane LP reported unbounded")
-        violated = _violated_bicuts(instance, result.x)
-        new = [cut for cut in violated if cut.arcs not in {c.arcs for c in cut_rows}]
+        known = {c.arcs for c in cut_rows}
+        new = [cut for cut in _violated_bicuts(instance, result.x)
+               if cut.arcs not in known]
         if not new:
             return result, rounds
         for cut in new:
@@ -370,9 +416,8 @@ def _branch_and_bound(instance: Instance, cut_rows: list):
         for cut in local_cuts:
             lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
         result, rounds = _solve_with_cuts(instance, lp, local_cuts)
-        for cut in local_cuts:
-            if cut.arcs not in {c.arcs for c in cut_rows}:
-                cut_rows.append(cut)
+        known = {c.arcs for c in cut_rows}
+        cut_rows += [cut for cut in local_cuts if cut.arcs not in known]
         rounds_total += rounds
         if result is None:
             continue

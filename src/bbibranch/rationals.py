@@ -1,8 +1,10 @@
 """Exact rational arithmetic helpers.
 
 All solver arithmetic in this package is exact.  gmpy2's mpq is used when
-available (it is substantially faster inside the simplex pivots); the stdlib
-Fraction is a drop-in fallback with the same numerator/denominator API.
+available (it is faster for the rational work around the simplex: LP data,
+results, max-flow capacities and weights); the stdlib Fraction is a drop-in
+fallback with the same numerator/denominator API.  The simplex pivots
+themselves run on Python ints and do not depend on the choice.
 """
 
 from __future__ import annotations

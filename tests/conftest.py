@@ -12,6 +12,8 @@ import random
 
 from bbibranch.bibranching import Instance, is_b_bibranching
 from bbibranch.digraph import Digraph
+from bbibranch.lpsolve import RationalLP
+from bbibranch.rationals import Q
 
 # ---------------------------------------------------------------------------
 # Seeded instance generators
@@ -49,6 +51,53 @@ def digest_draws():
         nT = rng.randint(1, 3)
         yield random_instance(rng, nS, nT, rng.uniform(0.3, 0.9), 2, 9,
                               max_arcs=12, extra_cross=rng.randint(1, 4))
+
+
+def _coefficient(rng):
+    if rng.random() < 0.15:
+        return Q(rng.randint(-5, 5), rng.randint(2, 3))
+    return Q(rng.randint(-3, 4))
+
+
+def random_lp(rng) -> RationalLP:
+    """Rows mostly hold at a random point within the bounds; some LPs draw
+    their right-hand sides freely and are usually infeasible."""
+    n = rng.randint(1, 5)
+    lp = RationalLP(n, [rng.randint(-3, 5) for _ in range(n)],
+                    rng.choice(("min", "max")))
+    point = []
+    for j in range(n):
+        lower = rng.choice((0, 0, 0, 1, -1, 2))
+        draw = rng.random()
+        width = None if draw < 0.3 else 0 if draw < 0.45 else rng.randint(1, 4)
+        lp.set_bounds(j, lower, None if width is None else lower + width)
+        point.append(lower + rng.randint(0, 3 if width is None else width))
+    free_rhs = rng.random() < 0.2
+    for _ in range(rng.randint(0, 5)):
+        coeffs = {j: _coefficient(rng) for j in range(n) if rng.random() < 0.7}
+        rel = rng.choice(("<=", ">=", "="))
+        if free_rhs:
+            rhs = rng.randint(-4, 8)
+        else:
+            rhs = sum((c * point[j] for j, c in coeffs.items()), Q(0))
+            rhs += {"<=": 1, ">=": -1, "=": 0}[rel] * rng.randint(0, 2)
+        lp.add_row(coeffs, rel, rhs)
+    for _ in range(rng.randint(0, 2)):
+        if not lp.rows:
+            break
+        coeffs, rel, rhs = rng.choice(lp.rows)
+        if rng.random() < 0.5:
+            factor = rng.choice((1, -1, 2))
+            flipped = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            lp.add_row({j: factor * c for j, c in coeffs.items()},
+                       rel if factor > 0 else flipped, factor * rhs)
+        else:
+            other, rel2, rhs2 = rng.choice(lp.rows)
+            if rel == rel2:
+                total = {j: coeffs.get(j, 0) + other.get(j, 0)
+                         for j in set(coeffs) | set(other)}
+                lp.add_row(total, rel, rhs + rhs2)
+    return lp
 
 
 def random_digraph(rng: random.Random, n: int, density: float, bmax: int,

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbibranch import cli, mconvex
+from bbibranch import bibranching, cli, mconvex
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data,
                            serialize_instance)
@@ -103,6 +103,23 @@ class TestSolveCommand:
         assert report["result"] == {
             "message": "optima disagree",
             "payload": {"values": ["1/3", 2], "set": ["s", "t"]}}
+
+    @pytest.mark.parametrize("method", ["auto", "lp", "mflow"])
+    def test_feasibility_checked_once(self, tmp_path, capsys, monkeypatch,
+                                      method):
+        calls = []
+        original = bibranching.feasibility_witness
+
+        def counted(instance):
+            calls.append(instance)
+            return original(instance)
+
+        monkeypatch.setattr(bibranching, "feasibility_witness", counted)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(ONE_ARC))
+        assert cli.main(["solve", str(path), "--method", method]) == EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_input_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

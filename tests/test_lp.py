@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bbibranch.bibranching import brute_force_shortest, feasibility_witness
 from bbibranch.errors import InputError
@@ -12,7 +14,7 @@ from bbibranch.lpsolve import (DualSolution, RationalLP, all_bicuts, dump_lp,
                                solve_primal_cutting_plane, tdi_spot_check)
 from bbibranch.rationals import Q, is_integral
 
-from conftest import one_arc_instance, random_instance
+from conftest import one_arc_instance, random_instance, random_lp
 
 
 class TestSimplex:
@@ -88,6 +90,37 @@ class TestSimplex:
             # Sign conventions: >= rows give y >= 0, upper bounds give y <= 0.
             assert all(y >= 0 for y in res.row_duals)
             assert all(y is None or y <= 0 for y in res.bound_duals)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9),
+           q=st.integers(1, 9), data=st.data())
+    def test_scaling_a_row_scales_only_its_dual(self, seed, p, q, data):
+        lp = random_lp(random.Random(seed))
+        assume(lp.rows)
+        i = data.draw(st.integers(0, len(lp.rows) - 1), label="row")
+        factor = Q(p, q)
+        scaled = RationalLP(lp.num_vars, lp.objective, lp.sense)
+        scaled.lower, scaled.upper = list(lp.lower), list(lp.upper)
+        for k, (coeffs, rel, rhs) in enumerate(lp.rows):
+            if k == i:
+                coeffs = {j: c * factor for j, c in coeffs.items()}
+                rhs *= factor
+            scaled.add_row(coeffs, rel, rhs)
+        base, result = simplex_solve(lp), simplex_solve(scaled)
+        assert (result.status, result.objective) == (base.status, base.objective)
+        # Bland's rule takes the same pivots when row i starts with its slack
+        # basic (a <= row once the lower bounds are shifted out and the sign
+        # is normalised).  A row that starts with an artificial is reweighted
+        # in the phase-1 objective, which may reach another optimal vertex.
+        coeffs, rel, rhs = lp.rows[i]
+        shifted = rhs - sum((c * lp.lower[j] for j, c in coeffs.items()), Q(0))
+        if base.status == "optimal" and rel == ("<=" if shifted >= 0 else ">="):
+            assert result.x == base.x
+            assert result.bound_duals == base.bound_duals
+            assert result.row_duals[i] == base.row_duals[i] / factor
+            del result.row_duals[i], base.row_duals[i]
+            assert result.row_duals == base.row_duals
 
     def test_dump_is_deterministic_text(self):
         lp = RationalLP(2, [1, Q(1, 2)], "min")
