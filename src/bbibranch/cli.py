@@ -315,9 +315,10 @@ def _check_exchange(instance, rng, trials):
 def _check_idp(instance, rng, trials):
     from .packing import integer_decomposition_check
 
+    # x = chi_B + (k-1) chi_A (A all arcs), so the peel has choices to make.
     solution = solve_shortest(instance, method="lp")
     k = max(2, min(3, trials)) if trials else 2
-    x = [k if a in solution.arcs else 0
+    x = [k if a in solution.arcs else k - 1
          for a in range(instance.digraph.num_arcs())]
     classes = integer_decomposition_check(instance, k, x)
     return True, {"k": k, "classes": [sorted(c) for c in classes]}

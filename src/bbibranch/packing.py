@@ -192,11 +192,13 @@ class GPolymatroidSystem:
 
 def build_system(instance: Instance, side: int, k: int,
                  ground: Optional[Iterable[int]] = None,
-                 degree_in=None, degree_out=None) -> GPolymatroidSystem:
+                 degree=None) -> GPolymatroidSystem:
     """Instantiate the row system for one side at packing target k.
 
-    degree_in / degree_out override the full-graph degrees d_A^- / d_A^+
-    with residual values during peeling.
+    Each side vertex v bounds x(delta_H(v)), its ground cross arcs, by
+    deg(v) - (k-1) b(v) above and, when positive, b(v) - (deg(v) -
+    |delta_H(v)|) below; ``degree`` maps v to its residual deg(v) during
+    peeling and defaults to d_A^-(v) (side 1) or d_A^+(v) (side 2).
     """
     D = instance.digraph
     family = CutFamilyOracle(instance, side, ground)
@@ -209,20 +211,15 @@ def build_system(instance: Instance, side: int, k: int,
         system.rows.append((coeffs, "<=", len(C) - gC + 1, "upper-" + tag))
         if gC == k:
             system.rows.append((coeffs, ">=", 1, "lower-" + tag))
-    if side == 1:
-        for v in sorted(instance.T):
-            deg = (degree_in[v] if degree_in is not None
-                   else len(D.in_arcs(v)))
-            coeffs = {a: 1 for a in family.ground if D.head(a) == v}
-            system.rows.append((coeffs, "<=", deg - (k - 1) * instance.b[v],
-                                "degree[%s]" % v))
-    else:
-        for u in sorted(instance.S):
-            deg = (degree_out[u] if degree_out is not None
-                   else len(D.out_arcs(u)))
-            coeffs = {a: 1 for a in family.ground if D.tail(a) == u}
-            system.rows.append((coeffs, "<=", deg - (k - 1) * instance.b[u],
-                                "degree[%s]" % u))
+    end, arcs_at = (D.head, D.in_arcs) if side == 1 else (D.tail, D.out_arcs)
+    for v in family.side_vertices:
+        deg = len(arcs_at(v)) if degree is None else degree[v]
+        coeffs = {a: 1 for a in family.ground if end(a) == v}
+        system.rows.append((coeffs, "<=", deg - (k - 1) * instance.b[v],
+                            "degree[%s]" % v))
+        need = instance.b[v] - (deg - len(coeffs))
+        if need > 0:
+            system.rows.append((coeffs, ">=", need, "degree-low[%s]" % v))
     return system
 
 
@@ -236,8 +233,11 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
     if p1.var_arcs != p2.var_arcs or p1.k != p2.k:
         raise InputError("the two systems must share ground set and k")
     arcs = p1.var_arcs
-    uniform = {a: Q(1) / p1.k for a in arcs}
-    violated = p1.check_point(uniform) + p2.check_point(uniform)
+    # x = 1/k lies in the box, and each row at x reads sum(c) rel k rhs.
+    violated = [tag for system in (p1, p2)
+                for coeffs, rel, rhs, tag in system.rows
+                if not (sum(coeffs.values()) <= p1.k * rhs if rel == "<="
+                        else sum(coeffs.values()) >= p1.k * rhs)]
     if violated:
         raise TheoremViolation("uniform point 1/k violates the row system",
                                payload={"rows": violated})
@@ -329,39 +329,34 @@ def partition_cross_arcs(instance: Instance, k: int,
     """Split H = A[S,T] into k classes meeting the coloring conditions.
 
     ``witness`` is the caller's ``packing_number(instance)``.  Peels one class
-    per round as an integral point of the two row systems built on the
-    residual data, then re-verifies the final conditions; a failed
-    verification falls back to exhaustive search before giving up.
+    per round as an integral point of the two row systems on the residual
+    cross arcs and degrees; a class H_j also takes max(0, b(v) - d_{H_j}(v))
+    within-side arcs at v, so deg(v) drops by max(b(v), d_{H_j}(v)).  Final
+    classes failing the coloring conditions raise ``TheoremViolation``.
     """
     if k < 1 or k > witness.k:
         raise InputError("k must lie between 1 and the packing number")
     D = instance.digraph
+    remaining = set(instance.cross_arcs())
+    degree = {1: {v: len(D.in_arcs(v)) for v in instance.T},
+              2: {u: len(D.out_arcs(u)) for u in instance.S}}
     classes: list[frozenset[int]] = []
-    try:
-        remaining = set(instance.cross_arcs())
-        deg_in = {v: len(D.in_arcs(v)) for v in instance.T}
-        deg_out = {u: len(D.out_arcs(u)) for u in instance.S}
-        for stage in range(k, 1, -1):
-            p1 = build_system(instance, 1, stage, remaining, degree_in=deg_in)
-            p2 = build_system(instance, 2, stage, remaining, degree_out=deg_out)
-            point = find_integral_point(p1, p2)
-            H_j = frozenset(a for a, val in point.items() if val)
-            classes.append(H_j)
-            remaining -= H_j
-            for a in H_j:
-                deg_in[D.head(a)] -= 1
-                deg_out[D.tail(a)] -= 1
-        classes.append(frozenset(remaining))
-        failure = _partition_conditions(instance, k, classes)
-        if failure is None:
-            return classes
-    except TheoremViolation:
-        failure = "peeling raised"
-    fallback = _exhaustive_partition(instance, k)
-    if fallback is None:
-        raise TheoremViolation("no cross-arc partition satisfies the coloring "
-                               "conditions", payload={"k": k, "first": failure})
-    return fallback
+    for stage in range(k, 1, -1):
+        point = find_integral_point(
+            *(build_system(instance, side, stage, remaining, degree[side])
+              for side in (1, 2)))
+        H_j = frozenset(a for a, val in point.items() if val)
+        classes.append(H_j)
+        remaining -= H_j
+        for side, degree_of in ((1, D.in_degree), (2, D.out_degree)):
+            for v in degree[side]:
+                degree[side][v] -= max(instance.b[v], degree_of(H_j, v))
+    classes.append(frozenset(remaining))
+    failure = _partition_conditions(instance, k, classes)
+    if failure is not None:
+        raise TheoremViolation("peeled cross-arc classes fail the coloring "
+                               "conditions", payload={"k": k, "failed": failure})
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +445,9 @@ def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingC
     witness = packing_number(instance)
     if k is None:
         k = witness.k
-    elif k > witness.k or k < 0:
+    elif k < 0:
+        raise InputError("k must be nonnegative")
+    elif k > witness.k:
         raise InputError("requested packing size exceeds the packing number")
     if k == 0:
         return PackingCertificate(0, witness, [], [], [], [])

@@ -246,6 +246,21 @@ class TestCheckCommand:
         assert report["result"]["detail"] == {"k": 3,
                                               "classes": [[0, 1, 2, 3]] * 3}
 
+    def test_idp_peels_classes_that_differ(self, tmp_path, capsys):
+        # B = {1}, the cheaper of two parallel arcs, so x = chi_B + chi_A =
+        # (1, 2) and only one of the two classes can hold arc 0.
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["arcs"].append({"tail": "s", "head": "t", "weight": 2})
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "idp", "--trials", "2",
+                         str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        classes = report["result"]["detail"]["classes"]
+        assert len({tuple(c) for c in classes}) == 2
+        assert [sum(1 for c in classes if a in c) for a in (0, 1)] == [1, 2]
+
 
 class TestGenCommand:
     def test_deterministic_bytes(self):

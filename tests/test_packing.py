@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from bbibranch.bibranching import (Instance, feasibility_witness,
                                    is_b_bibranching)
+from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
 from bbibranch.matroids import is_b_branching
@@ -22,6 +25,19 @@ from bbibranch.rationals import Q
 
 from conftest import (one_arc_instance, oracle_max_disjoint_packing,
                       random_digraph, random_instance)
+
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+def pack_pool_instance(seed):
+    """Instance ``seed`` of the benchmark's ``pack`` generator."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    return load_instance_data(workloads.gen_pack(seed)[0])
 
 
 def doubled_instance():
@@ -297,6 +313,53 @@ class TestFullPacking:
             assert cert.k == packing_number(inst).k
             assert len(cert.assembled) == cert.k
             assert verify_packing(inst, cert.assembled)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(InputError, match="k must be nonnegative"):
+            pack_b_bibranchings(one_arc_instance(), -1)
+
+    @pytest.mark.parametrize("seed", [728, 3527, 3771, 5065, 5611])
+    def test_pool_instances_once_refused_pack_fully(self, seed):
+        # Each of these once ended in a false "prescribed packing
+        # infeasible" after the peel fell back to exhaustive search.
+        inst = pack_pool_instance(seed)
+        cert = pack_b_bibranchings(inst)
+        assert cert.k == packing_number(inst).k == 3
+        assert verify_packing(inst, cert.assembled)
+
+    def test_single_s_vertex_needs_two_cross_arcs_per_class(self):
+        # S = {s0} with b(s0) = 2 and A[S] empty: every class must take two
+        # cross arcs out of s0, so a stage may not peel a single arc.
+        D = Digraph(["s0", "t0", "t1"],
+                    [("s0", "t0")] * 4 + [("s0", "t1")] * 3 + [("t1", "t0")])
+        inst = Instance(D, {"s0": "S", "t0": "T", "t1": "T"},
+                        {"s0": 2, "t0": 1, "t1": 1}, [1] * 8)
+        cert = pack_b_bibranchings(inst)
+        assert cert.k == 3
+        assert all(D.out_degree(H_j, "s0") >= 2 for H_j in cert.cross_classes)
+        assert verify_packing(inst, cert.assembled)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_packings_of_two_or_more_never_raise(self, data):
+        # b <= 3 and m <= 24 keep every size guard out of reach; instances
+        # are redrawn from one seeded generator until k >= 2.
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1),
+                                      label="seed"))
+        nS = data.draw(st.integers(1, 3), label="nS")
+        nT = data.draw(st.integers(1, 3), label="nT")
+        bmax = data.draw(st.integers(1, 3), label="bmax")
+        while True:
+            inst = random_instance(rng, nS, nT, 0.9, bmax, 5, max_arcs=24,
+                                   extra_cross=rng.randint(0, 12))
+            k = packing_number(inst).k
+            if k >= 2:
+                break
+        cert = pack_b_bibranchings(inst)
+        assert cert.k == k
+        assert len(cert.assembled) == k
+        assert verify_packing(inst, cert.assembled)
 
     def test_weak_direction_bound(self):
         # Any verified packing is no larger than each of the three witnesses.

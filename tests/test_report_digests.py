@@ -21,7 +21,7 @@ import json
 import os
 from pathlib import Path
 
-from bbibranch import cli, packing
+from bbibranch import cli
 
 from conftest import digest_draws
 
@@ -44,7 +44,8 @@ def _run(argv) -> tuple[int, str, str]:
 
 
 def report_digests(directory: Path) -> tuple[dict[str, str], list]:
-    """Digest of every (instance, command) call, and the calls' raw results."""
+    """Digest of every (instance, command) call, and each call's instance,
+    command, exit code and stdout."""
     digests = {}
     calls = []
     cwd = os.getcwd()
@@ -58,31 +59,24 @@ def report_digests(directory: Path) -> tuple[dict[str, str], list]:
                 key = "%s %s" % (name, " ".join(command))
                 digests[key] = hashlib.sha256(
                     ("%d\0%s\0%s" % (code, out, err)).encode("utf-8")).hexdigest()
-                calls.append((command, code, out))
+                calls.append((instance, command, code, out))
     finally:
         os.chdir(cwd)
     return digests, calls
 
 
-def test_reports_match_recorded_digests(tmp_path, monkeypatch):
-    exhaustive_calls = []
-    original = packing._exhaustive_partition
-
-    def counted(instance, k):
-        exhaustive_calls.append(k)
-        return original(instance, k)
-
-    monkeypatch.setattr(packing, "_exhaustive_partition", counted)
+def test_reports_match_recorded_digests(tmp_path):
     digests, calls = report_digests(tmp_path)
-    # The draws cover an infeasible solve and TDI check, a packing of two or
-    # more b-bibranchings and the exhaustive partition fallback.
+    # The draws cover an infeasible solve and TDI check, and a packing of two
+    # or more b-bibranchings on a draw with some b(v) = 2, where a peeled
+    # class must also take within-side arcs.
     for infeasible in (("solve",), ("check", "--what", "tdi")):
         assert any(command == infeasible and code == cli.EXIT_INFEASIBLE
-                   for command, code, _ in calls)
+                   for _, command, code, _ in calls)
     assert any(command == ("pack",) and code == cli.EXIT_OK
                and json.loads(out)["result"]["k"] >= 2
-               for command, code, out in calls)
-    assert exhaustive_calls
+               and 2 in instance.b.values()
+               for instance, command, code, out in calls)
     recorded = json.loads(DIGESTS.read_text())
     assert digests == recorded
 
