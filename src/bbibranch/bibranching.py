@@ -8,13 +8,15 @@ sets that the four conditions accept.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .digraph import Bipartition, Digraph, check_capacities
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .matroids import is_b_branching
-from .rationals import Q, ZERO, rat
+from .rationals import ZERO, rat
 
 BRUTE_FORCE_ARC_LIMIT = 20
 CROSS_CHECK_ARC_LIMIT = 16
@@ -47,6 +49,19 @@ class Instance:
     def cross_arcs(self) -> frozenset[int]:
         """H = A[S,T], the arcs from the S side to the T side."""
         return self.digraph.arcs_between(self.digraph.all_arcs, self.S, self.T)
+
+    @cached_property
+    def mirror(self) -> "Instance":
+        """Every arc reversed and S swapped with T, keeping arc indices,
+        vertex order, b and weights.  A b|S-cobranching is a b-branching of
+        the reversed arcs, so the mirror has the same b-bibranchings and an
+        S-side step here is the T-side step there."""
+        D = self.digraph
+        mirror = copy.copy(self)  # b and the weights are already validated
+        mirror.digraph = Digraph(D.vertices, [(h, t) for t, h in D.arcs])
+        mirror.bipartition = Bipartition(
+            mirror.digraph, {v: "T" if v in self.S else "S" for v in D.vertices})
+        return mirror
 
 
 @dataclass
@@ -83,41 +98,27 @@ def is_b_bibranching(instance: Instance, B: Iterable[int]) -> bool:
     return all(entry["ok"] for entry in bibranching_report(instance, B).values())
 
 
-def subgraph(digraph: Digraph, X: Iterable[str], reverse: bool = False):
+def subgraph(digraph: Digraph, X: Iterable[str]):
     """Induced subdigraph on X; returns (digraph, map to original arc indices)."""
     X = digraph.check_vertices(X)
     vertices = [v for v in digraph.vertices if v in X]
     arc_map = sorted(digraph.induced_arcs(digraph.all_arcs, X))
-    arcs = []
-    for a in arc_map:
-        tail, head = digraph.arcs[a]
-        arcs.append((head, tail) if reverse else (tail, head))
-    return Digraph(vertices, arcs), arc_map
+    return Digraph(vertices, [digraph.arcs[a] for a in arc_map]), arc_map
 
 
 def check_alternative_description(instance: Instance, B: Iterable[int]) -> bool:
-    """B[T] a b|T-branching, B[S] a b|S-cobranching, plus the degree bounds."""
-    D = instance.digraph
-    B = D.check_arcset(B)
-    for v in instance.T:
-        if D.in_degree(B, v) < instance.b[v]:
+    """B[T] a b|T-branching, B[S] a b|S-cobranching, plus the degree bounds;
+    the S side is tested as the T side of the mirror."""
+    B = instance.digraph.check_arcset(B)
+    for view in (instance, instance.mirror):
+        D = view.digraph
+        if any(D.in_degree(B, v) < view.b[v] for v in view.T):
             return False
-    for u in instance.S:
-        if D.out_degree(B, u) < instance.b[u]:
+        d_T, arc_map = subgraph(D, view.T)
+        B_T = frozenset(i for i, a in enumerate(arc_map) if a in B)
+        if not is_b_branching(d_T, {v: view.b[v] for v in view.T}, B_T):
             return False
-
-    d_T, map_T = subgraph(D, instance.T)
-    b_T = {v: instance.b[v] for v in instance.T}
-    B_T = frozenset(i for i, a in enumerate(map_T) if a in B)
-    if not is_b_branching(d_T, b_T, B_T):
-        return False
-
-    # The S side is checked on the reversed induced subgraph: a b-cobranching
-    # is an arc set whose reversal is a b-branching.
-    d_S, map_S = subgraph(D, instance.S, reverse=True)
-    b_S = {u: instance.b[u] for u in instance.S}
-    B_S = frozenset(i for i, a in enumerate(map_S) if a in B)
-    return is_b_branching(d_S, b_S, B_S)
+    return True
 
 
 def prune_to_minimal(instance: Instance, B: Iterable[int]) -> frozenset[int]:

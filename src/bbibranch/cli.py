@@ -21,8 +21,7 @@ import json
 import random
 import sys
 
-from .bibranching import (Instance, bibranching_report, brute_force_shortest,
-                          is_b_bibranching, solve_shortest)
+from .bibranching import Instance, bibranching_report, solve_shortest
 from .digraph import Digraph
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .rationals import parse_rat, rat_str
@@ -133,7 +132,7 @@ def cmd_validate(args) -> int:
     if not isinstance(sol, dict) or not isinstance(sol.get("arcs"), list):
         raise InputError("solution file must contain an 'arcs' list")
     arcs = sol["arcs"]
-    if not all(isinstance(a, int) for a in arcs):
+    if not all(isinstance(a, int) and not isinstance(a, bool) for a in arcs):
         raise InputError("solution arcs must be integer indices")
     report = bibranching_report(instance, arcs)
     ok = all(entry["ok"] for entry in report.values())

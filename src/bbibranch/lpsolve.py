@@ -332,15 +332,16 @@ class CuttingPlaneResult:
 
 
 def _build_degree_lp(instance: Instance, boxed: bool = True) -> RationalLP:
-    D = instance.digraph
-    lp = RationalLP(D.num_arcs(), instance.weights, "min")
+    """The weight LP with the indegree rows of T, then of the mirror's T (the
+    outdegree rows of S)."""
+    m = instance.digraph.num_arcs()
+    lp = RationalLP(m, instance.weights, "min")
     if boxed:
-        for a in range(D.num_arcs()):
+        for a in range(m):
             lp.set_bounds(a, ZERO, ONE)
-    for v in sorted(instance.T):
-        lp.add_row({a: ONE for a in D.in_arcs(v)}, ">=", instance.b[v])
-    for u in sorted(instance.S):
-        lp.add_row({a: ONE for a in D.out_arcs(u)}, ">=", instance.b[u])
+    for view in (instance, instance.mirror):
+        for v in sorted(view.T):
+            lp.add_row({a: ONE for a in view.digraph.in_arcs(v)}, ">=", view.b[v])
     return lp
 
 
@@ -512,8 +513,10 @@ def _unboxed_primal_optimum(instance: Instance):
 def tdi_spot_check(instance: Instance) -> dict:
     """Search for an integral optimal dual matching the primal optimum exactly.
 
-    A 'found: False' outcome is a reportable discrepancy with the total dual
-    integrality theorem, never silently accepted.  An instance with no
+    A 'found: False' outcome (the optimal dual face has no integral point)
+    is a reportable discrepancy with the total dual integrality theorem,
+    never silently accepted.  A search cut off after TDI_NODE_LIMIT nodes
+    decides nothing and raises GuardError.  An instance with no
     b-bibranching raises InfeasibleInstance.
     """
     if len(instance.digraph.vertices) > TDI_VERTEX_LIMIT:
@@ -544,8 +547,8 @@ def tdi_spot_check(instance: Instance) -> dict:
         extra = stack.pop()
         nodes += 1
         if nodes > TDI_NODE_LIMIT:
-            return {"status": "search_exhausted", "found": False,
-                    "primal": primal, "nodes": nodes}
+            raise GuardError("TDI integral-dual search limited to %d nodes"
+                             % TDI_NODE_LIMIT)
         lp = _build_dual_lp(instance, family)
         for j, rel, bound in extra:
             lp.add_row({j: ONE}, rel, bound)

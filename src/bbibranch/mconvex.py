@@ -206,19 +206,13 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
 # Submodular-flow style solver
 # ---------------------------------------------------------------------------
 
-def t_side_oracle(instance: Instance) -> tuple[BBranchingOracle, list[int]]:
+def side_oracle(instance: Instance) -> tuple[BBranchingOracle, list[int]]:
+    """The oracle of b|T-branchings of A[T], with its map to arc indices;
+    on ``instance.mirror`` it is the S side, the b|S-cobranchings of A[S]."""
     d_T, arc_map = subgraph(instance.digraph, instance.T)
     b_T = {v: instance.b[v] for v in instance.T}
     w_T = [instance.weights[a] for a in arc_map]
     return BBranchingOracle(d_T, b_T, w_T), arc_map
-
-
-def s_side_oracle(instance: Instance) -> tuple[BBranchingOracle, list[int]]:
-    # Cobranchings: evaluate on the reversed induced subgraph.
-    d_S, arc_map = subgraph(instance.digraph, instance.S, reverse=True)
-    b_S = {u: instance.b[u] for u in instance.S}
-    w_S = [instance.weights[a] for a in arc_map]
-    return BBranchingOracle(d_S, b_S, w_S), arc_map
 
 
 # Extra exchange-graph node for pure single-coordinate moves; a dedicated
@@ -237,16 +231,17 @@ class _AuxArc:
 def solve_mflow(instance: Instance) -> Solution:
     """Shortest b-bibranching by negative-cycle canceling over cross-arc flows.
 
-    The flow variable lives on the S-to-T arcs; the two side oracles supply
-    the cost of completing a boundary vector into branchings/cobranchings.
+    The flow variable lives on the S-to-T arcs; ``side_oracle`` on the
+    instance and on its mirror supplies the cost of completing a boundary
+    vector into branchings/cobranchings.
     Cancellation picks a negative cycle with the fewest arcs.
     """
     require_feasible(instance)
 
     D = instance.digraph
     H = sorted(instance.cross_arcs())
-    oracle_T, map_T = t_side_oracle(instance)
-    oracle_S, map_S = s_side_oracle(instance)
+    oracle_T, map_T = side_oracle(instance)
+    oracle_S, map_S = side_oracle(instance.mirror)
     xi = {a: 1 for a in H}
 
     def boundaries():

@@ -10,10 +10,11 @@ S side.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .bibranching import Instance, bibranching_report, is_b_bibranching, subgraph
+from .bibranching import Instance, is_b_bibranching, subgraph
 from .digraph import Digraph, check_capacities
 from .errors import GuardError, InputError, TheoremViolation
 from .lpsolve import (RationalLP, all_bicuts, dump_lp, min_bicut_candidates,
@@ -43,20 +44,16 @@ class MinMaxWitness:
 
 def packing_number(instance: Instance) -> MinMaxWitness:
     """Exact maximum number of disjoint b-bibranchings, with all witnesses."""
-    D = instance.digraph
-    t_pairs = sorted((len(D.in_arcs(v)) // instance.b[v], v)
-                     for v in instance.T)
-    s_pairs = sorted((len(D.out_arcs(u)) // instance.b[u], u)
-                     for u in instance.S)
-    ones = [ONE] * D.num_arcs()
+    (t_min, t_arg), (s_min, s_arg) = (
+        min((len(view.digraph.in_arcs(v)) // view.b[v], v) for v in view.T)
+        for view in (instance, instance.mirror))
+    ones = [ONE] * instance.digraph.num_arcs()
     bicut_best = None
     for value, bicut in min_bicut_candidates(instance, ones):
         entry = (int(value), tuple(sorted(bicut.U)))
         if bicut_best is None or entry < bicut_best[:2]:
             bicut_best = entry + (bicut.U,)
     assert bicut_best is not None
-    t_min, t_arg = t_pairs[0]
-    s_min, s_arg = s_pairs[0]
     bicut_min = bicut_best[0]
     return MinMaxWitness(t_min, t_arg, s_min, s_arg, bicut_min, bicut_best[2],
                          min(t_min, s_min, bicut_min))
@@ -79,34 +76,31 @@ def verify_packing(instance: Instance, classes: Iterable[Iterable[int]]) -> bool
 class CutFamilyOracle:
     """The cuts delta^-_H(U) over nonempty U on one side of the bipartition.
 
-    side 1 ranges U over subsets of T (arcs counted by head), side 2 over
-    subsets of S (arcs counted by tail).  ``ground`` restricts H to a subset
-    of the cross arcs, which the peeling recursion relies on.
+    U ranges over subsets of T in ``view``, the instance (side 1) or its
+    mirror (side 2, U within S), and arcs are counted by their head there.
+    ``ground`` restricts H to a subset of the cross arcs, which the peeling
+    recursion relies on.
     """
 
     def __init__(self, instance: Instance, side: int,
                  ground: Optional[Iterable[int]] = None):
         if side not in (1, 2):
             raise InputError("side must be 1 or 2")
-        self.instance = instance
-        self.side = side
+        self.view = instance if side == 1 else instance.mirror
         cross = instance.cross_arcs()
         self.ground = frozenset(cross if ground is None else ground)
         if not self.ground <= cross:
             raise InputError("ground set must consist of cross arcs")
-        self.side_vertices = sorted(instance.T if side == 1 else instance.S)
+        self.side_vertices = sorted(self.view.T)
         if len(self.side_vertices) > FAMILY_SIDE_LIMIT:
             raise GuardError("cut family side limited to %d vertices"
                              % FAMILY_SIDE_LIMIT)
-        D = instance.digraph
+        head = self.view.digraph.head
         self._generators: dict[frozenset[int], list[frozenset[str]]] = {}
         for r in range(1, len(self.side_vertices) + 1):
             for combo in itertools.combinations(self.side_vertices, r):
                 U = frozenset(combo)
-                if side == 1:
-                    C = frozenset(a for a in self.ground if D.head(a) in U)
-                else:
-                    C = frozenset(a for a in self.ground if D.tail(a) in U)
+                C = frozenset(a for a in self.ground if head(a) in U)
                 self._generators.setdefault(C, []).append(U)
 
     def members(self) -> list[frozenset[int]]:
@@ -126,8 +120,9 @@ class SupermodularOracle:
     """g(C) = max over generating U of k minus the within-side indegree of U.
 
     Side 1 measures arcs of A[T] entering U; side 2 measures arcs of A[S]
-    leaving U.  Cross arcs never enter k - d(U); a smaller ground set (as
-    in the peeling recursion) only changes which sets U generate C.
+    leaving U, which enter U in the mirror.  Cross arcs never enter
+    k - d(U); a smaller ground set (as in the peeling recursion) only
+    changes which sets U generate C.
     """
 
     def __init__(self, family: CutFamilyOracle, k: int):
@@ -135,20 +130,13 @@ class SupermodularOracle:
             raise InputError("k must be at least 1")
         self.family = family
         self.k = k
-        instance = family.instance
-        D = instance.digraph
-        if family.side == 1:
-            inner = D.induced_arcs(D.all_arcs, instance.T)
-        else:
-            inner = D.induced_arcs(D.all_arcs, instance.S)
+        D = family.view.digraph
+        inner = D.induced_arcs(D.all_arcs, family.view.T)
         self._cache: dict[frozenset[int], int] = {}
         for C, gens in family._generators.items():
             best = None
             for U in gens:
-                if family.side == 1:
-                    deg = len(D.in_cut(inner, U)) if len(U) < len(D) else 0
-                else:
-                    deg = len(D.out_cut(inner, U)) if len(U) < len(D) else 0
+                deg = len(D.in_cut(inner, U)) if len(U) < len(D) else 0
                 value = k - deg
                 if best is None or value > best:
                     best = value
@@ -176,16 +164,18 @@ class GPolymatroidSystem:
     rows: list[tuple[dict[int, int], str, int, str]] = field(default_factory=list)
 
     def check_point(self, x: dict[int, object]) -> list[str]:
-        """Tags of all violated rows (bounds included), empty when feasible."""
-        bad = []
-        for a in self.var_arcs:
-            val = Q(x[a])
-            if val < 0 or val > 1:
-                bad.append("bounds[%d]" % a)
+        """Tags of all violated rows (bounds included), empty when feasible.
+
+        x maps each arc to an exact rational (int, Fraction or mpq).  The
+        test is in integers: y = L x against L times each bound, where L is
+        the lcm of the denominators of x.
+        """
+        scale = math.lcm(*(x[a].denominator for a in self.var_arcs))
+        y = {a: x[a].numerator * (scale // x[a].denominator) for a in self.var_arcs}
+        bad = ["bounds[%d]" % a for a in self.var_arcs if not 0 <= y[a] <= scale]
         for coeffs, rel, rhs, tag in self.rows:
-            total = sum((Q(x[a]) * c for a, c in coeffs.items()), ZERO)
-            ok = total <= rhs if rel == "<=" else total >= rhs
-            if not ok:
+            total = sum(y[a] * c for a, c in coeffs.items())
+            if not (total <= scale * rhs if rel == "<=" else total >= scale * rhs):
                 bad.append(tag)
         return bad
 
@@ -198,9 +188,9 @@ def build_system(instance: Instance, side: int, k: int,
     Each side vertex v bounds x(delta_H(v)), its ground cross arcs, by
     deg(v) - (k-1) b(v) above and, when positive, b(v) - (deg(v) -
     |delta_H(v)|) below; ``degree`` maps v to its residual deg(v) during
-    peeling and defaults to d_A^-(v) (side 1) or d_A^+(v) (side 2).
+    peeling and defaults to its indegree in the family's view: d_A^-(v)
+    (side 1) or d_A^+(v) (side 2).
     """
-    D = instance.digraph
     family = CutFamilyOracle(instance, side, ground)
     g = SupermodularOracle(family, k)
     system = GPolymatroidSystem(side, k, sorted(family.ground))
@@ -211,10 +201,10 @@ def build_system(instance: Instance, side: int, k: int,
         system.rows.append((coeffs, "<=", len(C) - gC + 1, "upper-" + tag))
         if gC == k:
             system.rows.append((coeffs, ">=", 1, "lower-" + tag))
-    end, arcs_at = (D.head, D.in_arcs) if side == 1 else (D.tail, D.out_arcs)
+    D = family.view.digraph
     for v in family.side_vertices:
-        deg = len(arcs_at(v)) if degree is None else degree[v]
-        coeffs = {a: 1 for a in family.ground if end(a) == v}
+        deg = len(D.in_arcs(v)) if degree is None else degree[v]
+        coeffs = {a: 1 for a in family.ground if D.head(a) == v}
         system.rows.append((coeffs, "<=", deg - (k - 1) * instance.b[v],
                             "degree[%s]" % v))
         need = instance.b[v] - (deg - len(coeffs))
@@ -226,18 +216,16 @@ def build_system(instance: Instance, side: int, k: int,
 def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[int, int]:
     """A common 0/1 point of the two systems, as a vertex of an exact LP.
 
-    Membership of the uniform point 1/k is certified first; a fractional
-    vertex is a hard failure carrying the dumped LP, since the intersection
-    of the two systems is an integer polyhedron.
+    Membership of the uniform point 1/k is certified first, by
+    ``check_point`` (it lies in the box, so only rows can fail); a
+    fractional vertex is a hard failure carrying the dumped LP, since the
+    intersection of the two systems is an integer polyhedron.
     """
     if p1.var_arcs != p2.var_arcs or p1.k != p2.k:
         raise InputError("the two systems must share ground set and k")
     arcs = p1.var_arcs
-    # x = 1/k lies in the box, and each row at x reads sum(c) rel k rhs.
-    violated = [tag for system in (p1, p2)
-                for coeffs, rel, rhs, tag in system.rows
-                if not (sum(coeffs.values()) <= p1.k * rhs if rel == "<="
-                        else sum(coeffs.values()) >= p1.k * rhs)]
+    uniform = {a: Q(1, p1.k) for a in arcs}
+    violated = p1.check_point(uniform) + p2.check_point(uniform)
     if violated:
         raise TheoremViolation("uniform point 1/k violates the row system",
                                payload={"rows": violated})
@@ -274,41 +262,38 @@ def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 def _partition_requirements(instance: Instance, k: int):
-    """The coloring conditions at k: cut rows (side, C, g(C)) and degree caps."""
-    D = instance.digraph
+    """The coloring conditions at k: cut rows (side, C, g(C)) and degree
+    caps (view digraph, v, cap, name) on T and, as the mirror's T, on S."""
     cuts = []
     for side in (1, 2):
         family = CutFamilyOracle(instance, side)
         g = SupermodularOracle(family, k)
         cuts += [(side, C, g_value(g, C)) for C in family.members()]
-    in_caps = [(v, len(D.in_arcs(v)) - (k - 1) * instance.b[v]) for v in instance.T]
-    out_caps = [(u, len(D.out_arcs(u)) - (k - 1) * instance.b[u]) for u in instance.S]
-    return cuts, in_caps, out_caps
+    caps = [(view.digraph, v,
+             len(view.digraph.in_arcs(v)) - (k - 1) * view.b[v], name)
+            for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))
+            for v in view.T]
+    return cuts, caps
 
 
-def _first_violation(D: Digraph, requirements,
-                     classes: list[frozenset[int]]) -> Optional[str]:
+def _first_violation(requirements, classes: list[frozenset[int]]) -> Optional[str]:
     """None when the classes meet the requirements, else a failure tag."""
-    cuts, in_caps, out_caps = requirements
+    cuts, caps = requirements
     for side, C, gC in cuts:
         hit = sum(1 for H_j in classes if C & H_j)
         if hit < gC:
             return "side %d cut %s hit by %d < g = %d" % (side, sorted(C), hit, gC)
     for H_j in classes:
-        for v, cap in in_caps:
+        for D, v, cap, name in caps:
             if D.in_degree(H_j, v) > cap:
-                return "indegree cap at %s" % v
-        for u, cap in out_caps:
-            if D.out_degree(H_j, u) > cap:
-                return "outdegree cap at %s" % u
+                return "%s cap at %s" % (name, v)
     return None
 
 
 def _partition_conditions(instance: Instance, k: int,
                           classes: list[frozenset[int]]) -> Optional[str]:
     """None when the three partition conditions hold, else a failure tag."""
-    return _first_violation(instance.digraph, _partition_requirements(instance, k),
-                            classes)
+    return _first_violation(_partition_requirements(instance, k), classes)
 
 
 def _exhaustive_partition(instance: Instance, k: int) -> Optional[list[frozenset[int]]]:
@@ -319,7 +304,7 @@ def _exhaustive_partition(instance: Instance, k: int) -> Optional[list[frozenset
     for labels in itertools.product(range(k), repeat=len(H)):
         classes = [frozenset(a for a, lab in zip(H, labels) if lab == j)
                    for j in range(k)]
-        if _first_violation(instance.digraph, requirements, classes) is None:
+        if _first_violation(requirements, classes) is None:
             return classes
     return None
 
@@ -331,26 +316,26 @@ def partition_cross_arcs(instance: Instance, k: int,
     ``witness`` is the caller's ``packing_number(instance)``.  Peels one class
     per round as an integral point of the two row systems on the residual
     cross arcs and degrees; a class H_j also takes max(0, b(v) - d_{H_j}(v))
-    within-side arcs at v, so deg(v) drops by max(b(v), d_{H_j}(v)).  Final
-    classes failing the coloring conditions raise ``TheoremViolation``.
+    within-side arcs at v, so deg(v) drops by max(b(v), d_{H_j}(v)).  Side
+    2 keeps its degrees as indegrees of the mirror.  Final classes failing
+    the coloring conditions raise ``TheoremViolation``.
     """
     if k < 1 or k > witness.k:
         raise InputError("k must lie between 1 and the packing number")
-    D = instance.digraph
     remaining = set(instance.cross_arcs())
-    degree = {1: {v: len(D.in_arcs(v)) for v in instance.T},
-              2: {u: len(D.out_arcs(u)) for u in instance.S}}
+    views = (instance, instance.mirror)
+    degree = [{v: len(view.digraph.in_arcs(v)) for v in view.T} for view in views]
     classes: list[frozenset[int]] = []
     for stage in range(k, 1, -1):
         point = find_integral_point(
-            *(build_system(instance, side, stage, remaining, degree[side])
+            *(build_system(instance, side, stage, remaining, degree[side - 1])
               for side in (1, 2)))
         H_j = frozenset(a for a, val in point.items() if val)
         classes.append(H_j)
         remaining -= H_j
-        for side, degree_of in ((1, D.in_degree), (2, D.out_degree)):
-            for v in degree[side]:
-                degree[side][v] -= max(instance.b[v], degree_of(H_j, v))
+        for view, residual in zip(views, degree):
+            for v in residual:
+                residual[v] -= max(view.b[v], view.digraph.in_degree(H_j, v))
     classes.append(frozenset(remaining))
     failure = _partition_conditions(instance, k, classes)
     if failure is not None:
@@ -441,7 +426,11 @@ class PackingCertificate:
 
 
 def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingCertificate:
-    """k disjoint b-bibranchings, k defaulting to the exact packing number."""
+    """k disjoint b-bibranchings, k defaulting to the exact packing number.
+
+    Each cross-arc class is completed by b|T-branchings of A[T] and, by the
+    same step on the mirror, b|S-cobranchings of A[S].
+    """
     witness = packing_number(instance)
     if k is None:
         k = witness.k
@@ -452,38 +441,28 @@ def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingC
     if k == 0:
         return PackingCertificate(0, witness, [], [], [], [])
 
-    D = instance.digraph
     classes = partition_cross_arcs(instance, k, witness)
-
-    d_T, map_T = subgraph(D, instance.T)
-    b_T = {v: instance.b[v] for v in instance.T}
-    t_prescriptions = [
-        {v: max(0, instance.b[v] - D.in_degree(H_j, v)) for v in instance.T}
-        for H_j in classes]
-    t_result = pack_prescribed_b_branchings(d_T, b_T, t_prescriptions)
-    if t_result.branchings is None:
-        raise TheoremViolation("T-side prescribed packing infeasible",
-                               payload=t_result.failed_condition)
-
-    d_S, map_S = subgraph(D, instance.S, reverse=True)
-    b_S = {u: instance.b[u] for u in instance.S}
-    s_prescriptions = [
-        {u: max(0, instance.b[u] - D.out_degree(H_j, u)) for u in instance.S}
-        for H_j in classes]
-    s_result = pack_prescribed_b_branchings(d_S, b_S, s_prescriptions)
-    if s_result.branchings is None:
-        raise TheoremViolation("S-side prescribed packing infeasible",
-                               payload=s_result.failed_condition)
-
-    branchings = [frozenset(map_T[i] for i in B) for B in t_result.branchings]
-    cobranchings = [frozenset(map_S[i] for i in B) for B in s_result.branchings]
+    sides = []
+    for view, name in ((instance, "T"), (instance.mirror, "S")):
+        D = view.digraph
+        d_X, arc_map = subgraph(D, view.T)
+        prescriptions = [
+            {v: max(0, view.b[v] - D.in_degree(H_j, v)) for v in view.T}
+            for H_j in classes]
+        result = pack_prescribed_b_branchings(
+            d_X, {v: view.b[v] for v in view.T}, prescriptions)
+        if result.branchings is None:
+            raise TheoremViolation("%s-side prescribed packing infeasible" % name,
+                                   payload=result.failed_condition)
+        sides.append(([frozenset(arc_map[i] for i in B) for B in result.branchings],
+                      result.hypothesis_violations))
+    (branchings, t_violations), (cobranchings, s_violations) = sides
     assembled = [classes[j] | branchings[j] | cobranchings[j] for j in range(k)]
     if not verify_packing(instance, assembled):
         raise TheoremViolation("assembled classes are not a disjoint packing")
     return PackingCertificate(
         k, witness, classes, branchings, cobranchings, assembled,
-        {"t_side": t_result.hypothesis_violations,
-         "s_side": s_result.hypothesis_violations})
+        {"t_side": t_violations, "s_side": s_violations})
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +473,13 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     """Write an integer point x of the k-dilated polytope as a sum of k
     b-bibranching indicators, peeling one class per exact LP.
 
-    The rows R are the T indegree rows, the S outdegree rows and the bicuts,
-    with need(R) = b(v), b(u) or 1.  With j classes left, the class is an
-    integral vertex of max(0, x(a) - (j-1)) <= y(a) <= min(1, x(a)) and
-    need(R) <= y(R) <= x(R) - (j-1) need(R), so x - y stays in the
-    (j-1)-dilated polytope (Baum and Trotter, SIAM J. Alg. Disc. Meth. 1981).
-    Each arc a lies in exactly x(a) of the classes, returned in peel order.
+    The rows R are the T indegree rows, the S outdegree rows (the mirror's
+    indegree rows) and the bicuts, with need(R) = b(v), b(u) or 1.  With j
+    classes left, the class is an integral vertex of max(0, x(a) - (j-1))
+    <= y(a) <= min(1, x(a)) and need(R) <= y(R) <= x(R) - (j-1) need(R), so
+    x - y stays in the (j-1)-dilated polytope (Baum and Trotter, SIAM J.
+    Alg. Disc. Meth. 1981).  Each arc a lies in exactly x(a) of the classes,
+    returned in peel order.
     """
     D = instance.digraph
     if k < 1:
@@ -509,10 +489,10 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     for a, val in enumerate(x):
         if not isinstance(val, int) or val < 0 or val > k:
             raise InputError("x(%d) must be an integer in [0, k]" % a)
-    rows = [(D.in_arcs(v), instance.b[v], "scaled indegree row fails at %s" % v)
-            for v in sorted(instance.T)]
-    rows += [(D.out_arcs(u), instance.b[u], "scaled outdegree row fails at %s" % u)
-             for u in sorted(instance.S)]
+    rows = [(view.digraph.in_arcs(v), view.b[v],
+             "scaled %s row fails at %s" % (name, v))
+            for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))
+            for v in sorted(view.T)]
     rows += [(bicut.arcs, 1, "scaled bicut row fails at U = %s" % sorted(bicut.U))
              for bicut in all_bicuts(instance)]
     for R, need, message in rows:

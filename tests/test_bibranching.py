@@ -13,6 +13,7 @@ from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    prune_to_minimal, solve_shortest)
 from bbibranch.digraph import Digraph
 from bbibranch.errors import GuardError, InfeasibleInstance, InputError
+from bbibranch.packing import packing_number
 
 from conftest import all_subsets, one_arc_instance, random_instance
 
@@ -109,6 +110,50 @@ class TestReport:
                         for name, bad in failing.items()}
             assert bibranching_report(inst, B) == expected
             assert checker.valid(mask) == is_b_bibranching(inst, B)
+
+
+class TestMirror:
+    SWAP = {"t_reachable_from_s": "s_reaches_t",
+            "s_reaches_t": "t_reachable_from_s",
+            "t_indegree": "s_outdegree", "s_outdegree": "t_indegree"}
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_mirror_is_the_same_problem_with_sides_swapped(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1),
+                                      label="seed"))
+        inst = random_instance(rng, data.draw(st.integers(1, 3), label="nS"),
+                               data.draw(st.integers(1, 3), label="nT"),
+                               rng.uniform(0.3, 0.9), 2, 9, max_arcs=10,
+                               extra_cross=rng.randint(0, 3))
+        D, mirror = inst.digraph, inst.mirror
+        assert mirror.digraph.arcs == tuple((h, t) for t, h in D.arcs)
+        assert (mirror.S, mirror.T) == (inst.T, inst.S)
+        twice = mirror.mirror
+        assert (twice.digraph.vertices, twice.digraph.arcs) == (D.vertices,
+                                                                D.arcs)
+        assert (twice.S, twice.T, twice.b, twice.weights) == (
+            inst.S, inst.T, inst.b, inst.weights)
+        assert mirror.cross_arcs() == inst.cross_arcs()
+
+        for _ in range(5):
+            B = [a for a in range(D.num_arcs()) if rng.random() < 0.6]
+            report = bibranching_report(inst, B)
+            assert bibranching_report(mirror, B) == {
+                self.SWAP[c]: entry for c, entry in report.items()}
+            assert check_alternative_description(mirror, B) == \
+                check_alternative_description(inst, B)
+
+        best, mirror_best = brute_force_shortest(inst), brute_force_shortest(mirror)
+        assert (best is None) == (mirror_best is None)
+        if best is not None:
+            assert mirror_best.weight == best.weight
+
+        w, mw = packing_number(inst), packing_number(mirror)
+        assert (mw.k, mw.bicut_min) == (w.k, w.bicut_min)
+        assert (mw.t_min, mw.t_argmin, mw.s_min, mw.s_argmin) == (
+            w.s_min, w.s_argmin, w.t_min, w.t_argmin)
 
 
 class TestAlternativeDescription:

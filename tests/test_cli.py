@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbibranch import bibranching, cli, mconvex
+from bbibranch import bibranching, cli, lpsolve, mconvex
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data,
                            serialize_instance)
@@ -147,6 +147,20 @@ class TestValidateCommand:
         report = json.loads(out.stdout)
         assert report["result"]["valid"] is True
 
+    def test_bool_arc_index_rejected(self, tmp_path, capsys):
+        # true would otherwise be read as arc 1 of the two arcs.
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["arcs"].append({"tail": "s", "head": "t", "weight": 7})
+        paths = []
+        for name, content in (("i.json", doc), ("s.json", {"arcs": [True]})):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(content))
+        code = cli.main(["validate"] + [str(p) for p in paths])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "solution arcs must be integer indices" in captured.err
+
     def test_empty_solution_fails_all_four(self, tmp_path):
         out = run_cli("validate", files={"i.json": ONE_ARC,
                                          "s.json": {"arcs": []}},
@@ -200,6 +214,18 @@ class TestCheckCommand:
         assert report["status"] == "infeasible"
         assert report["result"]["witness"] == {
             "condition": "t_reachable_from_s", "witness": "u"}
+
+    def test_tdi_node_limit_is_a_guard(self, tmp_path, capsys, monkeypatch):
+        # A search cut off at the node limit decides nothing: exit 4, not
+        # the theorem-violation exit 5.
+        monkeypatch.setattr(lpsolve, "TDI_NODE_LIMIT", 0)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(ONE_ARC))
+        code = cli.main(["check", "--what", "tdi", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_GUARD
+        assert captured.out == ""
+        assert "integral-dual search limited to 0 nodes" in captured.err
 
     def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
                                             monkeypatch):

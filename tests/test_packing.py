@@ -15,8 +15,9 @@ from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
 from bbibranch.matroids import is_b_branching
-from bbibranch.packing import (CutFamilyOracle, SupermodularOracle,
-                               build_system, find_integral_point, g_value,
+from bbibranch.packing import (CutFamilyOracle, GPolymatroidSystem,
+                               SupermodularOracle, build_system,
+                               find_integral_point, g_value,
                                integer_decomposition_check,
                                pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
@@ -170,6 +171,17 @@ class TestIntegralPoint:
         point = p1.check_point({0: Q(1)})
         assert point == []
         assert find_integral_point(p1, p2) == {0: 1}
+
+    def test_check_point_across_denominators(self):
+        # Tight and violated rows and a bound, over mixed denominators.
+        system = GPolymatroidSystem(1, 2, [0, 1, 2], [
+            ({0: 1, 1: 1}, "<=", 1, "r0"), ({1: 1, 2: 1}, ">=", 1, "r1"),
+            ({0: 2, 2: 1}, "<=", 1, "r2")])
+        assert system.check_point({0: Q(1, 2), 1: Q(1, 3), 2: Q(2, 3)}) == ["r2"]
+        assert system.check_point({0: Q(1, 2), 1: Q(1, 2), 2: Q(3, 2)}) == [
+            "bounds[2]", "r2"]
+        assert system.check_point({0: 0, 1: Q(1, 4), 2: Q(1, 2)}) == ["r1"]
+        assert system.check_point({0: Q(1, 6), 1: Q(1, 3), 2: Q(2, 3)}) == []
 
     def test_uniform_point_feasible_and_vertex_integral(self):
         rng = random.Random(46)
