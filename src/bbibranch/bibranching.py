@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .digraph import Bipartition, Digraph, check_capacities
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .matroids import is_b_branching
-from .rationals import ZERO, rat
+from .rationals import rat
 
 BRUTE_FORCE_ARC_LIMIT = 20
 CROSS_CHECK_ARC_LIMIT = 16
@@ -44,7 +44,7 @@ class Instance:
         return self.bipartition.T
 
     def weight_of(self, B: Iterable[int]):
-        return sum((self.weights[a] for a in B), ZERO)
+        return sum(self.weights[a] for a in B)
 
     def cross_arcs(self) -> frozenset[int]:
         """H = A[S,T], the arcs from the S side to the T side."""
@@ -208,7 +208,7 @@ def brute_force_shortest(instance: Instance,
     for mask in range(1 << m):
         if not checker.valid(mask):
             continue
-        w = ZERO
+        w = 0
         rest = mask
         while rest:
             a = (rest & -rest).bit_length() - 1

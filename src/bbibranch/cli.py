@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 input error, 3 infeasible, 4 guard exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -382,6 +383,7 @@ def _jsonable(obj):
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bbibranch",

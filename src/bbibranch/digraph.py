@@ -11,7 +11,6 @@ from collections import deque
 from typing import Iterable
 
 from .errors import InputError
-from .rationals import Q, ZERO
 
 
 class UnboundedFlow(Exception):
@@ -196,8 +195,9 @@ def check_capacities(digraph: Digraph, b: dict[str, int]) -> dict[str, int]:
 def max_flow_min_cut(nodes, arcs, source, sink):
     """Exact max-flow / min-cut on a generic capacitated network.
 
-    ``arcs`` is a list of (tail, head, capacity) with rational capacities;
-    capacity None means infinite.  Returns (flow value, source-side cut set);
+    ``arcs`` is a list of (tail, head, capacity) with exact capacities (int
+    or Fraction; integer capacities give an int flow value); capacity None
+    means infinite.  Returns (flow value, source-side cut set);
     the flow value equals the cut capacity exactly.  Raises UnboundedFlow when
     an infinite-capacity path joins source and sink.
     """
@@ -208,7 +208,7 @@ def max_flow_min_cut(nodes, arcs, source, sink):
     if source not in node_set or sink not in node_set:
         raise InputError("source/sink must be network nodes")
 
-    finite_total = sum((Q(c) for _, _, c in arcs if c is not None), ZERO)
+    finite_total = sum(c for _, _, c in arcs if c is not None)
     big = finite_total + 1
 
     # Residual graph over arc slots: even index = forward, odd = backward.
@@ -216,17 +216,17 @@ def max_flow_min_cut(nodes, arcs, source, sink):
     adj: dict = {v: [] for v in node_set}
     ends = []
     for tail, head, c in arcs:
-        if c is not None and Q(c) < 0:
+        if c is not None and c < 0:
             raise InputError("negative capacity on arc %r -> %r" % (tail, head))
-        c_eff = big if c is None else Q(c)
+        c_eff = big if c is None else c
         adj[tail].append(len(cap))
         cap.append(c_eff)
         ends.append(head)
         adj[head].append(len(cap))
-        cap.append(ZERO)
+        cap.append(0)
         ends.append(tail)
 
-    flow = ZERO
+    flow = 0
     while True:
         # BFS for a shortest augmenting path (Edmonds-Karp).
         parent_arc: dict = {source: None}

@@ -277,7 +277,7 @@ def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicu
     """One minimum cut per forced vertex, from both bicut families."""
     D = instance.digraph
     results = []
-    base_arcs = [(D.tail(a), D.head(a), Q(x[a])) for a in range(D.num_arcs())]
+    base_arcs = [(D.tail(a), D.head(a), x[a]) for a in range(D.num_arcs())]
     nodes = list(D.vertices)
 
     for t in sorted(instance.T):
@@ -291,19 +291,6 @@ def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicu
         U = frozenset(v for v in D.vertices if v not in side)
         results.append((value, Bicut(U, D.in_cut(D.all_arcs, U))))
     return results
-
-
-def separate_bicut(instance: Instance, x: list) -> Optional[Bicut]:
-    """A most-violated bicut C with x(C) < 1, or None when all are satisfied."""
-    for a in range(instance.digraph.num_arcs()):
-        if Q(x[a]) < 0:
-            raise InputError("separation requires x >= 0")
-    best = None
-    for value, cut in min_bicut_candidates(instance, x):
-        if value < 1 and (best is None or value < best[0]
-                          or (value == best[0] and sorted(cut.U) < sorted(best[1].U))):
-            best = (value, cut)
-    return best[1] if best else None
 
 
 def _violated_bicuts(instance: Instance, x: list) -> list[Bicut]:
@@ -387,18 +374,10 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
 
     arcs = frozenset(a for a in range(instance.digraph.num_arcs()) if result.x[a] == 1)
     solution = Solution(arcs, result.objective, bibranching_report(instance, arcs))
-    duals = {}
-    n_t = len(instance.T)
-    n_s = len(instance.S)
-    if result.row_duals is not None:
-        t_sorted = sorted(instance.T)
-        s_sorted = sorted(instance.S)
-        for i, v in enumerate(t_sorted):
-            duals[("v", v)] = result.row_duals[i]
-        for i, u in enumerate(s_sorted):
-            duals[("v", u)] = result.row_duals[n_t + i]
-        for i, cut in enumerate(cut_rows):
-            duals[("U", cut.U)] = result.row_duals[n_t + n_s + i]
+    # Row order of _build_degree_lp, then the bicut rows in order added.
+    keys = [("v", v) for view in (instance, instance.mirror) for v in sorted(view.T)]
+    keys += [("U", cut.U) for cut in cut_rows]
+    duals = dict(zip(keys, result.row_duals))
     return CuttingPlaneResult(solution, result.x, result.objective, cut_rows,
                               rounds, fallback, duals)
 
@@ -484,13 +463,13 @@ def _build_dual_lp(instance: Instance, family):
 def dual_feasible(instance: Instance, dual: DualSolution) -> bool:
     """Check y >= 0 and every arc-class dual constraint exactly."""
     for key, val in dual.y.items():
-        if Q(val) < 0:
+        if val < 0:
             return False
     for a in range(instance.digraph.num_arcs()):
-        total = ZERO
+        total = 0
         for key, val in dual.y.items():
             if a in _dual_coverage(instance, key):
-                total += Q(val)
+                total += val
         if total > instance.weights[a]:
             return False
     return True

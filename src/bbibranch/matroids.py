@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .digraph import Digraph, InputError, check_capacities
-from .rationals import Q
 
 
 class PartitionMatroid:
@@ -200,7 +199,7 @@ def weighted_matroid_intersection(m1, m2, weights, r: int, sense: str = "min"):
     if sense not in ("min", "max"):
         raise InputError("sense must be 'min' or 'max'")
     ground = sorted(m1.digraph.all_arcs)
-    w = {a: Q(weights[a]) for a in ground}
+    w = {a: weights[a] for a in ground}
     if sense == "max":
         w = {a: -w[a] for a in ground}
 

@@ -16,7 +16,6 @@ from .digraph import Digraph, check_capacities
 from .errors import InputError, TheoremViolation
 from .matroids import (is_b_branching, min_weight_b_branching_exact_indegrees,
                        split_into_b_branchings)
-from .rationals import Q, ZERO
 
 
 class BBranchingOracle:
@@ -25,7 +24,7 @@ class BBranchingOracle:
     def __init__(self, digraph: Digraph, b: dict[str, int], weights):
         self.digraph = digraph
         self.b = check_capacities(digraph, b)
-        self.weights = [Q(weights[a]) for a in range(digraph.num_arcs())]
+        self.weights = [weights[a] for a in range(digraph.num_arcs())]
         self._memo_f: dict[tuple, Optional[tuple]] = {}
 
     def _key(self, x: dict[str, int]) -> tuple:
@@ -43,7 +42,7 @@ class BBranchingOracle:
             B = min_weight_b_branching_exact_indegrees(self.digraph, self.b,
                                                        self.weights, t)
             if B is not None:
-                result = (sum((self.weights[a] for a in B), ZERO), B)
+                result = (sum(self.weights[a] for a in B), B)
         self._memo_f[key] = result
         return result
 
@@ -291,8 +290,8 @@ def solve_mflow(instance: Instance) -> Solution:
                     dS.append((node, sign))
                 else:
                     dT.append((node, -sign))
-            cS = delta_S(dS) if dS else ZERO
-            cT = delta_T(dT) if dT else ZERO
+            cS = delta_S(dS) if dS else 0
+            cT = delta_T(dT) if dT else 0
             if cS is None or cT is None:
                 return None
             return cS + cT
@@ -324,7 +323,7 @@ def solve_mflow(instance: Instance) -> Solution:
     arcs_out = (support
                 | frozenset(map_T[i] for i in val_T[1])
                 | frozenset(map_S[i] for i in val_S[1]))
-    weight = sum((instance.weights[a] for a in support), ZERO) + val_T[0] + val_S[0]
+    weight = sum(instance.weights[a] for a in support) + val_T[0] + val_S[0]
     solution = Solution(arcs_out, weight, bibranching_report(instance, arcs_out))
     if not all(entry["ok"] for entry in solution.certificate.values()):
         raise TheoremViolation("submodular-flow output is not a b-bibranching")
@@ -341,7 +340,7 @@ def _min_arc_negative_cycle(nodes, arcs):
 
     # walks[start][v] = best (cost, trace) over walks start -> v with exactly
     # `length` arcs; each length extends the previous length's table by one arc.
-    walks = {start: {start: (ZERO, ())} for start in nodes}
+    walks = {start: {start: (0, ())} for start in nodes}
     for length in range(1, len(nodes) + 1):
         best = None
         for start in nodes:

@@ -20,7 +20,7 @@ from .errors import GuardError, InputError, TheoremViolation
 from .lpsolve import (RationalLP, all_bicuts, dump_lp, min_bicut_candidates,
                       simplex_solve)
 from .matroids import split_into_b_branchings
-from .rationals import Q, ONE, ZERO
+from .rationals import Q
 
 FAMILY_SIDE_LIMIT = 12
 EXHAUSTIVE_PARTITION_LIMIT = 200000
@@ -47,7 +47,7 @@ def packing_number(instance: Instance) -> MinMaxWitness:
     (t_min, t_arg), (s_min, s_arg) = (
         min((len(view.digraph.in_arcs(v)) // view.b[v], v) for v in view.T)
         for view in (instance, instance.mirror))
-    ones = [ONE] * instance.digraph.num_arcs()
+    ones = [1] * instance.digraph.num_arcs()
     bicut_best = None
     for value, bicut in min_bicut_candidates(instance, ones):
         entry = (int(value), tuple(sorted(bicut.U)))
@@ -131,16 +131,11 @@ class SupermodularOracle:
         self.family = family
         self.k = k
         D = family.view.digraph
-        inner = D.induced_arcs(D.all_arcs, family.view.T)
-        self._cache: dict[frozenset[int], int] = {}
-        for C, gens in family._generators.items():
-            best = None
-            for U in gens:
-                deg = len(D.in_cut(inner, U)) if len(U) < len(D) else 0
-                value = k - deg
-                if best is None or value > best:
-                    best = value
-            self._cache[C] = best
+        inner = [D.arcs[a] for a in D.induced_arcs(D.all_arcs, family.view.T)]
+        self._cache: dict[frozenset[int], int] = {
+            C: k - min(sum(1 for tail, head in inner if head in U and tail not in U)
+                       for U in gens)
+            for C, gens in family._generators.items()}
 
 
 def g_value(oracle: SupermodularOracle, C: Iterable[int]) -> int:
@@ -166,7 +161,7 @@ class GPolymatroidSystem:
     def check_point(self, x: dict[int, object]) -> list[str]:
         """Tags of all violated rows (bounds included), empty when feasible.
 
-        x maps each arc to an exact rational (int, Fraction or mpq).  The
+        x maps each arc to an exact rational (int or Fraction).  The
         test is in integers: y = L x against L times each bound, where L is
         the lcm of the denominators of x.
         """
@@ -229,7 +224,7 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
     if violated:
         raise TheoremViolation("uniform point 1/k violates the row system",
                                payload={"rows": violated})
-    return _integral_vertex(arcs, {a: (ZERO, ONE) for a in arcs},
+    return _integral_vertex(arcs, {a: (0, 1) for a in arcs},
                             [row[:3] for system in (p1, p2) for row in system.rows])
 
 
@@ -241,7 +236,7 @@ def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
     the dumped LP, since every caller's row system is an integer polyhedron.
     """
     col = {a: j for j, a in enumerate(arcs)}
-    lp = RationalLP(len(arcs), [ONE] * len(arcs), "min")
+    lp = RationalLP(len(arcs), [1] * len(arcs), "min")
     for a in arcs:
         lp.set_bounds(col[a], *bounds[a])
     for coeffs, rel, rhs in rows:

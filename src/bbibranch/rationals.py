@@ -1,33 +1,30 @@
 """Exact rational arithmetic helpers.
 
-All solver arithmetic in this package is exact.  gmpy2's mpq is used when
-available (it is faster for the rational work around the simplex: LP data,
-results, max-flow capacities and weights); the stdlib Fraction is a drop-in
-fallback with the same numerator/denominator API.  The simplex pivots
-themselves run on Python ints and do not depend on the choice.
+All solver arithmetic in this package is exact, on one rule: a value is a
+Python int when it is integral and a ``fractions.Fraction`` otherwise.
+Values become fractions in two places only: ``rat`` for fractional input,
+and the simplex (``lpsolve.RationalLP`` and its results).  Integral data
+such as b, unit capacities and integer weights stay int through max-flow,
+matroid intersection and the b-branching oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q  # type: ignore[import-untyped]
-except ImportError:  # pragma: no cover
-    Q = Fraction
-
+Q = Fraction
 ZERO = Q(0)
 ONE = Q(1)
 
 
-def rat(value) -> "Q":
-    """Coerce an int, Fraction, mpq or 'p/q' string to an exact rational."""
-    if isinstance(value, str):
-        return parse_rat(value)
-    return Q(value)
+def rat(value):
+    """An int, Fraction or 'p/q' string as an exact number: an int when
+    integral (so "4/2" reads as 2), else a Fraction."""
+    value = parse_rat(value) if isinstance(value, str) else Q(value)
+    return value.numerator if value.denominator == 1 else value
 
 
-def parse_rat(text: str) -> "Q":
+def parse_rat(text: str) -> Q:
     """Parse 'p' or 'p/q' into an exact rational."""
     parts = text.strip().split("/")
     if len(parts) == 1:

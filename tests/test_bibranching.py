@@ -1,6 +1,7 @@
 """The b-bibranching object, brute force and the solver front end."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,10 @@ from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    check_alternative_description,
                                    feasibility_witness, is_b_bibranching,
                                    prune_to_minimal, solve_shortest)
-from bbibranch.digraph import Digraph
+from bbibranch.cli import load_instance_data, serialize_instance
+from bbibranch.digraph import Digraph, max_flow_min_cut
 from bbibranch.errors import GuardError, InfeasibleInstance, InputError
+from bbibranch.mconvex import solve_mflow
 from bbibranch.packing import packing_number
 
 from conftest import all_subsets, one_arc_instance, random_instance
@@ -264,3 +267,45 @@ class TestSolveFrontEnd:
     def test_auto_records_cross_check(self):
         sol = solve_shortest(one_arc_instance(), method="auto")
         assert sol.certificate.get("cross_check") == "mflow agrees"
+
+
+class TestNumberRule:
+    """Exact values are int when integral and Fraction otherwise."""
+
+    def test_integral_values_stay_int(self):
+        D = Digraph(["s", "t"], [("s", "t")] * 4)
+        side, b = {"s": "S", "t": "T"}, {"s": 1, "t": 1}
+        inst = Instance(D, side, b, [4, "4/2", Fraction(4), "1/2"])
+        assert inst.weights == [4, 2, 4, Fraction(1, 2)]
+        assert [type(w) for w in inst.weights] == [int, int, int, Fraction]
+        flow, _ = max_flow_min_cut(["s", "a", "t"],
+                                   [("s", "a", 3), ("a", "t", 2)], "s", "t")
+        assert flow == 2 and type(flow) is int
+        sol = solve_mflow(Instance(D, side, b, [4, "4/2", Fraction(4), 3]))
+        assert sol.weight == 2 and type(sol.weight) is int
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_mixed_weights_agree_across_methods(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1),
+                                      label="seed"))
+        base = random_instance(rng, data.draw(st.integers(1, 2), label="nS"),
+                               data.draw(st.integers(1, 3), label="nT"),
+                               rng.uniform(0.4, 0.9), 2, 9, max_arcs=10,
+                               extra_cross=rng.randint(1, 3))
+        weights = [Fraction(rng.randint(0, 18), rng.choice((2, 3)))
+                   if rng.random() < 0.5 else w for w in base.weights]
+        D = base.digraph
+        inst = Instance(D, {v: "S" if v in base.S else "T" for v in D.vertices},
+                        base.b, weights)
+        kinds = [int if w.denominator == 1 else Fraction for w in weights]
+        assert inst.weights == weights
+        assert [type(w) for w in inst.weights] == kinds
+        loaded = load_instance_data(serialize_instance(inst))
+        assert loaded.weights == weights
+        assert [type(w) for w in loaded.weights] == kinds
+        if feasibility_witness(inst) is None:
+            values = {method: solve_shortest(inst, method).weight
+                      for method in ("lp", "mflow", "brute")}
+            assert len(set(values.values())) == 1, values

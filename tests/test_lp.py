@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bbibranch.bibranching import brute_force_shortest, feasibility_witness
 from bbibranch.errors import InputError
 from bbibranch.lpsolve import (DualSolution, RationalLP, all_bicuts, dump_lp,
-                               dual_feasible, separate_bicut, simplex_solve,
+                               dual_feasible, min_bicut_candidates, simplex_solve,
                                solve_primal_cutting_plane, tdi_spot_check)
 from bbibranch.rationals import Q, is_integral
 
@@ -159,13 +159,12 @@ class TestBicuts:
 class TestSeparation:
     def test_finds_most_violated_cut(self):
         inst = one_arc_instance()
-        cut = separate_bicut(inst, [Q(0)])
-        assert cut is not None and cut.arcs == frozenset({0})
-        assert separate_bicut(inst, [Q(1)]) is None
+        assert min_bicut_candidates(inst, [Q(0)])[0] == (0, all_bicuts(inst)[0])
+        assert min(value for value, _ in min_bicut_candidates(inst, [Q(1)])) == 1
 
     def test_rejects_negative_point(self):
         with pytest.raises(InputError):
-            separate_bicut(one_arc_instance(), [Q(-1)])
+            min_bicut_candidates(one_arc_instance(), [Q(-1)])
 
     def test_matches_enumeration(self):
         rng = random.Random(32)
@@ -174,14 +173,11 @@ class TestSeparation:
                                    0.5, 1, 5, max_arcs=10)
             m = inst.digraph.num_arcs()
             x = [Q(rng.randint(0, 4), 4) for _ in range(m)]
-            min_value = min((sum((x[a] for a in cut.arcs), Q(0))
-                             for cut in all_bicuts(inst)), default=None)
-            got = separate_bicut(inst, x)
-            if min_value is None or min_value >= 1:
-                assert got is None
-            else:
-                assert got is not None
-                assert sum((x[a] for a in got.arcs), Q(0)) == min_value
+            candidates = min_bicut_candidates(inst, x)
+            for value, cut in candidates:
+                assert value == sum(x[a] for a in cut.arcs)
+            assert min(value for value, _ in candidates) == min(
+                sum(x[a] for a in cut.arcs) for cut in all_bicuts(inst))
 
 
 class TestCuttingPlane:
