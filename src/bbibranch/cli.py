@@ -154,19 +154,21 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_packing_number(args) -> int:
-    from .packing import packing_number
-
-    instance, digest = _load(args)
-    witness = packing_number(instance)
-    payload = {
-        "k": witness.k,
+def _witness_payload(witness) -> dict:
+    return {
         "t_min": witness.t_min, "t_argmin": witness.t_argmin,
         "s_min": witness.s_min, "s_argmin": witness.s_argmin,
         "bicut_min": witness.bicut_min,
         "bicut_witness": sorted(witness.bicut_witness),
     }
-    emit_report(args, payload, digest)
+
+
+def cmd_packing_number(args) -> int:
+    from .packing import packing_number
+
+    instance, digest = _load(args)
+    witness = packing_number(instance)
+    emit_report(args, {"k": witness.k, **_witness_payload(witness)}, digest)
     return EXIT_OK
 
 
@@ -177,12 +179,7 @@ def cmd_pack(args) -> int:
     cert = pack_b_bibranchings(instance)
     payload = {
         "k": cert.k,
-        "witness": {
-            "t_min": cert.witness.t_min, "t_argmin": cert.witness.t_argmin,
-            "s_min": cert.witness.s_min, "s_argmin": cert.witness.s_argmin,
-            "bicut_min": cert.witness.bicut_min,
-            "bicut_witness": sorted(cert.witness.bicut_witness),
-        },
+        "witness": _witness_payload(cert.witness),
         "cross_classes": [sorted(c) for c in cert.cross_classes],
         "branchings": [sorted(c) for c in cert.branchings],
         "cobranchings": [sorted(c) for c in cert.cobranchings],

@@ -19,7 +19,7 @@ from .bibranching import (Instance, Solution, bibranching_report,
                           require_feasible)
 from .digraph import max_flow_min_cut
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
-from .rationals import ONE, Q, ZERO, is_integral, rat_str
+from .rationals import ONE, Q, ZERO, is_integral, rat, rat_str
 
 TDI_VERTEX_LIMIT = 10
 TDI_NODE_LIMIT = 20000
@@ -274,22 +274,29 @@ def all_bicuts(instance: Instance) -> list[Bicut]:
 
 
 def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicut]]:
-    """One minimum cut per forced vertex, from both bicut families."""
+    """One minimum cut per forced vertex, from both bicut families.
+
+    The max-flows run on the int capacities L x, L the lcm of the
+    denominators of x, and each value is returned divided by L.  Scaling
+    leaves Edmonds-Karp's cut, the unique minimal min cut, where it was.
+    """
     D = instance.digraph
     results = []
-    base_arcs = [(D.tail(a), D.head(a), x[a]) for a in range(D.num_arcs())]
+    L = lcm(*(v.denominator for v in x))
+    base_arcs = [(D.tail(a), D.head(a), x[a].numerator * (L // x[a].denominator))
+                 for a in range(D.num_arcs())]
     nodes = list(D.vertices)
 
     for t in sorted(instance.T):
         net = base_arcs + [("src*", s, None) for s in sorted(instance.S)]
         value, side = max_flow_min_cut(nodes + ["src*"], net, "src*", t)
         U = frozenset(v for v in D.vertices if v not in side)
-        results.append((value, Bicut(U, D.in_cut(D.all_arcs, U))))
+        results.append((rat(Q(value, L)), Bicut(U, D.in_cut(D.all_arcs, U))))
     for s in sorted(instance.S):
         net = base_arcs + [(v, "snk*", None) for v in sorted(instance.T)]
         value, side = max_flow_min_cut(nodes + ["snk*"], net, s, "snk*")
         U = frozenset(v for v in D.vertices if v not in side)
-        results.append((value, Bicut(U, D.in_cut(D.all_arcs, U))))
+        results.append((rat(Q(value, L)), Bicut(U, D.in_cut(D.all_arcs, U))))
     return results
 
 

@@ -3,7 +3,9 @@ and the submodular-flow style solver for the shortest b-bibranching.
 
 f(x) is the cheapest b-branching whose indegree vector is exactly b - x;
 g(x) relaxes the equality to >= and reduces to f by clipping x at b.  Both
-are evaluated through weighted matroid intersection and memoized.
+are evaluated through weighted matroid intersection and memoized.  The
+solver reads its exchange costs from one move table per side, the values
+g(z - chi_p + chi_q) - g(z) of every unit move at the current boundary z.
 """
 
 from __future__ import annotations
@@ -214,9 +216,25 @@ def side_oracle(instance: Instance) -> tuple[BBranchingOracle, list[int]]:
     return BBranchingOracle(d_T, b_T, w_T), arc_map
 
 
-# Extra exchange-graph node for pure single-coordinate moves; a dedicated
-# object so it can never collide with a vertex id.
-_NULL = object()
+def _move_table(oracle: BBranchingOracle, z: dict[str, int]) -> dict:
+    """cost[p, q] = g(z - chi_p + chi_q) - g(z) for p != q in sorted(z) +
+    [None], with chi_None = 0 and cost[None, None] = 0; None encodes
+    +infinity."""
+    g0 = oracle.eval_g(z)
+    nodes = sorted(z) + [None]
+    cost: dict = {(None, None): 0}
+    for p in nodes:
+        for q in nodes:
+            if p == q:
+                continue
+            x = dict(z)
+            if p is not None:
+                x[p] -= 1
+            if q is not None:
+                x[q] += 1
+            val = oracle.eval_g(x)
+            cost[p, q] = None if val is None else val - g0
+    return cost
 
 
 @dataclass
@@ -232,7 +250,11 @@ def solve_mflow(instance: Instance) -> Solution:
 
     The flow variable lives on the S-to-T arcs; ``side_oracle`` on the
     instance and on its mirror supplies the cost of completing a boundary
-    vector into branchings/cobranchings.
+    vector into branchings/cobranchings.  Each round reads the exchange
+    costs from one move table per side: an arc p -> q between vertices or
+    the null node None costs cost_S[p|S, q|S] + cost_T[q|T, p|T], where x|S
+    is x for x in S and None otherwise (T counts are negated in the flow
+    boundary, so the T table is read backwards).
     Cancellation picks a negative cycle with the fewest arcs.
     """
     require_feasible(instance)
@@ -242,6 +264,9 @@ def solve_mflow(instance: Instance) -> Solution:
     oracle_T, map_T = side_oracle(instance)
     oracle_S, map_S = side_oracle(instance.mirror)
     xi = {a: 1 for a in H}
+    nodes = sorted(instance.S) + sorted(instance.T) + [None]
+    on_S = {p: p if p in instance.S else None for p in nodes}
+    on_T = {p: p if p in instance.T else None for p in nodes}
 
     def boundaries():
         z_S = {u: 0 for u in instance.S}
@@ -252,15 +277,10 @@ def solve_mflow(instance: Instance) -> Solution:
                 z_T[D.head(a)] += 1
         return z_S, z_T
 
-    def shifted(z, deltas):
-        out = dict(z)
-        for v, d in deltas:
-            out[v] = out.get(v, 0) + d
-        return out
-
-    def build_arcs(z_S, z_T):
-        gS0 = oracle_S.eval_g(z_S)
-        gT0 = oracle_T.eval_g(z_T)
+    while True:
+        z_S, z_T = boundaries()
+        cost_S = _move_table(oracle_S, z_S)
+        cost_T = _move_table(oracle_T, z_T)
         arcs: list[_AuxArc] = []
         for a in H:
             u, v = D.arcs[a]
@@ -268,46 +288,14 @@ def solve_mflow(instance: Instance) -> Solution:
                 arcs.append(_AuxArc(v, u, -instance.weights[a], a))
             else:
                 arcs.append(_AuxArc(u, v, instance.weights[a], a))
-
-        def delta_S(deltas):
-            val = oracle_S.eval_g(shifted(z_S, deltas))
-            return None if val is None else val - gS0
-
-        def delta_T(deltas):
-            val = oracle_T.eval_g(shifted(z_T, deltas))
-            return None if val is None else val - gT0
-
-        nodes = sorted(instance.S) + sorted(instance.T) + [_NULL]
-
-        def side_delta(p, q):
-            # Boundary change of moving one unit from p to q (z - chi_p + chi_q
-            # in the flow-boundary coordinates where T counts are negated).
-            dS, dT = [], []
-            for node, sign in ((p, -1), (q, +1)):
-                if node is _NULL:
-                    continue
-                if node in instance.S:
-                    dS.append((node, sign))
-                else:
-                    dT.append((node, -sign))
-            cS = delta_S(dS) if dS else 0
-            cT = delta_T(dT) if dT else 0
-            if cS is None or cT is None:
-                return None
-            return cS + cT
-
         for p in nodes:
             for q in nodes:
                 if p == q:
                     continue
-                cost = side_delta(p, q)
-                if cost is not None:
-                    arcs.append(_AuxArc(p, q, cost, None))
-        return nodes, arcs
-
-    while True:
-        z_S, z_T = boundaries()
-        nodes, arcs = build_arcs(z_S, z_T)
+                cS = cost_S[on_S[p], on_S[q]]
+                cT = cost_T[on_T[q], on_T[p]]
+                if cS is not None and cT is not None:
+                    arcs.append(_AuxArc(p, q, cS + cT, None))
         cycle = _min_arc_negative_cycle(nodes, arcs)
         if cycle is None:
             break

@@ -4,7 +4,8 @@ The packing number is the minimum of two degree ratios and the smallest
 bicut.  The constructive direction colors the cross arcs through a pair of
 generalized polymatroids (one per side), then completes each color class
 with prescribed-indegree branchings on the T side and cobranchings on the
-S side.
+S side.  Each side's cut family and its supermodular function g are one
+table, ``cut_family``, mapping each member C to g(C).
 """
 
 from __future__ import annotations
@@ -73,76 +74,40 @@ def verify_packing(instance: Instance, classes: Iterable[Iterable[int]]) -> bool
 # Cut families and their supermodular functions
 # ---------------------------------------------------------------------------
 
-class CutFamilyOracle:
-    """The cuts delta^-_H(U) over nonempty U on one side of the bipartition.
+def cut_family(instance: Instance, side: int, k: int,
+               ground: Optional[Iterable[int]] = None) -> dict[frozenset[int], int]:
+    """The cuts C = delta^-_H(U) over nonempty U on one side, each mapped to
+    g(C), in sorted(C) order.
 
-    U ranges over subsets of T in ``view``, the instance (side 1) or its
-    mirror (side 2, U within S), and arcs are counted by their head there.
+    U ranges over subsets of T in the instance (side 1) or in its mirror
+    (side 2, U within S), and arcs are counted by their head there.
     ``ground`` restricts H to a subset of the cross arcs, which the peeling
-    recursion relies on.
+    recursion relies on.  g(C) is k minus the least within-side indegree
+    over the U that give C: arcs of A[T] entering U on side 1, arcs of A[S]
+    leaving U (entering it in the mirror) on side 2.
     """
-
-    def __init__(self, instance: Instance, side: int,
-                 ground: Optional[Iterable[int]] = None):
-        if side not in (1, 2):
-            raise InputError("side must be 1 or 2")
-        self.view = instance if side == 1 else instance.mirror
-        cross = instance.cross_arcs()
-        self.ground = frozenset(cross if ground is None else ground)
-        if not self.ground <= cross:
-            raise InputError("ground set must consist of cross arcs")
-        self.side_vertices = sorted(self.view.T)
-        if len(self.side_vertices) > FAMILY_SIDE_LIMIT:
-            raise GuardError("cut family side limited to %d vertices"
-                             % FAMILY_SIDE_LIMIT)
-        head = self.view.digraph.head
-        self._generators: dict[frozenset[int], list[frozenset[str]]] = {}
-        for r in range(1, len(self.side_vertices) + 1):
-            for combo in itertools.combinations(self.side_vertices, r):
-                U = frozenset(combo)
-                C = frozenset(a for a in self.ground if head(a) in U)
-                self._generators.setdefault(C, []).append(U)
-
-    def members(self) -> list[frozenset[int]]:
-        return sorted(self._generators, key=sorted)
-
-    def contains(self, C: Iterable[int]) -> bool:
-        return frozenset(C) in self._generators
-
-    def generators(self, C: Iterable[int]) -> list[frozenset[str]]:
-        C = frozenset(C)
-        if C not in self._generators:
-            raise InputError("arc set is not a member of the cut family")
-        return list(self._generators[C])
-
-
-class SupermodularOracle:
-    """g(C) = max over generating U of k minus the within-side indegree of U.
-
-    Side 1 measures arcs of A[T] entering U; side 2 measures arcs of A[S]
-    leaving U, which enter U in the mirror.  Cross arcs never enter
-    k - d(U); a smaller ground set (as in the peeling recursion) only
-    changes which sets U generate C.
-    """
-
-    def __init__(self, family: CutFamilyOracle, k: int):
-        if k < 1:
-            raise InputError("k must be at least 1")
-        self.family = family
-        self.k = k
-        D = family.view.digraph
-        inner = [D.arcs[a] for a in D.induced_arcs(D.all_arcs, family.view.T)]
-        self._cache: dict[frozenset[int], int] = {
-            C: k - min(sum(1 for tail, head in inner if head in U and tail not in U)
-                       for U in gens)
-            for C, gens in family._generators.items()}
-
-
-def g_value(oracle: SupermodularOracle, C: Iterable[int]) -> int:
-    C = frozenset(C)
-    if not oracle.family.contains(C):
-        raise InputError("arc set is not a member of the cut family")
-    return oracle._cache[C]
+    if side not in (1, 2):
+        raise InputError("side must be 1 or 2")
+    view = instance if side == 1 else instance.mirror
+    cross = instance.cross_arcs()
+    ground = frozenset(cross if ground is None else ground)
+    if not ground <= cross:
+        raise InputError("ground set must consist of cross arcs")
+    verts = sorted(view.T)
+    if len(verts) > FAMILY_SIDE_LIMIT:
+        raise GuardError("cut family side limited to %d vertices"
+                         % FAMILY_SIDE_LIMIT)
+    if k < 1:
+        raise InputError("k must be at least 1")
+    D = view.digraph
+    inner = [D.arcs[a] for a in D.induced_arcs(D.all_arcs, view.T)]
+    least: dict[frozenset[int], int] = {}
+    for r in range(1, len(verts) + 1):
+        for U in map(frozenset, itertools.combinations(verts, r)):
+            C = frozenset(a for a in ground if D.head(a) in U)
+            d = sum(1 for tail, head in inner if head in U and tail not in U)
+            least[C] = min(d, least.get(C, d))
+    return {C: k - least[C] for C in sorted(least, key=sorted)}
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +151,19 @@ def build_system(instance: Instance, side: int, k: int,
     peeling and defaults to its indegree in the family's view: d_A^-(v)
     (side 1) or d_A^+(v) (side 2).
     """
-    family = CutFamilyOracle(instance, side, ground)
-    g = SupermodularOracle(family, k)
-    system = GPolymatroidSystem(side, k, sorted(family.ground))
-    for C in family.members():
-        gC = g_value(g, C)
+    view = instance if side == 1 else instance.mirror
+    ground = frozenset(instance.cross_arcs() if ground is None else ground)
+    system = GPolymatroidSystem(side, k, sorted(ground))
+    for C, gC in cut_family(instance, side, k, ground).items():
         coeffs = {a: 1 for a in C}
         tag = "cut[%s]" % ",".join(str(a) for a in sorted(C))
         system.rows.append((coeffs, "<=", len(C) - gC + 1, "upper-" + tag))
         if gC == k:
             system.rows.append((coeffs, ">=", 1, "lower-" + tag))
-    D = family.view.digraph
-    for v in family.side_vertices:
+    D = view.digraph
+    for v in sorted(view.T):
         deg = len(D.in_arcs(v)) if degree is None else degree[v]
-        coeffs = {a: 1 for a in family.ground if D.head(a) == v}
+        coeffs = {a: 1 for a in ground if D.head(a) == v}
         system.rows.append((coeffs, "<=", deg - (k - 1) * instance.b[v],
                             "degree[%s]" % v))
         need = instance.b[v] - (deg - len(coeffs))
@@ -259,11 +223,8 @@ def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
 def _partition_requirements(instance: Instance, k: int):
     """The coloring conditions at k: cut rows (side, C, g(C)) and degree
     caps (view digraph, v, cap, name) on T and, as the mirror's T, on S."""
-    cuts = []
-    for side in (1, 2):
-        family = CutFamilyOracle(instance, side)
-        g = SupermodularOracle(family, k)
-        cuts += [(side, C, g_value(g, C)) for C in family.members()]
+    cuts = [(side, C, gC) for side in (1, 2)
+            for C, gC in cut_family(instance, side, k).items()]
     caps = [(view.digraph, v,
              len(view.digraph.in_arcs(v)) - (k - 1) * view.b[v], name)
             for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))
@@ -358,7 +319,9 @@ def pack_prescribed_b_branchings(digraph: Digraph, b: dict[str, int],
     both hold a deterministic backtracking search produces the branchings,
     and failure of that search despite the conditions is a theorem violation.
     Prescriptions equal to b violate the theorem's hypothesis; those indices
-    are reported but the construction still proceeds.
+    are reported, and no construction follows: a b-branching has at most
+    b(V) - 1 arcs, so such a prescription fails the degree condition or,
+    at X = V, the cut condition.
     """
     b = check_capacities(digraph, b)
     k = len(prescriptions)

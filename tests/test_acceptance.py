@@ -17,8 +17,7 @@ from bbibranch.matroids import is_b_branching
 from bbibranch.mconvex import (BBranchingOracle, check_mnat_exchange,
                                exchange_b_branchings, solve_mflow,
                                two_partition, _find_any_two_partition)
-from bbibranch.packing import (CutFamilyOracle, SupermodularOracle,
-                               build_system, find_integral_point, g_value,
+from bbibranch.packing import (build_system, cut_family, find_integral_point,
                                pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
                                verify_packing)
@@ -132,16 +131,13 @@ def test_criterion_5_gpolymatroid_claims():
             continue
         done += 1
         for side in (1, 2):
-            fam = CutFamilyOracle(inst, side)
-            g = SupermodularOracle(fam, k)
-            members = fam.members()
-            for C1, C2 in itertools.combinations(members, 2):
+            g = cut_family(inst, side, k)
+            for C1, C2 in itertools.combinations(g, 2):
                 if C1 & C2:
-                    ok &= fam.contains(C1 | C2) and fam.contains(C1 & C2)
-                    ok &= (g_value(g, C1) + g_value(g, C2)
-                           <= g_value(g, C1 | C2) + g_value(g, C1 & C2))
-            for C in members:
-                ok &= g_value(g, C) <= min(k, len(C))
+                    ok &= (C1 | C2) in g and (C1 & C2) in g
+                    ok &= g[C1] + g[C2] <= g[C1 | C2] + g[C1 & C2]
+            for C, gC in g.items():
+                ok &= gC <= min(k, len(C))
         p1 = build_system(inst, 1, k)
         p2 = build_system(inst, 2, k)
         uniform = {a: Q(1, k) for a in p1.var_arcs}

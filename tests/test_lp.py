@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bbibranch import lpsolve
 from bbibranch.bibranching import brute_force_shortest, feasibility_witness
 from bbibranch.errors import InputError
 from bbibranch.lpsolve import (DualSolution, RationalLP, all_bicuts, dump_lp,
@@ -178,6 +179,25 @@ class TestSeparation:
                 assert value == sum(x[a] for a in cut.arcs)
             assert min(value for value, _ in candidates) == min(
                 sum(x[a] for a in cut.arcs) for cut in all_bicuts(inst))
+
+    def test_max_flows_run_on_int_capacities(self, monkeypatch):
+        capacities = []
+        original = lpsolve.max_flow_min_cut
+
+        def recording(nodes, arcs, source, sink):
+            capacities.extend(c for _, _, c in arcs if c is not None)
+            return original(nodes, arcs, source, sink)
+
+        monkeypatch.setattr(lpsolve, "max_flow_min_cut", recording)
+        rng = random.Random(34)
+        for _ in range(5):
+            inst = random_instance(rng, 2, 2, 0.6, 1, 5, max_arcs=10)
+            x = [Q(rng.randint(0, 6), rng.choice((2, 3, 4)))
+                 for _ in range(inst.digraph.num_arcs())]
+            for value, cut in min_bicut_candidates(inst, x):
+                assert value == sum(x[a] for a in cut.arcs)
+        assert capacities
+        assert all(type(c) is int for c in capacities)
 
 
 class TestCuttingPlane:

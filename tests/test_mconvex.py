@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bbibranch import mconvex
 from bbibranch.bibranching import brute_force_shortest, feasibility_witness
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InfeasibleInstance, InputError
@@ -272,5 +273,39 @@ class TestSolveMflow:
             sol = solve_mflow(inst)
             assert sol.weight == brute_force_shortest(inst).weight
             assert all(entry["ok"] for entry in sol.certificate.values())
+            solved += 1
+        assert solved >= 8
+
+    def test_oracle_calls_per_round(self, monkeypatch):
+        # Each round reads one move table per side: g(z) and g(z - chi_p +
+        # chi_q) for p != q among the side's vertices and the null node.
+        counts = {"eval_g": 0, "rounds": 0}
+        eval_g = BBranchingOracle.eval_g
+        find_cycle = mconvex._min_arc_negative_cycle
+
+        def counting_eval_g(self, x):
+            counts["eval_g"] += 1
+            return eval_g(self, x)
+
+        def counting_find_cycle(nodes, arcs):
+            counts["rounds"] += 1
+            return find_cycle(nodes, arcs)
+
+        monkeypatch.setattr(BBranchingOracle, "eval_g", counting_eval_g)
+        monkeypatch.setattr(mconvex, "_min_arc_negative_cycle",
+                            counting_find_cycle)
+        rng = random.Random(68)
+        solved = 0
+        for _ in range(20):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                   0.6, 2, 9, max_arcs=12)
+            if feasibility_witness(inst) is not None:
+                continue
+            counts.update(eval_g=0, rounds=0)
+            solve_mflow(inst)
+            nS, nT = len(inst.S), len(inst.T)
+            per_round = nS * (nS + 1) + nT * (nT + 1) + 2
+            assert counts["rounds"] >= 1
+            assert counts["eval_g"] <= counts["rounds"] * per_round + 2
             solved += 1
         assert solved >= 8

@@ -15,9 +15,8 @@ from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
 from bbibranch.matroids import is_b_branching
-from bbibranch.packing import (CutFamilyOracle, GPolymatroidSystem,
-                               SupermodularOracle, build_system,
-                               find_integral_point, g_value,
+from bbibranch.packing import (GPolymatroidSystem, build_system, cut_family,
+                               find_integral_point,
                                integer_decomposition_check,
                                pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
@@ -76,64 +75,55 @@ class TestPackingNumber:
 
 class TestCutFamilies:
     def test_members_are_head_unions(self):
-        inst = doubled_instance()
-        fam = CutFamilyOracle(inst, 1)
-        assert fam.members() == [frozenset({0, 1})]
-        assert fam.generators({0, 1}) == [frozenset({"t"})]
-
-    def test_rejects_non_member(self):
-        inst = doubled_instance()
-        fam = CutFamilyOracle(inst, 1)
-        with pytest.raises(InputError):
-            fam.generators({0})
+        assert cut_family(doubled_instance(), 1, 2) == {frozenset({0, 1}): 2}
 
     def test_intersecting_closure(self):
         rng = random.Random(42)
         for _ in range(10):
             inst = random_instance(rng, 2, 3, 0.6, 2, 3, max_arcs=12)
             for side in (1, 2):
-                fam = CutFamilyOracle(inst, side)
-                members = fam.members()
-                for C1, C2 in itertools.combinations(members, 2):
+                g = cut_family(inst, side, 1)
+                for C1, C2 in itertools.combinations(g, 2):
                     if C1 & C2:
-                        assert fam.contains(C1 | C2)
-                        assert fam.contains(C1 & C2)
+                        assert (C1 | C2) in g
+                        assert (C1 & C2) in g
 
 
 class TestSupermodularFunction:
     def test_isolated_head_gives_k(self):
         # g of a cut generated by a T-vertex with no within-side in-arc is k.
-        inst = doubled_instance()
-        g = SupermodularOracle(CutFamilyOracle(inst, 1), 2)
-        assert g_value(g, {0, 1}) == 2
+        assert cut_family(doubled_instance(), 1, 2)[frozenset({0, 1})] == 2
 
     def test_matches_direct_enumeration(self):
         rng = random.Random(43)
+        pick = random.Random(143)
         for _ in range(8):
             inst = random_instance(rng, 2, 3, 0.6, 2, 3, max_arcs=12)
             D = inst.digraph
             k = max(1, packing_number(inst).k)
-            for side in (1, 2):
-                fam = CutFamilyOracle(inst, side)
-                g = SupermodularOracle(fam, k)
-                verts = sorted(inst.T if side == 1 else inst.S)
-                inner = D.induced_arcs(D.all_arcs,
-                                       inst.T if side == 1 else inst.S)
-                H = inst.cross_arcs()
-                for C in fam.members():
-                    best = None
+            H = inst.cross_arcs()
+            # The whole cross-arc set, and a residual ground set as the
+            # peeling in partition_cross_arcs passes it.
+            for ground in (None, frozenset(a for a in H if pick.random() < 0.6)):
+                arcs = H if ground is None else ground
+                for side in (1, 2):
+                    g = cut_family(inst, side, k, ground)
+                    verts = sorted(inst.T if side == 1 else inst.S)
+                    inner = D.induced_arcs(D.all_arcs,
+                                           inst.T if side == 1 else inst.S)
+                    expected = {}
                     for r in range(1, len(verts) + 1):
                         for combo in itertools.combinations(verts, r):
                             U = frozenset(combo)
                             if side == 1:
-                                cut = frozenset(a for a in H if D.head(a) in U)
+                                cut = frozenset(a for a in arcs if D.head(a) in U)
                                 deg = len(D.in_cut(inner, U))
                             else:
-                                cut = frozenset(a for a in H if D.tail(a) in U)
+                                cut = frozenset(a for a in arcs if D.tail(a) in U)
                                 deg = len(D.out_cut(inner, U))
-                            if cut == C and (best is None or k - deg > best):
-                                best = k - deg
-                    assert g_value(g, C) == best
+                            expected[cut] = max(expected.get(cut, k - deg), k - deg)
+                    assert g == expected
+                    assert list(g) == sorted(expected, key=sorted)
 
     def test_supermodular_on_crossing_pairs(self):
         rng = random.Random(44)
@@ -141,13 +131,10 @@ class TestSupermodularFunction:
             inst = random_instance(rng, 2, 3, 0.6, 2, 3, max_arcs=12)
             k = max(1, packing_number(inst).k)
             for side in (1, 2):
-                fam = CutFamilyOracle(inst, side)
-                g = SupermodularOracle(fam, k)
-                members = fam.members()
-                for C1, C2 in itertools.combinations(members, 2):
+                g = cut_family(inst, side, k)
+                for C1, C2 in itertools.combinations(g, 2):
                     if C1 & C2:
-                        assert (g_value(g, C1) + g_value(g, C2)
-                                <= g_value(g, C1 | C2) + g_value(g, C1 & C2))
+                        assert g[C1] + g[C2] <= g[C1 | C2] + g[C1 & C2]
 
     def test_upper_bound_claim(self):
         rng = random.Random(45)
@@ -158,9 +145,8 @@ class TestSupermodularFunction:
             if k < 1:
                 continue
             for side in (1, 2):
-                g = SupermodularOracle(CutFamilyOracle(inst, side), k)
-                for C in g.family.members():
-                    assert g_value(g, C) <= min(k, len(C))
+                for C, gC in cut_family(inst, side, k).items():
+                    assert gC <= min(k, len(C))
 
 
 class TestIntegralPoint:
@@ -302,6 +288,15 @@ class TestPrescribedPacking:
         res = pack_prescribed_b_branchings(D, {"a": 1, "t": 1},
                                            [{"a": 1, "t": 1}])
         assert res.hypothesis_violations == [0]
+        # A prescription equal to b asks for b(V) arcs, one more than a
+        # b-branching holds, so the cut condition fails at X = V.
+        D = Digraph(["a", "t"], [("a", "t"), ("t", "a"), ("a", "t")])
+        res = pack_prescribed_b_branchings(D, {"a": 1, "t": 1},
+                                           [{"a": 1, "t": 1}])
+        assert res.hypothesis_violations == [0]
+        assert res.branchings is None
+        assert res.failed_condition == {"condition": "cut",
+                                        "set": frozenset({"a", "t"})}
 
 
 class TestFullPacking:
