@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .digraph import Bipartition, Digraph, check_capacities
+from .digraph import Digraph, check_capacities
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .matroids import is_b_branching
 from .rationals import rat
@@ -23,25 +23,27 @@ CROSS_CHECK_ARC_LIMIT = 16
 
 
 class Instance:
-    """A digraph with an {S,T} bipartition, capacities b and arc weights w."""
+    """A digraph with an {S,T} bipartition (no arc from T to S), capacities b
+    and arc weights w."""
 
     def __init__(self, digraph: Digraph, side: dict[str, str],
                  b: dict[str, int], weights):
         self.digraph = digraph
-        self.bipartition = Bipartition(digraph, side)
+        for v in digraph.vertices:
+            if side.get(v) not in ("S", "T"):
+                raise InputError("vertex %r must be assigned side 'S' or 'T'" % (v,))
+        self.S = frozenset(v for v in digraph.vertices if side[v] == "S")
+        self.T = frozenset(v for v in digraph.vertices if side[v] == "T")
+        if not self.S or not self.T:
+            raise InputError("both sides of the bipartition must be nonempty")
+        for i, (tail, head) in enumerate(digraph.arcs):
+            if side[tail] == "T" and side[head] == "S":
+                raise InputError("arc %d goes from T to S: %s -> %s" % (i, tail, head))
         self.b = check_capacities(digraph, b)
         self.weights = [rat(weights[a]) for a in range(digraph.num_arcs())]
         for a, w in enumerate(self.weights):
             if w < 0:
                 raise InputError("arc %d has negative weight" % a)
-
-    @property
-    def S(self) -> frozenset[str]:
-        return self.bipartition.S
-
-    @property
-    def T(self) -> frozenset[str]:
-        return self.bipartition.T
 
     def weight_of(self, B: Iterable[int]):
         return sum(self.weights[a] for a in B)
@@ -59,8 +61,7 @@ class Instance:
         D = self.digraph
         mirror = copy.copy(self)  # b and the weights are already validated
         mirror.digraph = Digraph(D.vertices, [(h, t) for t, h in D.arcs])
-        mirror.bipartition = Bipartition(
-            mirror.digraph, {v: "T" if v in self.S else "S" for v in D.vertices})
+        mirror.S, mirror.T = self.T, self.S
         return mirror
 
 
@@ -195,12 +196,12 @@ class _FastChecker:
             reach = grown
 
 
-def brute_force_shortest(instance: Instance,
-                         arc_limit: int = BRUTE_FORCE_ARC_LIMIT) -> Optional[Solution]:
+def brute_force_shortest(instance: Instance) -> Optional[Solution]:
     """Exact optimum by enumerating all arc subsets; None when infeasible."""
     m = instance.digraph.num_arcs()
-    if m > arc_limit:
-        raise GuardError("brute force limited to %d arcs, got %d" % (arc_limit, m))
+    if m > BRUTE_FORCE_ARC_LIMIT:
+        raise GuardError("brute force limited to %d arcs, got %d"
+                         % (BRUTE_FORCE_ARC_LIMIT, m))
     checker = _FastChecker(instance)
     weights = instance.weights
     best_weight = None
@@ -274,5 +275,4 @@ def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
                     "LP and submodular-flow optima disagree: %s vs %s"
                     % (solution.weight, other.weight))
             solution.certificate["cross_check"] = "mflow agrees"
-    assert solution is not None
     return solution

@@ -217,8 +217,8 @@ def _dual_key_str(key) -> str:
     return "U:{%s}" % ",".join(sorted(body))
 
 
-def _random_degree_vector(rng, vertices, b, spread=1):
-    return {v: rng.randint(0, b[v] + spread) for v in vertices}
+def _random_degree_vector(rng, vertices, b):
+    return {v: rng.randint(0, b[v] + 1) for v in vertices}
 
 
 def _check_mconvex(instance, rng, trials):
@@ -314,7 +314,7 @@ def _check_idp(instance, rng, trials):
 
     # x = chi_B + (k-1) chi_A (A all arcs), so the peel has choices to make.
     solution = solve_shortest(instance, method="lp")
-    k = max(2, min(3, trials)) if trials else 2
+    k = max(2, min(3, trials))
     x = [k if a in solution.arcs else k - 1
          for a in range(instance.digraph.num_arcs())]
     classes = integer_decomposition_check(instance, k, x)
@@ -322,6 +322,8 @@ def _check_idp(instance, rng, trials):
 
 
 def cmd_check(args) -> int:
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
     instance, digest = _load(args)
     rng = random.Random(args.seed)
     checkers = {"tdi": _check_tdi, "mconvex": _check_mconvex,

@@ -43,9 +43,6 @@ class Digraph:
             self._out_arcs[v] = tuple(out_acc[v])
         self.all_arcs: frozenset[int] = frozenset(range(len(self.arcs)))
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def num_arcs(self) -> int:
         return len(self.arcs)
 
@@ -164,29 +161,12 @@ class Digraph:
         return result
 
 
-class Bipartition:
-    """An {S,T} split of a digraph's vertices with no arc from T to S."""
-
-    def __init__(self, digraph: Digraph, side: dict[str, str]):
-        for v in digraph.vertices:
-            if side.get(v) not in ("S", "T"):
-                raise InputError("vertex %r must be assigned side 'S' or 'T'" % (v,))
-        self.side = dict(side)
-        self.S: frozenset[str] = frozenset(v for v in digraph.vertices if side[v] == "S")
-        self.T: frozenset[str] = frozenset(v for v in digraph.vertices if side[v] == "T")
-        if not self.S or not self.T:
-            raise InputError("both sides of the bipartition must be nonempty")
-        for i, (tail, head) in enumerate(digraph.arcs):
-            if side[tail] == "T" and side[head] == "S":
-                raise InputError("arc %d goes from T to S: %s -> %s" % (i, tail, head))
-
-
 def check_capacities(digraph: Digraph, b: dict[str, int]) -> dict[str, int]:
     """Validate a positive integer capacity vector over all vertices."""
     out = {}
     for v in digraph.vertices:
         val = b.get(v)
-        if not isinstance(val, int) or val < 1:
+        if type(val) is not int or val < 1:
             raise InputError("capacity b(%r) must be a positive integer" % (v,))
         out[v] = val
     return out

@@ -321,7 +321,7 @@ class CuttingPlaneResult:
     value: object
     bicut_rows: list
     rounds: int
-    fallback_triggered: bool
+    fallback_triggered: bool = False  # read by perfbench/tracing.py
     row_duals: dict = field(default_factory=dict)
 
 
@@ -339,16 +339,31 @@ def _build_degree_lp(instance: Instance, boxed: bool = True) -> RationalLP:
     return lp
 
 
+def zero_one_vertex(lp: RationalLP, result: SimplexResult) -> list[int]:
+    """The optimal vertex x of an LP over an integral polyhedron, as 0/1 ints.
+
+    A non-optimal status or a fractional x contradicts the integrality
+    theorem behind the caller's LP, so it raises ``TheoremViolation``
+    carrying the dumped LP (and x).
+    """
+    if result.status != "optimal":
+        raise TheoremViolation("integral LP unexpectedly %s" % result.status,
+                               payload={"lp": dump_lp(lp)})
+    if any(v not in (0, 1) for v in result.x):
+        raise TheoremViolation("vertex of an integral LP is fractional",
+                               payload={"lp": dump_lp(lp), "x": result.x})
+    return [int(v) for v in result.x]
+
+
 def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
-    """Alternate simplex and separation until no bicut is violated."""
+    """Alternate simplex and separation until no bicut is violated or the
+    LP is not optimal; returns (last result, rounds)."""
     rounds = 0
     while True:
         rounds += 1
         result = simplex_solve(lp)
-        if result.status == "infeasible":
-            return None, rounds
-        if result.status == "unbounded":  # cannot happen with w >= 0, x >= 0
-            raise TheoremViolation("cutting-plane LP reported unbounded")
+        if result.status != "optimal":
+            return result, rounds
         known = {c.arcs for c in cut_rows}
         new = [cut for cut in _violated_bicuts(instance, result.x)
                if cut.arcs not in known]
@@ -356,68 +371,33 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
             return result, rounds
         for cut in new:
             # Cut validity: genuinely violated at the iterate that produced it.
-            assert sum((result.x[a] for a in cut.arcs), ZERO) < 1
+            if sum((result.x[a] for a in cut.arcs), ZERO) >= 1:
+                raise TheoremViolation("separated bicut is not violated",
+                                       payload={"U": cut.U, "x": result.x})
             cut_rows.append(cut)
             lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
 
 
 def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
-    """Row generation over the degree + bicut + box system; integral vertex out."""
+    """Row generation over the degree + bicut + box system.
+
+    The final x violates no bicut, so it is a vertex of the b-bibranching
+    polytope, which is integral; ``zero_one_vertex`` holds it to that.
+    """
     lp = _build_degree_lp(instance, boxed=True)
     cut_rows: list[Bicut] = []
     result, rounds = _solve_with_cuts(instance, lp, cut_rows)
-    if result is None:
+    if result.status == "infeasible":
         raise InfeasibleInstance("cutting-plane LP infeasible")
-
-    fallback = False
-    if not all(is_integral(v) for v in result.x):
-        # The polytope corollary says this never happens; branch and bound is
-        # a defect-signal fallback, not a routine code path.
-        fallback = True
-        result, rounds_bb = _branch_and_bound(instance, cut_rows)
-        rounds += rounds_bb
-        if result is None:
-            raise InfeasibleInstance("branch-and-bound found no integral point")
-
-    arcs = frozenset(a for a in range(instance.digraph.num_arcs()) if result.x[a] == 1)
+    x = zero_one_vertex(lp, result)
+    arcs = frozenset(a for a, val in enumerate(x) if val)
     solution = Solution(arcs, result.objective, bibranching_report(instance, arcs))
     # Row order of _build_degree_lp, then the bicut rows in order added.
     keys = [("v", v) for view in (instance, instance.mirror) for v in sorted(view.T)]
     keys += [("U", cut.U) for cut in cut_rows]
     duals = dict(zip(keys, result.row_duals))
     return CuttingPlaneResult(solution, result.x, result.objective, cut_rows,
-                              rounds, fallback, duals)
-
-
-def _branch_and_bound(instance: Instance, cut_rows: list):
-    """Exact 0/1 branch and bound over the cutting-plane LP (fallback path)."""
-    best = None
-    rounds_total = 0
-    stack = [dict()]
-    while stack:
-        fixing = stack.pop()
-        lp = _build_degree_lp(instance, boxed=True)
-        for a, val in fixing.items():
-            lp.set_bounds(a, val, val)
-        local_cuts = list(cut_rows)
-        for cut in local_cuts:
-            lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
-        result, rounds = _solve_with_cuts(instance, lp, local_cuts)
-        known = {c.arcs for c in cut_rows}
-        cut_rows += [cut for cut in local_cuts if cut.arcs not in known]
-        rounds_total += rounds
-        if result is None:
-            continue
-        if best is not None and result.objective >= best.objective:
-            continue
-        frac = [a for a in range(instance.digraph.num_arcs())
-                if not is_integral(result.x[a])]
-        if not frac:
-            best = result
-            continue
-        stack.append({**fixing, frac[0]: ONE})
-        stack.append({**fixing, frac[0]: ZERO})
-    return best, rounds_total
+                              rounds, row_duals=duals)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +525,9 @@ def tdi_spot_check(instance: Instance) -> dict:
         if not frac:
             y = {family[j]: result.x[j] for j in range(len(family)) if result.x[j] != 0}
             dual = DualSolution(y, result.objective)
-            assert dual_feasible(instance, dual)
+            if not dual_feasible(instance, dual):
+                raise TheoremViolation("integral dual point is not dual feasible",
+                                       payload={"lp": dump_lp(lp), "x": result.x})
             return {"status": "ok", "found": True, "primal": primal,
                     "dual": dual, "nodes": nodes}
         j = frac[0]

@@ -20,7 +20,7 @@ class PartitionMatroid:
         self.caps = dict(caps)
         for v in digraph.vertices:
             c = self.caps.get(v)
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise InputError("partition cap for %r must be a nonnegative integer" % (v,))
 
     def independent(self, B: Iterable[int]) -> bool:
@@ -187,8 +187,9 @@ def split_into_b_branchings(digraph: Digraph, b: dict[str, int],
     return rec(0)
 
 
-def weighted_matroid_intersection(m1, m2, weights, r: int, sense: str = "min"):
-    """Optimal common independent set of size exactly r, or None if infeasible.
+def weighted_matroid_intersection(m1, m2, weights, r: int):
+    """Minimum-weight common independent set of size exactly r, or None if
+    infeasible.
 
     Shortest augmenting paths in the exchange graph, with (cost, #arcs,
     lexicographic) tie-breaking for determinism.  m1 and m2 expose
@@ -196,12 +197,8 @@ def weighted_matroid_intersection(m1, m2, weights, r: int, sense: str = "min"):
     """
     if r < 0:
         raise InputError("target size must be nonnegative")
-    if sense not in ("min", "max"):
-        raise InputError("sense must be 'min' or 'max'")
     ground = sorted(m1.digraph.all_arcs)
     w = {a: weights[a] for a in ground}
-    if sense == "max":
-        w = {a: -w[a] for a in ground}
 
     current: set[int] = set()
     while len(current) < r:
@@ -270,9 +267,9 @@ def min_weight_b_branching_exact_indegrees(digraph: Digraph, b: dict[str, int],
     b = check_capacities(digraph, b)
     for v in digraph.vertices:
         tv = t.get(v, 0)
-        if not isinstance(tv, int) or tv < 0 or tv > b[v]:
+        if type(tv) is not int or tv < 0 or tv > b[v]:
             raise InputError("prescribed indegree t(%r) must lie in [0, b(%r)]" % (v, v))
     m1 = PartitionMatroid(digraph, {v: t.get(v, 0) for v in digraph.vertices})
     m2 = SparsityMatroid(digraph, b)
     r = sum(t.get(v, 0) for v in digraph.vertices)
-    return weighted_matroid_intersection(m1, m2, weights, r, "min")
+    return weighted_matroid_intersection(m1, m2, weights, r)

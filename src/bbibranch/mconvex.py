@@ -199,7 +199,9 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
         raise TheoremViolation("exchange lemma produced no valid reassignment",
                                payload={"case": case, "s": s, "t": t_vertex})
     B1p, B2p = found
-    assert B1p | B2p == B1 | B2 and B1p & B2p == shared
+    if B1p | B2p != B1 | B2 or B1p & B2p != shared:
+        raise TheoremViolation("exchange lemma changed the union or intersection",
+                               payload={"case": case, "s": s, "B1": B1p, "B2": B2p})
     return B1p, B2p, case
 
 
@@ -306,7 +308,9 @@ def solve_mflow(instance: Instance) -> Solution:
     z_S, z_T = boundaries()
     val_T = oracle_T.eval_g_witness(z_T)
     val_S = oracle_S.eval_g_witness(z_S)
-    assert val_T is not None and val_S is not None
+    if val_T is None or val_S is None:
+        raise TheoremViolation("final boundary has no completing branchings",
+                               payload={"z_S": z_S, "z_T": z_T})
     support = frozenset(a for a in H if xi[a])
     arcs_out = (support
                 | frozenset(map_T[i] for i in val_T[1])

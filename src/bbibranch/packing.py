@@ -18,8 +18,8 @@ from typing import Iterable, Optional
 from .bibranching import Instance, is_b_bibranching, subgraph
 from .digraph import Digraph, check_capacities
 from .errors import GuardError, InputError, TheoremViolation
-from .lpsolve import (RationalLP, all_bicuts, dump_lp, min_bicut_candidates,
-                      simplex_solve)
+from .lpsolve import (RationalLP, all_bicuts, min_bicut_candidates, simplex_solve,
+                      zero_one_vertex)
 from .matroids import split_into_b_branchings
 from .rationals import Q
 
@@ -49,14 +49,10 @@ def packing_number(instance: Instance) -> MinMaxWitness:
         min((len(view.digraph.in_arcs(v)) // view.b[v], v) for v in view.T)
         for view in (instance, instance.mirror))
     ones = [1] * instance.digraph.num_arcs()
-    bicut_best = None
-    for value, bicut in min_bicut_candidates(instance, ones):
-        entry = (int(value), tuple(sorted(bicut.U)))
-        if bicut_best is None or entry < bicut_best[:2]:
-            bicut_best = entry + (bicut.U,)
-    assert bicut_best is not None
-    bicut_min = bicut_best[0]
-    return MinMaxWitness(t_min, t_arg, s_min, s_arg, bicut_min, bicut_best[2],
+    bicut_min, _, bicut_U = min(
+        (int(value), sorted(bicut.U), bicut.U)
+        for value, bicut in min_bicut_candidates(instance, ones))
+    return MinMaxWitness(t_min, t_arg, s_min, s_arg, bicut_min, bicut_U,
                          min(t_min, s_min, bicut_min))
 
 
@@ -118,7 +114,6 @@ def cut_family(instance: Instance, side: int, k: int,
 class GPolymatroidSystem:
     """Explicit inequality rows over the ground cross arcs for one side."""
 
-    side: int
     k: int
     var_arcs: list[int]
     rows: list[tuple[dict[int, int], str, int, str]] = field(default_factory=list)
@@ -153,7 +148,7 @@ def build_system(instance: Instance, side: int, k: int,
     """
     view = instance if side == 1 else instance.mirror
     ground = frozenset(instance.cross_arcs() if ground is None else ground)
-    system = GPolymatroidSystem(side, k, sorted(ground))
+    system = GPolymatroidSystem(k, sorted(ground))
     for C, gC in cut_family(instance, side, k, ground).items():
         coeffs = {a: 1 for a in C}
         tag = "cut[%s]" % ",".join(str(a) for a in sorted(C))
@@ -196,8 +191,8 @@ def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
     """The 0/1 vertex minimizing y(arcs) subject to lower <= y(a) <= upper
     for bounds[a] = (lower, upper) and rows (coeffs by arc, rel, rhs).
 
-    A non-optimal status or a fractional vertex is a hard failure carrying
-    the dumped LP, since every caller's row system is an integer polyhedron.
+    Every caller's row system is an integer polyhedron, so the vertex is
+    checked by ``zero_one_vertex``.
     """
     col = {a: j for j, a in enumerate(arcs)}
     lp = RationalLP(len(arcs), [1] * len(arcs), "min")
@@ -205,15 +200,7 @@ def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
         lp.set_bounds(col[a], *bounds[a])
     for coeffs, rel, rhs in rows:
         lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
-    result = simplex_solve(lp)
-    if result.status != "optimal":
-        raise TheoremViolation("row system LP unexpectedly %s" % result.status,
-                               payload={"lp": dump_lp(lp)})
-    point = {a: result.x[col[a]] for a in arcs}
-    if any(val not in (0, 1) for val in point.values()):
-        raise TheoremViolation("vertex of the system intersection is fractional",
-                               payload={"lp": dump_lp(lp), "x": point})
-    return {a: int(point[a]) for a in arcs}
+    return dict(zip(arcs, zero_one_vertex(lp, simplex_solve(lp))))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +317,7 @@ def pack_prescribed_b_branchings(digraph: Digraph, b: dict[str, int],
     for bj in prescriptions:
         for v in digraph.vertices:
             val = bj.get(v, 0)
-            if not isinstance(val, int) or val < 0 or val > b[v]:
+            if type(val) is not int or val < 0 or val > b[v]:
                 raise InputError("prescription values must lie in [0, b(v)]")
     hypothesis = [j for j, bj in enumerate(prescriptions)
                   if all(bj.get(v, 0) == b[v] for v in digraph.vertices)]
@@ -445,7 +432,7 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     arcs = list(range(D.num_arcs()))
     x = [x[a] for a in arcs]
     for a, val in enumerate(x):
-        if not isinstance(val, int) or val < 0 or val > k:
+        if type(val) is not int or val < 0 or val > k:
             raise InputError("x(%d) must be an integer in [0, k]" % a)
     rows = [(view.digraph.in_arcs(v), view.b[v],
              "scaled %s row fails at %s" % (name, v))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbibranch import bibranching
 from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    brute_force_shortest,
                                    check_alternative_description,
@@ -221,9 +222,10 @@ class TestBruteForce:
             else:
                 assert sol.weight == best
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(bibranching, "BRUTE_FORCE_ARC_LIMIT", 0)
         with pytest.raises(GuardError):
-            brute_force_shortest(one_arc_instance(), arc_limit=0)
+            brute_force_shortest(one_arc_instance())
 
 
 class TestFeasibility:

@@ -56,6 +56,16 @@ class TestInstanceFormat:
         with pytest.raises(InputError):
             load_instance_data(doc)
 
+    def test_bool_capacity_rejected(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["vertices"][1]["b"] = True
+        with pytest.raises(InputError, match="capacity b\\('t'\\)"):
+            load_instance_data(doc)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
     def test_schema_violations_rejected(self):
         with pytest.raises(InputError):
             load_instance_data([])
@@ -103,6 +113,33 @@ class TestSolveCommand:
         assert report["result"] == {
             "message": "optima disagree",
             "payload": {"values": ["1/3", 2], "set": ["s", "t"]}}
+
+    def test_fractional_lp_vertex_is_a_theorem_violation(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # On two parallel arcs s -> t the LP optimum 1 is also reached at
+        # x = (1/2, 1/2).  The integrality theorem rules out such a final
+        # vertex, so it is reported with the LP and x, never repaired.
+        original = lpsolve.simplex_solve
+        faked = []
+
+        def half_vertex(lp):
+            result = original(lp)
+            if result.status == "optimal" and not faked:
+                faked.append(lp)
+                result.x = [Fraction(1, 2), Fraction(1, 2)]
+            return result
+
+        monkeypatch.setattr(lpsolve, "simplex_solve", half_vertex)
+        doc = {"vertices": ONE_ARC["vertices"],
+               "arcs": [{"tail": "s", "head": "t", "weight": 1}] * 2}
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path), "--method", "lp"]) == EXIT_THEOREM
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "theorem_violation"
+        payload = report["result"]["payload"]
+        assert payload["x"] == ["1/2", "1/2"]
+        assert payload["lp"] == lpsolve.dump_lp(faked[0])
 
     @pytest.mark.parametrize("method", ["auto", "lp", "mflow"])
     def test_feasibility_checked_once(self, tmp_path, capsys, monkeypatch,
@@ -200,6 +237,17 @@ class TestCheckCommand:
         assert out.returncode == EXIT_OK, out.stdout + out.stderr
         report = json.loads(out.stdout)
         assert report["result"]["passed"] is True
+
+    @pytest.mark.parametrize("what", ["mconvex", "exchange"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_must_be_positive(self, tmp_path, capsys, what, trials):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(ONE_ARC))
+        code = cli.main(["check", "--what", what, "--trials", trials, str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == "input error: --trials must be at least 1\n"
 
     def test_tdi_on_infeasible_instance_reports_witness(self, tmp_path, capsys):
         # u has no in-arc, so even the unboxed degree + bicut LP is infeasible.

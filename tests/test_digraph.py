@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbibranch.digraph import (Bipartition, Digraph, UnboundedFlow,
-                               check_capacities, max_flow_min_cut)
+from bbibranch.bibranching import Instance
+from bbibranch.digraph import (Digraph, UnboundedFlow, check_capacities,
+                               max_flow_min_cut)
 from bbibranch.errors import InputError
 from bbibranch.rationals import Q
 
@@ -126,20 +127,22 @@ class TestStrongComponents:
 
 
 class TestBipartition:
+    """The side checks of ``Instance``, which run before the capacities."""
+
     def test_rejects_t_to_s_arc(self):
         D = Digraph(["s", "t"], [("t", "s")])
-        with pytest.raises(InputError):
-            Bipartition(D, {"s": "S", "t": "T"})
+        with pytest.raises(InputError, match="arc 0 goes from T to S: t -> s"):
+            Instance(D, {"s": "S", "t": "T"}, {}, [1])
 
     def test_rejects_empty_side(self):
-        D = Digraph(["s", "u"], [])
-        with pytest.raises(InputError):
-            Bipartition(D, {"s": "S", "u": "S"})
+        D = Digraph(["s", "u"], [("u", "s")])
+        with pytest.raises(InputError, match="both sides .* must be nonempty"):
+            Instance(D, {"s": "S", "u": "S"}, {}, [1])
 
     def test_rejects_missing_side(self):
-        D = Digraph(["s", "t"], [])
-        with pytest.raises(InputError):
-            Bipartition(D, {"s": "S"})
+        D = Digraph(["s", "t"], [("t", "s")])
+        with pytest.raises(InputError, match="vertex 't' must be assigned"):
+            Instance(D, {"s": "S"}, {}, [1])
 
 
 class TestCapacities:

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from bbibranch import lpsolve
 from bbibranch.bibranching import brute_force_shortest, feasibility_witness
-from bbibranch.errors import InputError
-from bbibranch.lpsolve import (DualSolution, RationalLP, all_bicuts, dump_lp,
-                               dual_feasible, min_bicut_candidates, simplex_solve,
-                               solve_primal_cutting_plane, tdi_spot_check)
+from bbibranch.errors import InputError, TheoremViolation
+from bbibranch.lpsolve import (DualSolution, RationalLP, SimplexResult, all_bicuts,
+                               dump_lp, dual_feasible, min_bicut_candidates,
+                               simplex_solve, solve_primal_cutting_plane,
+                               tdi_spot_check, zero_one_vertex)
 from bbibranch.rationals import Q, is_integral
 
 from conftest import one_arc_instance, random_instance, random_lp
@@ -204,7 +205,6 @@ class TestCuttingPlane:
     def test_one_arc(self):
         res = solve_primal_cutting_plane(one_arc_instance())
         assert res.solution.weight == 5
-        assert not res.fallback_triggered
 
     def test_matches_brute_force_and_stays_integral(self):
         rng = random.Random(33)
@@ -215,11 +215,26 @@ class TestCuttingPlane:
             if feasibility_witness(inst) is not None:
                 continue
             res = solve_primal_cutting_plane(inst)
-            assert not res.fallback_triggered
             assert all(is_integral(v) for v in res.x)
             assert res.solution.weight == brute_force_shortest(inst).weight
             solved += 1
         assert solved >= 5
+
+    def test_zero_one_vertex_guard(self):
+        lp = RationalLP(2, [1, 1], "min")
+        lp.add_row({0: 1, 1: 1}, ">=", 1)
+        lp.set_bounds(0, 0, 1)
+        lp.set_bounds(1, 0, 1)
+        x = zero_one_vertex(lp, simplex_solve(lp))
+        assert x == [1, 0] and all(type(v) is int for v in x)
+        half = SimplexResult("optimal", [Q(1, 2), Q(1, 2)], Q(1))
+        with pytest.raises(TheoremViolation) as exc:
+            zero_one_vertex(lp, half)
+        assert exc.value.payload == {"lp": dump_lp(lp), "x": half.x}
+        lp.add_row({0: 1, 1: 1}, "<=", 0)
+        with pytest.raises(TheoremViolation) as exc:
+            zero_one_vertex(lp, simplex_solve(lp))
+        assert exc.value.payload == {"lp": dump_lp(lp)}
 
     def test_row_duals_are_nonnegative_and_complete(self):
         # The boxed LP's covering rows all have >= sense, so their duals are

@@ -171,19 +171,12 @@ class TestWeightedIntersection:
             for r in range(0, m + 1):
                 of_size = [B for B in commons if len(B) == r]
                 best = min((sum(w[a] for a in B) for B in of_size), default=None)
-                got = weighted_matroid_intersection(m1, m2, w, r, "min")
+                got = weighted_matroid_intersection(m1, m2, w, r)
                 if best is None:
                     assert got is None
                 else:
                     assert got is not None and len(got) == r
                     assert sum(w[a] for a in got) == best
-
-    def test_max_sense(self):
-        D = Digraph(["a", "b"], [("a", "b"), ("a", "b")])
-        m1 = PartitionMatroid(D, {"a": 1, "b": 1})
-        m2 = SparsityMatroid(D, {"a": 1, "b": 1})
-        got = weighted_matroid_intersection(m1, m2, [3, 7], 1, "max")
-        assert got == frozenset({1})
 
     def test_invalid_args(self):
         D = Digraph(["a"], [])
@@ -191,8 +184,6 @@ class TestWeightedIntersection:
         m2 = SparsityMatroid(D, {"a": 1})
         with pytest.raises(InputError):
             weighted_matroid_intersection(m1, m2, [], -1)
-        with pytest.raises(InputError):
-            weighted_matroid_intersection(m1, m2, [], 0, "best")
 
 
 class TestExactIndegrees:

@@ -160,7 +160,7 @@ class TestIntegralPoint:
 
     def test_check_point_across_denominators(self):
         # Tight and violated rows and a bound, over mixed denominators.
-        system = GPolymatroidSystem(1, 2, [0, 1, 2], [
+        system = GPolymatroidSystem(2, [0, 1, 2], [
             ({0: 1, 1: 1}, "<=", 1, "r0"), ({1: 1, 2: 1}, ">=", 1, "r1"),
             ({0: 2, 2: 1}, "<=", 1, "r2")])
         assert system.check_point({0: Q(1, 2), 1: Q(1, 3), 2: Q(2, 3)}) == ["r2"]
