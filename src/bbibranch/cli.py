@@ -241,7 +241,8 @@ def _check_mconvex(instance, rng, trials):
                                "counterexample": _jsonable(counterexample)}
             done += 1
         if done == 0:
-            return True, {"note": "no domain points sampled for %s" % kind}
+            raise GuardError("no domain points sampled for %s in %d attempts"
+                             % (kind, attempts))
     return True, {"trials": trials}
 
 
@@ -306,6 +307,8 @@ def _check_exchange(instance, rng, trials):
         if not degrees_ok:
             return False, dict(failure, stage="degrees")
         done += 1
+    if done == 0:
+        raise GuardError("no pair of b-branchings sampled in %d attempts" % attempts)
     return True, {"trials": done, "cases": cases}
 
 

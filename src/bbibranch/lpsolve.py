@@ -286,15 +286,16 @@ def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicu
     base_arcs = [(D.tail(a), D.head(a), x[a].numerator * (L // x[a].denominator))
                  for a in range(D.num_arcs())]
     nodes = list(D.vertices)
+    source, sink = ("source",), ("sink",)  # tuples, so no vertex id equals them
 
     for t in sorted(instance.T):
-        net = base_arcs + [("src*", s, None) for s in sorted(instance.S)]
-        value, side = max_flow_min_cut(nodes + ["src*"], net, "src*", t)
+        net = base_arcs + [(source, s, None) for s in sorted(instance.S)]
+        value, side = max_flow_min_cut(nodes + [source], net, source, t)
         U = frozenset(v for v in D.vertices if v not in side)
         results.append((rat(Q(value, L)), Bicut(U, D.in_cut(D.all_arcs, U))))
     for s in sorted(instance.S):
-        net = base_arcs + [(v, "snk*", None) for v in sorted(instance.T)]
-        value, side = max_flow_min_cut(nodes + ["snk*"], net, s, "snk*")
+        net = base_arcs + [(v, sink, None) for v in sorted(instance.T)]
+        value, side = max_flow_min_cut(nodes + [sink], net, s, sink)
         U = frozenset(v for v in D.vertices if v not in side)
         results.append((rat(Q(value, L)), Bicut(U, D.in_cut(D.all_arcs, U))))
     return results

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .bibranching import Instance, is_b_bibranching, subgraph
-from .digraph import Digraph, check_capacities
+from .digraph import Digraph, check_capacities, max_flow_min_cut
 from .errors import GuardError, InputError, TheoremViolation
 from .lpsolve import (RationalLP, all_bicuts, min_bicut_candidates, simplex_solve,
                       zero_one_vertex)
@@ -207,47 +207,58 @@ def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
 # Coloring the cross arcs
 # ---------------------------------------------------------------------------
 
-def _partition_requirements(instance: Instance, k: int):
-    """The coloring conditions at k: cut rows (side, C, g(C)) and degree
-    caps (view digraph, v, cap, name) on T and, as the mirror's T, on S."""
-    cuts = [(side, C, gC) for side in (1, 2)
-            for C, gC in cut_family(instance, side, k).items()]
-    caps = [(view.digraph, v,
-             len(view.digraph.in_arcs(v)) - (k - 1) * view.b[v], name)
-            for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))
-            for v in view.T]
-    return cuts, caps
+def cut_condition_failure(digraph: Digraph, groups) -> Optional[frozenset[str]]:
+    """A nonempty X with rho(X) < #{j : X misses groups[j]}, or None.
 
-
-def _first_violation(requirements, classes: list[frozenset[int]]) -> Optional[str]:
-    """None when the classes meet the requirements, else a failure tag."""
-    cuts, caps = requirements
-    for side, C, gC in cuts:
-        hit = sum(1 for H_j in classes if C & H_j)
-        if hit < gC:
-            return "side %d cut %s hit by %d < g = %d" % (side, sorted(C), hit, gC)
-    for H_j in classes:
-        for D, v, cap, name in caps:
-            if D.in_degree(H_j, v) > cap:
-                return "%s cap at %s" % (name, v)
+    Arcs get capacity 1, a root an arc of capacity 1 to a tuple node per
+    group, and that node uncapacitated arcs to the group.  A least root-v
+    cut costs rho(X) + #{j : X meets groups[j]} over the X holding v, so
+    the condition holds iff every v takes len(groups) units (Frank,
+    Connections in Combinatorial Optimization, 2011, ch. 10).
+    """
+    root = ("root",)
+    nodes = [root, *digraph.vertices] + [("group", j) for j in range(len(groups))]
+    arcs = [(tail, head, 1) for tail, head in digraph.arcs]
+    for j, group in enumerate(groups):
+        arcs.append((root, ("group", j), 1))
+        arcs += [(("group", j), v, None) for v in sorted(group)]
+    for v in sorted(digraph.vertices):
+        value, side = max_flow_min_cut(nodes, arcs, root, v)
+        if value < len(groups):
+            return frozenset(digraph.vertices) - side
     return None
 
 
 def _partition_conditions(instance: Instance, k: int,
                           classes: list[frozenset[int]]) -> Optional[str]:
-    """None when the three partition conditions hold, else a failure tag."""
-    return _first_violation(_partition_requirements(instance, k), classes)
+    """None when the coloring conditions hold, else a failure tag: on each
+    side d^-_{A[T]}(U) >= #{j : no arc of H_j enters U} for nonempty U
+    within T (side 2 on the mirror), and each class within the degree caps."""
+    views = (instance, instance.mirror)
+    cross = instance.cross_arcs()
+    for side, view in enumerate(views, 1):
+        D = view.digraph
+        U = cut_condition_failure(subgraph(D, view.T)[0],
+                                  [{D.head(a) for a in H_j & cross} for H_j in classes])
+        if U is not None:
+            return "side %d cut condition fails at U = %s" % (side, sorted(U))
+    for H_j in classes:
+        for view, name in zip(views, ("indegree", "outdegree")):
+            D = view.digraph
+            for v in view.T:
+                if D.in_degree(H_j, v) > len(D.in_arcs(v)) - (k - 1) * view.b[v]:
+                    return "%s cap at %s" % (name, v)
+    return None
 
 
 def _exhaustive_partition(instance: Instance, k: int) -> Optional[list[frozenset[int]]]:
     H = sorted(instance.cross_arcs())
     if k ** len(H) > EXHAUSTIVE_PARTITION_LIMIT:
         raise GuardError("exhaustive cross-arc partition search too large")
-    requirements = _partition_requirements(instance, k)
     for labels in itertools.product(range(k), repeat=len(H)):
         classes = [frozenset(a for a, lab in zip(H, labels) if lab == j)
                    for j in range(k)]
-        if _first_violation(requirements, classes) is None:
+        if _partition_conditions(instance, k, classes) is None:
             return classes
     return None
 
@@ -326,21 +337,10 @@ def pack_prescribed_b_branchings(digraph: Digraph, b: dict[str, int],
         if len(digraph.in_arcs(v)) < sum(bj.get(v, 0) for bj in prescriptions):
             return PrescribedPackingResult(
                 None, {"condition": "degree", "vertex": v}, hypothesis)
-    if len(digraph.vertices) > FAMILY_SIDE_LIMIT:
-        raise GuardError("cut condition check limited to %d vertices"
-                         % FAMILY_SIDE_LIMIT)
-    verts = sorted(digraph.vertices)
-    for r in range(1, len(verts) + 1):
-        for combo in itertools.combinations(verts, r):
-            X = frozenset(combo)
-            bX = sum(b[v] for v in X)
-            tight = sum(1 for bj in prescriptions
-                        if sum(bj.get(v, 0) for v in X) == bX)
-            cut = (len(digraph.in_cut(digraph.all_arcs, X))
-                   if len(X) < len(verts) else 0)
-            if cut < tight:
-                return PrescribedPackingResult(
-                    None, {"condition": "cut", "set": X}, hypothesis)
+    X = cut_condition_failure(digraph, [{v for v in b if bj.get(v, 0) < b[v]}
+                                        for bj in prescriptions])
+    if X is not None:
+        return PrescribedPackingResult(None, {"condition": "cut", "set": X}, hypothesis)
 
     if digraph.num_arcs() > PRESCRIBED_ARC_LIMIT:
         raise GuardError("prescribed packing search limited to %d arcs"
@@ -424,7 +424,8 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     <= y(a) <= min(1, x(a)) and need(R) <= y(R) <= x(R) - (j-1) need(R), so
     x - y stays in the (j-1)-dilated polytope (Baum and Trotter, SIAM J.
     Alg. Disc. Meth. 1981).  Each arc a lies in exactly x(a) of the classes,
-    returned in peel order.
+    returned in peel order.  The bicuts are enumerated, so a side of more
+    than FAMILY_SIDE_LIMIT vertices raises GuardError.
     """
     D = instance.digraph
     if k < 1:
@@ -434,6 +435,9 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     for a, val in enumerate(x):
         if type(val) is not int or val < 0 or val > k:
             raise InputError("x(%d) must be an integer in [0, k]" % a)
+    if max(len(instance.S), len(instance.T)) > FAMILY_SIDE_LIMIT:
+        raise GuardError("bicut enumeration limited to %d vertices a side"
+                         % FAMILY_SIDE_LIMIT)
     rows = [(view.digraph.in_arcs(v), view.b[v],
              "scaled %s row fails at %s" % (name, v))
             for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))

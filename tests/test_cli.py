@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbibranch import bibranching, cli, lpsolve, mconvex
+from bbibranch import bibranching, cli, lpsolve, mconvex, packing
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data,
                            serialize_instance)
@@ -227,6 +227,41 @@ class TestPackCommands:
         assert sorted(report["result"]["classes"]) == [[0], [1]]
 
 
+def _special_id_doc(ids):
+    """S vertex ids[0] and T vertices ids[1], ids[2], packing number 2."""
+    s, t, x = ids
+    return {"vertices": [{"id": v, "side": "S" if v == s else "T", "b": 1}
+                         for v in ids],
+            "arcs": [{"tail": tail, "head": head, "weight": w}
+                     for (tail, head), w in zip(
+                         [(s, t), (s, t), (s, x), (t, x), (x, t)],
+                         [3, 1, 4, 1, 5])]}
+
+
+class TestVertexIds:
+    # The max-flow networks add nodes of their own; a vertex may carry any
+    # string id, including "src*" and "snk*".  Each renamed copy keeps the
+    # sorted order of the ids, so its report is the same up to the name.
+    @pytest.mark.parametrize("ids, renamed", [
+        (("s", "src*", "x"), "sr"), (("snk*", "t", "x"), "sn")])
+    @pytest.mark.parametrize("command", [
+        ("solve",), ("solve", "--method", "lp"), ("packing-number",),
+        ("pack",), ("check", "--what", "idp")])
+    def test_reports_match_a_renamed_copy(self, tmp_path, capsys, ids,
+                                          renamed, command):
+        name = next(v for v in ids if v.endswith("*"))
+        results = []
+        for doc_ids in (ids, tuple(renamed if v == name else v for v in ids)):
+            path = tmp_path / "i.json"
+            path.write_text(json.dumps(_special_id_doc(doc_ids)))
+            code = cli.main([command[0], str(path), *command[1:]])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK, captured.err
+            results.append(json.dumps(json.loads(captured.out)["result"],
+                                      sort_keys=True))
+        assert results[0].replace(name, renamed) == results[1]
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("what", ["tdi", "mconvex", "exchange", "idp"])
     def test_checks_pass_on_small_instance(self, tmp_path, what):
@@ -274,6 +309,49 @@ class TestCheckCommand:
         assert code == EXIT_GUARD
         assert captured.out == ""
         assert "integral-dual search limited to 0 nodes" in captured.err
+
+    def test_exchange_that_samples_nothing_is_a_guard(self, tmp_path, capsys):
+        # With no arcs every b-branching is empty, so no pair has a vertex
+        # with d_B1 < d_B2 and nothing is checked.
+        doc = {"vertices": ONE_ARC["vertices"], "arcs": []}
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "exchange", "--trials", "3",
+                         str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_GUARD
+        assert captured.out == ""
+        assert "no pair of b-branchings sampled in 150 attempts" in captured.err
+
+    def test_mconvex_that_samples_nothing_is_a_guard(self, tmp_path, capsys):
+        # With no arcs f(x) is finite only at x = b; on eight vertices a
+        # random pair lands there with probability 3^-16.
+        doc = {"vertices": [{"id": "v%d" % i, "side": "S" if i < 4 else "T",
+                             "b": 1} for i in range(8)],
+               "arcs": []}
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "mconvex", "--trials", "3",
+                         str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_GUARD
+        assert captured.out == ""
+        assert "no domain points sampled for f in 150 attempts" in captured.err
+
+    def test_idp_side_size_is_a_guard(self, tmp_path, capsys, monkeypatch):
+        # integer_decomposition_check enumerates every bicut.
+        monkeypatch.setattr(packing, "FAMILY_SIDE_LIMIT", 1)
+        doc = {"vertices": ONE_ARC["vertices"] + [{"id": "u", "side": "T",
+                                                    "b": 1}],
+               "arcs": ONE_ARC["arcs"] + [{"tail": "s", "head": "u",
+                                           "weight": 1}]}
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "idp", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_GUARD
+        assert captured.out == ""
+        assert "bicut enumeration limited to 1 vertices a side" in captured.err
 
     def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
                                             monkeypatch):

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbibranch import packing
 from bbibranch.bibranching import (Instance, feasibility_witness,
                                    is_b_bibranching)
 from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
-from bbibranch.errors import InputError
+from bbibranch.errors import GuardError, InputError
 from bbibranch.matroids import is_b_branching
-from bbibranch.packing import (GPolymatroidSystem, build_system, cut_family,
+from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
+                               build_system, cut_condition_failure, cut_family,
                                find_integral_point,
                                integer_decomposition_check,
                                pack_b_bibranchings,
@@ -193,6 +195,58 @@ class TestIntegralPoint:
         assert done >= 10
 
 
+def subset_cut_violations(D, groups):
+    """Every nonempty X with rho(X) < #{j : X misses groups[j]}, by
+    enumeration of all vertex subsets."""
+    found = set()
+    for r in range(1, len(D.vertices) + 1):
+        for X in map(frozenset, itertools.combinations(D.vertices, r)):
+            rho = sum(1 for tail, head in D.arcs if head in X and tail not in X)
+            if rho < sum(1 for group in groups if not X & group):
+                found.add(X)
+    return found
+
+
+class TestCutCondition:
+    def test_matches_subset_oracle(self):
+        rng = random.Random(53)
+        outcomes = set()
+        for _ in range(300):
+            D, _, _ = random_digraph(rng, rng.randint(1, 5),
+                                     rng.uniform(0.1, 0.7), 1)
+            groups = [frozenset(v for v in D.vertices if rng.random() < 0.4)
+                      for _ in range(rng.randint(0, 3))]
+            violations = subset_cut_violations(D, groups)
+            X = cut_condition_failure(D, groups)
+            assert (X is None) == (not violations)
+            if X is not None:
+                assert X in violations
+            outcomes.add(X is None)
+        assert outcomes == {True, False}
+
+    def test_vertex_ids_never_meet_network_nodes(self):
+        # Ids that read like the extra nodes' names stay plain vertices.
+        D = Digraph(["root", "group"], [("root", "group")])
+        assert cut_condition_failure(D, [{"root"}]) is None
+        assert cut_condition_failure(D, [{"group"}]) == frozenset({"root"})
+
+
+def cut_family_rule(inst, k, classes):
+    """The coloring conditions as cut-family rows: every member C of each
+    side's family is hit by at least g(C) classes, plus the degree caps."""
+    for side in (1, 2):
+        for C, gC in cut_family(inst, side, k).items():
+            if sum(1 for H_j in classes if C & H_j) < gC:
+                return False
+    for view in (inst, inst.mirror):
+        D = view.digraph
+        for H_j in classes:
+            for v in view.T:
+                if D.in_degree(H_j, v) > len(D.in_arcs(v)) - (k - 1) * view.b[v]:
+                    return False
+    return True
+
+
 class TestPartition:
     def test_k1_returns_all_cross_arcs(self):
         inst = one_arc_instance()
@@ -209,9 +263,23 @@ class TestPartition:
         with pytest.raises(InputError):
             partition_cross_arcs(inst, 2, packing_number(inst))
 
-    def test_random_partitions_meet_conditions(self):
-        from bbibranch.packing import _partition_conditions
+    def test_conditions_match_cut_family_rows(self):
+        rng = random.Random(54)
+        outcomes = set()
+        for _ in range(300):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                   rng.uniform(0.3, 0.8), 2, 3, max_arcs=12,
+                                   extra_cross=rng.randint(0, 4))
+            k = rng.randint(1, 3)
+            labels = {a: rng.randrange(k) for a in sorted(inst.cross_arcs())}
+            classes = [frozenset(a for a, j in labels.items() if j == i)
+                       for i in range(k)]
+            expected = cut_family_rule(inst, k, classes)
+            assert (_partition_conditions(inst, k, classes) is None) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
+    def test_random_partitions_meet_conditions(self):
         rng = random.Random(47)
         done = 0
         for _ in range(25):
@@ -282,6 +350,35 @@ class TestPrescribedPacking:
                     assert is_b_branching(D, b, c)
                     assert all(D.in_degree(c, v) == pj[v] for v in D.vertices)
             done += 1
+
+    def test_cut_condition_past_thirteen_vertices(self):
+        # A bidirected path on 13 vertices with one prescription rooted at
+        # v00: only the path directed away from v00 fits.
+        ids = ["v%02d" % i for i in range(13)]
+        arcs = list(zip(ids, ids[1:])) + list(zip(ids[1:], ids))
+        D = Digraph(ids, arcs)
+        b = {v: 1 for v in ids}
+        prescription = {v: int(v != "v00") for v in ids}
+        res = pack_prescribed_b_branchings(D, b, [prescription])
+        assert res.branchings == [frozenset(range(12))]
+        assert is_b_branching(D, b, res.branchings[0])
+
+    def test_reported_cut_set_violates(self):
+        rng = random.Random(55)
+        found = 0
+        for _ in range(400):
+            D, b, _ = random_digraph(rng, rng.randint(2, 5), 0.8, 2)
+            prescriptions = [{v: rng.randint(0, b[v]) for v in D.vertices}
+                             for _ in range(rng.randint(1, 3))]
+            res = pack_prescribed_b_branchings(D, b, prescriptions)
+            if res.failed_condition is None or \
+                    res.failed_condition["condition"] != "cut":
+                continue
+            X = res.failed_condition["set"]
+            tight = sum(1 for bj in prescriptions if all(bj[v] == b[v] for v in X))
+            assert X and sum(1 for t, h in D.arcs if h in X and t not in X) < tight
+            found += 1
+        assert found >= 5
 
     def test_hypothesis_violation_reported(self):
         D = Digraph(["a", "t"], [("a", "t")])
@@ -394,6 +491,17 @@ class TestIntegerDecomposition:
         assert len(classes) == 2
         for a in (0, 1):
             assert sum(1 for c in classes if a in c) == 2
+
+    def test_side_size_guard_follows_input_checks(self, monkeypatch):
+        # The bicut rows are enumerated, so a side over the limit refuses.
+        monkeypatch.setattr(packing, "FAMILY_SIDE_LIMIT", 1)
+        D = Digraph(["s", "t0", "t1"], [("s", "t0"), ("s", "t1")])
+        inst = Instance(D, {"s": "S", "t0": "T", "t1": "T"},
+                        {"s": 1, "t0": 1, "t1": 1}, [1, 1])
+        with pytest.raises(InputError, match="x\\(0\\)"):
+            integer_decomposition_check(inst, 1, [2, 1])
+        with pytest.raises(GuardError, match="limited to 1 vertices"):
+            integer_decomposition_check(inst, 1, [1, 1])
 
     def test_precondition_failure_names_row(self):
         inst = one_arc_instance()
