@@ -226,6 +226,7 @@ def _check_mconvex(instance, rng, trials):
 
     oracle = BBranchingOracle(instance.digraph, instance.b, instance.weights)
     vertices = instance.digraph.vertices
+    checked = {}
     for kind, evaluator in (("f", oracle.eval_f), ("g", oracle.eval_g)):
         done = 0
         attempts = 0
@@ -243,7 +244,8 @@ def _check_mconvex(instance, rng, trials):
         if done == 0:
             raise GuardError("no domain points sampled for %s in %d attempts"
                              % (kind, attempts))
-    return True, {"trials": trials}
+        checked[kind] = done
+    return True, {"trials": checked}
 
 
 def _random_b_branching(rng, digraph, b):

@@ -32,6 +32,20 @@ class PartitionMatroid:
                 return False
         return True
 
+    def circuits(self, I: Iterable[int], outside: Iterable[int]):
+        """For each y in outside: None when I + y is independent, else the
+        arcs x of I with I - x + y independent, which are the arcs of I at
+        head(y).  I must be independent."""
+        at: dict[str, list[int]] = {}
+        for x in I:
+            at.setdefault(self.digraph.head(x), []).append(x)
+        result = {}
+        for y in outside:
+            head = self.digraph.head(y)
+            same = at.get(head, ())
+            result[y] = None if len(same) < self.caps[head] else frozenset(same)
+        return result
+
 
 class SparsityMatroid:
     """Independence: |B[X]| <= b(X) - 1 for every nonempty vertex set X.
@@ -59,35 +73,72 @@ class SparsityMatroid:
         """None when B is independent, else a nonempty X with |B[X]| >= b(X)."""
         B = self.digraph.check_arcset(B)
         if B not in self._memo:
-            self._memo[B] = _pebble_game(self.digraph, self.b, B)
+            self._memo[B] = _pebble_game(self.digraph, self.b, B)[0]
         return self._memo[B]
 
     def independent(self, B: Iterable[int]) -> bool:
         return self.violation_witness(B) is None
 
+    def circuits(self, I: Iterable[int], outside: Iterable[int]):
+        """For each y in outside: None when I + y is independent, else the
+        arcs x of I with I - x + y independent.  I must be independent.
 
-def _pebble_game(digraph: Digraph, b: dict[str, int],
-                 B: frozenset[int]) -> Optional[frozenset[str]]:
+        I is oriented once by the pebble game.  For y = uw, when u and w
+        cannot gather two free pebbles, free(u) + free(w) = 1 and the reach
+        set R of {u, w} is tight with no oriented arc leaving it.  Every
+        tight X holding u and w has free(X) + out(X) = 1, so out(X) = 0 and
+        X contains R: R is the least tight set holding u and w, and the
+        circuit of I + y is y plus I[R].  Pebble moves keep the orientation
+        valid, so it serves every y.
+        """
+        arcs = self.digraph.arcs
+        I = self.digraph.check_arcset(I)
+        witness, free, out = _pebble_game(self.digraph, self.b, I)
+        if witness is not None:
+            raise InputError("circuits need an independent set")
+        result = {}
+        for y in outside:
+            reach = _gather_two_pebbles(*arcs[y], free, out)
+            result[y] = None if reach is None else frozenset(
+                x for x in I if arcs[x][0] in reach and arcs[x][1] in reach)
+        return result
+
+
+def _pebble_game(digraph: Digraph, b: dict[str, int], B: frozenset[int]):
     """Insert the arcs of B in index order, direction ignored.
 
-    When the endpoints u, w of an arc cannot gather two free pebbles, every
-    vertex reachable from {u, w} along oriented arcs, other than u and w,
-    is out of pebbles, and no oriented arc leaves that reach set R.  Then
-    b(R) - |B[R]| <= free(u) + free(w) - 1 <= 0, and R is returned.
+    Returns (R, free, out).  R is the reach set of the first arc whose
+    endpoints cannot gather two free pebbles; then b(R) - |B[R]| <=
+    free(u) + free(w) - 1 <= 0.  R is None when every arc is accepted, and
+    free and out then hold an orientation of B.
     """
     free = dict(b)
     out: dict[str, list[str]] = {v: [] for v in digraph.vertices}
     for a in sorted(B):
         u, w = digraph.arcs[a]
-        while free[u] + free[w] < 2:
-            reach_u = _fetch_pebble(u, w, free, out)
-            if reach_u is not None:
-                reach_w = _fetch_pebble(w, u, free, out)
-                if reach_w is not None:
-                    return frozenset(reach_u).union(reach_w)
+        reach = _gather_two_pebbles(u, w, free, out)
+        if reach is not None:
+            return reach, free, out
         payer, other = (u, w) if free[u] else (w, u)
         free[payer] -= 1
         out[payer].append(other)
+    return None, free, out
+
+
+def _gather_two_pebbles(u: str, w: str, free: dict[str, int],
+                        out: dict[str, list[str]]) -> Optional[frozenset[str]]:
+    """Move free pebbles to u and w until they hold two; None on success.
+
+    On failure every vertex reachable from {u, w} along oriented arcs,
+    other than u and w, is out of pebbles, and no oriented arc leaves that
+    reach set, which is returned.
+    """
+    while free[u] + free[w] < 2:
+        reach_u = _fetch_pebble(u, w, free, out)
+        if reach_u is not None:
+            reach_w = _fetch_pebble(w, u, free, out)
+            if reach_w is not None:
+                return frozenset(reach_u).union(reach_w)
     return None
 
 
@@ -193,7 +244,8 @@ def weighted_matroid_intersection(m1, m2, weights, r: int):
 
     Shortest augmenting paths in the exchange graph, with (cost, #arcs,
     lexicographic) tie-breaking for determinism.  m1 and m2 expose
-    independent(); the ground set is the digraph's arc index range.
+    circuits(I, outside), from which each exchange graph is built; the
+    ground set is the digraph's arc index range.
     """
     if r < 0:
         raise InputError("target size must be nonnegative")
@@ -212,29 +264,31 @@ def weighted_matroid_intersection(m1, m2, weights, r: int):
 def _augmenting_path(m1, m2, ground, current, w):
     """Min-cost, then fewest-arcs, then lexicographically least augmenting path."""
     frozen = frozenset(current)
+    inside = sorted(frozen)
     outside = [y for y in ground if y not in frozen]
-    sources = [y for y in outside if m1.independent(frozen | {y})]
-    sinks = {y for y in outside if m2.independent(frozen | {y})}
+    circuits1 = m1.circuits(frozen, outside)
+    sources = [y for y in outside if circuits1[y] is None]
     if not sources:
         return None
+    circuits2 = m2.circuits(frozen, outside)
+    sinks = {y for y in outside if circuits2[y] is None}
 
-    succ: dict[int, list[int]] = {a: [] for a in ground}
-    for x in sorted(frozen):
-        base = frozen - {x}
-        for y in outside:
-            swapped = base | {y}
-            if m1.independent(swapped):
-                succ[x].append(y)
-            if m2.independent(swapped):
-                succ[y].append(x)
+    # x -> y when I - x + y is independent in m1, y -> x when in m2; with
+    # I + y independent that holds for every x.
+    succ: dict[int, list[int]] = {}
+    for x in inside:
+        succ[x] = [y for y in outside
+                   if circuits1[y] is None or x in circuits1[y]]
+    for y in outside:
+        succ[y] = [x for x in inside
+                   if circuits2[y] is None or x in circuits2[y]]
 
-    def node_cost(e: int):
-        return -w[e] if e in frozen else w[e]
+    node_cost = {e: -w[e] if e in frozen else w[e] for e in ground}
 
     # Bellman-Ford on (cost, length, path) labels; paths are short here.
     best: dict[int, tuple] = {}
     for y in sorted(sources):
-        label = (node_cost(y), 1, (y,))
+        label = (node_cost[y], 1, (y,))
         if y not in best or label < best[y]:
             best[y] = label
     for _ in range(len(ground)):
@@ -244,7 +298,7 @@ def _augmenting_path(m1, m2, ground, current, w):
             for v in succ[u]:
                 if v in path:
                     continue
-                label = (cost + node_cost(v), length + 1, path + (v,))
+                label = (cost + node_cost[v], length + 1, path + (v,))
                 if v not in best or label < best[v]:
                     best[v] = label
                     changed = True

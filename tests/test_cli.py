@@ -1,6 +1,7 @@
 """Command-line surface: file formats, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            serialize_instance)
 from bbibranch.errors import InputError, TheoremViolation
 
-from conftest import one_arc_instance
+from conftest import digest_draws, one_arc_instance
 
 ONE_ARC = {
     "vertices": [
@@ -337,6 +338,19 @@ class TestCheckCommand:
         assert code == EXIT_GUARD
         assert captured.out == ""
         assert "no domain points sampled for f in 150 attempts" in captured.err
+
+    def test_mconvex_reports_pairs_checked_per_function(self, tmp_path,
+                                                       capsys):
+        # On digest draw i01 the sampling of f stops after 150 attempts
+        # with two pairs, while g finds all three.
+        instance = next(itertools.islice(digest_draws(), 1, None))
+        path = tmp_path / "i01.json"
+        path.write_text(json.dumps(serialize_instance(instance)))
+        code = cli.main(["check", "--what", "mconvex", "--trials", "3",
+                         "--seed", "0", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert report["result"]["detail"] == {"trials": {"f": 2, "g": 3}}
 
     def test_idp_side_size_is_a_guard(self, tmp_path, capsys, monkeypatch):
         # integer_decomposition_check enumerates every bicut.

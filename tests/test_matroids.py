@@ -19,6 +19,25 @@ from conftest import (all_subsets, oracle_b_branchings, oracle_is_branching,
                       oracle_sparsity_independent, random_digraph)
 
 
+def _draw_capped_digraph(data, max_arcs):
+    """(D, b, t): n <= 5, b <= 3 and caps t <= b.  Endpoint pairs are drawn
+    with repetition, so parallel and antiparallel arcs occur."""
+    n = data.draw(st.integers(2, 5), label="n")
+    ids = ["v%d" % i for i in range(n)]
+    b = {v: data.draw(st.integers(1, 3), label="b(%s)" % v) for v in ids}
+    t = {v: data.draw(st.integers(0, b[v]), label="t(%s)" % v) for v in ids}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    arcs = [(ids[tail], ids[(tail + step) % n])
+            for tail, step in data.draw(st.lists(pairs, min_size=1,
+                                                 max_size=max_arcs),
+                                        label="arcs")]
+    return Digraph(ids, arcs), b, t
+
+
+def _within_caps(D, caps, B):
+    return all(D.in_degree(B, v) <= caps[v] for v in D.vertices)
+
+
 class TestPartitionMatroid:
     def test_caps_respected(self):
         D = Digraph(["a", "b"], [("a", "b"), ("a", "b")])
@@ -86,6 +105,61 @@ class TestSparsityMatroid:
             assert witness
             inside = len(D.induced_arcs(B, witness))
             assert inside >= sum(b[v] for v in witness)
+
+
+class TestCircuits:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_circuits_match_exchange_oracle(self, data):
+        # I grows greedily along a drawn order of the arcs, so it is a
+        # common independent set and often a maximal one.
+        D, b, t = _draw_capped_digraph(data, 10)
+        order = data.draw(st.permutations(range(D.num_arcs())), label="order")
+        I = frozenset()
+        for a in order:
+            grown = I | {a}
+            if (_within_caps(D, t, grown)
+                    and oracle_sparsity_independent(D, b, grown)):
+                I = grown
+        outside = [y for y in range(D.num_arcs()) if y not in I]
+        for matroid, independent in (
+                (PartitionMatroid(D, t), lambda B: _within_caps(D, t, B)),
+                (SparsityMatroid(D, b),
+                 lambda B: oracle_sparsity_independent(D, b, B))):
+            circuits = matroid.circuits(I, outside)
+            assert sorted(circuits) == outside
+            for y in outside:
+                if independent(I | {y}):
+                    assert circuits[y] is None
+                else:
+                    assert circuits[y] == {x for x in I
+                                           if independent(I - {x} | {y})}
+
+    def test_sparsity_circuits_need_an_independent_set(self):
+        D = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
+        with pytest.raises(InputError):
+            SparsityMatroid(D, {"u": 1, "v": 1}).circuits({0, 1}, [])
+
+    def test_exact_indegrees_make_no_independence_query(self, monkeypatch):
+        # The exchange graphs come from circuits alone.
+        calls = []
+        witness = SparsityMatroid.violation_witness
+
+        def counting(self, B):
+            calls.append(B)
+            return witness(self, B)
+
+        monkeypatch.setattr(SparsityMatroid, "violation_witness", counting)
+        D = Digraph(["a", "b", "c", "d"],
+                    [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"),
+                     ("c", "d"), ("d", "b"), ("b", "d"), ("a", "d")])
+        b = {"a": 1, "b": 2, "c": 1, "d": 2}
+        t = {"a": 0, "b": 2, "c": 1, "d": 2}
+        got = min_weight_b_branching_exact_indegrees(
+            D, b, [3, 1, 4, 1, 5, 9, 2, 6], t)
+        assert got is not None and len(got) == 5
+        assert calls == []
 
 
 class TestBBranching:
@@ -177,6 +251,27 @@ class TestWeightedIntersection:
                 else:
                     assert got is not None and len(got) == r
                     assert sum(w[a] for a in got) == best
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_matches_brute_force_with_parallel_arcs(self, data):
+        D, b, t = _draw_capped_digraph(data, 7)
+        m = D.num_arcs()
+        w = [data.draw(st.integers(-3, 9), label="w%d" % a) for a in range(m)]
+        m1 = PartitionMatroid(D, t)
+        m2 = SparsityMatroid(D, b)
+        commons = [B for B in all_subsets(m) if _within_caps(D, t, B)
+                   and oracle_sparsity_independent(D, b, B)]
+        for r in range(m + 1):
+            best = min((sum(w[a] for a in B) for B in commons if len(B) == r),
+                       default=None)
+            got = weighted_matroid_intersection(m1, m2, w, r)
+            if best is None:
+                assert got is None
+            else:
+                assert got in commons and len(got) == r
+                assert sum(w[a] for a in got) == best
 
     def test_invalid_args(self):
         D = Digraph(["a"], [])

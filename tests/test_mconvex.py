@@ -9,6 +9,7 @@ from bbibranch import mconvex
 from bbibranch.bibranching import brute_force_shortest, feasibility_witness
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InfeasibleInstance, InputError
+from bbibranch.lpsolve import solve_primal_cutting_plane
 from bbibranch.matroids import is_b_branching
 from bbibranch.mconvex import (BBranchingOracle, check_mnat_exchange,
                                exchange_b_branchings, solve_mflow,
@@ -275,6 +276,18 @@ class TestSolveMflow:
             assert all(entry["ok"] for entry in sol.certificate.values())
             solved += 1
         assert solved >= 8
+
+    @pytest.mark.parametrize("shape,seed,m", [((4, 9, 0.25), 8, 39),
+                                              ((5, 11, 0.2), 2, 40),
+                                              ((6, 14, 0.15), 16, 52)])
+    def test_agrees_with_lp_at_medium_size(self, shape, seed, m):
+        # Weights only: at m = 52 the two routes pick different optima.
+        nS, nT, density = shape
+        inst = random_instance(random.Random(seed), nS, nT, density, 2, 50,
+                               max_arcs=1000)
+        assert inst.digraph.num_arcs() == m
+        expected = solve_primal_cutting_plane(inst).solution.weight
+        assert solve_mflow(inst).weight == expected
 
     def test_oracle_calls_per_round(self, monkeypatch):
         # Each round reads one move table per side: g(z) and g(z - chi_p +
