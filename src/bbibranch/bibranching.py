@@ -249,30 +249,28 @@ def require_feasible(instance: Instance) -> None:
 def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
     """Optimal b-bibranching via the LP route, the submodular-flow route, or both.
 
-    Feasibility is checked once: by solve_mflow when the submodular-flow
-    route runs (first, for the auto cross-check), else by require_feasible.
+    ``auto`` solves the LP and, up to CROSS_CHECK_ARC_LIMIT arcs, cross-checks
+    its weight with solve_mflow started at the LP optimum: one cancel round
+    that finds no negative cycle when the LP answer is optimal, and a
+    TheoremViolation when the two weights differ.  Feasibility is checked
+    once: by solve_mflow for ``mflow``, else by require_feasible first.
     """
     if method not in ("lp", "mflow", "brute", "auto"):
         raise InputError("unknown method %r" % (method,))
 
     from . import lpsolve, mconvex  # local import: those modules use Instance
 
-    cross_check = (method == "auto"
-                   and instance.digraph.num_arcs() <= CROSS_CHECK_ARC_LIMIT)
-    if method == "mflow" or cross_check:
-        other = mconvex.solve_mflow(instance)
-    else:
-        require_feasible(instance)
+    if method == "mflow":
+        return mconvex.solve_mflow(instance)
+    require_feasible(instance)
     if method == "brute":
-        solution = brute_force_shortest(instance)
-    elif method == "mflow":
-        solution = other
-    else:
-        solution = lpsolve.solve_primal_cutting_plane(instance).solution
-        if cross_check:
-            if other.weight != solution.weight:
-                raise TheoremViolation(
-                    "LP and submodular-flow optima disagree: %s vs %s"
-                    % (solution.weight, other.weight))
-            solution.certificate["cross_check"] = "mflow agrees"
+        return brute_force_shortest(instance)
+    solution = lpsolve.solve_primal_cutting_plane(instance).solution
+    if method == "auto" and instance.digraph.num_arcs() <= CROSS_CHECK_ARC_LIMIT:
+        other = mconvex.solve_mflow(instance, start=solution.arcs)
+        if other.weight != solution.weight:
+            raise TheoremViolation(
+                "LP and submodular-flow optima disagree: %s vs %s"
+                % (solution.weight, other.weight))
+        solution.certificate["cross_check"] = "mflow agrees"
     return solution

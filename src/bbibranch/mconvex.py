@@ -218,11 +218,13 @@ def side_oracle(instance: Instance) -> tuple[BBranchingOracle, list[int]]:
     return BBranchingOracle(d_T, b_T, w_T), arc_map
 
 
-def _move_table(oracle: BBranchingOracle, z: dict[str, int]) -> dict:
+def _move_table(oracle: BBranchingOracle, z: dict[str, int]) -> Optional[dict]:
     """cost[p, q] = g(z - chi_p + chi_q) - g(z) for p != q in sorted(z) +
     [None], with chi_None = 0 and cost[None, None] = 0; None encodes
-    +infinity."""
+    +infinity.  The table itself is None when g(z) = +infinity."""
     g0 = oracle.eval_g(z)
+    if g0 is None:
+        return None
     nodes = sorted(z) + [None]
     cost: dict = {(None, None): 0}
     for p in nodes:
@@ -247,7 +249,8 @@ class _AuxArc:
     flip: Optional[int]  # cross-arc index to toggle, None for oracle arcs
 
 
-def solve_mflow(instance: Instance) -> Solution:
+def solve_mflow(instance: Instance,
+                start: Optional[Iterable[int]] = None) -> Solution:
     """Shortest b-bibranching by negative-cycle canceling over cross-arc flows.
 
     The flow variable lives on the S-to-T arcs; ``side_oracle`` on the
@@ -257,15 +260,28 @@ def solve_mflow(instance: Instance) -> Solution:
     the null node None costs cost_S[p|S, q|S] + cost_T[q|T, p|T], where x|S
     is x for x in S and None otherwise (T counts are negated in the flow
     boundary, so the T table is read backwards).
-    Cancellation picks a negative cycle with the fewest arcs.
-    """
-    require_feasible(instance)
+    Cancellation picks a negative cycle with the fewest arcs, and stops when
+    none is left: then the flow is optimal.
 
+    Without ``start`` the flow starts at every cross arc, after the
+    feasibility check.  ``start`` must be a b-bibranching (not checked);
+    the flow then starts at its cross arcs, where both completions are
+    finite: a minimal b-bibranching inside ``start`` has a b|T-branching
+    and a b|S-cobranching as sides and a subset of ``start``'s cross arcs,
+    and g only falls as its argument grows.  Started at an optimum, the first round
+    finds no cycle.  A boundary with an infinite completion on either side
+    raises ``TheoremViolation``.
+    """
     D = instance.digraph
     H = sorted(instance.cross_arcs())
+    if start is None:
+        require_feasible(instance)
+        xi = {a: 1 for a in H}
+    else:
+        start = D.check_arcset(start)
+        xi = {a: int(a in start) for a in H}
     oracle_T, map_T = side_oracle(instance)
     oracle_S, map_S = side_oracle(instance.mirror)
-    xi = {a: 1 for a in H}
     nodes = sorted(instance.S) + sorted(instance.T) + [None]
     on_S = {p: p if p in instance.S else None for p in nodes}
     on_T = {p: p if p in instance.T else None for p in nodes}
@@ -283,6 +299,9 @@ def solve_mflow(instance: Instance) -> Solution:
         z_S, z_T = boundaries()
         cost_S = _move_table(oracle_S, z_S)
         cost_T = _move_table(oracle_T, z_T)
+        if cost_S is None or cost_T is None:
+            raise TheoremViolation("cross-arc boundary has no completing branchings",
+                                   payload={"z_S": z_S, "z_T": z_T})
         arcs: list[_AuxArc] = []
         for a in H:
             u, v = D.arcs[a]
@@ -305,12 +324,9 @@ def solve_mflow(instance: Instance) -> Solution:
             if arc.flip is not None:
                 xi[arc.flip] ^= 1
 
-    z_S, z_T = boundaries()
+    # The last round's boundaries, whose completions the round found finite.
     val_T = oracle_T.eval_g_witness(z_T)
     val_S = oracle_S.eval_g_witness(z_S)
-    if val_T is None or val_S is None:
-        raise TheoremViolation("final boundary has no completing branchings",
-                               payload={"z_S": z_S, "z_T": z_T})
     support = frozenset(a for a in H if xi[a])
     arcs_out = (support
                 | frozenset(map_T[i] for i in val_T[1])
@@ -323,7 +339,23 @@ def solve_mflow(instance: Instance) -> Solution:
 
 
 def _min_arc_negative_cycle(nodes, arcs):
-    """A negative cycle with the fewest arcs, deterministically chosen."""
+    """A negative cycle with the fewest arcs, deterministically chosen, or
+    None when there is no negative cycle."""
+    # Bellman-Ford from a virtual root with a 0-cost arc to every node
+    # decides first whether a negative cycle exists: without one, a
+    # shortest path from the root has at most len(nodes) - 1 further arcs,
+    # so one of the first len(nodes) passes changes nothing.
+    dist = {node: 0 for node in nodes}
+    for _ in range(len(nodes)):
+        changed = False
+        for arc in arcs:
+            d = dist[arc.tail] + arc.cost
+            if d < dist[arc.head]:
+                dist[arc.head] = d
+                changed = True
+        if not changed:
+            return None
+
     order = {node: i for i, node in enumerate(nodes)}
     out_arcs: dict = {node: [] for node in nodes}
     for arc in sorted(arcs, key=lambda t: (order[t.tail], order[t.head],

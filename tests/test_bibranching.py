@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbibranch import bibranching
+from bbibranch import bibranching, mconvex
 from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    brute_force_shortest,
                                    check_alternative_description,
@@ -240,18 +240,42 @@ class TestFeasibility:
         assert feasibility_witness(one_arc_instance()) is None
 
 
+def feasible_draws():
+    rng = random.Random(22)
+    for _ in range(20):
+        inst = random_instance(rng, rng.randint(1, 2), rng.randint(1, 3),
+                               0.6, 2, 9, max_arcs=10)
+        if feasibility_witness(inst) is None:
+            yield inst
+
+
 class TestSolveFrontEnd:
     def test_methods_agree(self):
-        rng = random.Random(22)
         solved = 0
-        for _ in range(20):
-            inst = random_instance(rng, rng.randint(1, 2), rng.randint(1, 3),
-                                   0.6, 2, 9, max_arcs=10)
-            if feasibility_witness(inst) is not None:
-                continue
+        for inst in feasible_draws():
             values = {method: solve_shortest(inst, method).weight
                       for method in ("brute", "lp", "mflow", "auto")}
             assert len(set(values.values())) == 1, values
+            solved += 1
+        assert solved > 0
+
+    def test_auto_cross_check_cancels_nothing(self, monkeypatch):
+        # Started at the LP optimum, the cross-check's first cycle search
+        # finds no negative cycle, so it is the only one.
+        results = []
+        find_cycle = mconvex._min_arc_negative_cycle
+
+        def recorded(nodes, arcs):
+            results.append(find_cycle(nodes, arcs))
+            return results[-1]
+
+        monkeypatch.setattr(mconvex, "_min_arc_negative_cycle", recorded)
+        solved = 0
+        for inst in feasible_draws():
+            assert inst.digraph.num_arcs() <= bibranching.CROSS_CHECK_ARC_LIMIT
+            results.clear()
+            solve_shortest(inst, "auto")
+            assert results == [None]
             solved += 1
         assert solved > 0
 

@@ -142,6 +142,33 @@ class TestSolveCommand:
         assert payload["x"] == ["1/2", "1/2"]
         assert payload["lp"] == lpsolve.dump_lp(faked[0])
 
+    def test_cross_check_catches_a_suboptimal_lp_answer(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # The cross-check starts at the LP answer; handed all arcs (weight
+        # 3) where one arc (weight 1) suffices, it cancels to the optimum.
+        original = lpsolve.solve_primal_cutting_plane
+
+        def all_arcs(instance):
+            result = original(instance)
+            arcs = instance.digraph.all_arcs
+            result.solution = bibranching.Solution(
+                arcs, instance.weight_of(arcs),
+                bibranching.bibranching_report(instance, arcs))
+            return result
+
+        monkeypatch.setattr(lpsolve, "solve_primal_cutting_plane", all_arcs)
+        doc = {"vertices": ONE_ARC["vertices"],
+               "arcs": [{"tail": "s", "head": "t", "weight": w} for w in (1, 2)]}
+        message = "LP and submodular-flow optima disagree: 3 vs 1"
+        with pytest.raises(TheoremViolation, match=message):
+            bibranching.solve_shortest(load_instance_data(doc), "auto")
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path)]) == EXIT_THEOREM
+        captured = capsys.readouterr()
+        assert captured.err == "theorem violation: %s\n" % message
+        assert json.loads(captured.out)["result"]["message"] == message
+
     @pytest.mark.parametrize("method", ["auto", "lp", "mflow"])
     def test_feasibility_checked_once(self, tmp_path, capsys, monkeypatch,
                                       method):

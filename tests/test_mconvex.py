@@ -2,16 +2,21 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbibranch import mconvex
-from bbibranch.bibranching import brute_force_shortest, feasibility_witness
+from bbibranch.bibranching import (Instance, brute_force_shortest,
+                                   feasibility_witness)
 from bbibranch.digraph import Digraph
-from bbibranch.errors import InfeasibleInstance, InputError
+from bbibranch.errors import InfeasibleInstance, InputError, TheoremViolation
 from bbibranch.lpsolve import solve_primal_cutting_plane
 from bbibranch.matroids import is_b_branching
-from bbibranch.mconvex import (BBranchingOracle, check_mnat_exchange,
+from bbibranch.mconvex import (BBranchingOracle, _AuxArc,
+                               _min_arc_negative_cycle, check_mnat_exchange,
                                exchange_b_branchings, solve_mflow,
                                two_partition)
 
@@ -257,7 +262,6 @@ class TestSolveMflow:
 
     def test_infeasible_raises(self):
         D = Digraph(["s", "t"], [])
-        from bbibranch.bibranching import Instance
         inst = Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1}, [])
         with pytest.raises(InfeasibleInstance,
                            match="condition t_reachable_from_s fails at t"):
@@ -276,6 +280,35 @@ class TestSolveMflow:
             assert all(entry["ok"] for entry in sol.certificate.values())
             solved += 1
         assert solved >= 8
+
+    def test_start_boundary_without_completion_is_a_theorem_violation(self):
+        # Started at one of two parallel arcs into t with b(t) = 2, the T
+        # side must supply one arc into t from A[T], which has none.
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        inst = Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 2}, [1, 1])
+        assert solve_mflow(inst).weight == 2
+        with pytest.raises(TheoremViolation,
+                           match="boundary has no completing branchings") as exc:
+            solve_mflow(inst, start={0})
+        assert exc.value.payload == {"z_S": {"s": 1}, "z_T": {"t": 1}}
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_warm_start_reaches_the_optimum(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        nS = data.draw(st.integers(1, 3), label="nS")
+        nT = data.draw(st.integers(1, 6 - nS), label="nT")
+        inst = random_instance(rng, nS, nT, rng.uniform(0.4, 0.9), 3, 4,
+                               max_arcs=14, extra_cross=rng.randint(0, 3))
+        if feasibility_witness(inst) is not None:
+            return
+        best = brute_force_shortest(inst)
+        extra = frozenset(a for a in inst.digraph.all_arcs if rng.random() < 0.5)
+        assert solve_mflow(inst).weight == best.weight
+        for start in (inst.digraph.all_arcs, best.arcs, best.arcs | extra):
+            sol = solve_mflow(inst, start=start)
+            assert sol.weight == best.weight
+            assert all(entry["ok"] for entry in sol.certificate.values())
 
     @pytest.mark.parametrize("shape,seed,m", [((4, 9, 0.25), 8, 39),
                                               ((5, 11, 0.2), 2, 40),
@@ -322,3 +355,64 @@ class TestSolveMflow:
             assert counts["eval_g"] <= counts["rounds"] * per_round + 2
             solved += 1
         assert solved >= 8
+
+
+def _walk_search_reference(nodes, arcs):
+    """The fewest-arcs walk search alone, as it ran before the Bellman-Ford
+    test for a negative cycle was put in front of it."""
+    order = {node: i for i, node in enumerate(nodes)}
+    out_arcs: dict = {node: [] for node in nodes}
+    for arc in sorted(arcs, key=lambda t: (order[t.tail], order[t.head],
+                                           t.flip if t.flip is not None else -1)):
+        out_arcs[arc.tail].append(arc)
+    walks = {start: {start: (0, ())} for start in nodes}
+    for length in range(1, len(nodes) + 1):
+        best = None
+        for start in nodes:
+            nxt: dict = {}
+            for u, (cost, trace) in walks[start].items():
+                for arc in out_arcs[u]:
+                    cand = (cost + arc.cost, trace + (arc,))
+                    if arc.head not in nxt or cand[0] < nxt[arc.head][0]:
+                        nxt[arc.head] = cand
+            walks[start] = nxt
+            if start in nxt and nxt[start][0] < 0:
+                cand = (nxt[start][0], order[start], nxt[start][1])
+                if best is None or cand[:2] < best[:2]:
+                    best = cand
+        if best is not None:
+            return list(best[2])
+    return None
+
+
+class TestNegativeCycle:
+    def test_matches_walk_search_reference(self):
+        rng = random.Random(69)
+        found = {True: 0, False: 0}
+        for trial in range(400):
+            nodes = ["p%d" % i for i in range(rng.randint(1, 6))] + [None]
+            # Nonnegative reduced costs under a potential: negative arcs and
+            # zero-cost cycles, but a negative cycle only where some arcs
+            # drop below their reduced cost (in half the trials).
+            pot = {p: rng.randint(-4, 4) for p in nodes}
+            dip = 0.3 if trial % 4 >= 2 else 0
+            arcs = []
+            for flip, (p, q) in enumerate(itertools.permutations(nodes, 2)):
+                if rng.random() > 0.5:
+                    continue
+                reduced = (Fraction(rng.randint(0, 9), 3) if trial % 2
+                           else rng.randint(0, 3))
+                cost = reduced + pot[p] - pot[q]
+                if rng.random() < dip:
+                    cost -= rng.randint(1, 3)
+                arcs.append(_AuxArc(p, q, cost, flip if rng.random() < 0.5 else None))
+                if rng.random() < 0.2:  # a parallel arc of equal cost
+                    arcs.append(_AuxArc(p, q, cost, None))
+            want = _walk_search_reference(nodes, arcs)
+            got = _min_arc_negative_cycle(nodes, arcs)
+            if want is None:
+                assert got is None
+            else:
+                assert [id(arc) for arc in got] == [id(arc) for arc in want]
+            found[want is not None] += 1
+        assert min(found.values()) >= 50
