@@ -194,20 +194,19 @@ def _check_tdi(instance, rng, trials):
     from .lpsolve import tdi_spot_check
 
     outcome = tdi_spot_check(instance)
-    passed = bool(outcome["found"])
-    dual = outcome.get("dual")
+    dual = outcome["dual"]
     detail = {
         "primal": rat_str(outcome["primal"]),
-        "nodes": outcome["nodes"],
-        "dual": None if dual is None else {
+        "bicut_rows": outcome["bicut_rows"],
+        "uncrossing_steps": outcome["uncrossing_steps"],
+        "dual": {
             "objective": rat_str(dual.objective),
             "y": {_dual_key_str(key): rat_str(val)
                   for key, val in sorted(dual.y.items(),
-                                         key=lambda kv: _dual_key_str(kv[0]))
-                  if val != 0},
+                                         key=lambda kv: _dual_key_str(kv[0]))},
         },
     }
-    return passed, detail
+    return outcome["found"], detail
 
 
 def _dual_key_str(key) -> str:

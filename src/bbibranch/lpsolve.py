@@ -4,8 +4,9 @@ A two-phase simplex with Bland's rule, exact throughout, on one
 fraction-free tableau that carries its reduced-cost rows through the
 pivots: every row is a list of Python ints over one positive row
 denominator; bicut separation by max-flow, the primal cutting plane for
-the shortest b-bibranching LP, and the desk-scale total-dual-integrality
-spot check.
+the shortest b-bibranching LP, and the total-dual-integrality check, which
+proves an integral optimal dual from the cutting plane's row duals
+(uncrossed and re-solved over a cross-free family when fractional).
 """
 
 from __future__ import annotations
@@ -18,12 +19,8 @@ from typing import Optional
 from .bibranching import (Instance, Solution, bibranching_report,
                           require_feasible)
 from .digraph import max_flow_min_cut
-from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
+from .errors import InfeasibleInstance, InputError, TheoremViolation
 from .rationals import ONE, Q, ZERO, is_integral, rat, rat_str
-
-TDI_VERTEX_LIMIT = 10
-TDI_NODE_LIMIT = 20000
-
 
 # ---------------------------------------------------------------------------
 # Exact simplex
@@ -379,6 +376,13 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
             lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
 
 
+def _row_keys(instance: Instance, cut_rows: list) -> list:
+    """Dual keys of the cutting-plane rows: the degree rows in the order of
+    ``_build_degree_lp``, then the bicut rows in the order added."""
+    keys = [("v", v) for view in (instance, instance.mirror) for v in sorted(view.T)]
+    return keys + [("U", cut.U) for cut in cut_rows]
+
+
 def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
     """Row generation over the degree + bicut + box system.
 
@@ -393,10 +397,7 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
     x = zero_one_vertex(lp, result)
     arcs = frozenset(a for a, val in enumerate(x) if val)
     solution = Solution(arcs, result.objective, bibranching_report(instance, arcs))
-    # Row order of _build_degree_lp, then the bicut rows in order added.
-    keys = [("v", v) for view in (instance, instance.mirror) for v in sorted(view.T)]
-    keys += [("U", cut.U) for cut in cut_rows]
-    duals = dict(zip(keys, result.row_duals))
+    duals = dict(zip(_row_keys(instance, cut_rows), result.row_duals))
     return CuttingPlaneResult(solution, result.x, result.objective, cut_rows,
                               rounds, row_duals=duals)
 
@@ -450,91 +451,87 @@ def _build_dual_lp(instance: Instance, family):
 
 def dual_feasible(instance: Instance, dual: DualSolution) -> bool:
     """Check y >= 0 and every arc-class dual constraint exactly."""
+    load = [ZERO] * instance.digraph.num_arcs()
     for key, val in dual.y.items():
         if val < 0:
             return False
-    for a in range(instance.digraph.num_arcs()):
-        total = 0
-        for key, val in dual.y.items():
-            if a in _dual_coverage(instance, key):
-                total += val
-        if total > instance.weights[a]:
-            return False
-    return True
+        for a in _dual_coverage(instance, key):
+            load[a] += val
+    return all(total <= w for total, w in zip(load, instance.weights))
 
 
-def _unboxed_primal_optimum(instance: Instance):
-    """Optimum of the degree + bicut system without the box (explicit rows)."""
-    lp = _build_degree_lp(instance, boxed=False)
-    seen = set()
-    for cut in all_bicuts(instance):
-        if cut.arcs not in seen:
-            seen.add(cut.arcs)
-            lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
-    result = simplex_solve(lp)
-    if result.status != "optimal":
-        return None
-    return result.objective
+def _uncross(instance: Instance, y: dict) -> tuple[dict, int]:
+    """Make the bicut support of y cross-free; returns (new y, steps).
+
+    While two support sets U, W cross (they meet, neither holds the other,
+    and U | W != V; a set inside T and one holding T never cross), move
+    eps = min(y_U, y_W) onto the bicuts U & W and U | W.  In-degree is
+    submodular, so no arc's dual constraint grows, and the objective stays.
+    Values stay multiples of 1/D, D the lcm of y's denominators, and each
+    step lowers sum y_U |U| |V - U| by 2 eps |U - W| |W - U| >= 2/D.
+    """
+    y, steps, n = dict(y), 0, len(instance.digraph.vertices)
+    while True:
+        support = [key[1] for key, val in y.items() if key[0] == "U" and val]
+        pair = next(((U, W) for U, W in combinations(support, 2)
+                     if U & W and not U <= W and not W <= U and len(U | W) < n),
+                    None)
+        if pair is None:
+            return y, steps
+        eps = min(y[("U", X)] for X in pair)
+        for X in pair:
+            y[("U", X)] -= eps
+        for X in (pair[0] & pair[1], pair[0] | pair[1]):
+            y[("U", X)] = y.get(("U", X), ZERO) + eps
+        steps += 1
 
 
 def tdi_spot_check(instance: Instance) -> dict:
-    """Search for an integral optimal dual matching the primal optimum exactly.
+    """Prove an integral optimal dual of the unboxed degree + bicut LP.
 
-    A 'found: False' outcome (the optimal dual face has no integral point)
-    is a reportable discrepancy with the total dual integrality theorem,
-    never silently accepted.  A search cut off after TDI_NODE_LIMIT nodes
-    decides nothing and raises GuardError.  An instance with no
-    b-bibranching raises InfeasibleInstance.
+    The cutting plane's final x violates no bicut, so its row duals y,
+    zero on every bicut never generated, are optimal over all bicuts once
+    they are dual feasible with objective equal to the LP value (weak
+    duality); an integral such y is the certificate.  A fractional y is
+    uncrossed, and the dual re-solved over the singletons and the
+    cross-free support, whose matrix is a network matrix: a fractional or
+    non-optimal vertex there raises ``TheoremViolation`` with LP and x.
+    Without the box x(a) may exceed 1, so an instance with no b-bibranching
+    can pass; ``require_feasible`` raises ``InfeasibleInstance`` only when
+    the unboxed LP itself is infeasible.
     """
-    if len(instance.digraph.vertices) > TDI_VERTEX_LIMIT:
-        raise GuardError("TDI spot check limited to %d vertices" % TDI_VERTEX_LIMIT)
     for w in instance.weights:
         if not is_integral(w):
             raise InputError("TDI spot check requires integer weights")
-
-    primal = _unboxed_primal_optimum(instance)
-    if primal is None:
+    lp = _build_degree_lp(instance, boxed=False)
+    cut_rows: list[Bicut] = []
+    result, _ = _solve_with_cuts(instance, lp, cut_rows)
+    if result.status != "optimal":
         # Dropping the box only relaxes the system, so the instance has no
         # b-bibranching and require_feasible raises with the failing condition.
         require_feasible(instance)
         raise TheoremViolation("unboxed LP infeasible on a feasible instance")
+    primal = result.objective
 
-    family = _dual_family(instance)
-    base_lp = _build_dual_lp(instance, family)
-    base = simplex_solve(base_lp)
-    if base.status != "optimal" or base.objective != primal:
-        raise TheoremViolation(
-            "strong duality failed: primal %s, dual %s"
-            % (rat_str(primal), "?" if base.objective is None else rat_str(base.objective)))
+    def certifies(y: dict) -> bool:
+        objective = sum((instance.b[key[1]] * val if key[0] == "v" else val
+                         for key, val in y.items()), ZERO)
+        return objective == primal and all(is_integral(v) for v in y.values()) \
+            and dual_feasible(instance, DualSolution(y, objective))
 
-    # Branch and bound over the optimal dual face for an integral point.
-    nodes = 0
-    stack: list[list[tuple[int, str, object]]] = [[]]
-    while stack:
-        extra = stack.pop()
-        nodes += 1
-        if nodes > TDI_NODE_LIMIT:
-            raise GuardError("TDI integral-dual search limited to %d nodes"
-                             % TDI_NODE_LIMIT)
-        lp = _build_dual_lp(instance, family)
-        for j, rel, bound in extra:
-            lp.add_row({j: ONE}, rel, bound)
-        result = simplex_solve(lp)
-        if result.status != "optimal" or result.objective < primal:
-            continue
-        frac = [j for j in range(len(family)) if not is_integral(result.x[j])]
-        if not frac:
-            y = {family[j]: result.x[j] for j in range(len(family)) if result.x[j] != 0}
-            dual = DualSolution(y, result.objective)
-            if not dual_feasible(instance, dual):
-                raise TheoremViolation("integral dual point is not dual feasible",
-                                       payload={"lp": dump_lp(lp), "x": result.x})
-            return {"status": "ok", "found": True, "primal": primal,
-                    "dual": dual, "nodes": nodes}
-        j = frac[0]
-        val = result.x[j]
-        floor_val = Q(val.numerator // val.denominator)
-        stack.append(extra + [(j, "<=", floor_val)])
-        stack.append(extra + [(j, ">=", floor_val + 1)])
-    return {"status": "face_has_no_integral_point", "found": False,
-            "primal": primal, "nodes": nodes}
+    keys = _row_keys(instance, cut_rows)
+    y = {key: val for key, val in zip(keys, result.row_duals) if val}
+    steps = 0
+    if not certifies(y):
+        y, steps = _uncross(instance, y)
+        family = keys[:len(instance.digraph.vertices)]  # the singletons
+        family += [key for key, val in y.items() if key[0] == "U" and val]
+        dual_lp = _build_dual_lp(instance, family)
+        res = simplex_solve(dual_lp)
+        y = {key: val for key, val in zip(family, res.x or ()) if val}
+        if res.status != "optimal" or not certifies(y):
+            raise TheoremViolation("cross-free dual LP has no integral optimum",
+                                   payload={"lp": dump_lp(dual_lp), "x": res.x})
+    return {"status": "ok", "found": True, "primal": primal,
+            "dual": DualSolution(y, primal), "bicut_rows": len(cut_rows),
+            "uncrossing_steps": steps}

@@ -117,6 +117,21 @@ def one_arc_instance(weight=5) -> Instance:
     return Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1}, [weight])
 
 
+def fractional_dual_instance() -> Instance:
+    """Twelve vertices, b = 1: the unboxed cutting plane's row duals are
+    fractional on two crossing T-sets (shrunk from a random medium draw)."""
+    S = ["s1", "s4", "s6"]
+    T = ["t2", "t3", "t4", "t7", "t9", "t10", "t12", "t13", "t14"]
+    arcs = [("s1", "t10", 4), ("s4", "t3", 0), ("s6", "t7", 3), ("s6", "t10", 2),
+            ("s6", "t14", 2), ("t2", "t9", 0), ("t2", "t12", 0), ("t3", "t4", 0),
+            ("t4", "t9", 3), ("t9", "t2", 0), ("t9", "t7", 0), ("t9", "t13", 0),
+            ("t12", "t14", 1), ("s1", "t13", 2)]
+    side = {v: "S" for v in S}
+    side.update({v: "T" for v in T})
+    return Instance(Digraph(S + T, [(u, v) for u, v, _ in arcs]), side,
+                    {v: 1 for v in side}, [w for _, _, w in arcs])
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

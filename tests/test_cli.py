@@ -15,7 +15,7 @@ from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            serialize_instance)
 from bbibranch.errors import InputError, TheoremViolation
 
-from conftest import digest_draws, one_arc_instance
+from conftest import digest_draws, fractional_dual_instance, one_arc_instance
 
 ONE_ARC = {
     "vertices": [
@@ -326,17 +326,30 @@ class TestCheckCommand:
         assert report["result"]["witness"] == {
             "condition": "t_reachable_from_s", "witness": "u"}
 
-    def test_tdi_node_limit_is_a_guard(self, tmp_path, capsys, monkeypatch):
-        # A search cut off at the node limit decides nothing: exit 4, not
-        # the theorem-violation exit 5.
-        monkeypatch.setattr(lpsolve, "TDI_NODE_LIMIT", 0)
+    def test_tdi_past_ten_vertices_uncrosses_a_fractional_dual(self, tmp_path,
+                                                                capsys):
         path = tmp_path / "i.json"
-        path.write_text(json.dumps(ONE_ARC))
+        path.write_text(json.dumps(serialize_instance(fractional_dual_instance())))
         code = cli.main(["check", "--what", "tdi", str(path)])
         captured = capsys.readouterr()
-        assert code == EXIT_GUARD
-        assert captured.out == ""
-        assert "integral-dual search limited to 0 nodes" in captured.err
+        assert code == EXIT_OK, captured.err
+        detail = json.loads(captured.out)["result"]["detail"]
+        assert detail["uncrossing_steps"] >= 1
+        assert detail["primal"] == detail["dual"]["objective"] == "8"
+        assert all("/" not in val for val in detail["dual"]["y"].values())
+
+    def test_tdi_passes_without_a_b_bibranching(self, tmp_path, capsys):
+        # b(s) = 2 with one arc: no b-bibranching, but the unboxed LP takes
+        # x = 2, so the check passes with primal 2 w.
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["vertices"][0]["b"] = 2
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "tdi", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert report["result"]["passed"] is True
+        assert report["result"]["detail"]["primal"] == "10"
 
     def test_exchange_that_samples_nothing_is_a_guard(self, tmp_path, capsys):
         # With no arcs every b-branching is empty, so no pair has a vertex

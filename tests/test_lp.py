@@ -8,15 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bbibranch import lpsolve
-from bbibranch.bibranching import brute_force_shortest, feasibility_witness
-from bbibranch.errors import InputError, TheoremViolation
+from bbibranch.bibranching import (brute_force_shortest, feasibility_witness,
+                                   solve_shortest)
+from bbibranch.errors import InfeasibleInstance, InputError, TheoremViolation
 from bbibranch.lpsolve import (DualSolution, RationalLP, SimplexResult, all_bicuts,
                                dump_lp, dual_feasible, min_bicut_candidates,
                                simplex_solve, solve_primal_cutting_plane,
                                tdi_spot_check, zero_one_vertex)
 from bbibranch.rationals import Q, is_integral
 
-from conftest import one_arc_instance, random_instance, random_lp
+from conftest import (digest_draws, fractional_dual_instance, one_arc_instance,
+                      random_instance, random_lp)
 
 
 class TestSimplex:
@@ -283,6 +285,112 @@ class TestTDI:
             assert dual_feasible(inst, dual)
             found += 1
         assert found >= 5
+
+    def test_fractional_cutting_plane_dual_is_uncrossed(self):
+        inst = fractional_dual_instance()
+        lp = lpsolve._build_degree_lp(inst, boxed=False)
+        result, _ = lpsolve._solve_with_cuts(inst, lp, [])
+        assert not all(is_integral(v) for v in result.row_duals)
+        out = tdi_spot_check(inst)
+        assert out["uncrossing_steps"] >= 1
+        assert out["primal"] == out["dual"].objective == 8
+        assert all(is_integral(v) for v in out["dual"].y.values())
+        assert dual_feasible(inst, out["dual"])
+
+    def test_uncrossing_synthetic_fractional_optima(self):
+        # The average of two optimal duals is optimal: the certificate and a
+        # vertex of the full dual LP, its family in either order.  Where the
+        # average is fractional, uncrossing must keep it optimal and
+        # feasible, and the dual over the cross-free support must have an
+        # integral optimum.
+        rng = random.Random(2)
+        draws = list(digest_draws())
+        for _ in range(100):
+            nS = rng.randint(1, 4)
+            draws.append(random_instance(rng, nS, rng.randint(1, 8 - nS),
+                                         rng.uniform(0.3, 0.9), 2, 9, max_arcs=16,
+                                         extra_cross=rng.randint(0, 3)))
+        kept = uncrossed = 0
+        for inst in draws:
+            try:
+                out = tdi_spot_check(inst)
+            except InfeasibleInstance:
+                continue
+            V = frozenset(inst.digraph.vertices)
+            family = lpsolve._dual_family(inst)
+            for order in (family, family[::-1]):
+                vertex = simplex_solve(lpsolve._build_dual_lp(inst, order))
+                avg = {key: val / 2 for key, val in out["dual"].y.items()}
+                for key, val in zip(order, vertex.x):
+                    avg[key] = avg.get(key, 0) + val / 2
+                if all(is_integral(v) for v in avg.values()):
+                    continue
+                kept += 1
+                y, steps = lpsolve._uncross(inst, avg)
+                uncrossed += steps > 0
+                support = [key[1] for key, val in y.items() if key[0] == "U" and val]
+                for U, W in itertools.combinations(support, 2):
+                    assert not (U & W and U - W and W - U and U | W != V)
+                objective = sum(inst.b[key[1]] * val if key[0] == "v" else val
+                                for key, val in y.items())
+                assert objective == out["primal"]
+                assert dual_feasible(inst, DualSolution(y, objective))
+                singletons = [("v", v) for v in sorted(V)]
+                res = simplex_solve(lpsolve._build_dual_lp(
+                    inst, singletons + [("U", U) for U in support]))
+                assert res.status == "optimal" and res.objective == out["primal"]
+                assert all(is_integral(v) for v in res.x)
+        assert kept >= 40 and uncrossed >= 5
+
+    def test_uncross_moves_only_crossing_pairs(self):
+        inst = random_instance(random.Random(0), 3, 3, 1.0, 1, 9)
+        V = frozenset(inst.digraph.vertices)
+        t01, t12 = frozenset({"t0", "t1"}), frozenset({"t1", "t2"})
+        # Complements {s0, s1} and {s2} are disjoint: the union is V, so the
+        # pair does not cross and must stay.
+        co01, co2 = V - {"s0", "s1"}, V - {"s2"}
+        y = {("U", t01): Q(1, 2), ("U", t12): Q(1), ("U", co01): Q(1),
+             ("U", co2): Q(1)}
+        out, steps = lpsolve._uncross(inst, y)
+        assert steps == 1
+        assert {key: val for key, val in out.items() if val} == {
+            ("U", t12): Q(1, 2), ("U", frozenset({"t1"})): Q(1, 2),
+            ("U", frozenset({"t0", "t1", "t2"})): Q(1, 2),
+            ("U", co01): Q(1), ("U", co2): Q(1)}
+
+    def test_certificate_equals_full_dual_optimum(self):
+        rng = random.Random(37)
+        checked = 0
+        for _ in range(60):
+            nS = rng.randint(1, 4)
+            inst = random_instance(rng, nS, rng.randint(1, 6 - nS),
+                                   rng.uniform(0.3, 0.9), 3, 9, max_arcs=14,
+                                   extra_cross=rng.randint(0, 2))
+            try:
+                out = tdi_spot_check(inst)
+            except InfeasibleInstance:
+                continue
+            full = simplex_solve(lpsolve._build_dual_lp(
+                inst, lpsolve._dual_family(inst)))
+            assert out["dual"].objective == full.objective
+            checked += 1
+        assert checked >= 20
+
+    def test_certificate_equals_lp_weight_at_medium_size(self):
+        # With b = 1 and nonnegative weights the box is redundant, so the
+        # unboxed optimum is the shortest b-bibranching's weight.
+        rng = random.Random(38)
+        checked = 0
+        for nS, nT in ((4, 12), (6, 18), (8, 24), (10, 30)):
+            inst = random_instance(rng, nS, nT, 0.15, 1, 50, max_arcs=1000,
+                                   extra_cross=nT)
+            if feasibility_witness(inst) is not None:
+                continue
+            out = tdi_spot_check(inst)
+            assert out["dual"].objective == solve_shortest(inst, "lp").weight
+            assert dual_feasible(inst, out["dual"])
+            checked += 1
+        assert checked >= 2
 
     def test_dual_feasibility_checker_rejects_bad_duals(self):
         inst = one_arc_instance()
