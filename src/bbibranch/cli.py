@@ -27,6 +27,10 @@ from .digraph import Digraph
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
 from .rationals import parse_rat, rat_str
 
+# Handlers import lpsolve, packing, mconvex and matroids locally: the first
+# three take about 25-30 ms to import (python -X importtime), against about
+# 0.1 s for the whole set-up (setup_s) of perfbench's solve-small workload.
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
@@ -191,7 +195,7 @@ def cmd_pack(args) -> int:
 
 
 def _check_tdi(instance, rng, trials):
-    from .lpsolve import tdi_spot_check
+    from .lpsolve import dual_key_str, tdi_spot_check
 
     outcome = tdi_spot_check(instance)
     dual = outcome["dual"]
@@ -201,19 +205,10 @@ def _check_tdi(instance, rng, trials):
         "uncrossing_steps": outcome["uncrossing_steps"],
         "dual": {
             "objective": rat_str(dual.objective),
-            "y": {_dual_key_str(key): rat_str(val)
-                  for key, val in sorted(dual.y.items(),
-                                         key=lambda kv: _dual_key_str(kv[0]))},
+            "y": {dual_key_str(key): rat_str(val) for key, val in dual.y.items()},
         },
     }
     return outcome["found"], detail
-
-
-def _dual_key_str(key) -> str:
-    kind, body = key
-    if kind == "v":
-        return "v:%s" % body
-    return "U:{%s}" % ",".join(sorted(body))
 
 
 def _random_degree_vector(rng, vertices, b):

@@ -4,9 +4,10 @@ A two-phase simplex with Bland's rule, exact throughout, on one
 fraction-free tableau that carries its reduced-cost rows through the
 pivots: every row is a list of Python ints over one positive row
 denominator; bicut separation by max-flow, the primal cutting plane for
-the shortest b-bibranching LP, and the total-dual-integrality check, which
-proves an integral optimal dual from the cutting plane's row duals
-(uncrossed and re-solved over a cross-free family when fractional).
+the shortest b-bibranching LP, proved optimal by its own row duals, and
+the total-dual-integrality check, which proves an integral optimal dual
+from those duals (uncrossed and re-solved over a cross-free family when
+fractional).
 """
 
 from __future__ import annotations
@@ -383,11 +384,41 @@ def _row_keys(instance: Instance, cut_rows: list) -> list:
     return keys + [("U", cut.U) for cut in cut_rows]
 
 
-def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
-    """Row generation over the degree + bicut + box system.
+def _dual_coverage(instance: Instance, key) -> frozenset[int]:
+    """Arcs whose dual constraint contains the variable y(key)."""
+    D, (kind, X) = instance.digraph, key
+    if kind == "v":
+        return frozenset(D.in_arcs(X) if X in instance.T else D.out_arcs(X))
+    return D.in_cut(D.all_arcs, X)
 
-    The final x violates no bicut, so it is a vertex of the b-bibranching
-    polytope, which is integral; ``zero_one_vertex`` holds it to that.
+
+def dual_bound(instance: Instance, y: dict):
+    """sum b(v) y_v + sum y_U - sum_a max(0, load(a) - w(a)), each row's arcs
+    read from the instance (``_dual_coverage``), not from an LP.  For y >= 0
+    the max terms complete y to a dual of the boxed LP over all bicuts, so
+    by weak duality no b-bibranching weighs less."""
+    load = [ZERO] * instance.digraph.num_arcs()
+    objective = ZERO
+    for key, val in y.items():
+        objective += instance.b[key[1]] * val if key[0] == "v" else val
+        for a in _dual_coverage(instance, key):
+            load[a] += val
+    return objective - sum((max(ZERO, total - w)
+                            for total, w in zip(load, instance.weights)), ZERO)
+
+
+def dual_key_str(key) -> str:
+    """A dual key as text, "v:<vertex>" or "U:{<sorted members>}"."""
+    return "v:%s" % key[1] if key[0] == "v" else "U:{%s}" % ",".join(sorted(key[1]))
+
+
+def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
+    """Row generation over the degree + bicut + box system, proved optimal.
+
+    The final x must be 0/1 (``zero_one_vertex``) and a b-bibranching, and
+    its row duals y, zero on bicuts never generated, nonnegative with
+    ``dual_bound`` equal to the LP value (``certificate["dual_bound"]``);
+    else ``TheoremViolation`` carries the LP, x, y and failed conditions.
     """
     lp = _build_degree_lp(instance, boxed=True)
     cut_rows: list[Bicut] = []
@@ -396,8 +427,18 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
         raise InfeasibleInstance("cutting-plane LP infeasible")
     x = zero_one_vertex(lp, result)
     arcs = frozenset(a for a, val in enumerate(x) if val)
-    solution = Solution(arcs, result.objective, bibranching_report(instance, arcs))
+    report = bibranching_report(instance, arcs)
+    failed = {c: entry for c, entry in report.items() if not entry["ok"]}
     duals = dict(zip(_row_keys(instance, cut_rows), result.row_duals))
+    bound = dual_bound(instance, duals)
+    if failed or bound != result.objective or min(duals.values()) < 0:
+        raise TheoremViolation(
+            "cutting-plane vertex is not a b-bibranching" if failed else
+            "dual bound %s does not certify the LP optimum %s"
+            % (rat_str(bound), rat_str(result.objective)),
+            payload={"lp": dump_lp(lp), "x": x, "failed": failed,
+                     "y": {dual_key_str(key): v for key, v in duals.items()}})
+    solution = Solution(arcs, result.objective, dict(report, dual_bound=bound))
     return CuttingPlaneResult(solution, result.x, result.objective, cut_rows,
                               rounds, row_duals=duals)
 
@@ -425,15 +466,6 @@ def _dual_family(instance: Instance):
         for combo in combinations(S_sorted, size):
             family.append(("U", frozenset(instance.T | (instance.S - frozenset(combo)))))
     return family
-
-
-def _dual_coverage(instance: Instance, key) -> frozenset[int]:
-    """Arcs whose dual constraint contains the variable y(key)."""
-    D = instance.digraph
-    if key[0] == "v":
-        v = key[1]
-        return frozenset(D.in_arcs(v)) if v in instance.T else frozenset(D.out_arcs(v))
-    return D.in_cut(D.all_arcs, key[1])
 
 
 def _build_dual_lp(instance: Instance, family):
@@ -514,10 +546,9 @@ def tdi_spot_check(instance: Instance) -> dict:
     primal = result.objective
 
     def certifies(y: dict) -> bool:
-        objective = sum((instance.b[key[1]] * val if key[0] == "v" else val
-                         for key, val in y.items()), ZERO)
-        return objective == primal and all(is_integral(v) for v in y.values()) \
-            and dual_feasible(instance, DualSolution(y, objective))
+        return all(is_integral(v) for v in y.values()) \
+            and dual_feasible(instance, DualSolution(y, primal)) \
+            and dual_bound(instance, y) == primal
 
     keys = _row_keys(instance, cut_rows)
     y = {key: val for key, val in zip(keys, result.row_duals) if val}

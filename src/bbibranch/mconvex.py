@@ -249,8 +249,7 @@ class _AuxArc:
     flip: Optional[int]  # cross-arc index to toggle, None for oracle arcs
 
 
-def solve_mflow(instance: Instance,
-                start: Optional[Iterable[int]] = None) -> Solution:
+def solve_mflow(instance: Instance) -> Solution:
     """Shortest b-bibranching by negative-cycle canceling over cross-arc flows.
 
     The flow variable lives on the S-to-T arcs; ``side_oracle`` on the
@@ -263,22 +262,14 @@ def solve_mflow(instance: Instance,
     Cancellation picks a negative cycle with the fewest arcs, and stops when
     none is left: then the flow is optimal.
 
-    Without ``start`` the feasibility check runs and ``start`` is every
-    arc, which is then a b-bibranching.  A given ``start`` must be a
-    b-bibranching (not checked).  The flow starts at its cross arcs, where
-    both completions are finite: a minimal b-bibranching inside ``start``
-    has a b|T-branching and a b|S-cobranching as sides and a subset of
-    ``start``'s cross arcs, and g only falls as its argument grows.
-    Started at an optimum, the first round finds no cycle.  A boundary
-    with an infinite completion on either side raises ``TheoremViolation``.
+    On a feasible instance the flow starts at every cross arc, where both
+    completions are finite (g only falls as its argument grows); an
+    infinite completion on either side raises ``TheoremViolation``.
     """
     D = instance.digraph
     H = sorted(instance.cross_arcs())
-    if start is None:
-        require_feasible(instance)
-        start = D.all_arcs
-    start = D.check_arcset(start)
-    xi = {a: int(a in start) for a in H}
+    require_feasible(instance)
+    xi = {a: 1 for a in H}
     oracle_T, map_T = side_oracle(instance)
     oracle_S, map_S = side_oracle(instance.mirror)
     nodes = sorted(instance.S) + sorted(instance.T) + [None]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbibranch import bibranching, mconvex
+from bbibranch import bibranching
 from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    brute_force_shortest,
                                    check_alternative_description,
@@ -253,29 +253,11 @@ class TestSolveFrontEnd:
     def test_methods_agree(self):
         solved = 0
         for inst in feasible_draws():
-            values = {method: solve_shortest(inst, method).weight
-                      for method in ("brute", "lp", "mflow", "auto")}
+            solutions = {method: solve_shortest(inst, method)
+                         for method in ("brute", "lp", "mflow", "auto")}
+            values = {method: sol.weight for method, sol in solutions.items()}
             assert len(set(values.values())) == 1, values
-            solved += 1
-        assert solved > 0
-
-    def test_auto_cross_check_cancels_nothing(self, monkeypatch):
-        # Started at the LP optimum, the cross-check's first cycle search
-        # finds no negative cycle, so it is the only one.
-        results = []
-        find_cycle = mconvex._min_arc_negative_cycle
-
-        def recorded(nodes, arcs):
-            results.append(find_cycle(nodes, arcs))
-            return results[-1]
-
-        monkeypatch.setattr(mconvex, "_min_arc_negative_cycle", recorded)
-        solved = 0
-        for inst in feasible_draws():
-            assert inst.digraph.num_arcs() <= bibranching.CROSS_CHECK_ARC_LIMIT
-            results.clear()
-            solve_shortest(inst, "auto")
-            assert results == [None]
+            assert solutions["lp"].certificate["dual_bound"] == values["brute"]
             solved += 1
         assert solved > 0
 
@@ -290,9 +272,9 @@ class TestSolveFrontEnd:
         with pytest.raises(InputError):
             solve_shortest(one_arc_instance(), method="magic")
 
-    def test_auto_records_cross_check(self):
+    def test_auto_records_dual_bound(self):
         sol = solve_shortest(one_arc_instance(), method="auto")
-        assert sol.certificate.get("cross_check") == "mflow agrees"
+        assert sol.certificate["dual_bound"] == sol.weight == 5
 
 
 class TestNumberRule:
@@ -332,6 +314,8 @@ class TestNumberRule:
         assert loaded.weights == weights
         assert [type(w) for w in loaded.weights] == kinds
         if feasibility_witness(inst) is None:
-            values = {method: solve_shortest(inst, method).weight
-                      for method in ("lp", "mflow", "brute")}
+            solutions = {method: solve_shortest(inst, method)
+                         for method in ("lp", "mflow", "brute")}
+            values = {method: sol.weight for method, sol in solutions.items()}
             assert len(set(values.values())) == 1, values
+            assert solutions["lp"].certificate["dual_bound"] == values["lp"]

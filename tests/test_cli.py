@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,40 @@ ONE_ARC = {
     ],
     "arcs": [{"tail": "s", "head": "t", "weight": 5}],
 }
+
+
+# Two 2-cycles of weight 0, one inside each side, and one arc s1 -> t1 of
+# weight 5 that every b-bibranching needs.
+SEPARATION_FAULT = {
+    "vertices": [{"id": v, "side": v[0].upper(), "b": 1}
+                 for v in ("s1", "s2", "t1", "t2")],
+    "arcs": [{"tail": t, "head": h, "weight": w}
+             for t, h, w in (("s1", "s2", 0), ("s2", "s1", 0), ("t1", "t2", 0),
+                             ("t2", "t1", 0), ("s1", "t1", 5))],
+}
+
+# Runs the CLI on argv[2:] with one fault in the LP route: separation that
+# finds nothing, or a final LP objective one above the true optimum.
+FAULT_SCRIPT = """
+import sys
+from bbibranch import cli, lpsolve
+
+solve = lpsolve.simplex_solve
+
+
+def inflated(lp):
+    result = solve(lp)
+    if result.status == "optimal":
+        result.objective += 1
+    return result
+
+
+if sys.argv[1] == "separation":
+    lpsolve._violated_bicuts = lambda instance, x: []
+else:
+    lpsolve.simplex_solve = inflated
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 def run_cli(*argv, files=None, tmp_path=None):
@@ -142,32 +177,74 @@ class TestSolveCommand:
         assert payload["x"] == ["1/2", "1/2"]
         assert payload["lp"] == lpsolve.dump_lp(faked[0])
 
-    def test_cross_check_catches_a_suboptimal_lp_answer(self, tmp_path, capsys,
-                                                        monkeypatch):
-        # The cross-check starts at the LP answer; handed all arcs (weight
-        # 3) where one arc (weight 1) suffices, it cancels to the optimum.
-        original = lpsolve.solve_primal_cutting_plane
+    def test_dual_bound_catches_a_suboptimal_lp_answer(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # All arcs (weight 3) form a 0/1 b-bibranching, but one arc (weight
+        # 1) suffices: the row duals bound every b-bibranching by 1 only.
+        original = lpsolve.simplex_solve
+        faked = []
 
-        def all_arcs(instance):
-            result = original(instance)
-            arcs = instance.digraph.all_arcs
-            result.solution = bibranching.Solution(
-                arcs, instance.weight_of(arcs),
-                bibranching.bibranching_report(instance, arcs))
+        def all_arcs(lp):
+            result = original(lp)
+            if result.status == "optimal":
+                faked.append(lp)
+                result.x = [Fraction(1)] * lp.num_vars
+                result.objective = Fraction(3)
             return result
 
-        monkeypatch.setattr(lpsolve, "solve_primal_cutting_plane", all_arcs)
+        monkeypatch.setattr(lpsolve, "simplex_solve", all_arcs)
         doc = {"vertices": ONE_ARC["vertices"],
                "arcs": [{"tail": "s", "head": "t", "weight": w} for w in (1, 2)]}
-        message = "LP and submodular-flow optima disagree: 3 vs 1"
-        with pytest.raises(TheoremViolation, match=message):
-            bibranching.solve_shortest(load_instance_data(doc), "auto")
         path = tmp_path / "i.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["solve", str(path)]) == EXIT_THEOREM
-        captured = capsys.readouterr()
-        assert captured.err == "theorem violation: %s\n" % message
-        assert json.loads(captured.out)["result"]["message"] == message
+        message = "dual bound 1 does not certify the LP optimum 3"
+        for method in ("lp", "auto"):
+            faked.clear()
+            assert cli.main(["solve", str(path), "--method", method]) == EXIT_THEOREM
+            captured = capsys.readouterr()
+            assert captured.err == "theorem violation: %s\n" % message
+            result = json.loads(captured.out)["result"]
+            assert result["message"] == message
+            assert result["payload"]["lp"] == lpsolve.dump_lp(faked[-1])
+            assert result["payload"]["x"] == [1, 1]
+            # b(s) y_s = 2, less the load 2 - 1 above arc 0's weight.
+            assert result["payload"]["y"] == {"v:s": "2", "v:t": "0"}
+
+    def test_separation_fault_is_a_theorem_violation(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # Without bicut rows the degree LP's optimum 0 takes only the
+        # within-side 2-cycles.  That vertex is 0/1 and its dual bound 0 is
+        # valid, so only the primal check can see that S never reaches T.
+        monkeypatch.setattr(lpsolve, "_violated_bicuts", lambda instance, x: [])
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(SEPARATION_FAULT))
+        lp = lpsolve._build_degree_lp(load_instance_data(SEPARATION_FAULT))
+        for method in ("lp", "auto"):
+            assert cli.main(["solve", str(path), "--method", method]) == EXIT_THEOREM
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert result["message"] == "cutting-plane vertex is not a b-bibranching"
+            assert result["payload"]["lp"] == lpsolve.dump_lp(lp)
+            assert result["payload"]["x"] == [1, 1, 1, 1, 0]
+            assert sorted(result["payload"]["failed"]) == ["s_reaches_t",
+                                                           "t_reachable_from_s"]
+
+    @pytest.mark.parametrize("fault", ["separation", "objective"])
+    def test_certificate_failure_reports_ignore_the_hash_seed(self, tmp_path,
+                                                              fault):
+        # The objective fault's payload holds the dual of the bicut row
+        # U = {t1, t2}, a frozenset whose str() follows the hash seed.
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(SEPARATION_FAULT))
+        runs = [subprocess.run([sys.executable, "-c", FAULT_SCRIPT, fault,
+                                "solve", str(path), "--method", "lp"],
+                               capture_output=True, text=True,
+                               env=dict(os.environ, PYTHONHASHSEED=seed))
+                for seed in ("0", "1")]
+        assert [run.returncode for run in runs] == [EXIT_THEOREM] * 2
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr
+        y = json.loads(runs[0].stdout)["result"]["payload"]["y"]
+        assert ("U:{t1,t2}" in y) == (fault == "objective")
 
     @pytest.mark.parametrize("method", ["auto", "lp", "mflow"])
     def test_feasibility_checked_once(self, tmp_path, capsys, monkeypatch,

@@ -17,3 +17,20 @@ def test_no_assert_statements():
     ]
     assert len(list(SRC.glob("*.py"))) > 1
     assert found == []
+
+
+def test_function_local_imports_are_pinned():
+    # ``solve_shortest`` imports lpsolve and mconvex locally because both
+    # import ``Instance`` from bibranching.  The cli handlers import
+    # lpsolve, packing, mconvex and matroids locally so that a command
+    # loads only the modules it runs.  No other function imports locally.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, func.name) for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert found == {("bibranching.py", "solve_shortest")} | {
+        ("cli.py", name) for name in (
+            "cmd_packing_number", "cmd_pack", "_check_tdi", "_check_mconvex",
+            "_random_b_branching", "_check_exchange", "_check_idp")}
