@@ -25,7 +25,7 @@ import sys
 from .bibranching import Instance, bibranching_report, solve_shortest
 from .digraph import Digraph
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
-from .rationals import parse_rat, rat_str
+from .rationals import rat, rat_str
 
 # Handlers import lpsolve, packing, mconvex and matroids locally: the first
 # three take about 25-30 ms to import (python -X importtime), against about
@@ -69,8 +69,7 @@ def load_instance_data(data: dict) -> Instance:
         if isinstance(weight, bool) or not isinstance(weight, (int, str)):
             raise InputError("arcs[%d].weight must be an integer or 'p/q' string" % i)
         try:
-            weights.append(parse_rat(weight) if isinstance(weight, str)
-                           else parse_rat(str(weight)))
+            weights.append(rat(weight))
         except ValueError:
             raise InputError("arcs[%d].weight is not a rational" % i)
         arcs.append((entry.get("tail"), entry.get("head")))
@@ -148,11 +147,14 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     instance, digest = _load(args)
     solution = solve_shortest(instance, method=args.method)
+    # The LP route's dual bound is text, like the value, also when integral.
+    certificate = {key: rat_str(val) if key == "dual_bound" else val
+                   for key, val in solution.certificate.items()}
     payload = {
         "arcs": sorted(solution.arcs),
         "value": rat_str(solution.weight),
         "method": args.method,
-        "certificate": _jsonable(solution.certificate),
+        "certificate": _jsonable(certificate),
     }
     emit_report(args, payload, digest)
     return EXIT_OK

@@ -3,11 +3,14 @@
 A two-phase simplex with Bland's rule, exact throughout, on one
 fraction-free tableau that carries its reduced-cost rows through the
 pivots: every row is a list of Python ints over one positive row
-denominator; bicut separation by max-flow, the primal cutting plane for
-the shortest b-bibranching LP, proved optimal by its own row duals, and
-the total-dual-integrality check, which proves an integral optimal dual
-from those duals (uncrossed and re-solved over a cross-free family when
-fractional).
+denominator.  LP data and results follow the package's number rule: every
+coefficient, bound, vertex entry, dual and objective is an int when
+integral and a Fraction only otherwise; exit-5 payloads write simplex
+values (x, y) as 'p' or 'p/q' text either way.  Bicut separation by
+max-flow, the primal cutting plane for the shortest b-bibranching LP,
+proved optimal by its own row duals, and the total-dual-integrality
+check, which proves an integral optimal dual from those duals (uncrossed
+and re-solved over a cross-free family when fractional).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .bibranching import (Instance, Solution, bibranching_report,
                           require_feasible)
 from .digraph import max_flow_min_cut
 from .errors import InfeasibleInstance, InputError, TheoremViolation
-from .rationals import ONE, Q, ZERO, is_integral, rat, rat_str
+from .rationals import is_integral, rat, rat_str, ratio
 
 # ---------------------------------------------------------------------------
 # Exact simplex
@@ -34,25 +37,25 @@ class RationalLP:
         if sense not in ("min", "max"):
             raise InputError("sense must be 'min' or 'max'")
         self.num_vars = num_vars
-        self.objective = [Q(objective[j]) for j in range(num_vars)]
+        self.objective = [rat(objective[j]) for j in range(num_vars)]
         self.sense = sense
         self.rows: list[tuple[dict[int, object], str, object]] = []
-        self.lower = [ZERO] * num_vars
+        self.lower = [0] * num_vars
         self.upper: list[Optional[object]] = [None] * num_vars
 
     def add_row(self, coeffs: dict[int, object], rel: str, rhs) -> int:
         if rel not in ("<=", ">=", "="):
             raise InputError("relation must be one of <=, >=, =")
-        clean = {j: q for j, c in coeffs.items() if (q := Q(c))}
+        clean = {j: q for j, c in coeffs.items() if (q := rat(c))}
         for j in clean:
             if not (0 <= j < self.num_vars):
                 raise InputError("row references unknown variable %d" % j)
-        self.rows.append((clean, rel, Q(rhs)))
+        self.rows.append((clean, rel, rat(rhs)))
         return len(self.rows) - 1
 
     def set_bounds(self, j: int, lower, upper) -> None:
-        self.lower[j] = Q(lower)
-        self.upper[j] = None if upper is None else Q(upper)
+        self.lower[j] = rat(lower)
+        self.upper[j] = None if upper is None else rat(upper)
 
 
 @dataclass
@@ -80,8 +83,9 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     rewrites each other row r as r*p - f*(pivot row) over den*p,
     fraction-free as in Bareiss (1968), and divides out the row's gcd.
     Signs are read off the numerators, and the ratio test cross-multiplies,
-    since a row's denominator cancels from its own ratios.  Rationals are
-    built only for the result.
+    since a row's denominator cancels from its own ratios.  Each result
+    value is read off as ``ratio(numerator, denominator)``: an int when
+    integral, a Fraction only otherwise.
     """
     n = lp.num_vars
     flip = 1 if lp.sense == "min" else -1
@@ -91,7 +95,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     for coeffs, rel, rhs in lp.rows:
         moved = [c * shift[j] for j, c in coeffs.items() if j in shift]
         rows.append((coeffs, rel, rhs - sum(moved) if moved else rhs))
-    rows += [({j: ONE}, "<=", lp.upper[j] - shift[j] if j in shift else lp.upper[j])
+    rows += [({j: 1}, "<=", lp.upper[j] - shift[j] if j in shift else lp.upper[j])
              for j in bounded]
     m = len(rows)
     signs = [-1 if rhs < 0 else 1 for _, _, rhs in rows]
@@ -207,19 +211,19 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
         return SimplexResult(status="unbounded")
 
     x = list(lp.lower)
-    row_duals = [ZERO] * len(lp.rows)
+    row_duals = [0] * len(lp.rows)
     bound_duals: list[Optional[object]] = [None] * n
     cost, cost_den = tableau[-1], dens[-1]
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] += Q(tableau[i][-1], dens[i])
+            x[basis[i]] = rat(x[basis[i]] + ratio(tableau[i][-1], dens[i]))
         if basis[i] < art_start:
-            y = Q(cost[own[i]] * scale[i], cost_den)
+            y = ratio(cost[own[i]] * scale[i], cost_den)
             if i < len(lp.rows):
                 row_duals[i] = y
             else:
                 bound_duals[bounded[i - len(lp.rows)]] = y
-    objective = sum((lp.objective[j] * x[j] for j in range(n)), ZERO)
+    objective = rat(sum(c * v for c, v in zip(lp.objective, x)))
     return SimplexResult(status="optimal", x=x, objective=objective,
                          row_duals=row_duals, bound_duals=bound_duals)
 
@@ -240,6 +244,12 @@ def dump_lp(lp: RationalLP) -> str:
         hi = "inf" if lp.upper[j] is None else rat_str(lp.upper[j])
         lines.append("  %s <= x%d <= %s" % (rat_str(lp.lower[j]), j, hi))
     return "\n".join(lines)
+
+
+def _text(values) -> list[str]:
+    """Exact values as 'p' or 'p/q' text, the form exit-5 payloads carry
+    whether or not a value is integral."""
+    return [rat_str(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +300,12 @@ def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicu
         net = base_arcs + [(source, s, None) for s in sorted(instance.S)]
         value, side = max_flow_min_cut(nodes + [source], net, source, t)
         U = frozenset(v for v in D.vertices if v not in side)
-        results.append((rat(Q(value, L)), Bicut(U, D.in_cut(D.all_arcs, U))))
+        results.append((ratio(value, L), Bicut(U, D.in_cut(D.all_arcs, U))))
     for s in sorted(instance.S):
         net = base_arcs + [(v, sink, None) for v in sorted(instance.T)]
         value, side = max_flow_min_cut(nodes + [sink], net, s, sink)
         U = frozenset(v for v in D.vertices if v not in side)
-        results.append((rat(Q(value, L)), Bicut(U, D.in_cut(D.all_arcs, U))))
+        results.append((ratio(value, L), Bicut(U, D.in_cut(D.all_arcs, U))))
     return results
 
 
@@ -331,10 +341,10 @@ def _build_degree_lp(instance: Instance, boxed: bool = True) -> RationalLP:
     lp = RationalLP(m, instance.weights, "min")
     if boxed:
         for a in range(m):
-            lp.set_bounds(a, ZERO, ONE)
+            lp.set_bounds(a, 0, 1)
     for view in (instance, instance.mirror):
         for v in sorted(view.T):
-            lp.add_row({a: ONE for a in view.digraph.in_arcs(v)}, ">=", view.b[v])
+            lp.add_row({a: 1 for a in view.digraph.in_arcs(v)}, ">=", view.b[v])
     return lp
 
 
@@ -350,7 +360,7 @@ def zero_one_vertex(lp: RationalLP, result: SimplexResult) -> list[int]:
                                payload={"lp": dump_lp(lp)})
     if any(v not in (0, 1) for v in result.x):
         raise TheoremViolation("vertex of an integral LP is fractional",
-                               payload={"lp": dump_lp(lp), "x": result.x})
+                               payload={"lp": dump_lp(lp), "x": _text(result.x)})
     return [int(v) for v in result.x]
 
 
@@ -370,11 +380,11 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
             return result, rounds
         for cut in new:
             # Cut validity: genuinely violated at the iterate that produced it.
-            if sum((result.x[a] for a in cut.arcs), ZERO) >= 1:
+            if sum(result.x[a] for a in cut.arcs) >= 1:
                 raise TheoremViolation("separated bicut is not violated",
-                                       payload={"U": cut.U, "x": result.x})
+                                       payload={"U": cut.U, "x": _text(result.x)})
             cut_rows.append(cut)
-            lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
+            lp.add_row({a: 1 for a in cut.arcs}, ">=", 1)
 
 
 def _row_keys(instance: Instance, cut_rows: list) -> list:
@@ -397,14 +407,14 @@ def dual_bound(instance: Instance, y: dict):
     read from the instance (``_dual_coverage``), not from an LP.  For y >= 0
     the max terms complete y to a dual of the boxed LP over all bicuts, so
     by weak duality no b-bibranching weighs less."""
-    load = [ZERO] * instance.digraph.num_arcs()
-    objective = ZERO
+    load = [0] * instance.digraph.num_arcs()
+    objective = 0
     for key, val in y.items():
         objective += instance.b[key[1]] * val if key[0] == "v" else val
         for a in _dual_coverage(instance, key):
             load[a] += val
-    return objective - sum((max(ZERO, total - w)
-                            for total, w in zip(load, instance.weights)), ZERO)
+    return objective - sum(max(0, total - w)
+                           for total, w in zip(load, instance.weights))
 
 
 def dual_key_str(key) -> str:
@@ -437,7 +447,7 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
             "dual bound %s does not certify the LP optimum %s"
             % (rat_str(bound), rat_str(result.objective)),
             payload={"lp": dump_lp(lp), "x": x, "failed": failed,
-                     "y": {dual_key_str(key): v for key, v in duals.items()}})
+                     "y": {dual_key_str(key): rat_str(v) for key, v in duals.items()}})
     solution = Solution(arcs, result.objective, dict(report, dual_bound=bound))
     return CuttingPlaneResult(solution, result.x, result.objective, cut_rows,
                               rounds, row_duals=duals)
@@ -470,12 +480,12 @@ def _dual_family(instance: Instance):
 
 def _build_dual_lp(instance: Instance, family):
     lp = RationalLP(len(family),
-                    [instance.b[key[1]] if key[0] == "v" else ONE for key in family],
+                    [instance.b[key[1]] if key[0] == "v" else 1 for key in family],
                     "max")
     per_arc: dict[int, dict[int, object]] = {a: {} for a in range(instance.digraph.num_arcs())}
     for idx, key in enumerate(family):
         for a in _dual_coverage(instance, key):
-            per_arc[a][idx] = ONE
+            per_arc[a][idx] = 1
     for a in sorted(per_arc):
         lp.add_row(per_arc[a], "<=", instance.weights[a])
     return lp
@@ -483,7 +493,7 @@ def _build_dual_lp(instance: Instance, family):
 
 def dual_feasible(instance: Instance, dual: DualSolution) -> bool:
     """Check y >= 0 and every arc-class dual constraint exactly."""
-    load = [ZERO] * instance.digraph.num_arcs()
+    load = [0] * instance.digraph.num_arcs()
     for key, val in dual.y.items():
         if val < 0:
             return False
@@ -514,14 +524,17 @@ def _uncross(instance: Instance, y: dict) -> tuple[dict, int]:
         for X in pair:
             y[("U", X)] -= eps
         for X in (pair[0] & pair[1], pair[0] | pair[1]):
-            y[("U", X)] = y.get(("U", X), ZERO) + eps
+            y[("U", X)] = y.get(("U", X), 0) + eps
         steps += 1
 
 
 def tdi_spot_check(instance: Instance) -> dict:
     """Prove an integral optimal dual of the unboxed degree + bicut LP.
 
-    The cutting plane's final x violates no bicut, so its row duals y,
+    The cutting plane's final x must be integral and violate no bicut;
+    for an integral x >= 0 that is the two reachability conditions of
+    ``bibranching_report`` on its support, and a failure raises
+    ``TheoremViolation`` with the LP and x.  Then its row duals y,
     zero on every bicut never generated, are optimal over all bicuts once
     they are dual feasible with objective equal to the LP value (weak
     duality); an integral such y is the certificate.  A fractional y is
@@ -543,6 +556,12 @@ def tdi_spot_check(instance: Instance) -> dict:
         # b-bibranching and require_feasible raises with the failing condition.
         require_feasible(instance)
         raise TheoremViolation("unboxed LP infeasible on a feasible instance")
+    report = bibranching_report(instance, [a for a, val in enumerate(result.x) if val])
+    if not (all(map(is_integral, result.x)) and report["t_reachable_from_s"]["ok"]
+            and report["s_reaches_t"]["ok"]):
+        raise TheoremViolation("unboxed cutting-plane vertex is fractional or "
+                               "violates a bicut",
+                               payload={"lp": dump_lp(lp), "x": _text(result.x)})
     primal = result.objective
 
     def certifies(y: dict) -> bool:
@@ -562,7 +581,8 @@ def tdi_spot_check(instance: Instance) -> dict:
         y = {key: val for key, val in zip(family, res.x or ()) if val}
         if res.status != "optimal" or not certifies(y):
             raise TheoremViolation("cross-free dual LP has no integral optimum",
-                                   payload={"lp": dump_lp(dual_lp), "x": res.x})
+                                   payload={"lp": dump_lp(dual_lp),
+                                            "x": None if res.x is None else _text(res.x)})
     return {"status": "ok", "found": True, "primal": primal,
             "dual": DualSolution(y, primal), "bicut_rows": len(cut_rows),
             "uncrossing_steps": steps}

@@ -86,6 +86,13 @@ class TestInstanceFormat:
         inst = load_instance_data(doc)
         assert str(inst.weights[0]) == "7/3"
 
+    def test_weights_are_int_when_integral(self):
+        doc = json.loads(json.dumps(ONE_ARC))
+        for weight, want in ((7, 7), ("4/2", 2), ("1/3", Fraction(1, 3))):
+            doc["arcs"][0]["weight"] = weight
+            (loaded,) = load_instance_data(doc).weights
+            assert loaded == want and type(loaded) is type(want)
+
     def test_float_weight_rejected(self):
         doc = json.loads(json.dumps(ONE_ARC))
         doc["arcs"][0]["weight"] = 0.5
@@ -280,6 +287,96 @@ class TestSolveCommand:
         assert out.returncode == EXIT_GUARD
 
 
+def _fake_x(monkeypatch, x, sense="min"):
+    """Make the first optimal simplex result of the given sense return x."""
+    original = lpsolve.simplex_solve
+    faked = []
+
+    def fake(lp):
+        result = original(lp)
+        if result.status == "optimal" and lp.sense == sense and not faked:
+            faked.append(lp)
+            result.x = list(x) + [0] * (lp.num_vars - len(x))
+        return result
+
+    monkeypatch.setattr(lpsolve, "simplex_solve", fake)
+    return faked
+
+
+class TestLpValuesAsText:
+    """LP-derived values are int when integral, but reports write them as
+    text either way: a payload x, an exit-5 y and the dual bound."""
+
+    THREE_ARCS = {"vertices": ONE_ARC["vertices"],
+                  "arcs": [{"tail": "s", "head": "t", "weight": 1}] * 3}
+
+    def _run(self, tmp_path, capsys, doc, *argv):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main([argv[0], str(path), *argv[1:]])
+        return code, json.loads(capsys.readouterr().out)["result"]
+
+    def test_fractional_vertex_payload(self, tmp_path, capsys, monkeypatch):
+        faked = _fake_x(monkeypatch, [Fraction(1, 2), 1, 0])
+        code, result = self._run(tmp_path, capsys, self.THREE_ARCS,
+                                 "solve", "--method", "lp")
+        assert code == EXIT_THEOREM
+        assert result["message"] == "vertex of an integral LP is fractional"
+        assert result["payload"] == {"lp": lpsolve.dump_lp(faked[0]),
+                                     "x": ["1/2", "1", "0"]}
+
+    def test_unviolated_cut_payload(self, tmp_path, capsys, monkeypatch):
+        _fake_x(monkeypatch, [Fraction(1, 2), 1, 0])
+        monkeypatch.setattr(lpsolve, "_violated_bicuts",
+                            lambda instance, x: lpsolve.all_bicuts(instance))
+        code, result = self._run(tmp_path, capsys, self.THREE_ARCS,
+                                 "solve", "--method", "lp")
+        assert code == EXIT_THEOREM
+        assert result["message"] == "separated bicut is not violated"
+        assert result["payload"] == {"U": ["t"], "x": ["1/2", "1", "0"]}
+
+    def test_fractional_unboxed_vertex_payload(self, tmp_path, capsys,
+                                               monkeypatch):
+        faked = _fake_x(monkeypatch, [Fraction(1, 2), Fraction(1, 2), 0])
+        code, result = self._run(tmp_path, capsys, self.THREE_ARCS,
+                                 "check", "--what", "tdi")
+        assert code == EXIT_THEOREM
+        assert result["message"] == \
+            "unboxed cutting-plane vertex is fractional or violates a bicut"
+        assert result["payload"] == {"lp": lpsolve.dump_lp(faked[0]),
+                                     "x": ["1/2", "1/2", "0"]}
+
+    def test_cross_free_dual_payload(self, tmp_path, capsys, monkeypatch):
+        faked = _fake_x(monkeypatch, [Fraction(1, 2), 1], sense="max")
+        code, result = self._run(tmp_path, capsys,
+                                 serialize_instance(fractional_dual_instance()),
+                                 "check", "--what", "tdi")
+        assert code == EXIT_THEOREM
+        assert result["message"] == "cross-free dual LP has no integral optimum"
+        x = result["payload"]["x"]
+        assert x[:3] == ["1/2", "1", "0"] and len(x) == faked[0].num_vars
+        assert all(isinstance(v, str) for v in x)
+
+    def test_dual_bound_and_exit_five_y(self, tmp_path, capsys, monkeypatch):
+        code, result = self._run(tmp_path, capsys, ONE_ARC, "solve")
+        assert code == EXIT_OK
+        assert result["value"] == result["certificate"]["dual_bound"] == "5"
+        original = lpsolve.simplex_solve
+
+        def inflated(lp):
+            res = original(lp)
+            res.objective += 1
+            return res
+
+        monkeypatch.setattr(lpsolve, "simplex_solve", inflated)
+        code, result = self._run(tmp_path, capsys, ONE_ARC, "solve")
+        assert code == EXIT_THEOREM
+        assert result["message"] == \
+            "dual bound 5 does not certify the LP optimum 6"
+        assert result["payload"]["x"] == [1]
+        assert result["payload"]["y"] == {"v:s": "0", "v:t": "5"}
+
+
 class TestValidateCommand:
     def test_valid_solution(self, tmp_path):
         out = run_cli("validate", files={"i.json": ONE_ARC,
@@ -402,6 +499,39 @@ class TestCheckCommand:
         assert report["status"] == "infeasible"
         assert report["result"]["witness"] == {
             "condition": "t_reachable_from_s", "witness": "u"}
+
+    @pytest.mark.parametrize("doc", [
+        SEPARATION_FAULT,
+        # Only one reachability condition fails: a 2-cycle of weight 0
+        # inside S that reaches T by an arc of weight 5 only, or the same
+        # inside T.
+        {"vertices": [{"id": v, "side": v[0].upper(), "b": 1}
+                      for v in ("s1", "s2", "s3", "t1")],
+         "arcs": [{"tail": t, "head": h, "weight": w}
+                  for t, h, w in (("s1", "t1", 0), ("s2", "s3", 0),
+                                  ("s3", "s2", 0), ("s2", "t1", 5))]},
+        {"vertices": [{"id": v, "side": v[0].upper(), "b": 1}
+                      for v in ("s1", "t1", "t2", "t3")],
+         "arcs": [{"tail": t, "head": h, "weight": w}
+                  for t, h, w in (("s1", "t1", 0), ("t2", "t3", 0),
+                                  ("t3", "t2", 0), ("s1", "t2", 5))]},
+    ], ids=["both", "s_reaches_t", "t_reachable_from_s"])
+    def test_tdi_separation_fault_is_a_theorem_violation(self, tmp_path, capsys,
+                                                         monkeypatch, doc):
+        # Without bicut rows the unboxed degree LP's optimum 0 takes the
+        # 2-cycles of weight 0, and its dual would certify 0; the vertex's
+        # support fails a reachability condition, so it violates a bicut.
+        monkeypatch.setattr(lpsolve, "_violated_bicuts", lambda instance, x: [])
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        lp = lpsolve._build_degree_lp(load_instance_data(doc), boxed=False)
+        assert cli.main(["check", "--what", "tdi", str(path)]) == EXIT_THEOREM
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["message"] == \
+            "unboxed cutting-plane vertex is fractional or violates a bicut"
+        assert result["payload"] == {
+            "lp": lpsolve.dump_lp(lp),
+            "x": ["1"] * (len(doc["arcs"]) - 1) + ["0"]}
 
     def test_tdi_past_ten_vertices_uncrosses_a_fractional_dual(self, tmp_path,
                                                                 capsys):

@@ -232,7 +232,7 @@ class TestCuttingPlane:
         half = SimplexResult("optimal", [Q(1, 2), Q(1, 2)], Q(1))
         with pytest.raises(TheoremViolation) as exc:
             zero_one_vertex(lp, half)
-        assert exc.value.payload == {"lp": dump_lp(lp), "x": half.x}
+        assert exc.value.payload == {"lp": dump_lp(lp), "x": ["1/2", "1/2"]}
         lp.add_row({0: 1, 1: 1}, "<=", 0)
         with pytest.raises(TheoremViolation) as exc:
             zero_one_vertex(lp, simplex_solve(lp))

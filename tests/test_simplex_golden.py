@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from bbibranch.lpsolve import (RationalLP, _build_degree_lp, _build_dual_lp,
                                _dual_family, all_bicuts, simplex_solve)
 from bbibranch.packing import build_system, packing_number
-from bbibranch.rationals import ONE, ZERO, rat_str
+from bbibranch.rationals import rat_str
 
 from conftest import digest_draws, random_lp
 
@@ -66,7 +67,7 @@ def production_lps():
     for instance in digest_draws():
         lp = _build_degree_lp(instance, boxed=True)
         for cut in all_bicuts(instance):
-            lp.add_row({a: ONE for a in cut.arcs}, ">=", ONE)
+            lp.add_row({a: 1 for a in cut.arcs}, ">=", 1)
         yield lp
         yield _build_dual_lp(instance, _dual_family(instance))
         k = packing_number(instance).k
@@ -74,9 +75,9 @@ def production_lps():
             systems = [build_system(instance, side, stage) for side in (1, 2)]
             arcs = systems[0].var_arcs
             col = {a: j for j, a in enumerate(arcs)}
-            lp = RationalLP(len(arcs), [ONE] * len(arcs), "min")
+            lp = RationalLP(len(arcs), [1] * len(arcs), "min")
             for j in range(len(arcs)):
-                lp.set_bounds(j, ZERO, ONE)
+                lp.set_bounds(j, 0, 1)
             for system in systems:
                 for coeffs, rel, rhs, _ in system.rows:
                     lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
@@ -106,6 +107,24 @@ def test_production_shape_lps_match_recorded_results():
     statuses = {entry[0] for entry in found}
     assert statuses == {"optimal", "infeasible", "unbounded"}
     _assert_matches(found, PRODUCTION)
+
+
+def test_results_are_int_exactly_when_integral():
+    # The number rule: every x, row dual, bound dual and objective is an
+    # int when integral and a Fraction with denominator > 1 otherwise.
+    rng = random.Random(SEED)
+    lps = [random_lp(rng) for _ in range(COUNT)] + list(production_lps())
+    kinds = set()
+    for index, lp in enumerate(lps):
+        result = simplex_solve(lp)
+        values = [result.objective, *(result.x or ()), *(result.row_duals or ()),
+                  *(result.bound_duals or ())]
+        for value in values:
+            if value is not None:
+                kinds.add(type(value))
+                assert type(value) is int or (type(value) is Fraction
+                                              and value.denominator > 1), index
+    assert kinds == {int, Fraction}
 
 
 def _write(path, records):

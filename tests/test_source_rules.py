@@ -34,3 +34,35 @@ def test_function_local_imports_are_pinned():
         ("cli.py", name) for name in (
             "cmd_packing_number", "cmd_pack", "_check_tdi", "_check_mconvex",
             "_random_b_branching", "_check_exchange", "_check_idp")}
+
+
+def test_fractions_are_built_in_rationals():
+    # Numbers are int when integral and Fraction otherwise.  Only
+    # ``rationals`` imports Fraction, and outside it only
+    # ``packing.find_integral_point`` (the uniform point 1/k) calls its
+    # alias Q, so no other code wraps an integral value in a Fraction.
+    imports, calls = set(), set()
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Import):
+            imports.update(path.name for alias in node.names
+                           if alias.name == "fractions")
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "fractions":
+                imports.add(path.name)
+            # Q and Fraction keep their names wherever they are imported.
+            assert all(alias.asname is None for alias in node.names
+                       if alias.name in ("Q", "Fraction"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("Q", "Fraction"):
+            calls.add((path.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert imports == {"rationals.py"}
+    assert {call for call in calls if call[0] != "rationals.py"} == {
+        ("packing.py", "find_integral_point")}
