@@ -465,7 +465,8 @@ class DualSolution:
 
 
 def _dual_family(instance: Instance):
-    """The set family indexing dual variables: singletons plus U'."""
+    """The set family indexing dual variables: singletons plus U', each key
+    once (U = T arises from both sides when |S|, |T| >= 2)."""
     family = [("v", v) for v in sorted(instance.digraph.vertices)]
     T_sorted = sorted(instance.T)
     for size in range(2, len(T_sorted) + 1):
@@ -475,7 +476,7 @@ def _dual_family(instance: Instance):
     for size in range(2, len(S_sorted) + 1):
         for combo in combinations(S_sorted, size):
             family.append(("U", frozenset(instance.T | (instance.S - frozenset(combo)))))
-    return family
+    return list(dict.fromkeys(family))
 
 
 def _build_dual_lp(instance: Instance, family):

@@ -67,14 +67,10 @@ class SparsityMatroid:
     def __init__(self, digraph: Digraph, b: dict[str, int]):
         self.digraph = digraph
         self.b = check_capacities(digraph, b)
-        self._memo: dict[frozenset[int], Optional[frozenset[str]]] = {}
 
     def violation_witness(self, B: Iterable[int]) -> Optional[frozenset[str]]:
         """None when B is independent, else a nonempty X with |B[X]| >= b(X)."""
-        B = self.digraph.check_arcset(B)
-        if B not in self._memo:
-            self._memo[B] = _pebble_game(self.digraph, self.b, B)[0]
-        return self._memo[B]
+        return _pebble_game(self.digraph, self.b, self.digraph.check_arcset(B))[0]
 
     def independent(self, B: Iterable[int]) -> bool:
         return self.violation_witness(B) is None

@@ -4,8 +4,9 @@ The packing number is the minimum of two degree ratios and the smallest
 bicut.  The constructive direction colors the cross arcs through a pair of
 generalized polymatroids (one per side), then completes each color class
 with prescribed-indegree branchings on the T side and cobranchings on the
-S side.  Each side's cut family and its supermodular function g are one
-table, ``cut_family``, mapping each member C to g(C).
+S side; that prescribed packing alone decides each side's coloring
+conditions.  Each side's cut family and its supermodular function g are
+one table, ``cut_family``, mapping each member C to g(C).
 """
 
 from __future__ import annotations
@@ -265,14 +266,16 @@ def _exhaustive_partition(instance: Instance, k: int) -> Optional[list[frozenset
 
 def partition_cross_arcs(instance: Instance, k: int,
                          witness: MinMaxWitness) -> list[frozenset[int]]:
-    """Split H = A[S,T] into k classes meeting the coloring conditions.
+    """Split H = A[S,T] into k classes meant to meet the coloring conditions.
 
     ``witness`` is the caller's ``packing_number(instance)``.  Peels one class
     per round as an integral point of the two row systems on the residual
     cross arcs and degrees; a class H_j also takes max(0, b(v) - d_{H_j}(v))
     within-side arcs at v, so deg(v) drops by max(b(v), d_{H_j}(v)).  Side
-    2 keeps its degrees as indegrees of the mirror.  Final classes failing
-    the coloring conditions raise ``TheoremViolation``.
+    2 keeps its degrees as indegrees of the mirror.  The classes are not
+    checked here: each side's prescribed packing in ``pack_b_bibranchings``
+    decides the same cut condition, and its degree condition implies the
+    degree caps, so a bad peel surfaces there.
     """
     if k < 1 or k > witness.k:
         raise InputError("k must lie between 1 and the packing number")
@@ -291,10 +294,6 @@ def partition_cross_arcs(instance: Instance, k: int,
             for v in residual:
                 residual[v] -= max(view.b[v], view.digraph.in_degree(H_j, v))
     classes.append(frozenset(remaining))
-    failure = _partition_conditions(instance, k, classes)
-    if failure is not None:
-        raise TheoremViolation("peeled cross-arc classes fail the coloring "
-                               "conditions", payload={"k": k, "failed": failure})
     return classes
 
 

@@ -428,6 +428,56 @@ class TestPackCommands:
         assert report["result"]["k"] == 2
         assert sorted(report["result"]["classes"]) == [[0], [1]]
 
+    # S = {s1, s2, s3} with the 2-cycle s1 <-> s2, T = {t}, packing number
+    # 2.  Cross arcs 2-5: s1 -> t, s2 -> t and twice s3 -> t.
+    TWO_SIDED = {
+        "vertices": [{"id": v, "side": v[0].upper(), "b": 1}
+                     for v in ("s1", "s2", "s3", "t")],
+        "arcs": [{"tail": tail, "head": head, "weight": 1}
+                 for tail, head in (("s1", "s2"), ("s2", "s1"), ("s1", "t"),
+                                    ("s2", "t"), ("s3", "t"), ("s3", "t"))],
+    }
+
+    def _pack(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(self.TWO_SIDED))
+        code = cli.main(["pack", str(path)])
+        return code, json.loads(capsys.readouterr().out)["result"]
+
+    def test_one_cut_condition_per_side(self, tmp_path, capsys, monkeypatch):
+        # Each side's prescribed packing is the only place that decides the
+        # peel's cut condition: one call per side.
+        original = packing.cut_condition_failure
+        calls = []
+
+        def counted(digraph, groups):
+            calls.append(sorted(digraph.vertices))
+            return original(digraph, groups)
+
+        monkeypatch.setattr(packing, "cut_condition_failure", counted)
+        code, result = self._pack(tmp_path, capsys)
+        assert code == EXIT_OK and result["k"] == 2
+        assert calls == [["t"], ["s1", "s2", "s3"]]
+
+    @pytest.mark.parametrize("patched", ["partition_cross_arcs",
+                                         "find_integral_point"])
+    def test_bad_peel_fails_the_side_packing(self, tmp_path, capsys,
+                                             monkeypatch, patched):
+        # Classes {2, 3, 4} and {5} pass the T side, but on the S side the
+        # second class leaves no arc out of {s1, s2}, which nothing in S
+        # leaves: the S-side cut condition fails at X = {s1, s2}.
+        # Patching the peel's LP point runs partition_cross_arcs itself.
+        classes = [frozenset({2, 3, 4}), frozenset({5})]
+        if patched == "partition_cross_arcs":
+            fake = lambda instance, k, witness: classes
+        else:
+            fake = lambda p1, p2: {a: int(a in classes[0]) for a in p1.var_arcs}
+        monkeypatch.setattr(packing, patched, fake)
+        code, result = self._pack(tmp_path, capsys)
+        assert code == EXIT_THEOREM
+        assert result == {"message": "S-side prescribed packing infeasible",
+                          "payload": {"condition": "cut", "set": ["s1", "s2"]}}
+
 
 def _special_id_doc(ids):
     """S vertex ids[0] and T vertices ids[1], ids[2], packing number 2."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bbibranch import packing
 from bbibranch.bibranching import (Instance, feasibility_witness,
-                                   is_b_bibranching)
+                                   is_b_bibranching, subgraph)
 from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
 from bbibranch.errors import GuardError, InputError
@@ -247,6 +247,20 @@ def cut_family_rule(inst, k, classes):
     return True
 
 
+def side_packing_failures(inst, classes):
+    """Each side's ``failed_condition`` for the prescribed packing that
+    ``pack_b_bibranchings`` runs on ``classes``: T side, then S side."""
+    failures = []
+    for view in (inst, inst.mirror):
+        D = view.digraph
+        prescriptions = [{v: max(0, view.b[v] - D.in_degree(H_j, v))
+                          for v in view.T} for H_j in classes]
+        failures.append(pack_prescribed_b_branchings(
+            subgraph(D, view.T)[0], {v: view.b[v] for v in view.T},
+            prescriptions).failed_condition)
+    return failures
+
+
 class TestPartition:
     def test_k1_returns_all_cross_arcs(self):
         inst = one_arc_instance()
@@ -276,6 +290,11 @@ class TestPartition:
                        for i in range(k)]
             expected = cut_family_rule(inst, k, classes)
             assert (_partition_conditions(inst, k, classes) is None) == expected
+            # pack leaves these conditions to the side packings, which must
+            # reject every labelling the rows reject.
+            if not expected:
+                assert any(failure is not None
+                           for failure in side_packing_failures(inst, classes))
             outcomes.add(expected)
         assert outcomes == {True, False}
 

@@ -66,3 +66,26 @@ def test_fractions_are_built_in_rationals():
     assert imports == {"rationals.py"}
     assert {call for call in calls if call[0] != "rationals.py"} == {
         ("packing.py", "find_integral_point")}
+
+
+def test_guard_sites_are_pinned():
+    # Every size guard and sampling refusal (exit 4) is listed here, so
+    # adding or removing one shows up as a change to this test.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, func.name) for node in ast.walk(func)
+                          if isinstance(node, ast.Raise)
+                          and isinstance(node.exc, ast.Call)
+                          and isinstance(node.exc.func, ast.Name)
+                          and node.exc.func.id == "GuardError"}
+    assert found == {
+        ("bibranching.py", "brute_force_shortest"),
+        ("packing.py", "cut_family"),
+        ("packing.py", "_exhaustive_partition"),
+        ("packing.py", "pack_prescribed_b_branchings"),
+        ("packing.py", "integer_decomposition_check"),
+        ("cli.py", "_check_mconvex"),
+        ("cli.py", "_check_exchange"),
+    }
