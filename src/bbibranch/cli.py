@@ -311,7 +311,7 @@ def _check_exchange(instance, rng, trials):
 
 
 def _check_idp(instance, rng, trials):
-    from .packing import integer_decomposition_check
+    from .lpsolve import integer_decomposition_check
 
     # x = chi_B + (k-1) chi_A (A all arcs), so the peel has choices to make.
     solution = solve_shortest(instance, method="lp")

@@ -8,9 +8,10 @@ coefficient, bound, vertex entry, dual and objective is an int when
 integral and a Fraction only otherwise; exit-5 payloads write simplex
 values (x, y) as 'p' or 'p/q' text either way.  Bicut separation by
 max-flow, the primal cutting plane for the shortest b-bibranching LP,
-proved optimal by its own row duals, and the total-dual-integrality
-check, which proves an integral optimal dual from those duals (uncrossed
-and re-solved over a cross-free family when fractional).
+proved optimal by its own row duals, integer decomposition by LP peeling
+on separated bicut rows, and the total-dual-integrality check, which
+proves an integral optimal dual from those duals (uncrossed and re-solved
+over a cross-free family when fractional).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .bibranching import (Instance, Solution, bibranching_report,
-                          require_feasible)
+                          is_b_bibranching, require_feasible)
 from .digraph import max_flow_min_cut
 from .errors import InfeasibleInstance, InputError, TheoremViolation
 from .rationals import is_integral, rat, rat_str, ratio
@@ -309,11 +310,12 @@ def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicu
     return results
 
 
-def _violated_bicuts(instance: Instance, x: list) -> list[Bicut]:
+def _violated_bicuts(instance: Instance, x: list, need=1) -> list[Bicut]:
+    """Distinct min-cut bicuts with x(delta^-(U)) < need, empty iff all reach need."""
     seen = set()
     out = []
     for value, cut in min_bicut_candidates(instance, x):
-        if value < 1 and cut.arcs not in seen:
+        if value < need and cut.arcs not in seen:
             seen.add(cut.arcs)
             out.append(cut)
     return out
@@ -451,6 +453,76 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
     solution = Solution(arcs, result.objective, dict(report, dual_bound=bound))
     return CuttingPlaneResult(solution, result.x, result.objective, cut_rows,
                               rounds, row_duals=duals)
+
+
+# ---------------------------------------------------------------------------
+# Integer decomposition
+# ---------------------------------------------------------------------------
+
+def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset[int]]:
+    """Write an integer point x of the k-dilated polytope as a sum of k
+    b-bibranching indicators, peeling one class per exact LP.
+
+    The rows R are the T indegree rows, the S outdegree rows (the mirror's
+    indegree rows) and the bicuts, with need(R) = b(v), b(u) or 1.  With j
+    classes left, the class is an integral vertex of max(0, x(a) - (j-1))
+    <= y(a) <= min(1, x(a)) and need(R) <= y(R) <= x(R) - (j-1) need(R), so
+    x - y stays in the (j-1)-dilated polytope (Baum and Trotter, SIAM J.
+    Alg. Disc. Meth. 1981).  Bicut rows are separated (the lower ones by
+    ``_solve_with_cuts``); the last vertex meets every row, so it is a
+    vertex of the full system.  Each arc a lies in exactly x(a) of the
+    classes, returned in peel order.
+    """
+    if k < 1:
+        raise InputError("k must be at least 1")
+    arcs = range(instance.digraph.num_arcs())
+    x = [x[a] for a in arcs]
+    for a, val in enumerate(x):
+        if type(val) is not int or val < 0 or val > k:
+            raise InputError("x(%d) must be an integer in [0, k]" % a)
+    rows = [(view.digraph.in_arcs(v), view.b[v],
+             "scaled %s row fails at %s" % (name, v))
+            for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))
+            for v in sorted(view.T)]
+    for R, need, message in rows:
+        if sum(x[a] for a in R) < k * need:
+            raise InputError(message)
+    short = _violated_bicuts(instance, x, k)
+    if short:
+        raise InputError("scaled bicut row fails at U = %s" % sorted(short[0].U))
+
+    residual, result = list(x), []
+    for j in range(k, 0, -1):
+        lp = RationalLP(len(x), [1] * len(x), "min")
+        for a in arcs:
+            lp.set_bounds(a, max(0, residual[a] - (j - 1)), min(1, residual[a]))
+        for R, need, _ in rows:
+            coeffs = {a: 1 for a in R}
+            lp.add_row(coeffs, ">=", need)
+            lp.add_row(coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)
+        lower, upper = [], set()
+        while (y := _solve_with_cuts(instance, lp, lower)[0]).status == "optimal":
+            rest = [r - v for r, v in zip(residual, y.x)]
+            new = [cut for cut in _violated_bicuts(instance, rest, j - 1)
+                   if cut.arcs not in upper]
+            if not new:
+                break
+            for cut in new:
+                if sum(rest[a] for a in cut.arcs) >= j - 1:
+                    raise TheoremViolation("separated bicut is not violated",
+                                           payload={"U": cut.U, "x": _text(y.x)})
+                upper.add(cut.arcs)
+                lp.add_row({a: 1 for a in cut.arcs}, "<=",
+                           sum(residual[a] for a in cut.arcs) - (j - 1))
+        point = zero_one_vertex(lp, y)
+        result.append(frozenset(a for a in arcs if point[a]))
+        residual = [r - p for r, p in zip(residual, point)]
+
+    if [sum(1 for cls in result if a in cls) for a in arcs] != x:
+        raise TheoremViolation("decomposition does not sum to x")
+    if not all(is_b_bibranching(instance, cls) for cls in result):
+        raise TheoremViolation("decomposition class is not a b-bibranching")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 from .bibranching import Instance, is_b_bibranching, subgraph
 from .digraph import Digraph, check_capacities, max_flow_min_cut
 from .errors import GuardError, InputError, TheoremViolation
-from .lpsolve import (RationalLP, all_bicuts, min_bicut_candidates, simplex_solve,
+from .lpsolve import (RationalLP, min_bicut_candidates, simplex_solve,
                       zero_one_vertex)
 from .matroids import split_into_b_branchings
 from .rationals import Q
@@ -184,22 +184,11 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
     if violated:
         raise TheoremViolation("uniform point 1/k violates the row system",
                                payload={"rows": violated})
-    return _integral_vertex(arcs, {a: (0, 1) for a in arcs},
-                            [row[:3] for system in (p1, p2) for row in system.rows])
-
-
-def _integral_vertex(arcs: list[int], bounds: dict, rows) -> dict[int, int]:
-    """The 0/1 vertex minimizing y(arcs) subject to lower <= y(a) <= upper
-    for bounds[a] = (lower, upper) and rows (coeffs by arc, rel, rhs).
-
-    Every caller's row system is an integer polyhedron, so the vertex is
-    checked by ``zero_one_vertex``.
-    """
     col = {a: j for j, a in enumerate(arcs)}
     lp = RationalLP(len(arcs), [1] * len(arcs), "min")
-    for a in arcs:
-        lp.set_bounds(col[a], *bounds[a])
-    for coeffs, rel, rhs in rows:
+    for j in range(len(arcs)):
+        lp.set_bounds(j, 0, 1)
+    for coeffs, rel, rhs, _ in p1.rows + p2.rows:
         lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
     return dict(zip(arcs, zero_one_vertex(lp, simplex_solve(lp))))
 
@@ -407,64 +396,3 @@ def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingC
     return PackingCertificate(
         k, witness, classes, branchings, cobranchings, assembled,
         {"t_side": t_violations, "s_side": s_violations})
-
-
-# ---------------------------------------------------------------------------
-# Integer decomposition
-# ---------------------------------------------------------------------------
-
-def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset[int]]:
-    """Write an integer point x of the k-dilated polytope as a sum of k
-    b-bibranching indicators, peeling one class per exact LP.
-
-    The rows R are the T indegree rows, the S outdegree rows (the mirror's
-    indegree rows) and the bicuts, with need(R) = b(v), b(u) or 1.  With j
-    classes left, the class is an integral vertex of max(0, x(a) - (j-1))
-    <= y(a) <= min(1, x(a)) and need(R) <= y(R) <= x(R) - (j-1) need(R), so
-    x - y stays in the (j-1)-dilated polytope (Baum and Trotter, SIAM J.
-    Alg. Disc. Meth. 1981).  Each arc a lies in exactly x(a) of the classes,
-    returned in peel order.  The bicuts are enumerated, so a side of more
-    than FAMILY_SIDE_LIMIT vertices raises GuardError.
-    """
-    D = instance.digraph
-    if k < 1:
-        raise InputError("k must be at least 1")
-    arcs = list(range(D.num_arcs()))
-    x = [x[a] for a in arcs]
-    for a, val in enumerate(x):
-        if type(val) is not int or val < 0 or val > k:
-            raise InputError("x(%d) must be an integer in [0, k]" % a)
-    if max(len(instance.S), len(instance.T)) > FAMILY_SIDE_LIMIT:
-        raise GuardError("bicut enumeration limited to %d vertices a side"
-                         % FAMILY_SIDE_LIMIT)
-    rows = [(view.digraph.in_arcs(v), view.b[v],
-             "scaled %s row fails at %s" % (name, v))
-            for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))
-            for v in sorted(view.T)]
-    rows += [(bicut.arcs, 1, "scaled bicut row fails at U = %s" % sorted(bicut.U))
-             for bicut in all_bicuts(instance)]
-    for R, need, message in rows:
-        if sum(x[a] for a in R) < k * need:
-            raise InputError(message)
-
-    residual = list(x)
-    result = []
-    for j in range(k, 0, -1):
-        bounds = {a: (max(0, residual[a] - (j - 1)), min(1, residual[a]))
-                  for a in arcs}
-        lp_rows = []
-        for R, need, _ in rows:
-            coeffs = {a: 1 for a in R}
-            lp_rows += [(coeffs, ">=", need),
-                        (coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)]
-        point = _integral_vertex(arcs, bounds, lp_rows)
-        result.append(frozenset(a for a in arcs if point[a]))
-        residual = [residual[a] - point[a] for a in arcs]
-
-    counts = [sum(1 for cls in result if a in cls) for a in arcs]
-    if counts != x:
-        raise TheoremViolation("decomposition does not sum to x")
-    for cls in result:
-        if not is_b_bibranching(instance, cls):
-            raise TheoremViolation("decomposition class is not a b-bibranching")
-    return result

@@ -459,6 +459,21 @@ class TestPackCommands:
         assert code == EXIT_OK and result["k"] == 2
         assert calls == [["t"], ["s1", "s2", "s3"]]
 
+    @pytest.mark.parametrize("limit, message", [
+        ("FAMILY_SIDE_LIMIT", "cut family side limited to 1 vertices"),
+        ("PRESCRIBED_ARC_LIMIT", "prescribed packing search limited to 1 arcs")])
+    def test_size_guards(self, tmp_path, capsys, monkeypatch, limit, message):
+        # The peel's S-side cut family has 3 vertices, and the S-side
+        # prescribed packing searches A[S], the 2 arcs of s1 <-> s2.
+        monkeypatch.setattr(packing, limit, 1)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(self.TWO_SIDED))
+        code = cli.main(["pack", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_GUARD
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("patched", ["partition_cross_arcs",
                                          "find_integral_point"])
     def test_bad_peel_fails_the_side_packing(self, tmp_path, capsys,
@@ -649,20 +664,41 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert report["result"]["detail"] == {"trials": {"f": 2, "g": 3}}
 
-    def test_idp_side_size_is_a_guard(self, tmp_path, capsys, monkeypatch):
-        # integer_decomposition_check enumerates every bicut.
-        monkeypatch.setattr(packing, "FAMILY_SIDE_LIMIT", 1)
-        doc = {"vertices": ONE_ARC["vertices"] + [{"id": "u", "side": "T",
-                                                    "b": 1}],
-               "arcs": ONE_ARC["arcs"] + [{"tail": "s", "head": "u",
-                                           "weight": 1}]}
+    def test_idp_runs_past_twelve_vertices_a_side(self, tmp_path, capsys):
+        # The bicut rows are separated, so no side size is refused: one S
+        # vertex with an arc to each of 13 T vertices decomposes.
+        t_ids = ["t%02d" % i for i in range(13)]
+        assert len(t_ids) > packing.FAMILY_SIDE_LIMIT
+        doc = {"vertices": [{"id": v, "side": "S" if v == "s" else "T",
+                             "b": 1} for v in ["s"] + t_ids],
+               "arcs": [{"tail": "s", "head": t, "weight": 1} for t in t_ids]}
         path = tmp_path / "i.json"
         path.write_text(json.dumps(doc))
         code = cli.main(["check", "--what", "idp", str(path)])
-        captured = capsys.readouterr()
-        assert code == EXIT_GUARD
-        assert captured.out == ""
-        assert "bicut enumeration limited to 1 vertices a side" in captured.err
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert report["result"]["detail"] == {"k": 3,
+                                              "classes": [list(range(13))] * 3}
+
+    def test_idp_unviolated_upper_cut_is_a_theorem_violation(
+            self, tmp_path, capsys, monkeypatch):
+        # With k = 3 only the first stage's upper separation asks for 2;
+        # faked, it returns the bicut {t}, which x - y already meets twice.
+        original = lpsolve._violated_bicuts
+        monkeypatch.setattr(
+            lpsolve, "_violated_bicuts",
+            lambda instance, x, need=1: lpsolve.all_bicuts(instance)
+            if need == 2 else original(instance, x, need))
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["arcs"].append({"tail": "s", "head": "t", "weight": 2})
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "idp", "--trials", "3",
+                         str(path)])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == EXIT_THEOREM
+        assert result == {"message": "separated bicut is not violated",
+                          "payload": {"U": ["t"], "x": ["0", "1"]}}
 
     def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
                                             monkeypatch):

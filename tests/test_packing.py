@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -9,18 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbibranch import packing
+from bbibranch import lpsolve
 from bbibranch.bibranching import (Instance, feasibility_witness,
                                    is_b_bibranching, subgraph)
 from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
-from bbibranch.errors import GuardError, InputError
+from bbibranch.errors import InputError
+from bbibranch.lpsolve import integer_decomposition_check
 from bbibranch.matroids import is_b_branching
 from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
                                build_system, cut_condition_failure, cut_family,
-                               find_integral_point,
-                               integer_decomposition_check,
-                               pack_b_bibranchings,
+                               find_integral_point, pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
                                partition_cross_arcs, verify_packing)
 from bbibranch.rationals import Q
@@ -278,14 +278,10 @@ class TestPartition:
             partition_cross_arcs(inst, 2, packing_number(inst))
 
     def test_conditions_match_cut_family_rows(self):
-        rng = random.Random(54)
-        outcomes = set()
-        for _ in range(300):
-            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
-                                   rng.uniform(0.3, 0.8), 2, 3, max_arcs=12,
-                                   extra_cross=rng.randint(0, 4))
-            k = rng.randint(1, 3)
-            labels = {a: rng.randrange(k) for a in sorted(inst.cross_arcs())}
+        outcomes, cut_only = set(), 0
+
+        def check(inst, k, labels):
+            nonlocal cut_only
             classes = [frozenset(a for a, j in labels.items() if j == i)
                        for i in range(k)]
             expected = cut_family_rule(inst, k, classes)
@@ -293,10 +289,31 @@ class TestPartition:
             # pack leaves these conditions to the side packings, which must
             # reject every labelling the rows reject.
             if not expected:
-                assert any(failure is not None
-                           for failure in side_packing_failures(inst, classes))
+                failures = [f for f in side_packing_failures(inst, classes) if f]
+                assert failures
+                cut_only += all(f["condition"] == "cut" for f in failures)
             outcomes.add(expected)
+
+        rng = random.Random(54)
+        for _ in range(300):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                   rng.uniform(0.3, 0.8), 2, 3, max_arcs=12,
+                                   extra_cross=rng.randint(0, 4))
+            k = rng.randint(1, 3)
+            check(inst, k, {a: rng.randrange(k) for a in sorted(inst.cross_arcs())})
         assert outcomes == {True, False}
+        # Random labellings that fail a side's cut condition fail a degree
+        # condition too.  Every 2-labelling of the cross arcs of S = {s1, s2,
+        # s3} with the 2-cycle s1 <-> s2, T = {t}: some fail only the S-side
+        # cut condition, at X = {s1, s2}.
+        D = Digraph(["s1", "s2", "s3", "t"],
+                    [("s1", "s2"), ("s2", "s1"), ("s1", "t"), ("s2", "t"),
+                     ("s3", "t"), ("s3", "t")])
+        inst = Instance(D, {v: v[0].upper() for v in D.vertices},
+                        {v: 1 for v in D.vertices}, [1] * 6)
+        for labels in itertools.product(range(2), repeat=4):
+            check(inst, 2, dict(zip(range(2, 6), labels)))
+        assert cut_only > 0
 
     def test_random_partitions_meet_conditions(self):
         rng = random.Random(47)
@@ -498,6 +515,23 @@ class TestFullPacking:
             assert cert.k <= wit.bicut_min
 
 
+def record_separations(monkeypatch):
+    """Log each ``_violated_bicuts`` call as (calling function, need, sorted
+    U of each cut returned): ``_solve_with_cuts`` separates the peel's lower
+    rows, ``integer_decomposition_check`` its input and upper rows."""
+    calls = []
+    original = lpsolve._violated_bicuts
+
+    def recorded(instance, x, need=1):
+        cuts = original(instance, x, need)
+        calls.append((sys._getframe(1).f_code.co_name, need,
+                      [sorted(cut.U) for cut in cuts]))
+        return cuts
+
+    monkeypatch.setattr(lpsolve, "_violated_bicuts", recorded)
+    return calls
+
+
 class TestIntegerDecomposition:
     def test_k1_identity(self):
         inst = one_arc_instance()
@@ -511,21 +545,28 @@ class TestIntegerDecomposition:
         for a in (0, 1):
             assert sum(1 for c in classes if a in c) == 2
 
-    def test_side_size_guard_follows_input_checks(self, monkeypatch):
-        # The bicut rows are enumerated, so a side over the limit refuses.
-        monkeypatch.setattr(packing, "FAMILY_SIDE_LIMIT", 1)
+    def test_entries_must_lie_between_zero_and_k(self):
         D = Digraph(["s", "t0", "t1"], [("s", "t0"), ("s", "t1")])
         inst = Instance(D, {"s": "S", "t0": "T", "t1": "T"},
                         {"s": 1, "t0": 1, "t1": 1}, [1, 1])
         with pytest.raises(InputError, match="x\\(0\\)"):
             integer_decomposition_check(inst, 1, [2, 1])
-        with pytest.raises(GuardError, match="limited to 1 vertices"):
-            integer_decomposition_check(inst, 1, [1, 1])
 
     def test_precondition_failure_names_row(self):
         inst = one_arc_instance()
         with pytest.raises(InputError, match="indegree row"):
             integer_decomposition_check(inst, 2, [1])
+
+    def test_bicut_precondition_failure_names_the_set(self):
+        # Every degree row holds, but no arc of x enters U = T.
+        D = Digraph(["s0", "s1", "t0", "t1"],
+                    [("s0", "s1"), ("s1", "s0"), ("s0", "t0"), ("t0", "t1"),
+                     ("t1", "t0")])
+        inst = Instance(D, {v: v[0].upper() for v in D.vertices},
+                        {v: 1 for v in D.vertices}, [1] * 5)
+        with pytest.raises(InputError, match=re.escape(
+                "scaled bicut row fails at U = ['t0', 't1']")):
+            integer_decomposition_check(inst, 1, [1, 1, 0, 1, 1])
 
     def test_random_points_decompose(self):
         from bbibranch.bibranching import brute_force_shortest
@@ -563,7 +604,7 @@ class TestIntegerDecomposition:
         assert [sum(1 for c in classes if a in c) for a in range(5)] == x
         assert all(is_b_bibranching(inst, c) for c in classes)
 
-    def test_peel_leaves_a_decomposable_rest(self):
+    def test_peel_leaves_a_decomposable_rest(self, monkeypatch):
         # x = {1, 3} + {0, 3, 5} + {1, 2, 4}.  The smallest first class is
         # {1, 3}; peeling it again would leave no arc from S to T, which the
         # upper row on the bicut U = T forbids.
@@ -573,9 +614,26 @@ class TestIntegerDecomposition:
         inst = Instance(D, {"s0": "S", "s1": "S", "t0": "T", "t1": "T"},
                         {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, [1] * 6)
         x = [1, 2, 1, 2, 1, 1]
+        calls = record_separations(monkeypatch)
         classes = integer_decomposition_check(inst, 3, x)
         assert [sum(1 for c in classes if a in c) for a in range(6)] == x
         assert all(is_b_bibranching(inst, c) for c in classes)
+        assert ("integer_decomposition_check", 1, [["t0", "t1"]]) in calls
+
+    def test_peel_adds_a_lower_bicut_row(self, monkeypatch):
+        # Each side is a 2-cycle, with one cross arc per class.  The
+        # smallest point of the degree rows alone is the two 2-cycles, with
+        # no arc from S to T; the lower row on U = T adds a cross arc.
+        D = Digraph(["s0", "s1", "t0", "t1"],
+                    [("s0", "s1"), ("s1", "s0"), ("t0", "t1"), ("t1", "t0"),
+                     ("s0", "t0"), ("s1", "t1")])
+        inst = Instance(D, {v: v[0].upper() for v in D.vertices},
+                        {v: 1 for v in D.vertices}, [1] * 6)
+        calls = record_separations(monkeypatch)
+        classes = integer_decomposition_check(inst, 2, [2, 2, 2, 2, 1, 1])
+        assert classes == [frozenset({0, 1, 2, 3, 4}),
+                           frozenset({0, 1, 2, 3, 5})]
+        assert ("_solve_with_cuts", 1, [["t0", "t1"]]) in calls
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)

@@ -36,6 +36,20 @@ def test_function_local_imports_are_pinned():
             "_random_b_branching", "_check_exchange", "_check_idp")}
 
 
+def test_no_private_cross_module_imports():
+    # A module's _-prefixed names are its own: no module imports one from
+    # another module of the package.
+    found = [
+        "%s:%d %s" % (path.name, node.lineno, alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("bbibranch"))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_fractions_are_built_in_rationals():
     # Numbers are int when integral and Fraction otherwise.  Only
     # ``rationals`` imports Fraction, and outside it only
@@ -85,7 +99,6 @@ def test_guard_sites_are_pinned():
         ("packing.py", "cut_family"),
         ("packing.py", "_exhaustive_partition"),
         ("packing.py", "pack_prescribed_b_branchings"),
-        ("packing.py", "integer_decomposition_check"),
         ("cli.py", "_check_mconvex"),
         ("cli.py", "_check_exchange"),
     }
