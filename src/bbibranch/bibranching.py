@@ -1,9 +1,11 @@
 """The b-bibranching object: validation, pruning, brute force, solver front end.
 
 The four-condition definition (reachability both ways plus the two degree
-bounds) is authoritative.  The branching/cobranching description is kept as a
-separate checker; it implies the four conditions but may reject non-minimal
-sets that the four conditions accept.
+bounds) is authoritative.  The branching/cobranching description is a
+separate checker, ``mconvex.check_alternative_description``; it implies the
+four conditions but may reject non-minimal sets that the four conditions
+accept.  This module imports only ``digraph``, ``errors`` and ``rationals``;
+``solve_shortest`` imports the solver module of the route it runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Iterable, Optional
 
 from .digraph import Digraph, check_capacities
 from .errors import GuardError, InfeasibleInstance, InputError
-from .matroids import is_b_branching
 from .rationals import rat
 
 BRUTE_FORCE_ARC_LIMIT = 20
@@ -98,21 +99,6 @@ def subgraph(digraph: Digraph, X: Iterable[str]):
     vertices = [v for v in digraph.vertices if v in X]
     arc_map = sorted(digraph.induced_arcs(digraph.all_arcs, X))
     return Digraph(vertices, [digraph.arcs[a] for a in arc_map]), arc_map
-
-
-def check_alternative_description(instance: Instance, B: Iterable[int]) -> bool:
-    """B[T] a b|T-branching, B[S] a b|S-cobranching, plus the degree bounds;
-    the S side is tested as the T side of the mirror."""
-    B = instance.digraph.check_arcset(B)
-    for view in (instance, instance.mirror):
-        D = view.digraph
-        if any(D.in_degree(B, v) < view.b[v] for v in view.T):
-            return False
-        d_T, arc_map = subgraph(D, view.T)
-        B_T = frozenset(i for i, a in enumerate(arc_map) if a in B)
-        if not is_b_branching(d_T, {v: view.b[v] for v in view.T}, B_T):
-            return False
-    return True
 
 
 def prune_to_minimal(instance: Instance, B: Iterable[int]) -> frozenset[int]:
@@ -248,11 +234,12 @@ def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
     if method not in ("lp", "mflow", "brute", "auto"):
         raise InputError("unknown method %r" % (method,))
 
-    from . import lpsolve, mconvex  # local import: those modules use Instance
-
+    # Local imports: both modules use Instance.
     if method == "mflow":
+        from . import mconvex
         return mconvex.solve_mflow(instance)
     require_feasible(instance)
     if method == "brute":
         return brute_force_shortest(instance)
+    from . import lpsolve
     return lpsolve.solve_primal_cutting_plane(instance).solution

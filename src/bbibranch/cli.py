@@ -199,18 +199,18 @@ def cmd_pack(args) -> int:
 def _check_tdi(instance, rng, trials):
     from .lpsolve import dual_key_str, tdi_spot_check
 
-    outcome = tdi_spot_check(instance)
-    dual = outcome["dual"]
+    outcome = tdi_spot_check(instance)  # raises unless it proves a dual
+    primal = rat_str(outcome["primal"])
     detail = {
-        "primal": rat_str(outcome["primal"]),
+        "primal": primal,
         "bicut_rows": outcome["bicut_rows"],
         "uncrossing_steps": outcome["uncrossing_steps"],
         "dual": {
-            "objective": rat_str(dual.objective),
-            "y": {dual_key_str(key): rat_str(val) for key, val in dual.y.items()},
+            "objective": primal,
+            "y": {dual_key_str(key): rat_str(val) for key, val in outcome["y"].items()},
         },
     }
-    return outcome["found"], detail
+    return True, detail
 
 
 def _random_degree_vector(rng, vertices, b):

@@ -11,7 +11,9 @@ max-flow, the primal cutting plane for the shortest b-bibranching LP,
 proved optimal by its own row duals, integer decomposition by LP peeling
 on separated bicut rows, and the total-dual-integrality check, which
 proves an integral optimal dual from those duals (uncrossed and re-solved
-over a cross-free family when fractional).
+over a cross-free family when fractional) and returns it as a plain map
+from row keys to values.  Both dual checks read each row's arcs from the
+instance, through one load routine.
 """
 
 from __future__ import annotations
@@ -404,19 +406,24 @@ def _dual_coverage(instance: Instance, key) -> frozenset[int]:
     return D.in_cut(D.all_arcs, X)
 
 
-def dual_bound(instance: Instance, y: dict):
-    """sum b(v) y_v + sum y_U - sum_a max(0, load(a) - w(a)), each row's arcs
-    read from the instance (``_dual_coverage``), not from an LP.  For y >= 0
-    the max terms complete y to a dual of the boxed LP over all bicuts, so
-    by weak duality no b-bibranching weighs less."""
+def _loads(instance: Instance, y: dict) -> list:
+    """Each arc's load: the sum of y over the rows that contain it, each
+    row's arcs read from the instance (``_dual_coverage``), not from an LP."""
     load = [0] * instance.digraph.num_arcs()
-    objective = 0
     for key, val in y.items():
-        objective += instance.b[key[1]] * val if key[0] == "v" else val
         for a in _dual_coverage(instance, key):
             load[a] += val
+    return load
+
+
+def dual_bound(instance: Instance, y: dict):
+    """sum b(v) y_v + sum y_U - sum_a max(0, load(a) - w(a)).  For y >= 0
+    the max terms complete y to a dual of the boxed LP over all bicuts, so
+    by weak duality no b-bibranching weighs less."""
+    objective = sum(instance.b[key[1]] * val if key[0] == "v" else val
+                    for key, val in y.items())
     return objective - sum(max(0, total - w)
-                           for total, w in zip(load, instance.weights))
+                           for total, w in zip(_loads(instance, y), instance.weights))
 
 
 def dual_key_str(key) -> str:
@@ -470,8 +477,9 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     x - y stays in the (j-1)-dilated polytope (Baum and Trotter, SIAM J.
     Alg. Disc. Meth. 1981).  Bicut rows are separated (the lower ones by
     ``_solve_with_cuts``); the last vertex meets every row, so it is a
-    vertex of the full system.  Each arc a lies in exactly x(a) of the
-    classes, returned in peel order.
+    vertex of the full system.  At j = 1 the bounds fix y = x, so the
+    residual is the last class without an LP.  Each arc a lies in exactly
+    x(a) of the classes, returned in peel order.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -492,7 +500,7 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
         raise InputError("scaled bicut row fails at U = %s" % sorted(short[0].U))
 
     residual, result = list(x), []
-    for j in range(k, 0, -1):
+    for j in range(k, 1, -1):
         lp = RationalLP(len(x), [1] * len(x), "min")
         for a in arcs:
             lp.set_bounds(a, max(0, residual[a] - (j - 1)), min(1, residual[a]))
@@ -517,6 +525,7 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
         point = zero_one_vertex(lp, y)
         result.append(frozenset(a for a in arcs if point[a]))
         residual = [r - p for r, p in zip(residual, point)]
+    result.append(frozenset(a for a in arcs if residual[a]))
 
     if [sum(1 for cls in result if a in cls) for a in arcs] != x:
         raise TheoremViolation("decomposition does not sum to x")
@@ -528,13 +537,6 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
 # ---------------------------------------------------------------------------
 # TDI spot check
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DualSolution:
-    """A solution of the covering dual: y over singletons and the family U'."""
-    y: dict
-    objective: object
-
 
 def _dual_family(instance: Instance):
     """The set family indexing dual variables: singletons plus U', each key
@@ -564,15 +566,10 @@ def _build_dual_lp(instance: Instance, family):
     return lp
 
 
-def dual_feasible(instance: Instance, dual: DualSolution) -> bool:
+def dual_feasible(instance: Instance, y: dict) -> bool:
     """Check y >= 0 and every arc-class dual constraint exactly."""
-    load = [0] * instance.digraph.num_arcs()
-    for key, val in dual.y.items():
-        if val < 0:
-            return False
-        for a in _dual_coverage(instance, key):
-            load[a] += val
-    return all(total <= w for total, w in zip(load, instance.weights))
+    return min(y.values(), default=0) >= 0 and all(
+        total <= w for total, w in zip(_loads(instance, y), instance.weights))
 
 
 def _uncross(instance: Instance, y: dict) -> tuple[dict, int]:
@@ -639,7 +636,7 @@ def tdi_spot_check(instance: Instance) -> dict:
 
     def certifies(y: dict) -> bool:
         return all(is_integral(v) for v in y.values()) \
-            and dual_feasible(instance, DualSolution(y, primal)) \
+            and dual_feasible(instance, y) \
             and dual_bound(instance, y) == primal
 
     keys = _row_keys(instance, cut_rows)
@@ -656,6 +653,5 @@ def tdi_spot_check(instance: Instance) -> dict:
             raise TheoremViolation("cross-free dual LP has no integral optimum",
                                    payload={"lp": dump_lp(dual_lp),
                                             "x": None if res.x is None else _text(res.x)})
-    return {"status": "ok", "found": True, "primal": primal,
-            "dual": DualSolution(y, primal), "bicut_rows": len(cut_rows),
+    return {"primal": primal, "y": y, "bicut_rows": len(cut_rows),
             "uncrossing_steps": steps}

@@ -1,5 +1,6 @@
 """Discrete convexity layer: b-branching value oracles, exchange machinery,
-and the submodular-flow style solver for the shortest b-bibranching.
+the branching/cobranching description of a b-bibranching, and the
+submodular-flow style solver for the shortest b-bibranching.
 
 f(x) is the cheapest b-branching whose indegree vector is exactly b - x;
 g(x) relaxes the equality to >= and reduces to f by clipping x at b.  Both
@@ -208,6 +209,21 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
 # ---------------------------------------------------------------------------
 # Submodular-flow style solver
 # ---------------------------------------------------------------------------
+
+def check_alternative_description(instance: Instance, B: Iterable[int]) -> bool:
+    """B[T] a b|T-branching, B[S] a b|S-cobranching, plus the degree bounds;
+    the S side is tested as the T side of the mirror."""
+    B = instance.digraph.check_arcset(B)
+    for view in (instance, instance.mirror):
+        D = view.digraph
+        if any(D.in_degree(B, v) < view.b[v] for v in view.T):
+            return False
+        d_T, arc_map = subgraph(D, view.T)
+        B_T = frozenset(i for i, a in enumerate(arc_map) if a in B)
+        if not is_b_branching(d_T, {v: view.b[v] for v in view.T}, B_T):
+            return False
+    return True
+
 
 def side_oracle(instance: Instance) -> tuple[BBranchingOracle, list[int]]:
     """The oracle of b|T-branchings of A[T], with its map to arc indices;

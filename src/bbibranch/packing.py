@@ -12,7 +12,6 @@ one table, ``cut_family``, mapping each member C to g(C).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -22,7 +21,6 @@ from .errors import GuardError, InputError, TheoremViolation
 from .lpsolve import (RationalLP, min_bicut_candidates, simplex_solve,
                       zero_one_vertex)
 from .matroids import split_into_b_branchings
-from .rationals import Q
 
 FAMILY_SIDE_LIMIT = 12
 EXHAUSTIVE_PARTITION_LIMIT = 200000
@@ -71,22 +69,20 @@ def verify_packing(instance: Instance, classes: Iterable[Iterable[int]]) -> bool
 # Cut families and their supermodular functions
 # ---------------------------------------------------------------------------
 
-def cut_family(instance: Instance, side: int, k: int,
+def cut_family(view: Instance, k: int,
                ground: Optional[Iterable[int]] = None) -> dict[frozenset[int], int]:
-    """The cuts C = delta^-_H(U) over nonempty U on one side, each mapped to
-    g(C), in sorted(C) order.
+    """The cuts C = delta^-_H(U) over nonempty U within view.T, each mapped
+    to g(C), in sorted(C) order.
 
-    U ranges over subsets of T in the instance (side 1) or in its mirror
-    (side 2, U within S), and arcs are counted by their head there.
-    ``ground`` restricts H to a subset of the cross arcs, which the peeling
-    recursion relies on.  g(C) is k minus the least within-side indegree
-    over the U that give C: arcs of A[T] entering U on side 1, arcs of A[S]
-    leaving U (entering it in the mirror) on side 2.
+    ``view`` is the instance (the T side) or ``instance.mirror`` (the S
+    side, where U lies within S and arcs are counted by their head in the
+    reversed digraph); both have the same cross-arc indices.  ``ground``
+    restricts H to a subset of the cross arcs, which the peeling recursion
+    relies on.  g(C) is k minus the least indegree in A[view.T] over the U
+    that give C: arcs of A[T] entering U, or on the mirror arcs of A[S]
+    leaving U.
     """
-    if side not in (1, 2):
-        raise InputError("side must be 1 or 2")
-    view = instance if side == 1 else instance.mirror
-    cross = instance.cross_arcs()
+    cross = view.cross_arcs()
     ground = frozenset(cross if ground is None else ground)
     if not ground <= cross:
         raise InputError("ground set must consist of cross arcs")
@@ -119,15 +115,13 @@ class GPolymatroidSystem:
     var_arcs: list[int]
     rows: list[tuple[dict[int, int], str, int, str]] = field(default_factory=list)
 
-    def check_point(self, x: dict[int, object]) -> list[str]:
-        """Tags of all violated rows (bounds included), empty when feasible.
+    def check_point(self, y: dict[int, int], scale: int) -> list[str]:
+        """Tags of all rows (bounds included) that the point y / scale
+        violates, empty when it is feasible.
 
-        x maps each arc to an exact rational (int or Fraction).  The
-        test is in integers: y = L x against L times each bound, where L is
-        the lcm of the denominators of x.
+        y maps each arc to an int; the test stays in integers, y against
+        scale times each bound.
         """
-        scale = math.lcm(*(x[a].denominator for a in self.var_arcs))
-        y = {a: x[a].numerator * (scale // x[a].denominator) for a in self.var_arcs}
         bad = ["bounds[%d]" % a for a in self.var_arcs if not 0 <= y[a] <= scale]
         for coeffs, rel, rhs, tag in self.rows:
             total = sum(y[a] * c for a, c in coeffs.items())
@@ -136,21 +130,21 @@ class GPolymatroidSystem:
         return bad
 
 
-def build_system(instance: Instance, side: int, k: int,
+def build_system(view: Instance, k: int,
                  ground: Optional[Iterable[int]] = None,
                  degree=None) -> GPolymatroidSystem:
-    """Instantiate the row system for one side at packing target k.
+    """Instantiate the row system of one side, on the instance (T side) or
+    ``instance.mirror`` (S side), at packing target k.
 
-    Each side vertex v bounds x(delta_H(v)), its ground cross arcs, by
+    Each vertex v of view.T bounds x(delta_H(v)), its ground cross arcs, by
     deg(v) - (k-1) b(v) above and, when positive, b(v) - (deg(v) -
     |delta_H(v)|) below; ``degree`` maps v to its residual deg(v) during
-    peeling and defaults to its indegree in the family's view: d_A^-(v)
-    (side 1) or d_A^+(v) (side 2).
+    peeling and defaults to its indegree in the view: d_A^-(v) on the
+    instance, d_A^+(v) on the mirror.
     """
-    view = instance if side == 1 else instance.mirror
-    ground = frozenset(instance.cross_arcs() if ground is None else ground)
+    ground = frozenset(view.cross_arcs() if ground is None else ground)
     system = GPolymatroidSystem(k, sorted(ground))
-    for C, gC in cut_family(instance, side, k, ground).items():
+    for C, gC in cut_family(view, k, ground).items():
         coeffs = {a: 1 for a in C}
         tag = "cut[%s]" % ",".join(str(a) for a in sorted(C))
         system.rows.append((coeffs, "<=", len(C) - gC + 1, "upper-" + tag))
@@ -160,9 +154,9 @@ def build_system(instance: Instance, side: int, k: int,
     for v in sorted(view.T):
         deg = len(D.in_arcs(v)) if degree is None else degree[v]
         coeffs = {a: 1 for a in ground if D.head(a) == v}
-        system.rows.append((coeffs, "<=", deg - (k - 1) * instance.b[v],
+        system.rows.append((coeffs, "<=", deg - (k - 1) * view.b[v],
                             "degree[%s]" % v))
-        need = instance.b[v] - (deg - len(coeffs))
+        need = view.b[v] - (deg - len(coeffs))
         if need > 0:
             system.rows.append((coeffs, ">=", need, "degree-low[%s]" % v))
     return system
@@ -172,15 +166,16 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
     """A common 0/1 point of the two systems, as a vertex of an exact LP.
 
     Membership of the uniform point 1/k is certified first, by
-    ``check_point`` (it lies in the box, so only rows can fail); a
-    fractional vertex is a hard failure carrying the dumped LP, since the
-    intersection of the two systems is an integer polyhedron.
+    ``check_point`` on the all-ones vector over k (it lies in the box, so
+    only rows can fail); a fractional vertex is a hard failure carrying the
+    dumped LP, since the intersection of the two systems is an integer
+    polyhedron.
     """
     if p1.var_arcs != p2.var_arcs or p1.k != p2.k:
         raise InputError("the two systems must share ground set and k")
     arcs = p1.var_arcs
-    uniform = {a: Q(1, p1.k) for a in arcs}
-    violated = p1.check_point(uniform) + p2.check_point(uniform)
+    ones = dict.fromkeys(arcs, 1)
+    violated = p1.check_point(ones, p1.k) + p2.check_point(ones, p1.k)
     if violated:
         raise TheoremViolation("uniform point 1/k violates the row system",
                                payload={"rows": violated})
@@ -274,8 +269,8 @@ def partition_cross_arcs(instance: Instance, k: int,
     classes: list[frozenset[int]] = []
     for stage in range(k, 1, -1):
         point = find_integral_point(
-            *(build_system(instance, side, stage, remaining, degree[side - 1])
-              for side in (1, 2)))
+            *(build_system(view, stage, remaining, residual)
+              for view, residual in zip(views, degree)))
         H_j = frozenset(a for a, val in point.items() if val)
         classes.append(H_j)
         remaining -= H_j

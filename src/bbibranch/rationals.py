@@ -2,9 +2,10 @@
 
 All solver arithmetic in this package is exact, on one rule: a value is a
 Python int when it is integral and a ``fractions.Fraction`` otherwise.
-Fractions are made here: by ``rat`` for fractional input ('p/q' weights)
-and by ``ratio`` for the simplex's non-integral results; outside this
-module only ``packing.find_integral_point`` builds one (the point 1/k).
+Fractions are made only here: by ``rat`` for fractional input ('p/q'
+weights) and by ``ratio`` for the simplex's non-integral results.  Code
+that tests a fractional point keeps it as an int vector over one scale
+(``packing.GPolymatroidSystem.check_point``).
 Integral data such as b, unit capacities, integer weights and every
 integral LP coefficient, bound, vertex, dual and objective stay int from
 instance load through the simplex to the dual certificate; ``rat``,

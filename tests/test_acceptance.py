@@ -12,7 +12,8 @@ import sys
 from bbibranch.bibranching import (Instance, brute_force_shortest,
                                    feasibility_witness, solve_shortest)
 from bbibranch.digraph import Digraph
-from bbibranch.lpsolve import solve_primal_cutting_plane, tdi_spot_check
+from bbibranch.lpsolve import (dual_bound, solve_primal_cutting_plane,
+                               tdi_spot_check)
 from bbibranch.matroids import is_b_branching
 from bbibranch.mconvex import (BBranchingOracle, check_mnat_exchange,
                                exchange_b_branchings, solve_mflow,
@@ -21,7 +22,7 @@ from bbibranch.packing import (build_system, cut_family, find_integral_point,
                                pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
                                verify_packing)
-from bbibranch.rationals import Q, is_integral
+from bbibranch.rationals import is_integral
 
 from conftest import (oracle_max_disjoint_packing, random_digraph,
                       random_instance)
@@ -90,8 +91,8 @@ def test_criterion_3_tdi_integral_duals():
         if feasibility_witness(inst) is not None:
             continue
         out = tdi_spot_check(inst)
-        if not out["found"] or out["dual"].objective != out["primal"] \
-                or not all(is_integral(v) for v in out["dual"].y.values()):
+        if dual_bound(inst, out["y"]) != out["primal"] \
+                or not all(is_integral(v) for v in out["y"].values()):
             ok = False
             break
         done += 1
@@ -128,18 +129,18 @@ def test_criterion_5_gpolymatroid_claims():
         if k < 1:
             continue
         done += 1
-        for side in (1, 2):
-            g = cut_family(inst, side, k)
+        for view in (inst, inst.mirror):
+            g = cut_family(view, k)
             for C1, C2 in itertools.combinations(g, 2):
                 if C1 & C2:
                     ok &= (C1 | C2) in g and (C1 & C2) in g
                     ok &= g[C1] + g[C2] <= g[C1 | C2] + g[C1 & C2]
             for C, gC in g.items():
                 ok &= gC <= min(k, len(C))
-        p1 = build_system(inst, 1, k)
-        p2 = build_system(inst, 2, k)
-        uniform = {a: Q(1, k) for a in p1.var_arcs}
-        ok &= p1.check_point(uniform) == [] and p2.check_point(uniform) == []
+        p1 = build_system(inst, k)
+        p2 = build_system(inst.mirror, k)
+        ones = dict.fromkeys(p1.var_arcs, 1)
+        ok &= p1.check_point(ones, k) == [] and p2.check_point(ones, k) == []
         point = find_integral_point(p1, p2)
         ok &= set(point.values()) <= {0, 1}
     _report("5 gpolymatroid-claims", bool(ok) and done == 30)

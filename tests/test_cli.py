@@ -270,6 +270,23 @@ class TestSolveCommand:
         capsys.readouterr()
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("method, loaded", [
+        (None, False), ("lp", False), ("mflow", True)])
+    def test_solve_loads_only_its_route(self, tmp_path, method, loaded):
+        # A fresh process, so earlier imports in this one do not count.
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(ONE_ARC))
+        argv = ["solve", str(path)] + ([] if method is None else ["--method", method])
+        script = ("import contextlib, io, sys\n"
+                  "from bbibranch import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = cli.main(sys.argv[1:])\n"
+                  "print(code, 'bbibranch.mconvex' in sys.modules,"
+                  " 'bbibranch.matroids' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", script] + argv,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == [str(EXIT_OK), str(loaded), str(loaded)]
+
     def test_input_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

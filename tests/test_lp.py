@@ -11,7 +11,7 @@ from bbibranch import lpsolve
 from bbibranch.bibranching import (brute_force_shortest, feasibility_witness,
                                    solve_shortest)
 from bbibranch.errors import InfeasibleInstance, InputError, TheoremViolation
-from bbibranch.lpsolve import (DualSolution, RationalLP, SimplexResult, all_bicuts,
+from bbibranch.lpsolve import (RationalLP, SimplexResult, all_bicuts, dual_bound,
                                dump_lp, dual_feasible, min_bicut_candidates,
                                simplex_solve, solve_primal_cutting_plane,
                                tdi_spot_check, zero_one_vertex)
@@ -257,13 +257,12 @@ class TestCuttingPlane:
 class TestTDI:
     def test_one_arc_integral_dual(self):
         out = tdi_spot_check(one_arc_instance())
-        assert out["found"]
-        assert out["dual"].objective == 5
+        assert out["primal"] == dual_bound(one_arc_instance(), out["y"]) == 5
         # A singleton dual worth 5 certifies the optimum; with a single arc
         # either endpoint's variable may carry it.
-        assert sum(out["dual"].y.values(), Q(0)) == 5
-        assert set(out["dual"].y) <= {("v", "s"), ("v", "t")}
-        assert dual_feasible(one_arc_instance(), out["dual"])
+        assert sum(out["y"].values(), Q(0)) == 5
+        assert set(out["y"]) <= {("v", "s"), ("v", "t")}
+        assert dual_feasible(one_arc_instance(), out["y"])
 
     def test_requires_integer_weights(self):
         with pytest.raises(InputError):
@@ -278,11 +277,9 @@ class TestTDI:
             if feasibility_witness(inst) is not None:
                 continue
             out = tdi_spot_check(inst)
-            assert out["found"], out
-            dual = out["dual"]
-            assert dual.objective == out["primal"]
-            assert all(is_integral(v) for v in dual.y.values())
-            assert dual_feasible(inst, dual)
+            assert dual_bound(inst, out["y"]) == out["primal"], out
+            assert all(is_integral(v) for v in out["y"].values())
+            assert dual_feasible(inst, out["y"])
             found += 1
         assert found >= 5
 
@@ -293,9 +290,9 @@ class TestTDI:
         assert not all(is_integral(v) for v in result.row_duals)
         out = tdi_spot_check(inst)
         assert out["uncrossing_steps"] >= 1
-        assert out["primal"] == out["dual"].objective == 8
-        assert all(is_integral(v) for v in out["dual"].y.values())
-        assert dual_feasible(inst, out["dual"])
+        assert out["primal"] == dual_bound(inst, out["y"]) == 8
+        assert all(is_integral(v) for v in out["y"].values())
+        assert dual_feasible(inst, out["y"])
 
     def test_uncrossing_synthetic_fractional_optima(self):
         # The average of two optimal duals is optimal: the certificate and a
@@ -320,7 +317,7 @@ class TestTDI:
             family = lpsolve._dual_family(inst)
             for order in (family, family[::-1]):
                 vertex = simplex_solve(lpsolve._build_dual_lp(inst, order))
-                avg = {key: val / 2 for key, val in out["dual"].y.items()}
+                avg = {key: val / 2 for key, val in out["y"].items()}
                 for key, val in zip(order, vertex.x):
                     avg[key] = avg.get(key, 0) + val / 2
                 if all(is_integral(v) for v in avg.values()):
@@ -334,7 +331,7 @@ class TestTDI:
                 objective = sum(inst.b[key[1]] * val if key[0] == "v" else val
                                 for key, val in y.items())
                 assert objective == out["primal"]
-                assert dual_feasible(inst, DualSolution(y, objective))
+                assert dual_feasible(inst, y)
                 singletons = [("v", v) for v in sorted(V)]
                 res = simplex_solve(lpsolve._build_dual_lp(
                     inst, singletons + [("U", U) for U in support]))
@@ -372,7 +369,7 @@ class TestTDI:
                 continue
             full = simplex_solve(lpsolve._build_dual_lp(
                 inst, lpsolve._dual_family(inst)))
-            assert out["dual"].objective == full.objective
+            assert out["primal"] == dual_bound(inst, out["y"]) == full.objective
             checked += 1
         assert checked >= 20
 
@@ -387,12 +384,13 @@ class TestTDI:
             if feasibility_witness(inst) is not None:
                 continue
             out = tdi_spot_check(inst)
-            assert out["dual"].objective == solve_shortest(inst, "lp").weight
-            assert dual_feasible(inst, out["dual"])
+            assert out["primal"] == dual_bound(inst, out["y"]) \
+                == solve_shortest(inst, "lp").weight
+            assert dual_feasible(inst, out["y"])
             checked += 1
         assert checked >= 2
 
     def test_dual_feasibility_checker_rejects_bad_duals(self):
         inst = one_arc_instance()
-        assert not dual_feasible(inst, DualSolution({("v", "t"): Q(6)}, Q(6)))
-        assert not dual_feasible(inst, DualSolution({("v", "t"): Q(-1)}, Q(-1)))
+        assert not dual_feasible(inst, {("v", "t"): 6})
+        assert not dual_feasible(inst, {("v", "t"): -1})

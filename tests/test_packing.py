@@ -23,7 +23,6 @@ from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
                                find_integral_point, pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
                                partition_cross_arcs, verify_packing)
-from bbibranch.rationals import Q
 
 from conftest import (one_arc_instance, oracle_max_disjoint_packing,
                       random_digraph, random_instance)
@@ -77,14 +76,14 @@ class TestPackingNumber:
 
 class TestCutFamilies:
     def test_members_are_head_unions(self):
-        assert cut_family(doubled_instance(), 1, 2) == {frozenset({0, 1}): 2}
+        assert cut_family(doubled_instance(), 2) == {frozenset({0, 1}): 2}
 
     def test_intersecting_closure(self):
         rng = random.Random(42)
         for _ in range(10):
             inst = random_instance(rng, 2, 3, 0.6, 2, 3, max_arcs=12)
-            for side in (1, 2):
-                g = cut_family(inst, side, 1)
+            for view in (inst, inst.mirror):
+                g = cut_family(view, 1)
                 for C1, C2 in itertools.combinations(g, 2):
                     if C1 & C2:
                         assert (C1 | C2) in g
@@ -94,7 +93,7 @@ class TestCutFamilies:
 class TestSupermodularFunction:
     def test_isolated_head_gives_k(self):
         # g of a cut generated by a T-vertex with no within-side in-arc is k.
-        assert cut_family(doubled_instance(), 1, 2)[frozenset({0, 1})] == 2
+        assert cut_family(doubled_instance(), 2)[frozenset({0, 1})] == 2
 
     def test_matches_direct_enumeration(self):
         rng = random.Random(43)
@@ -108,16 +107,18 @@ class TestSupermodularFunction:
             # peeling in partition_cross_arcs passes it.
             for ground in (None, frozenset(a for a in H if pick.random() < 0.6)):
                 arcs = H if ground is None else ground
-                for side in (1, 2):
-                    g = cut_family(inst, side, k, ground)
-                    verts = sorted(inst.T if side == 1 else inst.S)
-                    inner = D.induced_arcs(D.all_arcs,
-                                           inst.T if side == 1 else inst.S)
+                # The oracle reads heads and in-cuts of the instance on
+                # the T side, tails and out-cuts of it on the S side.
+                for view, X, t_side in ((inst, inst.T, True),
+                                        (inst.mirror, inst.S, False)):
+                    g = cut_family(view, k, ground)
+                    verts = sorted(X)
+                    inner = D.induced_arcs(D.all_arcs, X)
                     expected = {}
                     for r in range(1, len(verts) + 1):
                         for combo in itertools.combinations(verts, r):
                             U = frozenset(combo)
-                            if side == 1:
+                            if t_side:
                                 cut = frozenset(a for a in arcs if D.head(a) in U)
                                 deg = len(D.in_cut(inner, U))
                             else:
@@ -132,8 +133,8 @@ class TestSupermodularFunction:
         for _ in range(8):
             inst = random_instance(rng, 2, 3, 0.6, 2, 3, max_arcs=12)
             k = max(1, packing_number(inst).k)
-            for side in (1, 2):
-                g = cut_family(inst, side, k)
+            for view in (inst, inst.mirror):
+                g = cut_family(view, k)
                 for C1, C2 in itertools.combinations(g, 2):
                     if C1 & C2:
                         assert g[C1] + g[C2] <= g[C1 | C2] + g[C1 & C2]
@@ -146,30 +147,31 @@ class TestSupermodularFunction:
             k = packing_number(inst).k
             if k < 1:
                 continue
-            for side in (1, 2):
-                for C, gC in cut_family(inst, side, k).items():
+            for view in (inst, inst.mirror):
+                for C, gC in cut_family(view, k).items():
                     assert gC <= min(k, len(C))
 
 
 class TestIntegralPoint:
     def test_single_arc_k1(self):
         inst = one_arc_instance()
-        p1 = build_system(inst, 1, 1)
-        p2 = build_system(inst, 2, 1)
-        point = p1.check_point({0: Q(1)})
+        p1 = build_system(inst, 1)
+        p2 = build_system(inst.mirror, 1)
+        point = p1.check_point({0: 1}, 1)
         assert point == []
         assert find_integral_point(p1, p2) == {0: 1}
 
     def test_check_point_across_denominators(self):
-        # Tight and violated rows and a bound, over mixed denominators.
+        # Tight and violated rows and a bound, at the points (1/2, 1/3,
+        # 2/3), (1/2, 1/2, 3/2), (0, 1/4, 1/2) and (1/6, 1/3, 2/3), each
+        # as ints over the lcm of its denominators.
         system = GPolymatroidSystem(2, [0, 1, 2], [
             ({0: 1, 1: 1}, "<=", 1, "r0"), ({1: 1, 2: 1}, ">=", 1, "r1"),
             ({0: 2, 2: 1}, "<=", 1, "r2")])
-        assert system.check_point({0: Q(1, 2), 1: Q(1, 3), 2: Q(2, 3)}) == ["r2"]
-        assert system.check_point({0: Q(1, 2), 1: Q(1, 2), 2: Q(3, 2)}) == [
-            "bounds[2]", "r2"]
-        assert system.check_point({0: 0, 1: Q(1, 4), 2: Q(1, 2)}) == ["r1"]
-        assert system.check_point({0: Q(1, 6), 1: Q(1, 3), 2: Q(2, 3)}) == []
+        assert system.check_point({0: 3, 1: 2, 2: 4}, 6) == ["r2"]
+        assert system.check_point({0: 1, 1: 1, 2: 3}, 2) == ["bounds[2]", "r2"]
+        assert system.check_point({0: 0, 1: 1, 2: 2}, 4) == ["r1"]
+        assert system.check_point({0: 1, 1: 2, 2: 4}, 6) == []
 
     def test_uniform_point_feasible_and_vertex_integral(self):
         rng = random.Random(46)
@@ -181,16 +183,15 @@ class TestIntegralPoint:
             k = packing_number(inst).k
             if k < 1:
                 continue
-            p1 = build_system(inst, 1, k)
-            p2 = build_system(inst, 2, k)
-            uniform = {a: Q(1, k) for a in p1.var_arcs}
-            assert p1.check_point(uniform) == []
-            assert p2.check_point(uniform) == []
+            p1 = build_system(inst, k)
+            p2 = build_system(inst.mirror, k)
+            ones = dict.fromkeys(p1.var_arcs, 1)
+            assert p1.check_point(ones, k) == []
+            assert p2.check_point(ones, k) == []
             point = find_integral_point(p1, p2)
             assert set(point.values()) <= {0, 1}
-            as_q = {a: Q(v) for a, v in point.items()}
-            assert p1.check_point(as_q) == []
-            assert p2.check_point(as_q) == []
+            assert p1.check_point(point, 1) == []
+            assert p2.check_point(point, 1) == []
             done += 1
         assert done >= 10
 
@@ -234,8 +235,8 @@ class TestCutCondition:
 def cut_family_rule(inst, k, classes):
     """The coloring conditions as cut-family rows: every member C of each
     side's family is hit by at least g(C) classes, plus the degree caps."""
-    for side in (1, 2):
-        for C, gC in cut_family(inst, side, k).items():
+    for view in (inst, inst.mirror):
+        for C, gC in cut_family(view, k).items():
             if sum(1 for H_j in classes if C & H_j) < gC:
                 return False
     for view in (inst, inst.mirror):
@@ -619,6 +620,28 @@ class TestIntegerDecomposition:
         assert [sum(1 for c in classes if a in c) for a in range(6)] == x
         assert all(is_b_bibranching(inst, c) for c in classes)
         assert ("integer_decomposition_check", 1, [["t0", "t1"]]) in calls
+
+    def test_last_class_is_the_residual(self, monkeypatch):
+        # With one class left the bounds would fix y = x_res, so no stage
+        # separates with need 0 and no LP has every column fixed.
+        D = Digraph(["s0", "s1", "t0", "t1"],
+                    [("s0", "s1"), ("s0", "t0"), ("s1", "s0"), ("s1", "t1"),
+                     ("t0", "t1"), ("t1", "t0")])
+        inst = Instance(D, {"s0": "S", "s1": "S", "t0": "T", "t1": "T"},
+                        {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, [1] * 6)
+        calls = record_separations(monkeypatch)
+        lps = []
+        original = lpsolve.simplex_solve
+
+        def recorded(lp):
+            lps.append((list(lp.lower), list(lp.upper)))
+            return original(lp)
+
+        monkeypatch.setattr(lpsolve, "simplex_solve", recorded)
+        classes = integer_decomposition_check(inst, 3, [1, 2, 1, 2, 1, 1])
+        assert len(classes) == 3
+        assert {need for _, need, _ in calls} == {1, 2, 3}
+        assert lps and all(lower != upper for lower, upper in lps)
 
     def test_peel_adds_a_lower_bicut_row(self, monkeypatch):
         # Each side is a 2-cycle, with one cross arc per class.  The

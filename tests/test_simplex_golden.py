@@ -15,9 +15,9 @@ A second set holds LPs shaped like the ones the commands solve, built from
 the forty report-digest draws (``conftest.digest_draws``): the boxed
 degree LP of ``_build_degree_lp`` with every ``all_bicuts`` row, the
 covering dual of the TDI check, and the packing stage systems of
-``build_system`` (both sides, stages max(k, 2) down to 2 for packing
-number k, on the whole cross-arc set) as ``find_integral_point`` poses
-them.  Their results are recorded in ``simplex_golden_production.json``.
+``build_system`` (on the instance and on its mirror, stages max(k, 2)
+down to 2 for packing number k, on the whole cross-arc set) as
+``find_integral_point`` poses them.  Their results are recorded in ``simplex_golden_production.json``.
 
 The recorded files are rewritten by ``python tests/test_simplex_golden.py``
 (with ``src`` and ``tests`` on ``PYTHONPATH``); do that only for a change
@@ -72,7 +72,8 @@ def production_lps():
         yield _build_dual_lp(instance, _dual_family(instance))
         k = packing_number(instance).k
         for stage in range(max(k, 2), 1, -1):
-            systems = [build_system(instance, side, stage) for side in (1, 2)]
+            systems = [build_system(view, stage)
+                       for view in (instance, instance.mirror)]
             arcs = systems[0].var_arcs
             col = {a: j for j, a in enumerate(arcs)}
             lp = RationalLP(len(arcs), [1] * len(arcs), "min")

@@ -20,10 +20,11 @@ def test_no_assert_statements():
 
 
 def test_function_local_imports_are_pinned():
-    # ``solve_shortest`` imports lpsolve and mconvex locally because both
-    # import ``Instance`` from bibranching.  The cli handlers import
-    # lpsolve, packing, mconvex and matroids locally so that a command
-    # loads only the modules it runs.  No other function imports locally.
+    # ``solve_shortest`` imports the route it runs locally: lpsolve for
+    # ``lp`` and ``auto``, mconvex for ``mflow``; both import ``Instance``
+    # from bibranching.  The cli handlers import lpsolve, packing, mconvex
+    # and matroids locally.  So a command loads only the modules it runs.
+    # No other function imports locally.
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -34,6 +35,29 @@ def test_function_local_imports_are_pinned():
         ("cli.py", name) for name in (
             "cmd_packing_number", "cmd_pack", "_check_tdi", "_check_mconvex",
             "_random_b_branching", "_check_exchange", "_check_idp")}
+
+
+def test_module_level_package_imports_are_pinned():
+    # The package's import graph at module level.  bibranching, which every
+    # command loads, imports neither lpsolve, mconvex nor matroids, so a
+    # command loads those only where it runs them.
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        found[path.stem] = sorted(
+            node.module for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1)
+    assert found == {
+        "__init__": ["bibranching", "digraph", "errors"],
+        "bibranching": ["digraph", "errors", "rationals"],
+        "cli": ["bibranching", "digraph", "errors", "rationals"],
+        "digraph": ["errors"],
+        "errors": [],
+        "lpsolve": ["bibranching", "digraph", "errors", "rationals"],
+        "matroids": ["digraph"],
+        "mconvex": ["bibranching", "digraph", "errors", "matroids"],
+        "packing": ["bibranching", "digraph", "errors", "lpsolve", "matroids"],
+        "rationals": [],
+    }
 
 
 def test_no_private_cross_module_imports():
@@ -52,9 +76,8 @@ def test_no_private_cross_module_imports():
 
 def test_fractions_are_built_in_rationals():
     # Numbers are int when integral and Fraction otherwise.  Only
-    # ``rationals`` imports Fraction, and outside it only
-    # ``packing.find_integral_point`` (the uniform point 1/k) calls its
-    # alias Q, so no other code wraps an integral value in a Fraction.
+    # ``rationals`` imports Fraction or calls it or its alias Q, so no other
+    # code wraps an integral value in a Fraction.
     imports, calls = set(), set()
 
     def visit(node, path, where):
@@ -78,8 +101,7 @@ def test_fractions_are_built_in_rationals():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
     assert imports == {"rationals.py"}
-    assert {call for call in calls if call[0] != "rationals.py"} == {
-        ("packing.py", "find_integral_point")}
+    assert {call for call in calls if call[0] != "rationals.py"} == set()
 
 
 def test_guard_sites_are_pinned():
