@@ -228,8 +228,10 @@ def require_feasible(instance: Instance) -> None:
 def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
     """Optimal b-bibranching via the LP route (``lp`` and ``auto``), which
     proves its answer with its row duals (``certificate["dual_bound"]``),
-    the submodular-flow route (``mflow``) or brute force.  Feasibility is
-    checked once: by solve_mflow for ``mflow``, else by require_feasible.
+    the submodular-flow route (``mflow``) or brute force.  Each route
+    decides feasibility once: the LP route by its own LP, which is
+    infeasible exactly when no b-bibranching exists, and ``mflow`` and
+    brute force up front; all three raise through ``require_feasible``.
     """
     if method not in ("lp", "mflow", "brute", "auto"):
         raise InputError("unknown method %r" % (method,))
@@ -238,8 +240,8 @@ def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
     if method == "mflow":
         from . import mconvex
         return mconvex.solve_mflow(instance)
-    require_feasible(instance)
     if method == "brute":
+        require_feasible(instance)
         return brute_force_shortest(instance)
     from . import lpsolve
     return lpsolve.solve_primal_cutting_plane(instance).solution

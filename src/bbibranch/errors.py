@@ -8,7 +8,7 @@ class InputError(ValueError):
 class InfeasibleInstance(Exception):
     """The instance admits no b-bibranching (exit 3); carries a witness."""
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
 

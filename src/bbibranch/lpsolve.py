@@ -26,7 +26,7 @@ from typing import Optional
 from .bibranching import (Instance, Solution, bibranching_report,
                           is_b_bibranching, require_feasible)
 from .digraph import max_flow_min_cut
-from .errors import InfeasibleInstance, InputError, TheoremViolation
+from .errors import InputError, TheoremViolation
 from .rationals import is_integral, rat, rat_str, ratio
 
 # ---------------------------------------------------------------------------
@@ -391,11 +391,22 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
             lp.add_row({a: 1 for a in cut.arcs}, ">=", 1)
 
 
-def _row_keys(instance: Instance, cut_rows: list) -> list:
-    """Dual keys of the cutting-plane rows: the degree rows in the order of
-    ``_build_degree_lp``, then the bicut rows in the order added."""
+def _cutting_plane(instance: Instance, boxed: bool):
+    """Row generation over the degree + bicut LP: (LP, optimal result, bicut
+    rows, rounds, row duals keyed ("v", v) in degree-row order, then ("U", U)
+    in the order added).  Every b-bibranching meets the LP, so when it is not
+    optimal ``require_feasible`` raises; if it does not, ``TheoremViolation``
+    carries the LP."""
+    lp = _build_degree_lp(instance, boxed)
+    cut_rows: list[Bicut] = []
+    result, rounds = _solve_with_cuts(instance, lp, cut_rows)
+    if result.status != "optimal":
+        require_feasible(instance)
+        raise TheoremViolation("cutting-plane LP %s on a feasible instance"
+                               % result.status, payload={"lp": dump_lp(lp)})
     keys = [("v", v) for view in (instance, instance.mirror) for v in sorted(view.T)]
-    return keys + [("U", cut.U) for cut in cut_rows]
+    keys += [("U", cut.U) for cut in cut_rows]
+    return lp, result, cut_rows, rounds, dict(zip(keys, result.row_duals))
 
 
 def _dual_coverage(instance: Instance, key) -> frozenset[int]:
@@ -438,17 +449,14 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
     its row duals y, zero on bicuts never generated, nonnegative with
     ``dual_bound`` equal to the LP value (``certificate["dual_bound"]``);
     else ``TheoremViolation`` carries the LP, x, y and failed conditions.
+    The boxed LP is integral, so it is infeasible, and ``InfeasibleInstance``
+    raised, exactly when no b-bibranching exists.
     """
-    lp = _build_degree_lp(instance, boxed=True)
-    cut_rows: list[Bicut] = []
-    result, rounds = _solve_with_cuts(instance, lp, cut_rows)
-    if result.status == "infeasible":
-        raise InfeasibleInstance("cutting-plane LP infeasible")
+    lp, result, cut_rows, rounds, duals = _cutting_plane(instance, boxed=True)
     x = zero_one_vertex(lp, result)
     arcs = frozenset(a for a, val in enumerate(x) if val)
     report = bibranching_report(instance, arcs)
     failed = {c: entry for c, entry in report.items() if not entry["ok"]}
-    duals = dict(zip(_row_keys(instance, cut_rows), result.row_duals))
     bound = dual_bound(instance, duals)
     if failed or bound != result.objective or min(duals.values()) < 0:
         raise TheoremViolation(
@@ -612,20 +620,13 @@ def tdi_spot_check(instance: Instance) -> dict:
     cross-free support, whose matrix is a network matrix: a fractional or
     non-optimal vertex there raises ``TheoremViolation`` with LP and x.
     Without the box x(a) may exceed 1, so an instance with no b-bibranching
-    can pass; ``require_feasible`` raises ``InfeasibleInstance`` only when
-    the unboxed LP itself is infeasible.
+    can pass; ``InfeasibleInstance`` is raised only when the unboxed LP
+    itself is infeasible.
     """
     for w in instance.weights:
         if not is_integral(w):
             raise InputError("TDI spot check requires integer weights")
-    lp = _build_degree_lp(instance, boxed=False)
-    cut_rows: list[Bicut] = []
-    result, _ = _solve_with_cuts(instance, lp, cut_rows)
-    if result.status != "optimal":
-        # Dropping the box only relaxes the system, so the instance has no
-        # b-bibranching and require_feasible raises with the failing condition.
-        require_feasible(instance)
-        raise TheoremViolation("unboxed LP infeasible on a feasible instance")
+    lp, result, cut_rows, _, duals = _cutting_plane(instance, boxed=False)
     report = bibranching_report(instance, [a for a, val in enumerate(result.x) if val])
     if not (all(map(is_integral, result.x)) and report["t_reachable_from_s"]["ok"]
             and report["s_reaches_t"]["ok"]):
@@ -639,12 +640,11 @@ def tdi_spot_check(instance: Instance) -> dict:
             and dual_feasible(instance, y) \
             and dual_bound(instance, y) == primal
 
-    keys = _row_keys(instance, cut_rows)
-    y = {key: val for key, val in zip(keys, result.row_duals) if val}
+    y = {key: val for key, val in duals.items() if val}
     steps = 0
     if not certifies(y):
         y, steps = _uncross(instance, y)
-        family = keys[:len(instance.digraph.vertices)]  # the singletons
+        family = list(duals)[:len(instance.digraph.vertices)]  # the singletons
         family += [key for key, val in y.items() if key[0] == "U" and val]
         dual_lp = _build_dual_lp(instance, family)
         res = simplex_solve(dual_lp)

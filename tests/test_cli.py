@@ -116,6 +116,10 @@ class TestInstanceFormat:
             load_instance_data({"vertices": [], "arcs": {}})
         with pytest.raises(InputError):
             load_instance_data({"vertices": [{"side": "S"}], "arcs": []})
+        for tail, head in ((["s"], "t"), ("s", {"id": "t"})):
+            with pytest.raises(InputError, match="must be strings"):
+                load_instance_data({"vertices": ONE_ARC["vertices"],
+                                    "arcs": [{"tail": tail, "head": head}]})
 
 
 class TestSolveCommand:
@@ -253,9 +257,8 @@ class TestSolveCommand:
         y = json.loads(runs[0].stdout)["result"]["payload"]["y"]
         assert ("U:{t1,t2}" in y) == (fault == "objective")
 
-    @pytest.mark.parametrize("method", ["auto", "lp", "mflow"])
-    def test_feasibility_checked_once(self, tmp_path, capsys, monkeypatch,
-                                      method):
+    @staticmethod
+    def count_feasibility_calls(monkeypatch) -> list:
         calls = []
         original = bibranching.feasibility_witness
 
@@ -264,11 +267,39 @@ class TestSolveCommand:
             return original(instance)
 
         monkeypatch.setattr(bibranching, "feasibility_witness", counted)
+        return calls
+
+    @pytest.mark.parametrize("method", ["auto", "lp", "mflow", "brute"])
+    def test_feasibility_checked_once(self, tmp_path, capsys, monkeypatch,
+                                      method):
+        # The LP route decides feasibility by its own LP, so a feasible solve
+        # builds no all-arc report; mflow and brute force check up front.
+        # With b(t) = 2 every route makes one check and reports its witness.
+        calls = self.count_feasibility_calls(monkeypatch)
+        infeasible = json.loads(json.dumps(ONE_ARC))
+        infeasible["vertices"][1]["b"] = 2
         path = tmp_path / "i.json"
         path.write_text(json.dumps(ONE_ARC))
         assert cli.main(["solve", str(path), "--method", method]) == EXIT_OK
         capsys.readouterr()
+        assert len(calls) == (method in ("mflow", "brute"))
+        calls.clear()
+        path.write_text(json.dumps(infeasible))
+        assert cli.main(["solve", str(path), "--method", method]) == EXIT_INFEASIBLE
         assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["result"] == {
+            "message": "no b-bibranching exists: condition t_indegree fails at t",
+            "witness": {"condition": "t_indegree", "witness": "t"}}
+
+    @pytest.mark.parametrize("what", ["tdi", "idp"])
+    def test_feasible_checks_make_no_feasibility_call(self, tmp_path, capsys,
+                                                      monkeypatch, what):
+        calls = self.count_feasibility_calls(monkeypatch)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(ONE_ARC))
+        assert cli.main(["check", "--what", what, str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert calls == []
 
     @pytest.mark.parametrize("method, loaded", [
         (None, False), ("lp", False), ("mflow", True)])
@@ -294,6 +325,22 @@ class TestSolveCommand:
                               "solve", str(path)],
                              capture_output=True, text=True)
         assert out.returncode == EXIT_INPUT
+
+    @pytest.mark.parametrize("bad", ["instance", "solution"])
+    @pytest.mark.parametrize("content", [b'{"arcs": "\xff"}',
+                                         b"[" * 2000 + b"]" * 2000],
+                             ids=["not_utf8", "deeply_nested"])
+    def test_unreadable_files_are_input_errors(self, tmp_path, capsys, bad,
+                                               content):
+        files = {"instance": tmp_path / "i.json", "solution": tmp_path / "s.json"}
+        files["instance"].write_text(json.dumps(ONE_ARC))
+        files["solution"].write_text(json.dumps({"arcs": [0]}))
+        files[bad].write_bytes(content)
+        code = cli.main(["validate", str(files["instance"]), str(files["solution"])])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
 
     def test_guard_exit_code(self, tmp_path):
         # brute force on > 20 arcs trips the size guard
@@ -653,9 +700,9 @@ class TestCheckCommand:
         assert captured.out == ""
         assert "no pair of b-branchings sampled in 150 attempts" in captured.err
 
-    def test_mconvex_that_samples_nothing_is_a_guard(self, tmp_path, capsys):
-        # With no arcs f(x) is finite only at x = b; on eight vertices a
-        # random pair lands there with probability 3^-16.
+    def test_mconvex_without_arcs_checks_every_pair(self, tmp_path, capsys):
+        # With no arcs f(x) is finite only at x = b, the one point of the
+        # form b - d_B; the exchange still holds on every sampled pair.
         doc = {"vertices": [{"id": "v%d" % i, "side": "S" if i < 4 else "T",
                              "b": 1} for i in range(8)],
                "arcs": []}
@@ -663,15 +710,14 @@ class TestCheckCommand:
         path.write_text(json.dumps(doc))
         code = cli.main(["check", "--what", "mconvex", "--trials", "3",
                          str(path)])
-        captured = capsys.readouterr()
-        assert code == EXIT_GUARD
-        assert captured.out == ""
-        assert "no domain points sampled for f in 150 attempts" in captured.err
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert report["result"]["detail"] == {"trials": {"f": 3, "g": 3}}
 
     def test_mconvex_reports_pairs_checked_per_function(self, tmp_path,
                                                        capsys):
-        # On digest draw i01 the sampling of f stops after 150 attempts
-        # with two pairs, while g finds all three.
+        # Every sampled point lies in its function's domain, so both
+        # functions check all three pairs on digest draw i01.
         instance = next(itertools.islice(digest_draws(), 1, None))
         path = tmp_path / "i01.json"
         path.write_text(json.dumps(serialize_instance(instance)))
@@ -679,7 +725,7 @@ class TestCheckCommand:
                          "--seed", "0", str(path)])
         report = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
-        assert report["result"]["detail"] == {"trials": {"f": 2, "g": 3}}
+        assert report["result"]["detail"] == {"trials": {"f": 3, "g": 3}}
 
     def test_idp_runs_past_twelve_vertices_a_side(self, tmp_path, capsys):
         # The bicut rows are separated, so no side size is refused: one S

@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bbibranch import lpsolve
-from bbibranch.bibranching import (brute_force_shortest, feasibility_witness,
-                                   solve_shortest)
+from bbibranch.bibranching import (Instance, brute_force_shortest,
+                                   feasibility_witness, solve_shortest)
+from bbibranch.digraph import Digraph
 from bbibranch.errors import InfeasibleInstance, InputError, TheoremViolation
 from bbibranch.lpsolve import (RationalLP, SimplexResult, all_bicuts, dual_bound,
                                dump_lp, dual_feasible, min_bicut_candidates,
@@ -207,6 +208,28 @@ class TestCuttingPlane:
     def test_one_arc(self):
         res = solve_primal_cutting_plane(one_arc_instance())
         assert res.solution.weight == 5
+
+    def test_infeasible_lp_raises_with_witness(self):
+        # One arc s -> t with b(t) = 2: the boxed LP is infeasible, and the
+        # exception names the failing condition.
+        inst = Instance(Digraph(["s", "t"], [("s", "t")]), {"s": "S", "t": "T"},
+                        {"s": 1, "t": 2}, [5])
+        with pytest.raises(InfeasibleInstance) as exc:
+            solve_primal_cutting_plane(inst)
+        assert exc.value.witness == {"condition": "t_indegree", "witness": "t"}
+
+    @pytest.mark.parametrize("boxed", [True, False])
+    def test_infeasible_lp_on_feasible_instance_is_a_theorem_violation(
+            self, monkeypatch, boxed):
+        # Both LPs contain every b-bibranching, so on a feasible instance an
+        # infeasible LP is reported with the LP, not as an infeasible instance.
+        monkeypatch.setattr(lpsolve, "simplex_solve",
+                            lambda lp: SimplexResult("infeasible"))
+        inst = one_arc_instance()
+        with pytest.raises(TheoremViolation) as exc:
+            (solve_primal_cutting_plane if boxed else tdi_spot_check)(inst)
+        assert exc.value.payload == {
+            "lp": dump_lp(lpsolve._build_degree_lp(inst, boxed))}
 
     def test_matches_brute_force_and_stays_integral(self):
         rng = random.Random(33)

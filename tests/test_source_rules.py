@@ -121,6 +121,27 @@ def test_guard_sites_are_pinned():
         ("packing.py", "cut_family"),
         ("packing.py", "_exhaustive_partition"),
         ("packing.py", "pack_prescribed_b_branchings"),
-        ("cli.py", "_check_mconvex"),
         ("cli.py", "_check_exchange"),
+    }
+
+
+def test_infeasibility_sites_are_pinned():
+    # Exit 3 always carries the failing condition: only ``require_feasible``
+    # builds an ``InfeasibleInstance``.  It runs up front only for ``mflow``
+    # and brute force, and in the LP route once the cutting-plane LP is not
+    # optimal.
+    sites = {"InfeasibleInstance": set(), "require_feasible": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if name in sites:
+                            sites[name].add((path.name, func.name))
+    assert sites == {
+        "InfeasibleInstance": {("bibranching.py", "require_feasible")},
+        "require_feasible": {("bibranching.py", "solve_shortest"),
+                             ("lpsolve.py", "_cutting_plane"),
+                             ("mconvex.py", "solve_mflow")},
     }
