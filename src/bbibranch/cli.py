@@ -189,11 +189,7 @@ def cmd_pack(args) -> int:
     payload = {
         "k": cert.k,
         "witness": _witness_payload(cert.witness),
-        "cross_classes": [sorted(c) for c in cert.cross_classes],
-        "branchings": [sorted(c) for c in cert.branchings],
-        "cobranchings": [sorted(c) for c in cert.cobranchings],
-        "classes": [sorted(c) for c in cert.assembled],
-        "hypothesis_violations": cert.hypothesis_violations,
+        "classes": [sorted(c) for c in cert.classes],
     }
     emit_report(args, payload, digest)
     return EXIT_OK
@@ -309,11 +305,16 @@ def _check_exchange(instance, rng, trials):
 def _check_idp(instance, rng, trials):
     from .lpsolve import integer_decomposition_check
 
-    # x = chi_B + (k-1) chi_A (A all arcs), so the peel has choices to make.
-    solution = solve_shortest(instance, method="lp")
+    # x sums k b-bibranchings, each LP-optimal under weights drawn from rng.
+    D = instance.digraph
+    side = {v: "S" if v in instance.S else "T" for v in D.vertices}
     k = max(2, min(3, trials))
-    x = [k if a in solution.arcs else k - 1
-         for a in range(instance.digraph.num_arcs())]
+    x = [0] * D.num_arcs()
+    for _ in range(k):
+        weights = [rng.randint(0, 20) for _ in x]
+        for a in solve_shortest(Instance(D, side, instance.b, weights),
+                                method="lp").arcs:
+            x[a] += 1
     classes = integer_decomposition_check(instance, k, x)
     return True, {"k": k, "classes": [sorted(c) for c in classes]}
 

@@ -475,44 +475,59 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
 # ---------------------------------------------------------------------------
 
 def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset[int]]:
-    """Write an integer point x of the k-dilated polytope as a sum of k
-    b-bibranching indicators, peeling one class per exact LP.
-
-    The rows R are the T indegree rows, the S outdegree rows (the mirror's
-    indegree rows) and the bicuts, with need(R) = b(v), b(u) or 1.  With j
-    classes left, the class is an integral vertex of max(0, x(a) - (j-1))
-    <= y(a) <= min(1, x(a)) and need(R) <= y(R) <= x(R) - (j-1) need(R), so
-    x - y stays in the (j-1)-dilated polytope (Baum and Trotter, SIAM J.
-    Alg. Disc. Meth. 1981).  Bicut rows are separated (the lower ones by
-    ``_solve_with_cuts``); the last vertex meets every row, so it is a
-    vertex of the full system.  At j = 1 the bounds fix y = x, so the
-    residual is the last class without an LP.  Each arc a lies in exactly
-    x(a) of the classes, returned in peel order.
-    """
+    """``decompose`` behind input checks: x must be integral in [0, k] and
+    meet every degree and bicut row scaled by k, else ``InputError`` names
+    the first failing entry or row."""
     if k < 1:
         raise InputError("k must be at least 1")
-    arcs = range(instance.digraph.num_arcs())
-    x = [x[a] for a in arcs]
+    x = [x[a] for a in range(instance.digraph.num_arcs())]
     for a, val in enumerate(x):
         if type(val) is not int or val < 0 or val > k:
             raise InputError("x(%d) must be an integer in [0, k]" % a)
-    rows = [(view.digraph.in_arcs(v), view.b[v],
-             "scaled %s row fails at %s" % (name, v))
-            for view, name in ((instance, "indegree"), (instance.mirror, "outdegree"))
-            for v in sorted(view.T)]
-    for R, need, message in rows:
-        if sum(x[a] for a in R) < k * need:
-            raise InputError(message)
+    for view, name in ((instance, "indegree"), (instance.mirror, "outdegree")):
+        for v in sorted(view.T):
+            if sum(x[a] for a in view.digraph.in_arcs(v)) < k * view.b[v]:
+                raise InputError("scaled %s row fails at %s" % (name, v))
     short = _violated_bicuts(instance, x, k)
     if short:
         raise InputError("scaled bicut row fails at U = %s" % sorted(short[0].U))
+    return decompose(instance, k, x)
 
+
+def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
+    """Write an int point x of the k-dilated polytope, k >= 1, as a sum of k
+    b-bibranching indicators, peeling one class per exact LP.
+
+    The caller proves that x is one: ``integer_decomposition_check`` by its
+    input checks, ``pack`` for x = chi_A by the packing number.  The rows R
+    are the T indegree rows, the S outdegree rows (the mirror's indegree
+    rows) and the bicuts, with need(R) = b(v), b(u) or 1.  With j classes
+    left, the class is a vertex of max(0, x(a) - (j-1)) <= y(a) <= min(1,
+    x(a)) and need(R) <= y(R) <= x(R) - (j-1) need(R), so x - y stays in
+    the (j-1)-dilated polytope (Baum and Trotter, SIAM J. Alg. Disc. Meth.
+    1981).  Bicut rows are separated (the lower ones by
+    ``_solve_with_cuts``); the last vertex meets every row, so it is a
+    vertex of the full system.  At j = 1 the bounds fix y = x, so the
+    residual is the last class without an LP.
+
+    That each stage vertex is integral is measured, not proved.  For x =
+    chi_A the packing theorem puts an integral point in every stage (one
+    of j disjoint b-bibranchings in the residual), but the stage system,
+    with upper rows on bicuts, is not shown to be integral.  No
+    fractional or non-optimal stage vertex has been seen, on x = chi_A or
+    on sums of k random b-bibranchings; one raises ``TheoremViolation``
+    (exit 5) with the LP.  So does a result that is not k b-bibranchings,
+    returned in peel order, with each arc a in exactly x(a) of them.
+    """
+    arcs = range(len(x))
+    rows = [(view.digraph.in_arcs(v), view.b[v])
+            for view in (instance, instance.mirror) for v in sorted(view.T)]
     residual, result = list(x), []
     for j in range(k, 1, -1):
         lp = RationalLP(len(x), [1] * len(x), "min")
         for a in arcs:
             lp.set_bounds(a, max(0, residual[a] - (j - 1)), min(1, residual[a]))
-        for R, need, _ in rows:
+        for R, need in rows:
             coeffs = {a: 1 for a in R}
             lp.add_row(coeffs, ">=", need)
             lp.add_row(coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)

@@ -1,12 +1,19 @@
 """Disjoint packing of b-bibranchings: exact min-max value and constructions.
 
 The packing number is the minimum of two degree ratios and the smallest
-bicut.  The constructive direction colors the cross arcs through a pair of
-generalized polymatroids (one per side), then completes each color class
-with prescribed-indegree branchings on the T side and cobranchings on the
-S side; that prescribed packing alone decides each side's coloring
-conditions.  Each side's cut family and its supermodular function g are
-one table, ``cut_family``, mapping each member C to g(C).
+bicut.  ``pack_b_bibranchings`` is ``packing_number`` followed by the
+integer-decomposition peel ``lpsolve.decompose`` of chi_A into k classes.
+
+The paper's constructive proof stays as tested library code with no
+command behind it: it colors the cross arcs through a pair of generalized
+polymatroids (one per side, ``build_system``, ``find_integral_point``,
+``partition_cross_arcs``), then completes each color class with
+prescribed-indegree branchings on the T side and cobranchings on the S
+side (``pack_prescribed_b_branchings``); that prescribed packing alone
+decides each side's coloring conditions (``cut_condition_failure``).  Each
+side's cut family and its supermodular function g are one table,
+``cut_family``, mapping each member C to g(C).  Its size guards fire only
+on that construction.
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from typing import Iterable, Optional
 from .bibranching import Instance, is_b_bibranching, subgraph
 from .digraph import Digraph, check_capacities, max_flow_min_cut
 from .errors import GuardError, InputError, TheoremViolation
-from .lpsolve import (RationalLP, min_bicut_candidates, simplex_solve,
-                      zero_one_vertex)
+from .lpsolve import (RationalLP, decompose, min_bicut_candidates,
+                      simplex_solve, zero_one_vertex)
 from .matroids import split_into_b_branchings
 
 FAMILY_SIDE_LIMIT = 12
@@ -257,9 +264,9 @@ def partition_cross_arcs(instance: Instance, k: int,
     cross arcs and degrees; a class H_j also takes max(0, b(v) - d_{H_j}(v))
     within-side arcs at v, so deg(v) drops by max(b(v), d_{H_j}(v)).  Side
     2 keeps its degrees as indegrees of the mirror.  The classes are not
-    checked here: each side's prescribed packing in ``pack_b_bibranchings``
-    decides the same cut condition, and its degree condition implies the
-    degree caps, so a bad peel surfaces there.
+    checked here: each side's ``pack_prescribed_b_branchings`` on the
+    classes decides the same cut condition, and its degree condition
+    implies the degree caps, so a bad peel surfaces there.
     """
     if k < 1 or k > witness.k:
         raise InputError("k must lie between 1 and the packing number")
@@ -346,18 +353,15 @@ def pack_prescribed_b_branchings(digraph: Digraph, b: dict[str, int],
 class PackingCertificate:
     k: int
     witness: MinMaxWitness
-    cross_classes: list[frozenset[int]]
-    branchings: list[frozenset[int]]
-    cobranchings: list[frozenset[int]]
-    assembled: list[frozenset[int]]
-    hypothesis_violations: dict = field(default_factory=dict)
+    classes: list[frozenset[int]]
 
 
 def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingCertificate:
     """k disjoint b-bibranchings, k defaulting to the exact packing number.
 
-    Each cross-arc class is completed by b|T-branchings of A[T] and, by the
-    same step on the mirror, b|S-cobranchings of A[S].
+    The packing number proves that chi_A lies in the k-dilated polytope, so
+    ``decompose`` splits A into k classes and checks that each is a
+    b-bibranching: a partition of A, so a disjoint packing.
     """
     witness = packing_number(instance)
     if k is None:
@@ -366,28 +370,5 @@ def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingC
         raise InputError("k must be nonnegative")
     elif k > witness.k:
         raise InputError("requested packing size exceeds the packing number")
-    if k == 0:
-        return PackingCertificate(0, witness, [], [], [], [])
-
-    classes = partition_cross_arcs(instance, k, witness)
-    sides = []
-    for view, name in ((instance, "T"), (instance.mirror, "S")):
-        D = view.digraph
-        d_X, arc_map = subgraph(D, view.T)
-        prescriptions = [
-            {v: max(0, view.b[v] - D.in_degree(H_j, v)) for v in view.T}
-            for H_j in classes]
-        result = pack_prescribed_b_branchings(
-            d_X, {v: view.b[v] for v in view.T}, prescriptions)
-        if result.branchings is None:
-            raise TheoremViolation("%s-side prescribed packing infeasible" % name,
-                                   payload=result.failed_condition)
-        sides.append(([frozenset(arc_map[i] for i in B) for B in result.branchings],
-                      result.hypothesis_violations))
-    (branchings, t_violations), (cobranchings, s_violations) = sides
-    assembled = [classes[j] | branchings[j] | cobranchings[j] for j in range(k)]
-    if not verify_packing(instance, assembled):
-        raise TheoremViolation("assembled classes are not a disjoint packing")
-    return PackingCertificate(
-        k, witness, classes, branchings, cobranchings, assembled,
-        {"t_side": t_violations, "s_side": s_violations})
+    classes = decompose(instance, k, [1] * instance.digraph.num_arcs()) if k else []
+    return PackingCertificate(k, witness, classes)

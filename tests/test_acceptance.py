@@ -108,8 +108,8 @@ def test_criterion_4_min_max_packing():
             ok = False
             break
         cert = pack_b_bibranchings(inst)
-        if cert.k != wit.k or len(cert.assembled) != wit.k \
-                or not verify_packing(inst, cert.assembled):
+        if cert.k != wit.k or len(cert.classes) != wit.k \
+                or not verify_packing(inst, cert.classes):
             ok = False
             break
     _report("4 min-max-packing", ok)

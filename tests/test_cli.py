@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,8 @@ from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            serialize_instance)
 from bbibranch.errors import InputError, TheoremViolation
 
-from conftest import digest_draws, fractional_dual_instance, one_arc_instance
+from conftest import (digest_draws, fractional_dual_instance, one_arc_instance,
+                      random_instance)
 
 ONE_ARC = {
     "vertices": [
@@ -508,54 +510,51 @@ class TestPackCommands:
         code = cli.main(["pack", str(path)])
         return code, json.loads(capsys.readouterr().out)["result"]
 
-    def test_one_cut_condition_per_side(self, tmp_path, capsys, monkeypatch):
-        # Each side's prescribed packing is the only place that decides the
-        # peel's cut condition: one call per side.
-        original = packing.cut_condition_failure
-        calls = []
-
-        def counted(digraph, groups):
-            calls.append(sorted(digraph.vertices))
-            return original(digraph, groups)
-
-        monkeypatch.setattr(packing, "cut_condition_failure", counted)
+    def test_size_guards(self, tmp_path, capsys, monkeypatch):
+        # pack peels chi_A and reaches no size guard of the paper's
+        # construction: with both limits at 1 it still packs TWO_SIDED,
+        # whose S side has 3 vertices and A[S] 2 arcs.
+        monkeypatch.setattr(packing, "FAMILY_SIDE_LIMIT", 1)
+        monkeypatch.setattr(packing, "PRESCRIBED_ARC_LIMIT", 1)
         code, result = self._pack(tmp_path, capsys)
         assert code == EXIT_OK and result["k"] == 2
-        assert calls == [["t"], ["s1", "s2", "s3"]]
+        assert packing.verify_packing(load_instance_data(self.TWO_SIDED),
+                                      result["classes"])
 
-    @pytest.mark.parametrize("limit, message", [
-        ("FAMILY_SIDE_LIMIT", "cut family side limited to 1 vertices"),
-        ("PRESCRIBED_ARC_LIMIT", "prescribed packing search limited to 1 arcs")])
-    def test_size_guards(self, tmp_path, capsys, monkeypatch, limit, message):
-        # The peel's S-side cut family has 3 vertices, and the S-side
-        # prescribed packing searches A[S], the 2 arcs of s1 <-> s2.
-        monkeypatch.setattr(packing, limit, 1)
-        path = tmp_path / "i.json"
-        path.write_text(json.dumps(self.TWO_SIDED))
-        code = cli.main(["pack", str(path)])
-        captured = capsys.readouterr()
-        assert code == EXIT_GUARD
-        assert captured.out == ""
-        assert message in captured.err
+    def test_pack_runs_no_construction_step(self, tmp_path, capsys,
+                                            monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pack reached the paper's construction")
 
-    @pytest.mark.parametrize("patched", ["partition_cross_arcs",
-                                         "find_integral_point"])
-    def test_bad_peel_fails_the_side_packing(self, tmp_path, capsys,
-                                             monkeypatch, patched):
-        # Classes {2, 3, 4} and {5} pass the T side, but on the S side the
-        # second class leaves no arc out of {s1, s2}, which nothing in S
-        # leaves: the S-side cut condition fails at X = {s1, s2}.
-        # Patching the peel's LP point runs partition_cross_arcs itself.
-        classes = [frozenset({2, 3, 4}), frozenset({5})]
-        if patched == "partition_cross_arcs":
-            fake = lambda instance, k, witness: classes
-        else:
-            fake = lambda p1, p2: {a: int(a in classes[0]) for a in p1.var_arcs}
-        monkeypatch.setattr(packing, patched, fake)
+        for name in ("partition_cross_arcs", "cut_family",
+                     "pack_prescribed_b_branchings", "split_into_b_branchings"):
+            monkeypatch.setattr(packing, name, refuse)
         code, result = self._pack(tmp_path, capsys)
-        assert code == EXIT_THEOREM
-        assert result == {"message": "S-side prescribed packing infeasible",
-                          "payload": {"condition": "cut", "set": ["s1", "s2"]}}
+        assert code == EXIT_OK and result["k"] == 2
+
+    def test_medium_instances_pack(self, tmp_path, capsys):
+        # The |V| = 14 corpus, then instances with m = 157, 307 and 593:
+        # the construction's size guards refused 45 and 3 of them (exit 4).
+        # Weights do not change a packing.
+        big = 10 ** 6
+        instances = [random_instance(random.Random(seed), 4, 10, 0.3, 1, 9,
+                                     max_arcs=big) for seed in range(60)]
+        instances += [random_instance(random.Random(seed), nS, nT, density, 1,
+                                      9, max_arcs=big)
+                      for nS, nT, density, seed in ((10, 34, 0.09, 5),
+                                                    (12, 48, 0.1, 1),
+                                                    (20, 90, 0.06, 3))]
+        assert [inst.digraph.num_arcs() for inst in instances[60:]] == \
+            [157, 307, 593]
+        path = tmp_path / "i.json"
+        for inst in instances:
+            path.write_text(json.dumps(serialize_instance(inst)))
+            code = cli.main(["pack", str(path)])
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert code == EXIT_OK
+            assert result["k"] == packing.packing_number(inst).k == \
+                len(result["classes"])
+            assert packing.verify_packing(inst, result["classes"])
 
 
 def _special_id_doc(ids):
@@ -747,6 +746,7 @@ class TestCheckCommand:
             self, tmp_path, capsys, monkeypatch):
         # With k = 3 only the first stage's upper separation asks for 2;
         # faked, it returns the bicut {t}, which x - y already meets twice.
+        # The default seed draws x = (2, 1), and that stage peels y = (1, 0).
         original = lpsolve._violated_bicuts
         monkeypatch.setattr(
             lpsolve, "_violated_bicuts",
@@ -761,7 +761,7 @@ class TestCheckCommand:
         result = json.loads(capsys.readouterr().out)["result"]
         assert code == EXIT_THEOREM
         assert result == {"message": "separated bicut is not violated",
-                          "payload": {"U": ["t"], "x": ["0", "1"]}}
+                          "payload": {"U": ["t"], "x": ["1", "0"]}}
 
     def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
                                             monkeypatch):
@@ -809,19 +809,21 @@ class TestCheckCommand:
                                               "classes": [[0, 1, 2, 3]] * 3}
 
     def test_idp_peels_classes_that_differ(self, tmp_path, capsys):
-        # B = {1}, the cheaper of two parallel arcs, so x = chi_B + chi_A =
-        # (1, 2) and only one of the two classes can hold arc 0.
+        # Each drawn b-bibranching is the cheaper of two parallel arcs under
+        # weights drawn from --seed.  Some seeds draw the same arc twice and
+        # some draw both, so x = (1, 1) and the two classes differ.
         doc = json.loads(json.dumps(ONE_ARC))
         doc["arcs"].append({"tail": "s", "head": "t", "weight": 2})
         path = tmp_path / "i.json"
         path.write_text(json.dumps(doc))
-        code = cli.main(["check", "--what", "idp", "--trials", "2",
-                         str(path)])
-        report = json.loads(capsys.readouterr().out)
-        assert code == EXIT_OK
-        classes = report["result"]["detail"]["classes"]
-        assert len({tuple(c) for c in classes}) == 2
-        assert [sum(1 for c in classes if a in c) for a in (0, 1)] == [1, 2]
+        seen = set()
+        for seed in range(6):
+            code = cli.main(["check", "--what", "idp", "--trials", "2",
+                             "--seed", str(seed), str(path)])
+            report = json.loads(capsys.readouterr().out)
+            assert code == EXIT_OK
+            seen.add(tuple(map(tuple, report["result"]["detail"]["classes"])))
+        assert ((0,), (1,)) in seen and ((0,), (0,)) in seen
 
 
 class TestGenCommand:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bbibranch import lpsolve
 from bbibranch.bibranching import (Instance, feasibility_witness,
-                                   is_b_bibranching, subgraph)
+                                   is_b_bibranching, solve_shortest, subgraph)
 from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
@@ -249,17 +249,24 @@ def cut_family_rule(inst, k, classes):
 
 
 def side_packing_failures(inst, classes):
-    """Each side's ``failed_condition`` for the prescribed packing that
-    ``pack_b_bibranchings`` runs on ``classes``: T side, then S side."""
-    failures = []
+    """The paper's construction on the cross-arc ``classes``: each side's
+    prescribed packing, T side then S side.  Returns both sides'
+    ``failed_condition`` and, when neither fails, the assembled packing
+    classes[j] | branchings[j] | cobranchings[j], else None."""
+    failures, sides = [], []
     for view in (inst, inst.mirror):
         D = view.digraph
+        d_X, arc_map = subgraph(D, view.T)
         prescriptions = [{v: max(0, view.b[v] - D.in_degree(H_j, v))
                           for v in view.T} for H_j in classes]
-        failures.append(pack_prescribed_b_branchings(
-            subgraph(D, view.T)[0], {v: view.b[v] for v in view.T},
-            prescriptions).failed_condition)
-    return failures
+        result = pack_prescribed_b_branchings(
+            d_X, {v: view.b[v] for v in view.T}, prescriptions)
+        failures.append(result.failed_condition)
+        sides.append(None if result.branchings is None else
+                     [frozenset(arc_map[i] for i in B) for B in result.branchings])
+    if None in sides:
+        return failures, None
+    return failures, [H_j | B | C for H_j, B, C in zip(classes, *sides)]
 
 
 class TestPartition:
@@ -287,10 +294,10 @@ class TestPartition:
                        for i in range(k)]
             expected = cut_family_rule(inst, k, classes)
             assert (_partition_conditions(inst, k, classes) is None) == expected
-            # pack leaves these conditions to the side packings, which must
-            # reject every labelling the rows reject.
+            # The construction leaves these conditions to the side packings,
+            # which must reject every labelling the rows reject.
             if not expected:
-                failures = [f for f in side_packing_failures(inst, classes) if f]
+                failures = [f for f in side_packing_failures(inst, classes)[0] if f]
                 assert failures
                 cut_only += all(f["condition"] == "cut" for f in failures)
             outcomes.add(expected)
@@ -333,6 +340,12 @@ class TestPartition:
             assert union == inst.cross_arcs()
             assert sum(len(c) for c in classes) == len(union)
             assert _partition_conditions(inst, k, classes) is None
+            # The construction end to end: both side packings succeed, and
+            # the assembled classes are k disjoint b-bibranchings.
+            failures, assembled = side_packing_failures(inst, classes)
+            assert failures == [None, None]
+            assert len(assembled) == k
+            assert verify_packing(inst, assembled)
             done += 1
         assert done >= 8
 
@@ -437,12 +450,12 @@ class TestFullPacking:
     def test_one_arc_certificate(self):
         cert = pack_b_bibranchings(one_arc_instance())
         assert cert.k == 1
-        assert cert.assembled == [frozenset({0})]
+        assert cert.classes == [frozenset({0})]
 
     def test_doubled_certificate(self):
         cert = pack_b_bibranchings(doubled_instance())
         assert cert.k == 2
-        assert sorted(cert.assembled) == [frozenset({0}), frozenset({1})]
+        assert sorted(cert.classes) == [frozenset({0}), frozenset({1})]
 
     def test_certificate_size_equals_packing_number(self):
         rng = random.Random(49)
@@ -452,8 +465,8 @@ class TestFullPacking:
                                    extra_cross=rng.randint(0, 3))
             cert = pack_b_bibranchings(inst)
             assert cert.k == packing_number(inst).k
-            assert len(cert.assembled) == cert.k
-            assert verify_packing(inst, cert.assembled)
+            assert len(cert.classes) == cert.k
+            assert verify_packing(inst, cert.classes)
 
     def test_negative_k_rejected(self):
         with pytest.raises(InputError, match="k must be nonnegative"):
@@ -466,7 +479,7 @@ class TestFullPacking:
         inst = pack_pool_instance(seed)
         cert = pack_b_bibranchings(inst)
         assert cert.k == packing_number(inst).k == 3
-        assert verify_packing(inst, cert.assembled)
+        assert verify_packing(inst, cert.classes)
 
     def test_single_s_vertex_needs_two_cross_arcs_per_class(self):
         # S = {s0} with b(s0) = 2 and A[S] empty: every class must take two
@@ -475,17 +488,21 @@ class TestFullPacking:
                     [("s0", "t0")] * 4 + [("s0", "t1")] * 3 + [("t1", "t0")])
         inst = Instance(D, {"s0": "S", "t0": "T", "t1": "T"},
                         {"s0": 2, "t0": 1, "t1": 1}, [1] * 8)
+        witness = packing_number(inst)
+        assert witness.k == 3
+        classes = partition_cross_arcs(inst, 3, witness)
+        assert all(D.out_degree(H_j, "s0") >= 2 for H_j in classes)
         cert = pack_b_bibranchings(inst)
         assert cert.k == 3
-        assert all(D.out_degree(H_j, "s0") >= 2 for H_j in cert.cross_classes)
-        assert verify_packing(inst, cert.assembled)
+        assert verify_packing(inst, cert.classes)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
     def test_packings_of_two_or_more_never_raise(self, data):
-        # b <= 3 and m <= 24 keep every size guard out of reach; instances
-        # are redrawn from one seeded generator until k >= 2.
+        # pack peels chi_A, so a fractional stage vertex or a class that is
+        # no b-bibranching would raise; instances are redrawn from one
+        # seeded generator until k >= 2.
         rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1),
                                       label="seed"))
         nS = data.draw(st.integers(1, 3), label="nS")
@@ -499,8 +516,8 @@ class TestFullPacking:
                 break
         cert = pack_b_bibranchings(inst)
         assert cert.k == k
-        assert len(cert.assembled) == k
-        assert verify_packing(inst, cert.assembled)
+        assert len(cert.classes) == k
+        assert verify_packing(inst, cert.classes)
 
     def test_weak_direction_bound(self):
         # Any verified packing is no larger than each of the three witnesses.
@@ -518,8 +535,9 @@ class TestFullPacking:
 
 def record_separations(monkeypatch):
     """Log each ``_violated_bicuts`` call as (calling function, need, sorted
-    U of each cut returned): ``_solve_with_cuts`` separates the peel's lower
-    rows, ``integer_decomposition_check`` its input and upper rows."""
+    U of each cut returned): ``integer_decomposition_check`` separates the
+    input rows, ``_solve_with_cuts`` the peel's lower rows and ``decompose``
+    its upper rows."""
     calls = []
     original = lpsolve._violated_bicuts
 
@@ -619,7 +637,7 @@ class TestIntegerDecomposition:
         classes = integer_decomposition_check(inst, 3, x)
         assert [sum(1 for c in classes if a in c) for a in range(6)] == x
         assert all(is_b_bibranching(inst, c) for c in classes)
-        assert ("integer_decomposition_check", 1, [["t0", "t1"]]) in calls
+        assert ("decompose", 1, [["t0", "t1"]]) in calls
 
     def test_last_class_is_the_residual(self, monkeypatch):
         # With one class left the bounds would fix y = x_res, so no stage
@@ -683,6 +701,37 @@ class TestIntegerDecomposition:
                              label="drop %d" % j)
             chosen = full - drop
             for a in chosen if is_b_bibranching(inst, chosen) else full:
+                x[a] += 1
+        classes = integer_decomposition_check(inst, k, x)
+        assert len(classes) == k
+        assert [sum(1 for c in classes if a in c) for a in range(m)] == x
+        assert all(is_b_bibranching(inst, c) for c in classes)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_sums_of_lp_optima_decompose(self, data):
+        # x sums k b-bibranchings, each LP-optimal under drawn weights, as
+        # ``check --what idp`` draws it; instances are redrawn from one
+        # seeded generator until feasible.
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1),
+                                      label="seed"))
+        nS = data.draw(st.integers(1, 4), label="nS")
+        nT = data.draw(st.integers(1, 4), label="nT")
+        while True:
+            inst = random_instance(rng, nS, nT, 0.7, 3, 5, max_arcs=24,
+                                   extra_cross=rng.randint(0, 6))
+            if feasibility_witness(inst) is None:
+                break
+        D, m = inst.digraph, inst.digraph.num_arcs()
+        side = {v: "S" if v in inst.S else "T" for v in D.vertices}
+        k = data.draw(st.integers(2, 4), label="k")
+        x = [0] * m
+        for j in range(k):
+            weights = data.draw(st.lists(st.integers(0, 20), min_size=m,
+                                         max_size=m), label="weights %d" % j)
+            for a in solve_shortest(Instance(D, side, inst.b, weights),
+                                    method="lp").arcs:
                 x[a] += 1
         classes = integer_decomposition_check(inst, k, x)
         assert len(classes) == k
