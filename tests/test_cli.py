@@ -15,7 +15,7 @@ from bbibranch import bibranching, cli, lpsolve, mconvex, packing
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data,
                            serialize_instance)
-from bbibranch.errors import InputError, TheoremViolation
+from bbibranch.errors import GuardError, InputError, TheoremViolation
 
 from conftest import (digest_draws, fractional_dual_instance, one_arc_instance,
                       random_instance)
@@ -510,16 +510,28 @@ class TestPackCommands:
         code = cli.main(["pack", str(path)])
         return code, json.loads(capsys.readouterr().out)["result"]
 
-    def test_size_guards(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("limit, message", [
+        ("FAMILY_SIDE_LIMIT", "cut family side limited to 1 vertices"),
+        ("PRESCRIBED_ARC_LIMIT", "prescribed packing search limited to 1 arcs")])
+    def test_size_guards(self, tmp_path, capsys, monkeypatch, limit, message):
         # pack peels chi_A and reaches no size guard of the paper's
-        # construction: with both limits at 1 it still packs TWO_SIDED,
-        # whose S side has 3 vertices and A[S] 2 arcs.
-        monkeypatch.setattr(packing, "FAMILY_SIDE_LIMIT", 1)
-        monkeypatch.setattr(packing, "PRESCRIBED_ARC_LIMIT", 1)
+        # construction: with the limit at 1 it still packs TWO_SIDED.  The
+        # guard stays on the construction step that owns it: the S-side cut
+        # family has 3 vertices, and the S-side prescribed packing searches
+        # A[S], the 2 arcs of s1 <-> s2.
+        monkeypatch.setattr(packing, limit, 1)
         code, result = self._pack(tmp_path, capsys)
+        instance = load_instance_data(self.TWO_SIDED)
         assert code == EXIT_OK and result["k"] == 2
-        assert packing.verify_packing(load_instance_data(self.TWO_SIDED),
-                                      result["classes"])
+        assert packing.verify_packing(instance, result["classes"])
+        view = instance.mirror
+        d_S, _ = bibranching.subgraph(view.digraph, view.T)
+        steps = {
+            "FAMILY_SIDE_LIMIT": lambda: packing.cut_family(view, 2),
+            "PRESCRIBED_ARC_LIMIT": lambda: packing.pack_prescribed_b_branchings(
+                d_S, {v: 1 for v in view.T}, [dict.fromkeys(view.T, 0)])}
+        with pytest.raises(GuardError, match=message):
+            steps[limit]()
 
     def test_pack_runs_no_construction_step(self, tmp_path, capsys,
                                             monkeypatch):
