@@ -172,75 +172,95 @@ def check_capacities(digraph: Digraph, b: dict[str, int]) -> dict[str, int]:
     return out
 
 
-def max_flow_min_cut(nodes, arcs, source, sink):
-    """Exact max-flow / min-cut on a generic capacitated network.
+class FlowNetwork:
+    """A capacitated network compiled once for many max-flow queries.
 
-    ``arcs`` is a list of (tail, head, capacity) with exact capacities (int
-    or Fraction; integer capacities give an int flow value); capacity None
-    means infinite.  Returns (flow value, source-side cut set);
-    the flow value equals the cut capacity exactly.  Raises UnboundedFlow when
-    an infinite-capacity path joins source and sink.
+    ``arcs`` is a list of (tail, head, capacity) over ``nodes`` with exact
+    capacities (int or Fraction); capacity None means infinite and is
+    stored as ``finite_total + 1``, more than any cut of finite arcs
+    holds.  The residual graph lives in int-indexed slots: slot 2i is arc
+    i forward, slot 2i + 1 its reverse.  ``max_flow_min_cut`` copies
+    ``cap``, so queries never see each other's flow.
     """
-    nodes = list(nodes)
+
+    def __init__(self, nodes, arcs):
+        self.nodes = tuple(nodes)
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        self.finite_total = sum(c for _, _, c in arcs if c is not None)
+        big = self.finite_total + 1
+        self.adj: list[list[int]] = [[] for _ in self.nodes]
+        self.ends: list[int] = []
+        self.cap: list = []
+        for tail, head, c in arcs:
+            if c is not None and c < 0:
+                raise InputError("negative capacity on arc %r -> %r" % (tail, head))
+            u, w = self.index[tail], self.index[head]
+            self.adj[u].append(len(self.cap))
+            self.adj[w].append(len(self.cap) + 1)
+            self.ends += (w, u)
+            self.cap += (big if c is None else c, 0)
+
+
+def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
+    """Exact max-flow / min-cut (Edmonds-Karp) on a compiled network.
+
+    Returns (flow value, source side of a min cut); the value equals the
+    cut capacity exactly, and integer capacities give an int value.  The
+    side is the set of nodes the last, failing augmenting search reached:
+    the minimal min cut, the same for every maximum flow, so it does not
+    depend on which augmenting paths were taken.  Raises UnboundedFlow
+    when an infinite-capacity path joins source and sink.
+
+    With ``limit``, the search stops as soon as the flow is known to be at
+    least ``limit`` and returns (flow pushed so far, None): when the flow
+    reaches ``limit``, or when it passes ``finite_total``, which only an
+    unbounded network allows.  A flow that ends below ``limit`` returns
+    exactly what the query without a limit returns.
+    """
+    index = network.index
     if source == sink:
         raise InputError("source and sink must differ")
-    node_set = set(nodes)
-    if source not in node_set or sink not in node_set:
+    if source not in index or sink not in index:
         raise InputError("source/sink must be network nodes")
-
-    finite_total = sum(c for _, _, c in arcs if c is not None)
-    big = finite_total + 1
-
-    # Residual graph over arc slots: even index = forward, odd = backward.
-    cap = []
-    adj: dict = {v: [] for v in node_set}
-    ends = []
-    for tail, head, c in arcs:
-        if c is not None and c < 0:
-            raise InputError("negative capacity on arc %r -> %r" % (tail, head))
-        c_eff = big if c is None else c
-        adj[tail].append(len(cap))
-        cap.append(c_eff)
-        ends.append(head)
-        adj[head].append(len(cap))
-        cap.append(0)
-        ends.append(tail)
-
+    s, t = index[source], index[sink]
+    adj, ends, cap = network.adj, network.ends, network.cap[:]
     flow = 0
-    while True:
-        # BFS for a shortest augmenting path (Edmonds-Karp).
-        parent_arc: dict = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent_arc:
-            u = queue.popleft()
+    while limit is None or flow < limit:
+        # BFS for a shortest augmenting path; pred[v] is the slot into v.
+        pred = [None] * len(adj)
+        pred[s] = -1
+        queue = [s]
+        for u in queue:
             for slot in adj[u]:
                 w = ends[slot]
-                if w not in parent_arc and cap[slot] > 0:
-                    parent_arc[w] = slot
+                if pred[w] is None and cap[slot] > 0:
+                    pred[w] = slot
                     queue.append(w)
-        if sink not in parent_arc:
-            break
-        # Bottleneck along the path.
+            if pred[t] is not None:
+                break
+        else:
+            # The search ran until its queue was empty: it holds exactly
+            # the residual-reachable nodes, the source side of a min cut.
+            # An all-infinite path forces every cut across an arc of
+            # capacity finite_total + 1; without one, the nodes the source
+            # reaches over infinite arcs give a cut of at most finite_total.
+            if flow > network.finite_total:
+                if limit is None:
+                    raise UnboundedFlow("infinite-capacity path from source to sink")
+                return flow, None
+            return flow, frozenset(network.nodes[v] for v in queue)
         bottleneck = None
-        v = sink
-        while v != source:
-            slot = parent_arc[v]
+        v = t
+        while v != s:
+            slot = pred[v]
             if bottleneck is None or cap[slot] < bottleneck:
                 bottleneck = cap[slot]
             v = ends[slot ^ 1]
-        v = sink
-        while v != source:
-            slot = parent_arc[v]
+        v = t
+        while v != s:
+            slot = pred[v]
             cap[slot] -= bottleneck
             cap[slot ^ 1] += bottleneck
             v = ends[slot ^ 1]
         flow += bottleneck
-
-    # An all-infinite path forces every cut across an arc of capacity big;
-    # without one, the nodes the source reaches over infinite arcs give a
-    # cut of capacity at most finite_total.
-    if flow > finite_total:
-        raise UnboundedFlow("infinite-capacity path from source to sink")
-    # The last search failed, so it ran until its queue was empty: it holds
-    # exactly the residual-reachable nodes, the source side of a min cut.
-    return flow, frozenset(parent_arc)
+    return flow, None

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .bibranching import (Instance, Solution, bibranching_report,
                           is_b_bibranching, require_feasible)
-from .digraph import max_flow_min_cut
+from .digraph import FlowNetwork, max_flow_min_cut
 from .errors import InputError, TheoremViolation
 from .rationals import is_integral, rat, rat_str, ratio
 
@@ -284,31 +284,41 @@ def all_bicuts(instance: Instance) -> list[Bicut]:
     return cuts
 
 
-def min_bicut_candidates(instance: Instance, x: list) -> list[tuple[object, Bicut]]:
+def min_bicut_candidates(instance: Instance, x: list,
+                         below=None) -> list[tuple[object, Bicut]]:
     """One minimum cut per forced vertex, from both bicut families.
 
     The max-flows run on the int capacities L x, L the lcm of the
     denominators of x, and each value is returned divided by L.  Scaling
     leaves Edmonds-Karp's cut, the unique minimal min cut, where it was.
+    All |T| + |S| flows share one network: the digraph, a super-source
+    into S for the flows to each t in T, and a super-sink out of T for the
+    flows from each s in S.  Each super node is a dead end for the other
+    family's flows, so no value or cut changes.
+
+    With ``below``, each flow stops once it reaches below * L, and only
+    the candidates of value less than ``below`` are returned, in the same
+    order.  A flow that reaches ``below`` never gives such a candidate,
+    and one that stays under it gives the same value and cut as without
+    ``below``.
     """
     D = instance.digraph
-    results = []
     L = lcm(*(v.denominator for v in x))
-    base_arcs = [(D.tail(a), D.head(a), x[a].numerator * (L // x[a].denominator))
-                 for a in range(D.num_arcs())]
-    nodes = list(D.vertices)
     source, sink = ("source",), ("sink",)  # tuples, so no vertex id equals them
-
-    for t in sorted(instance.T):
-        net = base_arcs + [(source, s, None) for s in sorted(instance.S)]
-        value, side = max_flow_min_cut(nodes + [source], net, source, t)
-        U = frozenset(v for v in D.vertices if v not in side)
-        results.append((ratio(value, L), Bicut(U, D.in_cut(D.all_arcs, U))))
-    for s in sorted(instance.S):
-        net = base_arcs + [(v, sink, None) for v in sorted(instance.T)]
-        value, side = max_flow_min_cut(nodes + [sink], net, s, sink)
-        U = frozenset(v for v in D.vertices if v not in side)
-        results.append((ratio(value, L), Bicut(U, D.in_cut(D.all_arcs, U))))
+    arcs = [(D.tail(a), D.head(a), x[a].numerator * (L // x[a].denominator))
+            for a in range(D.num_arcs())]
+    arcs += [(source, s, None) for s in sorted(instance.S)]
+    arcs += [(t, sink, None) for t in sorted(instance.T)]
+    network = FlowNetwork([*D.vertices, source, sink], arcs)
+    limit = None if below is None else below * L
+    results = []
+    pairs = ([(source, t) for t in sorted(instance.T)]
+             + [(s, sink) for s in sorted(instance.S)])
+    for start, end in pairs:
+        value, side = max_flow_min_cut(network, start, end, limit)
+        if side is not None:
+            U = frozenset(v for v in D.vertices if v not in side)
+            results.append((ratio(value, L), Bicut(U, D.in_cut(D.all_arcs, U))))
     return results
 
 
@@ -316,8 +326,8 @@ def _violated_bicuts(instance: Instance, x: list, need=1) -> list[Bicut]:
     """Distinct min-cut bicuts with x(delta^-(U)) < need, empty iff all reach need."""
     seen = set()
     out = []
-    for value, cut in min_bicut_candidates(instance, x):
-        if value < need and cut.arcs not in seen:
+    for _, cut in min_bicut_candidates(instance, x, need):
+        if cut.arcs not in seen:
             seen.add(cut.arcs)
             out.append(cut)
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .bibranching import Instance, is_b_bibranching, subgraph
-from .digraph import Digraph, check_capacities, max_flow_min_cut
+from .digraph import Digraph, FlowNetwork, check_capacities, max_flow_min_cut
 from .errors import GuardError, InputError, TheoremViolation
 from .lpsolve import (RationalLP, decompose, min_bicut_candidates,
                       simplex_solve, zero_one_vertex)
@@ -206,7 +206,8 @@ def cut_condition_failure(digraph: Digraph, groups) -> Optional[frozenset[str]]:
     group, and that node uncapacitated arcs to the group.  A least root-v
     cut costs rho(X) + #{j : X meets groups[j]} over the X holding v, so
     the condition holds iff every v takes len(groups) units (Frank,
-    Connections in Combinatorial Optimization, 2011, ch. 10).
+    Connections in Combinatorial Optimization, 2011, ch. 10).  So each
+    flow, on one compiled network, stops once it takes that many.
     """
     root = ("root",)
     nodes = [root, *digraph.vertices] + [("group", j) for j in range(len(groups))]
@@ -214,9 +215,10 @@ def cut_condition_failure(digraph: Digraph, groups) -> Optional[frozenset[str]]:
     for j, group in enumerate(groups):
         arcs.append((root, ("group", j), 1))
         arcs += [(("group", j), v, None) for v in sorted(group)]
+    network = FlowNetwork(nodes, arcs)
     for v in sorted(digraph.vertices):
-        value, side = max_flow_min_cut(nodes, arcs, root, v)
-        if value < len(groups):
+        _, side = max_flow_min_cut(network, root, v, len(groups))
+        if side is not None:
             return frozenset(digraph.vertices) - side
     return None
 

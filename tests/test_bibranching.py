@@ -13,7 +13,7 @@ from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    feasibility_witness, is_b_bibranching,
                                    prune_to_minimal, solve_shortest)
 from bbibranch.cli import load_instance_data, serialize_instance
-from bbibranch.digraph import Digraph, max_flow_min_cut
+from bbibranch.digraph import Digraph, FlowNetwork, max_flow_min_cut
 from bbibranch.errors import GuardError, InfeasibleInstance, InputError
 from bbibranch.mconvex import check_alternative_description, solve_mflow
 from bbibranch.packing import packing_number
@@ -285,8 +285,8 @@ class TestNumberRule:
         inst = Instance(D, side, b, [4, "4/2", Fraction(4), "1/2"])
         assert inst.weights == [4, 2, 4, Fraction(1, 2)]
         assert [type(w) for w in inst.weights] == [int, int, int, Fraction]
-        flow, _ = max_flow_min_cut(["s", "a", "t"],
-                                   [("s", "a", 3), ("a", "t", 2)], "s", "t")
+        flow, _ = max_flow_min_cut(
+            FlowNetwork(["s", "a", "t"], [("s", "a", 3), ("a", "t", 2)]), "s", "t")
         assert flow == 2 and type(flow) is int
         sol = solve_mflow(Instance(D, side, b, [4, "4/2", Fraction(4), 3]))
         assert sol.weight == 2 and type(sol.weight) is int

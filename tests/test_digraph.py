@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbibranch.bibranching import Instance
-from bbibranch.digraph import (Digraph, UnboundedFlow, check_capacities,
-                               max_flow_min_cut)
+from bbibranch.digraph import (Digraph, FlowNetwork, UnboundedFlow,
+                               check_capacities, max_flow_min_cut)
 from bbibranch.errors import InputError
 from bbibranch.rationals import Q
 
@@ -155,23 +155,35 @@ class TestCapacities:
         assert check_capacities(D, {"a": 2, "b": 1}) == {"a": 2, "b": 1}
 
 
+def draw_network(data):
+    """Nodes 0..n-1, 3 <= n <= 5, and up to ten arcs, parallel arcs
+    allowed, with capacities None (infinite) or 0..4."""
+    n = data.draw(st.integers(3, 5), label="n")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
+    caps = st.one_of(st.none(), st.integers(0, 4))
+    arcs = [(tail, (tail + step) % n, cap) for (tail, step), cap in
+            data.draw(st.lists(st.tuples(pairs, caps), max_size=10),
+                      label="arcs")]
+    return list(range(n)), arcs
+
+
 class TestMaxFlow:
     def test_textbook_network(self):
         nodes = ["s", "a", "b", "t"]
         arcs = [("s", "a", 3), ("s", "b", 2), ("a", "b", 1),
                 ("a", "t", 2), ("b", "t", 3)]
-        flow, cut = max_flow_min_cut(nodes, arcs, "s", "t")
+        flow, cut = max_flow_min_cut(FlowNetwork(nodes, arcs), "s", "t")
         assert flow == 5
         assert "s" in cut and "t" not in cut
 
     def test_rational_capacities(self):
         arcs = [("s", "a", Q(1, 2)), ("a", "t", Q(1, 3))]
-        flow, _ = max_flow_min_cut(["s", "a", "t"], arcs, "s", "t")
+        flow, _ = max_flow_min_cut(FlowNetwork(["s", "a", "t"], arcs), "s", "t")
         assert flow == Q(1, 3)
 
     def test_infinite_path_raises(self):
         with pytest.raises(UnboundedFlow):
-            max_flow_min_cut(["s", "t"], [("s", "t", None)], "s", "t")
+            max_flow_min_cut(FlowNetwork(["s", "t"], [("s", "t", None)]), "s", "t")
 
     def test_matches_min_cut_enumeration(self):
         rng = random.Random(3)
@@ -180,7 +192,7 @@ class TestMaxFlow:
             nodes = list(range(n))
             arcs = [(i, j, rng.randint(0, 4)) for i in nodes for j in nodes
                     if i != j and rng.random() < 0.5]
-            flow, cut = max_flow_min_cut(nodes, arcs, 0, n - 1)
+            flow, cut = max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1)
             inner = [v for v in nodes if v not in (0, n - 1)]
             best = None
             for r in range(len(inner) + 1):
@@ -199,15 +211,9 @@ class TestMaxFlow:
               database=None)
     @given(data=st.data())
     def test_unboundedness_and_cut_match_enumeration(self, data):
-        # Parallel arcs and capacities None (infinite) or 0..4; source 0,
-        # sink n - 1.
-        n = data.draw(st.integers(3, 5), label="n")
-        pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
-        caps = st.one_of(st.none(), st.integers(0, 4))
-        arcs = [(tail, (tail + step) % n, cap) for (tail, step), cap in
-                data.draw(st.lists(st.tuples(pairs, caps), max_size=10),
-                          label="arcs")]
-        nodes = list(range(n))
+        # Source 0, sink n - 1.
+        nodes, arcs = draw_network(data)
+        n = len(nodes)
         infinite = {0}
         grown = True
         while grown:
@@ -218,7 +224,7 @@ class TestMaxFlow:
                     grown = True
         if n - 1 in infinite:
             with pytest.raises(UnboundedFlow):
-                max_flow_min_cut(nodes, arcs, 0, n - 1)
+                max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1)
             return
 
         def capacity(side):
@@ -231,7 +237,43 @@ class TestMaxFlow:
         finite_cuts = [c for r in range(len(inner) + 1)
                        for combo in itertools.combinations(inner, r)
                        if (c := capacity({0, *combo})) is not None]
-        flow, side = max_flow_min_cut(nodes, arcs, 0, n - 1)
+        flow, side = max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1)
         assert flow == min(finite_cuts)
         assert 0 in side and n - 1 not in side
         assert capacity(side) == flow
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_limited_queries_match_exact_ones(self, data):
+        # One compiled network answers every (source, sink, limit) query,
+        # in any order, as a fresh network without a limit decides it.  An
+        # unbounded flow stops at the limit, or once it passes the finite
+        # total when the limit lies beyond that.
+        nodes, arcs = draw_network(data)
+        total = sum(cap for _, _, cap in arcs if cap is not None)
+        exact = {}
+        for pair in itertools.permutations(nodes, 2):
+            try:
+                exact[pair] = max_flow_min_cut(FlowNetwork(nodes, arcs), *pair)
+            except UnboundedFlow:
+                exact[pair] = None
+        top = max((got[0] for got in exact.values() if got is not None),
+                  default=0)
+        queries = [(pair, limit) for pair in exact
+                   for limit in (None, *range(top + 2), total + 2)]
+        network = FlowNetwork(nodes, arcs)
+        for pair, limit in data.draw(st.permutations(queries), label="order"):
+            want = exact[pair]
+            if limit is None:
+                if want is None:
+                    with pytest.raises(UnboundedFlow):
+                        max_flow_min_cut(network, *pair)
+                else:
+                    assert max_flow_min_cut(network, *pair) == want
+            elif want is None or want[0] >= limit:
+                flow, side = max_flow_min_cut(network, *pair, limit)
+                assert side is None and flow >= min(limit, total + 1)
+                assert want is None or limit <= flow <= want[0]
+            else:
+                assert max_flow_min_cut(network, *pair, limit) == want

@@ -185,14 +185,14 @@ class TestSeparation:
                 sum(x[a] for a in cut.arcs) for cut in all_bicuts(inst))
 
     def test_max_flows_run_on_int_capacities(self, monkeypatch):
-        capacities = []
-        original = lpsolve.max_flow_min_cut
+        networks = []
+        original = lpsolve.FlowNetwork
 
-        def recording(nodes, arcs, source, sink):
-            capacities.extend(c for _, _, c in arcs if c is not None)
-            return original(nodes, arcs, source, sink)
+        def recording(nodes, arcs):
+            networks.append(original(nodes, arcs))
+            return networks[-1]
 
-        monkeypatch.setattr(lpsolve, "max_flow_min_cut", recording)
+        monkeypatch.setattr(lpsolve, "FlowNetwork", recording)
         rng = random.Random(34)
         for _ in range(5):
             inst = random_instance(rng, 2, 2, 0.6, 1, 5, max_arcs=10)
@@ -200,8 +200,43 @@ class TestSeparation:
                  for _ in range(inst.digraph.num_arcs())]
             for value, cut in min_bicut_candidates(inst, x):
                 assert value == sum(x[a] for a in cut.arcs)
+        # Every residual slot, infinite arcs' finite_total + 1 included.
+        capacities = [c for network in networks for c in network.cap]
         assert capacities
         assert all(type(c) is int for c in capacities)
+
+    def test_need_keeps_the_unlimited_filter(self):
+        # Separating with a need gives the distinct candidates of value
+        # below it, in candidate order, as filtering the exact candidates.
+        rng = random.Random(35)
+        for _ in range(30):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                   0.5, 2, 5, max_arcs=12)
+            x = [Q(rng.randint(0, 8), rng.choice((1, 2, 3, 4)))
+                 for _ in range(inst.digraph.num_arcs())]
+            for need in (1, 2, 3):
+                seen, expected = set(), []
+                for value, cut in min_bicut_candidates(inst, x):
+                    if value < need and cut.arcs not in seen:
+                        seen.add(cut.arcs)
+                        expected.append(cut)
+                assert lpsolve._violated_bicuts(inst, x, need) == expected
+
+    def test_no_cut_is_built_for_a_flow_that_reaches_its_need(self, monkeypatch):
+        rng = random.Random(36)
+        cases = []
+        for _ in range(10):
+            inst = random_instance(rng, 2, 2, 0.6, 1, 5, max_arcs=10)
+            x = [Q(rng.randint(1, 6), rng.choice((1, 2, 3)))
+                 for _ in range(inst.digraph.num_arcs())]
+            cases.append((inst, x, min(v for v, _ in min_bicut_candidates(inst, x))))
+
+        def refuse(*args):
+            raise AssertionError("in_cut called for a non-violated candidate")
+
+        monkeypatch.setattr(Digraph, "in_cut", refuse)
+        for inst, x, need in cases:
+            assert lpsolve._violated_bicuts(inst, x, need) == []
 
 
 class TestCuttingPlane:

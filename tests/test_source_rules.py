@@ -145,3 +145,32 @@ def test_infeasibility_sites_are_pinned():
                              ("lpsolve.py", "_cutting_plane"),
                              ("mconvex.py", "solve_mflow")},
     }
+
+
+def test_one_max_flow_routine_and_one_network_per_caller():
+    # Augmenting along a residual slot updates its twin, ``cap[slot ^ 1]``:
+    # only ``max_flow_min_cut`` does so, so it is the one max-flow routine.
+    # Each caller compiles its ``FlowNetwork`` once, outside any loop, and
+    # runs all its flows on it, so no flow rebuilds the residual graph.
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    twins, compiles = set(), []
+
+    def visit(node, path, where, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, in_loop = node.name, False
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.BinOp) \
+                and isinstance(node.slice.op, ast.BitXor) \
+                and getattr(node.slice.right, "value", None) == 1:
+            twins.add((path.name, where))
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "FlowNetwork":
+            compiles.append((path.name, where, in_loop))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where, in_loop or isinstance(node, loops))
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None, False)
+    assert twins == {("digraph.py", "max_flow_min_cut")}
+    assert sorted(compiles) == [("lpsolve.py", "min_bicut_candidates", False),
+                                ("packing.py", "cut_condition_failure", False)]
