@@ -237,18 +237,14 @@ def _check_mconvex(instance, rng, trials):
 
 
 def _random_b_branching(rng, digraph, b):
-    from .matroids import PartitionMatroid, SparsityMatroid
+    from .matroids import is_b_branching
 
-    partition = PartitionMatroid(digraph, b)
-    sparsity = SparsityMatroid(digraph, b)
     order = list(range(digraph.num_arcs()))
     rng.shuffle(order)
     current: set[int] = set()
     for a in order:
-        if rng.random() < 0.6:
-            candidate = current | {a}
-            if partition.independent(candidate) and sparsity.independent(candidate):
-                current.add(a)
+        if rng.random() < 0.6 and is_b_branching(digraph, b, current | {a}):
+            current.add(a)
     return frozenset(current)
 
 

@@ -13,10 +13,6 @@ from typing import Iterable
 from .errors import InputError
 
 
-class UnboundedFlow(Exception):
-    """The flow network has an infinite-capacity source-to-sink path."""
-
-
 class Digraph:
     """A loopless digraph with stable arc indices and parallel arcs allowed."""
 
@@ -176,29 +172,26 @@ class FlowNetwork:
     """A capacitated network compiled once for many max-flow queries.
 
     ``arcs`` is a list of (tail, head, capacity) over ``nodes`` with exact
-    capacities (int or Fraction); capacity None means infinite and is
-    stored as ``finite_total + 1``, more than any cut of finite arcs
-    holds.  The residual graph lives in int-indexed slots: slot 2i is arc
-    i forward, slot 2i + 1 its reverse.  ``max_flow_min_cut`` copies
-    ``cap``, so queries never see each other's flow.
+    finite capacities (int or Fraction).  The residual graph lives in
+    int-indexed slots: slot 2i is arc i forward, slot 2i + 1 its reverse.
+    ``max_flow_min_cut`` copies ``cap``, so queries never see each other's
+    flow.
     """
 
     def __init__(self, nodes, arcs):
         self.nodes = tuple(nodes)
         self.index = {v: i for i, v in enumerate(self.nodes)}
-        self.finite_total = sum(c for _, _, c in arcs if c is not None)
-        big = self.finite_total + 1
         self.adj: list[list[int]] = [[] for _ in self.nodes]
         self.ends: list[int] = []
         self.cap: list = []
         for tail, head, c in arcs:
-            if c is not None and c < 0:
+            if c < 0:
                 raise InputError("negative capacity on arc %r -> %r" % (tail, head))
             u, w = self.index[tail], self.index[head]
             self.adj[u].append(len(self.cap))
             self.adj[w].append(len(self.cap) + 1)
             self.ends += (w, u)
-            self.cap += (big if c is None else c, 0)
+            self.cap += (c, 0)
 
 
 def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
@@ -208,14 +201,11 @@ def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
     cut capacity exactly, and integer capacities give an int value.  The
     side is the set of nodes the last, failing augmenting search reached:
     the minimal min cut, the same for every maximum flow, so it does not
-    depend on which augmenting paths were taken.  Raises UnboundedFlow
-    when an infinite-capacity path joins source and sink.
+    depend on which augmenting paths were taken.
 
-    With ``limit``, the search stops as soon as the flow is known to be at
-    least ``limit`` and returns (flow pushed so far, None): when the flow
-    reaches ``limit``, or when it passes ``finite_total``, which only an
-    unbounded network allows.  A flow that ends below ``limit`` returns
-    exactly what the query without a limit returns.
+    With ``limit``, the search stops as soon as the flow reaches ``limit``
+    and returns (flow pushed so far, None).  A flow that ends below
+    ``limit`` returns exactly what the query without a limit returns.
     """
     index = network.index
     if source == sink:
@@ -241,13 +231,6 @@ def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
         else:
             # The search ran until its queue was empty: it holds exactly
             # the residual-reachable nodes, the source side of a min cut.
-            # An all-infinite path forces every cut across an arc of
-            # capacity finite_total + 1; without one, the nodes the source
-            # reaches over infinite arcs give a cut of at most finite_total.
-            if flow > network.finite_total:
-                if limit is None:
-                    raise UnboundedFlow("infinite-capacity path from source to sink")
-                return flow, None
             return flow, frozenset(network.nodes[v] for v in queue)
         bottleneck = None
         v = t

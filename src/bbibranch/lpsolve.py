@@ -294,7 +294,9 @@ def min_bicut_candidates(instance: Instance, x: list,
     All |T| + |S| flows share one network: the digraph, a super-source
     into S for the flows to each t in T, and a super-sink out of T for the
     flows from each s in S.  Each super node is a dead end for the other
-    family's flows, so no value or cut changes.
+    family's flows, so no value or cut changes.  The super arcs hold one
+    more than the digraph arcs' total capacity, so no min cut crosses
+    them: every flow path crosses a digraph arc, as S and T are disjoint.
 
     With ``below``, each flow stops once it reaches below * L, and only
     the candidates of value less than ``below`` are returned, in the same
@@ -307,8 +309,9 @@ def min_bicut_candidates(instance: Instance, x: list,
     source, sink = ("source",), ("sink",)  # tuples, so no vertex id equals them
     arcs = [(D.tail(a), D.head(a), x[a].numerator * (L // x[a].denominator))
             for a in range(D.num_arcs())]
-    arcs += [(source, s, None) for s in sorted(instance.S)]
-    arcs += [(t, sink, None) for t in sorted(instance.T)]
+    big = sum(c for _, _, c in arcs) + 1
+    arcs += [(source, s, big) for s in sorted(instance.S)]
+    arcs += [(t, sink, big) for t in sorted(instance.T)]
     network = FlowNetwork([*D.vertices, source, sink], arcs)
     limit = None if below is None else below * L
     results = []

@@ -346,22 +346,11 @@ def solve_mflow(instance: Instance) -> Solution:
 
 def _min_arc_negative_cycle(nodes, arcs):
     """A negative cycle with the fewest arcs, deterministically chosen, or
-    None when there is no negative cycle."""
-    # Bellman-Ford from a virtual root with a 0-cost arc to every node
-    # decides first whether a negative cycle exists: without one, a
-    # shortest path from the root has at most len(nodes) - 1 further arcs,
-    # so one of the first len(nodes) passes changes nothing.
-    dist = {node: 0 for node in nodes}
-    for _ in range(len(nodes)):
-        changed = False
-        for arc in arcs:
-            d = dist[arc.tail] + arc.cost
-            if d < dist[arc.head]:
-                dist[arc.head] = d
-                changed = True
-        if not changed:
-            return None
+    None when there is no negative cycle.
 
+    A negative closed walk with the fewest arcs is a simple cycle, since
+    it splits into cycles one of which is negative; so the search finds
+    one within len(nodes) arcs exactly when a negative cycle exists."""
     order = {node: i for i, node in enumerate(nodes)}
     out_arcs: dict = {node: [] for node in nodes}
     for arc in sorted(arcs, key=lambda t: (order[t.tail], order[t.head],

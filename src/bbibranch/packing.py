@@ -203,8 +203,9 @@ def cut_condition_failure(digraph: Digraph, groups) -> Optional[frozenset[str]]:
     """A nonempty X with rho(X) < #{j : X misses groups[j]}, or None.
 
     Arcs get capacity 1, a root an arc of capacity 1 to a tuple node per
-    group, and that node uncapacitated arcs to the group.  A least root-v
-    cut costs rho(X) + #{j : X meets groups[j]} over the X holding v, so
+    group, and that node arcs of capacity |A| + len(groups) + 1 to the
+    group, more than any cut of the other arcs.  A least root-v cut costs
+    rho(X) + #{j : X meets groups[j]} over the X holding v, so
     the condition holds iff every v takes len(groups) units (Frank,
     Connections in Combinatorial Optimization, 2011, ch. 10).  So each
     flow, on one compiled network, stops once it takes that many.
@@ -212,9 +213,10 @@ def cut_condition_failure(digraph: Digraph, groups) -> Optional[frozenset[str]]:
     root = ("root",)
     nodes = [root, *digraph.vertices] + [("group", j) for j in range(len(groups))]
     arcs = [(tail, head, 1) for tail, head in digraph.arcs]
+    big = len(arcs) + len(groups) + 1
     for j, group in enumerate(groups):
         arcs.append((root, ("group", j), 1))
-        arcs += [(("group", j), v, None) for v in sorted(group)]
+        arcs += [(("group", j), v, big) for v in sorted(group)]
     network = FlowNetwork(nodes, arcs)
     for v in sorted(digraph.vertices):
         _, side = max_flow_min_cut(network, root, v, len(groups))
@@ -358,19 +360,14 @@ class PackingCertificate:
     classes: list[frozenset[int]]
 
 
-def pack_b_bibranchings(instance: Instance, k: Optional[int] = None) -> PackingCertificate:
-    """k disjoint b-bibranchings, k defaulting to the exact packing number.
+def pack_b_bibranchings(instance: Instance) -> PackingCertificate:
+    """k disjoint b-bibranchings, k the exact packing number.
 
     The packing number proves that chi_A lies in the k-dilated polytope, so
     ``decompose`` splits A into k classes and checks that each is a
     b-bibranching: a partition of A, so a disjoint packing.
     """
     witness = packing_number(instance)
-    if k is None:
-        k = witness.k
-    elif k < 0:
-        raise InputError("k must be nonnegative")
-    elif k > witness.k:
-        raise InputError("requested packing size exceeds the packing number")
+    k = witness.k
     classes = decompose(instance, k, [1] * instance.digraph.num_arcs()) if k else []
     return PackingCertificate(k, witness, classes)

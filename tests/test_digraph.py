@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbibranch.bibranching import Instance
-from bbibranch.digraph import (Digraph, FlowNetwork, UnboundedFlow,
-                               check_capacities, max_flow_min_cut)
+from bbibranch.digraph import (Digraph, FlowNetwork, check_capacities,
+                               max_flow_min_cut)
 from bbibranch.errors import InputError
 from bbibranch.rationals import Q
 
@@ -157,10 +157,10 @@ class TestCapacities:
 
 def draw_network(data):
     """Nodes 0..n-1, 3 <= n <= 5, and up to ten arcs, parallel arcs
-    allowed, with capacities None (infinite) or 0..4."""
+    allowed, with capacities 0..4."""
     n = data.draw(st.integers(3, 5), label="n")
     pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
-    caps = st.one_of(st.none(), st.integers(0, 4))
+    caps = st.integers(0, 4)
     arcs = [(tail, (tail + step) % n, cap) for (tail, step), cap in
             data.draw(st.lists(st.tuples(pairs, caps), max_size=10),
                       label="arcs")]
@@ -180,10 +180,6 @@ class TestMaxFlow:
         arcs = [("s", "a", Q(1, 2)), ("a", "t", Q(1, 3))]
         flow, _ = max_flow_min_cut(FlowNetwork(["s", "a", "t"], arcs), "s", "t")
         assert flow == Q(1, 3)
-
-    def test_infinite_path_raises(self):
-        with pytest.raises(UnboundedFlow):
-            max_flow_min_cut(FlowNetwork(["s", "t"], [("s", "t", None)]), "s", "t")
 
     def test_matches_min_cut_enumeration(self):
         rng = random.Random(3)
@@ -210,70 +206,41 @@ class TestMaxFlow:
     @settings(max_examples=400, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
-    def test_unboundedness_and_cut_match_enumeration(self, data):
-        # Source 0, sink n - 1.
+    def test_flow_and_side_match_cut_enumeration(self, data):
+        # Source 0, sink n - 1: the flow is the least cut, and the side
+        # returned is a least cut holding the source and not the sink.
         nodes, arcs = draw_network(data)
         n = len(nodes)
-        infinite = {0}
-        grown = True
-        while grown:
-            grown = False
-            for tail, head, cap in arcs:
-                if cap is None and tail in infinite and head not in infinite:
-                    infinite.add(head)
-                    grown = True
-        if n - 1 in infinite:
-            with pytest.raises(UnboundedFlow):
-                max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1)
-            return
 
         def capacity(side):
-            if any(cap is None and t in side and h not in side
-                   for t, h, cap in arcs):
-                return None
             return sum(cap for t, h, cap in arcs if t in side and h not in side)
 
         inner = nodes[1:-1]
-        finite_cuts = [c for r in range(len(inner) + 1)
-                       for combo in itertools.combinations(inner, r)
-                       if (c := capacity({0, *combo})) is not None]
+        least = min(capacity({0, *combo}) for r in range(len(inner) + 1)
+                    for combo in itertools.combinations(inner, r))
         flow, side = max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1)
-        assert flow == min(finite_cuts)
+        assert flow == least
         assert 0 in side and n - 1 not in side
-        assert capacity(side) == flow
+        assert capacity(side) == least
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
     def test_limited_queries_match_exact_ones(self, data):
         # One compiled network answers every (source, sink, limit) query,
-        # in any order, as a fresh network without a limit decides it.  An
-        # unbounded flow stops at the limit, or once it passes the finite
-        # total when the limit lies beyond that.
+        # in any order, as a fresh network without a limit decides it.  A
+        # flow that reaches the limit stops there.
         nodes, arcs = draw_network(data)
-        total = sum(cap for _, _, cap in arcs if cap is not None)
-        exact = {}
-        for pair in itertools.permutations(nodes, 2):
-            try:
-                exact[pair] = max_flow_min_cut(FlowNetwork(nodes, arcs), *pair)
-            except UnboundedFlow:
-                exact[pair] = None
-        top = max((got[0] for got in exact.values() if got is not None),
-                  default=0)
+        exact = {pair: max_flow_min_cut(FlowNetwork(nodes, arcs), *pair)
+                 for pair in itertools.permutations(nodes, 2)}
+        top = max(got[0] for got in exact.values())
         queries = [(pair, limit) for pair in exact
-                   for limit in (None, *range(top + 2), total + 2)]
+                   for limit in (None, *range(top + 2))]
         network = FlowNetwork(nodes, arcs)
         for pair, limit in data.draw(st.permutations(queries), label="order"):
             want = exact[pair]
-            if limit is None:
-                if want is None:
-                    with pytest.raises(UnboundedFlow):
-                        max_flow_min_cut(network, *pair)
-                else:
-                    assert max_flow_min_cut(network, *pair) == want
-            elif want is None or want[0] >= limit:
+            if limit is not None and want[0] >= limit:
                 flow, side = max_flow_min_cut(network, *pair, limit)
-                assert side is None and flow >= min(limit, total + 1)
-                assert want is None or limit <= flow <= want[0]
+                assert side is None and limit <= flow <= want[0]
             else:
                 assert max_flow_min_cut(network, *pair, limit) == want

@@ -200,7 +200,7 @@ class TestSeparation:
                  for _ in range(inst.digraph.num_arcs())]
             for value, cut in min_bicut_candidates(inst, x):
                 assert value == sum(x[a] for a in cut.arcs)
-        # Every residual slot, infinite arcs' finite_total + 1 included.
+        # Every residual slot, the super arcs' capacity included.
         capacities = [c for network in networks for c in network.cap]
         assert capacities
         assert all(type(c) is int for c in capacities)

@@ -345,36 +345,37 @@ class TestSolveMflow:
         assert solved >= 8
 
 
-def _walk_search_reference(nodes, arcs):
-    """The fewest-arcs walk search alone, as it ran before the Bellman-Ford
-    test for a negative cycle was put in front of it."""
-    order = {node: i for i, node in enumerate(nodes)}
-    out_arcs: dict = {node: [] for node in nodes}
-    for arc in sorted(arcs, key=lambda t: (order[t.tail], order[t.head],
-                                           t.flip if t.flip is not None else -1)):
-        out_arcs[arc.tail].append(arc)
-    walks = {start: {start: (0, ())} for start in nodes}
-    for length in range(1, len(nodes) + 1):
-        best = None
-        for start in nodes:
-            nxt: dict = {}
-            for u, (cost, trace) in walks[start].items():
-                for arc in out_arcs[u]:
-                    cand = (cost + arc.cost, trace + (arc,))
-                    if arc.head not in nxt or cand[0] < nxt[arc.head][0]:
-                        nxt[arc.head] = cand
-            walks[start] = nxt
-            if start in nxt and nxt[start][0] < 0:
-                cand = (nxt[start][0], order[start], nxt[start][1])
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-        if best is not None:
-            return list(best[2])
-    return None
+def _negative_cycle_lengths(nodes, arcs):
+    """The arc counts of the negative simple cycles, by enumeration.
+
+    Each cycle is listed once, from its first node in ``nodes``, and takes
+    the cheapest of any parallel arcs between consecutive nodes.
+    """
+    cheapest = {}
+    for arc in arcs:
+        pair = (arc.tail, arc.head)
+        if pair not in cheapest or arc.cost < cheapest[pair]:
+            cheapest[pair] = arc.cost
+    lengths = []
+
+    def extend(path, cost):
+        for q in nodes[nodes.index(path[0]) + 1:]:
+            if q not in path and (path[-1], q) in cheapest:
+                extend(path + [q], cost + cheapest[path[-1], q])
+        if len(path) > 1 and (path[-1], path[0]) in cheapest \
+                and cost + cheapest[path[-1], path[0]] < 0:
+            lengths.append(len(path))
+
+    for start in nodes:
+        extend([start], 0)
+    return lengths
 
 
 class TestNegativeCycle:
-    def test_matches_walk_search_reference(self):
+    def test_fewest_arcs_matches_cycle_enumeration(self):
+        # None exactly when no simple cycle is negative; otherwise a simple
+        # closed walk of negative cost over the given arcs, with the fewest
+        # arcs of any negative cycle.
         rng = random.Random(69)
         found = {True: 0, False: 0}
         for trial in range(400):
@@ -396,11 +397,27 @@ class TestNegativeCycle:
                 arcs.append(_AuxArc(p, q, cost, flip if rng.random() < 0.5 else None))
                 if rng.random() < 0.2:  # a parallel arc of equal cost
                     arcs.append(_AuxArc(p, q, cost, None))
-            want = _walk_search_reference(nodes, arcs)
+            lengths = _negative_cycle_lengths(nodes, arcs)
             got = _min_arc_negative_cycle(nodes, arcs)
-            if want is None:
+            if not lengths:
                 assert got is None
             else:
-                assert [id(arc) for arc in got] == [id(arc) for arc in want]
-            found[want is not None] += 1
+                assert all(any(arc is given for given in arcs) for arc in got)
+                tails = [arc.tail for arc in got]
+                assert [arc.head for arc in got] == tails[1:] + tails[:1]
+                assert len(set(tails)) == len(got) == min(lengths)
+                assert sum(arc.cost for arc in got) < 0
+            found[bool(lengths)] += 1
         assert min(found.values()) >= 50
+
+    def test_cycle_through_every_node(self):
+        # A ring p0 -> p1 -> ... -> p0 of cost -1 per arc, with each arc
+        # reversed at cost n: the one negative cycle has all n arcs.
+        for n in range(2, 8):
+            nodes = ["p%d" % i for i in range(n)]
+            ring = list(zip(nodes, nodes[1:] + nodes[:1]))
+            arcs = ([_AuxArc(p, q, -1, None) for p, q in ring]
+                    + [_AuxArc(q, p, n, None) for p, q in ring])
+            assert _negative_cycle_lengths(nodes, arcs) == [n]
+            got = _min_arc_negative_cycle(nodes, arcs)
+            assert [arc.tail for arc in got] == nodes

@@ -468,10 +468,6 @@ class TestFullPacking:
             assert len(cert.classes) == cert.k
             assert verify_packing(inst, cert.classes)
 
-    def test_negative_k_rejected(self):
-        with pytest.raises(InputError, match="k must be nonnegative"):
-            pack_b_bibranchings(one_arc_instance(), -1)
-
     @pytest.mark.parametrize("seed", [728, 3527, 3771, 5065, 5611])
     def test_pool_instances_once_refused_pack_fully(self, seed):
         # Each of these once ended in a false "prescribed packing

@@ -1,6 +1,7 @@
 """Rules the package source keeps."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bbibranch"
@@ -174,3 +175,16 @@ def test_one_max_flow_routine_and_one_network_per_caller():
     assert twins == {("digraph.py", "max_flow_min_cut")}
     assert sorted(compiles) == [("lpsolve.py", "min_bicut_candidates", False),
                                 ("packing.py", "cut_condition_failure", False)]
+
+
+def test_exceptions_are_defined_in_errors():
+    # Every exception class of the package is defined in ``errors``, next
+    # to the others whose CLI exit codes are fixed: no module has its own.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("bbibranch." + path.stem)
+        found |= {(path.name, name) for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__}
+    assert ("errors.py", "InputError") in found
+    assert {entry for entry in found if entry[0] != "errors.py"} == set()
