@@ -3,17 +3,21 @@
 A two-phase simplex with Bland's rule, exact throughout, on one
 fraction-free tableau that carries its reduced-cost rows through the
 pivots: every row is a list of Python ints over one positive row
-denominator.  LP data and results follow the package's number rule: every
-coefficient, bound, vertex entry, dual and objective is an int when
-integral and a Fraction only otherwise; exit-5 payloads write simplex
-values (x, y) as 'p' or 'p/q' text either way.  Bicut separation by
-max-flow, the primal cutting plane for the shortest b-bibranching LP,
-proved optimal by its own row duals, integer decomposition by LP peeling
-on separated bicut rows, and the total-dual-integrality check, which
-proves an integral optimal dual from those duals (uncrossed and re-solved
-over a cross-free family when fractional) and returns it as a plain map
-from row keys to values.  Both dual checks read each row's arcs from the
-instance, through one load routine.
+denominator.  Finite upper bounds are held implicitly, each boxed column
+complemented while its variable sits at the bound, and Bland's rule runs
+over the column indices of the formulation with one explicit row per
+bound, so the pivot path, and every result, is that formulation's.  LP
+data and results follow the package's number rule: every coefficient,
+bound, vertex entry, dual and objective is an int when integral and a
+Fraction only otherwise; exit-5 payloads write simplex values (x, y) as
+'p' or 'p/q' text either way.  Bicut separation by max-flow, the primal
+cutting plane for the shortest b-bibranching LP, proved optimal by its own
+row duals, integer decomposition by LP peeling on separated bicut rows,
+and the total-dual-integrality check, which proves an integral optimal
+dual from those duals (uncrossed and re-solved over a cross-free family
+when fractional) and returns it as a plain map from row keys to values.
+Both dual checks read each row's arcs from the instance, through one load
+routine.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ class RationalLP:
         return len(self.rows) - 1
 
     def set_bounds(self, j: int, lower, upper) -> None:
+        if not (0 <= j < self.num_vars):
+            raise InputError("bounds on unknown variable %d" % j)
         self.lower[j] = rat(lower)
         self.upper[j] = None if upper is None else rat(upper)
 
@@ -67,39 +73,65 @@ class SimplexResult:
     x: Optional[list] = None
     objective: Optional[object] = None
     row_duals: Optional[list] = None   # one per original row
-    bound_duals: Optional[list] = None  # one per variable upper bound (None if unbounded above)
+    bound_duals: Optional[list] = None  # one per variable; None if unbounded above or redundant
 
 
 def simplex_solve(lp: RationalLP) -> SimplexResult:
     """Two-phase simplex with Bland's rule; exact throughout.
 
-    One tableau carries everything.  Its rows are the LP rows with the lower
-    bounds shifted out, then one <= row per finite upper bound, each negated
-    where its right-hand side is negative; every row ends with that
-    right-hand side.  The phase-2 and phase-1 reduced-cost rows come last,
-    so every pivot updates them along with the constraints.  Columns are
-    the variables, then one slack (+1) or surplus (-1) per inequality row,
-    then one artificial per >= or = row, each in row order.
+    The result is that of Bland's rule on the explicit formulation.  Its
+    rows are the LP rows with the lower bounds shifted out, then one box row
+    x_j + s_j = u_j - l_j per finite upper bound, in ``bounded`` order, each
+    row negated where its right-hand side is negative.  Its columns are the
+    variables, one slack (+1) or surplus (-1) per LP inequality row, the box
+    slacks s_j, then one artificial per >= or = row, each in row order.  The
+    column of least index with a negative reduced cost enters; the basic
+    variable of least ratio leaves, ties to the least column index.
 
-    Every row is a list of ints over one positive row denominator: entry j
-    of row i stands for tableau[i][j] / dens[i].  A pivot on entry p
+    The tableau holds the box rows implicitly (Dantzig's upper-bounding
+    technique).  A box row has nonzeros only at x_j and s_j, so one of the
+    two is basic in every explicit basis.  The tableau drops the row and
+    s_j's column: column j stands for x_j or, complemented, for s_j =
+    u_j - l_j - x_j (entries negated, the width times them taken off each
+    right-hand side), and a column basic in the tableau has both of its pair
+    basic.  Each column keeps its explicit index (a complemented one that of
+    s_j), and the ratio test reads the dropped rows off the kept ones, with
+    three kinds of candidate:
+
+    - a basic variable falls to 0 (tie index its own);
+    - a basic boxed column reaches its bound, so its eliminated partner
+      falls to 0: the row is complemented, then pivoted (tie index the
+      partner's);
+    - the entering column reaches its own bound: it is complemented, with
+      no pivot (tie index the partner's).
+
+    So every step makes the explicit basis change, and x, the objective and
+    the duals are the explicit ones.  The explicit row position of each
+    basic variable is tracked too: it decides which rows keep an artificial
+    after phase 1, and so keep the default dual (0 for a row, None for a
+    bound).  An upper bound below its lower bound leaves the explicit
+    phase 1 positive: infeasible.
+
+    Every row, the phase-2 and phase-1 reduced-cost rows last, is a list of
+    ints over one positive row denominator: entry j of row i stands for
+    tableau[i][j] / dens[i], and every pivot and complement updates the
+    reduced-cost rows along with the constraints.  A pivot on entry p
     rewrites each other row r as r*p - f*(pivot row) over den*p,
     fraction-free as in Bareiss (1968), and divides out the row's gcd.
-    Signs are read off the numerators, and the ratio test cross-multiplies,
-    since a row's denominator cancels from its own ratios.  Each result
-    value is read off as ``ratio(numerator, denominator)``: an int when
-    integral, a Fraction only otherwise.
+    Signs are read off the numerators, and the ratio test cross-multiplies.
+    Each result value is read off as ``ratio(numerator, denominator)``: an
+    int when integral, a Fraction only otherwise.
     """
     n = lp.num_vars
     flip = 1 if lp.sense == "min" else -1
     shift = {j: v for j, v in enumerate(lp.lower) if v}
     bounded = [j for j in range(n) if lp.upper[j] is not None]
+    if any(lp.upper[j] < lp.lower[j] for j in bounded):
+        return SimplexResult(status="infeasible")
     rows = []
     for coeffs, rel, rhs in lp.rows:
         moved = [c * shift[j] for j, c in coeffs.items() if j in shift]
         rows.append((coeffs, rel, rhs - sum(moved) if moved else rhs))
-    rows += [({j: 1}, "<=", lp.upper[j] - shift[j] if j in shift else lp.upper[j])
-             for j in bounded]
     m = len(rows)
     signs = [-1 if rhs < 0 else 1 for _, _, rhs in rows]
     rels = [{"<=": ">=", ">=": "<=", "=": "="}[rel] if sign < 0 else rel
@@ -107,6 +139,19 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     slack_col = n
     art_col = art_start = n + sum(rel != "=" for rel in rels)
     num_cols = art_start + sum(rel != "<=" for rel in rels)
+    boxes = len(bounded)
+    width: list[Optional[tuple[int, int]]] = [None] * num_cols  # (p, q): u - l = p/q
+    # The explicit index of each column's variable and, for a boxed column,
+    # of the other variable of its pair (so boxed column j is complemented
+    # while explicit[j] != j); the column at each explicit index, or -1 for
+    # the eliminated one of a pair.
+    explicit = list(range(art_start)) + list(range(art_start + boxes, num_cols + boxes))
+    other = [-1] * num_cols
+    by_index = list(range(art_start)) + [-1] * boxes + list(range(art_start, num_cols))
+    for k, j in enumerate(bounded):
+        w = lp.upper[j] - lp.lower[j]
+        width[j] = (w.numerator, w.denominator)
+        other[j] = art_start + k
 
     tableau: list[list[int]] = []
     dens: list[int] = []  # row i stands for tableau[i] / dens[i]
@@ -148,13 +193,38 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     tableau.append(phase1)
     dens.append(den)
 
+    # The explicit row position of each basic variable, by explicit index.
+    place = {explicit[j]: i for i, j in enumerate(basis)}
+    place.update((art_start + k, m + k) for k in range(boxes))
+
+    def complement(j: int) -> None:
+        """Swap column j's variable for the other of its pair, u - l minus
+        it, in every row."""
+        p, q = width[j]
+        for i, row in enumerate(tableau):
+            a = row[j]
+            if a:
+                if q > 1:
+                    row = tableau[i] = [c * q for c in row]
+                    dens[i] *= q
+                row[j] = -row[j]
+                row[-1] -= a * p
+                if q > 1:
+                    g = gcd(dens[i], *row)
+                    if g > 1:
+                        tableau[i] = [c // g for c in row]
+                        dens[i] //= g
+        explicit[j], other[j] = other[j], explicit[j]
+        by_index[explicit[j]], by_index[other[j]] = j, -1
+
     def pivot(row: int, col: int) -> None:
         src = tableau[row]
         if src[col] < 0:
             src = [-c for c in src]
-        g = gcd(*src)
-        if g > 1:
-            src = [c // g for c in src]
+        if src[col] != 1:
+            g = gcd(*src)
+            if g > 1:
+                src = [c // g for c in src]
         tableau[row] = src
         p = dens[row] = src[col]
         nonzero = [(j, c) for j, c in enumerate(src) if c]
@@ -177,55 +247,77 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
         basis[row] = col
 
     def optimize(limit: int) -> bool:
-        """Bland's rule on the last row over columns < limit; False if unbounded."""
+        """Bland's rule on the last row over explicit indices < limit;
+        False if unbounded."""
         while True:
             cost = tableau[-1]
-            entering = next((j for j in range(limit) if cost[j] < 0), -1)
+            entering = next((j for j in by_index[:limit] if j >= 0 and cost[j] < 0), -1)
             if entering < 0:
                 return True
-            leaving = -1
+            # (ratio numerator, ratio denominator, tie index, row or -1)
+            best = None if width[entering] is None else \
+                (*width[entering], other[entering], -1)
             for i in range(m):
-                coef, rhs = tableau[i][entering], tableau[i][-1]
-                if coef <= 0:
+                row = tableau[i]
+                coef = row[entering]
+                if coef > 0:
+                    num, den, tie = row[-1], coef, explicit[basis[i]]
+                elif coef and width[basis[i]] is not None:
+                    p, q = width[basis[i]]
+                    num, den, tie = p * dens[i] - q * row[-1], -coef * q, other[basis[i]]
+                else:
                     continue
-                if leaving >= 0:
-                    # rhs / coef against best_rhs / best_coef, cross-multiplied
-                    left, right = rhs * best_coef, best_rhs * coef
-                    if left > right or (left == right and basis[i] > basis[leaving]):
+                if best is not None:
+                    # num / den against the best ratio, cross-multiplied
+                    left, right = num * best[1], best[0] * den
+                    if left > right or (left == right and tie > best[2]):
                         continue
-                leaving, best_rhs, best_coef = i, rhs, coef
-            if leaving < 0:
+                best = (num, den, tie, i)
+            if best is None:
                 return False
+            place[explicit[entering]] = place.pop(best[2])
+            leaving = best[3]
+            if leaving < 0:
+                complement(entering)
+                continue
+            if best[2] != explicit[basis[leaving]]:
+                complement(basis[leaving])
             pivot(leaving, entering)
 
-    optimize(num_cols)
+    optimize(num_cols + boxes)
     dens.pop()
     if tableau.pop()[-1] < 0:  # minus the least sum of the artificials
         return SimplexResult(status="infeasible")
-    # Pivot lingering artificials out of the (degenerate) basis.  A row with
-    # no other nonzero is redundant: it keeps its artificial, no later pivot
-    # touches it, and its dual keeps the default.
-    for i in range(m):
-        if basis[i] >= art_start:
-            col = next((j for j in range(art_start) if tableau[i][j]), -1)
-            if col >= 0:
-                pivot(i, col)
-    if not optimize(art_start):
+    # Pivot lingering artificials out of the (degenerate) basis, in explicit
+    # row order.  A row with no other nonzero is redundant: it keeps its
+    # artificial, no later pivot touches it, and its dual keeps the default.
+    for _, k in sorted((i, k) for k, i in place.items() if k >= art_start + boxes):
+        i = basis.index(k - boxes)
+        col = next((j for j in by_index[:art_start + boxes] if j >= 0 and tableau[i][j]), -1)
+        if col >= 0:
+            place[explicit[col]] = place.pop(k)
+            pivot(i, col)
+    if not optimize(art_start + boxes):
         return SimplexResult(status="unbounded")
 
     x = list(lp.lower)
+    for i, j in enumerate(basis):
+        if j < n:
+            value = ratio(tableau[i][-1], dens[i])
+            x[j] = rat(lp.upper[j] - value if explicit[j] != j else x[j] + value)
+    for j in set(bounded).difference(basis):
+        if explicit[j] != j:
+            x[j] = rat(lp.upper[j])
+    kept = {i for k, i in place.items() if k < art_start + boxes}
     row_duals = [0] * len(lp.rows)
     bound_duals: list[Optional[object]] = [None] * n
     cost, cost_den = tableau[-1], dens[-1]
     for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rat(x[basis[i]] + ratio(tableau[i][-1], dens[i]))
-        if basis[i] < art_start:
-            y = ratio(cost[own[i]] * scale[i], cost_den)
-            if i < len(lp.rows):
-                row_duals[i] = y
-            else:
-                bound_duals[bounded[i - len(lp.rows)]] = y
+        if i in kept:
+            row_duals[i] = ratio(cost[own[i]] * scale[i], cost_den)
+    for k, j in enumerate(bounded):
+        if m + k in kept:
+            bound_duals[j] = ratio(-flip * cost[j], cost_den) if explicit[j] != j else 0
     objective = rat(sum(c * v for c, v in zip(lp.objective, x)))
     return SimplexResult(status="optimal", x=x, objective=objective,
                          row_duals=row_duals, bound_duals=bound_duals)

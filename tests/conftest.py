@@ -100,6 +100,35 @@ def random_lp(rng) -> RationalLP:
     return lp
 
 
+def random_boxed_lp(rng) -> RationalLP:
+    """A small, highly degenerate LP: nearly every variable boxed, with int
+    or fractional bounds, fixed variables and now and then an upper bound
+    below its lower bound; rows with small coefficients and right-hand
+    sides, all three relations, and copies of earlier rows (negated or
+    doubled), which can leave an artificial basic after phase 1."""
+    n = rng.randint(3, 8)
+    lp = RationalLP(n, [rng.randint(-3, 3) for _ in range(n)],
+                    rng.choice(("min", "max")))
+    for j in range(n):
+        if rng.random() < 0.9:
+            lower = rng.choice((0, 0, 1, -1, Q(1, 3)))
+            width = rng.choice((0, 1, 1, 2, Q(1, 2), Q(3, 2)))
+            if rng.random() < 0.05:
+                width = Q(-1, 2)
+            lp.set_bounds(j, lower, lower + width)
+    for _ in range(rng.randint(2, 6)):
+        coeffs = {j: rng.choice((1, 1, -1, 2, Q(1, 2))) for j in range(n)
+                  if rng.random() < 0.6}
+        rel = rng.choice(("<=", ">=", "="))
+        lp.add_row(coeffs, rel, rng.choice((-1, 0, 0, 1, 1, 2, 3, Q(1, 2))))
+        if rng.random() < 0.2:
+            factor = rng.choice((-1, 2))
+            flipped = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            lp.add_row({j: factor * c for j, c in coeffs.items()},
+                       rel if factor > 0 else flipped, factor * lp.rows[-1][2])
+    return lp
+
+
 def random_digraph(rng: random.Random, n: int, density: float, bmax: int,
                    wmax: int = 9):
     """(digraph, b, weights) without any bipartition structure."""

@@ -1,5 +1,6 @@
 """Exact LP machinery: simplex, separation, cutting planes, integral duals."""
 
+import copy
 import itertools
 import random
 
@@ -19,7 +20,7 @@ from bbibranch.lpsolve import (RationalLP, SimplexResult, all_bicuts, dual_bound
 from bbibranch.rationals import Q, is_integral
 
 from conftest import (digest_draws, fractional_dual_instance, one_arc_instance,
-                      random_instance, random_lp)
+                      random_boxed_lp, random_instance, random_lp)
 
 
 class TestSimplex:
@@ -133,6 +134,129 @@ class TestSimplex:
         text = dump_lp(lp)
         assert "min: 1 x0 + 1/2 x1" in text
         assert "1 x0 + 2 x1 >= 1" in text
+
+    def test_set_bounds_rejects_unknown_variable(self):
+        lp = RationalLP(2, [1, 1], "min")
+        for j in (-1, 2):
+            with pytest.raises(InputError, match="unknown variable %d" % j):
+                lp.set_bounds(j, 0, 1)
+        assert (lp.lower, lp.upper) == ([0, 0], [None, None])
+
+
+def _with_bound_rows(lp: RationalLP) -> RationalLP:
+    """The LP with its upper bounds dropped and one trailing x_j <= u_j row
+    per bounded j, in variable order."""
+    rows = RationalLP(lp.num_vars, lp.objective, lp.sense)
+    for j, lower in enumerate(lp.lower):
+        rows.set_bounds(j, lower, None)
+    for coeffs, rel, rhs in lp.rows:
+        rows.add_row(coeffs, rel, rhs)
+    for j, upper in enumerate(lp.upper):
+        if upper is not None:
+            rows.add_row({j: 1}, "<=", upper)
+    return rows
+
+
+def _exact(values):
+    return None if values is None else [(type(v), v) for v in values]
+
+
+def _assert_solves_like_bound_rows(lp: RationalLP) -> None:
+    """Implicit bounds give the status, x, objective and row duals of the
+    explicit box rows, and each bound dual is its box row's dual.  A box row
+    that keeps its artificial after phase 1 has no dual: its bound dual is
+    None where the trailing row's dual keeps the row default 0."""
+    got, want = simplex_solve(lp), simplex_solve(_with_bound_rows(lp))
+    assert got.status == want.status
+    assert _exact(got.x) == _exact(want.x)
+    assert _exact([got.objective]) == _exact([want.objective])
+    if want.status != "optimal":
+        return
+    m = len(lp.rows)
+    assert _exact(got.row_duals) == _exact(want.row_duals[:m])
+    box_duals = iter(want.row_duals[m:])
+    for upper, dual in zip(lp.upper, got.bound_duals):
+        if upper is None:
+            assert dual is None
+        elif dual is None:
+            assert _exact([next(box_duals)]) == [(int, 0)]
+        else:
+            assert _exact([dual]) == _exact([next(box_duals)])
+
+
+class TestImplicitBounds:
+    """``simplex_solve`` holds upper bounds implicitly; it must reach the
+    basis, and so every value, that Bland's rule reaches with the bounds
+    written as trailing rows."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bounds_solve_like_trailing_rows(self, seed):
+        _assert_solves_like_bound_rows(random_boxed_lp(random.Random(seed)))
+
+    def test_artificial_keeps_its_explicit_row_position(self):
+        # An artificial that re-enters in phase 1 takes the explicit row
+        # position of the variable it replaces.  Here one ends in x1's box
+        # row, which so reports no bound dual, and in the second LP the
+        # rows that keep an artificial are drained in explicit row order.
+        lp = RationalLP(2, [3, 2], "max")
+        lp.set_bounds(0, 2, 6)
+        lp.set_bounds(1, -1, 3)
+        lp.add_row({0: 3, 1: 2}, "=", 24)
+        lp.add_row({1: 2}, "=", 6)
+        lp.add_row({}, "<=", 1)
+        lp.add_row({1: -3}, "=", -9)
+        lp.add_row({0: -2, 1: Q(3, 2)}, "=", Q(-15, 2))
+        result = simplex_solve(lp)
+        assert (result.x, result.objective) == ([6, 3], 24)
+        assert result.row_duals == [1, 0, 0, 0, 0]
+        assert result.bound_duals == [0, None]
+        _assert_solves_like_bound_rows(lp)
+        lp = RationalLP(3, [4, 1, 0], "min")
+        lp.set_bounds(0, -1, 0)
+        lp.set_bounds(1, -1, 0)
+        lp.add_row({0: 3, 1: 4}, ">=", 0)
+        lp.add_row({0: -1, 1: -2}, "<=", 2)
+        lp.add_row({0: 2, 1: -1}, "=", 0)
+        lp.add_row({0: 2, 1: -1}, "=", 0)
+        result = simplex_solve(lp)
+        assert (result.x, result.objective) == ([0, 0, 0], 0)
+        assert result.row_duals == [Q(6, 11), 0, 0, Q(13, 11)]
+        assert result.bound_duals == [0, None, None]
+        _assert_solves_like_bound_rows(lp)
+
+    def test_bounds_with_rational_widths(self):
+        # min -x0 - 2 x1 with x0 + x1 <= 5/2 on the boxes [1/3, 7/4] and
+        # [0, 3/2]: x0 flips to its bound, the row stops x1, then x0 comes
+        # down until x1 reaches its bound (a row complement and a pivot).
+        lp = RationalLP(2, [-1, -2], "min")
+        lp.set_bounds(0, Q(1, 3), Q(7, 4))
+        lp.set_bounds(1, 0, Q(3, 2))
+        lp.add_row({0: 1, 1: 1}, "<=", Q(5, 2))
+        result = simplex_solve(lp)
+        assert result.x == [1, Q(3, 2)] and result.objective == -4
+        _assert_solves_like_bound_rows(lp)
+
+    def test_production_lps_solve_like_trailing_rows(self, monkeypatch):
+        # The boxed degree LP, and the first peel stage LP as pack poses it
+        # (x = chi_A, k the packing number), of every digest draw.
+        from bbibranch.packing import packing_number
+        stages = []
+
+        def first_stage(lp):
+            if not stages:
+                stages.append(copy.deepcopy(lp))
+            return simplex_solve(lp)
+
+        monkeypatch.setattr(lpsolve, "simplex_solve", first_stage)
+        for instance in digest_draws():
+            _assert_solves_like_bound_rows(lpsolve._build_degree_lp(instance))
+            k = packing_number(instance).k
+            if k >= 2:
+                stages.clear()
+                lpsolve.decompose(instance, k, [1] * instance.digraph.num_arcs())
+                _assert_solves_like_bound_rows(stages[0])
 
 
 class TestBicuts:
