@@ -1,11 +1,9 @@
-"""The b-bibranching object: validation, pruning, brute force, solver front end.
+"""The b-bibranching object: validation, brute force, solver front end.
 
 The four-condition definition (reachability both ways plus the two degree
-bounds) is authoritative.  The branching/cobranching description is a
-separate checker, ``mconvex.check_alternative_description``; it implies the
-four conditions but may reject non-minimal sets that the four conditions
-accept.  This module imports only ``digraph``, ``errors`` and ``rationals``;
-``solve_shortest`` imports the solver module of the route it runs.
+bounds) is authoritative.  This module imports only ``digraph``, ``errors``
+and ``rationals``; ``solve_shortest`` imports the solver module of the
+route it runs.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ class Instance:
 
     def cross_arcs(self) -> frozenset[int]:
         """H = A[S,T], the arcs from the S side to the T side."""
-        return self.digraph.arcs_between(self.digraph.all_arcs, self.S, self.T)
+        return self.digraph.arcs_between(self.S, self.T)
 
     @cached_property
     def mirror(self) -> "Instance":
@@ -97,26 +95,8 @@ def subgraph(digraph: Digraph, X: Iterable[str]):
     """Induced subdigraph on X; returns (digraph, map to original arc indices)."""
     X = digraph.check_vertices(X)
     vertices = [v for v in digraph.vertices if v in X]
-    arc_map = sorted(digraph.induced_arcs(digraph.all_arcs, X))
+    arc_map = sorted(digraph.induced_arcs(X))
     return Digraph(vertices, [digraph.arcs[a] for a in arc_map]), arc_map
-
-
-def prune_to_minimal(instance: Instance, B: Iterable[int]) -> frozenset[int]:
-    """Shrink B to an inclusion-wise minimal b-bibranching.
-
-    Deterministic: the highest-weight removable arc goes first, ties broken
-    by the lower arc index.  Weight-0 arcs are removable too.
-    """
-    B = instance.digraph.check_arcset(B)
-    if not is_b_bibranching(instance, B):
-        raise InputError("prune_to_minimal requires a valid b-bibranching")
-    current = set(B)
-    while True:
-        removable = [a for a in current if is_b_bibranching(instance, current - {a})]
-        if not removable:
-            return frozenset(current)
-        removable.sort(key=lambda a: (-instance.weights[a], a))
-        current.discard(removable[0])
 
 
 class _FastChecker:

@@ -80,18 +80,6 @@ def load_instance_data(data: dict) -> Instance:
     return Instance(digraph, side, b, weights)
 
 
-def serialize_instance(instance: Instance) -> dict:
-    return {
-        "vertices": [
-            {"id": v, "side": "S" if v in instance.S else "T",
-             "b": instance.b[v]}
-            for v in instance.digraph.vertices],
-        "arcs": [
-            {"tail": t, "head": h, "weight": rat_str(instance.weights[i])}
-            for i, (t, h) in enumerate(instance.digraph.arcs)],
-    }
-
-
 def load_instance_file(path: str) -> tuple[Instance, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -27,16 +27,13 @@ class Digraph:
                 raise InputError("arc %d has unknown endpoint: %s -> %s" % (i, tail, head))
             if tail == head:
                 raise InputError("arc %d is a loop at %s" % (i, tail))
-        self._in_arcs: dict[str, tuple[int, ...]] = {v: () for v in self.vertices}
-        self._out_arcs: dict[str, tuple[int, ...]] = {v: () for v in self.vertices}
         in_acc: dict[str, list[int]] = {v: [] for v in self.vertices}
         out_acc: dict[str, list[int]] = {v: [] for v in self.vertices}
         for i, (tail, head) in enumerate(self.arcs):
             out_acc[tail].append(i)
             in_acc[head].append(i)
-        for v in self.vertices:
-            self._in_arcs[v] = tuple(in_acc[v])
-            self._out_arcs[v] = tuple(out_acc[v])
+        self._in_arcs = {v: tuple(in_acc[v]) for v in self.vertices}
+        self._out_arcs = {v: tuple(out_acc[v]) for v in self.vertices}
         self.all_arcs: frozenset[int] = frozenset(range(len(self.arcs)))
 
     def num_arcs(self) -> int:
@@ -70,18 +67,16 @@ class Digraph:
 
     # -- induced arc sets and cuts ------------------------------------------
 
-    def induced_arcs(self, B: Iterable[int], X: Iterable[str]) -> frozenset[int]:
-        """Arcs of B with both endpoints in X (B[X])."""
-        B = self.check_arcset(B)
+    def induced_arcs(self, X: Iterable[str]) -> frozenset[int]:
+        """Arcs with both endpoints in X (A[X])."""
         X = self.check_vertices(X)
-        return frozenset(a for a in B if self.arcs[a][0] in X and self.arcs[a][1] in X)
+        return frozenset(a for a, (t, h) in enumerate(self.arcs) if t in X and h in X)
 
-    def arcs_between(self, B: Iterable[int], X: Iterable[str], Y: Iterable[str]) -> frozenset[int]:
-        """Arcs of B with tail in X and head in Y (B[X,Y])."""
-        B = self.check_arcset(B)
+    def arcs_between(self, X: Iterable[str], Y: Iterable[str]) -> frozenset[int]:
+        """Arcs with tail in X and head in Y (A[X,Y])."""
         X = self.check_vertices(X)
         Y = self.check_vertices(Y)
-        return frozenset(a for a in B if self.arcs[a][0] in X and self.arcs[a][1] in Y)
+        return frozenset(a for a, (t, h) in enumerate(self.arcs) if t in X and h in Y)
 
     def _check_cut_set(self, X: Iterable[str]) -> frozenset[str]:
         X = self.check_vertices(X)
@@ -89,17 +84,15 @@ class Digraph:
             raise InputError("cut undefined for empty X or X = V")
         return X
 
-    def in_cut(self, B: Iterable[int], X: Iterable[str]) -> frozenset[int]:
-        """Arcs of B entering X from outside."""
-        B = self.check_arcset(B)
+    def in_cut(self, X: Iterable[str]) -> frozenset[int]:
+        """Arcs entering X from outside."""
         X = self._check_cut_set(X)
-        return frozenset(a for a in B if self.arcs[a][0] not in X and self.arcs[a][1] in X)
+        return frozenset(a for a, (t, h) in enumerate(self.arcs) if t not in X and h in X)
 
-    def out_cut(self, B: Iterable[int], X: Iterable[str]) -> frozenset[int]:
-        """Arcs of B leaving X."""
-        B = self.check_arcset(B)
+    def out_cut(self, X: Iterable[str]) -> frozenset[int]:
+        """Arcs leaving X."""
         X = self._check_cut_set(X)
-        return frozenset(a for a in B if self.arcs[a][0] in X and self.arcs[a][1] not in X)
+        return frozenset(a for a, (t, h) in enumerate(self.arcs) if t in X and h not in X)
 
     def in_degree(self, B: Iterable[int], v: str) -> int:
         B = frozenset(B)

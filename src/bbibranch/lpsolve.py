@@ -358,24 +358,6 @@ class Bicut:
     arcs: frozenset[int]
 
 
-def all_bicuts(instance: Instance) -> list[Bicut]:
-    """Every bicut, by enumeration of eligible U (desk scale only)."""
-    D = instance.digraph
-    cuts = []
-    T_sorted = sorted(instance.T)
-    for size in range(1, len(T_sorted) + 1):
-        for combo in combinations(T_sorted, size):
-            U = frozenset(combo)
-            cuts.append(Bicut(U, D.in_cut(D.all_arcs, U)))
-    S_sorted = sorted(instance.S)
-    for size in range(1, len(S_sorted)):
-        for combo in combinations(S_sorted, size):
-            U = frozenset(instance.T | (instance.S - frozenset(combo)))
-            cuts.append(Bicut(U, D.in_cut(D.all_arcs, U)))
-    # T <= U = V \ (proper nonempty subset of S); U = T itself is covered above.
-    return cuts
-
-
 def min_bicut_candidates(instance: Instance, x: list,
                          below=None) -> list[tuple[object, Bicut]]:
     """One minimum cut per forced vertex, from both bicut families.
@@ -413,7 +395,7 @@ def min_bicut_candidates(instance: Instance, x: list,
         value, side = max_flow_min_cut(network, start, end, limit)
         if side is not None:
             U = frozenset(v for v in D.vertices if v not in side)
-            results.append((ratio(value, L), Bicut(U, D.in_cut(D.all_arcs, U))))
+            results.append((ratio(value, L), Bicut(U, D.in_cut(U))))
     return results
 
 
@@ -519,7 +501,7 @@ def _dual_coverage(instance: Instance, key) -> frozenset[int]:
     D, (kind, X) = instance.digraph, key
     if kind == "v":
         return frozenset(D.in_arcs(X) if X in instance.T else D.out_arcs(X))
-    return D.in_cut(D.all_arcs, X)
+    return D.in_cut(X)
 
 
 def _loads(instance: Instance, y: dict) -> list:
@@ -665,21 +647,6 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 # TDI spot check
 # ---------------------------------------------------------------------------
-
-def _dual_family(instance: Instance):
-    """The set family indexing dual variables: singletons plus U', each key
-    once (U = T arises from both sides when |S|, |T| >= 2)."""
-    family = [("v", v) for v in sorted(instance.digraph.vertices)]
-    T_sorted = sorted(instance.T)
-    for size in range(2, len(T_sorted) + 1):
-        for combo in combinations(T_sorted, size):
-            family.append(("U", frozenset(combo)))
-    S_sorted = sorted(instance.S)
-    for size in range(2, len(S_sorted) + 1):
-        for combo in combinations(S_sorted, size):
-            family.append(("U", frozenset(instance.T | (instance.S - frozenset(combo)))))
-    return list(dict.fromkeys(family))
-
 
 def _build_dual_lp(instance: Instance, family):
     lp = RationalLP(len(family),

@@ -315,6 +315,7 @@ def min_weight_b_branching_exact_indegrees(digraph: Digraph, b: dict[str, int],
     and the sparsity matroid has the prescribed indegrees exactly.
     """
     b = check_capacities(digraph, b)
+    digraph.check_vertices(t)
     for v in digraph.vertices:
         tv = t.get(v, 0)
         if type(tv) is not int or tv < 0 or tv > b[v]:

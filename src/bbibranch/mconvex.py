@@ -1,6 +1,5 @@
-"""Discrete convexity layer: b-branching value oracles, exchange machinery,
-the branching/cobranching description of a b-bibranching, and the
-submodular-flow style solver for the shortest b-bibranching.
+"""Discrete convexity layer: b-branching value oracles, exchange machinery
+and the submodular-flow style solver for the shortest b-bibranching.
 
 f(x) is the cheapest b-branching whose indegree vector is exactly b - x;
 g(x) relaxes the equality to >= and reduces to f by clipping x at b.  Both
@@ -108,46 +107,8 @@ def check_mnat_exchange(evaluator: Callable[[dict], object],
 
 
 # ---------------------------------------------------------------------------
-# Two-partition and exchange lemmas
+# Exchange lemma
 # ---------------------------------------------------------------------------
-
-def _find_any_two_partition(digraph: Digraph, b: dict[str, int]):
-    """Some partition of all arcs into two b-branchings, or None."""
-    return split_into_b_branchings(digraph, b, digraph.all_arcs, [{}, {}], [b, b])
-
-
-def two_partition(digraph: Digraph, b: dict[str, int],
-                  b1: dict[str, int], b2: dict[str, int]):
-    """Partition all arcs into two b-branchings with exact indegrees b1, b2.
-
-    Returns (B1, B2) when the source-component condition holds, otherwise
-    (None, witness X).  Requires that some partition into two b-branchings
-    exists at all (lemma hypothesis).
-    """
-    b = check_capacities(digraph, b)
-    if _find_any_two_partition(digraph, b) is None:
-        raise InputError("arc set cannot be partitioned into two b-branchings")
-    for v in digraph.vertices:
-        if b1.get(v, 0) + b2.get(v, 0) != len(digraph.in_arcs(v)):
-            raise InputError("b1 + b2 must equal the indegree vector of A")
-        if b1.get(v, 0) > b[v] or b2.get(v, 0) > b[v]:
-            raise InputError("prescriptions must be bounded by b")
-        if b1.get(v, 0) < 0 or b2.get(v, 0) < 0:
-            raise InputError("prescriptions must be nonnegative")
-
-    for comp, is_source in digraph.strong_components():
-        if not is_source:
-            continue
-        bX = sum(b[v] for v in comp)
-        if sum(b1.get(v, 0) for v in comp) >= bX or sum(b2.get(v, 0) for v in comp) >= bX:
-            return None, comp
-
-    found = split_into_b_branchings(digraph, b, digraph.all_arcs, [b1, b2], [b1, b2])
-    if found is None:
-        raise TheoremViolation("two-partition condition held but no partition found",
-                               payload={"b1": b1, "b2": b2})
-    return tuple(found)
-
 
 def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
                           B1: Iterable[int], B2: Iterable[int], s: str):
@@ -158,6 +119,7 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
     strong component of s in the multigraph union.
     """
     b = check_capacities(digraph, b)
+    digraph.check_vertices([s])
     B1 = digraph.check_arcset(B1)
     B2 = digraph.check_arcset(B2)
     if not is_b_branching(digraph, b, B1) or not is_b_branching(digraph, b, B2):
@@ -209,21 +171,6 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
 # ---------------------------------------------------------------------------
 # Submodular-flow style solver
 # ---------------------------------------------------------------------------
-
-def check_alternative_description(instance: Instance, B: Iterable[int]) -> bool:
-    """B[T] a b|T-branching, B[S] a b|S-cobranching, plus the degree bounds;
-    the S side is tested as the T side of the mirror."""
-    B = instance.digraph.check_arcset(B)
-    for view in (instance, instance.mirror):
-        D = view.digraph
-        if any(D.in_degree(B, v) < view.b[v] for v in view.T):
-            return False
-        d_T, arc_map = subgraph(D, view.T)
-        B_T = frozenset(i for i, a in enumerate(arc_map) if a in B)
-        if not is_b_branching(d_T, {v: view.b[v] for v in view.T}, B_T):
-            return False
-    return True
-
 
 def side_oracle(instance: Instance) -> tuple[BBranchingOracle, list[int]]:
     """The oracle of b|T-branchings of A[T], with its map to arc indices;

@@ -100,7 +100,7 @@ def cut_family(view: Instance, k: int,
     if k < 1:
         raise InputError("k must be at least 1")
     D = view.digraph
-    inner = [D.arcs[a] for a in D.induced_arcs(D.all_arcs, view.T)]
+    inner = [D.arcs[a] for a in D.induced_arcs(view.T)]
     least: dict[frozenset[int], int] = {}
     for r in range(1, len(verts) + 1):
         for U in map(frozenset, itertools.combinations(verts, r)):

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from itertools import combinations
 
 from bbibranch.bibranching import Instance, is_b_bibranching
 from bbibranch.digraph import Digraph
-from bbibranch.lpsolve import RationalLP
-from bbibranch.rationals import Q
+from bbibranch.lpsolve import Bicut, RationalLP
+from bbibranch.rationals import Q, rat_str
 
 # ---------------------------------------------------------------------------
 # Seeded instance generators
@@ -161,6 +162,18 @@ def fractional_dual_instance() -> Instance:
                     {v: 1 for v in side}, [w for _, _, w in arcs])
 
 
+def serialize_instance(instance: Instance) -> dict:
+    return {
+        "vertices": [
+            {"id": v, "side": "S" if v in instance.S else "T",
+             "b": instance.b[v]}
+            for v in instance.digraph.vertices],
+        "arcs": [
+            {"tail": t, "head": h, "weight": rat_str(instance.weights[i])}
+            for i, (t, h) in enumerate(instance.digraph.arcs)],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
@@ -229,3 +242,36 @@ def oracle_max_disjoint_packing(instance: Instance) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def all_bicuts(instance: Instance) -> list[Bicut]:
+    """Every bicut, by enumeration of eligible U (desk scale only)."""
+    D = instance.digraph
+    cuts = []
+    T_sorted = sorted(instance.T)
+    for size in range(1, len(T_sorted) + 1):
+        for combo in combinations(T_sorted, size):
+            U = frozenset(combo)
+            cuts.append(Bicut(U, D.in_cut(U)))
+    S_sorted = sorted(instance.S)
+    for size in range(1, len(S_sorted)):
+        for combo in combinations(S_sorted, size):
+            U = frozenset(instance.T | (instance.S - frozenset(combo)))
+            cuts.append(Bicut(U, D.in_cut(U)))
+    # T <= U = V \ (proper nonempty subset of S); U = T itself is covered above.
+    return cuts
+
+
+def _dual_family(instance: Instance):
+    """The set family indexing dual variables: singletons plus U', each key
+    once (U = T arises from both sides when |S|, |T| >= 2)."""
+    family = [("v", v) for v in sorted(instance.digraph.vertices)]
+    T_sorted = sorted(instance.T)
+    for size in range(2, len(T_sorted) + 1):
+        for combo in combinations(T_sorted, size):
+            family.append(("U", frozenset(combo)))
+    S_sorted = sorted(instance.S)
+    for size in range(2, len(S_sorted) + 1):
+        for combo in combinations(S_sorted, size):
+            family.append(("U", frozenset(instance.T | (instance.S - frozenset(combo)))))
+    return list(dict.fromkeys(family))

@@ -16,8 +16,7 @@ from bbibranch.lpsolve import (dual_bound, solve_primal_cutting_plane,
                                tdi_spot_check)
 from bbibranch.matroids import is_b_branching
 from bbibranch.mconvex import (BBranchingOracle, check_mnat_exchange,
-                               exchange_b_branchings, solve_mflow,
-                               two_partition, _find_any_two_partition)
+                               exchange_b_branchings, solve_mflow)
 from bbibranch.packing import (build_system, cut_family, find_integral_point,
                                pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
@@ -26,6 +25,7 @@ from bbibranch.rationals import is_integral
 
 from conftest import (oracle_max_disjoint_packing, random_digraph,
                       random_instance)
+from paper_lemmas import _find_any_two_partition, two_partition
 
 
 def _report(criterion: str, passed: bool) -> None:
@@ -355,7 +355,7 @@ def test_criterion_8_special_cases():
         for r in range(1, len(others) + 1):
             for combo in itertools.combinations(others, r):
                 X = frozenset(combo)
-                if len(D.in_cut(D.all_arcs, X)) < k:
+                if len(D.in_cut(X)) < k:
                     criterion = False
         ok &= (res.branchings is not None) == criterion
         if res.branchings is not None:

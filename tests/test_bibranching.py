@@ -11,14 +11,16 @@ from bbibranch import bibranching
 from bbibranch.bibranching import (Instance, _FastChecker, bibranching_report,
                                    brute_force_shortest,
                                    feasibility_witness, is_b_bibranching,
-                                   prune_to_minimal, solve_shortest)
-from bbibranch.cli import load_instance_data, serialize_instance
+                                   solve_shortest)
+from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph, FlowNetwork, max_flow_min_cut
 from bbibranch.errors import GuardError, InfeasibleInstance, InputError
-from bbibranch.mconvex import check_alternative_description, solve_mflow
+from bbibranch.mconvex import solve_mflow
 from bbibranch.packing import packing_number
 
-from conftest import all_subsets, one_arc_instance, random_instance
+from conftest import (all_subsets, one_arc_instance, random_instance,
+                      serialize_instance)
+from paper_lemmas import check_alternative_description, prune_to_minimal
 
 
 def two_by_two():

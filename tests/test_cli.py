@@ -13,12 +13,11 @@ import pytest
 
 from bbibranch import bibranching, cli, lpsolve, mconvex, packing
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
-                           EXIT_THEOREM, load_instance_data,
-                           serialize_instance)
+                           EXIT_THEOREM, load_instance_data)
 from bbibranch.errors import GuardError, InputError, TheoremViolation
 
-from conftest import (digest_draws, fractional_dual_instance, one_arc_instance,
-                      random_instance)
+from conftest import (all_bicuts, digest_draws, fractional_dual_instance,
+                      one_arc_instance, random_instance, serialize_instance)
 
 ONE_ARC = {
     "vertices": [
@@ -394,7 +393,7 @@ class TestLpValuesAsText:
     def test_unviolated_cut_payload(self, tmp_path, capsys, monkeypatch):
         _fake_x(monkeypatch, [Fraction(1, 2), 1, 0])
         monkeypatch.setattr(lpsolve, "_violated_bicuts",
-                            lambda instance, x: lpsolve.all_bicuts(instance))
+                            lambda instance, x: all_bicuts(instance))
         code, result = self._run(tmp_path, capsys, self.THREE_ARCS,
                                  "solve", "--method", "lp")
         assert code == EXIT_THEOREM
@@ -762,7 +761,7 @@ class TestCheckCommand:
         original = lpsolve._violated_bicuts
         monkeypatch.setattr(
             lpsolve, "_violated_bicuts",
-            lambda instance, x, need=1: lpsolve.all_bicuts(instance)
+            lambda instance, x, need=1: all_bicuts(instance)
             if need == 2 else original(instance, x, need))
         doc = json.loads(json.dumps(ONE_ARC))
         doc["arcs"].append({"tail": "s", "head": "t", "weight": 2})

@@ -44,11 +44,11 @@ class TestConstruction:
 class TestCutsAndDegrees:
     def test_induced_arcs(self):
         D = small_graph()
-        assert D.induced_arcs(D.all_arcs, {"a", "b"}) == frozenset({0, 4})
+        assert D.induced_arcs({"a", "b"}) == frozenset({0, 4})
 
     def test_arcs_between(self):
         D = small_graph()
-        assert D.arcs_between(D.all_arcs, {"c"}, {"d"}) == frozenset({3})
+        assert D.arcs_between({"c"}, {"d"}) == frozenset({3})
 
     def test_in_cut_matches_scan(self):
         D = small_graph()
@@ -59,17 +59,17 @@ class TestCutsAndDegrees:
                 continue
             expect = frozenset(a for a in range(D.num_arcs())
                                if D.tail(a) not in X and D.head(a) in X)
-            assert D.in_cut(D.all_arcs, X) == expect
+            assert D.in_cut(X) == expect
             expect_out = frozenset(a for a in range(D.num_arcs())
                                    if D.tail(a) in X and D.head(a) not in X)
-            assert D.out_cut(D.all_arcs, X) == expect_out
+            assert D.out_cut(X) == expect_out
 
     def test_cut_rejects_degenerate_sets(self):
         D = small_graph()
         with pytest.raises(InputError):
-            D.in_cut(D.all_arcs, set())
+            D.in_cut(set())
         with pytest.raises(InputError):
-            D.out_cut(D.all_arcs, set(D.vertices))
+            D.out_cut(set(D.vertices))
 
 
 class TestReachability:
@@ -155,14 +155,14 @@ class TestCapacities:
         assert check_capacities(D, {"a": 2, "b": 1}) == {"a": 2, "b": 1}
 
 
-def draw_network(data):
-    """Nodes 0..n-1, 3 <= n <= 5, and up to ten arcs, parallel arcs
-    allowed, with capacities 0..4."""
+def draw_network(data, max_arcs=10):
+    """Nodes 0..n-1, 3 <= n <= 5, and up to ``max_arcs`` arcs, parallel
+    arcs allowed, with capacities 0..4."""
     n = data.draw(st.integers(3, 5), label="n")
     pairs = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1))
     caps = st.integers(0, 4)
     arcs = [(tail, (tail + step) % n, cap) for (tail, step), cap in
-            data.draw(st.lists(st.tuples(pairs, caps), max_size=10),
+            data.draw(st.lists(st.tuples(pairs, caps), max_size=max_arcs),
                       label="arcs")]
     return list(range(n)), arcs
 
@@ -181,35 +181,15 @@ class TestMaxFlow:
         flow, _ = max_flow_min_cut(FlowNetwork(["s", "a", "t"], arcs), "s", "t")
         assert flow == Q(1, 3)
 
-    def test_matches_min_cut_enumeration(self):
-        rng = random.Random(3)
-        for _ in range(15):
-            n = rng.randint(3, 5)
-            nodes = list(range(n))
-            arcs = [(i, j, rng.randint(0, 4)) for i in nodes for j in nodes
-                    if i != j and rng.random() < 0.5]
-            flow, cut = max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1)
-            inner = [v for v in nodes if v not in (0, n - 1)]
-            best = None
-            for r in range(len(inner) + 1):
-                for combo in itertools.combinations(inner, r):
-                    side = {0} | set(combo)
-                    cap = sum(c for (t, h, c) in arcs
-                              if t in side and h not in side)
-                    if best is None or cap < best:
-                        best = cap
-            assert flow == (best if best is not None else 0)
-            # The returned cut achieves the flow value exactly.
-            cap = sum(c for (t, h, c) in arcs if t in cut and h not in cut)
-            assert cap == flow
-
     @settings(max_examples=400, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
     def test_flow_and_side_match_cut_enumeration(self, data):
         # Source 0, sink n - 1: the flow is the least cut, and the side
-        # returned is a least cut holding the source and not the sink.
-        nodes, arcs = draw_network(data)
+        # returned is a least cut holding the source and not the sink.  Up
+        # to 20 arcs, so dense networks with every ordered pair (n(n - 1)
+        # arcs at n = 5) are drawn too.
+        nodes, arcs = draw_network(data, max_arcs=20)
         n = len(nodes)
 
         def capacity(side):

@@ -13,13 +13,14 @@ from bbibranch.bibranching import (Instance, brute_force_shortest,
                                    feasibility_witness, solve_shortest)
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InfeasibleInstance, InputError, TheoremViolation
-from bbibranch.lpsolve import (RationalLP, SimplexResult, all_bicuts, dual_bound,
+from bbibranch.lpsolve import (RationalLP, SimplexResult, dual_bound,
                                dump_lp, dual_feasible, min_bicut_candidates,
                                simplex_solve, solve_primal_cutting_plane,
                                tdi_spot_check, zero_one_vertex)
 from bbibranch.rationals import Q, is_integral
 
-from conftest import (digest_draws, fractional_dual_instance, one_arc_instance,
+from conftest import (_dual_family, all_bicuts, digest_draws,
+                      fractional_dual_instance, one_arc_instance,
                       random_boxed_lp, random_instance, random_lp)
 
 
@@ -282,7 +283,7 @@ class TestBicuts:
             got = {cut.U for cut in all_bicuts(inst)}
             assert got == expected
             for cut in all_bicuts(inst):
-                assert cut.arcs == D.in_cut(D.all_arcs, cut.U)
+                assert cut.arcs == D.in_cut(cut.U)
 
 
 class TestSeparation:
@@ -496,7 +497,7 @@ class TestTDI:
             except InfeasibleInstance:
                 continue
             V = frozenset(inst.digraph.vertices)
-            family = lpsolve._dual_family(inst)
+            family = _dual_family(inst)
             for order in (family, family[::-1]):
                 vertex = simplex_solve(lpsolve._build_dual_lp(inst, order))
                 avg = {key: val / 2 for key, val in out["y"].items()}
@@ -550,7 +551,7 @@ class TestTDI:
             except InfeasibleInstance:
                 continue
             full = simplex_solve(lpsolve._build_dual_lp(
-                inst, lpsolve._dual_family(inst)))
+                inst, _dual_family(inst)))
             assert out["primal"] == dual_bound(inst, out["y"]) == full.objective
             checked += 1
         assert checked >= 20

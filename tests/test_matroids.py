@@ -74,7 +74,7 @@ class TestSparsityMatroid:
                 assert ok == (witness is None)
                 assert ok == oracle_sparsity_independent(D, b, B)
                 if not ok:
-                    inside = len(D.induced_arcs(B, witness))
+                    inside = len(D.induced_arcs(witness) & B)
                     assert inside >= sum(b[v] for v in witness)
 
     @settings(max_examples=400, deadline=None, derandomize=True,
@@ -103,7 +103,7 @@ class TestSparsityMatroid:
         assert m.independent(B) == (witness is None)
         if witness is not None:
             assert witness
-            inside = len(D.induced_arcs(B, witness))
+            inside = len(D.induced_arcs(witness) & B)
             assert inside >= sum(b[v] for v in witness)
 
 
@@ -308,3 +308,8 @@ class TestExactIndegrees:
         with pytest.raises(InputError):
             min_weight_b_branching_exact_indegrees(
                 D, {"a": 1, "b": 1}, [1], {"a": 0, "b": 2})
+        # A key of t that is not a vertex is an input error, not a
+        # prescription that is silently dropped.
+        with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
+            min_weight_b_branching_exact_indegrees(
+                D, {"a": 1, "b": 1}, [1], {"zz": 1})

@@ -15,11 +15,11 @@ from bbibranch.lpsolve import solve_primal_cutting_plane
 from bbibranch.matroids import is_b_branching
 from bbibranch.mconvex import (BBranchingOracle, _AuxArc,
                                _min_arc_negative_cycle, check_mnat_exchange,
-                               exchange_b_branchings, solve_mflow,
-                               two_partition)
+                               exchange_b_branchings, solve_mflow)
 
 from conftest import (all_subsets, one_arc_instance, oracle_b_branchings,
                       random_digraph, random_instance)
+from paper_lemmas import _find_any_two_partition, two_partition
 
 
 class TestEvalF:
@@ -164,8 +164,6 @@ class TestTwoPartition:
             two_partition(D, b, {"a": 0, "b": 0}, {"a": 0, "b": 0})
 
     def test_iff_matches_exhaustive_search(self):
-        from bbibranch.mconvex import _find_any_two_partition
-
         rng = random.Random(65)
         done = 0
         while done < 20:
@@ -207,6 +205,8 @@ class TestExchangeLemma:
         b = {"a": 1, "s": 1}
         with pytest.raises(InputError):
             exchange_b_branchings(D, b, frozenset({0}), frozenset(), "s")
+        with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
+            exchange_b_branchings(D, b, frozenset(), frozenset({0}), "zz")
 
     def test_conclusions_on_sampled_inputs(self):
         rng = random.Random(66)

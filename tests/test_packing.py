@@ -113,17 +113,17 @@ class TestSupermodularFunction:
                                         (inst.mirror, inst.S, False)):
                     g = cut_family(view, k, ground)
                     verts = sorted(X)
-                    inner = D.induced_arcs(D.all_arcs, X)
+                    inner = D.induced_arcs(X)
                     expected = {}
                     for r in range(1, len(verts) + 1):
                         for combo in itertools.combinations(verts, r):
                             U = frozenset(combo)
                             if t_side:
                                 cut = frozenset(a for a in arcs if D.head(a) in U)
-                                deg = len(D.in_cut(inner, U))
+                                deg = len(D.in_cut(U) & inner)
                             else:
                                 cut = frozenset(a for a in arcs if D.tail(a) in U)
-                                deg = len(D.out_cut(inner, U))
+                                deg = len(D.out_cut(U) & inner)
                             expected[cut] = max(expected.get(cut, k - deg), k - deg)
                     assert g == expected
                     assert list(g) == sorted(expected, key=sorted)

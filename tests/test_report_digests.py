@@ -23,7 +23,7 @@ from pathlib import Path
 
 from bbibranch import cli
 
-from conftest import digest_draws
+from conftest import digest_draws, serialize_instance
 
 DIGESTS = Path(__file__).resolve().parent / "report_digests.json"
 COMMANDS = (
@@ -53,7 +53,7 @@ def report_digests(directory: Path) -> tuple[dict[str, str], list]:
     try:
         for i, instance in enumerate(digest_draws()):
             name = "i%02d.json" % i
-            Path(name).write_text(json.dumps(cli.serialize_instance(instance)))
+            Path(name).write_text(json.dumps(serialize_instance(instance)))
             for command in COMMANDS:
                 code, out, err = _run(command[:1] + (name,) + command[1:])
                 key = "%s %s" % (name, " ".join(command))

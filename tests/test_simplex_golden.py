@@ -13,11 +13,12 @@ Bland's rule reaches.
 
 A second set holds LPs shaped like the ones the commands solve, built from
 the forty report-digest draws (``conftest.digest_draws``): the boxed
-degree LP of ``_build_degree_lp`` with every ``all_bicuts`` row, the
-covering dual of the TDI check, and the packing stage systems of
-``build_system`` (on the instance and on its mirror, stages max(k, 2)
-down to 2 for packing number k, on the whole cross-arc set) as
-``find_integral_point`` poses them.  Their results are recorded in ``simplex_golden_production.json``.
+degree LP of ``_build_degree_lp`` with every ``conftest.all_bicuts`` row,
+the covering dual of the TDI check over ``conftest._dual_family``, and the
+packing stage systems of ``build_system`` (on the instance and on its
+mirror, stages max(k, 2) down to 2 for packing number k, on the whole
+cross-arc set) as ``find_integral_point`` poses them.  Their results are
+recorded in ``simplex_golden_production.json``.
 
 The recorded files are rewritten by ``python tests/test_simplex_golden.py``
 (with ``src`` and ``tests`` on ``PYTHONPATH``); do that only for a change
@@ -33,11 +34,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from bbibranch.lpsolve import (RationalLP, _build_degree_lp, _build_dual_lp,
-                               _dual_family, all_bicuts, simplex_solve)
+                               simplex_solve)
 from bbibranch.packing import build_system, packing_number
 from bbibranch.rationals import rat_str
 
-from conftest import digest_draws, random_lp
+from conftest import _dual_family, all_bicuts, digest_draws, random_lp
 
 GOLDEN = Path(__file__).resolve().parent / "simplex_golden.json"
 PRODUCTION = Path(__file__).resolve().parent / "simplex_golden_production.json"

@@ -188,3 +188,46 @@ def test_exceptions_are_defined_in_errors():
                   and obj.__module__ == module.__name__}
     assert ("errors.py", "InputError") in found
     assert {entry for entry in found if entry[0] != "errors.py"} == set()
+
+
+def test_every_definition_has_a_caller():
+    # Every top-level function and class and every non-dunder method in the
+    # package is named somewhere in the package outside its own definition,
+    # so the package holds only code that it runs.  Code that only tests
+    # reach lives under tests/ (conftest.py, paper_lemmas.py).
+    exempt = {
+        # perfbench/workloads.py calls these.
+        "verify_packing", "Instance.weight_of",
+        # An independent oracle for in_cut in the tests.
+        "Digraph.out_cut",
+        # perfbench/tracing.py wraps these by name.
+        "partition_cross_arcs", "pack_prescribed_b_branchings",
+        "_exhaustive_partition",
+    }
+    defined, named = {}, set()
+
+    def visit(node, owners):
+        if isinstance(node, ast.Name):
+            named.add((node.id, owners))
+        elif isinstance(node, ast.Attribute):
+            named.add((node.attr, owners))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners + (child,) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else owners)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    ("%s.%s" % (node.name, item.name), item) for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__")))
+        visit(tree, ())
+    uncalled = {key for key, node in defined.items()
+                if not any(name == node.name and node not in owners
+                           for name, owners in named)}
+    assert uncalled == exempt
