@@ -254,11 +254,10 @@ def _check_exchange(instance, rng, trials):
         if not candidates:
             continue
         s = rng.choice(sorted(candidates))
+        # exchange_b_branchings raises on a changed union or intersection.
         B1p, B2p, case = exchange_b_branchings(D, instance.b, B1, B2, s)
         cases[case] += 1
         failure = {"s": s, "case": case}
-        if B1p | B2p != B1 | B2 or B1p & B2p != B1 & B2:
-            return False, dict(failure, stage="union")
         if not (is_b_branching(D, instance.b, B1p)
                 and is_b_branching(D, instance.b, B2p)):
             return False, dict(failure, stage="branchings")

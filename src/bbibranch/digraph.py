@@ -1,4 +1,4 @@
-"""Digraph primitives: cuts, reachability, strong components, exact max-flow.
+"""Digraph primitives: cuts, reachability, exact max-flow.
 
 Arc sets are plain frozensets of arc indices.  Arc identity is the index into
 the digraph's arc list, so parallel arcs are first-class citizens.  All types
@@ -102,7 +102,7 @@ class Digraph:
         B = frozenset(B)
         return sum(1 for a in self._out_arcs[v] if a in B)
 
-    # -- reachability and components ----------------------------------------
+    # -- reachability -------------------------------------------------------
 
     def reachable_from(self, B: Iterable[int], X: Iterable[str],
                        reverse: bool = False) -> frozenset[str]:
@@ -128,26 +128,6 @@ class Digraph:
                     seen.add(w)
                     queue.append(w)
         return frozenset(seen)
-
-    def strong_components(self) -> list[tuple[frozenset[str], bool]]:
-        """Strongly connected components, each flagged as source or not.
-
-        The component of v is the set of vertices that v reaches and that
-        reach v.  A component is a source component when no arc enters it
-        from outside, that is when the vertices reaching it are the
-        component itself.  Components come out ordered by their first vertex
-        in ``vertices``.
-        """
-        result = []
-        placed: set[str] = set()
-        for v in self.vertices:
-            if v in placed:
-                continue
-            reaching = self.reachable_from(self.all_arcs, {v}, reverse=True)
-            comp = self.reachable_from(self.all_arcs, {v}) & reaching
-            placed |= comp
-            result.append((comp, reaching == comp))
-        return result
 
 
 def check_capacities(digraph: Digraph, b: dict[str, int]) -> dict[str, int]:

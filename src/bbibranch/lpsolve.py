@@ -464,13 +464,12 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
         result = simplex_solve(lp)
         if result.status != "optimal":
             return result, rounds
-        known = {c.arcs for c in cut_rows}
-        new = [cut for cut in _violated_bicuts(instance, result.x)
-               if cut.arcs not in known]
+        new = _violated_bicuts(instance, result.x)
         if not new:
             return result, rounds
         for cut in new:
-            # Cut validity: genuinely violated at the iterate that produced it.
+            # Cut validity: genuinely violated at the iterate that produced it;
+            # every row holds at an optimum, so a repeated row fails here too.
             if sum(result.x[a] for a in cut.arcs) >= 1:
                 raise TheoremViolation("separated bicut is not violated",
                                        payload={"U": cut.U, "x": _text(result.x)})
@@ -562,12 +561,16 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
 # ---------------------------------------------------------------------------
 
 def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset[int]]:
-    """``decompose`` behind input checks: x must be integral in [0, k] and
-    meet every degree and bicut row scaled by k, else ``InputError`` names
-    the first failing entry or row."""
+    """``decompose`` behind input checks: x, a list or a dict by arc index,
+    must hold one entry per arc, integral in [0, k], and meet every degree
+    and bicut row scaled by k, else ``InputError`` names the first failing
+    entry or row."""
     if k < 1:
         raise InputError("k must be at least 1")
-    x = [x[a] for a in range(instance.digraph.num_arcs())]
+    m = instance.digraph.num_arcs()
+    if set(x.keys() if isinstance(x, dict) else range(len(x))) != set(range(m)):
+        raise InputError("x must have exactly one entry per arc (%d)" % m)
+    x = [x[a] for a in range(m)]
     for a, val in enumerate(x):
         if type(val) is not int or val < 0 or val > k:
             raise InputError("x(%d) must be an integer in [0, k]" % a)
@@ -618,18 +621,15 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
             coeffs = {a: 1 for a in R}
             lp.add_row(coeffs, ">=", need)
             lp.add_row(coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)
-        lower, upper = [], set()
-        while (y := _solve_with_cuts(instance, lp, lower)[0]).status == "optimal":
+        while (y := _solve_with_cuts(instance, lp, [])[0]).status == "optimal":
             rest = [r - v for r, v in zip(residual, y.x)]
-            new = [cut for cut in _violated_bicuts(instance, rest, j - 1)
-                   if cut.arcs not in upper]
+            new = _violated_bicuts(instance, rest, j - 1)
             if not new:
                 break
             for cut in new:
                 if sum(rest[a] for a in cut.arcs) >= j - 1:
                     raise TheoremViolation("separated bicut is not violated",
                                            payload={"U": cut.U, "x": _text(y.x)})
-                upper.add(cut.arcs)
                 lp.add_row({a: 1 for a in cut.arcs}, "<=",
                            sum(residual[a] for a in cut.arcs) - (j - 1))
         point = zero_one_vertex(lp, y)

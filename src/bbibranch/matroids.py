@@ -282,11 +282,7 @@ def _augmenting_path(m1, m2, ground, current, w):
     node_cost = {e: -w[e] if e in frozen else w[e] for e in ground}
 
     # Bellman-Ford on (cost, length, path) labels; paths are short here.
-    best: dict[int, tuple] = {}
-    for y in sorted(sources):
-        label = (node_cost[y], 1, (y,))
-        if y not in best or label < best[y]:
-            best[y] = label
+    best: dict[int, tuple] = {y: (node_cost[y], 1, (y,)) for y in sources}
     for _ in range(len(ground)):
         changed = False
         for u in sorted(best):

@@ -34,6 +34,7 @@ class BBranchingOracle:
 
     def eval_f_witness(self, x: dict[str, int]):
         """(value, witness arc set) for f(x), or None when f(x) = +infinity."""
+        self.digraph.check_vertices(x)
         key = self._key(x)
         if key in self._memo_f:
             return self._memo_f[key]
@@ -55,6 +56,7 @@ class BBranchingOracle:
 
     def eval_g_witness(self, x: dict[str, int]):
         """g(x) via the clipping identity g(x) = f(x wedge b)."""
+        self.digraph.check_vertices(x)
         if any(x.get(v, 0) < 0 for v in self.digraph.vertices):
             return None
         clipped = {v: min(x.get(v, 0), self.b[v]) for v in self.digraph.vertices}
@@ -116,7 +118,7 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
 
     Returns (B1', B2', case) with case 'a' (plain chi_s shift) or 'b'
     (compensated at some vertex t), following the lemma's case split on the
-    strong component of s in the multigraph union.
+    strong component of s in B1 + B2.
     """
     b = check_capacities(digraph, b)
     digraph.check_vertices([s])
@@ -129,24 +131,21 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
     if not d1[s] < d2[s]:
         raise InputError("hypothesis requires d_B1^-(s) < d_B2^-(s)")
 
-    # Multigraph union: shared arcs duplicated as parallel arcs.
-    union = sorted(B1 | B2)
-    shared = B1 & B2
-    multi_arcs = [digraph.arcs[a] for a in union] + [digraph.arcs[a] for a in sorted(shared)]
-    multi = Digraph(digraph.vertices, multi_arcs)
-
+    # Case (b): the strong component C of s in B1 + B2 is a source
+    # component with d_B1(C) = b(C) - 1.  Every B1 arc into the set R of
+    # vertices reaching s starts in R, so d_B1(R) = |B1[R]| <= b(R) - 1.
+    # At equality s reaches all of R in B1, since d_B1(s) < b(s): else the
+    # B1 arcs into the part it reaches and inside the rest number at most
+    # b(R) - 2.  So R = C, and a source component C is R: one search decides.
+    reaching = digraph.reachable_from(B1 | B2, {s}, reverse=True)
     case = "a"
     t_vertex = None
-    for comp, is_source in multi.strong_components():
-        if s not in comp or not is_source:
-            continue
-        if sum(d1[v] for v in comp) == sum(b[v] for v in comp) - 1:
-            candidates = sorted(v for v in comp if v != s and d2[v] < b[v])
-            if not candidates:
-                raise TheoremViolation("exchange lemma case (b) vertex t missing")
-            t_vertex = candidates[0]
-            case = "b"
-        break
+    if sum(d1[v] for v in reaching) == sum(b[v] for v in reaching) - 1:
+        candidates = sorted(v for v in reaching if v != s and d2[v] < b[v])
+        if not candidates:
+            raise TheoremViolation("exchange lemma case (b) vertex t missing")
+        t_vertex = candidates[0]
+        case = "b"
 
     b1p = dict(d1)
     b2p = dict(d2)
@@ -156,6 +155,7 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
         b1p[t_vertex] -= 1
         b2p[t_vertex] += 1
 
+    shared = B1 & B2
     found = split_into_b_branchings(digraph, b, B1 ^ B2, [b1p, b2p], [b1p, b2p],
                                     shared)
     if found is None:

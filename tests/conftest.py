@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from itertools import combinations
 
+from bbibranch import lpsolve
 from bbibranch.bibranching import Instance, is_b_bibranching
 from bbibranch.digraph import Digraph
 from bbibranch.lpsolve import Bicut, RationalLP
@@ -275,3 +277,21 @@ def _dual_family(instance: Instance):
         for combo in combinations(S_sorted, size):
             family.append(("U", frozenset(instance.T | (instance.S - frozenset(combo)))))
     return list(dict.fromkeys(family))
+
+
+def repeat_separations(monkeypatch, caller=None):
+    """Fault ``lpsolve._violated_bicuts``: on calls from ``caller`` (from
+    anywhere when None) it also returns the cuts of its earlier such calls,
+    rows that hold at every later LP optimum."""
+    original = lpsolve._violated_bicuts
+    earlier = []
+
+    def repeating(instance, x, need=1):
+        cuts = original(instance, x, need)
+        if caller is not None and sys._getframe(1).f_code.co_name != caller:
+            return cuts
+        out = cuts + [cut for cut in earlier if cut not in cuts]
+        earlier.extend(cut for cut in cuts if cut not in earlier)
+        return out
+
+    monkeypatch.setattr(lpsolve, "_violated_bicuts", repeating)

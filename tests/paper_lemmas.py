@@ -1,6 +1,7 @@
 """The paper's lemmas and descriptions that no command runs, kept as test
-references: the two-partition lemma, the branching/cobranching description
-of a b-bibranching and pruning to a minimal b-bibranching.
+references: the two-partition lemma with the strong components it splits
+on, the branching/cobranching description of a b-bibranching and pruning to
+a minimal b-bibranching.
 """
 
 from __future__ import annotations
@@ -11,6 +12,27 @@ from bbibranch.bibranching import Instance, is_b_bibranching, subgraph
 from bbibranch.digraph import Digraph, check_capacities
 from bbibranch.errors import InputError, TheoremViolation
 from bbibranch.matroids import is_b_branching, split_into_b_branchings
+
+
+def strong_components(digraph: Digraph) -> list[tuple[frozenset[str], bool]]:
+    """Strongly connected components, each flagged as source or not.
+
+    The component of v is the set of vertices that v reaches and that
+    reach v.  A component is a source component when no arc enters it
+    from outside, that is when the vertices reaching it are the
+    component itself.  Components come out ordered by their first vertex
+    in ``vertices``.
+    """
+    result = []
+    placed: set[str] = set()
+    for v in digraph.vertices:
+        if v in placed:
+            continue
+        reaching = digraph.reachable_from(digraph.all_arcs, {v}, reverse=True)
+        comp = digraph.reachable_from(digraph.all_arcs, {v}) & reaching
+        placed |= comp
+        result.append((comp, reaching == comp))
+    return result
 
 
 def _find_any_two_partition(digraph: Digraph, b: dict[str, int]):
@@ -37,7 +59,7 @@ def two_partition(digraph: Digraph, b: dict[str, int],
         if b1.get(v, 0) < 0 or b2.get(v, 0) < 0:
             raise InputError("prescriptions must be nonnegative")
 
-    for comp, is_source in digraph.strong_components():
+    for comp, is_source in strong_components(digraph):
         if not is_source:
             continue
         bX = sum(b[v] for v in comp)

@@ -17,7 +17,8 @@ from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
 from bbibranch.errors import GuardError, InputError, TheoremViolation
 
 from conftest import (all_bicuts, digest_draws, fractional_dual_instance,
-                      one_arc_instance, random_instance, serialize_instance)
+                      one_arc_instance, random_instance, repeat_separations,
+                      serialize_instance)
 
 ONE_ARC = {
     "vertices": [
@@ -239,6 +240,18 @@ class TestSolveCommand:
             assert result["payload"]["x"] == [1, 1, 1, 1, 0]
             assert sorted(result["payload"]["failed"]) == ["s_reaches_t",
                                                            "t_reachable_from_s"]
+
+    def test_separation_returning_a_row_again_is_a_theorem_violation(
+            self, tmp_path, capsys, monkeypatch):
+        # The cut validity check reports the first repeated row instead of
+        # dropping it.
+        repeat_separations(monkeypatch)
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(SEPARATION_FAULT))
+        assert cli.main(["solve", str(path), "--method", "lp"]) == EXIT_THEOREM
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["message"] == "separated bicut is not violated"
+        assert result["payload"] == {"U": ["t1", "t2"], "x": ["1"] * 5}
 
     @pytest.mark.parametrize("fault", ["separation", "objective"])
     def test_certificate_failure_reports_ignore_the_hash_seed(self, tmp_path,

@@ -33,6 +33,14 @@ class TestEvalF:
         oracle = BBranchingOracle(D, {"a": 1, "b": 1}, [3])
         assert oracle.eval_f({"a": 0, "b": 1}) is None  # no arc enters a
 
+    def test_unknown_vertex_keys_are_rejected(self):
+        # A key that is no vertex would otherwise be read as absent.
+        D = Digraph(["a", "b"], [("a", "b")])
+        oracle = BBranchingOracle(D, {"a": 1, "b": 1}, [3])
+        for evaluate in (oracle.eval_f, oracle.eval_g):
+            with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
+                evaluate({"a": 1, "b": 1, "zz": -4})
+
     def test_matches_brute_force(self):
         rng = random.Random(60)
         for _ in range(10):
@@ -191,6 +199,17 @@ class TestTwoPartition:
             done += 1
 
 
+def strong_component(D: Digraph, arcs, s: str):
+    """The strong component of s in (V, arcs), and whether no arc of arcs
+    enters it, by a transitive closure over vertex pairs (Warshall)."""
+    reach = {(v, v) for v in D.vertices} | {D.arcs[a] for a in arcs}
+    for k in D.vertices:
+        reach |= {(u, w) for u in D.vertices for w in D.vertices
+                  if (u, k) in reach and (k, w) in reach}
+    comp = frozenset(v for v in D.vertices if (s, v) in reach and (v, s) in reach)
+    return comp, not any(D.tail(a) not in comp and D.head(a) in comp for a in arcs)
+
+
 class TestExchangeLemma:
     def test_case_a_single_arc(self):
         D = Digraph(["a", "s"], [("a", "s")])
@@ -239,6 +258,12 @@ class TestExchangeLemma:
             exp2[s] -= 1
             d1p = {v: D.in_degree(B1p, v) for v in D.vertices}
             d2p = {v: D.in_degree(B2p, v) for v in D.vertices}
+            # The lemma's case split: (b) exactly when the component of s in
+            # B1 + B2 is a source component with d_B1(comp) = b(comp) - 1,
+            # and then t is the least other vertex of it with d_B2(t) < b(t).
+            comp, is_source = strong_component(D, B1 | B2, s)
+            assert (case == "b") == (is_source and sum(
+                D.in_degree(B1, v) for v in comp) == sum(b[v] for v in comp) - 1)
             if case == "a":
                 assert d1p == exp1 and d2p == exp2
             else:
@@ -246,7 +271,8 @@ class TestExchangeLemma:
                 moved = {v for v in D.vertices if d1p[v] != exp1[v]}
                 assert len(moved) == 1
                 t = moved.pop()
-                assert t != s
+                assert t == min(v for v in comp
+                                if v != s and D.in_degree(B2, v) < b[v])
                 assert d1p[t] == exp1[t] - 1 and d2p[t] == exp2[t] + 1
             done += 1
         assert done == 30

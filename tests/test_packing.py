@@ -15,7 +15,7 @@ from bbibranch.bibranching import (Instance, feasibility_witness,
                                    is_b_bibranching, solve_shortest, subgraph)
 from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
-from bbibranch.errors import InputError
+from bbibranch.errors import InputError, TheoremViolation
 from bbibranch.lpsolve import integer_decomposition_check
 from bbibranch.matroids import is_b_branching
 from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
@@ -25,7 +25,7 @@ from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
                                partition_cross_arcs, verify_packing)
 
 from conftest import (one_arc_instance, oracle_max_disjoint_packing,
-                      random_digraph, random_instance)
+                      random_digraph, random_instance, repeat_separations)
 
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -45,6 +45,15 @@ def doubled_instance():
     """Two parallel s -> t arcs: packs two disjoint singletons."""
     D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
     return Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1}, [5, 7])
+
+
+def two_cycles_instance():
+    """A 2-cycle inside each side, the cross arcs s0 -> t0 and s1 -> t1."""
+    D = Digraph(["s0", "s1", "t0", "t1"],
+                [("s0", "s1"), ("s0", "t0"), ("s1", "s0"), ("s1", "t1"),
+                 ("t0", "t1"), ("t1", "t0")])
+    return Instance(D, {"s0": "S", "s1": "S", "t0": "T", "t1": "T"},
+                    {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, [1] * 6)
 
 
 class TestPackingNumber:
@@ -566,6 +575,13 @@ class TestIntegerDecomposition:
                         {"s": 1, "t0": 1, "t1": 1}, [1, 1])
         with pytest.raises(InputError, match="x\\(0\\)"):
             integer_decomposition_check(inst, 1, [2, 1])
+        # One entry per arc, as a list or a dict by arc index.
+        for x in ([1], [1, 1, 1], {0: 1, 1: 1, 7: 3}):
+            with pytest.raises(InputError, match=re.escape(
+                    "x must have exactly one entry per arc (2)")):
+                integer_decomposition_check(inst, 1, x)
+        assert integer_decomposition_check(inst, 1, {1: 1, 0: 1}) == [
+            frozenset({0, 1})]
 
     def test_precondition_failure_names_row(self):
         inst = one_arc_instance()
@@ -623,11 +639,7 @@ class TestIntegerDecomposition:
         # x = {1, 3} + {0, 3, 5} + {1, 2, 4}.  The smallest first class is
         # {1, 3}; peeling it again would leave no arc from S to T, which the
         # upper row on the bicut U = T forbids.
-        D = Digraph(["s0", "s1", "t0", "t1"],
-                    [("s0", "s1"), ("s0", "t0"), ("s1", "s0"), ("s1", "t1"),
-                     ("t0", "t1"), ("t1", "t0")])
-        inst = Instance(D, {"s0": "S", "s1": "S", "t0": "T", "t1": "T"},
-                        {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, [1] * 6)
+        inst = two_cycles_instance()
         x = [1, 2, 1, 2, 1, 1]
         calls = record_separations(monkeypatch)
         classes = integer_decomposition_check(inst, 3, x)
@@ -635,14 +647,20 @@ class TestIntegerDecomposition:
         assert all(is_b_bibranching(inst, c) for c in classes)
         assert ("decompose", 1, [["t0", "t1"]]) in calls
 
+    def test_upper_separation_returning_a_row_again_is_a_theorem_violation(
+            self, monkeypatch):
+        # The peel reports a repeated upper row instead of dropping it.
+        inst = two_cycles_instance()
+        repeat_separations(monkeypatch, "decompose")
+        with pytest.raises(TheoremViolation,
+                           match="separated bicut is not violated") as caught:
+            integer_decomposition_check(inst, 3, [1, 2, 1, 2, 1, 1])
+        assert caught.value.payload["U"] == frozenset({"t0", "t1"})
+
     def test_last_class_is_the_residual(self, monkeypatch):
         # With one class left the bounds would fix y = x_res, so no stage
         # separates with need 0 and no LP has every column fixed.
-        D = Digraph(["s0", "s1", "t0", "t1"],
-                    [("s0", "s1"), ("s0", "t0"), ("s1", "s0"), ("s1", "t1"),
-                     ("t0", "t1"), ("t1", "t0")])
-        inst = Instance(D, {"s0": "S", "s1": "S", "t0": "T", "t1": "T"},
-                        {"s0": 1, "s1": 1, "t0": 1, "t1": 1}, [1] * 6)
+        inst = two_cycles_instance()
         calls = record_separations(monkeypatch)
         lps = []
         original = lpsolve.simplex_solve

@@ -177,6 +177,27 @@ def test_one_max_flow_routine_and_one_network_per_caller():
                                 ("packing.py", "cut_condition_failure", False)]
 
 
+def test_digraphs_are_built_at_three_sites():
+    # Arc subsets are frozensets over one digraph, so only loading an
+    # instance, its mirror and an induced subgraph build a ``Digraph``.
+    sites = set()
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where is None else "%s.%s" % (where, node.name)
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "Digraph":
+            sites.add((path.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert sites == {("cli.py", "load_instance_data"),
+                     ("bibranching.py", "Instance.mirror"),
+                     ("bibranching.py", "subgraph")}
+
+
 def test_exceptions_are_defined_in_errors():
     # Every exception class of the package is defined in ``errors``, next
     # to the others whose CLI exit codes are fixed: no module has its own.
