@@ -1,7 +1,7 @@
 """Exact toolkit for shortest and disjoint b-bibranchings in digraphs.
 
 Submodules:
-  digraph      -- digraph primitives, cuts, components, exact max-flow
+  digraph      -- digraph primitives, cuts, reachability, exact max-flow
   matroids     -- the two matroids behind b-branchings, matroid intersection
   bibranching  -- the b-bibranching object, brute force, solver front end
   lpsolve      -- exact rational LP, cutting planes, integral duals

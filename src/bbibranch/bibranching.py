@@ -38,7 +38,7 @@ class Instance:
             if side[tail] == "T" and side[head] == "S":
                 raise InputError("arc %d goes from T to S: %s -> %s" % (i, tail, head))
         self.b = check_capacities(digraph, b)
-        self.weights = [rat(weights[a]) for a in range(digraph.num_arcs())]
+        self.weights = [rat(w) for w in digraph.per_arc(weights, "weights")]
         for a, w in enumerate(self.weights):
             if w < 0:
                 raise InputError("arc %d has negative weight" % a)

@@ -263,21 +263,10 @@ def _check_exchange(instance, rng, trials):
             return False, dict(failure, stage="branchings")
         # Case (a) shifts one unit of indegree at s from B2 to B1; case (b)
         # also shifts one unit back at a single vertex t != s.
-        d1 = {v: D.in_degree(B1, v) for v in D.vertices}
-        d2 = {v: D.in_degree(B2, v) for v in D.vertices}
-        d1p = {v: D.in_degree(B1p, v) for v in D.vertices}
-        d2p = {v: D.in_degree(B2p, v) for v in D.vertices}
-        d1[s] += 1
-        d2[s] -= 1
-        moved = [v for v in D.vertices if (d1p[v], d2p[v]) != (d1[v], d2[v])]
-        if case == "a":
-            degrees_ok = not moved
-        else:
-            degrees_ok = len(moved) == 1 and moved[0] != s
-            if degrees_ok:
-                t = moved[0]
-                degrees_ok = d1p[t] == d1[t] - 1 and d2p[t] == d2[t] + 1
-        if not degrees_ok:
+        shift = {v: (D.in_degree(B1p, v) - D.in_degree(B1, v),
+                     D.in_degree(B2p, v) - D.in_degree(B2, v)) for v in D.vertices}
+        others = [d for v, d in shift.items() if v != s and d != (0, 0)]
+        if shift[s] != (1, -1) or others != ([] if case == "a" else [(-1, 1)]):
             return False, dict(failure, stage="degrees")
         done += 1
     if done == 0:

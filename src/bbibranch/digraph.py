@@ -55,9 +55,18 @@ class Digraph:
     def check_arcset(self, B: Iterable[int]) -> frozenset[int]:
         B = frozenset(B)
         for a in B:
-            if not (0 <= a < len(self.arcs)):
+            if type(a) is not int or not (0 <= a < len(self.arcs)):
                 raise InputError("invalid arc index: %r" % (a,))
         return B
+
+    def per_arc(self, values, name: str) -> list:
+        """values, a list or a dict by arc index, as a list; ``InputError``
+        unless it holds exactly one entry per arc."""
+        m = len(self.arcs)
+        keys = values.keys() if isinstance(values, dict) else range(len(values))
+        if set(keys) != set(range(m)):
+            raise InputError("%s must have exactly one entry per arc (%d)" % (name, m))
+        return [values[a] for a in range(m)]
 
     def in_arcs(self, v: str) -> tuple[int, ...]:
         return self._in_arcs[v]
@@ -114,7 +123,7 @@ class Digraph:
         B = self.check_arcset(B)
         X = self.check_vertices(X)
         seen = set(X)
-        queue = deque(sorted(X, key=self._vindex.get))
+        queue = deque(X)
         step: dict[str, list[str]] = {}
         for a in B:
             tail, head = self.arcs[a]

@@ -218,13 +218,11 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
         by_index[explicit[j]], by_index[other[j]] = j, -1
 
     def pivot(row: int, col: int) -> None:
+        # Row i holds +-dens[i] in its basic column, and construction, updates
+        # and complement keep gcd(dens[i], *row) = 1: src is already reduced.
         src = tableau[row]
         if src[col] < 0:
             src = [-c for c in src]
-        if src[col] != 1:
-            g = gcd(*src)
-            if g > 1:
-                src = [c // g for c in src]
         tableau[row] = src
         p = dens[row] = src[col]
         nonzero = [(j, c) for j, c in enumerate(src) if c]
@@ -567,10 +565,7 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
     entry or row."""
     if k < 1:
         raise InputError("k must be at least 1")
-    m = instance.digraph.num_arcs()
-    if set(x.keys() if isinstance(x, dict) else range(len(x))) != set(range(m)):
-        raise InputError("x must have exactly one entry per arc (%d)" % m)
-    x = [x[a] for a in range(m)]
+    x = instance.digraph.per_arc(x, "x")
     for a, val in enumerate(x):
         if type(val) is not int or val < 0 or val > k:
             raise InputError("x(%d) must be an integer in [0, k]" % a)

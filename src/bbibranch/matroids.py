@@ -287,9 +287,9 @@ def _augmenting_path(m1, m2, ground, current, w):
         changed = False
         for u in sorted(best):
             cost, length, path = best[u]
+            # A min-weight current leaves no negative cycle (Frank 1981), so
+            # a label that closes a cycle never beats best[v] and is dropped.
             for v in succ[u]:
-                if v in path:
-                    continue
                 label = (cost + node_cost[v], length + 1, path + (v,))
                 if v not in best or label < best[v]:
                     best[v] = label

@@ -26,7 +26,7 @@ class BBranchingOracle:
     def __init__(self, digraph: Digraph, b: dict[str, int], weights):
         self.digraph = digraph
         self.b = check_capacities(digraph, b)
-        self.weights = [weights[a] for a in range(digraph.num_arcs())]
+        self.weights = digraph.per_arc(weights, "weights")
         self._memo_f: dict[tuple, Optional[tuple]] = {}
 
     def _key(self, x: dict[str, int]) -> tuple:
@@ -67,13 +67,25 @@ class BBranchingOracle:
         return None if result is None else result[0]
 
 
+def _unit_move(z: dict, down, up) -> dict:
+    """z - chi_down + chi_up, with chi_None = 0."""
+    x = dict(z)
+    if down is not None:
+        x[down] = x.get(down, 0) - 1
+    if up is not None:
+        x[up] = x.get(up, 0) + 1
+    return x
+
+
 def check_mnat_exchange(evaluator: Callable[[dict], object],
                         vertices: Iterable[str],
                         x: dict[str, int], y: dict[str, int]):
-    """Assert the exchange inequality for every u in supp+(x - y).
+    """Assert the exchange inequality for every u in supp+(x - y): some v
+    in [None] + supp-(x - y) has f(x) + f(y) >= f(x - chi_u + chi_v) +
+    f(y + chi_u - chi_v), where chi_None = 0.
 
-    Returns (True, None) on pass, else (False, (x, y, u)) as a
-    theorem-violation report.  Both x and y must have finite values.
+    Returns (True, None) on pass, else (False, (x, y, u)) for the first
+    failing u.  Both x and y must have finite values.
     """
     vertices = list(vertices)
     fx = evaluator(x)
@@ -84,26 +96,12 @@ def check_mnat_exchange(evaluator: Callable[[dict], object],
     supp_pos = [v for v in vertices if x.get(v, 0) - y.get(v, 0) > 0]
     supp_neg = [v for v in vertices if x.get(v, 0) - y.get(v, 0) < 0]
     for u in supp_pos:
-        x_down = dict(x)
-        x_down[u] = x.get(u, 0) - 1
-        y_up = dict(y)
-        y_up[u] = y.get(u, 0) + 1
-        f1 = evaluator(x_down)
-        f2 = evaluator(y_up)
-        if f1 is not None and f2 is not None and lhs >= f1 + f2:
-            continue
-        ok = False
-        for v in supp_neg:
-            xd = dict(x_down)
-            xd[v] = xd.get(v, 0) + 1
-            yu = dict(y_up)
-            yu[v] = yu.get(v, 0) - 1
-            f3 = evaluator(xd)
-            f4 = evaluator(yu)
-            if f3 is not None and f4 is not None and lhs >= f3 + f4:
-                ok = True
+        for v in [None] + supp_neg:
+            f1 = evaluator(_unit_move(x, u, v))
+            f2 = evaluator(_unit_move(y, v, u))
+            if f1 is not None and f2 is not None and lhs >= f1 + f2:
                 break
-        if not ok:
+        else:
             return False, (dict(x), dict(y), u)
     return True, None
 
@@ -147,14 +145,8 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
         t_vertex = candidates[0]
         case = "b"
 
-    b1p = dict(d1)
-    b2p = dict(d2)
-    b1p[s] += 1
-    b2p[s] -= 1
-    if case == "b":
-        b1p[t_vertex] -= 1
-        b2p[t_vertex] += 1
-
+    b1p = _unit_move(d1, t_vertex, s)
+    b2p = _unit_move(d2, s, t_vertex)
     shared = B1 & B2
     found = split_into_b_branchings(digraph, b, B1 ^ B2, [b1p, b2p], [b1p, b2p],
                                     shared)
@@ -194,12 +186,7 @@ def _move_table(oracle: BBranchingOracle, z: dict[str, int]) -> Optional[dict]:
         for q in nodes:
             if p == q:
                 continue
-            x = dict(z)
-            if p is not None:
-                x[p] -= 1
-            if q is not None:
-                x[q] += 1
-            val = oracle.eval_g(x)
+            val = oracle.eval_g(_unit_move(z, p, q))
             cost[p, q] = None if val is None else val - g0
     return cost
 

@@ -14,6 +14,7 @@ instance load through the simplex to the dual certificate; ``rat``,
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Q = Fraction
@@ -21,17 +22,18 @@ Q = Fraction
 
 def rat(value):
     """An int, Fraction or 'p'/'p/q' string as an exact number: an int when
-    integral (so "4/2" reads as 2), else a Fraction."""
+    integral (so "4/2" reads as 2), else a Fraction.  A string is ASCII
+    [+-]?[0-9]+ with an optional /[0-9]+, surrounding whitespace allowed."""
     if type(value) is int:
         return value
     if isinstance(value, str):
-        parts = value.strip().split("/")
-        if len(parts) > 2:
+        match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value.strip())
+        if match is None:
             raise ValueError("not a rational: %r" % value)
-        den = int(parts[1]) if len(parts) == 2 else 1
+        num, den = map(int, match.groups(default="1"))
         if den == 0:
             raise ValueError("zero denominator: %r" % value)
-        return ratio(int(parts[0]), den)
+        return ratio(num, den)
     if not isinstance(value, Q):
         value = Q(value)
     return value.numerator if value.denominator == 1 else value

@@ -37,6 +37,15 @@ class TestInstance:
         with pytest.raises(InputError):
             Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1}, [-1])
 
+    @pytest.mark.parametrize("weights", [[], [5, 7], {0: 5, 3: 1}, {1: 5}])
+    def test_weights_need_one_entry_per_arc(self, weights):
+        D = Digraph(["s", "t"], [("s", "t")])
+        side, b = {"s": "S", "t": "T"}, {"s": 1, "t": 1}
+        with pytest.raises(InputError,
+                           match=r"weights must have exactly one entry per arc \(1\)"):
+            Instance(D, side, b, weights)
+        assert Instance(D, side, b, {0: "5"}).weights == [5]
+
     def test_cross_arcs(self):
         inst = two_by_two()
         assert inst.cross_arcs() == frozenset({0, 1, 4})

@@ -15,6 +15,7 @@ from bbibranch import bibranching, cli, lpsolve, mconvex, packing
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data)
 from bbibranch.errors import GuardError, InputError, TheoremViolation
+from bbibranch.rationals import rat
 
 from conftest import (all_bicuts, digest_draws, fractional_dual_instance,
                       one_arc_instance, random_instance, repeat_separations,
@@ -90,10 +91,29 @@ class TestInstanceFormat:
 
     def test_weights_are_int_when_integral(self):
         doc = json.loads(json.dumps(ONE_ARC))
-        for weight, want in ((7, 7), ("4/2", 2), ("1/3", Fraction(1, 3))):
+        for weight, want in ((7, 7), ("4/2", 2), ("1/3", Fraction(1, 3)),
+                             (" +4/2\n", 2), ("\t007/3 ", Fraction(7, 3))):
             doc["arcs"][0]["weight"] = weight
             (loaded,) = load_instance_data(doc).weights
             assert loaded == want and type(loaded) is type(want)
+
+    @pytest.mark.parametrize("weight", [
+        "1_0", "\u0663", "\uff13/\uff14", "1/ 2", "-4/-2", "4/+2", "1/2/3",
+        "", "/2", "1/", "1.5", "0x1", "1e3", "1/0"])
+    def test_weight_string_outside_grammar_rejected(self, tmp_path, capsys,
+                                                     weight):
+        # Only ASCII [+-]?[0-9]+ with an optional /[0-9]+ is a weight.
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["arcs"][0]["weight"] = weight
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: arcs[0].weight is not a rational\n"
+        with pytest.raises(ValueError, match="zero denominator"
+                           if weight == "1/0" else "not a rational"):
+            rat(weight)
 
     def test_float_weight_rejected(self):
         doc = json.loads(json.dumps(ONE_ARC))
@@ -787,32 +807,107 @@ class TestCheckCommand:
         assert result == {"message": "separated bicut is not violated",
                           "payload": {"U": ["t"], "x": ["1", "0"]}}
 
-    def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
-                                            monkeypatch):
-        doc = {"vertices": [{"id": v, "side": "S" if v == "a" else "T", "b": 2}
-                            for v in "axyz"],
-               "arcs": [{"tail": t, "head": h, "weight": 1}
-                        for t, h in ("ax", "ay", "xy", "yz", "zx")]}
-        # B1 = {a->y, y->z}, B2 = {a->x, x->y, z->x}: only x has
-        # d1 < d2, so s = x.  The fake answer keeps union and intersection
-        # and is two b-branchings, but its degrees differ from the shifted
-        # ones at both y and z.
-        drawn = iter([frozenset({1, 3}), frozenset({0, 2, 4})])
+    def test_mconvex_counterexample_is_a_theorem_violation(self, tmp_path,
+                                                             capsys,
+                                                             monkeypatch):
+        # -f and -g are not M-natural convex: on digest draw i01 (which
+        # passes unpatched) the third g pair fails at u = t2.
+        for name in ("eval_f", "eval_g"):
+            real = getattr(mconvex.BBranchingOracle, name)
+            monkeypatch.setattr(
+                mconvex.BBranchingOracle, name,
+                lambda self, x, real=real: None if real(self, x) is None
+                else -real(self, x))
+        instance = next(itertools.islice(digest_draws(), 1, None))
+        path = tmp_path / "i01.json"
+        path.write_text(json.dumps(serialize_instance(instance)))
+        code = cli.main(["check", "--what", "mconvex", "--trials", "3",
+                         "--seed", "0", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_THEOREM
+        assert report["status"] == "failed"
+        assert report["result"]["detail"] == {
+            "function": "g",
+            "counterexample": [{"s0": 1, "s1": 0, "t0": 1, "t1": 2, "t2": 3},
+                               {"s0": 1, "s1": 1, "t0": 1, "t1": 1, "t2": 1},
+                               "t2"]}
+
+    def run_faked_exchange(self, tmp_path, capsys, monkeypatch, doc, drawn,
+                           answer):
+        """check --what exchange on one pair: B1, B2 = drawn, and the
+        exchange lemma replaced by one that returns answer."""
+        drawn = iter(drawn)
         monkeypatch.setattr(cli, "_random_b_branching",
                             lambda rng, digraph, b: next(drawn))
         monkeypatch.setattr(mconvex, "exchange_b_branchings",
-                            lambda digraph, b, B1, B2, s: (
-                                frozenset({0, 1, 2}), frozenset({3, 4}), "b"))
+                            lambda digraph, b, B1, B2, s: answer)
         path = tmp_path / "i.json"
         path.write_text(json.dumps(doc))
         code = cli.main(["check", "--what", "exchange", "--trials", "1",
                          str(path)])
-        report = json.loads(capsys.readouterr().out)
+        return code, json.loads(capsys.readouterr().out)
+
+    # a in S and x, y, z in T, b = 2; arcs 0 a->x, 1 a->y, 2 x->y, 3 y->z,
+    # 4 z->x.  B1 = {a->y, y->z}, B2 = {a->x, x->y, z->x}: only x has
+    # d1 < d2, so s = x.
+    EXCHANGE_DOC = {
+        "vertices": [{"id": v, "side": "S" if v == "a" else "T", "b": 2}
+                     for v in "axyz"],
+        "arcs": [{"tail": t, "head": h, "weight": 1}
+                 for t, h in ("ax", "ay", "xy", "yz", "zx")]}
+    EXCHANGE_DRAWN = (frozenset({1, 3}), frozenset({0, 2, 4}))
+
+    def test_exchange_case_b_degrees_checked(self, tmp_path, capsys,
+                                            monkeypatch):
+        # The fake answer keeps union and intersection and is two
+        # b-branchings, but its degrees differ from the shifted ones at
+        # both y and z.
+        code, report = self.run_faked_exchange(
+            tmp_path, capsys, monkeypatch, self.EXCHANGE_DOC,
+            self.EXCHANGE_DRAWN, (frozenset({0, 1, 2}), frozenset({3, 4}), "b"))
         assert code == EXIT_THEOREM
         assert report["status"] == "failed"
         assert report["result"]["detail"] == {"stage": "degrees", "s": "x",
                                               "case": "b"}
 
+    @pytest.mark.parametrize("B1p, B2p, case, passed", [
+        # The pair unchanged: no unit moves at s.
+        ({1, 3}, {0, 2, 4}, "a", False),
+        # One unit moves at s = x and one back at t = z: case (b) only.
+        ({0, 1}, {2, 3, 4}, "a", False),
+        ({0, 1}, {2, 3, 4}, "b", True),
+    ], ids=["unchanged", "t_shift_as_a", "t_shift_as_b"])
+    def test_exchange_shift_must_match_case(self, tmp_path, capsys,
+                                            monkeypatch, B1p, B2p, case,
+                                            passed):
+        code, report = self.run_faked_exchange(
+            tmp_path, capsys, monkeypatch, self.EXCHANGE_DOC,
+            self.EXCHANGE_DRAWN, (frozenset(B1p), frozenset(B2p), case))
+        if passed:
+            assert code == EXIT_OK
+            assert report["result"]["detail"] == {"trials": 1,
+                                                  "cases": {"a": 0, "b": 1}}
+        else:
+            assert code == EXIT_THEOREM
+            assert report["result"]["detail"] == {"stage": "degrees",
+                                                  "s": "x", "case": case}
+
+    def test_exchange_answer_must_be_b_branchings(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # b = 1 on a in S and x, y in T; arcs 0 a->x, 1 x->y, 2 y->x, 3 a->y.
+        # B1 = {a->x}, B2 = {y->x, a->y}: s = y.  The answer's B1' is the
+        # 2-cycle x <-> y, which is no branching.
+        doc = {"vertices": [{"id": v, "side": "S" if v == "a" else "T",
+                             "b": 1} for v in "axy"],
+               "arcs": [{"tail": t, "head": h, "weight": 1}
+                        for t, h in ("ax", "xy", "yx", "ay")]}
+        code, report = self.run_faked_exchange(
+            tmp_path, capsys, monkeypatch, doc,
+            (frozenset({0}), frozenset({2, 3})),
+            (frozenset({1, 2}), frozenset({0, 3}), "a"))
+        assert code == EXIT_THEOREM
+        assert report["result"]["detail"] == {"stage": "branchings", "s": "y",
+                                              "case": "a"}
 
     def test_idp_keeps_every_cross_arc_in_every_class(self, tmp_path,
                                                       capsys):

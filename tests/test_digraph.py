@@ -36,6 +36,16 @@ class TestConstruction:
         with pytest.raises(InputError):
             Digraph(["a", "a"], [])
 
+    @pytest.mark.parametrize("B", [[-1], [5], [0.0], [True], [False], ["0"],
+                                   [None]], ids=repr)
+    def test_invalid_arc_indices_rejected(self, B):
+        # Only an int in [0, m) is an arc index; True would read as arc 1.
+        D = small_graph()
+        with pytest.raises(InputError, match="invalid arc index"):
+            D.check_arcset(B)
+        with pytest.raises(InputError, match="invalid arc index"):
+            D.reachable_from(B, {"a"})
+
     def test_parallel_arcs_have_distinct_indices(self):
         D = small_graph()
         assert D.arcs[0] == D.arcs[4] == ("a", "b")

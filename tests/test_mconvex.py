@@ -41,6 +41,13 @@ class TestEvalF:
             with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
                 evaluate({"a": 1, "b": 1, "zz": -4})
 
+    @pytest.mark.parametrize("weights", [[], [1, 2], {0: 1, 3: 1}])
+    def test_weights_need_one_entry_per_arc(self, weights):
+        D = Digraph(["a", "b"], [("a", "b")])
+        with pytest.raises(InputError,
+                           match=r"weights must have exactly one entry per arc \(1\)"):
+            BBranchingOracle(D, {"a": 1, "b": 1}, weights)
+
     def test_matches_brute_force(self):
         rng = random.Random(60)
         for _ in range(10):
@@ -125,6 +132,25 @@ class TestExchangeAxiom:
         with pytest.raises(InputError):
             check_mnat_exchange(oracle.eval_f, D.vertices,
                                 {"a": 0, "b": 1}, {"a": 1, "b": 1})
+
+    def test_reports_first_failing_u(self):
+        # f is finite at x, y and the compensated pair of u = a only, so
+        # u = a passes with v = c and u = b has no finite pair at all.
+        x = {"a": 2, "b": 1, "c": 0}
+        y = {"a": 0, "b": 0, "c": 1}
+        finite = [x, y, {"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 0, "c": 0}]
+        calls = []
+
+        def evaluator(z):
+            calls.append(dict(z))
+            return 0 if z in finite else None
+
+        ok, ce = check_mnat_exchange(evaluator, "abc", x, y)
+        assert not ok and ce == (x, y, "b")
+        # f(x), f(y), then per u the v = None pair before each v in supp-.
+        assert calls == [x, y] + [dict(zip("abc", p)) for p in (
+            (1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0),
+            (2, 0, 0), (0, 1, 1), (2, 0, 1), (0, 1, 0))]
 
     def test_passes_on_sampled_pairs(self):
         rng = random.Random(64)
