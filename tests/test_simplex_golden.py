@@ -17,7 +17,11 @@ degree LP of ``_build_degree_lp`` with every ``conftest.all_bicuts`` row,
 the covering dual of the TDI check over ``conftest._dual_family``, and the
 packing stage systems of ``build_system`` (on the instance and on its
 mirror, stages max(k, 2) down to 2 for packing number k, on the whole
-cross-arc set) as ``find_integral_point`` poses them.  Their results are
+cross-arc set) as ``find_integral_point`` poses them.  Last come the
+LPs ``decompose`` solves as ``pack`` runs it, peeling chi_A of every draw
+with packing number k >= 2 into k classes: lower and upper degree rows,
+bounds fixing at 0 the arcs already peeled, and lower and upper bicut
+rows, each LP copied as it stood at that solve.  Their results are
 recorded in ``simplex_golden_production.json``.
 
 The recorded files are rewritten by ``python tests/test_simplex_golden.py``
@@ -28,13 +32,15 @@ and say so.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
+from bbibranch import lpsolve
 from bbibranch.lpsolve import (RationalLP, _build_degree_lp, _build_dual_lp,
-                               simplex_solve)
+                               decompose, simplex_solve)
 from bbibranch.packing import build_system, packing_number
 from bbibranch.rationals import rat_str
 
@@ -63,9 +69,30 @@ def golden_records() -> list:
     return [record(simplex_solve(random_lp(rng))) for _ in range(COUNT)]
 
 
+def stage_lps(instance, k):
+    """Every LP ``decompose`` solves peeling chi_A into k classes, copied
+    as it stood at each solve, in solve order."""
+    seen = []
+
+    def recording(lp):
+        snapshot = copy.copy(lp)
+        snapshot.rows = list(lp.rows)
+        snapshot.lower, snapshot.upper = list(lp.lower), list(lp.upper)
+        seen.append(snapshot)
+        return simplex_solve(lp)
+
+    lpsolve.simplex_solve = recording
+    try:
+        decompose(instance, k, [1] * instance.digraph.num_arcs())
+    finally:
+        lpsolve.simplex_solve = simplex_solve
+    return seen
+
+
 def production_lps():
     """The production-shaped LPs of every digest draw, in a fixed order."""
-    for instance in digest_draws():
+    draws = list(digest_draws())
+    for instance in draws:
         lp = _build_degree_lp(instance, boxed=True)
         for cut in all_bicuts(instance):
             lp.add_row({a: 1 for a in cut.arcs}, ">=", 1)
@@ -84,6 +111,10 @@ def production_lps():
                 for coeffs, rel, rhs, _ in system.rows:
                     lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
             yield lp
+    for instance in draws:
+        k = packing_number(instance).k
+        if k >= 2:
+            yield from stage_lps(instance, k)
 
 
 def production_records() -> list:
