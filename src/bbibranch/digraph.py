@@ -7,6 +7,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import Iterable
 
@@ -53,11 +54,12 @@ class Digraph:
         return X
 
     def check_arcset(self, B: Iterable[int]) -> frozenset[int]:
-        B = frozenset(B)
+        if not isinstance(B, frozenset):
+            B = tuple(B)  # each entry is type-checked before it is hashed
         for a in B:
             if type(a) is not int or not (0 <= a < len(self.arcs)):
                 raise InputError("invalid arc index: %r" % (a,))
-        return B
+        return frozenset(B)
 
     def per_arc(self, values, name: str) -> list:
         """values, a list or a dict by arc index, as a list; ``InputError``
@@ -157,7 +159,9 @@ class FlowNetwork:
     finite capacities (int or Fraction).  The residual graph lives in
     int-indexed slots: slot 2i is arc i forward, slot 2i + 1 its reverse.
     ``max_flow_min_cut`` copies ``cap``, so queries never see each other's
-    flow.
+    flow.  ``with_capacities`` gives the same topology with other
+    capacities without compiling it again, so a caller whose capacities
+    change from query to query compiles its network once per instance.
     """
 
     def __init__(self, nodes, arcs):
@@ -165,15 +169,29 @@ class FlowNetwork:
         self.index = {v: i for i, v in enumerate(self.nodes)}
         self.adj: list[list[int]] = [[] for _ in self.nodes]
         self.ends: list[int] = []
-        self.cap: list = []
+        capacities = []
         for tail, head, c in arcs:
-            if c < 0:
-                raise InputError("negative capacity on arc %r -> %r" % (tail, head))
             u, w = self.index[tail], self.index[head]
-            self.adj[u].append(len(self.cap))
-            self.adj[w].append(len(self.cap) + 1)
+            self.adj[u].append(len(self.ends))
+            self.adj[w].append(len(self.ends) + 1)
             self.ends += (w, u)
-            self.cap += (c, 0)
+            capacities.append(c)
+        self.cap = self._residual(capacities)
+
+    def with_capacities(self, capacities) -> "FlowNetwork":
+        """This network with capacities[i] on arc i, one entry per arc."""
+        network = copy.copy(self)
+        network.cap = self._residual(capacities)
+        return network
+
+    def _residual(self, capacities) -> list:
+        for i, c in enumerate(capacities):
+            if c < 0:
+                raise InputError("negative capacity on arc %r -> %r" % (
+                    self.nodes[self.ends[2 * i + 1]], self.nodes[self.ends[2 * i]]))
+        cap = [0] * len(self.ends)
+        cap[::2] = capacities  # a ValueError unless one entry per arc
+        return cap
 
 
 def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):

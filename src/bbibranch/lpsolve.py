@@ -23,13 +23,13 @@ routine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from typing import Optional
 
 from .bibranching import (Instance, Solution, bibranching_report,
                           is_b_bibranching, require_feasible)
-from .digraph import FlowNetwork, max_flow_min_cut
+from .digraph import max_flow_min_cut
 from .errors import InputError, TheoremViolation
 from .rationals import is_integral, rat, rat_str, ratio
 
@@ -76,6 +76,9 @@ class SimplexResult:
     bound_duals: Optional[list] = None  # one per variable; None if unbounded above or redundant
 
 
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}  # the relation of a negated row
+
+
 def simplex_solve(lp: RationalLP) -> SimplexResult:
     """Two-phase simplex with Bland's rule; exact throughout.
 
@@ -117,28 +120,32 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     tableau[i][j] / dens[i], and every pivot and complement updates the
     reduced-cost rows along with the constraints.  A pivot on entry p
     rewrites each other row r as r*p - f*(pivot row) over den*p,
-    fraction-free as in Bareiss (1968), and divides out the row's gcd.
-    Signs are read off the numerators, and the ratio test cross-multiplies.
-    Each result value is read off as ``ratio(numerator, denominator)``: an
-    int when integral, a Fraction only otherwise.
+    fraction-free as in Bareiss (1968), and divides out the row's gcd; a
+    row with f = 0 is left as it is, and for p = 1 only the pivot row's
+    nonzero entries are subtracted.  Signs are read off the numerators,
+    and the ratio test cross-multiplies.  Each result value is read off as
+    ``ratio(numerator, denominator)``: an int when integral, a Fraction
+    only otherwise.
     """
     n = lp.num_vars
     flip = 1 if lp.sense == "min" else -1
     shift = {j: v for j, v in enumerate(lp.lower) if v}
-    bounded = [j for j in range(n) if lp.upper[j] is not None]
-    if any(lp.upper[j] < lp.lower[j] for j in bounded):
+    bounded = [j for j, u in enumerate(lp.upper) if u is not None]
+    widths = [lp.upper[j] - lp.lower[j] for j in bounded]
+    if any(w < 0 for w in widths):
         return SimplexResult(status="infeasible")
-    rows = []
+    rows = []  # (coeffs, relation, rhs, sign), lower bounds shifted out
     for coeffs, rel, rhs in lp.rows:
-        moved = [c * shift[j] for j, c in coeffs.items() if j in shift]
-        rows.append((coeffs, rel, rhs - sum(moved) if moved else rhs))
+        if shift:
+            rhs -= sum(c * shift[j] for j, c in coeffs.items() if j in shift)
+        if rhs < 0:
+            rows.append((coeffs, _FLIPPED[rel], rhs, -1))
+        else:
+            rows.append((coeffs, rel, rhs, 1))
     m = len(rows)
-    signs = [-1 if rhs < 0 else 1 for _, _, rhs in rows]
-    rels = [{"<=": ">=", ">=": "<=", "=": "="}[rel] if sign < 0 else rel
-            for (_, rel, _), sign in zip(rows, signs)]
     slack_col = n
-    art_col = art_start = n + sum(rel != "=" for rel in rels)
-    num_cols = art_start + sum(rel != "<=" for rel in rels)
+    art_col = art_start = n + sum(row[1] != "=" for row in rows)
+    num_cols = art_start + sum(row[1] != "<=" for row in rows)
     boxes = len(bounded)
     width: list[Optional[tuple[int, int]]] = [None] * num_cols  # (p, q): u - l = p/q
     # The explicit index of each column's variable and, for a boxed column,
@@ -148,8 +155,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     explicit = list(range(art_start)) + list(range(art_start + boxes, num_cols + boxes))
     other = [-1] * num_cols
     by_index = list(range(art_start)) + [-1] * boxes + list(range(art_start, num_cols))
-    for k, j in enumerate(bounded):
-        w = lp.upper[j] - lp.lower[j]
+    for k, (j, w) in enumerate(zip(bounded, widths)):
         width[j] = (w.numerator, w.denominator)
         other[j] = art_start + k
 
@@ -158,12 +164,11 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     basis: list[int] = []
     own: list[int] = []   # row i's slack, surplus or (for =) artificial column
     scale: list[int] = []  # row i's dual is scale[i] times own[i]'s reduced cost
-    for (coeffs, _, rhs), sign, rel in zip(rows, signs, rels):
-        terms = [(j, c.numerator, c.denominator) for j, c in coeffs.items()]
-        den = lcm(rhs.denominator, *[q for _, _, q in terms])
+    for coeffs, rel, rhs, sign in rows:
+        den = lcm(rhs.denominator, *[c.denominator for c in coeffs.values()])
         row = [0] * (num_cols + 1)
-        for j, p, q in terms:
-            row[j] = sign * p * (den // q)
+        for j, c in coeffs.items():
+            row[j] = sign * c.numerator * (den // c.denominator)
         row[-1] = sign * rhs.numerator * (den // rhs.denominator)
         if rel == "=":
             own.append(art_col)
@@ -184,18 +189,21 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     tableau.append([flip * c.numerator * (den // c.denominator) for c in lp.objective]
                    + [0] * (num_cols - n + 1))
     dens.append(den)
+    # Phase 1 minimizes the sum of the artificials: their cost row minus
+    # each artificial row's nonzeros, over one common denominator.
     art_rows = [i for i in range(m) if basis[i] >= art_start]
     den = lcm(*[dens[i] for i in art_rows])
     phase1 = [0] * art_start + [den] * (num_cols - art_start) + [0]
     for i in art_rows:
-        f = den // dens[i]
-        phase1 = [a - f * b for a, b in zip(phase1, tableau[i])]
+        f, row = den // dens[i], tableau[i]
+        for j in compress(range(num_cols + 1), row):
+            phase1[j] -= f * row[j]
     tableau.append(phase1)
     dens.append(den)
 
     # The explicit row position of each basic variable, by explicit index.
     place = {explicit[j]: i for i, j in enumerate(basis)}
-    place.update((art_start + k, m + k) for k in range(boxes))
+    place.update(zip(range(art_start, art_start + boxes), range(m, m + boxes)))
 
     def complement(j: int) -> None:
         """Swap column j's variable for the other of its pair, u - l minus
@@ -222,26 +230,26 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
         # and complement keep gcd(dens[i], *row) = 1: src is already reduced.
         src = tableau[row]
         if src[col] < 0:
-            src = [-c for c in src]
-        tableau[row] = src
+            src = tableau[row] = [-c for c in src]
         p = dens[row] = src[col]
-        nonzero = [(j, c) for j, c in enumerate(src) if c]
+        nonzero = None  # src's nonzero entries, listed once a row needs them
         for i, dst in enumerate(tableau):
             f = dst[col]
-            if i == row or not f:
+            if not f or i == row:
                 continue
             if p == 1:
-                for j, c in nonzero:
-                    dst[j] -= f * c
+                if nonzero is None:
+                    nonzero = list(compress(range(len(src)), src))
+                for j in nonzero:
+                    dst[j] -= f * src[j]
             else:
-                dst = [a * p - f * b for a, b in zip(dst, src)]
+                dst = tableau[i] = [a * p - f * b for a, b in zip(dst, src)]
                 dens[i] *= p
             if dens[i] > 1:
                 g = gcd(dens[i], *dst)  # stops computing once it reaches 1
                 if g > 1:
-                    dst = [a // g for a in dst]
+                    tableau[i] = [a // g for a in dst]
                     dens[i] //= g
-            tableau[i] = dst
         basis[row] = col
 
     def optimize(limit: int) -> bool:
@@ -249,38 +257,43 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
         False if unbounded."""
         while True:
             cost = tableau[-1]
-            entering = next((j for j in by_index[:limit] if j >= 0 and cost[j] < 0), -1)
-            if entering < 0:
+            for entering in by_index[:limit]:
+                if entering >= 0 and cost[entering] < 0:
+                    break
+            else:
                 return True
-            # (ratio numerator, ratio denominator, tie index, row or -1)
-            best = None if width[entering] is None else \
-                (*width[entering], other[entering], -1)
-            for i in range(m):
-                row = tableau[i]
+            # The least ratio num / den so far, its tie index and its row
+            # (-1 for the entering column's own bound, -2 for none yet).
+            best_row = -2
+            if width[entering] is not None:
+                best_num, best_den = width[entering]
+                best_tie, best_row = other[entering], -1
+            for i, (row, b) in enumerate(zip(tableau, basis)):
                 coef = row[entering]
-                if coef > 0:
-                    num, den, tie = row[-1], coef, explicit[basis[i]]
-                elif coef and width[basis[i]] is not None:
-                    p, q = width[basis[i]]
-                    num, den, tie = p * dens[i] - q * row[-1], -coef * q, other[basis[i]]
-                else:
+                if not coef:
                     continue
-                if best is not None:
+                if coef > 0:
+                    num, den, tie = row[-1], coef, explicit[b]
+                elif width[b] is None:
+                    continue
+                else:
+                    p, q = width[b]
+                    num, den, tie = p * dens[i] - q * row[-1], -coef * q, other[b]
+                if best_row > -2:
                     # num / den against the best ratio, cross-multiplied
-                    left, right = num * best[1], best[0] * den
-                    if left > right or (left == right and tie > best[2]):
+                    left, right = num * best_den, best_num * den
+                    if left > right or (left == right and tie > best_tie):
                         continue
-                best = (num, den, tie, i)
-            if best is None:
+                best_num, best_den, best_tie, best_row = num, den, tie, i
+            if best_row == -2:
                 return False
-            place[explicit[entering]] = place.pop(best[2])
-            leaving = best[3]
-            if leaving < 0:
+            place[explicit[entering]] = place.pop(best_tie)
+            if best_row < 0:
                 complement(entering)
                 continue
-            if best[2] != explicit[basis[leaving]]:
-                complement(basis[leaving])
-            pivot(leaving, entering)
+            if best_tie != explicit[basis[best_row]]:
+                complement(basis[best_row])
+            pivot(best_row, entering)
 
     optimize(num_cols + boxes)
     dens.pop()
@@ -305,16 +318,19 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
             x[j] = rat(lp.upper[j] - value if explicit[j] != j else x[j] + value)
     for j in set(bounded).difference(basis):
         if explicit[j] != j:
-            x[j] = rat(lp.upper[j])
-    kept = {i for k, i in place.items() if k < art_start + boxes}
-    row_duals = [0] * len(lp.rows)
+            x[j] = lp.upper[j]
+    # A row, or box row, whose basic variable is no artificial reads its
+    # dual off the reduced costs; the others keep the default.
+    row_duals = [0] * m
     bound_duals: list[Optional[object]] = [None] * n
     cost, cost_den = tableau[-1], dens[-1]
-    for i in range(m):
-        if i in kept:
+    for k, i in place.items():
+        if k >= art_start + boxes:
+            continue
+        if i < m:
             row_duals[i] = ratio(cost[own[i]] * scale[i], cost_den)
-    for k, j in enumerate(bounded):
-        if m + k in kept:
+        else:
+            j = bounded[i - m]
             bound_duals[j] = ratio(-flip * cost[j], cost_den) if explicit[j] != j else 0
     objective = rat(sum(c * v for c, v in zip(lp.objective, x)))
     return SimplexResult(status="optimal", x=x, objective=objective,
@@ -363,12 +379,14 @@ def min_bicut_candidates(instance: Instance, x: list,
     The max-flows run on the int capacities L x, L the lcm of the
     denominators of x, and each value is returned divided by L.  Scaling
     leaves Edmonds-Karp's cut, the unique minimal min cut, where it was.
-    All |T| + |S| flows share one network: the digraph, a super-source
-    into S for the flows to each t in T, and a super-sink out of T for the
-    flows from each s in S.  Each super node is a dead end for the other
-    family's flows, so no value or cut changes.  The super arcs hold one
-    more than the digraph arcs' total capacity, so no min cut crosses
-    them: every flow path crosses a digraph arc, as S and T are disjoint.
+    All |T| + |S| flows share one network, compiled once per instance
+    (``Instance.separation_network``) and given this call's capacities:
+    the digraph, a super-source into S for the flows to each t in T, and
+    a super-sink out of T for the flows from each s in S.  Each super node
+    is a dead end for the other family's flows, so no value or cut
+    changes.  The super arcs hold one more than the digraph arcs' total
+    capacity, so no min cut crosses them: every flow path crosses a
+    digraph arc, as S and T are disjoint.
 
     With ``below``, each flow stops once it reaches below * L, and only
     the candidates of value less than ``below`` are returned, in the same
@@ -378,13 +396,11 @@ def min_bicut_candidates(instance: Instance, x: list,
     """
     D = instance.digraph
     L = lcm(*(v.denominator for v in x))
-    source, sink = ("source",), ("sink",)  # tuples, so no vertex id equals them
-    arcs = [(D.tail(a), D.head(a), x[a].numerator * (L // x[a].denominator))
-            for a in range(D.num_arcs())]
-    big = sum(c for _, _, c in arcs) + 1
-    arcs += [(source, s, big) for s in sorted(instance.S)]
-    arcs += [(t, sink, big) for t in sorted(instance.T)]
-    network = FlowNetwork([*D.vertices, source, sink], arcs)
+    capacities = [v.numerator * (L // v.denominator) for v in x]
+    big = sum(capacities) + 1
+    capacities += [big] * (len(instance.S) + len(instance.T))
+    network = instance.separation_network.with_capacities(capacities)
+    source, sink = network.nodes[-2:]
     limit = None if below is None else below * L
     results = []
     pairs = ([(source, t) for t in sorted(instance.T)]

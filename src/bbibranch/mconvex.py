@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .bibranching import Instance, Solution, bibranching_report, require_feasible, subgraph
+from .bibranching import (Instance, Solution, arc_weights, bibranching_report,
+                          require_feasible, subgraph)
 from .digraph import Digraph, check_capacities
 from .errors import InputError, TheoremViolation
 from .matroids import (is_b_branching, min_weight_b_branching_exact_indegrees,
@@ -26,7 +27,7 @@ class BBranchingOracle:
     def __init__(self, digraph: Digraph, b: dict[str, int], weights):
         self.digraph = digraph
         self.b = check_capacities(digraph, b)
-        self.weights = digraph.per_arc(weights, "weights")
+        self.weights = arc_weights(digraph, weights)
         self._memo_f: dict[tuple, Optional[tuple]] = {}
 
     def _key(self, x: dict[str, int]) -> tuple:

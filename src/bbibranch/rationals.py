@@ -23,7 +23,9 @@ Q = Fraction
 def rat(value):
     """An int, Fraction or 'p'/'p/q' string as an exact number: an int when
     integral (so "4/2" reads as 2), else a Fraction.  A string is ASCII
-    [+-]?[0-9]+ with an optional /[0-9]+, surrounding whitespace allowed."""
+    [+-]?[0-9]+ with an optional /[0-9]+, surrounding whitespace allowed.
+    Anything else, a float or a bool included, is ``ValueError``: a float
+    holds a binary value, not the decimal written, and a bool is no number."""
     if type(value) is int:
         return value
     if isinstance(value, str):
@@ -35,7 +37,7 @@ def rat(value):
             raise ValueError("zero denominator: %r" % value)
         return ratio(num, den)
     if not isinstance(value, Q):
-        value = Q(value)
+        raise ValueError("not a rational: %r" % (value,))
     return value.numerator if value.denominator == 1 else value
 
 

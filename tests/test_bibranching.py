@@ -17,6 +17,7 @@ from bbibranch.digraph import Digraph, FlowNetwork, max_flow_min_cut
 from bbibranch.errors import GuardError, InfeasibleInstance, InputError
 from bbibranch.mconvex import solve_mflow
 from bbibranch.packing import packing_number
+from bbibranch.rationals import rat
 
 from conftest import (all_subsets, one_arc_instance, random_instance,
                       serialize_instance)
@@ -46,6 +47,27 @@ class TestInstance:
             Instance(D, side, b, weights)
         assert Instance(D, side, b, {0: "5"}).weights == [5]
 
+    @pytest.mark.parametrize("weight", [0.1, 2.0, True, False, None, [1]])
+    def test_weight_must_be_int_fraction_or_string(self, weight):
+        # A float holds a binary value (0.1 is 3602879701896397/2^55) and a
+        # bool is no number, so both are rejected like any other type.
+        D = Digraph(["s", "t"], [("s", "t")])
+        side, b = {"s": "S", "t": "T"}, {"s": 1, "t": 1}
+        with pytest.raises(InputError,
+                           match=r"weight of arc 0 is not a rational: "):
+            Instance(D, side, b, [weight])
+        with pytest.raises(ValueError, match="not a rational"):
+            rat(weight)
+
+    @pytest.mark.parametrize("weight, value", [
+        (3, 3), (Fraction(6, 4), Fraction(3, 2)), (Fraction(4, 2), 2),
+        (" 7/2", Fraction(7, 2)), ("-0", 0)])
+    def test_weight_rule_accepts_exact_numbers(self, weight, value):
+        D = Digraph(["s", "t"], [("s", "t")])
+        side, b = {"s": "S", "t": "T"}, {"s": 1, "t": 1}
+        got = Instance(D, side, b, [weight]).weights[0]
+        assert got == value and type(got) is type(value)
+
     def test_cross_arcs(self):
         inst = two_by_two()
         assert inst.cross_arcs() == frozenset({0, 1, 4})
@@ -56,6 +78,11 @@ class TestReport:
         inst = one_arc_instance()
         report = bibranching_report(inst, {0})
         assert all(entry["ok"] for entry in report.values())
+
+    @pytest.mark.parametrize("B", [[[0]], [True], [0.0]], ids=repr)
+    def test_invalid_arc_index_is_an_input_error(self, B):
+        with pytest.raises(InputError, match="invalid arc index"):
+            bibranching_report(one_arc_instance(), B)
 
     def test_empty_set_fails_all_with_witnesses(self):
         inst = one_arc_instance()

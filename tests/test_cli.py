@@ -496,7 +496,19 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT
         assert captured.out == ""
-        assert "solution arcs must be integer indices" in captured.err
+        assert "invalid arc index" in captured.err
+
+    def test_unhashable_arc_index_rejected(self, tmp_path, capsys):
+        # An arc index is type-checked before it is hashed.
+        paths = []
+        for name, content in (("i.json", ONE_ARC), ("s.json", {"arcs": [[0]]})):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(content))
+        code = cli.main(["validate"] + [str(p) for p in paths])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == "input error: invalid arc index: [0]\n"
 
     def test_empty_solution_fails_all_four(self, tmp_path):
         out = run_cli("validate", files={"i.json": ONE_ARC,

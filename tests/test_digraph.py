@@ -37,7 +37,7 @@ class TestConstruction:
             Digraph(["a", "a"], [])
 
     @pytest.mark.parametrize("B", [[-1], [5], [0.0], [True], [False], ["0"],
-                                   [None]], ids=repr)
+                                   [None], [[0]], [0, {0: 1}]], ids=repr)
     def test_invalid_arc_indices_rejected(self, B):
         # Only an int in [0, m) is an arc index; True would read as arc 1.
         D = small_graph()
@@ -45,6 +45,12 @@ class TestConstruction:
             D.check_arcset(B)
         with pytest.raises(InputError, match="invalid arc index"):
             D.reachable_from(B, {"a"})
+
+    def test_arcset_may_be_any_iterable(self):
+        D = small_graph()
+        assert D.check_arcset(a for a in (0, 2, 0)) == frozenset({0, 2})
+        arcs = frozenset({1, 3})
+        assert D.check_arcset(arcs) is arcs
 
     def test_parallel_arcs_have_distinct_indices(self):
         D = small_graph()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bbibranch import lpsolve
 from bbibranch.bibranching import (Instance, brute_force_shortest,
                                    feasibility_witness, solve_shortest)
-from bbibranch.digraph import Digraph
+from bbibranch.digraph import Digraph, FlowNetwork, max_flow_min_cut
 from bbibranch.errors import InfeasibleInstance, InputError, TheoremViolation
 from bbibranch.lpsolve import (RationalLP, SimplexResult, dual_bound,
                                dump_lp, dual_feasible, min_bicut_candidates,
@@ -310,14 +310,21 @@ class TestSeparation:
                 sum(x[a] for a in cut.arcs) for cut in all_bicuts(inst))
 
     def test_max_flows_run_on_int_capacities(self, monkeypatch):
-        networks = []
-        original = lpsolve.FlowNetwork
+        # Capacities are supplied per call, by ``with_capacities`` on the
+        # instance's compiled network; every flow runs on such a network.
+        supplied, flown = [], []
+        original = FlowNetwork.with_capacities
 
-        def recording(nodes, arcs):
-            networks.append(original(nodes, arcs))
-            return networks[-1]
+        def recording(network, capacities):
+            supplied.append(original(network, capacities))
+            return supplied[-1]
 
-        monkeypatch.setattr(lpsolve, "FlowNetwork", recording)
+        def flow(network, *args):
+            flown.append(network)
+            return max_flow_min_cut(network, *args)
+
+        monkeypatch.setattr(FlowNetwork, "with_capacities", recording)
+        monkeypatch.setattr(lpsolve, "max_flow_min_cut", flow)
         rng = random.Random(34)
         for _ in range(5):
             inst = random_instance(rng, 2, 2, 0.6, 1, 5, max_arcs=10)
@@ -325,8 +332,9 @@ class TestSeparation:
                  for _ in range(inst.digraph.num_arcs())]
             for value, cut in min_bicut_candidates(inst, x):
                 assert value == sum(x[a] for a in cut.arcs)
+        assert flown and all(any(n is s for s in supplied) for n in flown)
         # Every residual slot, the super arcs' capacity included.
-        capacities = [c for network in networks for c in network.cap]
+        capacities = [c for network in supplied for c in network.cap]
         assert capacities
         assert all(type(c) is int for c in capacities)
 
@@ -500,9 +508,9 @@ class TestTDI:
             family = _dual_family(inst)
             for order in (family, family[::-1]):
                 vertex = simplex_solve(lpsolve._build_dual_lp(inst, order))
-                avg = {key: val / 2 for key, val in out["y"].items()}
+                avg = {key: Q(val, 2) for key, val in out["y"].items()}
                 for key, val in zip(order, vertex.x):
-                    avg[key] = avg.get(key, 0) + val / 2
+                    avg[key] = avg.get(key, 0) + Q(val, 2)
                 if all(is_integral(v) for v in avg.values()):
                     continue
                 kept += 1

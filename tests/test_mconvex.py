@@ -48,6 +48,13 @@ class TestEvalF:
                            match=r"weights must have exactly one entry per arc \(1\)"):
             BBranchingOracle(D, {"a": 1, "b": 1}, weights)
 
+    @pytest.mark.parametrize("weight", [0.1, True])
+    def test_weight_must_be_int_fraction_or_string(self, weight):
+        D = Digraph(["a", "b"], [("a", "b")])
+        with pytest.raises(InputError, match="weight of arc 0 is not a rational"):
+            BBranchingOracle(D, {"a": 1, "b": 1}, [weight])
+        assert BBranchingOracle(D, {"a": 1, "b": 1}, ["6/4"]).weights == [Fraction(3, 2)]
+
     def test_matches_brute_force(self):
         rng = random.Random(60)
         for _ in range(10):

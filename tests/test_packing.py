@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbibranch import lpsolve
+from bbibranch import bibranching, lpsolve
 from bbibranch.bibranching import (Instance, feasibility_witness,
                                    is_b_bibranching, solve_shortest, subgraph)
 from bbibranch.cli import load_instance_data
-from bbibranch.digraph import Digraph
+from bbibranch.digraph import Digraph, FlowNetwork
 from bbibranch.errors import InputError, TheoremViolation
 from bbibranch.lpsolve import integer_decomposition_check
 from bbibranch.matroids import is_b_branching
@@ -485,6 +485,43 @@ class TestFullPacking:
         cert = pack_b_bibranchings(inst)
         assert cert.k == packing_number(inst).k == 3
         assert verify_packing(inst, cert.classes)
+
+    def test_one_separation_network_per_instance(self, monkeypatch):
+        # pack separates for the packing number and in every peel round;
+        # each separation supplies its capacities to the one network
+        # compiled for the instance.
+        compiled, supplied = [], []
+        original = FlowNetwork.with_capacities
+
+        def compile_network(nodes, arcs):
+            compiled.append(FlowNetwork(nodes, arcs))
+            return compiled[-1]
+
+        def supply(network, capacities):
+            supplied.append(network)
+            return original(network, capacities)
+
+        monkeypatch.setattr(bibranching, "FlowNetwork", compile_network)
+        monkeypatch.setattr(FlowNetwork, "with_capacities", supply)
+        inst = pack_pool_instance(728)
+        assert pack_b_bibranchings(inst).k == 3
+        assert len(supplied) >= 4
+        assert len(compiled) == 1
+        assert all(network is compiled[0] for network in supplied)
+        assert "separation_network" not in vars(inst.mirror)
+
+    def test_mirror_compiles_its_own_separation_network(self):
+        # The mirror is a copy of the instance; a network compiled before
+        # the mirror is first built must not be copied into it.
+        inst = pack_pool_instance(728)
+        network = inst.separation_network
+        mirror = inst.mirror
+        assert "separation_network" not in vars(mirror)
+        for view, net in ((inst, network), (mirror, mirror.separation_network)):
+            into = [net.nodes[net.ends[slot]]
+                    for slot in net.adj[net.index[("source",)]]]
+            assert into == sorted(view.S)
+        assert sorted(mirror.S) == sorted(inst.T)
 
     def test_single_s_vertex_needs_two_cross_arcs_per_class(self):
         # S = {s0} with b(s0) = 2 and A[S] empty: every class must take two

@@ -153,9 +153,12 @@ def test_one_max_flow_routine_and_one_network_per_caller():
     # only ``max_flow_min_cut`` does so, so it is the one max-flow routine.
     # Each caller compiles its ``FlowNetwork`` once, outside any loop, and
     # runs all its flows on it, so no flow rebuilds the residual graph.
+    # Separation compiles its network once per instance, in the cached
+    # ``Instance.separation_network``, and each call of
+    # ``min_bicut_candidates`` only supplies its capacities, once.
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
-    twins, compiles = set(), []
+    twins, compiles, supplies = set(), [], []
 
     def visit(node, path, where, in_loop):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -167,14 +170,18 @@ def test_one_max_flow_routine_and_one_network_per_caller():
         if isinstance(node, ast.Call) and getattr(
                 node.func, "id", getattr(node.func, "attr", None)) == "FlowNetwork":
             compiles.append((path.name, where, in_loop))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) \
+                == "with_capacities":
+            supplies.append((path.name, where, in_loop))
         for child in ast.iter_child_nodes(node):
             visit(child, path, where, in_loop or isinstance(node, loops))
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path, None, False)
     assert twins == {("digraph.py", "max_flow_min_cut")}
-    assert sorted(compiles) == [("lpsolve.py", "min_bicut_candidates", False),
+    assert sorted(compiles) == [("bibranching.py", "separation_network", False),
                                 ("packing.py", "cut_condition_failure", False)]
+    assert supplies == [("lpsolve.py", "min_bicut_candidates", False)]
 
 
 def test_digraphs_are_built_at_three_sites():
