@@ -27,7 +27,7 @@ def arc_weights(digraph: Digraph, weights) -> list:
     for a, w in enumerate(digraph.per_arc(weights, "weights")):
         try:
             out.append(rat(w))
-        except ValueError:
+        except InputError:
             raise InputError("weight of arc %d is not a rational: %r" % (a, w)) from None
     return out
 

@@ -25,7 +25,7 @@ import sys
 from .bibranching import Instance, bibranching_report, solve_shortest
 from .digraph import Digraph
 from .errors import GuardError, InfeasibleInstance, InputError, TheoremViolation
-from .rationals import rat, rat_str
+from .rationals import rat_str
 
 # Handlers import lpsolve, packing, mconvex and matroids locally: the first
 # three take about 25-30 ms to import (python -X importtime), against about
@@ -65,13 +65,7 @@ def load_instance_data(data: dict) -> Instance:
     for i, entry in enumerate(data["arcs"]):
         if not isinstance(entry, dict):
             raise InputError("arcs[%d] must be an object" % i)
-        weight = entry.get("weight", 0)
-        if isinstance(weight, bool) or not isinstance(weight, (int, str)):
-            raise InputError("arcs[%d].weight must be an integer or 'p/q' string" % i)
-        try:
-            weights.append(rat(weight))
-        except ValueError:
-            raise InputError("arcs[%d].weight is not a rational" % i)
+        weights.append(entry.get("weight", 0))
         ends = (entry.get("tail"), entry.get("head"))
         if not all(isinstance(v, str) for v in ends):
             raise InputError("arcs[%d].tail and .head must be strings" % i)

@@ -27,8 +27,7 @@ from itertools import combinations, compress
 from math import gcd, lcm
 from typing import Optional
 
-from .bibranching import (Instance, Solution, bibranching_report,
-                          is_b_bibranching, require_feasible)
+from .bibranching import Instance, Solution, bibranching_report, require_feasible
 from .digraph import max_flow_min_cut
 from .errors import InputError, TheoremViolation
 from .rationals import is_integral, rat, rat_str, ratio
@@ -649,9 +648,15 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
     result.append(frozenset(a for a in arcs if residual[a]))
 
     if [sum(1 for cls in result if a in cls) for a in arcs] != x:
-        raise TheoremViolation("decomposition does not sum to x")
-    if not all(is_b_bibranching(instance, cls) for cls in result):
-        raise TheoremViolation("decomposition class is not a b-bibranching")
+        raise TheoremViolation("decomposition does not sum to x",
+                               payload={"x": x, "classes": result})
+    for j, cls in enumerate(result):
+        failed = {c: entry for c, entry in bibranching_report(instance, cls).items()
+                  if not entry["ok"]}
+        if failed:
+            raise TheoremViolation("decomposition class is not a b-bibranching",
+                                   payload={"x": x, "classes": result,
+                                            "class": j, "failed": failed})
     return result
 
 

@@ -23,15 +23,6 @@ class PartitionMatroid:
             if type(c) is not int or c < 0:
                 raise InputError("partition cap for %r must be a nonnegative integer" % (v,))
 
-    def independent(self, B: Iterable[int]) -> bool:
-        counts: dict[str, int] = {}
-        for a in B:
-            head = self.digraph.head(a)
-            counts[head] = counts.get(head, 0) + 1
-            if counts[head] > self.caps[head]:
-                return False
-        return True
-
     def circuits(self, I: Iterable[int], outside: Iterable[int]):
         """For each y in outside: None when I + y is independent, else the
         arcs x of I with I - x + y independent, which are the arcs of I at
@@ -71,9 +62,6 @@ class SparsityMatroid:
     def violation_witness(self, B: Iterable[int]) -> Optional[frozenset[str]]:
         """None when B is independent, else a nonempty X with |B[X]| >= b(X)."""
         return _pebble_game(self.digraph, self.b, self.digraph.check_arcset(B))[0]
-
-    def independent(self, B: Iterable[int]) -> bool:
-        return self.violation_witness(B) is None
 
     def circuits(self, I: Iterable[int], outside: Iterable[int]):
         """For each y in outside: None when I + y is independent, else the
@@ -172,9 +160,9 @@ def is_b_branching(digraph: Digraph, b: dict[str, int], B: Iterable[int]) -> boo
     """Indegree condition plus sparsity condition; b=1 gives plain branchings."""
     b = check_capacities(digraph, b)
     B = digraph.check_arcset(B)
-    if not PartitionMatroid(digraph, b).independent(B):
+    if any(digraph.in_degree(B, v) > b[v] for v in digraph.vertices):
         return False
-    return SparsityMatroid(digraph, b).independent(B)
+    return SparsityMatroid(digraph, b).violation_witness(B) is None
 
 
 def split_into_b_branchings(digraph: Digraph, b: dict[str, int],
@@ -221,7 +209,7 @@ def split_into_b_branchings(digraph: Digraph, b: dict[str, int],
             if deg[j][head] < hi[j][head]:
                 classes[j].add(a)
                 deg[j][head] += 1
-                if sparsity.independent(classes[j]):
+                if sparsity.violation_witness(classes[j]) is None:
                     found = rec(i + 1)
                     if found is not None:
                         return found

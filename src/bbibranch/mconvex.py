@@ -142,7 +142,9 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
     if sum(d1[v] for v in reaching) == sum(b[v] for v in reaching) - 1:
         candidates = sorted(v for v in reaching if v != s and d2[v] < b[v])
         if not candidates:
-            raise TheoremViolation("exchange lemma case (b) vertex t missing")
+            raise TheoremViolation("exchange lemma case (b) vertex t missing",
+                                   payload={"s": s, "reaching": reaching,
+                                            "B1": B1, "B2": B2})
         t_vertex = candidates[0]
         case = "b"
 
@@ -274,8 +276,10 @@ def solve_mflow(instance: Instance) -> Solution:
                 | frozenset(map_S[i] for i in val_S[1]))
     weight = sum(instance.weights[a] for a in support) + val_T[0] + val_S[0]
     solution = Solution(arcs_out, weight, bibranching_report(instance, arcs_out))
-    if not all(entry["ok"] for entry in solution.certificate.values()):
-        raise TheoremViolation("submodular-flow output is not a b-bibranching")
+    failed = {c: entry for c, entry in solution.certificate.items() if not entry["ok"]}
+    if failed:
+        raise TheoremViolation("submodular-flow output is not a b-bibranching",
+                               payload={"arcs": arcs_out, "failed": failed})
     return solution
 
 

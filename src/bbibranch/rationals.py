@@ -10,12 +10,15 @@ Integral data such as b, unit capacities, integer weights and every
 integral LP coefficient, bound, vertex, dual and objective stay int from
 instance load through the simplex to the dual certificate; ``rat``,
 ``rat_str`` and ``is_integral`` take an int without building a Fraction.
+A malformed number is an ``InputError``, whichever layer reads it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+from .errors import InputError
 
 Q = Fraction
 
@@ -24,20 +27,20 @@ def rat(value):
     """An int, Fraction or 'p'/'p/q' string as an exact number: an int when
     integral (so "4/2" reads as 2), else a Fraction.  A string is ASCII
     [+-]?[0-9]+ with an optional /[0-9]+, surrounding whitespace allowed.
-    Anything else, a float or a bool included, is ``ValueError``: a float
+    Anything else, a float or a bool included, is ``InputError``: a float
     holds a binary value, not the decimal written, and a bool is no number."""
     if type(value) is int:
         return value
     if isinstance(value, str):
         match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value.strip())
         if match is None:
-            raise ValueError("not a rational: %r" % value)
+            raise InputError("not a rational: %r" % value)
         num, den = map(int, match.groups(default="1"))
         if den == 0:
-            raise ValueError("zero denominator: %r" % value)
+            raise InputError("zero denominator: %r" % value)
         return ratio(num, den)
     if not isinstance(value, Q):
-        raise ValueError("not a rational: %r" % (value,))
+        raise InputError("not a rational: %r" % (value,))
     return value.numerator if value.denominator == 1 else value
 
 

@@ -14,6 +14,7 @@ import pytest
 from bbibranch import bibranching, cli, lpsolve, mconvex, packing
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data)
+from bbibranch.digraph import Digraph
 from bbibranch.errors import GuardError, InputError, TheoremViolation
 from bbibranch.rationals import rat
 
@@ -64,6 +65,12 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+# Weight strings outside the ASCII grammar [+-]?[0-9]+(/[0-9]+)?.
+OUTSIDE_GRAMMAR = [
+    "1_0", "\u0663", "\uff13/\uff14", "1/ 2", "-4/-2", "4/+2", "1/2/3",
+    "", "/2", "1/", "1.5", "0x1", "1e3", "1/0"]
+
+
 def run_cli(*argv, files=None, tmp_path=None):
     paths = []
     if files:
@@ -97,9 +104,7 @@ class TestInstanceFormat:
             (loaded,) = load_instance_data(doc).weights
             assert loaded == want and type(loaded) is type(want)
 
-    @pytest.mark.parametrize("weight", [
-        "1_0", "\u0663", "\uff13/\uff14", "1/ 2", "-4/-2", "4/+2", "1/2/3",
-        "", "/2", "1/", "1.5", "0x1", "1e3", "1/0"])
+    @pytest.mark.parametrize("weight", OUTSIDE_GRAMMAR)
     def test_weight_string_outside_grammar_rejected(self, tmp_path, capsys,
                                                      weight):
         # Only ASCII [+-]?[0-9]+ with an optional /[0-9]+ is a weight.
@@ -110,10 +115,40 @@ class TestInstanceFormat:
         assert cli.main(["solve", str(path)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "input error: arcs[0].weight is not a rational\n"
+        # Instance reads every weight; the message names the arc and value.
+        assert captured.err == \
+            "input error: weight of arc 0 is not a rational: %r\n" % weight
         with pytest.raises(ValueError, match="zero denominator"
                            if weight == "1/0" else "not a rational"):
             rat(weight)
+
+    @pytest.mark.parametrize("weight", [
+        0, 7, "4/2", "1/3", " +4/2\n", "\t007/3 ", *OUTSIDE_GRAMMAR,
+        -3, 0.5, True, None, [1], {}])
+    def test_cli_and_instance_accept_the_same_weights(self, tmp_path, capsys,
+                                                      weight):
+        # The loader hands weights to Instance unread, so both accept
+        # exactly the same values and read them to the same numbers.
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["arcs"][0]["weight"] = weight
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["solve", str(path)])
+        out = capsys.readouterr().out
+        D = Digraph(["s", "t"], [("s", "t")])
+        try:
+            direct = bibranching.Instance(D, {"s": "S", "t": "T"},
+                                          {"s": 1, "t": 1}, [weight]).weights
+        except InputError:
+            direct = None
+        assert (code == EXIT_INPUT) == (direct is None)
+        if direct is None:
+            assert out == ""
+        else:
+            assert code == EXIT_OK
+            loaded = load_instance_data(doc).weights
+            assert loaded == direct
+            assert [type(w) for w in loaded] == [type(w) for w in direct]
 
     def test_float_weight_rejected(self):
         doc = json.loads(json.dumps(ONE_ARC))
@@ -385,6 +420,14 @@ class TestSolveCommand:
         assert out.returncode == EXIT_GUARD
 
 
+def _cli_result(tmp_path, capsys, doc, *argv):
+    """Exit code and report result of ``argv[0] <doc file> argv[1:]``."""
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    return code, json.loads(capsys.readouterr().out)["result"]
+
+
 def _fake_x(monkeypatch, x, sense="min"):
     """Make the first optimal simplex result of the given sense return x."""
     original = lpsolve.simplex_solve
@@ -408,16 +451,10 @@ class TestLpValuesAsText:
     THREE_ARCS = {"vertices": ONE_ARC["vertices"],
                   "arcs": [{"tail": "s", "head": "t", "weight": 1}] * 3}
 
-    def _run(self, tmp_path, capsys, doc, *argv):
-        path = tmp_path / "i.json"
-        path.write_text(json.dumps(doc))
-        code = cli.main([argv[0], str(path), *argv[1:]])
-        return code, json.loads(capsys.readouterr().out)["result"]
-
     def test_fractional_vertex_payload(self, tmp_path, capsys, monkeypatch):
         faked = _fake_x(monkeypatch, [Fraction(1, 2), 1, 0])
-        code, result = self._run(tmp_path, capsys, self.THREE_ARCS,
-                                 "solve", "--method", "lp")
+        code, result = _cli_result(tmp_path, capsys, self.THREE_ARCS,
+                                   "solve", "--method", "lp")
         assert code == EXIT_THEOREM
         assert result["message"] == "vertex of an integral LP is fractional"
         assert result["payload"] == {"lp": lpsolve.dump_lp(faked[0]),
@@ -427,8 +464,8 @@ class TestLpValuesAsText:
         _fake_x(monkeypatch, [Fraction(1, 2), 1, 0])
         monkeypatch.setattr(lpsolve, "_violated_bicuts",
                             lambda instance, x: all_bicuts(instance))
-        code, result = self._run(tmp_path, capsys, self.THREE_ARCS,
-                                 "solve", "--method", "lp")
+        code, result = _cli_result(tmp_path, capsys, self.THREE_ARCS,
+                                   "solve", "--method", "lp")
         assert code == EXIT_THEOREM
         assert result["message"] == "separated bicut is not violated"
         assert result["payload"] == {"U": ["t"], "x": ["1/2", "1", "0"]}
@@ -436,8 +473,8 @@ class TestLpValuesAsText:
     def test_fractional_unboxed_vertex_payload(self, tmp_path, capsys,
                                                monkeypatch):
         faked = _fake_x(monkeypatch, [Fraction(1, 2), Fraction(1, 2), 0])
-        code, result = self._run(tmp_path, capsys, self.THREE_ARCS,
-                                 "check", "--what", "tdi")
+        code, result = _cli_result(tmp_path, capsys, self.THREE_ARCS,
+                                   "check", "--what", "tdi")
         assert code == EXIT_THEOREM
         assert result["message"] == \
             "unboxed cutting-plane vertex is fractional or violates a bicut"
@@ -446,9 +483,9 @@ class TestLpValuesAsText:
 
     def test_cross_free_dual_payload(self, tmp_path, capsys, monkeypatch):
         faked = _fake_x(monkeypatch, [Fraction(1, 2), 1], sense="max")
-        code, result = self._run(tmp_path, capsys,
-                                 serialize_instance(fractional_dual_instance()),
-                                 "check", "--what", "tdi")
+        code, result = _cli_result(tmp_path, capsys,
+                                   serialize_instance(fractional_dual_instance()),
+                                   "check", "--what", "tdi")
         assert code == EXIT_THEOREM
         assert result["message"] == "cross-free dual LP has no integral optimum"
         x = result["payload"]["x"]
@@ -456,7 +493,7 @@ class TestLpValuesAsText:
         assert all(isinstance(v, str) for v in x)
 
     def test_dual_bound_and_exit_five_y(self, tmp_path, capsys, monkeypatch):
-        code, result = self._run(tmp_path, capsys, ONE_ARC, "solve")
+        code, result = _cli_result(tmp_path, capsys, ONE_ARC, "solve")
         assert code == EXIT_OK
         assert result["value"] == result["certificate"]["dual_bound"] == "5"
         original = lpsolve.simplex_solve
@@ -467,12 +504,83 @@ class TestLpValuesAsText:
             return res
 
         monkeypatch.setattr(lpsolve, "simplex_solve", inflated)
-        code, result = self._run(tmp_path, capsys, ONE_ARC, "solve")
+        code, result = _cli_result(tmp_path, capsys, ONE_ARC, "solve")
         assert code == EXIT_THEOREM
         assert result["message"] == \
             "dual bound 5 does not certify the LP optimum 6"
         assert result["payload"]["x"] == [1]
         assert result["payload"]["y"] == {"v:s": "0", "v:t": "5"}
+
+
+class TestExitFivePayloads:
+    """Each forced theorem violation carries the evidence that shows it."""
+
+    @staticmethod
+    def _zero_stage_vertices(monkeypatch):
+        monkeypatch.setattr(lpsolve, "zero_one_vertex",
+                            lambda lp, result: [0] * lp.num_vars)
+
+    def test_decomposition_that_misses_x(self, monkeypatch):
+        # x = 2 chi_{s->t}: an empty first class leaves the arc in one class.
+        self._zero_stage_vertices(monkeypatch)
+        with pytest.raises(TheoremViolation,
+                           match="decomposition does not sum to x") as exc:
+            lpsolve.decompose(one_arc_instance(), 2, [2])
+        assert exc.value.payload == {
+            "x": [2], "classes": [frozenset(), frozenset({0})]}
+
+    def test_decomposition_class_that_fails(self, tmp_path, capsys,
+                                            monkeypatch):
+        # Two parallel arcs pack k = 2; an empty first class fails all four
+        # conditions at the only vertices.
+        doc = {"vertices": ONE_ARC["vertices"], "arcs": ONE_ARC["arcs"] * 2}
+        self._zero_stage_vertices(monkeypatch)
+        code, result = _cli_result(tmp_path, capsys, doc, "pack")
+        assert code == EXIT_THEOREM
+        assert result == {
+            "message": "decomposition class is not a b-bibranching",
+            "payload": {
+                "x": [1, 1], "classes": [[], [0, 1]], "class": 0,
+                "failed": {condition: {"ok": False, "witness": v}
+                           for condition, v in (
+                               ("t_reachable_from_s", "t"),
+                               ("s_reaches_t", "s"), ("t_indegree", "t"),
+                               ("s_outdegree", "s"))}}}
+
+    def test_mflow_output_that_fails(self, tmp_path, capsys, monkeypatch):
+        # The oracles keep their values but lose their witness arcs, so the
+        # output holds only the cross arc s -> t1 and misses t1 -> t2.
+        original = mconvex.BBranchingOracle.eval_g_witness
+
+        def no_arcs(self, x):
+            result = original(self, x)
+            return result if result is None else (result[0], frozenset())
+
+        monkeypatch.setattr(mconvex.BBranchingOracle, "eval_g_witness", no_arcs)
+        doc = {"vertices": [{"id": v, "side": v[0].upper(), "b": 1}
+                            for v in ("s", "t1", "t2")],
+               "arcs": [{"tail": "s", "head": "t1", "weight": 1},
+                        {"tail": "t1", "head": "t2", "weight": 1}]}
+        code, result = _cli_result(tmp_path, capsys, doc,
+                                   "solve", "--method", "mflow")
+        assert code == EXIT_THEOREM
+        assert result == {
+            "message": "submodular-flow output is not a b-bibranching",
+            "payload": {"arcs": [0], "failed": {
+                "t_reachable_from_s": {"ok": False, "witness": "t2"},
+                "t_indegree": {"ok": False, "witness": "t2"}}}}
+
+    def test_exchange_case_b_without_t(self, monkeypatch):
+        # A search that finds only s itself makes {s} look like a tight
+        # source component with no vertex t to compensate at.
+        monkeypatch.setattr(Digraph, "reachable_from",
+                            lambda self, B, X, reverse=False: frozenset(X))
+        D = Digraph(["r", "s"], [("r", "s")])
+        with pytest.raises(TheoremViolation,
+                           match=r"case \(b\) vertex t missing") as exc:
+            mconvex.exchange_b_branchings(D, {"r": 1, "s": 1}, [], [0], "s")
+        assert exc.value.payload == {"s": "s", "reaching": frozenset({"s"}),
+                                     "B1": frozenset(), "B2": frozenset({0})}
 
 
 class TestValidateCommand:

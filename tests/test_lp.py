@@ -143,6 +143,27 @@ class TestSimplex:
                 lp.set_bounds(j, 0, 1)
         assert (lp.lower, lp.upper) == ([0, 0], [None, None])
 
+    @pytest.mark.parametrize("bad, message", [
+        (0.5, "not a rational"), (1.0, "not a rational"),
+        (True, "not a rational"), (False, "not a rational"),
+        ("1/0", "zero denominator")])
+    def test_malformed_number_is_an_input_error(self, bad, message):
+        # Every number goes through rat, so an objective entry, a
+        # coefficient, a right-hand side and a bound fail alike.
+        with pytest.raises(InputError, match=message):
+            RationalLP(2, [1, bad])
+        lp = RationalLP(2, [1, 1])
+        with pytest.raises(InputError, match=message):
+            lp.add_row({0: 1, 1: bad}, "<=", 1)
+        with pytest.raises(InputError, match=message):
+            lp.add_row({0: 1}, ">=", bad)
+        with pytest.raises(InputError, match=message):
+            lp.set_bounds(1, bad, None)
+        with pytest.raises(InputError, match=message):
+            lp.set_bounds(1, 0, bad)
+        assert lp.rows == []
+        assert (lp.lower, lp.upper) == ([0, 0], [None, None])
+
 
 def _with_bound_rows(lp: RationalLP) -> RationalLP:
     """The LP with its upper bounds dropped and one trailing x_j <= u_j row

@@ -42,8 +42,15 @@ class TestPartitionMatroid:
     def test_caps_respected(self):
         D = Digraph(["a", "b"], [("a", "b"), ("a", "b")])
         m = PartitionMatroid(D, {"a": 0, "b": 1})
-        assert m.independent({0})
-        assert not m.independent({0, 1})
+        # {0} is independent, and arc 1 would put a second arc on b's cap 1.
+        assert m.circuits(frozenset(), [0, 1]) == {0: None, 1: None}
+        assert m.circuits({0}, [1]) == {1: frozenset({0})}
+        # is_b_branching reads the cap through in-degrees: with b(a) = 2 the
+        # two arcs are sparse, so only b's cap rejects them.
+        b = {"a": 2, "b": 1}
+        assert SparsityMatroid(D, b).violation_witness({0, 1}) is None
+        assert is_b_branching(D, b, {0})
+        assert not is_b_branching(D, b, {0, 1})
 
     def test_negative_cap_rejected(self):
         D = Digraph(["a"], [])
@@ -56,8 +63,8 @@ class TestSparsityMatroid:
         # b(v) - 1 arcs allowed inside {u, v} jointly, none inside a singleton.
         D = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
         m = SparsityMatroid(D, {"u": 1, "v": 1})
-        assert m.independent({0})
-        assert not m.independent({0, 1})  # |B[{u,v}]| = 2 > b - 1 = 1
+        assert m.violation_witness({0}) is None
+        # |B[{u,v}]| = 2 > b - 1 = 1
         witness = m.violation_witness({0, 1})
         assert witness == frozenset({"u", "v"})
 
@@ -70,8 +77,7 @@ class TestSparsityMatroid:
             m = SparsityMatroid(D, b)
             for B in all_subsets(D.num_arcs()):
                 witness = m.violation_witness(B)
-                ok = m.independent(B)
-                assert ok == (witness is None)
+                ok = witness is None
                 assert ok == oracle_sparsity_independent(D, b, B)
                 if not ok:
                     inside = len(D.induced_arcs(witness) & B)
@@ -99,8 +105,7 @@ class TestSparsityMatroid:
                       if arcs else st.just(frozenset()), label="B")
         m = SparsityMatroid(D, b)
         witness = m.violation_witness(B)
-        assert m.independent(B) == oracle_sparsity_independent(D, b, B)
-        assert m.independent(B) == (witness is None)
+        assert (witness is None) == oracle_sparsity_independent(D, b, B)
         if witness is not None:
             assert witness
             inside = len(D.induced_arcs(witness) & B)
@@ -241,7 +246,8 @@ class TestWeightedIntersection:
             m1 = PartitionMatroid(D, b)
             m2 = SparsityMatroid(D, b)
             commons = [B for B in all_subsets(m)
-                       if m1.independent(B) and m2.independent(B)]
+                       if _within_caps(D, b, B)
+                       and oracle_sparsity_independent(D, b, B)]
             for r in range(0, m + 1):
                 of_size = [B for B in commons if len(B) == r]
                 best = min((sum(w[a] for a in B) for B in of_size), default=None)

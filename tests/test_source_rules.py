@@ -57,7 +57,7 @@ def test_module_level_package_imports_are_pinned():
         "matroids": ["digraph"],
         "mconvex": ["bibranching", "digraph", "errors", "matroids"],
         "packing": ["bibranching", "digraph", "errors", "lpsolve", "matroids"],
-        "rationals": [],
+        "rationals": ["errors"],
     }
 
 
@@ -146,6 +146,21 @@ def test_infeasibility_sites_are_pinned():
                              ("lpsolve.py", "_cutting_plane"),
                              ("mconvex.py", "solve_mflow")},
     }
+
+
+def test_every_theorem_violation_carries_a_payload():
+    # Exit 5 reports a defect, so every site that raises TheoremViolation
+    # passes the evidence for it as ``payload=``.
+    sites, bare = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "TheoremViolation"):
+                sites += 1
+                if not any(kw.arg == "payload" for kw in node.keywords):
+                    bare.append("%s:%d" % (path.name, node.lineno))
+    assert sites > 0
+    assert bare == []
 
 
 def test_one_max_flow_routine_and_one_network_per_caller():
