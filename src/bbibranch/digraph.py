@@ -19,6 +19,9 @@ class Digraph:
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[tuple[str, str]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
+        for v in self.vertices:
+            if not isinstance(v, str):
+                raise InputError("vertex id %r is not a string" % (v,))
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         self._vindex = {v: i for i, v in enumerate(self.vertices)}

@@ -42,8 +42,11 @@ class RationalLP:
     def __init__(self, num_vars: int, objective, sense: str = "min"):
         if sense not in ("min", "max"):
             raise InputError("sense must be 'min' or 'max'")
+        if len(objective) != num_vars:
+            raise InputError("objective must have one entry per variable (%d)"
+                             % num_vars)
         self.num_vars = num_vars
-        self.objective = [rat(objective[j]) for j in range(num_vars)]
+        self.objective = [rat(c) for c in objective]
         self.sense = sense
         self.rows: list[tuple[dict[int, object], str, object]] = []
         self.lower = [0] * num_vars
@@ -52,18 +55,21 @@ class RationalLP:
     def add_row(self, coeffs: dict[int, object], rel: str, rhs) -> int:
         if rel not in ("<=", ">=", "="):
             raise InputError("relation must be one of <=, >=, =")
+        for j in coeffs:
+            self._check_variable(j, "row references")
         clean = {j: q for j, c in coeffs.items() if (q := rat(c))}
-        for j in clean:
-            if not (0 <= j < self.num_vars):
-                raise InputError("row references unknown variable %d" % j)
         self.rows.append((clean, rel, rat(rhs)))
         return len(self.rows) - 1
 
     def set_bounds(self, j: int, lower, upper) -> None:
-        if not (0 <= j < self.num_vars):
-            raise InputError("bounds on unknown variable %d" % j)
+        self._check_variable(j, "bounds on")
         self.lower[j] = rat(lower)
         self.upper[j] = None if upper is None else rat(upper)
+
+    def _check_variable(self, j, where: str) -> None:
+        # bool is an int subclass, so True would pass as column 1.
+        if type(j) is not int or not (0 <= j < self.num_vars):
+            raise InputError("%s unknown variable %r" % (where, j))
 
 
 @dataclass

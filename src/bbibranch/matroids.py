@@ -1,8 +1,8 @@
 """The two matroids behind b-branchings and weighted matroid intersection.
 
 A b-branching is a common independent set of an indegree partition matroid
-and a sparsity (count) matroid, so the optimization variants here all reduce
-to weighted matroid intersection on those two matroids.
+and a sparsity (count) matroid, so a cheapest b-branching with prescribed
+indegrees is a weighted matroid intersection of those two matroids.
 """
 
 from __future__ import annotations
@@ -158,11 +158,11 @@ def _fetch_pebble(root: str, keep: str, free: dict[str, int],
 
 def is_b_branching(digraph: Digraph, b: dict[str, int], B: Iterable[int]) -> bool:
     """Indegree condition plus sparsity condition; b=1 gives plain branchings."""
-    b = check_capacities(digraph, b)
+    sparsity = SparsityMatroid(digraph, b)
     B = digraph.check_arcset(B)
-    if any(digraph.in_degree(B, v) > b[v] for v in digraph.vertices):
+    if any(digraph.in_degree(B, v) > sparsity.b[v] for v in digraph.vertices):
         return False
-    return SparsityMatroid(digraph, b).violation_witness(B) is None
+    return sparsity.violation_witness(B) is None
 
 
 def split_into_b_branchings(digraph: Digraph, b: dict[str, int],
@@ -289,22 +289,3 @@ def _augmenting_path(m1, m2, ground, current, w):
     if not candidates:
         return None
     return set(min(candidates)[2])
-
-
-def min_weight_b_branching_exact_indegrees(digraph: Digraph, b: dict[str, int],
-                                           weights, t: dict[str, int]):
-    """Minimum-weight b-branching with d_B^-(v) = t(v) for every v, or None.
-
-    A full-rank common independent set of the partition matroid with caps t
-    and the sparsity matroid has the prescribed indegrees exactly.
-    """
-    b = check_capacities(digraph, b)
-    digraph.check_vertices(t)
-    for v in digraph.vertices:
-        tv = t.get(v, 0)
-        if type(tv) is not int or tv < 0 or tv > b[v]:
-            raise InputError("prescribed indegree t(%r) must lie in [0, b(%r)]" % (v, v))
-    m1 = PartitionMatroid(digraph, {v: t.get(v, 0) for v in digraph.vertices})
-    m2 = SparsityMatroid(digraph, b)
-    r = sum(t.get(v, 0) for v in digraph.vertices)
-    return weighted_matroid_intersection(m1, m2, weights, r)

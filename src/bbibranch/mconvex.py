@@ -2,8 +2,9 @@
 and the submodular-flow style solver for the shortest b-bibranching.
 
 f(x) is the cheapest b-branching whose indegree vector is exactly b - x;
-g(x) relaxes the equality to >= and reduces to f by clipping x at b.  Both
-are evaluated through weighted matroid intersection and memoized.  The
+g(x) relaxes the equality to >= and reduces to f by clipping x at b.  Each
+oracle holds one sparsity matroid and evaluates f by weighted matroid
+intersection against the partition matroid of t = b - x, memoized.  The
 solver reads its exchange costs from one move table per side, the values
 g(z - chi_p + chi_q) - g(z) of every unit move at the current boundary z.
 """
@@ -15,10 +16,10 @@ from typing import Callable, Iterable, Optional
 
 from .bibranching import (Instance, Solution, arc_weights, bibranching_report,
                           require_feasible, subgraph)
-from .digraph import Digraph, check_capacities
+from .digraph import Digraph
 from .errors import InputError, TheoremViolation
-from .matroids import (is_b_branching, min_weight_b_branching_exact_indegrees,
-                       split_into_b_branchings)
+from .matroids import (PartitionMatroid, SparsityMatroid, is_b_branching,
+                       split_into_b_branchings, weighted_matroid_intersection)
 
 
 class BBranchingOracle:
@@ -26,7 +27,8 @@ class BBranchingOracle:
 
     def __init__(self, digraph: Digraph, b: dict[str, int], weights):
         self.digraph = digraph
-        self.b = check_capacities(digraph, b)
+        self.sparsity = SparsityMatroid(digraph, b)
+        self.b = self.sparsity.b
         self.weights = arc_weights(digraph, weights)
         self._memo_f: dict[tuple, Optional[tuple]] = {}
 
@@ -43,8 +45,11 @@ class BBranchingOracle:
         if all(c >= 0 for c in key) and all(x.get(v, 0) <= self.b[v]
                                             for v in self.digraph.vertices):
             t = {v: self.b[v] - x.get(v, 0) for v in self.digraph.vertices}
-            B = min_weight_b_branching_exact_indegrees(self.digraph, self.b,
-                                                       self.weights, t)
+            # A full-rank common independent set of the partition matroid
+            # with caps t and the sparsity matroid has indegrees exactly t.
+            B = weighted_matroid_intersection(PartitionMatroid(self.digraph, t),
+                                              self.sparsity, self.weights,
+                                              sum(t.values()))
             if B is not None:
                 result = (sum(self.weights[a] for a in B), B)
         self._memo_f[key] = result
@@ -119,7 +124,6 @@ def exchange_b_branchings(digraph: Digraph, b: dict[str, int],
     (compensated at some vertex t), following the lemma's case split on the
     strong component of s in B1 + B2.
     """
-    b = check_capacities(digraph, b)
     digraph.check_vertices([s])
     B1 = digraph.check_arcset(B1)
     B2 = digraph.check_arcset(B2)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbibranch.bibranching import Instance
+from bbibranch.bibranching import Instance, brute_force_shortest
 from bbibranch.digraph import (Digraph, FlowNetwork, check_capacities,
                                max_flow_min_cut)
 from bbibranch.errors import InputError
 from bbibranch.rationals import Q
 
-from conftest import random_digraph
+from conftest import random_digraph, random_instance
 from paper_lemmas import strong_components
 
 
@@ -35,6 +35,27 @@ class TestConstruction:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(InputError):
             Digraph(["a", "a"], [])
+
+    def test_tuple_ids_cannot_meet_the_separation_super_nodes(self):
+        # The separation network names its super nodes ("source",) and
+        # ("sink",).  With t2 renamed to ("sink",) and every other v to
+        # (v,), the cutting plane ended in a false TheoremViolation, while
+        # brute force gives 15.
+        inst = random_instance(random.Random(221), 2, 3, 0.5, 2, 9, max_arcs=14)
+        assert brute_force_shortest(inst).weight == 15
+        D = inst.digraph
+        name = {v: ("sink",) if v == "t2" else (v,) for v in D.vertices}
+        with pytest.raises(InputError, match=r"vertex id \('s0',\) is not a string"):
+            Digraph([name[v] for v in D.vertices],
+                    [(name[u], name[w]) for u, w in D.arcs])
+
+    @pytest.mark.parametrize("ids", [["a", ("b",)], ["a", 1], ["a", ["b"]]],
+                             ids=repr)
+    def test_mixed_vertex_ids_rejected(self, ids):
+        # A tuple among string ids made sorted() raise TypeError in the LP
+        # route; an unhashable id made set() raise it here.
+        with pytest.raises(InputError, match="vertex id .* is not a string"):
+            Digraph(ids, [])
 
     @pytest.mark.parametrize("B", [[-1], [5], [0.0], [True], [False], ["0"],
                                    [None], [[0]], [0, {0: 1}]], ids=repr)

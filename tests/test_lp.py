@@ -143,6 +143,26 @@ class TestSimplex:
                 lp.set_bounds(j, 0, 1)
         assert (lp.lower, lp.upper) == ([0, 0], [None, None])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda lp: RationalLP(2, [1]), "one entry per variable"),
+        (lambda lp: RationalLP(1, [1, 2, 3]), "one entry per variable"),
+        (lambda lp: lp.add_row({99: 0}, "<=", 1), "unknown variable 99"),
+        (lambda lp: lp.add_row({True: 1}, "<=", 1), "unknown variable True"),
+        (lambda lp: lp.add_row({"a": 1}, "<=", 1), "unknown variable 'a'"),
+        (lambda lp: lp.set_bounds(True, 0, 1), "unknown variable True"),
+        (lambda lp: lp.set_bounds("a", 0, 1), "unknown variable 'a'")],
+        ids=["short objective", "long objective", "zero entry out of range",
+             "bool row index", "str row index", "bool bound index",
+             "str bound index"])
+    def test_bad_variable_index_is_an_input_error(self, build, message):
+        # Every index is checked, zero coefficients included, and the
+        # objective has one entry per variable.
+        lp = RationalLP(2, [1, 1])
+        with pytest.raises(InputError, match=message):
+            build(lp)
+        assert lp.rows == []
+        assert (lp.lower, lp.upper) == ([0, 0], [None, None])
+
     @pytest.mark.parametrize("bad, message", [
         (0.5, "not a rational"), (1.0, "not a rational"),
         (True, "not a rational"), (False, "not a rational"),

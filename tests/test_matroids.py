@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
 from bbibranch.matroids import (PartitionMatroid, SparsityMatroid,
-                                is_b_branching,
-                                min_weight_b_branching_exact_indegrees,
-                                split_into_b_branchings,
+                                is_b_branching, split_into_b_branchings,
                                 weighted_matroid_intersection)
+from bbibranch.mconvex import BBranchingOracle
 
 from conftest import (all_subsets, oracle_b_branchings, oracle_is_branching,
                       oracle_sparsity_independent, random_digraph)
@@ -161,9 +160,9 @@ class TestCircuits:
                      ("c", "d"), ("d", "b"), ("b", "d"), ("a", "d")])
         b = {"a": 1, "b": 2, "c": 1, "d": 2}
         t = {"a": 0, "b": 2, "c": 1, "d": 2}
-        got = min_weight_b_branching_exact_indegrees(
-            D, b, [3, 1, 4, 1, 5, 9, 2, 6], t)
-        assert got is not None and len(got) == 5
+        got = BBranchingOracle(D, b, [3, 1, 4, 1, 5, 9, 2, 6]).eval_f_witness(
+            {v: b[v] - t[v] for v in D.vertices})
+        assert got is not None and len(got[1]) == 5
         assert calls == []
 
 
@@ -295,6 +294,7 @@ class TestExactIndegrees:
             if D.num_arcs() > 7:
                 continue
             branchings = oracle_b_branchings(D, b)
+            oracle = BBranchingOracle(D, b, w)
             for _ in range(6):
                 t = {v: rng.randint(0, b[v]) for v in D.vertices}
                 matching = [B for B in branchings
@@ -302,20 +302,22 @@ class TestExactIndegrees:
                                    for v in D.vertices)]
                 best = min((sum(w[a] for a in B) for B in matching),
                            default=None)
-                got = min_weight_b_branching_exact_indegrees(D, b, w, t)
+                found = oracle.eval_f_witness({v: b[v] - t[v] for v in D.vertices})
                 if best is None:
-                    assert got is None
+                    assert found is None
                 else:
+                    got = found[1]
                     assert sum(w[a] for a in got) == best
                     assert all(D.in_degree(got, v) == t[v] for v in D.vertices)
 
     def test_rejects_out_of_range_target(self):
+        # t = b - x lies in [0, b] exactly when x does; outside it f is
+        # +infinity.
         D = Digraph(["a", "b"], [("a", "b")])
-        with pytest.raises(InputError):
-            min_weight_b_branching_exact_indegrees(
-                D, {"a": 1, "b": 1}, [1], {"a": 0, "b": 2})
-        # A key of t that is not a vertex is an input error, not a
+        oracle = BBranchingOracle(D, {"a": 1, "b": 1}, [1])
+        assert oracle.eval_f({"a": 1, "b": -1}) is None
+        assert oracle.eval_f({"a": 1, "b": 2}) is None
+        # A key of x that is not a vertex is an input error, not a
         # prescription that is silently dropped.
         with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
-            min_weight_b_branching_exact_indegrees(
-                D, {"a": 1, "b": 1}, [1], {"zz": 1})
+            oracle.eval_f({"zz": 1})

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbibranch import mconvex
+from bbibranch import bibranching, digraph, matroids, mconvex, packing
 from bbibranch.bibranching import (Instance, brute_force_shortest,
                                    feasibility_witness)
 from bbibranch.digraph import Digraph
@@ -310,6 +310,49 @@ class TestExchangeLemma:
             done += 1
         assert done == 30
         assert case_b_seen >= 1
+
+
+class TestCapacityChecks:
+    @pytest.mark.parametrize("b", [{"a": 1, "s": 0}, {"a": 1},
+                                   {"a": 1, "s": True}, {"a": 1, "s": "2"}],
+                             ids=["zero", "missing", "True", "'2'"])
+    def test_bad_b_fails_at_every_entry_point(self, b):
+        D = Digraph(["a", "s"], [("a", "s")])
+        for call in (lambda: exchange_b_branchings(D, b, frozenset(),
+                                                   frozenset({0}), "s"),
+                     lambda: is_b_branching(D, b, frozenset()),
+                     lambda: BBranchingOracle(D, b, [1])):
+            with pytest.raises(InputError, match=r"capacity b\('s'\)"):
+                call()
+
+    def test_b_is_checked_once_per_entry_point(self, monkeypatch):
+        # Each entry point checks b once, where it builds a SparsityMatroid;
+        # the exchange lemma builds three (two is_b_branching calls and
+        # split_into_b_branchings), and an oracle checks b only when built.
+        calls = []
+        original = digraph.check_capacities
+
+        def counting(D, b):
+            calls.append(b)
+            return original(D, b)
+
+        for module in (bibranching, digraph, matroids, mconvex, packing):
+            if vars(module).get("check_capacities") is original:
+                monkeypatch.setattr(module, "check_capacities", counting)
+        D = Digraph(["a", "s"], [("a", "s")])
+        b = {"a": 1, "s": 1}
+        counts = []
+        for call in (lambda: exchange_b_branchings(D, b, frozenset(),
+                                                   frozenset({0}), "s"),
+                     lambda: is_b_branching(D, b, frozenset({0})),
+                     lambda: BBranchingOracle(D, b, [1])):
+            calls.clear()
+            oracle = call()  # the last call builds the oracle read below
+            counts.append(len(calls))
+        calls.clear()
+        assert oracle.eval_g({"a": 1, "s": 0}) == 1
+        counts.append(len(calls))
+        assert counts == [3, 1, 1, 0]
 
 
 class TestSolveMflow:

@@ -126,6 +126,28 @@ def test_guard_sites_are_pinned():
     }
 
 
+def test_capacity_checks_are_pinned():
+    # b is checked where an instance or a sparsity matroid is built, and by
+    # the packing routine that reads b before its split builds a matroid;
+    # every other entry point gets b checked through one of these.
+    sites = set()
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where is None else "%s.%s" % (where, node.name)
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "check_capacities":
+            sites.add((path.name, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert sites == {("bibranching.py", "Instance.__init__"),
+                     ("matroids.py", "SparsityMatroid.__init__"),
+                     ("packing.py", "pack_prescribed_b_branchings")}
+
+
 def test_infeasibility_sites_are_pinned():
     # Exit 3 always carries the failing condition: only ``require_feasible``
     # builds an ``InfeasibleInstance``.  It runs up front only for ``mflow``
