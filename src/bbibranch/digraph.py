@@ -68,8 +68,12 @@ class Digraph:
         """values, a list or a dict by arc index, as a list; ``InputError``
         unless it holds exactly one entry per arc."""
         m = len(self.arcs)
-        keys = values.keys() if isinstance(values, dict) else range(len(values))
-        if set(keys) != set(range(m)):
+        if isinstance(values, dict):
+            # False == 0 and 1.0 == 1, so each key is type-checked first.
+            fits = all(type(a) is int for a in values) and values.keys() == set(range(m))
+        else:
+            fits = len(values) == m
+        if not fits:
             raise InputError("%s must have exactly one entry per arc (%d)" % (name, m))
         return [values[a] for a in range(m)]
 

@@ -580,12 +580,12 @@ def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
 # ---------------------------------------------------------------------------
 
 def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset[int]]:
-    """``decompose`` behind input checks: x, a list or a dict by arc index,
-    must hold one entry per arc, integral in [0, k], and meet every degree
-    and bicut row scaled by k, else ``InputError`` names the first failing
-    entry or row."""
-    if k < 1:
-        raise InputError("k must be at least 1")
+    """``decompose`` behind input checks: k must be an int, at least 1; x, a
+    list or a dict by arc index, must hold one entry per arc, integral in
+    [0, k], and meet every degree and bicut row scaled by k, else
+    ``InputError`` names the first failing entry or row."""
+    if type(k) is not int or k < 1:
+        raise InputError("k must be an integer at least 1")
     x = instance.digraph.per_arc(x, "x")
     for a, val in enumerate(x):
         if type(val) is not int or val < 0 or val > k:

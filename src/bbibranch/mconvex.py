@@ -33,18 +33,23 @@ class BBranchingOracle:
         self._memo_f: dict[tuple, Optional[tuple]] = {}
 
     def _key(self, x: dict[str, int]) -> tuple:
-        return tuple(x.get(v, 0) for v in self.digraph.vertices)
+        """x, an int vector over the vertices, as a tuple in vertex order;
+        ``InputError`` for a key that is no vertex or an entry not an int."""
+        self.digraph.check_vertices(x)
+        key = tuple(x.get(v, 0) for v in self.digraph.vertices)
+        for v, c in zip(self.digraph.vertices, key):
+            if type(c) is not int:
+                raise InputError("entry for vertex %r is not an integer: %r" % (v, c))
+        return key
 
     def eval_f_witness(self, x: dict[str, int]):
         """(value, witness arc set) for f(x), or None when f(x) = +infinity."""
-        self.digraph.check_vertices(x)
         key = self._key(x)
         if key in self._memo_f:
             return self._memo_f[key]
         result = None
-        if all(c >= 0 for c in key) and all(x.get(v, 0) <= self.b[v]
-                                            for v in self.digraph.vertices):
-            t = {v: self.b[v] - x.get(v, 0) for v in self.digraph.vertices}
+        if all(0 <= c <= self.b[v] for v, c in zip(self.digraph.vertices, key)):
+            t = {v: self.b[v] - c for v, c in zip(self.digraph.vertices, key)}
             # A full-rank common independent set of the partition matroid
             # with caps t and the sparsity matroid has indegrees exactly t.
             B = weighted_matroid_intersection(PartitionMatroid(self.digraph, t),
@@ -62,11 +67,11 @@ class BBranchingOracle:
 
     def eval_g_witness(self, x: dict[str, int]):
         """g(x) via the clipping identity g(x) = f(x wedge b)."""
-        self.digraph.check_vertices(x)
-        if any(x.get(v, 0) < 0 for v in self.digraph.vertices):
+        key = self._key(x)
+        if any(c < 0 for c in key):
             return None
-        clipped = {v: min(x.get(v, 0), self.b[v]) for v in self.digraph.vertices}
-        return self.eval_f_witness(clipped)
+        return self.eval_f_witness({v: min(c, self.b[v])
+                                    for v, c in zip(self.digraph.vertices, key)})
 
     def eval_g(self, x: dict[str, int]):
         result = self.eval_g_witness(x)

@@ -38,7 +38,8 @@ class TestInstance:
         with pytest.raises(InputError):
             Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1}, [-1])
 
-    @pytest.mark.parametrize("weights", [[], [5, 7], {0: 5, 3: 1}, {1: 5}])
+    @pytest.mark.parametrize("weights", [[], [5, 7], {0: 5, 3: 1}, {1: 5},
+                                         {False: 5}, {0.0: 5}])
     def test_weights_need_one_entry_per_arc(self, weights):
         D = Digraph(["s", "t"], [("s", "t")])
         side, b = {"s": "S", "t": "T"}, {"s": 1, "t": 1}

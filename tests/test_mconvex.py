@@ -40,8 +40,14 @@ class TestEvalF:
         for evaluate in (oracle.eval_f, oracle.eval_g):
             with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
                 evaluate({"a": 1, "b": 1, "zz": -4})
+            # A point is an int vector: a float, a bool or a string is none.
+            for x in ({"a": 2.5, "b": 0}, {"a": True, "b": 0}, {"a": 0.5, "b": 0},
+                      {"a": "1"}, {"a": None}):
+                with pytest.raises(InputError,
+                                   match="entry for vertex 'a' is not an integer"):
+                    evaluate(x)
 
-    @pytest.mark.parametrize("weights", [[], [1, 2], {0: 1, 3: 1}])
+    @pytest.mark.parametrize("weights", [[], [1, 2], {0: 1, 3: 1}, {False: 5}, {0.0: 5}])
     def test_weights_need_one_entry_per_arc(self, weights):
         D = Digraph(["a", "b"], [("a", "b")])
         with pytest.raises(InputError,

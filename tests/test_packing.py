@@ -613,12 +613,17 @@ class TestIntegerDecomposition:
         with pytest.raises(InputError, match="x\\(0\\)"):
             integer_decomposition_check(inst, 1, [2, 1])
         # One entry per arc, as a list or a dict by arc index.
-        for x in ([1], [1, 1, 1], {0: 1, 1: 1, 7: 3}):
+        for x in ([1], [1, 1, 1], {0: 1, 1: 1, 7: 3}, {0: 1, True: 1}):
             with pytest.raises(InputError, match=re.escape(
                     "x must have exactly one entry per arc (2)")):
                 integer_decomposition_check(inst, 1, x)
         assert integer_decomposition_check(inst, 1, {1: 1, 0: 1}) == [
             frozenset({0, 1})]
+
+    @pytest.mark.parametrize("k", [1.0, 2.0, 1.5, "2", True])
+    def test_k_must_be_a_positive_int(self, k):
+        with pytest.raises(InputError, match="k must be an integer at least 1"):
+            integer_decomposition_check(doubled_instance(), k, [1, 1])
 
     def test_precondition_failure_names_row(self):
         inst = one_arc_instance()

@@ -1,23 +1,100 @@
-"""Rules the package source keeps."""
+"""Rules the package source keeps.
+
+Each ``src/bbibranch`` module is parsed once into ``TREES`` and walked by
+``_nodes``.  A rule that looks for nodes is a row of ``QUERIES``: to add one,
+add a row, pin its sites in a test and plant one match of it in ``PLANTED``.
+"""
 
 import ast
 import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bbibranch"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(SRC.glob("*.py"))}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _nodes(trees=TREES):
+    """Yield (file, owner, node, in_loop) for each node of trees: the owner is
+    the dotted name of the innermost function or class holding the node (a
+    definition holds itself) or None, in_loop whether a loop in that owner does."""
+    def walk(node, file, owner, in_loop):
+        if isinstance(node, DEFS):
+            owner = node.name if owner is None else "%s.%s" % (owner, node.name)
+            in_loop = False
+        yield file, owner, node, in_loop
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, file, owner, in_loop or isinstance(node, LOOPS))
+
+    for file, tree in trees.items():
+        yield from walk(tree, file, None, False)
+
+
+def _called(node):
+    """The name that a Call calls: ``f`` for ``f(...)`` and ``x.f(...)``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def _where(match):
+    """The row that records (file, owner) of each node that match accepts."""
+    return lambda file, owner, node, in_loop: match(node) and (file, owner)
+
+
+def _calls(*names):
+    return _where(lambda node: _called(node) in names)
+
+
+# Each row maps a (file, owner, node, in_loop) of the walk to the site that
+# it records, or to a false value when the node is not one.
+QUERIES = {
+    "assert": _where(lambda node: isinstance(node, ast.Assert)),
+    "local import": lambda file, owner, node, in_loop:
+        isinstance(node, (ast.Import, ast.ImportFrom)) and owner and (file, owner),
+    "private import": _where(lambda node: isinstance(node, ast.ImportFrom) and (
+        node.level or (node.module or "").startswith("bbibranch")) and any(
+        alias.name.startswith("_") for alias in node.names)),
+    "fractions import": _where(lambda node: node.module == "fractions"
+                               if isinstance(node, ast.ImportFrom) else
+                               isinstance(node, ast.Import) and any(
+                                   alias.name == "fractions" for alias in node.names)),
+    # Q and Fraction keep their names wherever they are imported.
+    "Fraction alias": _where(lambda node: isinstance(node, ast.ImportFrom) and any(
+        alias.name in ("Q", "Fraction") and alias.asname for alias in node.names)),
+    "Fraction": _calls("Q", "Fraction"),
+    "guard": _where(lambda node: isinstance(node, ast.Raise)
+                    and _called(node.exc) == "GuardError"),
+    "capacity": _calls("check_capacities"),
+    "InfeasibleInstance": _calls("InfeasibleInstance"),
+    "require_feasible": _calls("require_feasible"),
+    "TheoremViolation": lambda file, owner, node, in_loop:
+        _called(node) == "TheoremViolation"
+        and (file, owner, "line %d" % node.lineno,
+             any(kw.arg == "payload" for kw in node.keywords)),
+    # cap[slot ^ 1]: the reverse residual slot of ``slot``.
+    "twin slot": _where(lambda node: isinstance(node, ast.Subscript)
+                        and isinstance(node.slice, ast.BinOp)
+                        and isinstance(node.slice.op, ast.BitXor)
+                        and getattr(node.slice.right, "value", None) == 1),
+    "FlowNetwork": lambda file, owner, node, in_loop:
+        _called(node) == "FlowNetwork" and (file, owner, in_loop),
+    "with_capacities": lambda file, owner, node, in_loop:
+        _called(node) == "with_capacities" and (file, owner, in_loop),
+    "Digraph": _calls("Digraph"),
+}
+
+
+def _sites(query, trees=TREES):
+    """The sites that the row ``query`` records, one per node, in walk order."""
+    return [site for row in _nodes(trees) if (site := QUERIES[query](*row))]
 
 
 def test_no_assert_statements():
     # ``python -O`` strips asserts, and a failing one ends in a traceback
     # rather than the exit-5 report: theorem checks raise TheoremViolation.
-    found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
-    ]
-    assert len(list(SRC.glob("*.py"))) > 1
-    assert found == []
+    assert len(TREES) > 1 and _sites("assert") == []
 
 
 def test_function_local_imports_are_pinned():
@@ -25,14 +102,8 @@ def test_function_local_imports_are_pinned():
     # ``lp`` and ``auto``, mconvex for ``mflow``; both import ``Instance``
     # from bibranching.  The cli handlers import lpsolve, packing, mconvex
     # and matroids locally.  So a command loads only the modules it runs.
-    # No other function imports locally.
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found |= {(path.name, func.name) for node in ast.walk(func)
-                          if isinstance(node, (ast.Import, ast.ImportFrom))}
-    assert found == {("bibranching.py", "solve_shortest")} | {
+    # No other function or class imports locally.
+    assert set(_sites("local import")) == {("bibranching.py", "solve_shortest")} | {
         ("cli.py", name) for name in (
             "cmd_packing_number", "cmd_pack", "_check_tdi", "_check_mconvex",
             "_random_b_branching", "_check_exchange", "_check_idp")}
@@ -42,11 +113,10 @@ def test_module_level_package_imports_are_pinned():
     # The package's import graph at module level.  bibranching, which every
     # command loads, imports neither lpsolve, mconvex nor matroids, so a
     # command loads those only where it runs them.
-    found = {}
-    for path in sorted(SRC.glob("*.py")):
-        found[path.stem] = sorted(
-            node.module for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, ast.ImportFrom) and node.level == 1)
+    found = {file.removesuffix(".py"): sorted(
+        node.module for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1)
+        for file, tree in TREES.items()}
     assert found == {
         "__init__": ["bibranching", "digraph", "errors"],
         "bibranching": ["digraph", "errors", "rationals"],
@@ -64,60 +134,22 @@ def test_module_level_package_imports_are_pinned():
 def test_no_private_cross_module_imports():
     # A module's _-prefixed names are its own: no module imports one from
     # another module of the package.
-    found = [
-        "%s:%d %s" % (path.name, node.lineno, alias.name)
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom)
-        and (node.level or (node.module or "").startswith("bbibranch"))
-        for alias in node.names if alias.name.startswith("_")
-    ]
-    assert found == []
+    assert _sites("private import") == []
 
 
 def test_fractions_are_built_in_rationals():
     # Numbers are int when integral and Fraction otherwise.  Only
     # ``rationals`` imports Fraction or calls it or its alias Q, so no other
     # code wraps an integral value in a Fraction.
-    imports, calls = set(), set()
-
-    def visit(node, path, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Import):
-            imports.update(path.name for alias in node.names
-                           if alias.name == "fractions")
-        if isinstance(node, ast.ImportFrom):
-            if node.module == "fractions":
-                imports.add(path.name)
-            # Q and Fraction keep their names wherever they are imported.
-            assert all(alias.asname is None for alias in node.names
-                       if alias.name in ("Q", "Fraction"))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in ("Q", "Fraction"):
-            calls.add((path.name, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, where)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
-    assert imports == {"rationals.py"}
-    assert {call for call in calls if call[0] != "rationals.py"} == set()
+    assert {file for file, _ in _sites("fractions import")} == {"rationals.py"}
+    assert _sites("Fraction alias") == []
+    assert {site for site in _sites("Fraction") if site[0] != "rationals.py"} == set()
 
 
 def test_guard_sites_are_pinned():
     # Every size guard and sampling refusal (exit 4) is listed here, so
     # adding or removing one shows up as a change to this test.
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found |= {(path.name, func.name) for node in ast.walk(func)
-                          if isinstance(node, ast.Raise)
-                          and isinstance(node.exc, ast.Call)
-                          and isinstance(node.exc.func, ast.Name)
-                          and node.exc.func.id == "GuardError"}
-    assert found == {
+    assert set(_sites("guard")) == {
         ("bibranching.py", "brute_force_shortest"),
         ("packing.py", "cut_family"),
         ("packing.py", "_exhaustive_partition"),
@@ -130,22 +162,10 @@ def test_capacity_checks_are_pinned():
     # b is checked where an instance or a sparsity matroid is built, and by
     # the packing routine that reads b before its split builds a matroid;
     # every other entry point gets b checked through one of these.
-    sites = set()
-
-    def visit(node, path, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = node.name if where is None else "%s.%s" % (where, node.name)
-        if isinstance(node, ast.Call) and getattr(
-                node.func, "id", getattr(node.func, "attr", None)) == "check_capacities":
-            sites.add((path.name, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, where)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
-    assert sites == {("bibranching.py", "Instance.__init__"),
-                     ("matroids.py", "SparsityMatroid.__init__"),
-                     ("packing.py", "pack_prescribed_b_branchings")}
+    assert set(_sites("capacity")) == {
+        ("bibranching.py", "Instance.__init__"),
+        ("matroids.py", "SparsityMatroid.__init__"),
+        ("packing.py", "pack_prescribed_b_branchings")}
 
 
 def test_infeasibility_sites_are_pinned():
@@ -153,36 +173,18 @@ def test_infeasibility_sites_are_pinned():
     # builds an ``InfeasibleInstance``.  It runs up front only for ``mflow``
     # and brute force, and in the LP route once the cutting-plane LP is not
     # optimal.
-    sites = {"InfeasibleInstance": set(), "require_feasible": set()}
-    for path in sorted(SRC.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(func):
-                    if isinstance(node, ast.Call):
-                        name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                        if name in sites:
-                            sites[name].add((path.name, func.name))
-    assert sites == {
-        "InfeasibleInstance": {("bibranching.py", "require_feasible")},
-        "require_feasible": {("bibranching.py", "solve_shortest"),
-                             ("lpsolve.py", "_cutting_plane"),
-                             ("mconvex.py", "solve_mflow")},
-    }
+    assert set(_sites("InfeasibleInstance")) == {("bibranching.py", "require_feasible")}
+    assert set(_sites("require_feasible")) == {("bibranching.py", "solve_shortest"),
+                                               ("lpsolve.py", "_cutting_plane"),
+                                               ("mconvex.py", "solve_mflow")}
 
 
 def test_every_theorem_violation_carries_a_payload():
     # Exit 5 reports a defect, so every site that raises TheoremViolation
     # passes the evidence for it as ``payload=``.
-    sites, bare = 0, []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "TheoremViolation"):
-                sites += 1
-                if not any(kw.arg == "payload" for kw in node.keywords):
-                    bare.append("%s:%d" % (path.name, node.lineno))
-    assert sites > 0
-    assert bare == []
+    sites = _sites("TheoremViolation")
+    assert sites
+    assert [site for site in sites if not site[-1]] == []
 
 
 def test_one_max_flow_routine_and_one_network_per_caller():
@@ -193,62 +195,71 @@ def test_one_max_flow_routine_and_one_network_per_caller():
     # Separation compiles its network once per instance, in the cached
     # ``Instance.separation_network``, and each call of
     # ``min_bicut_candidates`` only supplies its capacities, once.
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-             ast.GeneratorExp)
-    twins, compiles, supplies = set(), [], []
-
-    def visit(node, path, where, in_loop):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where, in_loop = node.name, False
-        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.BinOp) \
-                and isinstance(node.slice.op, ast.BitXor) \
-                and getattr(node.slice.right, "value", None) == 1:
-            twins.add((path.name, where))
-        if isinstance(node, ast.Call) and getattr(
-                node.func, "id", getattr(node.func, "attr", None)) == "FlowNetwork":
-            compiles.append((path.name, where, in_loop))
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) \
-                == "with_capacities":
-            supplies.append((path.name, where, in_loop))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, where, in_loop or isinstance(node, loops))
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, None, False)
-    assert twins == {("digraph.py", "max_flow_min_cut")}
-    assert sorted(compiles) == [("bibranching.py", "separation_network", False),
-                                ("packing.py", "cut_condition_failure", False)]
-    assert supplies == [("lpsolve.py", "min_bicut_candidates", False)]
+    assert set(_sites("twin slot")) == {("digraph.py", "max_flow_min_cut")}
+    assert _sites("FlowNetwork") == [
+        ("bibranching.py", "Instance.separation_network", False),
+        ("packing.py", "cut_condition_failure", False)]
+    assert _sites("with_capacities") == [("lpsolve.py", "min_bicut_candidates", False)]
 
 
 def test_digraphs_are_built_at_three_sites():
     # Arc subsets are frozensets over one digraph, so only loading an
     # instance, its mirror and an induced subgraph build a ``Digraph``.
-    sites = set()
+    assert set(_sites("Digraph")) == {("cli.py", "load_instance_data"),
+                                      ("bibranching.py", "Instance.mirror"),
+                                      ("bibranching.py", "subgraph")}
 
-    def visit(node, path, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            where = node.name if where is None else "%s.%s" % (where, node.name)
-        if isinstance(node, ast.Call) and getattr(
-                node.func, "id", getattr(node.func, "attr", None)) == "Digraph":
-            sites.add((path.name, where))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, where)
 
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
-    assert sites == {("cli.py", "load_instance_data"),
-                     ("bibranching.py", "Instance.mirror"),
-                     ("bibranching.py", "subgraph")}
+# A module with matches of every row of QUERIES: in a function, in a loop, in
+# a function defined in that loop, and at module level.
+PLANTED = """\
+from .rationals import _private, Q as quotient
+from fractions import Fraction
+
+
+class Net:
+    def flow(self, arcs, slot):
+        assert arcs
+        import fractions
+        if not arcs:
+            raise errors.GuardError("too many")
+        check_capacities(self.b)
+        require_feasible(self)
+        raise InfeasibleInstance("no")
+        raise TheoremViolation("no evidence")
+        self.cap[slot ^ 1] += 1
+        for arc in arcs:
+            FlowNetwork(arcs, arc)
+
+            def supply(network):
+                network.with_capacities(arc)
+        return Digraph([], []), Fraction(1, 2)
+"""
+
+
+def test_every_query_finds_its_planted_site():
+    # A rule that asserts no site passes on a walk that yields nothing, so
+    # each row must find the one match planted for it, where it is.
+    found = {query: _sites(query, {"planted.py": ast.parse(PLANTED)})
+             for query in QUERIES}
+    at_flow = [("planted.py", "Net.flow")]
+    assert found == dict.fromkeys(QUERIES, at_flow) | {
+        "private import": [("planted.py", None)],
+        "fractions import": [("planted.py", None), ("planted.py", "Net.flow")],
+        "Fraction alias": [("planted.py", None)],
+        "TheoremViolation": [("planted.py", "Net.flow", "line 14", False)],
+        "FlowNetwork": [("planted.py", "Net.flow", True)],
+        "with_capacities": [("planted.py", "Net.flow.supply", False)],
+    }
 
 
 def test_exceptions_are_defined_in_errors():
     # Every exception class of the package is defined in ``errors``, next
     # to the others whose CLI exit codes are fixed: no module has its own.
     found = set()
-    for path in sorted(SRC.glob("*.py")):
-        module = importlib.import_module("bbibranch." + path.stem)
-        found |= {(path.name, name) for name, obj in vars(module).items()
+    for file in TREES:
+        module = importlib.import_module("bbibranch." + file.removesuffix(".py"))
+        found |= {(file, name) for name, obj in vars(module).items()
                   if isinstance(obj, type) and issubclass(obj, Exception)
                   and obj.__module__ == module.__name__}
     assert ("errors.py", "InputError") in found
@@ -277,14 +288,11 @@ def test_every_definition_has_a_caller():
         elif isinstance(node, ast.Attribute):
             named.add((node.attr, owners))
         for child in ast.iter_child_nodes(node):
-            visit(child, owners + (child,) if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                else owners)
+            visit(child, owners + (child,) if isinstance(child, DEFS) else owners)
 
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for tree in TREES.values():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, DEFS):
                 defined[node.name] = node
             if isinstance(node, ast.ClassDef):
                 defined.update(
