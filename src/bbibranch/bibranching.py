@@ -39,6 +39,7 @@ class Instance:
     def __init__(self, digraph: Digraph, side: dict[str, str],
                  b: dict[str, int], weights):
         self.digraph = digraph
+        digraph.check_vertices(side)
         for v in digraph.vertices:
             if side.get(v) not in ("S", "T"):
                 raise InputError("vertex %r must be assigned side 'S' or 'T'" % (v,))

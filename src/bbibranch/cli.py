@@ -36,6 +36,8 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 EXIT_THEOREM = 5
+EXIT_CODES = {"ok": EXIT_OK, "infeasible": EXIT_INFEASIBLE,
+              "theorem_violation": EXIT_THEOREM, "failed": EXIT_THEOREM}
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +91,9 @@ def load_instance_file(path: str) -> tuple[Instance, str]:
     return instance, digest
 
 
-def _load(args) -> tuple[Instance, str]:
-    """Load args.instance and keep its hash on args for failure reports."""
-    instance, digest = load_instance_file(args.instance)
-    args._instance_hash = digest
-    return instance, digest
-
-
-def emit_report(args, payload: dict, instance_hash: str, status: str = "ok") -> None:
+def emit_report(argv: list, instance_hash: str, status: str, payload: dict) -> None:
     report = {
-        "command": [args.command] + getattr(args, "_echo", []),
+        "command": argv,
         "instance_hash": instance_hash,
         "status": status,
         "result": payload,
@@ -108,11 +103,10 @@ def emit_report(args, payload: dict, instance_hash: str, status: str = "ok") -> 
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the loaded instance and returns its payload
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    instance, digest = _load(args)
+def cmd_validate(args, instance: Instance) -> dict:
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
             sol = json.load(fh)
@@ -121,25 +115,20 @@ def cmd_validate(args) -> int:
     if not isinstance(sol, dict) or not isinstance(sol.get("arcs"), list):
         raise InputError("solution file must contain an 'arcs' list")
     report = bibranching_report(instance, sol["arcs"])
-    ok = all(entry["ok"] for entry in report.values())
-    emit_report(args, {"conditions": report, "valid": ok}, digest)
-    return EXIT_OK
+    return {"conditions": report, "valid": all(e["ok"] for e in report.values())}
 
 
-def cmd_solve(args) -> int:
-    instance, digest = _load(args)
+def cmd_solve(args, instance: Instance) -> dict:
     solution = solve_shortest(instance, method=args.method)
     # The LP route's dual bound is text, like the value, also when integral.
     certificate = {key: rat_str(val) if key == "dual_bound" else val
                    for key, val in solution.certificate.items()}
-    payload = {
+    return {
         "arcs": sorted(solution.arcs),
         "value": rat_str(solution.weight),
         "method": args.method,
         "certificate": _jsonable(certificate),
     }
-    emit_report(args, payload, digest)
-    return EXIT_OK
 
 
 def _witness_payload(witness) -> dict:
@@ -151,27 +140,22 @@ def _witness_payload(witness) -> dict:
     }
 
 
-def cmd_packing_number(args) -> int:
+def cmd_packing_number(args, instance: Instance) -> dict:
     from .packing import packing_number
 
-    instance, digest = _load(args)
     witness = packing_number(instance)
-    emit_report(args, {"k": witness.k, **_witness_payload(witness)}, digest)
-    return EXIT_OK
+    return {"k": witness.k, **_witness_payload(witness)}
 
 
-def cmd_pack(args) -> int:
+def cmd_pack(args, instance: Instance) -> dict:
     from .packing import pack_b_bibranchings
 
-    instance, digest = _load(args)
     cert = pack_b_bibranchings(instance)
-    payload = {
+    return {
         "k": cert.k,
         "witness": _witness_payload(cert.witness),
         "classes": [sorted(c) for c in cert.classes],
     }
-    emit_report(args, payload, digest)
-    return EXIT_OK
 
 
 def _check_tdi(instance, rng, trials):
@@ -282,17 +266,14 @@ def _check_idp(instance, rng, trials):
     return True, {"k": k, "classes": [sorted(c) for c in classes]}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, instance: Instance) -> dict:
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
-    instance, digest = _load(args)
     rng = random.Random(args.seed)
     checkers = {"tdi": _check_tdi, "mconvex": _check_mconvex,
                 "exchange": _check_exchange, "idp": _check_idp}
     passed, detail = checkers[args.what](instance, rng, args.trials)
-    emit_report(args, {"check": args.what, "passed": passed, "detail": detail},
-                digest, status="ok" if passed else "failed")
-    return EXIT_OK if passed else EXIT_THEOREM
+    return {"check": args.what, "passed": passed, "detail": detail}
 
 
 def cmd_gen(args) -> int:
@@ -384,36 +365,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc-density", type=float, default=0.5)
     p.add_argument("--bmax", type=int, default=1)
     p.add_argument("--wmax", type=int, default=9)
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse argv; load the instance, run the command and write its report,
+    each once; status ``failed`` is a check that does not pass."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
-    args._echo = argv[1:]
     try:
-        return args.func(args)
+        if args.command == "gen":
+            return cmd_gen(args)
+        instance, digest = load_instance_file(args.instance)
+        payload = args.func(args, instance)
+        status = "ok" if payload.get("passed", True) else "failed"
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleInstance as exc:
-        emit_report(args, {"message": str(exc), "witness": _jsonable(exc.witness)},
-                    getattr(args, "_instance_hash", None), status="infeasible")
-        return EXIT_INFEASIBLE
     except GuardError as exc:
         print("guard exceeded: %s" % exc, file=sys.stderr)
         return EXIT_GUARD
+    except InfeasibleInstance as exc:
+        status = "infeasible"
+        payload = {"message": str(exc), "witness": _jsonable(exc.witness)}
     except TheoremViolation as exc:
         print("theorem violation: %s" % exc, file=sys.stderr)
-        emit_report(args, {"message": str(exc), "payload": _jsonable(exc.payload)},
-                    getattr(args, "_instance_hash", None),
-                    status="theorem_violation")
-        return EXIT_THEOREM
+        status = "theorem_violation"
+        payload = {"message": str(exc), "payload": _jsonable(exc.payload)}
+    emit_report(argv, digest, status, payload)
+    return EXIT_CODES[status]
 
 
 if __name__ == "__main__":

@@ -77,6 +77,17 @@ class Digraph:
             raise InputError("%s must have exactly one entry per arc (%d)" % (name, m))
         return [values[a] for a in range(m)]
 
+    def per_vertex(self, values: dict, message: str, low=None, default=None) -> dict:
+        """values, a dict by vertex id, as a dict in vertex order with default
+        for a missing vertex; ``InputError`` for a key that is no vertex and
+        ``InputError(message % v)`` for an entry not an int or below low."""
+        self.check_vertices(values)
+        out = {v: values.get(v, default) for v in self.vertices}
+        for v, val in out.items():
+            if type(val) is not int or (low is not None and val < low):
+                raise InputError(message % (v,))
+        return out
+
     def in_arcs(self, v: str) -> tuple[int, ...]:
         return self._in_arcs[v]
 
@@ -150,13 +161,7 @@ class Digraph:
 
 def check_capacities(digraph: Digraph, b: dict[str, int]) -> dict[str, int]:
     """Validate a positive integer capacity vector over all vertices."""
-    out = {}
-    for v in digraph.vertices:
-        val = b.get(v)
-        if type(val) is not int or val < 1:
-            raise InputError("capacity b(%r) must be a positive integer" % (v,))
-        out[v] = val
-    return out
+    return digraph.per_vertex(b, "capacity b(%r) must be a positive integer", low=1)
 
 
 class FlowNetwork:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .digraph import Digraph, InputError, check_capacities
+from .digraph import Digraph, check_capacities
+from .errors import InputError
 
 
 class PartitionMatroid:
@@ -17,11 +18,8 @@ class PartitionMatroid:
 
     def __init__(self, digraph: Digraph, caps: dict[str, int]):
         self.digraph = digraph
-        self.caps = dict(caps)
-        for v in digraph.vertices:
-            c = self.caps.get(v)
-            if type(c) is not int or c < 0:
-                raise InputError("partition cap for %r must be a nonnegative integer" % (v,))
+        self.caps = digraph.per_vertex(
+            caps, "partition cap for %r must be a nonnegative integer", low=0)
 
     def circuits(self, I: Iterable[int], outside: Iterable[int]):
         """For each y in outside: None when I + y is independent, else the
@@ -173,20 +171,21 @@ def split_into_b_branchings(digraph: Digraph, b: dict[str, int],
     """Assign arcs to k = len(upper) classes, each with shared a b-branching.
 
     Class j (shared included) must have indegree in [lower[j][v],
-    upper[j][v]] at every v; missing entries read 0.  shared must be a
-    b-branching and is not tested.  Depth-first search over the arcs in
-    index order, each tried in classes 0..k-1 and then, with leave_unused,
-    in no class; so the first valid labelling in that order is returned, as
-    a list of k frozensets, or None.  A class takes an arc only below its
-    upper bound and while it stays independent in the sparsity matroid; a
-    node is cut off once some vertex lacks the unplaced in-arcs that the
-    lower bounds still need.
+    upper[j][v]] at every v; missing entries read 0 (``per_vertex``).
+    shared must be a b-branching and is not tested.  Depth-first search over
+    the arcs in index order, each tried in classes 0..k-1 and then, with
+    leave_unused, in no class; so the first valid labelling in that order is
+    returned, as a list of k frozensets, or None.  A class takes an arc only
+    below its upper bound and while it stays independent in the sparsity
+    matroid; a node is cut off once some vertex lacks the unplaced in-arcs
+    that the lower bounds still need.
     """
     sparsity = SparsityMatroid(digraph, b)
     vertices = digraph.vertices
     k = len(upper)
-    lo = [{v: row.get(v, 0) for v in vertices} for row in lower]
-    hi = [{v: row.get(v, 0) for v in vertices} for row in upper]
+    bound = "split bound for %r must be an integer"
+    lo = [digraph.per_vertex(row, bound, default=0) for row in lower]
+    hi = [digraph.per_vertex(row, bound, default=0) for row in upper]
     order = sorted(arcs)
     classes = [set(shared) for _ in range(k)]
     deg = [{v: digraph.in_degree(shared, v) for v in vertices} for _ in range(k)]
@@ -231,8 +230,8 @@ def weighted_matroid_intersection(m1, m2, weights, r: int):
     circuits(I, outside), from which each exchange graph is built; the
     ground set is the digraph's arc index range.
     """
-    if r < 0:
-        raise InputError("target size must be nonnegative")
+    if type(r) is not int or r < 0:
+        raise InputError("target size must be a nonnegative integer")
     ground = sorted(m1.digraph.all_arcs)
     w = {a: weights[a] for a in ground}
 

@@ -34,13 +34,9 @@ class BBranchingOracle:
 
     def _key(self, x: dict[str, int]) -> tuple:
         """x, an int vector over the vertices, as a tuple in vertex order;
-        ``InputError`` for a key that is no vertex or an entry not an int."""
-        self.digraph.check_vertices(x)
-        key = tuple(x.get(v, 0) for v in self.digraph.vertices)
-        for v, c in zip(self.digraph.vertices, key):
-            if type(c) is not int:
-                raise InputError("entry for vertex %r is not an integer: %r" % (v, c))
-        return key
+        a missing vertex reads 0 (``Digraph.per_vertex``)."""
+        return tuple(self.digraph.per_vertex(
+            x, "entry for vertex %r is not an integer", default=0).values())
 
     def eval_f_witness(self, x: dict[str, int]):
         """(value, witness arc set) for f(x), or None when f(x) = +infinity."""

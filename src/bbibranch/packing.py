@@ -97,8 +97,8 @@ def cut_family(view: Instance, k: int,
     if len(verts) > FAMILY_SIDE_LIMIT:
         raise GuardError("cut family side limited to %d vertices"
                          % FAMILY_SIDE_LIMIT)
-    if k < 1:
-        raise InputError("k must be at least 1")
+    if type(k) is not int or k < 1:
+        raise InputError("k must be an integer at least 1")
     D = view.digraph
     inner = [D.arcs[a] for a in D.induced_arcs(view.T)]
     least: dict[frozenset[int], int] = {}
@@ -272,8 +272,8 @@ def partition_cross_arcs(instance: Instance, k: int,
     classes decides the same cut condition, and its degree condition
     implies the degree caps, so a bad peel surfaces there.
     """
-    if k < 1 or k > witness.k:
-        raise InputError("k must lie between 1 and the packing number")
+    if type(k) is not int or k < 1 or k > witness.k:
+        raise InputError("k must be an integer between 1 and the packing number")
     remaining = set(instance.cross_arcs())
     views = (instance, instance.mirror)
     degree = [{v: len(view.digraph.in_arcs(v)) for v in view.T} for view in views]
@@ -319,19 +319,20 @@ def pack_prescribed_b_branchings(digraph: Digraph, b: dict[str, int],
     k = len(prescriptions)
     if k == 0:
         return PrescribedPackingResult([], None, [])
+    message = "prescription value at %r must lie in [0, b(v)]"
+    prescriptions = [digraph.per_vertex(bj, message, low=0, default=0)
+                     for bj in prescriptions]
     for bj in prescriptions:
         for v in digraph.vertices:
-            val = bj.get(v, 0)
-            if type(val) is not int or val < 0 or val > b[v]:
-                raise InputError("prescription values must lie in [0, b(v)]")
-    hypothesis = [j for j, bj in enumerate(prescriptions)
-                  if all(bj.get(v, 0) == b[v] for v in digraph.vertices)]
+            if bj[v] > b[v]:
+                raise InputError(message % (v,))
+    hypothesis = [j for j, bj in enumerate(prescriptions) if bj == b]
 
     for v in digraph.vertices:
-        if len(digraph.in_arcs(v)) < sum(bj.get(v, 0) for bj in prescriptions):
+        if len(digraph.in_arcs(v)) < sum(bj[v] for bj in prescriptions):
             return PrescribedPackingResult(
                 None, {"condition": "degree", "vertex": v}, hypothesis)
-    X = cut_condition_failure(digraph, [{v for v in b if bj.get(v, 0) < b[v]}
+    X = cut_condition_failure(digraph, [{v for v in b if bj[v] < b[v]}
                                         for bj in prescriptions])
     if X is not None:
         return PrescribedPackingResult(None, {"condition": "cut", "set": X}, hypothesis)

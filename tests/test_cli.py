@@ -420,6 +420,53 @@ class TestSolveCommand:
         assert out.returncode == EXIT_GUARD
 
 
+def _raise_theorem_violation(instance, method):
+    raise TheoremViolation("optima disagree", payload={"method": method})
+
+
+ONE_REPORT_PATHS = {
+    # name: (argv before the file, instance text, patch, exit code, status)
+    "ok": (["solve"], json.dumps(ONE_ARC), None, EXIT_OK, "ok"),
+    "infeasible": (["solve"], json.dumps(dict(ONE_ARC, arcs=[])), None,
+                   EXIT_INFEASIBLE, "infeasible"),
+    "theorem_violation": (["solve"], json.dumps(ONE_ARC),
+                          (cli, "solve_shortest", _raise_theorem_violation),
+                          EXIT_THEOREM, "theorem_violation"),
+    "failed_check": (["check", "--what", "mconvex", "--trials", "1"],
+                     json.dumps(ONE_ARC),
+                     (mconvex, "check_mnat_exchange",
+                      lambda evaluator, vertices, x, y: (False, (x, y, "s"))),
+                     EXIT_THEOREM, "failed"),
+    "unreadable": (["solve"], "{not json", None, EXIT_INPUT, None),
+    "guard": (["solve", "--method", "brute"],
+              json.dumps(dict(ONE_ARC, arcs=ONE_ARC["arcs"] * 21)), None,
+              EXIT_GUARD, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_REPORT_PATHS))
+def test_each_command_writes_at_most_one_report(tmp_path, capsys, monkeypatch,
+                                                 name):
+    # main loads the instance and writes the report, each once: an exit with
+    # a report (0, 3, 5) prints exactly one JSON object, which echoes argv and
+    # the file's hash; input errors and guards (2, 4) print none.
+    head, text, patch, code, status = ONE_REPORT_PATHS[name]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    path = tmp_path / "i.json"
+    path.write_text(text)
+    argv = [*head, str(path)]
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    if status is None:
+        assert out == ""
+        return
+    report = json.loads(out)  # a second object would be extra data
+    assert report["command"] == argv
+    assert report["status"] == status
+    assert report["instance_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _cli_result(tmp_path, capsys, doc, *argv):
     """Exit code and report result of ``argv[0] <doc file> argv[1:]``."""
     path = tmp_path / "i.json"

@@ -182,6 +182,11 @@ class TestBipartition:
         with pytest.raises(InputError, match="vertex 't' must be assigned"):
             Instance(D, {"s": "S"}, {}, [1])
 
+    def test_rejects_a_side_for_an_unknown_vertex(self):
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
+            Instance(D, {"s": "S", "t": "T", "zz": "Q"}, {"s": 1, "t": 1}, [1, 1])
+
 
 class TestCapacities:
     def test_rejects_zero_and_missing(self):
@@ -191,6 +196,36 @@ class TestCapacities:
         with pytest.raises(InputError):
             check_capacities(D, {"a": 1})
         assert check_capacities(D, {"a": 2, "b": 1}) == {"a": 2, "b": 1}
+
+    def test_rejects_a_capacity_for_an_unknown_vertex(self):
+        # An extra key was read as absent, so its value went unchecked.
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        with pytest.raises(InputError, match="unknown vertex id: 'x'"):
+            check_capacities(D, {"s": 1, "t": 2, "x": 0})
+        with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
+            Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1, "zz": 5}, [1, 1])
+
+
+class TestPerVertex:
+    """``Digraph.per_vertex``, the one reader of every vertex map."""
+
+    def test_vertex_order_and_default(self):
+        D = Digraph(["b", "a"], [])
+        got = D.per_vertex({"a": 2}, "bad %r", default=0)
+        assert list(got.items()) == [("b", 0), ("a", 2)]
+
+    @pytest.mark.parametrize("values", [{"a": 1}, {"a": 1, "b": None},
+                                        {"a": 1, "b": True}, {"a": 1, "b": 1.0},
+                                        {"a": 1, "b": "1"}, {"a": 1, "b": -1}])
+    def test_entries_must_be_ints_at_least_low(self, values):
+        D = Digraph(["a", "b"], [])
+        with pytest.raises(InputError, match="^bad 'b'$"):
+            D.per_vertex(values, "bad %r", low=0)
+
+    def test_unknown_keys_rejected(self):
+        D = Digraph(["a", "b"], [])
+        with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
+            D.per_vertex({"a": 1, "b": 1, "zz": 1}, "bad %r")
 
 
 def draw_network(data, max_arcs=10):

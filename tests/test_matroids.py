@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,11 @@ class TestPartitionMatroid:
         D = Digraph(["a"], [])
         with pytest.raises(InputError):
             PartitionMatroid(D, {"a": -1})
+
+    def test_cap_for_an_unknown_vertex_rejected(self):
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
+            PartitionMatroid(D, {"s": 0, "t": 1, "zz": -4})
 
 
 class TestSparsityMatroid:
@@ -167,6 +173,11 @@ class TestCircuits:
 
 
 class TestBBranching:
+    def test_capacity_for_an_unknown_vertex_rejected(self):
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        with pytest.raises(InputError, match="unknown vertex id: 'q'"):
+            is_b_branching(D, {"s": 1, "t": 1, "q": 9}, {0})
+
     def test_b_one_equals_plain_branching(self):
         rng = random.Random(11)
         for _ in range(12):
@@ -187,6 +198,18 @@ class TestBBranching:
 
 
 class TestSplitIntoBBranchings:
+    @pytest.mark.parametrize("bound, message", [
+        ({"zz": 1}, "unknown vertex id: 'zz'"),
+        ({"t": 1.0}, "split bound for 't' must be an integer"),
+        ({"t": True}, "split bound for 't' must be an integer")])
+    def test_bounds_are_vertex_maps(self, bound, message):
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        b = {"s": 1, "t": 1}
+        with pytest.raises(InputError, match=re.escape(message)):
+            split_into_b_branchings(D, b, D.all_arcs, [bound], [b])
+        with pytest.raises(InputError, match=re.escape(message)):
+            split_into_b_branchings(D, b, D.all_arcs, [{}], [bound])
+
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
@@ -284,6 +307,15 @@ class TestWeightedIntersection:
         m2 = SparsityMatroid(D, {"a": 1})
         with pytest.raises(InputError):
             weighted_matroid_intersection(m1, m2, [], -1)
+
+    @pytest.mark.parametrize("r", [1.5, True, 2.0, "2"])
+    def test_target_size_must_be_an_int(self, r):
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        m1 = PartitionMatroid(D, {"s": 0, "t": 2})
+        m2 = SparsityMatroid(D, {"s": 2, "t": 2})
+        assert weighted_matroid_intersection(m1, m2, [1, 1], 2) == frozenset({0, 1})
+        with pytest.raises(InputError, match="target size must be a nonnegative integer"):
+            weighted_matroid_intersection(m1, m2, [1, 1], r)
 
 
 class TestExactIndegrees:

@@ -87,6 +87,11 @@ class TestCutFamilies:
     def test_members_are_head_unions(self):
         assert cut_family(doubled_instance(), 2) == {frozenset({0, 1}): 2}
 
+    @pytest.mark.parametrize("k", [1.5, True, 2.0, "2"])
+    def test_k_must_be_a_positive_int(self, k):
+        with pytest.raises(InputError, match="k must be an integer at least 1"):
+            cut_family(doubled_instance(), k)
+
     def test_intersecting_closure(self):
         rng = random.Random(42)
         for _ in range(10):
@@ -294,6 +299,12 @@ class TestPartition:
         with pytest.raises(InputError):
             partition_cross_arcs(inst, 2, packing_number(inst))
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    def test_k_must_be_an_int(self, k):
+        inst = doubled_instance()
+        with pytest.raises(InputError, match="k must be an integer between 1 and"):
+            partition_cross_arcs(inst, k, packing_number(inst))
+
     def test_conditions_match_cut_family_rows(self):
         outcomes, cut_only = set(), 0
 
@@ -374,6 +385,17 @@ class TestPrescribedPacking:
         assert res.branchings is not None
         assert res.branchings[0] | res.branchings[1] == frozenset({0, 1})
         assert not (res.branchings[0] & res.branchings[1])
+
+    @pytest.mark.parametrize("prescription, message", [
+        ({"zz": 1}, "unknown vertex id: 'zz'"),
+        ({"t": True}, "prescription value at 't' must lie in [0, b(v)]"),
+        ({"t": 3}, "prescription value at 't' must lie in [0, b(v)]"),
+        ({"s": -1}, "prescription value at 's' must lie in [0, b(v)]")])
+    def test_prescriptions_are_vertex_maps(self, prescription, message):
+        # An unknown key was read as absent: {"zz": 1} packed as all zeros.
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        with pytest.raises(InputError, match=re.escape(message)):
+            pack_prescribed_b_branchings(D, {"s": 1, "t": 2}, [prescription])
 
     def test_degree_condition_failure_reported(self):
         D = Digraph(["a", "t"], [("a", "t")])

@@ -83,6 +83,13 @@ QUERIES = {
     "with_capacities": lambda file, owner, node, in_loop:
         _called(node) == "with_capacities" and (file, owner, in_loop),
     "Digraph": _calls("Digraph"),
+    "load_instance_file": _calls("load_instance_file"),
+    "emit_report": _calls("emit_report"),
+    # type(x) is int and type(x) is not int: exact int tests, bools excluded.
+    "int test": _where(lambda node: isinstance(node, ast.Compare)
+                       and _called(node.left) == "type"
+                       and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                       and getattr(node.comparators[0], "id", None) == "int"),
 }
 
 
@@ -124,7 +131,7 @@ def test_module_level_package_imports_are_pinned():
         "digraph": ["errors"],
         "errors": [],
         "lpsolve": ["bibranching", "digraph", "errors", "rationals"],
-        "matroids": ["digraph"],
+        "matroids": ["digraph", "errors"],
         "mconvex": ["bibranching", "digraph", "errors", "matroids"],
         "packing": ["bibranching", "digraph", "errors", "lpsolve", "matroids"],
         "rationals": ["errors"],
@@ -210,6 +217,33 @@ def test_digraphs_are_built_at_three_sites():
                                       ("bibranching.py", "subgraph")}
 
 
+def test_one_load_and_one_report_per_command():
+    # ``cli.main`` loads the instance and writes the report, each once; the
+    # handlers take the instance and return their payload.
+    assert _sites("load_instance_file") == [("cli.py", "main")]
+    assert _sites("emit_report") == [("cli.py", "main")]
+
+
+def test_int_tests_are_pinned():
+    # Vertex maps are read by ``Digraph.per_vertex`` and arc maps by
+    # ``Digraph.per_arc``, so a hand-written test of a map's entries shows up
+    # here.  The other sites test an arc index, an LP column, a scalar k or
+    # r, or a number in ``rationals``.
+    assert set(_sites("int test")) == {
+        ("digraph.py", "Digraph.check_arcset"),
+        ("digraph.py", "Digraph.per_arc"),
+        ("digraph.py", "Digraph.per_vertex"),
+        ("lpsolve.py", "RationalLP._check_variable"),
+        ("lpsolve.py", "integer_decomposition_check"),
+        ("packing.py", "cut_family"),
+        ("packing.py", "partition_cross_arcs"),
+        ("matroids.py", "weighted_matroid_intersection"),
+        ("rationals.py", "rat"),
+        ("rationals.py", "rat_str"),
+        ("rationals.py", "is_integral"),
+    }
+
+
 # A module with matches of every row of QUERIES: in a function, in a loop, in
 # a function defined in that loop, and at module level.
 PLANTED = """\
@@ -228,6 +262,7 @@ class Net:
         raise InfeasibleInstance("no")
         raise TheoremViolation("no evidence")
         self.cap[slot ^ 1] += 1
+        emit_report(load_instance_file(slot), type(slot) is not int)
         for arc in arcs:
             FlowNetwork(arcs, arc)
 
