@@ -76,16 +76,25 @@ def load_instance_data(data: dict) -> Instance:
     return Instance(digraph, side, b, weights)
 
 
-def load_instance_file(path: str) -> tuple[Instance, str]:
+def _read_json(path: str, what: str):
+    """(document, text) of the JSON file at path; ``InputError`` naming the
+    ``what`` file when it cannot be read, is not JSON, or holds an integer
+    longer than the interpreter converts (``sys.get_int_max_str_digits``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
+        return json.loads(raw), raw
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError("cannot read instance file: %s" % exc)
-    try:
-        data = json.loads(raw)
+        raise InputError("cannot read %s file: %s" % (what, exc))
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError("instance file is not valid JSON: %s" % exc)
+        raise InputError("%s file is not valid JSON: %s" % (what, exc))
+    except ValueError:
+        raise InputError("%s file holds an integer of more than %d digits"
+                         % (what, sys.get_int_max_str_digits())) from None
+
+
+def load_instance_file(path: str) -> tuple[Instance, str]:
+    data, raw = _read_json(path, "instance")
     instance = load_instance_data(data)
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return instance, digest
@@ -98,8 +107,8 @@ def emit_report(argv: list, instance_hash: str, status: str, payload: dict) -> N
         "status": status,
         "result": payload,
     }
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # One write: json.dump would write the report in about a hundred chunks.
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +116,7 @@ def emit_report(argv: list, instance_hash: str, status: str, payload: dict) -> N
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args, instance: Instance) -> dict:
-    try:
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            sol = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError("cannot read solution file: %s" % exc)
+    sol, _ = _read_json(args.solution, "solution")
     if not isinstance(sol, dict) or not isinstance(sol.get("arcs"), list):
         raise InputError("solution file must contain an 'arcs' list")
     report = bibranching_report(instance, sol["arcs"])

@@ -8,7 +8,6 @@ are immutable after construction.
 from __future__ import annotations
 
 import copy
-from collections import deque
 from typing import Iterable
 
 from .errors import InputError
@@ -142,18 +141,12 @@ class Digraph:
         """
         B = self.check_arcset(B)
         X = self.check_vertices(X)
+        arcs_at, end = (self._in_arcs, 0) if reverse else (self._out_arcs, 1)
         seen = set(X)
-        queue = deque(X)
-        step: dict[str, list[str]] = {}
-        for a in B:
-            tail, head = self.arcs[a]
-            if reverse:
-                tail, head = head, tail
-            step.setdefault(tail, []).append(head)
-        while queue:
-            u = queue.popleft()
-            for w in step.get(u, ()):
-                if w not in seen:
+        queue = list(X)
+        for u in queue:
+            for a in arcs_at[u]:
+                if a in B and (w := self.arcs[a][end]) not in seen:
                     seen.add(w)
                     queue.append(w)
         return frozenset(seen)

@@ -10,7 +10,8 @@ bound, so the pivot path, and every result, is that formulation's.  LP
 data and results follow the package's number rule: every coefficient,
 bound, vertex entry, dual and objective is an int when integral and a
 Fraction only otherwise; exit-5 payloads write simplex values (x, y) as
-'p' or 'p/q' text either way.  Bicut separation by max-flow, the primal
+'p' or 'p/q' text either way.  Bicut separation, by graph searches at an
+int point x >= 0 with need 1 and by max-flow otherwise, the primal
 cutting plane for the shortest b-bibranching LP, proved optimal by its own
 row duals, integer decomposition by LP peeling on separated bicut rows,
 and the total-dual-integrality check, which proves an integral optimal
@@ -397,7 +398,9 @@ def min_bicut_candidates(instance: Instance, x: list,
     the candidates of value less than ``below`` are returned, in the same
     order.  A flow that reaches ``below`` never gives such a candidate,
     and one that stays under it gives the same value and cut as without
-    ``below``.
+    ``below``.  Separation at an int point with need 1 runs no flow
+    (``_violated_bicuts``); the fractional points, the needs of 2 or more
+    and ``packing_number``'s exact values come here.
     """
     D = instance.digraph
     L = lcm(*(v.denominator for v in x))
@@ -418,11 +421,41 @@ def min_bicut_candidates(instance: Instance, x: list,
     return results
 
 
+def _unreached_bicuts(instance: Instance, x: list[int]) -> list[Bicut]:
+    """The min-cut bicuts of value below 1 at an int point x >= 0, in the
+    order ``min_bicut_candidates`` gives them, found by searches over the
+    support of x instead of max-flows.
+
+    An int flow below 1 is 0, so the flow to t is 0 exactly when S does not
+    reach t, and its minimal min cut is then the set R that S reaches: every
+    unreached t gives U = V - R.  Likewise the flow from s is 0 exactly
+    when s reaches no vertex of T, with U = V - (the set s reaches)."""
+    D = instance.digraph
+    support = [a for a, v in enumerate(x) if v]
+    out = []
+    reached = D.reachable_from(support, instance.S)
+    if not instance.T <= reached:
+        out.append(frozenset(v for v in D.vertices if v not in reached))
+    reaching = D.reachable_from(support, instance.T, reverse=True)
+    for s in sorted(instance.S - reaching):
+        reached = D.reachable_from(support, (s,))
+        out.append(frozenset(v for v in D.vertices if v not in reached))
+    return [Bicut(U, D.in_cut(U)) for U in out]
+
+
 def _violated_bicuts(instance: Instance, x: list, need=1) -> list[Bicut]:
-    """Distinct min-cut bicuts with x(delta^-(U)) < need, empty iff all reach need."""
+    """Distinct min-cut bicuts with x(delta^-(U)) < need, empty iff all reach
+    need: by ``_unreached_bicuts`` when need is 1 and x an int point >= 0
+    (a cutting-plane round at an integral vertex, or the last peel stage's
+    upper rows), else by the max-flows of ``min_bicut_candidates``, which
+    also reject a negative entry.  Both give the same list."""
+    if need == 1 and all(type(v) is int and v >= 0 for v in x):
+        candidates = _unreached_bicuts(instance, x)
+    else:
+        candidates = [cut for _, cut in min_bicut_candidates(instance, x, need)]
     seen = set()
     out = []
-    for _, cut in min_bicut_candidates(instance, x, need):
+    for cut in candidates:
         if cut.arcs not in seen:
             seen.add(cut.arcs)
             out.append(cut)

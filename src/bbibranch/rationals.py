@@ -16,6 +16,7 @@ A malformed number is an ``InputError``, whichever layer reads it.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import InputError
@@ -28,14 +29,19 @@ def rat(value):
     integral (so "4/2" reads as 2), else a Fraction.  A string is ASCII
     [+-]?[0-9]+ with an optional /[0-9]+, surrounding whitespace allowed.
     Anything else, a float or a bool included, is ``InputError``: a float
-    holds a binary value, not the decimal written, and a bool is no number."""
+    holds a binary value, not the decimal written, and a bool is no number.
+    So is a string of more digits than ``int`` reads from text
+    (``sys.get_int_max_str_digits``, 4300 by default)."""
     if type(value) is int:
         return value
     if isinstance(value, str):
         match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", value.strip())
         if match is None:
             raise InputError("not a rational: %r" % value)
-        num, den = map(int, match.groups(default="1"))
+        try:
+            num, den = map(int, match.groups(default="1"))
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise InputError("too many digits: %r" % value) from None
         if den == 0:
             raise InputError("zero denominator: %r" % value)
         return ratio(num, den)
@@ -54,8 +60,18 @@ def rat_str(value) -> str:
     """Serialize a rational as 'p' or 'p/q' (exact, no float round trip)."""
     value = rat(value)
     if type(value) is int:
-        return str(value)
-    return "%d/%d" % (value.numerator, value.denominator)
+        return _digits(value)
+    return "%s/%s" % (_digits(value.numerator), _digits(value.denominator))
+
+
+def _digits(n: int) -> str:
+    """n in decimal.  str(n) refuses more than sys.get_int_max_str_digits()
+    digits, which a sum of weights at that limit can reach; a Decimal holds
+    n exactly and prints it without the limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def is_integral(value) -> bool:

@@ -150,6 +150,29 @@ class TestInstanceFormat:
             assert loaded == direct
             assert [type(w) for w in loaded] == [type(w) for w in direct]
 
+    @pytest.mark.parametrize("where", ["weight text", "weight", "b", "solution"])
+    def test_numbers_past_the_digit_limit_are_input_errors(self, tmp_path, capsys,
+                                                           where):
+        # 5000 digits is past the interpreter's limit on converting an int
+        # from text (4300 by default), as weight text or as a JSON integer.
+        huge = "1" * 5000
+        doc = json.loads(json.dumps(ONE_ARC))
+        if where == "weight text":
+            doc["arcs"][0]["weight"] = huge
+        text = json.dumps(doc)
+        if where == "weight":
+            text = text.replace('"weight": 5', '"weight": ' + huge)
+        elif where == "b":
+            text = text.replace('"b": 1', '"b": ' + huge, 1)
+        instance, solution = tmp_path / "i.json", tmp_path / "s.json"
+        instance.write_text(text)
+        solution.write_text('{"arcs": [%s]}' % (huge if where == "solution" else 0))
+        code = cli.main(["validate", str(instance), str(solution)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
     def test_float_weight_rejected(self):
         doc = json.loads(json.dumps(ONE_ARC))
         doc["arcs"][0]["weight"] = 0.5
@@ -386,6 +409,43 @@ class TestSolveCommand:
         out = subprocess.run([sys.executable, "-c", script] + argv,
                              capture_output=True, text=True)
         assert out.stdout.split() == [str(EXIT_OK), str(loaded), str(loaded)]
+
+    @pytest.mark.parametrize("method", ["lp", "mflow"])
+    def test_value_past_the_digit_limit_is_written_in_full(self, tmp_path, capsys,
+                                                           method):
+        # Two weights of 4300 digits, the interpreter's default limit on
+        # converting an int to text, sum to a value of 4301 digits.
+        doc = {"vertices": [{"id": "s", "side": "S", "b": 2},
+                            {"id": "t", "side": "T", "b": 2}],
+               "arcs": [{"tail": "s", "head": "t", "weight": "9" * 4300}] * 2}
+        code, result = _cli_result(tmp_path, capsys, doc, "solve", "--method", method)
+        assert code == EXIT_OK
+        assert result["value"] == "1" + "9" * 4299 + "8"
+
+    def test_lp_route_at_int_iterates_compiles_no_flow_network(
+            self, tmp_path, capsys, monkeypatch):
+        # Every iterate here is an int point, so each round separates by
+        # search and the instance's separation network is never compiled.
+        loaded, points = [], []
+        load, separate = cli.load_instance_file, lpsolve._violated_bicuts
+
+        def loading(path):
+            instance, digest = load(path)
+            loaded.append(instance)
+            return instance, digest
+
+        def separating(instance, x, need=1):
+            points.append(x)
+            return separate(instance, x, need)
+
+        monkeypatch.setattr(cli, "load_instance_file", loading)
+        monkeypatch.setattr(lpsolve, "_violated_bicuts", separating)
+        code, result = _cli_result(tmp_path, capsys, SEPARATION_FAULT,
+                                   "solve", "--method", "lp")
+        assert (code, result["value"]) == (EXIT_OK, "5")
+        assert len(points) == 2
+        assert all(type(v) is int for x in points for v in x)
+        assert "separation_network" not in vars(loaded[0])
 
     def test_input_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

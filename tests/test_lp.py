@@ -396,6 +396,42 @@ class TestSeparation:
                         expected.append(cut)
                 assert lpsolve._violated_bicuts(inst, x, need) == expected
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_int_points_with_need_one_search_instead_of_flowing(self, data):
+        # At an int point x >= 0 with need 1, separation gives the distinct
+        # max-flow candidates of value below 1, in order, and runs no flow.
+        # A fractional point or need 2 runs all |T| + |S| flows, and a
+        # negative entry is still the flows' input error.
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        inst = random_instance(rng, data.draw(st.integers(1, 3), label="nS"),
+                               data.draw(st.integers(1, 3), label="nT"),
+                               rng.uniform(0.2, 0.9), 2, 5, max_arcs=12,
+                               extra_cross=rng.randint(0, 3))
+        x = [rng.randint(0, 2) for _ in range(inst.digraph.num_arcs())]
+        seen, expected = set(), []
+        for _, cut in min_bicut_candidates(inst, x, 1):
+            if cut.arcs not in seen:
+                seen.add(cut.arcs)
+                expected.append(cut)
+        flows = []
+
+        def counted(*args):
+            flows.append(args)
+            return max_flow_min_cut(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lpsolve, "max_flow_min_cut", counted)
+            assert lpsolve._violated_bicuts(inst, x, 1) == expected
+            assert flows == []
+            lpsolve._violated_bicuts(inst, x, 2)
+            assert len(flows) == len(inst.S) + len(inst.T)
+            if x:
+                lpsolve._violated_bicuts(inst, [Q(1, 2)] + x[1:], 1)
+                assert len(flows) == 2 * (len(inst.S) + len(inst.T))
+                with pytest.raises(InputError, match="negative capacity"):
+                    lpsolve._violated_bicuts(inst, [-1] + x[1:], 1)
+
     def test_no_cut_is_built_for_a_flow_that_reaches_its_need(self, monkeypatch):
         rng = random.Random(36)
         cases = []

@@ -228,12 +228,13 @@ def test_int_tests_are_pinned():
     # Vertex maps are read by ``Digraph.per_vertex`` and arc maps by
     # ``Digraph.per_arc``, so a hand-written test of a map's entries shows up
     # here.  The other sites test an arc index, an LP column, a scalar k or
-    # r, or a number in ``rationals``.
+    # r, a number in ``rationals``, or whether separation's point is integral.
     assert set(_sites("int test")) == {
         ("digraph.py", "Digraph.check_arcset"),
         ("digraph.py", "Digraph.per_arc"),
         ("digraph.py", "Digraph.per_vertex"),
         ("lpsolve.py", "RationalLP._check_variable"),
+        ("lpsolve.py", "_violated_bicuts"),
         ("lpsolve.py", "integer_decomposition_check"),
         ("packing.py", "cut_family"),
         ("packing.py", "partition_cross_arcs"),
