@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .digraph import Digraph, FlowNetwork, check_capacities
+from .digraph import Digraph, check_capacities
 from .errors import GuardError, InfeasibleInstance, InputError
 from .rationals import rat
 
@@ -22,12 +22,15 @@ BRUTE_FORCE_ARC_LIMIT = 20
 
 def arc_weights(digraph: Digraph, weights) -> list:
     """One exact weight per arc (``Digraph.per_arc``), each an int, a
-    Fraction or a 'p/q' string read by ``rat``; else ``InputError``."""
+    Fraction or a 'p/q' string read by ``rat``; else ``InputError`` naming
+    the arc, with ``rat``'s reason for a string past the digit limit."""
     out = []
     for a, w in enumerate(digraph.per_arc(weights, "weights")):
         try:
             out.append(rat(w))
-        except InputError:
+        except InputError as exc:
+            if str(exc).startswith("too many digits"):
+                raise InputError("weight of arc %d has %s" % (a, exc)) from None
             raise InputError("weight of arc %d is not a rational: %r" % (a, w)) from None
     return out
 
@@ -73,25 +76,7 @@ class Instance:
         mirror = copy.copy(self)  # b and the weights are already validated
         mirror.digraph = Digraph(D.vertices, [(h, t) for t, h in D.arcs])
         mirror.S, mirror.T = self.T, self.S
-        vars(mirror).pop("separation_network", None)  # compiled for self's S and T
         return mirror
-
-    @cached_property
-    def separation_network(self) -> FlowNetwork:
-        """The digraph plus a super-source with an arc into each s in S and a
-        super-sink with an arc out of each t in T, compiled once for bicut
-        separation (``lpsolve.min_bicut_candidates``).  Arc a is digraph arc
-        a; the super arcs follow, S's then T's, each in sorted order.  The
-        last two nodes are the super-source and the super-sink, the tuples
-        ("source",) and ("sink",), so no vertex id equals them.  Every
-        capacity is 0: each query supplies its own
-        (``FlowNetwork.with_capacities``)."""
-        D = self.digraph
-        source, sink = ("source",), ("sink",)
-        arcs = [(tail, head, 0) for tail, head in D.arcs]
-        arcs += [(source, s, 0) for s in sorted(self.S)]
-        arcs += [(t, sink, 0) for t in sorted(self.T)]
-        return FlowNetwork([*D.vertices, source, sink], arcs)
 
 
 @dataclass

@@ -7,7 +7,6 @@ are immutable after construction.
 
 from __future__ import annotations
 
-import copy
 from typing import Iterable
 
 from .errors import InputError
@@ -161,12 +160,10 @@ class FlowNetwork:
     """A capacitated network compiled once for many max-flow queries.
 
     ``arcs`` is a list of (tail, head, capacity) over ``nodes`` with exact
-    finite capacities (int or Fraction).  The residual graph lives in
-    int-indexed slots: slot 2i is arc i forward, slot 2i + 1 its reverse.
-    ``max_flow_min_cut`` copies ``cap``, so queries never see each other's
-    flow.  ``with_capacities`` gives the same topology with other
-    capacities without compiling it again, so a caller whose capacities
-    change from query to query compiles its network once per instance.
+    finite capacities (int or Fraction); a negative one is ``InputError``.
+    The residual graph lives in int-indexed slots: slot 2i is arc i
+    forward, slot 2i + 1 its reverse.  ``max_flow_min_cut`` copies ``cap``,
+    so queries never see each other's flow.
     """
 
     def __init__(self, nodes, arcs):
@@ -174,29 +171,15 @@ class FlowNetwork:
         self.index = {v: i for i, v in enumerate(self.nodes)}
         self.adj: list[list[int]] = [[] for _ in self.nodes]
         self.ends: list[int] = []
-        capacities = []
+        self.cap: list = []
         for tail, head, c in arcs:
+            if c < 0:
+                raise InputError("negative capacity on arc %r -> %r" % (tail, head))
             u, w = self.index[tail], self.index[head]
             self.adj[u].append(len(self.ends))
             self.adj[w].append(len(self.ends) + 1)
             self.ends += (w, u)
-            capacities.append(c)
-        self.cap = self._residual(capacities)
-
-    def with_capacities(self, capacities) -> "FlowNetwork":
-        """This network with capacities[i] on arc i, one entry per arc."""
-        network = copy.copy(self)
-        network.cap = self._residual(capacities)
-        return network
-
-    def _residual(self, capacities) -> list:
-        for i, c in enumerate(capacities):
-            if c < 0:
-                raise InputError("negative capacity on arc %r -> %r" % (
-                    self.nodes[self.ends[2 * i + 1]], self.nodes[self.ends[2 * i]]))
-        cap = [0] * len(self.ends)
-        cap[::2] = capacities  # a ValueError unless one entry per arc
-        return cap
+            self.cap += (c, 0)
 
 
 def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):

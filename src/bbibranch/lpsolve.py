@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .bibranching import Instance, Solution, bibranching_report, require_feasible
-from .digraph import max_flow_min_cut
+from .digraph import FlowNetwork, max_flow_min_cut
 from .errors import InputError, TheoremViolation
 from .rationals import is_integral, rat, rat_str, ratio
 
@@ -382,17 +382,16 @@ def min_bicut_candidates(instance: Instance, x: list,
                          below=None) -> list[tuple[object, Bicut]]:
     """One minimum cut per forced vertex, from both bicut families.
 
-    The max-flows run on the int capacities L x, L the lcm of the
-    denominators of x, and each value is returned divided by L.  Scaling
-    leaves Edmonds-Karp's cut, the unique minimal min cut, where it was.
-    All |T| + |S| flows share one network, compiled once per instance
-    (``Instance.separation_network``) and given this call's capacities:
-    the digraph, a super-source into S for the flows to each t in T, and
-    a super-sink out of T for the flows from each s in S.  Each super node
-    is a dead end for the other family's flows, so no value or cut
-    changes.  The super arcs hold one more than the digraph arcs' total
-    capacity, so no min cut crosses them: every flow path crosses a
-    digraph arc, as S and T are disjoint.
+    x holds one entry per arc (``Digraph.per_arc``).  The max-flows run on
+    the int capacities L x, L the lcm of the denominators of x, and each
+    value is returned divided by L.  Scaling leaves Edmonds-Karp's cut, the
+    unique minimal min cut, where it was.  All |T| + |S| flows of a call
+    share the one network it compiles: the digraph, a super-source into S
+    for the flows to each t in T, and a super-sink out of T for the flows
+    from each s in S.  Each super node is a dead end for the other
+    family's flows, so no value or cut changes.  The super arcs hold one
+    more than the digraph arcs' total capacity, so no min cut crosses
+    them: every flow path crosses a digraph arc, as S and T are disjoint.
 
     With ``below``, each flow stops once it reaches below * L, and only
     the candidates of value less than ``below`` are returned, in the same
@@ -403,12 +402,16 @@ def min_bicut_candidates(instance: Instance, x: list,
     and ``packing_number``'s exact values come here.
     """
     D = instance.digraph
+    x = D.per_arc(x, "x")
     L = lcm(*(v.denominator for v in x))
     capacities = [v.numerator * (L // v.denominator) for v in x]
     big = sum(capacities) + 1
-    capacities += [big] * (len(instance.S) + len(instance.T))
-    network = instance.separation_network.with_capacities(capacities)
-    source, sink = network.nodes[-2:]
+    # The super nodes are tuples, so no vertex id (a string) equals them.
+    source, sink = ("source",), ("sink",)
+    arcs = [(tail, head, c) for (tail, head), c in zip(D.arcs, capacities)]
+    arcs += [(source, s, big) for s in sorted(instance.S)]
+    arcs += [(t, sink, big) for t in sorted(instance.T)]
+    network = FlowNetwork([*D.vertices, source, sink], arcs)
     limit = None if below is None else below * L
     results = []
     pairs = ([(source, t) for t in sorted(instance.T)]

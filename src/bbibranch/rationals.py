@@ -16,6 +16,7 @@ A malformed number is an ``InputError``, whichever layer reads it.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ def rat(value):
     Anything else, a float or a bool included, is ``InputError``: a float
     holds a binary value, not the decimal written, and a bool is no number.
     So is a string of more digits than ``int`` reads from text
-    (``sys.get_int_max_str_digits``, 4300 by default)."""
+    (``sys.get_int_max_str_digits``, 4300 by default), named in the message."""
     if type(value) is int:
         return value
     if isinstance(value, str):
@@ -41,7 +42,8 @@ def rat(value):
         try:
             num, den = map(int, match.groups(default="1"))
         except ValueError:  # past sys.get_int_max_str_digits()
-            raise InputError("too many digits: %r" % value) from None
+            raise InputError("too many digits: more than %d"
+                             % sys.get_int_max_str_digits()) from None
         if den == 0:
             raise InputError("zero denominator: %r" % value)
         return ratio(num, den)

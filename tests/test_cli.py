@@ -172,6 +172,14 @@ class TestInstanceFormat:
         assert code == EXIT_INPUT
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
+        if where == "weight text":
+            # The value is a rational, only too long: the one line names
+            # the arc and the limit, not the 5000 digits.
+            assert captured.err == ("input error: weight of arc 0 has too many "
+                                    "digits: more than %d\n" % sys.get_int_max_str_digits())
+            with pytest.raises(InputError, match="^too many digits: more than %d$"
+                               % sys.get_int_max_str_digits()):
+                rat(huge)
 
     def test_float_weight_rejected(self):
         doc = json.loads(json.dumps(ONE_ARC))
@@ -425,27 +433,23 @@ class TestSolveCommand:
     def test_lp_route_at_int_iterates_compiles_no_flow_network(
             self, tmp_path, capsys, monkeypatch):
         # Every iterate here is an int point, so each round separates by
-        # search and the instance's separation network is never compiled.
-        loaded, points = [], []
-        load, separate = cli.load_instance_file, lpsolve._violated_bicuts
-
-        def loading(path):
-            instance, digest = load(path)
-            loaded.append(instance)
-            return instance, digest
+        # search and no flow network is compiled.
+        compiled, points = [], []
+        separate = lpsolve._violated_bicuts
 
         def separating(instance, x, need=1):
             points.append(x)
             return separate(instance, x, need)
 
-        monkeypatch.setattr(cli, "load_instance_file", loading)
+        monkeypatch.setattr(lpsolve, "FlowNetwork",
+                            lambda *args: compiled.append(args))
         monkeypatch.setattr(lpsolve, "_violated_bicuts", separating)
         code, result = _cli_result(tmp_path, capsys, SEPARATION_FAULT,
                                    "solve", "--method", "lp")
         assert (code, result["value"]) == (EXIT_OK, "5")
         assert len(points) == 2
         assert all(type(v) is int for x in points for v in x)
-        assert "separation_network" not in vars(loaded[0])
+        assert compiled == []
 
     def test_input_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

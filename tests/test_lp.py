@@ -337,6 +337,17 @@ class TestSeparation:
         with pytest.raises(InputError):
             min_bicut_candidates(one_arc_instance(), [Q(-1)])
 
+    def test_rejects_a_point_of_the_wrong_length(self):
+        # x is read as one entry per arc, so a short or long x is an input
+        # error, not a truncated point.
+        rng = random.Random(33)
+        inst = random_instance(rng, 2, 2, 0.6, 1, 5, max_arcs=10)
+        m = inst.digraph.num_arcs()
+        for size in (m - 1, m + 1):
+            with pytest.raises(InputError,
+                               match=r"^x must have exactly one entry per arc \(%d\)$" % m):
+                min_bicut_candidates(inst, [Q(1, 2)] * size)
+
     def test_matches_enumeration(self):
         rng = random.Random(32)
         for _ in range(15):
@@ -351,20 +362,19 @@ class TestSeparation:
                 sum(x[a] for a in cut.arcs) for cut in all_bicuts(inst))
 
     def test_max_flows_run_on_int_capacities(self, monkeypatch):
-        # Capacities are supplied per call, by ``with_capacities`` on the
-        # instance's compiled network; every flow runs on such a network.
-        supplied, flown = [], []
-        original = FlowNetwork.with_capacities
+        # Each call compiles its network, capacities included, through
+        # ``lpsolve.FlowNetwork``; every flow runs on such a network.
+        compiled, flown = [], []
 
-        def recording(network, capacities):
-            supplied.append(original(network, capacities))
-            return supplied[-1]
+        def compiling(nodes, arcs):
+            compiled.append(FlowNetwork(nodes, arcs))
+            return compiled[-1]
 
         def flow(network, *args):
             flown.append(network)
             return max_flow_min_cut(network, *args)
 
-        monkeypatch.setattr(FlowNetwork, "with_capacities", recording)
+        monkeypatch.setattr(lpsolve, "FlowNetwork", compiling)
         monkeypatch.setattr(lpsolve, "max_flow_min_cut", flow)
         rng = random.Random(34)
         for _ in range(5):
@@ -373,9 +383,10 @@ class TestSeparation:
                  for _ in range(inst.digraph.num_arcs())]
             for value, cut in min_bicut_candidates(inst, x):
                 assert value == sum(x[a] for a in cut.arcs)
-        assert flown and all(any(n is s for s in supplied) for n in flown)
+        assert len(compiled) == 5
+        assert flown and all(any(n is c for c in compiled) for n in flown)
         # Every residual slot, the super arcs' capacity included.
-        capacities = [c for network in supplied for c in network.cap]
+        capacities = [c for network in compiled for c in network.cap]
         assert capacities
         assert all(type(c) is int for c in capacities)
 

@@ -10,19 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbibranch import bibranching, lpsolve
+from bbibranch import lpsolve, packing
 from bbibranch.bibranching import (Instance, feasibility_witness,
                                    is_b_bibranching, solve_shortest, subgraph)
 from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph, FlowNetwork
 from bbibranch.errors import InputError, TheoremViolation
-from bbibranch.lpsolve import integer_decomposition_check
+from bbibranch.lpsolve import integer_decomposition_check, min_bicut_candidates
 from bbibranch.matroids import is_b_branching
 from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
                                build_system, cut_condition_failure, cut_family,
                                find_integral_point, pack_b_bibranchings,
                                pack_prescribed_b_branchings, packing_number,
                                partition_cross_arcs, verify_packing)
+from bbibranch.rationals import Q
 
 from conftest import (one_arc_instance, oracle_max_disjoint_packing,
                       random_digraph, random_instance, repeat_separations)
@@ -508,46 +509,64 @@ class TestFullPacking:
         assert cert.k == packing_number(inst).k == 3
         assert verify_packing(inst, cert.classes)
 
-    def test_one_separation_network_per_instance(self, monkeypatch):
-        # pack separates for the packing number and in every peel round;
-        # each separation by max-flow supplies its capacities to the one
-        # network compiled for the instance.  Rounds with need 1 run at int
-        # points and search instead, so on this instance (k = 3) the flows
-        # run for the packing number and for the one need-2 round of stage 3.
-        compiled, supplied = [], []
-        original = FlowNetwork.with_capacities
+    def test_one_flow_network_per_separation_call(self, monkeypatch):
+        # pack separates for the packing number and in every peel round.
+        # Rounds with need 1 run at int points and search instead, so on
+        # this instance (k = 3) the flows run for the packing number and
+        # for the one need-2 round of stage 3.  Each of those two
+        # ``min_bicut_candidates`` calls compiles one network, before any
+        # flow, and runs all |T| + |S| of its flows on it.
+        events = []
+        flow, candidates = lpsolve.max_flow_min_cut, lpsolve.min_bicut_candidates
 
-        def compile_network(nodes, arcs):
-            compiled.append(FlowNetwork(nodes, arcs))
-            return compiled[-1]
+        def compiling(nodes, arcs):
+            events.append(("compile", FlowNetwork(nodes, arcs)))
+            return events[-1][1]
 
-        def supply(network, capacities):
-            supplied.append(network)
-            return original(network, capacities)
+        def flowing(network, *args):
+            events.append(("flow", network))
+            return flow(network, *args)
 
-        monkeypatch.setattr(bibranching, "FlowNetwork", compile_network)
-        monkeypatch.setattr(FlowNetwork, "with_capacities", supply)
+        def separating(*args):
+            events.append(("call", None))
+            return candidates(*args)
+
+        monkeypatch.setattr(lpsolve, "FlowNetwork", compiling)
+        monkeypatch.setattr(lpsolve, "max_flow_min_cut", flowing)
+        for module in (lpsolve, packing):
+            monkeypatch.setattr(module, "min_bicut_candidates", separating)
         calls = record_separations(monkeypatch)
         inst = pack_pool_instance(728)
         assert pack_b_bibranchings(inst).k == 3
         assert [need for _, need, _ in calls].count(2) == 1
-        assert len(supplied) == 2
-        assert len(compiled) == 1
-        assert all(network is compiled[0] for network in supplied)
-        assert "separation_network" not in vars(inst.mirror)
+        flows = len(inst.S) + len(inst.T)
+        assert [kind for kind, _ in events] == (["call", "compile"] + ["flow"] * flows) * 2
+        networks = []
+        for start in (0, 2 + flows):
+            (_, network), *flown = events[start + 1:start + 2 + flows]
+            assert all(on is network for _, on in flown)
+            networks.append(network)
+        assert networks[0] is not networks[1]
 
-    def test_mirror_compiles_its_own_separation_network(self):
-        # The mirror is a copy of the instance; a network compiled before
-        # the mirror is first built must not be copied into it.
-        inst = pack_pool_instance(728)
-        network = inst.separation_network
-        mirror = inst.mirror
-        assert "separation_network" not in vars(mirror)
-        for view, net in ((inst, network), (mirror, mirror.separation_network)):
-            into = [net.nodes[net.ends[slot]]
-                    for slot in net.adj[net.index[("source",)]]]
-            assert into == sorted(view.S)
-        assert sorted(mirror.S) == sorted(inst.T)
+    def test_mirror_separates_with_the_families_swapped(self):
+        # The mirror reverses every arc and swaps S with T, so its flows to
+        # each t are the instance's flows from each s and the other way
+        # round: the same values, the two families in swapped order, each
+        # cut read on the mirror's own arcs.
+        rng = random.Random(61)
+        instances = [pack_pool_instance(728)] + [
+            random_instance(rng, rng.randint(1, 3), rng.randint(1, 3), 0.5, 2, 5,
+                            max_arcs=12, extra_cross=rng.randint(0, 3))
+            for _ in range(40)]
+        for inst in instances:
+            x = [Q(rng.randint(0, 6), rng.choice((1, 2, 3)))
+                 for _ in range(inst.digraph.num_arcs())]
+            own = [value for value, _ in min_bicut_candidates(inst, x)]
+            mirrored = min_bicut_candidates(inst.mirror, x)
+            assert [value for value, _ in mirrored] == own[len(inst.T):] + own[:len(inst.T)]
+            for value, cut in mirrored:
+                assert cut.arcs == inst.mirror.digraph.in_cut(cut.U)
+                assert value == sum(x[a] for a in cut.arcs)
 
     def test_single_s_vertex_needs_two_cross_arcs_per_class(self):
         # S = {s0} with b(s0) = 2 and A[S] empty: every class must take two

@@ -80,8 +80,6 @@ QUERIES = {
                         and getattr(node.slice.right, "value", None) == 1),
     "FlowNetwork": lambda file, owner, node, in_loop:
         _called(node) == "FlowNetwork" and (file, owner, in_loop),
-    "with_capacities": lambda file, owner, node, in_loop:
-        _called(node) == "with_capacities" and (file, owner, in_loop),
     "Digraph": _calls("Digraph"),
     "load_instance_file": _calls("load_instance_file"),
     "emit_report": _calls("emit_report"),
@@ -197,16 +195,13 @@ def test_every_theorem_violation_carries_a_payload():
 def test_one_max_flow_routine_and_one_network_per_caller():
     # Augmenting along a residual slot updates its twin, ``cap[slot ^ 1]``:
     # only ``max_flow_min_cut`` does so, so it is the one max-flow routine.
-    # Each caller compiles its ``FlowNetwork`` once, outside any loop, and
-    # runs all its flows on it, so no flow rebuilds the residual graph.
-    # Separation compiles its network once per instance, in the cached
-    # ``Instance.separation_network``, and each call of
-    # ``min_bicut_candidates`` only supplies its capacities, once.
+    # Each caller compiles its ``FlowNetwork``, capacities included, once
+    # per call, outside any loop, and runs all its flows on it, so no flow
+    # rebuilds the residual graph.
     assert set(_sites("twin slot")) == {("digraph.py", "max_flow_min_cut")}
     assert _sites("FlowNetwork") == [
-        ("bibranching.py", "Instance.separation_network", False),
+        ("lpsolve.py", "min_bicut_candidates", False),
         ("packing.py", "cut_condition_failure", False)]
-    assert _sites("with_capacities") == [("lpsolve.py", "min_bicut_candidates", False)]
 
 
 def test_digraphs_are_built_at_three_sites():
@@ -268,7 +263,7 @@ class Net:
             FlowNetwork(arcs, arc)
 
             def supply(network):
-                network.with_capacities(arc)
+                FlowNetwork(network, arc)
         return Digraph([], []), Fraction(1, 2)
 """
 
@@ -284,8 +279,8 @@ def test_every_query_finds_its_planted_site():
         "fractions import": [("planted.py", None), ("planted.py", "Net.flow")],
         "Fraction alias": [("planted.py", None)],
         "TheoremViolation": [("planted.py", "Net.flow", "line 14", False)],
-        "FlowNetwork": [("planted.py", "Net.flow", True)],
-        "with_capacities": [("planted.py", "Net.flow.supply", False)],
+        "FlowNetwork": [("planted.py", "Net.flow", True),
+                        ("planted.py", "Net.flow.supply", False)],
     }
 
 
