@@ -6,8 +6,9 @@ Instance files are JSON documents::
      "arcs": [{"tail": "s", "head": "t", "weight": 5}, ...]}
 
 Weights may be integers or exact rationals written as "p/q" strings.
-Reports are JSON with rationals serialized the same way and arcs referenced
-by their 0-based index in the instance file.
+Reports are JSON with rationals serialized the same way, as text also when
+integral (a checked 0/1 vertex is a list of ints), and arcs referenced by
+their 0-based index in the instance file.
 
 Exit codes: 0 success, 2 input error, 3 infeasible, 4 guard exceeded,
 5 theorem-violation report.
@@ -45,6 +46,8 @@ EXIT_CODES = {"ok": EXIT_OK, "infeasible": EXIT_INFEASIBLE,
 # ---------------------------------------------------------------------------
 
 def load_instance_data(data: dict) -> Instance:
+    """The instance of a parsed instance document.  Each weight goes to
+    ``Instance`` unread, and an arc with no "weight" weighs 0."""
     if not isinstance(data, dict):
         raise InputError("instance document must be a JSON object")
     for field in ("vertices", "arcs"):
@@ -217,7 +220,8 @@ def _random_b_branching(rng, digraph, b):
 
 
 def _check_exchange(instance, rng, trials):
-    """The exchange lemma's conclusions on random pairs of b-branchings."""
+    """The exchange lemma's conclusions on random pairs of b-branchings.  A
+    pass reports the pairs checked; sampling none is ``GuardError`` (exit 4)."""
     from .matroids import is_b_branching
     from .mconvex import exchange_b_branchings
 

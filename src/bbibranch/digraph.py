@@ -13,7 +13,8 @@ from .errors import InputError
 
 
 class Digraph:
-    """A loopless digraph with stable arc indices and parallel arcs allowed."""
+    """A loopless digraph with stable arc indices and parallel arcs allowed.
+    Vertex ids are strings; an id of any other type is ``InputError``."""
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[tuple[str, str]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -78,7 +79,8 @@ class Digraph:
     def per_vertex(self, values: dict, message: str, low=None, default=None) -> dict:
         """values, a dict by vertex id, as a dict in vertex order with default
         for a missing vertex; ``InputError`` for a key that is no vertex and
-        ``InputError(message % v)`` for an entry not an int or below low."""
+        ``InputError(message % v)`` for an entry not an int (a bool included)
+        or below low."""
         self.check_vertices(values)
         out = {v: values.get(v, default) for v in self.vertices}
         for v, val in out.items():

@@ -586,8 +586,10 @@ def dual_key_str(key) -> str:
 def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
     """Row generation over the degree + bicut + box system, proved optimal.
 
-    The final x must be 0/1 (``zero_one_vertex``) and a b-bibranching, and
-    its row duals y, zero on bicuts never generated, nonnegative with
+    The final x violates no bicut, so it is a vertex of the full boxed LP,
+    which the integrality theorem makes 0/1: there is no branch and bound.
+    It must be 0/1 (``zero_one_vertex``) and a b-bibranching, and its row
+    duals y, zero on bicuts never generated, nonnegative with
     ``dual_bound`` equal to the LP value (``certificate["dual_bound"]``);
     else ``TheoremViolation`` carries the LP, x, y and failed conditions.
     The boxed LP is integral, so it is infeasible, and ``InfeasibleInstance``

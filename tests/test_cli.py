@@ -181,6 +181,16 @@ class TestInstanceFormat:
                                % sys.get_int_max_str_digits()):
                 rat(huge)
 
+    def test_missing_weight_reads_as_zero(self, tmp_path, capsys):
+        # An arc with no "weight" key weighs 0.
+        doc = json.loads(json.dumps(ONE_ARC))
+        del doc["arcs"][0]["weight"]
+        assert load_instance_data(doc).weights == [0]
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["result"]["value"] == "0"
+
     def test_float_weight_rejected(self):
         doc = json.loads(json.dumps(ONE_ARC))
         doc["arcs"][0]["weight"] = 0.5
@@ -947,6 +957,18 @@ class TestCheckCommand:
         assert detail["uncrossing_steps"] >= 1
         assert detail["primal"] == detail["dual"]["objective"] == "8"
         assert all("/" not in val for val in detail["dual"]["y"].values())
+
+    def test_tdi_requires_integer_weights(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(ONE_ARC))
+        doc["arcs"][0]["weight"] = "1/2"
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--what", "tdi", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err == \
+            "input error: TDI spot check requires integer weights\n"
 
     def test_tdi_passes_without_a_b_bibranching(self, tmp_path, capsys):
         # b(s) = 2 with one arc: no b-bibranching, but the unboxed LP takes

@@ -544,7 +544,7 @@ class TestTDI:
         assert dual_feasible(one_arc_instance(), out["y"])
 
     def test_requires_integer_weights(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^TDI spot check requires integer weights$"):
             tdi_spot_check(one_arc_instance(weight=Q(1, 2)))
 
     def test_integral_dual_found_on_corpus(self):
