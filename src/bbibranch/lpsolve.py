@@ -10,14 +10,16 @@ bound, so the pivot path, and every result, is that formulation's.  LP
 data and results follow the package's number rule: every coefficient,
 bound, vertex entry, dual and objective is an int when integral and a
 Fraction only otherwise; exit-5 payloads write simplex values (x, y) as
-'p' or 'p/q' text either way.  Bicut separation, by graph searches at an
-int point x >= 0 with need 1 and by max-flow otherwise, the primal
-cutting plane for the shortest b-bibranching LP, proved optimal by its own
-row duals, integer decomposition by LP peeling on separated bicut rows,
-and the total-dual-integrality check, which proves an integral optimal
-dual from those duals (uncrossed and re-solved over a cross-free family
-when fractional) and returns it as a plain map from row keys to values.
-Both dual checks read each row's arcs from the instance, through one load
+'p' or 'p/q' text either way.  Bicut separation runs by graph searches
+at an int point x >= 0 with need 1 and by max-flow otherwise; it names
+each bicut delta^-(U) by U, and of its steps only ``_violated_bicuts``
+reads the arcs.  On it rest the primal cutting plane for the shortest
+b-bibranching LP, proved optimal by its own row duals, integer
+decomposition by LP peeling on separated bicut rows, and the
+total-dual-integrality check, which proves an integral optimal dual from
+those duals (uncrossed and re-solved over a cross-free family when
+fractional) and returns it as a plain map from row keys to values.  Both
+dual checks read each row's arcs from the instance, through one load
 routine.
 """
 
@@ -371,16 +373,10 @@ def _text(values) -> list[str]:
 # Bicuts and separation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bicut:
-    """delta^-(U) for U with empty != U <= T or T <= U < V."""
-    U: frozenset[str]
-    arcs: frozenset[int]
-
-
 def min_bicut_candidates(instance: Instance, x: list,
-                         below=None) -> list[tuple[object, Bicut]]:
-    """One minimum cut per forced vertex, from both bicut families.
+                         below=None) -> list[tuple[object, frozenset[str]]]:
+    """(value, U) of one minimum bicut delta^-(U) per forced vertex, from
+    both bicut families; no arc set is built.
 
     x holds one entry per arc (``Digraph.per_arc``).  The max-flows run on
     the int capacities L x, L the lcm of the denominators of x, and each
@@ -420,14 +416,14 @@ def min_bicut_candidates(instance: Instance, x: list,
         value, side = max_flow_min_cut(network, start, end, limit)
         if side is not None:
             U = frozenset(v for v in D.vertices if v not in side)
-            results.append((ratio(value, L), Bicut(U, D.in_cut(U))))
+            results.append((ratio(value, L), U))
     return results
 
 
-def _unreached_bicuts(instance: Instance, x: list[int]) -> list[Bicut]:
-    """The min-cut bicuts of value below 1 at an int point x >= 0, in the
-    order ``min_bicut_candidates`` gives them, found by searches over the
-    support of x instead of max-flows.
+def _unreached_bicuts(instance: Instance, x: list[int]) -> list[frozenset[str]]:
+    """The U of each min-cut bicut of value below 1 at an int point x >= 0,
+    in the order ``min_bicut_candidates`` gives them, found by searches over
+    the support of x instead of max-flows.
 
     An int flow below 1 is 0, so the flow to t is 0 exactly when S does not
     reach t, and its minimal min cut is then the set R that S reaches: every
@@ -443,26 +439,25 @@ def _unreached_bicuts(instance: Instance, x: list[int]) -> list[Bicut]:
     for s in sorted(instance.S - reaching):
         reached = D.reachable_from(support, (s,))
         out.append(frozenset(v for v in D.vertices if v not in reached))
-    return [Bicut(U, D.in_cut(U)) for U in out]
+    return out
 
 
-def _violated_bicuts(instance: Instance, x: list, need=1) -> list[Bicut]:
-    """Distinct min-cut bicuts with x(delta^-(U)) < need, empty iff all reach
-    need: by ``_unreached_bicuts`` when need is 1 and x an int point >= 0
-    (a cutting-plane round at an integral vertex, or the last peel stage's
-    upper rows), else by the max-flows of ``min_bicut_candidates``, which
-    also reject a negative entry.  Both give the same list."""
+def _violated_bicuts(instance: Instance, x: list, need=1) -> list[tuple]:
+    """(U, delta^-(U)) for the distinct min-cut bicuts with x(delta^-(U)) <
+    need, empty iff all reach need: the U's of ``_unreached_bicuts`` when
+    need is 1 and x an int point >= 0 (a cutting-plane round at an integral
+    vertex, or the last peel stage's upper rows), else of the max-flows of
+    ``min_bicut_candidates``, which also reject a negative entry; both give
+    the same U's.  Only here does separation read arcs; each arc set keeps
+    the first U that gives it."""
     if need == 1 and all(type(v) is int and v >= 0 for v in x):
         candidates = _unreached_bicuts(instance, x)
     else:
-        candidates = [cut for _, cut in min_bicut_candidates(instance, x, need)]
-    seen = set()
-    out = []
-    for cut in candidates:
-        if cut.arcs not in seen:
-            seen.add(cut.arcs)
-            out.append(cut)
-    return out
+        candidates = [U for _, U in min_bicut_candidates(instance, x, need)]
+    first = {}
+    for U in candidates:
+        first.setdefault(instance.digraph.in_cut(U), U)
+    return [(U, arcs) for arcs, U in first.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +469,7 @@ class CuttingPlaneResult:
     solution: Solution
     x: list
     value: object
-    bicut_rows: list
+    bicut_rows: list  # the U of each bicut row, in the order added
     rounds: int
     fallback_triggered: bool = False  # read by perfbench/tracing.py
     row_duals: dict = field(default_factory=dict)
@@ -522,14 +517,14 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
         new = _violated_bicuts(instance, result.x)
         if not new:
             return result, rounds
-        for cut in new:
+        for U, cut in new:
             # Cut validity: genuinely violated at the iterate that produced it;
             # every row holds at an optimum, so a repeated row fails here too.
-            if sum(result.x[a] for a in cut.arcs) >= 1:
+            if sum(result.x[a] for a in cut) >= 1:
                 raise TheoremViolation("separated bicut is not violated",
-                                       payload={"U": cut.U, "x": _text(result.x)})
-            cut_rows.append(cut)
-            lp.add_row({a: 1 for a in cut.arcs}, ">=", 1)
+                                       payload={"U": U, "x": _text(result.x)})
+            cut_rows.append(U)
+            lp.add_row({a: 1 for a in cut}, ">=", 1)
 
 
 def _cutting_plane(instance: Instance, boxed: bool):
@@ -539,14 +534,14 @@ def _cutting_plane(instance: Instance, boxed: bool):
     optimal ``require_feasible`` raises; if it does not, ``TheoremViolation``
     carries the LP."""
     lp = _build_degree_lp(instance, boxed)
-    cut_rows: list[Bicut] = []
+    cut_rows: list[frozenset[str]] = []
     result, rounds = _solve_with_cuts(instance, lp, cut_rows)
     if result.status != "optimal":
         require_feasible(instance)
         raise TheoremViolation("cutting-plane LP %s on a feasible instance"
                                % result.status, payload={"lp": dump_lp(lp)})
     keys = [("v", v) for view in (instance, instance.mirror) for v in sorted(view.T)]
-    keys += [("U", cut.U) for cut in cut_rows]
+    keys += [("U", U) for U in cut_rows]
     return lp, result, cut_rows, rounds, dict(zip(keys, result.row_duals))
 
 
@@ -579,8 +574,11 @@ def dual_bound(instance: Instance, y: dict):
 
 
 def dual_key_str(key) -> str:
-    """A dual key as text, "v:<vertex>" or "U:{<sorted members>}"."""
-    return "v:%s" % key[1] if key[0] == "v" else "U:{%s}" % ",".join(sorted(key[1]))
+    """A dual key as text, "v:<vertex>" or "U:{<sorted members>}", each
+    member's backslashes doubled and commas preceded by a backslash, so no
+    two keys share a text."""
+    return "v:%s" % key[1] if key[0] == "v" else "U:{%s}" % ",".join(
+        v.replace("\\", "\\\\").replace(",", "\\,") for v in sorted(key[1]))
 
 
 def solve_primal_cutting_plane(instance: Instance) -> CuttingPlaneResult:
@@ -634,7 +632,7 @@ def integer_decomposition_check(instance: Instance, k: int, x) -> list[frozenset
                 raise InputError("scaled %s row fails at %s" % (name, v))
     short = _violated_bicuts(instance, x, k)
     if short:
-        raise InputError("scaled bicut row fails at U = %s" % sorted(short[0].U))
+        raise InputError("scaled bicut row fails at U = %s" % sorted(short[0][0]))
     return decompose(instance, k, x)
 
 
@@ -680,12 +678,12 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
             new = _violated_bicuts(instance, rest, j - 1)
             if not new:
                 break
-            for cut in new:
-                if sum(rest[a] for a in cut.arcs) >= j - 1:
+            for U, cut in new:
+                if sum(rest[a] for a in cut) >= j - 1:
                     raise TheoremViolation("separated bicut is not violated",
-                                           payload={"U": cut.U, "x": _text(y.x)})
-                lp.add_row({a: 1 for a in cut.arcs}, "<=",
-                           sum(residual[a] for a in cut.arcs) - (j - 1))
+                                           payload={"U": U, "x": _text(y.x)})
+                lp.add_row({a: 1 for a in cut}, "<=",
+                           sum(residual[a] for a in cut) - (j - 1))
         point = zero_one_vertex(lp, y)
         result.append(frozenset(a for a in arcs if point[a]))
         residual = [r - p for r, p in zip(residual, point)]

@@ -56,8 +56,7 @@ def packing_number(instance: Instance) -> MinMaxWitness:
         for view in (instance, instance.mirror))
     ones = [1] * instance.digraph.num_arcs()
     bicut_min, _, bicut_U = min(
-        (int(value), sorted(bicut.U), bicut.U)
-        for value, bicut in min_bicut_candidates(instance, ones))
+        (value, sorted(U), U) for value, U in min_bicut_candidates(instance, ones))
     return MinMaxWitness(t_min, t_arg, s_min, s_arg, bicut_min, bicut_U,
                          min(t_min, s_min, bicut_min))
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from bbibranch import lpsolve
 from bbibranch.bibranching import Instance, is_b_bibranching
 from bbibranch.digraph import Digraph
-from bbibranch.lpsolve import Bicut, RationalLP
+from bbibranch.lpsolve import RationalLP
 from bbibranch.rationals import Q, rat_str
 
 # ---------------------------------------------------------------------------
@@ -246,20 +246,21 @@ def oracle_max_disjoint_packing(instance: Instance) -> int:
     return best
 
 
-def all_bicuts(instance: Instance) -> list[Bicut]:
-    """Every bicut, by enumeration of eligible U (desk scale only)."""
+def all_bicuts(instance: Instance) -> list[tuple[frozenset[str], frozenset[int]]]:
+    """Every bicut as (U, delta^-(U)), the pairs ``_violated_bicuts``
+    returns, by enumeration of eligible U (desk scale only)."""
     D = instance.digraph
     cuts = []
     T_sorted = sorted(instance.T)
     for size in range(1, len(T_sorted) + 1):
         for combo in combinations(T_sorted, size):
             U = frozenset(combo)
-            cuts.append(Bicut(U, D.in_cut(U)))
+            cuts.append((U, D.in_cut(U)))
     S_sorted = sorted(instance.S)
     for size in range(1, len(S_sorted)):
         for combo in combinations(S_sorted, size):
             U = frozenset(instance.T | (instance.S - frozenset(combo)))
-            cuts.append(Bicut(U, D.in_cut(U)))
+            cuts.append((U, D.in_cut(U)))
     # T <= U = V \ (proper nonempty subset of S); U = T itself is covered above.
     return cuts
 

@@ -14,9 +14,10 @@ from bbibranch.bibranching import (Instance, brute_force_shortest,
 from bbibranch.digraph import Digraph, FlowNetwork, max_flow_min_cut
 from bbibranch.errors import InfeasibleInstance, InputError, TheoremViolation
 from bbibranch.lpsolve import (RationalLP, SimplexResult, dual_bound,
-                               dump_lp, dual_feasible, min_bicut_candidates,
-                               simplex_solve, solve_primal_cutting_plane,
-                               tdi_spot_check, zero_one_vertex)
+                               dual_key_str, dump_lp, dual_feasible,
+                               min_bicut_candidates, simplex_solve,
+                               solve_primal_cutting_plane, tdi_spot_check,
+                               zero_one_vertex)
 from bbibranch.rationals import Q, is_integral
 
 from conftest import (_dual_family, all_bicuts, digest_draws,
@@ -306,7 +307,7 @@ class TestBicuts:
         inst = one_arc_instance()
         cuts = all_bicuts(inst)
         assert len(cuts) == 1  # only U = {t}; the S-side family is empty here
-        assert cuts[0].arcs == frozenset({0})
+        assert cuts[0] == (frozenset({"t"}), frozenset({0}))
 
     def test_enumeration_matches_definition(self):
         rng = random.Random(31)
@@ -321,16 +322,16 @@ class TestBicuts:
             for r in range(1, len(inst.S)):
                 for combo in itertools.combinations(sorted(inst.S), r):
                     expected.add(inst.T | (inst.S - frozenset(combo)))
-            got = {cut.U for cut in all_bicuts(inst)}
+            got = {U for U, _ in all_bicuts(inst)}
             assert got == expected
-            for cut in all_bicuts(inst):
-                assert cut.arcs == D.in_cut(cut.U)
+            for U, cut in all_bicuts(inst):
+                assert cut == D.in_cut(U)
 
 
 class TestSeparation:
     def test_finds_most_violated_cut(self):
         inst = one_arc_instance()
-        assert min_bicut_candidates(inst, [Q(0)])[0] == (0, all_bicuts(inst)[0])
+        assert min_bicut_candidates(inst, [Q(0)])[0] == (0, all_bicuts(inst)[0][0])
         assert min(value for value, _ in min_bicut_candidates(inst, [Q(1)])) == 1
 
     def test_rejects_negative_point(self):
@@ -356,10 +357,10 @@ class TestSeparation:
             m = inst.digraph.num_arcs()
             x = [Q(rng.randint(0, 4), 4) for _ in range(m)]
             candidates = min_bicut_candidates(inst, x)
-            for value, cut in candidates:
-                assert value == sum(x[a] for a in cut.arcs)
+            for value, U in candidates:
+                assert value == sum(x[a] for a in inst.digraph.in_cut(U))
             assert min(value for value, _ in candidates) == min(
-                sum(x[a] for a in cut.arcs) for cut in all_bicuts(inst))
+                sum(x[a] for a in cut) for _, cut in all_bicuts(inst))
 
     def test_max_flows_run_on_int_capacities(self, monkeypatch):
         # Each call compiles its network, capacities included, through
@@ -381,8 +382,8 @@ class TestSeparation:
             inst = random_instance(rng, 2, 2, 0.6, 1, 5, max_arcs=10)
             x = [Q(rng.randint(0, 6), rng.choice((2, 3, 4)))
                  for _ in range(inst.digraph.num_arcs())]
-            for value, cut in min_bicut_candidates(inst, x):
-                assert value == sum(x[a] for a in cut.arcs)
+            for value, U in min_bicut_candidates(inst, x):
+                assert value == sum(x[a] for a in inst.digraph.in_cut(U))
         assert len(compiled) == 5
         assert flown and all(any(n is c for c in compiled) for n in flown)
         # Every residual slot, the super arcs' capacity included.
@@ -401,10 +402,11 @@ class TestSeparation:
                  for _ in range(inst.digraph.num_arcs())]
             for need in (1, 2, 3):
                 seen, expected = set(), []
-                for value, cut in min_bicut_candidates(inst, x):
-                    if value < need and cut.arcs not in seen:
-                        seen.add(cut.arcs)
-                        expected.append(cut)
+                for value, U in min_bicut_candidates(inst, x):
+                    cut = inst.digraph.in_cut(U)
+                    if value < need and cut not in seen:
+                        seen.add(cut)
+                        expected.append((U, cut))
                 assert lpsolve._violated_bicuts(inst, x, need) == expected
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -421,10 +423,11 @@ class TestSeparation:
                                extra_cross=rng.randint(0, 3))
         x = [rng.randint(0, 2) for _ in range(inst.digraph.num_arcs())]
         seen, expected = set(), []
-        for _, cut in min_bicut_candidates(inst, x, 1):
-            if cut.arcs not in seen:
-                seen.add(cut.arcs)
-                expected.append(cut)
+        for _, U in min_bicut_candidates(inst, x, 1):
+            cut = inst.digraph.in_cut(U)
+            if cut not in seen:
+                seen.add(cut)
+                expected.append((U, cut))
         flows = []
 
         def counted(*args):
@@ -529,8 +532,35 @@ class TestCuttingPlane:
             assert all(val >= 0 for val in res.row_duals.values())
             for v in inst.digraph.vertices:
                 assert ("v", v) in res.row_duals
-            for cut in res.bicut_rows:
-                assert ("U", cut.U) in res.row_duals
+            for U in res.bicut_rows:
+                assert ("U", U) in res.row_duals
+
+
+class TestDualKeyText:
+    def test_members_holding_commas_get_two_keys(self):
+        # Joined unescaped, both printed as U:{a,b,c}.
+        assert dual_key_str(("U", frozenset({"a", "b,c"}))) == "U:{a,b\\,c}"
+        assert dual_key_str(("U", frozenset({"a,b", "c"}))) == "U:{a\\,b,c}"
+
+    def test_ids_without_a_comma_or_backslash_print_as_before(self):
+        assert dual_key_str(("U", frozenset({"t2", "t1"}))) == "U:{t1,t2}"
+        assert dual_key_str(("U", frozenset({"{a}", "b:"}))) == "U:{b:,{a}}"
+        assert dual_key_str(("v", "t1")) == "v:t1"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ids=st.lists(st.text(alphabet="ab,\\{}:", max_size=3),
+                        min_size=1, max_size=3, unique=True))
+    def test_text_is_injective(self, ids):
+        # Texts collide where one id is two others joined by a comma, so
+        # the ids are closed under that join; every key of up to three of
+        # them gets its own text.
+        ids = sorted(set(ids) | {x + "," + y for x in ids for y in ids})
+        keys = [("v", v) for v in ids] + [
+            ("U", frozenset(U)) for size in (1, 2, 3)
+            for U in itertools.combinations(ids, size)]
+        texts = {}
+        for key in keys:
+            assert texts.setdefault(dual_key_str(key), key) == key
 
 
 class TestTDI:

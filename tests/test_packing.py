@@ -25,8 +25,9 @@ from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
                                partition_cross_arcs, verify_packing)
 from bbibranch.rationals import Q
 
-from conftest import (one_arc_instance, oracle_max_disjoint_packing,
-                      random_digraph, random_instance, repeat_separations)
+from conftest import (all_bicuts, digest_draws, one_arc_instance,
+                      oracle_max_disjoint_packing, random_digraph,
+                      random_instance, repeat_separations)
 
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -82,6 +83,31 @@ class TestPackingNumber:
                                    0.55, 2, 3, max_arcs=10,
                                    extra_cross=rng.randint(0, 3))
             assert packing_number(inst).k == oracle_max_disjoint_packing(inst)
+
+    def test_bicut_minimum_builds_no_arc_set(self, monkeypatch):
+        # The witness is a least bicut of the enumeration, and packing_number
+        # finds it from flow values alone: counted, it scans no arc for a
+        # cut and returns the same witness.
+        expected = []
+        for inst in digest_draws():
+            wit = packing_number(inst)
+            bicuts = all_bicuts(inst)
+            assert (wit.bicut_witness, inst.digraph.in_cut(wit.bicut_witness)) in bicuts
+            assert len(inst.digraph.in_cut(wit.bicut_witness)) == wit.bicut_min \
+                == min(len(cut) for _, cut in bicuts)
+            expected.append(wit)
+        scans = []
+        in_cut = Digraph.in_cut
+
+        def counted(self, X):
+            scans.append(X)
+            return in_cut(self, X)
+
+        monkeypatch.setattr(Digraph, "in_cut", counted)
+        for inst, wit in zip(digest_draws(), expected):
+            assert packing_number(inst) == wit
+            assert type(wit.bicut_min) is int
+        assert scans == []
 
 
 class TestCutFamilies:
@@ -564,9 +590,8 @@ class TestFullPacking:
             own = [value for value, _ in min_bicut_candidates(inst, x)]
             mirrored = min_bicut_candidates(inst.mirror, x)
             assert [value for value, _ in mirrored] == own[len(inst.T):] + own[:len(inst.T)]
-            for value, cut in mirrored:
-                assert cut.arcs == inst.mirror.digraph.in_cut(cut.U)
-                assert value == sum(x[a] for a in cut.arcs)
+            for value, U in mirrored:
+                assert value == sum(x[a] for a in inst.mirror.digraph.in_cut(U))
 
     def test_single_s_vertex_needs_two_cross_arcs_per_class(self):
         # S = {s0} with b(s0) = 2 and A[S] empty: every class must take two
@@ -631,7 +656,7 @@ def record_separations(monkeypatch):
     def recorded(instance, x, need=1):
         cuts = original(instance, x, need)
         calls.append((sys._getframe(1).f_code.co_name, need,
-                      [sorted(cut.U) for cut in cuts]))
+                      [sorted(U) for U, _ in cuts]))
         return cuts
 
     monkeypatch.setattr(lpsolve, "_violated_bicuts", recorded)

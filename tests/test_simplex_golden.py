@@ -94,8 +94,8 @@ def production_lps():
     draws = list(digest_draws())
     for instance in draws:
         lp = _build_degree_lp(instance, boxed=True)
-        for cut in all_bicuts(instance):
-            lp.add_row({a: 1 for a in cut.arcs}, ">=", 1)
+        for _, cut in all_bicuts(instance):
+            lp.add_row({a: 1 for a in cut}, ">=", 1)
         yield lp
         yield _build_dual_lp(instance, _dual_family(instance))
         k = packing_number(instance).k
