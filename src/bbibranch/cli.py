@@ -8,7 +8,8 @@ Instance files are JSON documents::
 Weights may be integers or exact rationals written as "p/q" strings.
 Reports are JSON with rationals serialized the same way, as text also when
 integral (a checked 0/1 vertex is a list of ints), and arcs referenced by
-their 0-based index in the instance file.
+their 0-based index in the instance file.  ``_write_json`` writes every
+report and ``gen``'s document, with sorted keys and sets as sorted lists.
 
 Exit codes: 0 success, 2 input error, 3 infeasible, 4 guard exceeded,
 5 theorem-violation report.
@@ -103,15 +104,20 @@ def load_instance_file(path: str) -> tuple[Instance, str]:
     return instance, digest
 
 
+def _json_value(obj):
+    """json's fallback: a set as its sorted members, a rational as text."""
+    return sorted(obj) if isinstance(obj, (set, frozenset)) else rat_str(obj)
+
+
+def _write_json(obj) -> None:
+    # One write: json.dump would write the document in about a hundred chunks.
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2,
+                                default=_json_value) + "\n")
+
+
 def emit_report(argv: list, instance_hash: str, status: str, payload: dict) -> None:
-    report = {
-        "command": argv,
-        "instance_hash": instance_hash,
-        "status": status,
-        "result": payload,
-    }
-    # One write: json.dump would write the report in about a hundred chunks.
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_json({"command": argv, "instance_hash": instance_hash,
+                 "status": status, "result": payload})
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +138,10 @@ def cmd_solve(args, instance: Instance) -> dict:
     certificate = {key: rat_str(val) if key == "dual_bound" else val
                    for key, val in solution.certificate.items()}
     return {
-        "arcs": sorted(solution.arcs),
+        "arcs": solution.arcs,
         "value": rat_str(solution.weight),
         "method": args.method,
-        "certificate": _jsonable(certificate),
+        "certificate": certificate,
     }
 
 
@@ -144,7 +150,7 @@ def _witness_payload(witness) -> dict:
         "t_min": witness.t_min, "t_argmin": witness.t_argmin,
         "s_min": witness.s_min, "s_argmin": witness.s_argmin,
         "bicut_min": witness.bicut_min,
-        "bicut_witness": sorted(witness.bicut_witness),
+        "bicut_witness": witness.bicut_witness,
     }
 
 
@@ -162,7 +168,7 @@ def cmd_pack(args, instance: Instance) -> dict:
     return {
         "k": cert.k,
         "witness": _witness_payload(cert.witness),
-        "classes": [sorted(c) for c in cert.classes],
+        "classes": cert.classes,
     }
 
 
@@ -202,8 +208,7 @@ def _check_mconvex(instance, rng, trials):
             x, y = point(kind == "g"), point(kind == "g")
             ok, counterexample = check_mnat_exchange(evaluator, D.vertices, x, y)
             if not ok:
-                return False, {"function": kind,
-                               "counterexample": _jsonable(counterexample)}
+                return False, {"function": kind, "counterexample": counterexample}
     return True, {"trials": {"f": trials, "g": trials}}
 
 
@@ -272,7 +277,7 @@ def _check_idp(instance, rng, trials):
                                 method="lp").arcs:
             x[a] += 1
     classes = integer_decomposition_check(instance, k, x)
-    return True, {"k": k, "classes": [sorted(c) for c in classes]}
+    return True, {"k": k, "classes": classes}
 
 
 def cmd_check(args, instance: Instance) -> dict:
@@ -310,23 +315,8 @@ def cmd_gen(args) -> int:
         if rng.random() < args.arc_density:
             arcs.append({"tail": tail, "head": head,
                          "weight": rng.randint(0, args.wmax)})
-    json.dump({"vertices": vertices, "arcs": arcs}, sys.stdout,
-              sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    _write_json({"vertices": vertices, "arcs": arcs})
     return EXIT_OK
-
-
-def _jsonable(obj):
-    """Recursively convert report payloads to JSON-safe structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return rat_str(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +389,11 @@ def main(argv=None) -> int:
         return EXIT_GUARD
     except InfeasibleInstance as exc:
         status = "infeasible"
-        payload = {"message": str(exc), "witness": _jsonable(exc.witness)}
+        payload = {"message": str(exc), "witness": exc.witness}
     except TheoremViolation as exc:
         print("theorem violation: %s" % exc, file=sys.stderr)
         status = "theorem_violation"
-        payload = {"message": str(exc), "payload": _jsonable(exc.payload)}
+        payload = {"message": str(exc), "payload": exc.payload}
     emit_report(argv, digest, status, payload)
     return EXIT_CODES[status]
 

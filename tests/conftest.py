@@ -56,6 +56,15 @@ def digest_draws():
                               max_arcs=12, extra_cross=rng.randint(1, 4))
 
 
+def bicut_draws():
+    """Forty seeded sparse instances, one S vertex and four or five T
+    vertices, whose shortest b-bibranchings often need bicut rows."""
+    rng = random.Random(7007)
+    for _ in range(40):
+        yield random_instance(rng, 1, rng.randint(4, 5), rng.uniform(0.3, 0.35),
+                              1, 9, max_arcs=20)
+
+
 def _coefficient(rng):
     if rng.random() < 0.15:
         return Q(rng.randint(-5, 5), rng.randint(2, 3))

@@ -33,7 +33,9 @@ and say so.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -121,6 +123,12 @@ def production_records() -> list:
     return [record(simplex_solve(lp)) for lp in production_lps()]
 
 
+def golden_lps() -> list:
+    """Every golden LP: the random ones, then the production-shaped ones."""
+    rng = random.Random(SEED)
+    return [random_lp(rng) for _ in range(COUNT)] + list(production_lps())
+
+
 def _assert_matches(found, path):
     recorded = json.loads(path.read_text())
     assert len(found) == len(recorded)
@@ -145,10 +153,8 @@ def test_production_shape_lps_match_recorded_results():
 def test_results_are_int_exactly_when_integral():
     # The number rule: every x, row dual, bound dual and objective is an
     # int when integral and a Fraction with denominator > 1 otherwise.
-    rng = random.Random(SEED)
-    lps = [random_lp(rng) for _ in range(COUNT)] + list(production_lps())
     kinds = set()
-    for index, lp in enumerate(lps):
+    for index, lp in enumerate(golden_lps()):
         result = simplex_solve(lp)
         values = [result.objective, *(result.x or ()), *(result.row_duals or ()),
                   *(result.bound_duals or ())]
@@ -158,6 +164,90 @@ def test_results_are_int_exactly_when_integral():
                 assert type(value) is int or (type(value) is Fraction
                                               and value.denominator > 1), index
     assert kinds == {int, Fraction}
+
+
+HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+# The sign of a row's dual in min form: a >= row's is >= 0, a <= row's <= 0.
+DUAL_SIGN = {"<=": -1, ">=": 1, "=": 0}
+
+
+def duality_failure(lp, result):
+    """The first failing one of four conditions that together prove an
+    optimal ``result`` of ``lp`` optimal, exactly and without a pivot; None
+    if all hold.  Duals are read in min form (a max LP's reported duals are
+    negated, a None bound dual is 0):
+
+    - ``primal``: x meets every row and bound, and the objective is c.x;
+    - ``dual signs``: a >= row's dual is >= 0 and a <= row's <= 0, and a
+      bound dual is <= 0, and 0 where there is no upper bound;
+    - ``reduced costs``: r = c - yA - z >= 0, the lower bounds' duals;
+    - ``dual objective``: y.rhs + z.u + r.l equals the min-form objective.
+    """
+    flip = 1 if lp.sense == "min" else -1
+    x = result.x
+    bounds = list(zip(lp.lower, lp.upper))
+    if not (all(HOLDS[rel](sum(c * x[j] for j, c in coeffs.items()), rhs)
+                for coeffs, rel, rhs in lp.rows)
+            and all(lo <= v and (up is None or v <= up)
+                    for v, (lo, up) in zip(x, bounds))
+            and result.objective == sum(c * v for c, v in zip(lp.objective, x))):
+        return "primal"
+    y = [flip * v for v in result.row_duals]
+    z = [0 if v is None else flip * v for v in result.bound_duals]
+    if not (all(DUAL_SIGN[rel] * v >= 0 for v, (_, rel, _) in zip(y, lp.rows))
+            and all(v <= 0 and (v == 0 or up is not None)
+                    for v, (_, up) in zip(z, bounds))):
+        return "dual signs"
+    r = [flip * c - v for c, v in zip(lp.objective, z)]
+    for v, (coeffs, _, _) in zip(y, lp.rows):
+        for j, c in coeffs.items():
+            r[j] -= v * c
+    if any(v < 0 for v in r):
+        return "reduced costs"
+    dual = (sum(v * rhs for v, (_, _, rhs) in zip(y, lp.rows))
+            + sum(v * up for v, (_, up) in zip(z, bounds) if v)
+            + sum(v * lo for v, (lo, _) in zip(r, bounds)))
+    if dual != flip * result.objective:
+        return "dual objective"
+    return None
+
+
+def optimal_results():
+    """(LP, result) of every optimal golden, in ``golden_lps`` order."""
+    return [(lp, result) for lp in golden_lps()
+            if (result := simplex_solve(lp)).status == "optimal"]
+
+
+def test_every_optimal_golden_certifies_by_duality():
+    pairs = optimal_results()
+    assert len(pairs) == 383
+    assert [index for index, (lp, result) in enumerate(pairs)
+            if duality_failure(lp, result)] == []
+
+
+def test_duality_check_rejects_planted_faults():
+    # Each fault, planted in every optimal golden where it applies, is
+    # named: a nonzero inequality row dual with its sign flipped, an x entry
+    # with a nonzero cost moved by 1, and the objective off by 1.  (An
+    # equality row's dual may be flipped in a valid certificate: on 16 of
+    # them the flipped dual still certifies the optimum.)
+    named = {"row dual": set(), "x": set(), "objective": set()}
+    for lp, result in optimal_results():
+        for i, v in enumerate(result.row_duals):
+            if v and lp.rows[i][1] != "=":
+                duals = list(result.row_duals)
+                duals[i] = -v
+                named["row dual"].add(duality_failure(
+                    lp, dataclasses.replace(result, row_duals=duals)))
+        for j, c in enumerate(lp.objective):
+            if c:
+                x = list(result.x)
+                x[j] += 1
+                named["x"].add(duality_failure(lp, dataclasses.replace(result, x=x)))
+        named["objective"].add(duality_failure(
+            lp, dataclasses.replace(result, objective=result.objective + 1)))
+    assert named == {"row dual": {"dual signs"}, "x": {"primal"},
+                     "objective": {"primal"}}
 
 
 def _write(path, records):

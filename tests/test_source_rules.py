@@ -83,6 +83,7 @@ QUERIES = {
     "Digraph": _calls("Digraph"),
     "load_instance_file": _calls("load_instance_file"),
     "emit_report": _calls("emit_report"),
+    "json dump": _calls("dump", "dumps"),
     # type(x) is int and type(x) is not int: exact int tests, bools excluded.
     "int test": _where(lambda node: isinstance(node, ast.Compare)
                        and _called(node.left) == "type"
@@ -219,6 +220,13 @@ def test_one_load_and_one_report_per_command():
     assert _sites("emit_report") == [("cli.py", "main")]
 
 
+def test_one_json_writer():
+    # Every report and ``gen``'s document is serialized by ``cli._write_json``,
+    # so keys are sorted, sets are sorted lists and rationals are text the
+    # same way in each.
+    assert _sites("json dump") == [("cli.py", "_write_json")]
+
+
 def test_int_tests_are_pinned():
     # Vertex maps are read by ``Digraph.per_vertex`` and arc maps by
     # ``Digraph.per_arc``, so a hand-written test of a map's entries shows up
@@ -264,7 +272,7 @@ class Net:
 
             def supply(network):
                 FlowNetwork(network, arc)
-        return Digraph([], []), Fraction(1, 2)
+        return Digraph([], []), Fraction(1, 2), json.dumps(arcs)
 """
 
 
