@@ -1,9 +1,8 @@
 """Exact rational LP machinery.
 
-A two-phase simplex with Bland's rule, exact throughout, on one
-fraction-free tableau that carries its reduced-cost rows through the
-pivots: every row is a list of Python ints over one positive row
-denominator.  Finite upper bounds are held implicitly, each boxed column
+A two-phase simplex with Bland's rule, exact throughout, on one tableau
+of exact entries that carries its reduced-cost rows through the pivots.
+Finite upper bounds are held implicitly, each boxed column
 complemented while its variable sits at the bound, and Bland's rule runs
 over the column indices of the formulation with one explicit row per
 bound, so the pivot path, and every result, is that formulation's.  LP
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, compress
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .bibranching import Instance, Solution, bibranching_report, require_feasible
@@ -123,16 +122,17 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     bound).  An upper bound below its lower bound leaves the explicit
     phase 1 positive: infeasible.
 
-    Every row, the phase-2 and phase-1 reduced-cost rows last, is a list of
-    ints over one positive row denominator: entry j of row i stands for
-    tableau[i][j] / dens[i], and every pivot and complement updates the
-    reduced-cost rows along with the constraints.  A pivot on entry p
-    rewrites each other row r as r*p - f*(pivot row) over den*p,
-    fraction-free as in Bareiss (1968), and divides out the row's gcd; a
-    row with f = 0 is left as it is, and for p = 1 only the pivot row's
-    nonzero entries are subtracted.  Signs are read off the numerators,
-    and the ratio test cross-multiplies.  Each result value is read off as
-    ``ratio(numerator, denominator)``: an int when integral, a Fraction
+    Every row, the phase-2 and phase-1 reduced-cost rows last, holds exact
+    entries: an int, or a Fraction only where the data is fractional or a
+    pivot entry is not +-1.  Every pivot and complement updates the
+    reduced-cost rows along with the constraints.  A pivot divides its row
+    by the pivot entry, unless that is 1, through ``ratio``, then subtracts
+    f times the row, over its nonzero entries, from each other row whose
+    entry f in the pivot column is nonzero.  The phase-2 cost row alone is
+    scaled, by L, the lcm of the objective's denominators, so that rational
+    weights leave it int while the pivots are unit; L > 0 moves no sign,
+    and the duals are read divided by L.  The ratio test cross-multiplies.  Each result value is
+    read off through ``rat`` or ``ratio``: an int when integral, a Fraction
     only otherwise.
     """
     n = lp.num_vars
@@ -155,7 +155,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     art_col = art_start = n + sum(row[1] != "=" for row in rows)
     num_cols = art_start + sum(row[1] != "<=" for row in rows)
     boxes = len(bounded)
-    width: list[Optional[tuple[int, int]]] = [None] * num_cols  # (p, q): u - l = p/q
+    width: list[Optional[object]] = [None] * num_cols  # u - l of a boxed column
     # The explicit index of each column's variable and, for a boxed column,
     # of the other variable of its pair (so boxed column j is complemented
     # while explicit[j] != j); the column at each explicit index, or -1 for
@@ -164,50 +164,43 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     other = [-1] * num_cols
     by_index = list(range(art_start)) + [-1] * boxes + list(range(art_start, num_cols))
     for k, (j, w) in enumerate(zip(bounded, widths)):
-        width[j] = (w.numerator, w.denominator)
+        width[j] = w
         other[j] = art_start + k
 
-    tableau: list[list[int]] = []
-    dens: list[int] = []  # row i stands for tableau[i] / dens[i]
+    tableau: list[list] = []
     basis: list[int] = []
     own: list[int] = []   # row i's slack, surplus or (for =) artificial column
     scale: list[int] = []  # row i's dual is scale[i] times own[i]'s reduced cost
     for coeffs, rel, rhs, sign in rows:
-        den = lcm(rhs.denominator, *[c.denominator for c in coeffs.values()])
         row = [0] * (num_cols + 1)
         for j, c in coeffs.items():
-            row[j] = sign * c.numerator * (den // c.denominator)
-        row[-1] = sign * rhs.numerator * (den // rhs.denominator)
+            row[j] = sign * c
+        row[-1] = sign * rhs
         if rel == "=":
             own.append(art_col)
         else:
             own.append(slack_col)
-            row[slack_col] = den if rel == "<=" else -den
+            row[slack_col] = 1 if rel == "<=" else -1
             slack_col += 1
         if rel == "<=":
             basis.append(own[-1])
         else:
-            row[art_col] = den
+            row[art_col] = 1
             basis.append(art_col)
             art_col += 1
         scale.append((1 if rel == ">=" else -1) * sign * flip)
         tableau.append(row)
-        dens.append(den)
-    den = lcm(*[c.denominator for c in lp.objective])
-    tableau.append([flip * c.numerator * (den // c.denominator) for c in lp.objective]
+    cost_den = lcm(*[c.denominator for c in lp.objective])
+    tableau.append([flip * c.numerator * (cost_den // c.denominator) for c in lp.objective]
                    + [0] * (num_cols - n + 1))
-    dens.append(den)
     # Phase 1 minimizes the sum of the artificials: their cost row minus
-    # each artificial row's nonzeros, over one common denominator.
-    art_rows = [i for i in range(m) if basis[i] >= art_start]
-    den = lcm(*[dens[i] for i in art_rows])
-    phase1 = [0] * art_start + [den] * (num_cols - art_start) + [0]
-    for i in art_rows:
-        f, row = den // dens[i], tableau[i]
-        for j in compress(range(num_cols + 1), row):
-            phase1[j] -= f * row[j]
+    # each artificial row.
+    phase1 = [0] * art_start + [1] * (num_cols - art_start) + [0]
+    for row, b in zip(tableau, basis):
+        if b >= art_start:
+            for j in compress(range(num_cols + 1), row):
+                phase1[j] -= row[j]
     tableau.append(phase1)
-    dens.append(den)
 
     # The explicit row position of each basic variable, by explicit index.
     place = {explicit[j]: i for i, j in enumerate(basis)}
@@ -216,48 +209,26 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     def complement(j: int) -> None:
         """Swap column j's variable for the other of its pair, u - l minus
         it, in every row."""
-        p, q = width[j]
-        for i, row in enumerate(tableau):
+        w = width[j]
+        for row in tableau:
             a = row[j]
             if a:
-                if q > 1:
-                    row = tableau[i] = [c * q for c in row]
-                    dens[i] *= q
-                row[j] = -row[j]
-                row[-1] -= a * p
-                if q > 1:
-                    g = gcd(dens[i], *row)
-                    if g > 1:
-                        tableau[i] = [c // g for c in row]
-                        dens[i] //= g
+                row[j] = -a
+                row[-1] -= a * w
         explicit[j], other[j] = other[j], explicit[j]
         by_index[explicit[j]], by_index[other[j]] = j, -1
 
     def pivot(row: int, col: int) -> None:
-        # Row i holds +-dens[i] in its basic column, and construction, updates
-        # and complement keep gcd(dens[i], *row) = 1: src is already reduced.
-        src = tableau[row]
-        if src[col] < 0:
-            src = tableau[row] = [-c for c in src]
-        p = dens[row] = src[col]
-        nonzero = None  # src's nonzero entries, listed once a row needs them
+        src, p = tableau[row], tableau[row][col]
+        nonzero = list(compress(range(len(src)), src))
+        if p != 1:
+            for j in nonzero:
+                src[j] = ratio(src[j], p)
         for i, dst in enumerate(tableau):
             f = dst[col]
-            if not f or i == row:
-                continue
-            if p == 1:
-                if nonzero is None:
-                    nonzero = list(compress(range(len(src)), src))
+            if f and i != row:
                 for j in nonzero:
                     dst[j] -= f * src[j]
-            else:
-                dst = tableau[i] = [a * p - f * b for a, b in zip(dst, src)]
-                dens[i] *= p
-            if dens[i] > 1:
-                g = gcd(dens[i], *dst)  # stops computing once it reaches 1
-                if g > 1:
-                    tableau[i] = [a // g for a in dst]
-                    dens[i] //= g
         basis[row] = col
 
     def optimize(limit: int) -> bool:
@@ -274,7 +245,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
             # (-1 for the entering column's own bound, -2 for none yet).
             best_row = -2
             if width[entering] is not None:
-                best_num, best_den = width[entering]
+                best_num, best_den = width[entering], 1
                 best_tie, best_row = other[entering], -1
             for i, (row, b) in enumerate(zip(tableau, basis)):
                 coef = row[entering]
@@ -285,8 +256,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
                 elif width[b] is None:
                     continue
                 else:
-                    p, q = width[b]
-                    num, den, tie = p * dens[i] - q * row[-1], -coef * q, other[b]
+                    num, den, tie = width[b] - row[-1], -coef, other[b]
                 if best_row > -2:
                     # num / den against the best ratio, cross-multiplied
                     left, right = num * best_den, best_num * den
@@ -304,7 +274,6 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
             pivot(best_row, entering)
 
     optimize(num_cols + boxes)
-    dens.pop()
     if tableau.pop()[-1] < 0:  # minus the least sum of the artificials
         return SimplexResult(status="infeasible")
     # Pivot lingering artificials out of the (degenerate) basis, in explicit
@@ -322,7 +291,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     x = list(lp.lower)
     for i, j in enumerate(basis):
         if j < n:
-            value = ratio(tableau[i][-1], dens[i])
+            value = tableau[i][-1]
             x[j] = rat(lp.upper[j] - value if explicit[j] != j else x[j] + value)
     for j in set(bounded).difference(basis):
         if explicit[j] != j:
@@ -331,7 +300,7 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     # dual off the reduced costs; the others keep the default.
     row_duals = [0] * m
     bound_duals: list[Optional[object]] = [None] * n
-    cost, cost_den = tableau[-1], dens[-1]
+    cost = tableau[-1]
     for k, i in place.items():
         if k >= art_start + boxes:
             continue

@@ -2,9 +2,12 @@
 
 All solver arithmetic in this package is exact, on one rule: a value is a
 Python int when it is integral and a ``fractions.Fraction`` otherwise.
-Fractions are made only here: by ``rat`` for fractional input ('p/q'
-weights) and by ``ratio`` for the simplex's non-integral results.  Code
-that tests a fractional point keeps it as an int vector over one scale
+A Fraction enters only here: through ``rat``, for fractional input ('p/q'
+weights), and through ``ratio``, which divides rationals, for the simplex's
+non-integral pivots and results.  Arithmetic on Fractions stays exact
+(the simplex's tableau entries, for one); results are read back through
+``rat`` or ``ratio``, so an integral one is an int.  Code that tests a
+fractional point keeps it as an int vector over one scale
 (``packing.GPolymatroidSystem.check_point``).
 Integral data such as b, unit capacities, integer weights and every
 integral LP coefficient, bound, vertex, dual and objective stay int from
@@ -52,8 +55,10 @@ def rat(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def ratio(p: int, q: int):
-    """p/q for ints p and q != 0: an int when q divides p, else a Fraction."""
+def ratio(p, q):
+    """p/q for rationals p and q != 0, each an int or a Fraction: an int
+    when the quotient is integral, else a Fraction.  This and ``rat`` are
+    where a Fraction enters; arithmetic on one stays exact."""
     whole, rest = divmod(p, q)
     return Q(p, q) if rest else whole
 

@@ -1,14 +1,16 @@
 """Byte identity of the CLI over the benchmark pools.
 
 Regenerates every instance of the three ``perfbench`` pools with
-``perfbench/workloads.py``, which it only reads, runs 8,900 commands on
+``perfbench/workloads.py``, which it only reads, runs 9,300 commands on
 them in-process through ``cli.main`` and writes one SHA-256 per command
 (``test_report_digests.run_digest``: exit code, stdout and stderr):
 
 - ``pack`` and ``packing-number`` on the 2,000 ``pack`` instances;
 - ``solve``, ``check --what tdi`` and ``check --what idp --trials 3`` on
   the 1,500 ``solve-small`` instances;
-- ``solve`` on the 400 ``solve-sparse`` instances.
+- ``solve`` and ``check --what tdi`` on the 400 ``solve-sparse``
+  instances, whose LPs take the few pivots on an entry other than +-1
+  that the pools hold.
 
 Run it from the repository root, with the ``src`` to test on ``PYTHONPATH``::
 
@@ -43,7 +45,7 @@ COMMANDS = {
     "pack": (("pack",), ("packing-number",)),
     "solve-small": (("solve",), ("check", "--what", "tdi"),
                     ("check", "--what", "idp", "--trials", "3")),
-    "solve-sparse": (("solve",),),
+    "solve-sparse": (("solve",), ("check", "--what", "tdi")),
 }
 
 

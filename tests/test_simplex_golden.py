@@ -21,8 +21,12 @@ cross-arc set) as ``find_integral_point`` poses them.  Last come the
 LPs ``decompose`` solves as ``pack`` runs it, peeling chi_A of every draw
 with packing number k >= 2 into k classes: lower and upper degree rows,
 bounds fixing at 0 the arcs already peeled, and lower and upper bicut
-rows, each LP copied as it stood at that solve.  Their results are
-recorded in ``simplex_golden_production.json``.
+rows, each LP copied as it stood at that solve.  Then the fourteen
+LPs that ``tdi_spot_check`` solves, the rounds of its unboxed cutting
+plane, on one draw shaped like the ``solve-sparse`` pool (|S| = 4,
+|T| = 10, b = 1, m = 59): 30 of their 1,103 pivots have an entry other
+than +-1, which no other production-shaped LP here takes.  Their results
+are recorded in ``simplex_golden_production.json``.
 
 The recorded files are rewritten by ``python tests/test_simplex_golden.py``
 (with ``src`` and ``tests`` on ``PYTHONPATH``); do that only for a change
@@ -42,11 +46,12 @@ from pathlib import Path
 
 from bbibranch import lpsolve
 from bbibranch.lpsolve import (RationalLP, _build_degree_lp, _build_dual_lp,
-                               decompose, simplex_solve)
+                               decompose, simplex_solve, tdi_spot_check)
 from bbibranch.packing import build_system, packing_number
 from bbibranch.rationals import rat_str
 
-from conftest import _dual_family, all_bicuts, digest_draws, random_lp
+from conftest import (_dual_family, all_bicuts, digest_draws, random_instance,
+                      random_lp)
 
 GOLDEN = Path(__file__).resolve().parent / "simplex_golden.json"
 PRODUCTION = Path(__file__).resolve().parent / "simplex_golden_production.json"
@@ -71,9 +76,9 @@ def golden_records() -> list:
     return [record(simplex_solve(random_lp(rng))) for _ in range(COUNT)]
 
 
-def stage_lps(instance, k):
-    """Every LP ``decompose`` solves peeling chi_A into k classes, copied
-    as it stood at each solve, in solve order."""
+def solved_lps(run, *args):
+    """Every LP that ``run(*args)`` solves, copied as it stood at each
+    solve, in solve order."""
     seen = []
 
     def recording(lp):
@@ -85,7 +90,7 @@ def stage_lps(instance, k):
 
     lpsolve.simplex_solve = recording
     try:
-        decompose(instance, k, [1] * instance.digraph.num_arcs())
+        run(*args)
     finally:
         lpsolve.simplex_solve = simplex_solve
     return seen
@@ -116,7 +121,10 @@ def production_lps():
     for instance in draws:
         k = packing_number(instance).k
         if k >= 2:
-            yield from stage_lps(instance, k)
+            yield from solved_lps(decompose, instance, k,
+                                  [1] * instance.digraph.num_arcs())
+    yield from solved_lps(tdi_spot_check, random_instance(
+        random.Random(62), 4, 10, 0.42, 1, 50, max_arcs=66))
 
 
 def production_records() -> list:
@@ -220,7 +228,7 @@ def optimal_results():
 
 def test_every_optimal_golden_certifies_by_duality():
     pairs = optimal_results()
-    assert len(pairs) == 383
+    assert len(pairs) == 397
     assert [index for index, (lp, result) in enumerate(pairs)
             if duality_failure(lp, result)] == []
 

@@ -84,6 +84,8 @@ QUERIES = {
     "load_instance_file": _calls("load_instance_file"),
     "emit_report": _calls("emit_report"),
     "json dump": _calls("dump", "dumps"),
+    "gcd or lcm": lambda file, owner, node, in_loop:
+        _called(node) in ("gcd", "lcm") and (file, owner, _called(node)),
     # type(x) is int and type(x) is not int: exact int tests, bools excluded.
     "int test": _where(lambda node: isinstance(node, ast.Compare)
                        and _called(node.left) == "type"
@@ -227,6 +229,14 @@ def test_one_json_writer():
     assert _sites("json dump") == [("cli.py", "_write_json")]
 
 
+def test_one_scale_in_the_simplex():
+    # The simplex tableau holds exact entries, so no row carries a
+    # denominator and no gcd reduces one.  lcm scales separation's point to
+    # int capacities, and once, in the simplex, the phase-2 cost row to ints.
+    assert _sites("gcd or lcm") == [("lpsolve.py", "simplex_solve", "lcm"),
+                                    ("lpsolve.py", "min_bicut_candidates", "lcm")]
+
+
 def test_int_tests_are_pinned():
     # Vertex maps are read by ``Digraph.per_vertex`` and arc maps by
     # ``Digraph.per_arc``, so a hand-written test of a map's entries shows up
@@ -272,7 +282,7 @@ class Net:
 
             def supply(network):
                 FlowNetwork(network, arc)
-        return Digraph([], []), Fraction(1, 2), json.dumps(arcs)
+        return Digraph([], []), Fraction(1, 2), json.dumps(arcs), lcm(2, 3)
 """
 
 
@@ -287,6 +297,7 @@ def test_every_query_finds_its_planted_site():
         "fractions import": [("planted.py", None), ("planted.py", "Net.flow")],
         "Fraction alias": [("planted.py", None)],
         "TheoremViolation": [("planted.py", "Net.flow", "line 14", False)],
+        "gcd or lcm": [("planted.py", "Net.flow", "lcm")],
         "FlowNetwork": [("planted.py", "Net.flow", True),
                         ("planted.py", "Net.flow.supply", False)],
     }
