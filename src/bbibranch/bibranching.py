@@ -11,11 +11,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional
 
 from .digraph import Digraph, check_capacities
 from .errors import GuardError, InfeasibleInstance, InputError
-from .rationals import rat
+from .rationals import rat, ratio
 
 BRUTE_FORCE_ARC_LIMIT = 20
 
@@ -221,6 +222,18 @@ def require_feasible(instance: Instance) -> None:
             % (failure["condition"], failure["witness"]), witness=failure)
 
 
+def _canonical(instance: Instance) -> tuple[Instance, int]:
+    """(the instance under the weights W(a) = D w(a) 2^m + 2^a, D): exact
+    ints, D the lcm of the weight denominators."""
+    m = instance.digraph.num_arcs()
+    scale = lcm(*(w.denominator for w in instance.weights))
+    canonical = copy.copy(instance)
+    canonical.__dict__.pop("mirror", None)  # a cached mirror holds w
+    canonical.weights = [(w.numerator * (scale // w.denominator) << m) + (1 << a)
+                         for a, w in enumerate(instance.weights)]
+    return canonical, scale
+
+
 def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
     """Optimal b-bibranching via the LP route (``lp`` and ``auto``), which
     proves its answer with its row duals (``certificate["dual_bound"]``),
@@ -228,16 +241,31 @@ def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
     decides feasibility once: the LP route by its own LP, which is
     infeasible exactly when no b-bibranching exists, and ``mflow`` and
     brute force up front; all three raise through ``require_feasible``.
+
+    Every route runs on the canonical weights W of ``_canonical``.  D w(B)
+    is an int and sum_{a in B} 2^a < 2^m, so a W-optimum B is the
+    w-optimum with the least sum_{a in B} 2^a: unique, and so the same arcs
+    whichever route, pivot path or cancel order finds it.  The value is
+    w(B).  The LP's dual bound W* certifies W(B), so floor(W* / 2^m) / D,
+    the reported bound, bounds w from below.  Exit-5 payloads carry W.
     """
     if method not in ("lp", "mflow", "brute", "auto"):
         raise InputError("unknown method %r" % (method,))
 
+    canonical, scale = _canonical(instance)
     # Local imports: both modules use Instance.
     if method == "mflow":
         from . import mconvex
-        return mconvex.solve_mflow(instance)
-    if method == "brute":
+        solution = mconvex.solve_mflow(canonical)
+    elif method == "brute":
         require_feasible(instance)
-        return brute_force_shortest(instance)
-    from . import lpsolve
-    return lpsolve.solve_primal_cutting_plane(instance).solution
+        solution = brute_force_shortest(canonical)
+    else:
+        from . import lpsolve
+        solution = lpsolve.solve_primal_cutting_plane(canonical).solution
+    certificate = solution.certificate
+    if "dual_bound" in certificate:
+        m = instance.digraph.num_arcs()
+        certificate["dual_bound"] = ratio(certificate["dual_bound"] // (1 << m), scale)
+    solution.weight = rat(instance.weight_of(solution.arcs))
+    return solution

@@ -1,25 +1,25 @@
 """Exact rational LP machinery.
 
-A two-phase simplex with Bland's rule, exact throughout, on one tableau
-of exact entries that carries its reduced-cost rows through the pivots.
-Finite upper bounds are held implicitly, each boxed column
-complemented while its variable sits at the bound, and Bland's rule runs
-over the column indices of the formulation with one explicit row per
-bound, so the pivot path, and every result, is that formulation's.  LP
-data and results follow the package's number rule: every coefficient,
-bound, vertex entry, dual and objective is an int when integral and a
-Fraction only otherwise; exit-5 payloads write simplex values (x, y) as
-'p' or 'p/q' text either way.  Bicut separation runs by graph searches
-at an int point x >= 0 with need 1 and by max-flow otherwise; it names
-each bicut delta^-(U) by U, and of its steps only ``_violated_bicuts``
-reads the arcs.  On it rest the primal cutting plane for the shortest
-b-bibranching LP, proved optimal by its own row duals, integer
-decomposition by LP peeling on separated bicut rows, and the
-total-dual-integrality check, which proves an integral optimal dual from
-those duals (uncrossed and re-solved over a cross-free family when
-fractional) and returns it as a plain map from row keys to values.  Both
-dual checks read each row's arcs from the instance, through one load
-routine.
+A bounded dual simplex with Bland's rule, exact throughout and
+cold-started on every call, on one tableau of exact entries whose last
+row holds the reduced costs.  Each row's activity is a bounded basic
+variable and every column starts at the bound its cost favours, so an LP
+whose negative costs all sit on boxed columns needs no phase 1, no
+artificial column and no drive-out; every LP a command poses is one, and
+any other LP is an ``InputError``.  LP data and results follow the
+package's number rule: every coefficient, bound, vertex entry, dual and
+objective is an int when integral and a Fraction only otherwise; exit-5
+payloads write simplex values (x, y) as 'p' or 'p/q' text either way.
+Bicut separation runs by graph searches at an int point x >= 0 with need
+1 and by max-flow otherwise; it names each bicut delta^-(U) by U, and of
+its steps only ``_violated_bicuts`` reads the arcs.  On it rest the
+primal cutting plane for the shortest b-bibranching LP, proved optimal by
+its own row duals, integer decomposition by LP peeling on separated
+bicut rows, each class the least, and the total-dual-integrality check,
+which proves an integral optimal dual from those duals (uncrossed, and
+the covering LP re-solved over the cross-free family, when fractional)
+and returns it as a plain map from row keys to values.  Both dual checks
+read each row's arcs from the instance, through one load routine.
 """
 
 from __future__ import annotations
@@ -76,241 +76,115 @@ class RationalLP:
 
 @dataclass
 class SimplexResult:
-    status: str                      # optimal | infeasible | unbounded
+    status: str                      # optimal | infeasible
     x: Optional[list] = None
     objective: Optional[object] = None
     row_duals: Optional[list] = None   # one per original row
-    bound_duals: Optional[list] = None  # one per variable; None if unbounded above or redundant
-
-
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}  # the relation of a negated row
+    bound_duals: Optional[list] = None  # one per variable; None if unbounded above
 
 
 def simplex_solve(lp: RationalLP) -> SimplexResult:
-    """Two-phase simplex with Bland's rule; exact throughout.
+    """Bounded dual simplex with Bland's rule, exact throughout, cold-started
+    on every call (Chvatal, Linear Programming, 1983; Bland, Math. Oper.
+    Res. 2, 1977).
 
-    The result is that of Bland's rule on the explicit formulation.  Its
-    rows are the LP rows with the lower bounds shifted out, then one box row
-    x_j + s_j = u_j - l_j per finite upper bound, in ``bounded`` order, each
-    row negated where its right-hand side is negative.  Its columns are the
-    variables, one slack (+1) or surplus (-1) per LP inequality row, the box
-    slacks s_j, then one artificial per >= or = row, each in row order.  The
-    column of least index with a negative reduced cost enters; the basic
-    variable of least ratio leaves, ties to the least column index.
+    Variable j < n is x_j; variable n + i is row i's activity r_i = a_i.x,
+    bounded by its relation: [rhs, inf) for >=, (-inf, rhs] for <= and
+    [rhs, rhs] for =.  The rows' activities start basic, and each x_j
+    nonbasic at the bound its min-form cost favours: its lower bound if the
+    cost is >= 0, else its upper bound.  That start is dual feasible, and
+    an LP without one, a negative min-form cost on a column with no upper
+    bound, is an ``InputError``; every LP a command poses has one.  An
+    upper bound below its lower bound is infeasible.
 
-    The tableau holds the box rows implicitly (Dantzig's upper-bounding
-    technique).  A box row has nonzeros only at x_j and s_j, so one of the
-    two is basic in every explicit basis.  The tableau drops the row and
-    s_j's column: column j stands for x_j or, complemented, for s_j =
-    u_j - l_j - x_j (entries negated, the width times them taken off each
-    right-hand side), and a column basic in the tableau has both of its pair
-    basic.  Each column keeps its explicit index (a complemented one that of
-    s_j), and the ratio test reads the dropped rows off the kept ones, with
-    three kinds of candidate:
-
-    - a basic variable falls to 0 (tie index its own);
-    - a basic boxed column reaches its bound, so its eliminated partner
-      falls to 0: the row is complemented, then pivoted (tie index the
-      partner's);
-    - the entering column reaches its own bound: it is complemented, with
-      no pivot (tie index the partner's).
-
-    So every step makes the explicit basis change, and x, the objective and
-    the duals are the explicit ones.  The explicit row position of each
-    basic variable is tracked too: it decides which rows keep an artificial
-    after phase 1, and so keep the default dual (0 for a row, None for a
-    bound).  An upper bound below its lower bound leaves the explicit
-    phase 1 positive: infeasible.
-
-    Every row, the phase-2 and phase-1 reduced-cost rows last, holds exact
-    entries: an int, or a Fraction only where the data is fractional or a
-    pivot entry is not +-1.  Every pivot and complement updates the
-    reduced-cost rows along with the constraints.  A pivot divides its row
-    by the pivot entry, unless that is 1, through ``ratio``, then subtracts
-    f times the row, over its nonzero entries, from each other row whose
-    entry f in the pivot column is nonzero.  The phase-2 cost row alone is
-    scaled, by L, the lcm of the objective's denominators, so that rational
-    weights leave it int while the pivots are unit; L > 0 moves no sign,
-    and the duals are read divided by L.  The ratio test cross-multiplies.  Each result value is
-    read off through ``rat`` or ``ratio``: an int when integral, a Fraction
-    only otherwise.
+    Each step the basic variable of least index outside its bounds leaves,
+    at the bound it violates.  The nonbasic columns that move it towards
+    that bound are eligible, a fixed variable never, and the one of least
+    ratio |d_k| / |a_k| (its reduced cost over its entry in the leaving
+    row, cross-multiplied) enters, ties to the least index; with none
+    eligible, the row cannot reach its bound: infeasible.  A pivot divides
+    the leaving row by its entry through ``ratio`` and adds multiples of it
+    to the other rows and to the reduced-cost row, over its nonzero
+    entries, so each entry stays an int unless the data is fractional or a
+    pivot entry is not +-1.  With every basic variable within its bounds
+    the basis is optimal.  x is read off the basic values and the
+    nonbasic bounds, each row's dual is its activity's reduced cost (0
+    when basic), and a finite upper bound's dual is a nonbasic x_j's
+    reduced cost when negative, else 0; a max LP's duals are negated.
+    Each result value is an int when integral, a Fraction only otherwise.
     """
-    n = lp.num_vars
+    n, m = lp.num_vars, len(lp.rows)
     flip = 1 if lp.sense == "min" else -1
-    shift = {j: v for j, v in enumerate(lp.lower) if v}
-    bounded = [j for j, u in enumerate(lp.upper) if u is not None]
-    widths = [lp.upper[j] - lp.lower[j] for j in bounded]
-    if any(w < 0 for w in widths):
+    cost = [flip * c for c in lp.objective]
+    if any(u is not None and u < l for l, u in zip(lp.lower, lp.upper)):
         return SimplexResult(status="infeasible")
-    rows = []  # (coeffs, relation, rhs, sign), lower bounds shifted out
-    for coeffs, rel, rhs in lp.rows:
-        if shift:
-            rhs -= sum(c * shift[j] for j, c in coeffs.items() if j in shift)
-        if rhs < 0:
-            rows.append((coeffs, _FLIPPED[rel], rhs, -1))
-        else:
-            rows.append((coeffs, rel, rhs, 1))
-    m = len(rows)
-    slack_col = n
-    art_col = art_start = n + sum(row[1] != "=" for row in rows)
-    num_cols = art_start + sum(row[1] != "<=" for row in rows)
-    boxes = len(bounded)
-    width: list[Optional[object]] = [None] * num_cols  # u - l of a boxed column
-    # The explicit index of each column's variable and, for a boxed column,
-    # of the other variable of its pair (so boxed column j is complemented
-    # while explicit[j] != j); the column at each explicit index, or -1 for
-    # the eliminated one of a pair.
-    explicit = list(range(art_start)) + list(range(art_start + boxes, num_cols + boxes))
-    other = [-1] * num_cols
-    by_index = list(range(art_start)) + [-1] * boxes + list(range(art_start, num_cols))
-    for k, (j, w) in enumerate(zip(bounded, widths)):
-        width[j] = w
-        other[j] = art_start + k
+    if any(c < 0 and u is None for c, u in zip(cost, lp.upper)):
+        raise InputError("LP has no dual-feasible start: a negative min-form "
+                         "cost on a column with no upper bound")
+    lower = lp.lower + [None if rel == "<=" else rhs for _, rel, rhs in lp.rows]
+    upper = lp.upper + [None if rel == ">=" else rhs for _, rel, rhs in lp.rows]
+    value = [u if c < 0 else l for c, l, u in zip(cost, lp.lower, lp.upper)] + [None] * m
+    columns = list(range(n))          # the nonbasic variable of each column
+    basis = list(range(n, n + m))     # the basic variable of each row
+    # Row i: basis[i] = sum_k tableau[i][k] columns[k], of value beta[i]; the
+    # last row holds the reduced costs d, and its beta the min-form objective.
+    tableau = [[coeffs.get(j, 0) for j in range(n)] for coeffs, _, _ in lp.rows]
+    tableau.append(cost)
+    beta = [sum(c * value[j] for j, c in coeffs.items()) for coeffs, _, _ in lp.rows]
+    beta.append(sum(c * v for c, v in zip(cost, value)))
 
-    tableau: list[list] = []
-    basis: list[int] = []
-    own: list[int] = []   # row i's slack, surplus or (for =) artificial column
-    scale: list[int] = []  # row i's dual is scale[i] times own[i]'s reduced cost
-    for coeffs, rel, rhs, sign in rows:
-        row = [0] * (num_cols + 1)
-        for j, c in coeffs.items():
-            row[j] = sign * c
-        row[-1] = sign * rhs
-        if rel == "=":
-            own.append(art_col)
-        else:
-            own.append(slack_col)
-            row[slack_col] = 1 if rel == "<=" else -1
-            slack_col += 1
-        if rel == "<=":
-            basis.append(own[-1])
-        else:
-            row[art_col] = 1
-            basis.append(art_col)
-            art_col += 1
-        scale.append((1 if rel == ">=" else -1) * sign * flip)
-        tableau.append(row)
-    cost_den = lcm(*[c.denominator for c in lp.objective])
-    tableau.append([flip * c.numerator * (cost_den // c.denominator) for c in lp.objective]
-                   + [0] * (num_cols - n + 1))
-    # Phase 1 minimizes the sum of the artificials: their cost row minus
-    # each artificial row.
-    phase1 = [0] * art_start + [1] * (num_cols - art_start) + [0]
-    for row, b in zip(tableau, basis):
-        if b >= art_start:
-            for j in compress(range(num_cols + 1), row):
-                phase1[j] -= row[j]
-    tableau.append(phase1)
-
-    # The explicit row position of each basic variable, by explicit index.
-    place = {explicit[j]: i for i, j in enumerate(basis)}
-    place.update(zip(range(art_start, art_start + boxes), range(m, m + boxes)))
-
-    def complement(j: int) -> None:
-        """Swap column j's variable for the other of its pair, u - l minus
-        it, in every row."""
-        w = width[j]
-        for row in tableau:
-            a = row[j]
-            if a:
-                row[j] = -a
-                row[-1] -= a * w
-        explicit[j], other[j] = other[j], explicit[j]
-        by_index[explicit[j]], by_index[other[j]] = j, -1
-
-    def pivot(row: int, col: int) -> None:
-        src, p = tableau[row], tableau[row][col]
-        nonzero = list(compress(range(len(src)), src))
-        if p != 1:
-            for j in nonzero:
-                src[j] = ratio(src[j], p)
-        for i, dst in enumerate(tableau):
-            f = dst[col]
-            if f and i != row:
-                for j in nonzero:
-                    dst[j] -= f * src[j]
-        basis[row] = col
-
-    def optimize(limit: int) -> bool:
-        """Bland's rule on the last row over explicit indices < limit;
-        False if unbounded."""
-        while True:
-            cost = tableau[-1]
-            for entering in by_index[:limit]:
-                if entering >= 0 and cost[entering] < 0:
-                    break
-            else:
-                return True
-            # The least ratio num / den so far, its tie index and its row
-            # (-1 for the entering column's own bound, -2 for none yet).
-            best_row = -2
-            if width[entering] is not None:
-                best_num, best_den = width[entering], 1
-                best_tie, best_row = other[entering], -1
-            for i, (row, b) in enumerate(zip(tableau, basis)):
-                coef = row[entering]
-                if not coef:
-                    continue
-                if coef > 0:
-                    num, den, tie = row[-1], coef, explicit[b]
-                elif width[b] is None:
-                    continue
-                else:
-                    num, den, tie = width[b] - row[-1], -coef, other[b]
-                if best_row > -2:
-                    # num / den against the best ratio, cross-multiplied
-                    left, right = num * best_den, best_num * den
-                    if left > right or (left == right and tie > best_tie):
-                        continue
-                best_num, best_den, best_tie, best_row = num, den, tie, i
-            if best_row == -2:
-                return False
-            place[explicit[entering]] = place.pop(best_tie)
-            if best_row < 0:
-                complement(entering)
+    while True:
+        out = [(v, i) for i, v in enumerate(basis)
+               if (lower[v] is not None and beta[i] < lower[v])
+               or (upper[v] is not None and beta[i] > upper[v])]
+        if not out:
+            break
+        v, i = min(out)
+        up = lower[v] is not None and beta[i] < lower[v]  # basis[i] must rise
+        target = lower[v] if up else upper[v]
+        row, reduced = tableau[i], tableau[-1]
+        k = -1
+        for j, a in enumerate(row):
+            u = columns[j]
+            if not a or lower[u] == upper[u]:
                 continue
-            if best_tie != explicit[basis[best_row]]:
-                complement(basis[best_row])
-            pivot(best_row, entering)
+            rises = (a > 0) == up  # whether column j must rise to move basis[i]
+            if value[u] == (upper[u] if rises else lower[u]):
+                continue
+            if k >= 0:
+                # |d_j / a| against the best ratio, cross-multiplied
+                left, right = abs(reduced[j] * best), abs(reduced[k] * a)
+                if left > right or (left == right and u > columns[k]):
+                    continue
+            k, best = j, a
+        if k < 0:
+            return SimplexResult(status="infeasible")
+        # basis[i] moves to target, column k by step, each other row by its
+        # entry in column k times step; then column k's variable enters.
+        step = ratio(target - beta[i], best)
+        nonzero = [j for j in compress(range(n), row) if j != k]
+        for j in nonzero:
+            row[j] = ratio(-row[j], best)
+        row[k] = ratio(1, best)
+        nonzero.append(k)
+        for h, dst in enumerate(tableau):
+            f = dst[k]
+            if f and h != i:
+                beta[h] += f * step
+                dst[k] = 0
+                for j in nonzero:
+                    dst[j] += f * row[j]
+        beta[i] = value[columns[k]] + step
+        value[v] = target
+        columns[k], basis[i] = v, columns[k]
 
-    optimize(num_cols + boxes)
-    if tableau.pop()[-1] < 0:  # minus the least sum of the artificials
-        return SimplexResult(status="infeasible")
-    # Pivot lingering artificials out of the (degenerate) basis, in explicit
-    # row order.  A row with no other nonzero is redundant: it keeps its
-    # artificial, no later pivot touches it, and its dual keeps the default.
-    for _, k in sorted((i, k) for k, i in place.items() if k >= art_start + boxes):
-        i = basis.index(k - boxes)
-        col = next((j for j in by_index[:art_start + boxes] if j >= 0 and tableau[i][j]), -1)
-        if col >= 0:
-            place[explicit[col]] = place.pop(k)
-            pivot(i, col)
-    if not optimize(art_start + boxes):
-        return SimplexResult(status="unbounded")
-
-    x = list(lp.lower)
-    for i, j in enumerate(basis):
-        if j < n:
-            value = tableau[i][-1]
-            x[j] = rat(lp.upper[j] - value if explicit[j] != j else x[j] + value)
-    for j in set(bounded).difference(basis):
-        if explicit[j] != j:
-            x[j] = lp.upper[j]
-    # A row, or box row, whose basic variable is no artificial reads its
-    # dual off the reduced costs; the others keep the default.
-    row_duals = [0] * m
-    bound_duals: list[Optional[object]] = [None] * n
-    cost = tableau[-1]
-    for k, i in place.items():
-        if k >= art_start + boxes:
-            continue
-        if i < m:
-            row_duals[i] = ratio(cost[own[i]] * scale[i], cost_den)
-        else:
-            j = bounded[i - m]
-            bound_duals[j] = ratio(-flip * cost[j], cost_den) if explicit[j] != j else 0
-    objective = rat(sum(c * v for c, v in zip(lp.objective, x)))
-    return SimplexResult(status="optimal", x=x, objective=objective,
+    basic = dict(zip(basis, beta))
+    x = [rat(basic[j]) if j in basic else value[j] for j in range(n)]
+    reduced = dict(zip(columns, tableau[-1]))
+    row_duals = [rat(flip * reduced.get(n + i, 0)) for i in range(m)]
+    bound_duals = [None if u is None else rat(flip * min(0, reduced.get(j, 0)))
+                   for j, u in enumerate(lp.upper)]
+    return SimplexResult(status="optimal", x=x, objective=rat(flip * beta[-1]),
                          row_duals=row_duals, bound_duals=bound_duals)
 
 
@@ -619,7 +493,9 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
     1981).  Bicut rows are separated (the lower ones by
     ``_solve_with_cuts``); the last vertex meets every row, so it is a
     vertex of the full system.  At j = 1 the bounds fix y = x, so the
-    residual is the last class without an LP.
+    residual is the last class without an LP.  A stage minimizes sum_a 2^a
+    y(a), under which distinct 0/1 points cost differently: its class is
+    the stage's one least 0/1 point, whatever the pivot path.
 
     That each stage vertex is integral is measured, not proved.  For x =
     chi_A the packing theorem puts an integral point in every stage (one
@@ -635,7 +511,7 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
             for view in (instance, instance.mirror) for v in sorted(view.T)]
     residual, result = list(x), []
     for j in range(k, 1, -1):
-        lp = RationalLP(len(x), [1] * len(x), "min")
+        lp = RationalLP(len(x), [1 << a for a in arcs], "min")
         for a in arcs:
             lp.set_bounds(a, max(0, residual[a] - (j - 1)), min(1, residual[a]))
         for R, need in rows:
@@ -674,19 +550,6 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 # TDI spot check
 # ---------------------------------------------------------------------------
-
-def _build_dual_lp(instance: Instance, family):
-    lp = RationalLP(len(family),
-                    [instance.b[key[1]] if key[0] == "v" else 1 for key in family],
-                    "max")
-    per_arc: dict[int, dict[int, object]] = {a: {} for a in range(instance.digraph.num_arcs())}
-    for idx, key in enumerate(family):
-        for a in _dual_coverage(instance, key):
-            per_arc[a][idx] = 1
-    for a in sorted(per_arc):
-        lp.add_row(per_arc[a], "<=", instance.weights[a])
-    return lp
-
 
 def dual_feasible(instance: Instance, y: dict) -> bool:
     """Check y >= 0 and every arc-class dual constraint exactly."""
@@ -730,9 +593,11 @@ def tdi_spot_check(instance: Instance) -> dict:
     zero on every bicut never generated, are optimal over all bicuts once
     they are dual feasible with objective equal to the LP value (weak
     duality); an integral such y is the certificate.  A fractional y is
-    uncrossed, and the dual re-solved over the singletons and the
-    cross-free support, whose matrix is a network matrix: a fractional or
-    non-optimal vertex there raises ``TheoremViolation`` with LP and x.
+    uncrossed, and the covering LP re-solved over the degree rows and one
+    >= 1 row per bicut of the cross-free support: its row duals are a
+    vertex of the dual over a network matrix, so integral, and a
+    fractional or non-optimal one raises ``TheoremViolation`` with that
+    LP and y.
     Without the box x(a) may exceed 1, so an instance with no b-bibranching
     can pass; ``InfeasibleInstance`` is raised only when the unboxed LP
     itself is infeasible.
@@ -759,13 +624,17 @@ def tdi_spot_check(instance: Instance) -> dict:
     if not certifies(y):
         y, steps = _uncross(instance, y)
         family = list(duals)[:len(instance.digraph.vertices)]  # the singletons
-        family += [key for key, val in y.items() if key[0] == "U" and val]
-        dual_lp = _build_dual_lp(instance, family)
-        res = simplex_solve(dual_lp)
-        y = {key: val for key, val in zip(family, res.x or ()) if val}
+        cover = _build_degree_lp(instance, boxed=False)
+        for key, val in y.items():
+            if key[0] == "U" and val:
+                family.append(key)
+                cover.add_row({a: 1 for a in _dual_coverage(instance, key)}, ">=", 1)
+        res = simplex_solve(cover)
+        y = dict(zip(family, res.row_duals or ()))
         if res.status != "optimal" or not certifies(y):
             raise TheoremViolation("cross-free dual LP has no integral optimum",
-                                   payload={"lp": dump_lp(dual_lp),
-                                            "x": None if res.x is None else _text(res.x)})
+                                   payload={"lp": dump_lp(cover), "y": {
+                                       dual_key_str(key): rat_str(v) for key, v in y.items()}})
+        y = {key: val for key, val in y.items() if val}
     return {"primal": primal, "y": y, "bicut_rows": len(cut_rows),
             "uncrossing_steps": steps}

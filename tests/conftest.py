@@ -7,16 +7,22 @@ check.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import operator
 import random
 import sys
 from itertools import combinations
+from pathlib import Path
 
 from bbibranch import lpsolve
 from bbibranch.bibranching import Instance, is_b_bibranching
+from bbibranch.cli import load_instance_data
 from bbibranch.digraph import Digraph
 from bbibranch.lpsolve import RationalLP
 from bbibranch.rationals import Q, rat_str
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # ---------------------------------------------------------------------------
 # Seeded instance generators
@@ -117,7 +123,7 @@ def random_boxed_lp(rng) -> RationalLP:
     or fractional bounds, fixed variables and now and then an upper bound
     below its lower bound; rows with small coefficients and right-hand
     sides, all three relations, and copies of earlier rows (negated or
-    doubled), which can leave an artificial basic after phase 1."""
+    doubled), which make it degenerate."""
     n = rng.randint(3, 8)
     lp = RationalLP(n, [rng.randint(-3, 3) for _ in range(n)],
                     rng.choice(("min", "max")))
@@ -158,19 +164,18 @@ def one_arc_instance(weight=5) -> Instance:
     return Instance(D, {"s": "S", "t": "T"}, {"s": 1, "t": 1}, [weight])
 
 
-def fractional_dual_instance() -> Instance:
-    """Twelve vertices, b = 1: the unboxed cutting plane's row duals are
-    fractional on two crossing T-sets (shrunk from a random medium draw)."""
-    S = ["s1", "s4", "s6"]
-    T = ["t2", "t3", "t4", "t7", "t9", "t10", "t12", "t13", "t14"]
-    arcs = [("s1", "t10", 4), ("s4", "t3", 0), ("s6", "t7", 3), ("s6", "t10", 2),
-            ("s6", "t14", 2), ("t2", "t9", 0), ("t2", "t12", 0), ("t3", "t4", 0),
-            ("t4", "t9", 3), ("t9", "t2", 0), ("t9", "t7", 0), ("t9", "t13", 0),
-            ("t12", "t14", 1), ("s1", "t13", 2)]
-    side = {v: "S" for v in S}
-    side.update({v: "T" for v in T})
-    return Instance(Digraph(S + T, [(u, v) for u, v, _ in arcs]), side,
-                    {v: 1 for v in side}, [w for _, _, w in arcs])
+def uncrossing_instance() -> Instance:
+    """``solve-sparse`` pool seed 344 of ``perfbench/workloads.py``: 14
+    vertices, b = 1, m = 63.  The unboxed cutting plane ends on 10 bicut
+    rows with value 123, and its row duals are fractional on four crossing
+    bicuts, which uncross in 3 steps: the one pool instance whose TDI check
+    re-solves over a cross-free family."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return load_instance_data(workloads.WORKLOADS["solve-sparse"].generator(344)[0])
 
 
 def serialize_instance(instance: Instance) -> dict:
@@ -289,6 +294,66 @@ def _dual_family(instance: Instance):
     return list(dict.fromkeys(family))
 
 
+def covering_lp(instance: Instance, family) -> RationalLP:
+    """min w.x subject to x(coverage(key)) >= need(key) and x >= 0, one row
+    per key of ``family`` in order, need b(v) for ("v", v) and 1 for a
+    bicut: the LP dual of max b.y subject to load <= w and y >= 0 over the
+    family.  Over the singletons in degree-row order and then bicuts it is
+    ``_build_degree_lp(instance, boxed=False)`` with one >= 1 row per
+    bicut, the LP that ``tdi_spot_check`` re-solves."""
+    lp = RationalLP(instance.digraph.num_arcs(), instance.weights, "min")
+    for key in family:
+        lp.add_row({a: 1 for a in lpsolve._dual_coverage(instance, key)}, ">=",
+                   instance.b[key[1]] if key[0] == "v" else 1)
+    return lp
+
+
+HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
+# The sign of a row's dual in min form: a >= row's is >= 0, a <= row's <= 0.
+DUAL_SIGN = {"<=": -1, ">=": 1, "=": 0}
+
+
+def duality_failure(lp, result):
+    """The first failing one of four conditions that together prove an
+    optimal ``result`` of ``lp`` optimal, exactly and without a pivot; None
+    if all hold.  Duals are read in min form (a max LP's reported duals are
+    negated, a None bound dual is 0):
+
+    - ``primal``: x meets every row and bound, and the objective is c.x;
+    - ``dual signs``: a >= row's dual is >= 0 and a <= row's <= 0, and a
+      bound dual is <= 0, and 0 where there is no upper bound;
+    - ``reduced costs``: r = c - yA - z >= 0, the lower bounds' duals;
+    - ``dual objective``: y.rhs + z.u + r.l equals the min-form objective.
+    """
+    flip = 1 if lp.sense == "min" else -1
+    x = result.x
+    bounds = list(zip(lp.lower, lp.upper))
+    if not (all(HOLDS[rel](sum(c * x[j] for j, c in coeffs.items()), rhs)
+                for coeffs, rel, rhs in lp.rows)
+            and all(lo <= v and (up is None or v <= up)
+                    for v, (lo, up) in zip(x, bounds))
+            and result.objective == sum(c * v for c, v in zip(lp.objective, x))):
+        return "primal"
+    y = [flip * v for v in result.row_duals]
+    z = [0 if v is None else flip * v for v in result.bound_duals]
+    if not (all(DUAL_SIGN[rel] * v >= 0 for v, (_, rel, _) in zip(y, lp.rows))
+            and all(v <= 0 and (v == 0 or up is not None)
+                    for v, (_, up) in zip(z, bounds))):
+        return "dual signs"
+    r = [flip * c - v for c, v in zip(lp.objective, z)]
+    for v, (coeffs, _, _) in zip(y, lp.rows):
+        for j, c in coeffs.items():
+            r[j] -= v * c
+    if any(v < 0 for v in r):
+        return "reduced costs"
+    dual = (sum(v * rhs for v, (_, _, rhs) in zip(y, lp.rows))
+            + sum(v * up for v, (_, up) in zip(z, bounds) if v)
+            + sum(v * lo for v, (lo, _) in zip(r, bounds)))
+    if dual != flip * result.objective:
+        return "dual objective"
+    return None
+
+
 def repeat_separations(monkeypatch, caller=None):
     """Fault ``lpsolve._violated_bicuts``: on calls from ``caller`` (from
     anywhere when None) it also returns the cuts of its earlier such calls,
@@ -305,3 +370,25 @@ def repeat_separations(monkeypatch, caller=None):
         return out
 
     monkeypatch.setattr(lpsolve, "_violated_bicuts", repeating)
+
+
+def permute_rows(monkeypatch, seed):
+    """Make ``lpsolve.simplex_solve`` solve each LP with its rows in a
+    seeded random order, and return the row duals in the LP's own order."""
+    original = lpsolve.simplex_solve
+    rng = random.Random(seed)
+
+    def permuted(lp):
+        order = list(range(len(lp.rows)))
+        rng.shuffle(order)
+        shuffled = copy.copy(lp)
+        shuffled.rows = [lp.rows[i] for i in order]
+        result = original(shuffled)
+        if result.row_duals is not None:
+            duals = [0] * len(order)
+            for dual, i in zip(result.row_duals, order):
+                duals[i] = dual
+            result.row_duals = duals
+        return result
+
+    monkeypatch.setattr(lpsolve, "simplex_solve", permuted)

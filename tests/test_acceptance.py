@@ -48,7 +48,9 @@ def _corpus(seed: int, count: int, max_v: int, max_arcs: int, bmax: int,
 
 
 def test_criterion_1_solver_equivalence():
-    """200 seeded instances: brute force = cutting plane = flow solver."""
+    """200 seeded instances: brute force = cutting plane = flow solver, on
+    the value and, through ``solve_shortest``'s canonical weights, on the
+    arcs; the unweighted routes agree on the value too."""
     ok = True
     for inst in _corpus(1001, 200, 6, 14, 3, 9):
         bf = brute_force_shortest(inst)
@@ -59,7 +61,10 @@ def test_criterion_1_solver_equivalence():
             continue
         lp = solve_primal_cutting_plane(inst)
         mf = solve_mflow(inst)
-        if not (lp.solution.weight == bf.weight == mf.weight):
+        answers = [solve_shortest(inst, method) for method in ("lp", "mflow", "brute")]
+        if not (lp.solution.weight == bf.weight == mf.weight
+                and len({answer.arcs for answer in answers}) == 1
+                and all(answer.weight == bf.weight for answer in answers)):
             ok = False
             break
     _report("1 solver-equivalence", ok)

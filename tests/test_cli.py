@@ -18,9 +18,9 @@ from bbibranch.digraph import Digraph
 from bbibranch.errors import GuardError, InputError, TheoremViolation
 from bbibranch.rationals import rat
 
-from conftest import (all_bicuts, digest_draws, fractional_dual_instance,
-                      one_arc_instance, random_instance, repeat_separations,
-                      serialize_instance)
+from conftest import (all_bicuts, digest_draws, one_arc_instance,
+                      random_instance, repeat_separations, serialize_instance,
+                      uncrossing_instance)
 
 ONE_ARC = {
     "vertices": [
@@ -288,8 +288,10 @@ class TestSolveCommand:
 
     def test_dual_bound_catches_a_suboptimal_lp_answer(self, tmp_path, capsys,
                                                        monkeypatch):
-        # All arcs (weight 3) form a 0/1 b-bibranching, but one arc (weight
-        # 1) suffices: the row duals bound every b-bibranching by 1 only.
+        # All arcs form a 0/1 b-bibranching, but one arc suffices: the row
+        # duals bound every b-bibranching by that arc's weight only.  The
+        # LP and its payload carry the canonical weights W = (5, 10) of
+        # w = (1, 2), so all arcs weigh 15.
         original = lpsolve.simplex_solve
         faked = []
 
@@ -298,7 +300,7 @@ class TestSolveCommand:
             if result.status == "optimal":
                 faked.append(lp)
                 result.x = [Fraction(1)] * lp.num_vars
-                result.objective = Fraction(3)
+                result.objective = Fraction(sum(lp.objective))
             return result
 
         monkeypatch.setattr(lpsolve, "simplex_solve", all_arcs)
@@ -306,7 +308,7 @@ class TestSolveCommand:
                "arcs": [{"tail": "s", "head": "t", "weight": w} for w in (1, 2)]}
         path = tmp_path / "i.json"
         path.write_text(json.dumps(doc))
-        message = "dual bound 1 does not certify the LP optimum 3"
+        message = "dual bound 5 does not certify the LP optimum 15"
         for method in ("lp", "auto"):
             faked.clear()
             assert cli.main(["solve", str(path), "--method", method]) == EXIT_THEOREM
@@ -316,8 +318,8 @@ class TestSolveCommand:
             assert result["message"] == message
             assert result["payload"]["lp"] == lpsolve.dump_lp(faked[-1])
             assert result["payload"]["x"] == [1, 1]
-            # b(s) y_s = 2, less the load 2 - 1 above arc 0's weight.
-            assert result["payload"]["y"] == {"v:s": "2", "v:t": "0"}
+            # b(t) y_t = 5, and no arc's load exceeds its weight.
+            assert result["payload"]["y"] == {"v:s": "0", "v:t": "5"}
 
     def test_separation_fault_is_a_theorem_violation(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -327,7 +329,8 @@ class TestSolveCommand:
         monkeypatch.setattr(lpsolve, "_violated_bicuts", lambda instance, x: [])
         path = tmp_path / "i.json"
         path.write_text(json.dumps(SEPARATION_FAULT))
-        lp = lpsolve._build_degree_lp(load_instance_data(SEPARATION_FAULT))
+        lp = lpsolve._build_degree_lp(
+            bibranching._canonical(load_instance_data(SEPARATION_FAULT))[0])
         for method in ("lp", "auto"):
             assert cli.main(["solve", str(path), "--method", method]) == EXIT_THEOREM
             result = json.loads(capsys.readouterr().out)["result"]
@@ -340,14 +343,15 @@ class TestSolveCommand:
     def test_separation_returning_a_row_again_is_a_theorem_violation(
             self, tmp_path, capsys, monkeypatch):
         # The cut validity check reports the first repeated row instead of
-        # dropping it.
+        # dropping it.  Under the canonical weights the second round's x
+        # takes the arc s1 -> t1 and leaves arcs 0 and 3 out.
         repeat_separations(monkeypatch)
         path = tmp_path / "i.json"
         path.write_text(json.dumps(SEPARATION_FAULT))
         assert cli.main(["solve", str(path), "--method", "lp"]) == EXIT_THEOREM
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["message"] == "separated bicut is not violated"
-        assert result["payload"] == {"U": ["t1", "t2"], "x": ["1"] * 5}
+        assert result["payload"] == {"U": ["t1", "t2"], "x": ["0", "1", "1", "0", "1"]}
 
     @pytest.mark.parametrize("fault", ["separation", "objective"])
     def test_certificate_failure_reports_ignore_the_hash_seed(self, tmp_path,
@@ -603,15 +607,29 @@ class TestLpValuesAsText:
                                      "x": ["1/2", "1/2", "0"]}
 
     def test_cross_free_dual_payload(self, tmp_path, capsys, monkeypatch):
-        faked = _fake_x(monkeypatch, [Fraction(1, 2), 1], sense="max")
+        # The covering LP re-solved over the cross-free family returns a
+        # fractional first dual: the payload carries that LP and its y as
+        # text, keyed as the cutting plane's payload keys its duals.
+        original = lpsolve.simplex_solve
+        faked = []
+
+        def halved(lp):
+            result = original(lp)
+            if sys._getframe(1).f_code.co_name == "tdi_spot_check":
+                faked.append(lp)
+                result.row_duals[0] = Fraction(1, 2)
+            return result
+
+        monkeypatch.setattr(lpsolve, "simplex_solve", halved)
         code, result = _cli_result(tmp_path, capsys,
-                                   serialize_instance(fractional_dual_instance()),
+                                   serialize_instance(uncrossing_instance()),
                                    "check", "--what", "tdi")
         assert code == EXIT_THEOREM
         assert result["message"] == "cross-free dual LP has no integral optimum"
-        x = result["payload"]["x"]
-        assert x[:3] == ["1/2", "1", "0"] and len(x) == faked[0].num_vars
-        assert all(isinstance(v, str) for v in x)
+        assert result["payload"]["lp"] == lpsolve.dump_lp(faked[0])
+        y = result["payload"]["y"]
+        assert y["v:t0"] == "1/2" and len(y) == len(faked[0].rows)
+        assert all(isinstance(v, str) for v in y.values())
 
     def test_dual_bound_and_exit_five_y(self, tmp_path, capsys, monkeypatch):
         code, result = _cli_result(tmp_path, capsys, ONE_ARC, "solve")
@@ -627,10 +645,11 @@ class TestLpValuesAsText:
         monkeypatch.setattr(lpsolve, "simplex_solve", inflated)
         code, result = _cli_result(tmp_path, capsys, ONE_ARC, "solve")
         assert code == EXIT_THEOREM
+        # The LP's weight is the canonical W = 5 * 2 + 1 of w = 5.
         assert result["message"] == \
-            "dual bound 5 does not certify the LP optimum 6"
+            "dual bound 11 does not certify the LP optimum 12"
         assert result["payload"]["x"] == [1]
-        assert result["payload"]["y"] == {"v:s": "0", "v:t": "5"}
+        assert result["payload"]["y"] == {"v:s": "0", "v:t": "11"}
 
 
 class TestExitFivePayloads:
@@ -949,13 +968,13 @@ class TestCheckCommand:
     def test_tdi_past_ten_vertices_uncrosses_a_fractional_dual(self, tmp_path,
                                                                 capsys):
         path = tmp_path / "i.json"
-        path.write_text(json.dumps(serialize_instance(fractional_dual_instance())))
+        path.write_text(json.dumps(serialize_instance(uncrossing_instance())))
         code = cli.main(["check", "--what", "tdi", str(path)])
         captured = capsys.readouterr()
         assert code == EXIT_OK, captured.err
         detail = json.loads(captured.out)["result"]["detail"]
         assert detail["uncrossing_steps"] >= 1
-        assert detail["primal"] == detail["dual"]["objective"] == "8"
+        assert detail["primal"] == detail["dual"]["objective"] == "123"
         assert all("/" not in val for val in detail["dual"]["y"].values())
 
     def test_tdi_requires_integer_weights(self, tmp_path, capsys):

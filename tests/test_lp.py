@@ -20,9 +20,10 @@ from bbibranch.lpsolve import (RationalLP, SimplexResult, dual_bound,
                                zero_one_vertex)
 from bbibranch.rationals import Q, is_integral
 
-from conftest import (_dual_family, all_bicuts, digest_draws,
-                      fractional_dual_instance, one_arc_instance,
-                      random_boxed_lp, random_instance, random_lp)
+from conftest import (_dual_family, all_bicuts, bicut_draws, covering_lp,
+                      digest_draws, duality_failure, one_arc_instance,
+                      permute_rows, random_boxed_lp, random_instance,
+                      random_lp, uncrossing_instance)
 
 
 class TestSimplex:
@@ -37,16 +38,20 @@ class TestSimplex:
         assert res.x == [Q(3), Q(0)]
 
     def test_small_max_with_duals(self):
-        # max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18
+        # max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18, in the box
+        # [0, 10]^2, which binds nowhere but gives the dual-feasible start.
         lp = RationalLP(2, [3, 5], "max")
         lp.add_row({0: 1}, "<=", 4)
         lp.add_row({1: 2}, "<=", 12)
         lp.add_row({0: 3, 1: 2}, "<=", 18)
+        for j in range(2):
+            lp.set_bounds(j, 0, 10)
         res = simplex_solve(lp)
         assert res.objective == 36
         assert res.x == [Q(2), Q(6)]
         # Dual: y = (0, 3/2, 1); complementary slackness fixes it uniquely.
         assert res.row_duals == [Q(0), Q(3, 2), Q(1)]
+        assert res.bound_duals == [0, 0]
 
     def test_equality_rows(self):
         lp = RationalLP(2, [1, 1], "min")
@@ -63,9 +68,15 @@ class TestSimplex:
         assert simplex_solve(lp).status == "infeasible"
 
     def test_unbounded(self):
+        # A negative min-form cost on a column with no upper bound leaves
+        # no dual-feasible start, so an LP that might be unbounded is an
+        # input error; every LP a command poses has such a start.
         lp = RationalLP(1, [1], "max")
         lp.add_row({0: 1}, ">=", 0)
-        assert simplex_solve(lp).status == "unbounded"
+        with pytest.raises(InputError, match="^LP has no dual-feasible start"):
+            simplex_solve(lp)
+        lp.set_bounds(0, 0, 7)
+        assert simplex_solve(lp).objective == 7
 
     def test_rational_pivots_are_exact(self):
         lp = RationalLP(2, [Q(1, 3), Q(1, 7)], "min")
@@ -115,15 +126,19 @@ class TestSimplex:
                 coeffs = {j: c * factor for j, c in coeffs.items()}
                 rhs *= factor
             scaled.add_row(coeffs, rel, rhs)
-        base, result = simplex_solve(lp), simplex_solve(scaled)
+        try:
+            base = simplex_solve(lp)
+        except InputError:
+            # The costs and bounds decide the start, and scaling keeps them.
+            with pytest.raises(InputError):
+                simplex_solve(scaled)
+            return
+        result = simplex_solve(scaled)
         assert (result.status, result.objective) == (base.status, base.objective)
-        # Bland's rule takes the same pivots when row i starts with its slack
-        # basic (a <= row once the lower bounds are shifted out and the sign
-        # is normalised).  A row that starts with an artificial is reweighted
-        # in the phase-1 objective, which may reach another optimal vertex.
-        coeffs, rel, rhs = lp.rows[i]
-        shifted = rhs - sum((c * lp.lower[j] for j, c in coeffs.items()), Q(0))
-        if base.status == "optimal" and rel == ("<=" if shifted >= 0 else ">="):
+        # Scaling row i by f > 0 scales its activity's row (or column) of the
+        # tableau and leaves every sign, bound violation and ratio |d / a|
+        # where it was, so the dual simplex takes the same pivots.
+        if base.status == "optimal":
             assert result.x == base.x
             assert result.bound_duals == base.bound_duals
             assert result.row_duals[i] == base.row_duals[i] / factor
@@ -186,10 +201,10 @@ class TestSimplex:
         assert (lp.lower, lp.upper) == ([0, 0], [None, None])
 
 
-def _with_bound_rows(lp: RationalLP) -> RationalLP:
-    """The LP with its upper bounds dropped and one trailing x_j <= u_j row
-    per bounded j, in variable order."""
-    rows = RationalLP(lp.num_vars, lp.objective, lp.sense)
+def _with_bound_rows(lp: RationalLP, objective) -> RationalLP:
+    """The LP under ``objective`` with its upper bounds dropped and one
+    trailing x_j <= u_j row per bounded j, in variable order."""
+    rows = RationalLP(lp.num_vars, objective, lp.sense)
     for j, lower in enumerate(lp.lower):
         rows.set_bounds(j, lower, None)
     for coeffs, rel, rhs in lp.rows:
@@ -200,37 +215,33 @@ def _with_bound_rows(lp: RationalLP) -> RationalLP:
     return rows
 
 
-def _exact(values):
-    return None if values is None else [(type(v), v) for v in values]
-
-
 def _assert_solves_like_bound_rows(lp: RationalLP) -> None:
-    """Implicit bounds give the status, x, objective and row duals of the
-    explicit box rows, and each bound dual is its box row's dual.  A box row
-    that keeps its artificial after phase 1 has no dual: its bound dual is
-    None where the trailing row's dual keeps the row default 0."""
-    got, want = simplex_solve(lp), simplex_solve(_with_bound_rows(lp))
-    assert got.status == want.status
-    assert _exact(got.x) == _exact(want.x)
-    assert _exact([got.objective]) == _exact([want.objective])
-    if want.status != "optimal":
+    """An LP with no dual-feasible start is rejected.  Otherwise implicit
+    bounds give the status of the explicit box rows solved under a zero
+    objective (which every start meets, and which keeps the feasible set),
+    the objective of the explicit LP under the LP's own costs wherever
+    that has a dual-feasible start, and an optimum that certifies by LP
+    duality."""
+    flip = 1 if lp.sense == "min" else -1
+    try:
+        got = simplex_solve(lp)
+    except InputError:
+        assert any(flip * c < 0 and u is None for c, u in zip(lp.objective, lp.upper))
         return
-    m = len(lp.rows)
-    assert _exact(got.row_duals) == _exact(want.row_duals[:m])
-    box_duals = iter(want.row_duals[m:])
-    for upper, dual in zip(lp.upper, got.bound_duals):
-        if upper is None:
-            assert dual is None
-        elif dual is None:
-            assert _exact([next(box_duals)]) == [(int, 0)]
-        else:
-            assert _exact([dual]) == _exact([next(box_duals)])
+    assert got.status == simplex_solve(_with_bound_rows(lp, [0] * lp.num_vars)).status
+    try:
+        want = simplex_solve(_with_bound_rows(lp, lp.objective))
+    except InputError:  # no column of the explicit LP has an upper bound
+        assert any(flip * c < 0 for c in lp.objective)
+    else:
+        assert (got.status, got.objective) == (want.status, want.objective)
+    if got.status == "optimal":
+        assert duality_failure(lp, got) is None
 
 
 class TestImplicitBounds:
-    """``simplex_solve`` holds upper bounds implicitly; it must reach the
-    basis, and so every value, that Bland's rule reaches with the bounds
-    written as trailing rows."""
+    """``simplex_solve`` holds upper bounds implicitly; it must decide
+    feasibility as the explicit box rows do and prove each optimum."""
 
     @settings(max_examples=1000, deadline=None, derandomize=True,
               database=None)
@@ -238,11 +249,9 @@ class TestImplicitBounds:
     def test_bounds_solve_like_trailing_rows(self, seed):
         _assert_solves_like_bound_rows(random_boxed_lp(random.Random(seed)))
 
-    def test_artificial_keeps_its_explicit_row_position(self):
-        # An artificial that re-enters in phase 1 takes the explicit row
-        # position of the variable it replaces.  Here one ends in x1's box
-        # row, which so reports no bound dual, and in the second LP the
-        # rows that keep an artificial are drained in explicit row order.
+    def test_redundant_equality_rows(self):
+        # Copies and multiples of equality rows, a row with no entry, and
+        # boxed columns whose bounds hold the optimum.
         lp = RationalLP(2, [3, 2], "max")
         lp.set_bounds(0, 2, 6)
         lp.set_bounds(1, -1, 3)
@@ -253,8 +262,6 @@ class TestImplicitBounds:
         lp.add_row({0: -2, 1: Q(3, 2)}, "=", Q(-15, 2))
         result = simplex_solve(lp)
         assert (result.x, result.objective) == ([6, 3], 24)
-        assert result.row_duals == [1, 0, 0, 0, 0]
-        assert result.bound_duals == [0, None]
         _assert_solves_like_bound_rows(lp)
         lp = RationalLP(3, [4, 1, 0], "min")
         lp.set_bounds(0, -1, 0)
@@ -265,14 +272,12 @@ class TestImplicitBounds:
         lp.add_row({0: 2, 1: -1}, "=", 0)
         result = simplex_solve(lp)
         assert (result.x, result.objective) == ([0, 0, 0], 0)
-        assert result.row_duals == [Q(6, 11), 0, 0, Q(13, 11)]
-        assert result.bound_duals == [0, None, None]
         _assert_solves_like_bound_rows(lp)
 
     def test_bounds_with_rational_widths(self):
         # min -x0 - 2 x1 with x0 + x1 <= 5/2 on the boxes [1/3, 7/4] and
-        # [0, 3/2]: x0 flips to its bound, the row stops x1, then x0 comes
-        # down until x1 reaches its bound (a row complement and a pivot).
+        # [0, 3/2]: both start at their upper bounds, which breaks the row,
+        # and x0 comes down to 1.
         lp = RationalLP(2, [-1, -2], "min")
         lp.set_bounds(0, Q(1, 3), Q(7, 4))
         lp.set_bounds(1, 0, Q(3, 2))
@@ -468,6 +473,19 @@ class TestCuttingPlane:
         res = solve_primal_cutting_plane(one_arc_instance())
         assert res.solution.weight == 5
 
+    def test_arcs_do_not_depend_on_the_row_order(self):
+        # Under the canonical weights the optimum is unique, so solving
+        # every cutting-plane LP with its rows permuted gives the same arcs
+        # and value, on every feasible digest and bicut draw.
+        draws = [inst for inst in itertools.chain(digest_draws(), bicut_draws())
+                 if feasibility_witness(inst) is None]
+        want = [solve_shortest(inst, "lp") for inst in draws]
+        for seed in range(3):
+            with pytest.MonkeyPatch.context() as patch:
+                permute_rows(patch, seed)
+                got = [solve_shortest(inst, "lp") for inst in draws]
+            assert [(s.arcs, s.weight) for s in got] == [(s.arcs, s.weight) for s in want]
+
     def test_infeasible_lp_raises_with_witness(self):
         # One arc s -> t with b(t) = 2: the boxed LP is infeasible, and the
         # exception names the failing condition.
@@ -593,13 +611,13 @@ class TestTDI:
         assert found >= 5
 
     def test_fractional_cutting_plane_dual_is_uncrossed(self):
-        inst = fractional_dual_instance()
+        inst = uncrossing_instance()
         lp = lpsolve._build_degree_lp(inst, boxed=False)
         result, _ = lpsolve._solve_with_cuts(inst, lp, [])
         assert not all(is_integral(v) for v in result.row_duals)
         out = tdi_spot_check(inst)
         assert out["uncrossing_steps"] >= 1
-        assert out["primal"] == dual_bound(inst, out["y"]) == 8
+        assert out["primal"] == dual_bound(inst, out["y"]) == 123
         assert all(is_integral(v) for v in out["y"].values())
         assert dual_feasible(inst, out["y"])
 
@@ -625,9 +643,9 @@ class TestTDI:
             V = frozenset(inst.digraph.vertices)
             family = _dual_family(inst)
             for order in (family, family[::-1]):
-                vertex = simplex_solve(lpsolve._build_dual_lp(inst, order))
+                vertex = simplex_solve(covering_lp(inst, order))
                 avg = {key: Q(val, 2) for key, val in out["y"].items()}
-                for key, val in zip(order, vertex.x):
+                for key, val in zip(order, vertex.row_duals):
                     avg[key] = avg.get(key, 0) + Q(val, 2)
                 if all(is_integral(v) for v in avg.values()):
                     continue
@@ -642,10 +660,10 @@ class TestTDI:
                 assert objective == out["primal"]
                 assert dual_feasible(inst, y)
                 singletons = [("v", v) for v in sorted(V)]
-                res = simplex_solve(lpsolve._build_dual_lp(
+                res = simplex_solve(covering_lp(
                     inst, singletons + [("U", U) for U in support]))
                 assert res.status == "optimal" and res.objective == out["primal"]
-                assert all(is_integral(v) for v in res.x)
+                assert all(is_integral(v) for v in res.row_duals)
         assert kept >= 40 and uncrossed >= 5
 
     def test_uncross_moves_only_crossing_pairs(self):
@@ -676,8 +694,7 @@ class TestTDI:
                 out = tdi_spot_check(inst)
             except InfeasibleInstance:
                 continue
-            full = simplex_solve(lpsolve._build_dual_lp(
-                inst, _dual_family(inst)))
+            full = simplex_solve(covering_lp(inst, _dual_family(inst)))
             assert out["primal"] == dual_bound(inst, out["y"]) == full.objective
             checked += 1
         assert checked >= 20

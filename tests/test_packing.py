@@ -26,8 +26,8 @@ from bbibranch.packing import (GPolymatroidSystem, _partition_conditions,
 from bbibranch.rationals import Q
 
 from conftest import (all_bicuts, digest_draws, one_arc_instance,
-                      oracle_max_disjoint_packing, random_digraph,
-                      random_instance, repeat_separations)
+                      oracle_max_disjoint_packing, permute_rows,
+                      random_digraph, random_instance, repeat_separations)
 
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -735,6 +735,19 @@ class TestIntegerDecomposition:
             for c in classes:
                 assert is_b_bibranching(inst, c)
             done += 1
+
+    def test_classes_do_not_depend_on_the_row_order(self):
+        # A stage's class is its one least 0/1 point under the costs 2^a, so
+        # solving every stage LP with its rows permuted peels the same
+        # classes: chi_A of each digest draw with packing number k >= 2, as
+        # pack peels it.
+        cases = [(inst, k, [1] * inst.digraph.num_arcs()) for inst in digest_draws()
+                 if (k := packing_number(inst).k) >= 2]
+        want = [lpsolve.decompose(*case) for case in cases]
+        for seed in range(3):
+            with pytest.MonkeyPatch.context() as patch:
+                permute_rows(patch, seed)
+                assert [lpsolve.decompose(*case) for case in cases] == want
 
     def test_class_may_hold_an_arc_once_only(self):
         # s0 needs outdegree 2 in each class, so both classes must use arc 0

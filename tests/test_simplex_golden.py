@@ -3,29 +3,28 @@
 Seeded random LPs (``conftest.random_lp``) mix both senses, all three
 relations, negative right-hand sides, rational coefficients, lower
 bounds, finite and fixed upper bounds, and redundant rows (copies,
-negated copies and sums of earlier rows).  Among them are LPs that leave
-an artificial variable basic at level zero after phase 1, both where it
-can be pivoted out and where its row has no other nonzero and is
-dropped.  For every LP the status, ``x``, ``objective``, ``row_duals``
-and ``bound_duals`` must equal the values recorded in
-``simplex_golden.json``; when several optima exist, this pins the one
-Bland's rule reaches.
+negated copies and sums of earlier rows).  For every LP the status,
+``x``, ``objective``, ``row_duals`` and ``bound_duals`` must equal the
+values recorded in ``simplex_golden.json``; when several optima exist,
+this pins the one the dual simplex's Bland rule reaches.  An LP with no
+dual-feasible start (a negative min-form cost on a column with no upper
+bound) is recorded as its ``InputError``.
 
 A second set holds LPs shaped like the ones the commands solve, built from
 the forty report-digest draws (``conftest.digest_draws``): the boxed
 degree LP of ``_build_degree_lp`` with every ``conftest.all_bicuts`` row,
-the covering dual of the TDI check over ``conftest._dual_family``, and the
-packing stage systems of ``build_system`` (on the instance and on its
-mirror, stages max(k, 2) down to 2 for packing number k, on the whole
-cross-arc set) as ``find_integral_point`` poses them.  Last come the
-LPs ``decompose`` solves as ``pack`` runs it, peeling chi_A of every draw
-with packing number k >= 2 into k classes: lower and upper degree rows,
-bounds fixing at 0 the arcs already peeled, and lower and upper bicut
-rows, each LP copied as it stood at that solve.  Then the fourteen
-LPs that ``tdi_spot_check`` solves, the rounds of its unboxed cutting
-plane, on one draw shaped like the ``solve-sparse`` pool (|S| = 4,
-|T| = 10, b = 1, m = 59): 30 of their 1,103 pivots have an entry other
-than +-1, which no other production-shaped LP here takes.  Their results
+the TDI check's covering LP over ``conftest._dual_family``
+(``conftest.covering_lp``), and the packing stage systems of
+``build_system`` (on the instance and on its mirror, stages max(k, 2) down
+to 2 for packing number k, on the whole cross-arc set) as
+``find_integral_point`` poses them.  Last come the LPs ``decompose``
+solves as ``pack`` runs it, peeling chi_A of every draw with packing
+number k >= 2 into k classes: lower and upper degree rows, bounds fixing
+at 0 the arcs already peeled, and lower and upper bicut rows, each LP
+copied as it stood at that solve.  Then the fourteen LPs that
+``tdi_spot_check`` solves, the rounds of its unboxed cutting plane, on one
+draw shaped like the ``solve-sparse`` pool (|S| = 4, |T| = 10, b = 1, m =
+59): 34 of their 312 pivots have an entry other than +-1.  Their results
 are recorded in ``simplex_golden_production.json``.
 
 The recorded files are rewritten by ``python tests/test_simplex_golden.py``
@@ -39,19 +38,19 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import operator
 import random
 from fractions import Fraction
 from pathlib import Path
 
 from bbibranch import lpsolve
-from bbibranch.lpsolve import (RationalLP, _build_degree_lp, _build_dual_lp,
-                               decompose, simplex_solve, tdi_spot_check)
+from bbibranch.errors import InputError
+from bbibranch.lpsolve import (RationalLP, _build_degree_lp, decompose,
+                               simplex_solve, tdi_spot_check)
 from bbibranch.packing import build_system, packing_number
 from bbibranch.rationals import rat_str
 
-from conftest import (_dual_family, all_bicuts, digest_draws, random_instance,
-                      random_lp)
+from conftest import (_dual_family, all_bicuts, covering_lp, digest_draws,
+                      duality_failure, random_instance, random_lp)
 
 GOLDEN = Path(__file__).resolve().parent / "simplex_golden.json"
 PRODUCTION = Path(__file__).resolve().parent / "simplex_golden_production.json"
@@ -64,8 +63,12 @@ def _text(values):
         None if v is None else rat_str(v) for v in values]
 
 
-def record(result) -> list:
-    """One LP's result as JSON-ready strings."""
+def record(lp) -> list:
+    """One LP's result as JSON-ready strings, or its rejection."""
+    try:
+        result = simplex_solve(lp)
+    except InputError as exc:
+        return ["InputError", str(exc)]
     return [result.status, _text(result.x),
             None if result.objective is None else rat_str(result.objective),
             _text(result.row_duals), _text(result.bound_duals)]
@@ -73,7 +76,7 @@ def record(result) -> list:
 
 def golden_records() -> list:
     rng = random.Random(SEED)
-    return [record(simplex_solve(random_lp(rng))) for _ in range(COUNT)]
+    return [record(random_lp(rng)) for _ in range(COUNT)]
 
 
 def solved_lps(run, *args):
@@ -104,7 +107,7 @@ def production_lps():
         for _, cut in all_bicuts(instance):
             lp.add_row({a: 1 for a in cut}, ">=", 1)
         yield lp
-        yield _build_dual_lp(instance, _dual_family(instance))
+        yield covering_lp(instance, _dual_family(instance))
         k = packing_number(instance).k
         for stage in range(max(k, 2), 1, -1):
             systems = [build_system(view, stage)
@@ -128,7 +131,7 @@ def production_lps():
 
 
 def production_records() -> list:
-    return [record(simplex_solve(lp)) for lp in production_lps()]
+    return [record(lp) for lp in production_lps()]
 
 
 def golden_lps() -> list:
@@ -147,14 +150,14 @@ def _assert_matches(found, path):
 def test_simplex_matches_recorded_results():
     found = golden_records()
     statuses = {entry[0] for entry in found}
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert statuses == {"optimal", "infeasible", "InputError"}
     _assert_matches(found, GOLDEN)
 
 
 def test_production_shape_lps_match_recorded_results():
     found = production_records()
     statuses = {entry[0] for entry in found}
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert statuses == {"optimal", "infeasible"}
     _assert_matches(found, PRODUCTION)
 
 
@@ -162,8 +165,7 @@ def test_results_are_int_exactly_when_integral():
     # The number rule: every x, row dual, bound dual and objective is an
     # int when integral and a Fraction with denominator > 1 otherwise.
     kinds = set()
-    for index, lp in enumerate(golden_lps()):
-        result = simplex_solve(lp)
+    for index, (lp, result) in enumerate(solved_goldens()):
         values = [result.objective, *(result.x or ()), *(result.row_duals or ()),
                   *(result.bound_duals or ())]
         for value in values:
@@ -174,61 +176,27 @@ def test_results_are_int_exactly_when_integral():
     assert kinds == {int, Fraction}
 
 
-HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
-# The sign of a row's dual in min form: a >= row's is >= 0, a <= row's <= 0.
-DUAL_SIGN = {"<=": -1, ">=": 1, "=": 0}
-
-
-def duality_failure(lp, result):
-    """The first failing one of four conditions that together prove an
-    optimal ``result`` of ``lp`` optimal, exactly and without a pivot; None
-    if all hold.  Duals are read in min form (a max LP's reported duals are
-    negated, a None bound dual is 0):
-
-    - ``primal``: x meets every row and bound, and the objective is c.x;
-    - ``dual signs``: a >= row's dual is >= 0 and a <= row's <= 0, and a
-      bound dual is <= 0, and 0 where there is no upper bound;
-    - ``reduced costs``: r = c - yA - z >= 0, the lower bounds' duals;
-    - ``dual objective``: y.rhs + z.u + r.l equals the min-form objective.
-    """
-    flip = 1 if lp.sense == "min" else -1
-    x = result.x
-    bounds = list(zip(lp.lower, lp.upper))
-    if not (all(HOLDS[rel](sum(c * x[j] for j, c in coeffs.items()), rhs)
-                for coeffs, rel, rhs in lp.rows)
-            and all(lo <= v and (up is None or v <= up)
-                    for v, (lo, up) in zip(x, bounds))
-            and result.objective == sum(c * v for c, v in zip(lp.objective, x))):
-        return "primal"
-    y = [flip * v for v in result.row_duals]
-    z = [0 if v is None else flip * v for v in result.bound_duals]
-    if not (all(DUAL_SIGN[rel] * v >= 0 for v, (_, rel, _) in zip(y, lp.rows))
-            and all(v <= 0 and (v == 0 or up is not None)
-                    for v, (_, up) in zip(z, bounds))):
-        return "dual signs"
-    r = [flip * c - v for c, v in zip(lp.objective, z)]
-    for v, (coeffs, _, _) in zip(y, lp.rows):
-        for j, c in coeffs.items():
-            r[j] -= v * c
-    if any(v < 0 for v in r):
-        return "reduced costs"
-    dual = (sum(v * rhs for v, (_, _, rhs) in zip(y, lp.rows))
-            + sum(v * up for v, (_, up) in zip(z, bounds) if v)
-            + sum(v * lo for v, (lo, _) in zip(r, bounds)))
-    if dual != flip * result.objective:
-        return "dual objective"
-    return None
+def solved_goldens():
+    """(LP, result) of every golden with a dual-feasible start, in
+    ``golden_lps`` order."""
+    out = []
+    for lp in golden_lps():
+        try:
+            out.append((lp, simplex_solve(lp)))
+        except InputError:
+            pass
+    return out
 
 
 def optimal_results():
     """(LP, result) of every optimal golden, in ``golden_lps`` order."""
-    return [(lp, result) for lp in golden_lps()
-            if (result := simplex_solve(lp)).status == "optimal"]
+    return [(lp, result) for lp, result in solved_goldens()
+            if result.status == "optimal"]
 
 
 def test_every_optimal_golden_certifies_by_duality():
     pairs = optimal_results()
-    assert len(pairs) == 397
+    assert len(pairs) == 331
     assert [index for index, (lp, result) in enumerate(pairs)
             if duality_failure(lp, result)] == []
 
@@ -237,8 +205,8 @@ def test_duality_check_rejects_planted_faults():
     # Each fault, planted in every optimal golden where it applies, is
     # named: a nonzero inequality row dual with its sign flipped, an x entry
     # with a nonzero cost moved by 1, and the objective off by 1.  (An
-    # equality row's dual may be flipped in a valid certificate: on 16 of
-    # them the flipped dual still certifies the optimum.)
+    # equality row's dual has no sign condition, and a flipped one can
+    # still certify the optimum, so it is not planted.)
     named = {"row dual": set(), "x": set(), "objective": set()}
     for lp, result in optimal_results():
         for i, v in enumerate(result.row_duals):

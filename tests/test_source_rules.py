@@ -231,9 +231,10 @@ def test_one_json_writer():
 
 def test_one_scale_in_the_simplex():
     # The simplex tableau holds exact entries, so no row carries a
-    # denominator and no gcd reduces one.  lcm scales separation's point to
-    # int capacities, and once, in the simplex, the phase-2 cost row to ints.
-    assert _sites("gcd or lcm") == [("lpsolve.py", "simplex_solve", "lcm"),
+    # denominator and no gcd reduces one, and no row is scaled: every cost a
+    # command poses is an int.  lcm scales separation's point to int
+    # capacities, and the weights to the canonical int weights W.
+    assert _sites("gcd or lcm") == [("bibranching.py", "_canonical", "lcm"),
                                     ("lpsolve.py", "min_bicut_candidates", "lcm")]
 
 
@@ -322,8 +323,8 @@ def test_every_definition_has_a_caller():
     # so the package holds only code that it runs.  Code that only tests
     # reach lives under tests/ (conftest.py, paper_lemmas.py).
     exempt = {
-        # perfbench/workloads.py calls these.
-        "verify_packing", "Instance.weight_of",
+        # perfbench/workloads.py calls this.
+        "verify_packing",
         # An independent oracle for in_cut in the tests.
         "Digraph.out_cut",
         # perfbench/tracing.py wraps these by name.
