@@ -73,9 +73,8 @@ class Instance:
         vertex order, b and weights.  A b|S-cobranching is a b-branching of
         the reversed arcs, so the mirror has the same b-bibranchings and an
         S-side step here is the T-side step there."""
-        D = self.digraph
         mirror = copy.copy(self)  # b and the weights are already validated
-        mirror.digraph = Digraph(D.vertices, [(h, t) for t, h in D.arcs])
+        mirror.digraph = self.digraph.reversed()
         mirror.S, mirror.T = self.T, self.S
         return mirror
 
@@ -92,13 +91,15 @@ def bibranching_report(instance: Instance, B: Iterable[int]) -> dict:
     failing vertex as witness."""
     D = instance.digraph
     B = D.check_arcset(B)
-    reached = D.reachable_from(B, instance.S)
-    reaching = D.reachable_from(B, instance.T, reverse=True)
+    reached = D.reach(B, instance.S)
+    reaching = D.reach(B, instance.T, reverse=True)
     failing = {
         "t_reachable_from_s": [v for v in instance.T if v not in reached],
         "s_reaches_t": [u for u in instance.S if u not in reaching],
-        "t_indegree": [v for v in instance.T if D.in_degree(B, v) < instance.b[v]],
-        "s_outdegree": [u for u in instance.S if D.out_degree(B, u) < instance.b[u]],
+        "t_indegree": [v for v in instance.T
+                       if len(B.intersection(D.in_arcs(v))) < instance.b[v]],
+        "s_outdegree": [u for u in instance.S
+                        if len(B.intersection(D.out_arcs(u))) < instance.b[u]],
     }
     return {condition: {"ok": not bad, "witness": min(bad, default=None)}
             for condition, bad in failing.items()}

@@ -7,6 +7,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable
 
 from .errors import InputError
@@ -21,7 +22,8 @@ class Digraph:
         for v in self.vertices:
             if not isinstance(v, str):
                 raise InputError("vertex id %r is not a string" % (v,))
-        if len(set(self.vertices)) != len(self.vertices):
+        self.all_vertices: frozenset[str] = frozenset(self.vertices)
+        if len(self.all_vertices) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self.arcs: tuple[tuple[str, str], ...] = tuple(arcs)
@@ -38,6 +40,14 @@ class Digraph:
         self._in_arcs = {v: tuple(in_acc[v]) for v in self.vertices}
         self._out_arcs = {v: tuple(out_acc[v]) for v in self.vertices}
         self.all_arcs: frozenset[int] = frozenset(range(len(self.arcs)))
+
+    def reversed(self) -> "Digraph":
+        """The digraph with every arc reversed, keeping vertex order and arc
+        indices, built from this validated one without checking it again."""
+        mirror = copy.copy(self)
+        mirror.arcs = tuple((head, tail) for tail, head in self.arcs)
+        mirror._in_arcs, mirror._out_arcs = self._out_arcs, self._in_arcs
+        return mirror
 
     def num_arcs(self) -> int:
         return len(self.arcs)
@@ -135,22 +145,27 @@ class Digraph:
 
     def reachable_from(self, B: Iterable[int], X: Iterable[str],
                        reverse: bool = False) -> frozenset[str]:
-        """Vertices reachable from X using only arcs of B (includes X).
+        """Vertices reachable from X using only arcs of B (includes X), after
+        checking B and X.
 
         With ``reverse`` the arcs are followed backwards, which gives the
         vertices that reach X.
         """
-        B = self.check_arcset(B)
-        X = self.check_vertices(X)
+        return frozenset(self.reach(self.check_arcset(B), self.check_vertices(X), reverse))
+
+    def reach(self, B, X: Iterable[str], reverse: bool = False) -> set[str]:
+        """The search behind ``reachable_from``, for callers whose B and X are
+        already checked or were built from this digraph: B is any container
+        of arc indices, X an iterable of vertex ids.  Breadth first."""
         arcs_at, end = (self._in_arcs, 0) if reverse else (self._out_arcs, 1)
         seen = set(X)
-        queue = list(X)
+        queue = list(seen)
         for u in queue:
             for a in arcs_at[u]:
                 if a in B and (w := self.arcs[a][end]) not in seen:
                     seen.add(w)
                     queue.append(w)
-        return frozenset(seen)
+        return seen
 
 
 def check_capacities(digraph: Digraph, b: dict[str, int]) -> dict[str, int]:
@@ -188,14 +203,18 @@ def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
     """Exact max-flow / min-cut (Edmonds-Karp) on a compiled network.
 
     Returns (flow value, source side of a min cut); the value equals the
-    cut capacity exactly, and integer capacities give an int value.  The
-    side is the set of nodes the last, failing augmenting search reached:
-    the minimal min cut, the same for every maximum flow, so it does not
-    depend on which augmenting paths were taken.
+    cut capacity exactly, and integer capacities give an int value.  Every
+    two-arc path source -> u -> sink is pushed at its bottleneck before the
+    first search; Edmonds-Karp from that feasible flow ends at a maximum
+    flow all the same.  The side is the set of nodes the last, failing
+    augmenting search reached: the minimal min cut, the same for every
+    maximum flow, so it depends neither on the paths taken nor on the
+    pre-push.
 
     With ``limit``, the search stops as soon as the flow reaches ``limit``
-    and returns (flow pushed so far, None).  A flow that ends below
-    ``limit`` returns exactly what the query without a limit returns.
+    (the pre-push may already reach it) and returns (flow pushed so far,
+    None).  A flow that ends below ``limit`` returns exactly what the query
+    without a limit returns.
     """
     index = network.index
     if source == sink:
@@ -205,6 +224,16 @@ def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
     s, t = index[source], index[sink]
     adj, ends, cap = network.adj, network.ends, network.cap[:]
     flow = 0
+    # Push each two-arc path source -> u -> sink at its bottleneck first.
+    for first in adj[s]:
+        u = ends[first]
+        for second in adj[u]:
+            if ends[second] == t and cap[first] > 0 and cap[second] > 0:
+                push = min(cap[first], cap[second])
+                for slot in (first, second):
+                    cap[slot] -= push
+                    cap[slot ^ 1] += push
+                flow += push
     while limit is None or flow < limit:
         # BFS for a shortest augmenting path; pred[v] is the slot into v.
         pred = [None] * len(adj)

@@ -39,7 +39,14 @@ from .rationals import is_integral, rat, rat_str, ratio
 # ---------------------------------------------------------------------------
 
 class RationalLP:
-    """min/max c.x subject to rows (coeffs, rel, rhs) and per-variable bounds."""
+    """min/max c.x subject to rows (coeffs, rel, rhs) and per-variable bounds.
+
+    ``add_row`` and ``set_bounds`` check a caller's data and read each number
+    through ``rat``.  The LPs this module builds from an instance append
+    their rows to ``rows`` and set ``lower`` and ``upper`` directly: their
+    coefficients are 1 on arcs of the digraph and their bounds ints, so
+    there is nothing to check.
+    """
 
     def __init__(self, num_vars: int, objective, sense: str = "min"):
         if sense not in ("min", "max"):
@@ -98,15 +105,18 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     upper bound below its lower bound is infeasible.
 
     Each step the basic variable of least index outside its bounds leaves,
-    at the bound it violates.  The nonbasic columns that move it towards
-    that bound are eligible, a fixed variable never, and the one of least
-    ratio |d_k| / |a_k| (its reduced cost over its entry in the leaving
-    row, cross-multiplied) enters, ties to the least index; with none
-    eligible, the row cannot reach its bound: infeasible.  A pivot divides
-    the leaving row by its entry through ``ratio`` and adds multiples of it
-    to the other rows and to the reduced-cost row, over its nonzero
-    entries, so each entry stays an int unless the data is fractional or a
-    pivot entry is not +-1.  With every basic variable within its bounds
+    at the bound it violates, found in one pass over the basis.  Of the
+    leaving row's nonzero columns, those that move it towards that bound
+    are eligible, a fixed variable never, and the one of least ratio
+    |d_k| / |a_k| (its reduced cost over its entry in the leaving row,
+    cross-multiplied) enters, ties to the least index; with none eligible,
+    the row cannot reach its bound: infeasible.  A pivot solves the
+    leaving row for the entering column in place, over its nonzero
+    entries: an entry of 1 negates the row, one of -1 leaves it as it is,
+    and any other divides it through ``ratio``.  It then adds multiples of
+    the row to the other rows and to the reduced-cost row, so each entry
+    stays an int unless the data is fractional or a pivot entry is not
+    +-1.  With every basic variable within its bounds
     the basis is optimal.  x is read off the basic values and the
     nonbasic bounds, each row's dual is its activity's reduced cost (0
     when basic), and a finite upper bound's dual is a nonbasic x_j's
@@ -128,26 +138,36 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     basis = list(range(n, n + m))     # the basic variable of each row
     # Row i: basis[i] = sum_k tableau[i][k] columns[k], of value beta[i]; the
     # last row holds the reduced costs d, and its beta the min-form objective.
-    tableau = [[coeffs.get(j, 0) for j in range(n)] for coeffs, _, _ in lp.rows]
+    tableau = []
+    for coeffs, _, _ in lp.rows:
+        row = [0] * n
+        for j, c in coeffs.items():
+            row[j] = c
+        tableau.append(row)
     tableau.append(cost)
     beta = [sum(c * value[j] for j, c in coeffs.items()) for coeffs, _, _ in lp.rows]
     beta.append(sum(c * v for c, v in zip(cost, value)))
 
     while True:
-        out = [(v, i) for i, v in enumerate(basis)
-               if (lower[v] is not None and beta[i] < lower[v])
-               or (upper[v] is not None and beta[i] > upper[v])]
-        if not out:
+        i = -1
+        for h, v in enumerate(basis):
+            if (i < 0 or v < basis[i]) and (
+                    (lower[v] is not None and beta[h] < lower[v])
+                    or (upper[v] is not None and beta[h] > upper[v])):
+                i = h
+        if i < 0:
             break
-        v, i = min(out)
+        v = basis[i]
         up = lower[v] is not None and beta[i] < lower[v]  # basis[i] must rise
         target = lower[v] if up else upper[v]
         row, reduced = tableau[i], tableau[-1]
+        nonzero = list(compress(range(n), row))
         k = -1
-        for j, a in enumerate(row):
+        for j in nonzero:
             u = columns[j]
-            if not a or lower[u] == upper[u]:
+            if lower[u] == upper[u]:
                 continue
+            a = row[j]
             rises = (a > 0) == up  # whether column j must rise to move basis[i]
             if value[u] == (upper[u] if rises else lower[u]):
                 continue
@@ -161,12 +181,18 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
             return SimplexResult(status="infeasible")
         # basis[i] moves to target, column k by step, each other row by its
         # entry in column k times step; then column k's variable enters.
-        step = ratio(target - beta[i], best)
-        nonzero = [j for j in compress(range(n), row) if j != k]
-        for j in nonzero:
-            row[j] = ratio(-row[j], best)
-        row[k] = ratio(1, best)
-        nonzero.append(k)
+        if best == 1:
+            step = target - beta[i]
+            for j in nonzero:
+                row[j] = -row[j]
+            row[k] = 1
+        elif best == -1:
+            step = beta[i] - target
+        else:
+            step = ratio(target - beta[i], best)
+            for j in nonzero:
+                row[j] = ratio(-row[j], best)
+            row[k] = ratio(1, best)
         for h, dst in enumerate(tableau):
             f = dst[k]
             if f and h != i:
@@ -258,8 +284,7 @@ def min_bicut_candidates(instance: Instance, x: list,
     for start, end in pairs:
         value, side = max_flow_min_cut(network, start, end, limit)
         if side is not None:
-            U = frozenset(v for v in D.vertices if v not in side)
-            results.append((ratio(value, L), U))
+            results.append((ratio(value, L), D.all_vertices - side))
     return results
 
 
@@ -273,15 +298,14 @@ def _unreached_bicuts(instance: Instance, x: list[int]) -> list[frozenset[str]]:
     unreached t gives U = V - R.  Likewise the flow from s is 0 exactly
     when s reaches no vertex of T, with U = V - (the set s reaches)."""
     D = instance.digraph
-    support = [a for a, v in enumerate(x) if v]
+    support = frozenset(compress(range(len(x)), x))
     out = []
-    reached = D.reachable_from(support, instance.S)
+    reached = D.reach(support, instance.S)
     if not instance.T <= reached:
-        out.append(frozenset(v for v in D.vertices if v not in reached))
-    reaching = D.reachable_from(support, instance.T, reverse=True)
+        out.append(D.all_vertices - reached)
+    reaching = D.reach(support, instance.T, reverse=True)
     for s in sorted(instance.S - reaching):
-        reached = D.reachable_from(support, (s,))
-        out.append(frozenset(v for v in D.vertices if v not in reached))
+        out.append(D.all_vertices - D.reach(support, (s,)))
     return out
 
 
@@ -324,11 +348,9 @@ def _build_degree_lp(instance: Instance, boxed: bool = True) -> RationalLP:
     m = instance.digraph.num_arcs()
     lp = RationalLP(m, instance.weights, "min")
     if boxed:
-        for a in range(m):
-            lp.set_bounds(a, 0, 1)
-    for view in (instance, instance.mirror):
-        for v in sorted(view.T):
-            lp.add_row({a: 1 for a in view.digraph.in_arcs(v)}, ">=", view.b[v])
+        lp.upper = [1] * m
+    lp.rows = [(dict.fromkeys(view.digraph.in_arcs(v), 1), ">=", view.b[v])
+               for view in (instance, instance.mirror) for v in sorted(view.T)]
     return lp
 
 
@@ -367,7 +389,7 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
                 raise TheoremViolation("separated bicut is not violated",
                                        payload={"U": U, "x": _text(result.x)})
             cut_rows.append(U)
-            lp.add_row({a: 1 for a in cut}, ">=", 1)
+            lp.rows.append((dict.fromkeys(cut, 1), ">=", 1))
 
 
 def _cutting_plane(instance: Instance, boxed: bool):
@@ -512,12 +534,12 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
     residual, result = list(x), []
     for j in range(k, 1, -1):
         lp = RationalLP(len(x), [1 << a for a in arcs], "min")
-        for a in arcs:
-            lp.set_bounds(a, max(0, residual[a] - (j - 1)), min(1, residual[a]))
+        lp.lower = [max(0, r - (j - 1)) for r in residual]
+        lp.upper = [min(1, r) for r in residual]
         for R, need in rows:
-            coeffs = {a: 1 for a in R}
-            lp.add_row(coeffs, ">=", need)
-            lp.add_row(coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)
+            coeffs = dict.fromkeys(R, 1)
+            lp.rows += [(coeffs, ">=", need),
+                        (coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)]
         while (y := _solve_with_cuts(instance, lp, [])[0]).status == "optimal":
             rest = [r - v for r, v in zip(residual, y.x)]
             new = _violated_bicuts(instance, rest, j - 1)
@@ -527,8 +549,8 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
                 if sum(rest[a] for a in cut) >= j - 1:
                     raise TheoremViolation("separated bicut is not violated",
                                            payload={"U": U, "x": _text(y.x)})
-                lp.add_row({a: 1 for a in cut}, "<=",
-                           sum(residual[a] for a in cut) - (j - 1))
+                lp.rows.append((dict.fromkeys(cut, 1), "<=",
+                                sum(residual[a] for a in cut) - (j - 1)))
         point = zero_one_vertex(lp, y)
         result.append(frozenset(a for a in arcs if point[a]))
         residual = [r - p for r, p in zip(residual, point)]
@@ -628,7 +650,7 @@ def tdi_spot_check(instance: Instance) -> dict:
         for key, val in y.items():
             if key[0] == "U" and val:
                 family.append(key)
-                cover.add_row({a: 1 for a in _dual_coverage(instance, key)}, ">=", 1)
+                cover.rows.append((dict.fromkeys(_dual_coverage(instance, key), 1), ">=", 1))
         res = simplex_solve(cover)
         y = dict(zip(family, res.row_duals or ()))
         if res.status != "optimal" or not certifies(y):

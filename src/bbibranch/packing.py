@@ -220,7 +220,7 @@ def cut_condition_failure(digraph: Digraph, groups) -> Optional[frozenset[str]]:
     for v in sorted(digraph.vertices):
         _, side = max_flow_min_cut(network, root, v, len(groups))
         if side is not None:
-            return frozenset(digraph.vertices) - side
+            return digraph.all_vertices - side
     return None
 
 

@@ -261,20 +261,32 @@ class TestMaxFlow:
         # Source 0, sink n - 1: the flow is the least cut, and the side
         # returned is a least cut holding the source and not the sink.  Up
         # to 20 arcs, so dense networks with every ordered pair (n(n - 1)
-        # arcs at n = 5) are drawn too.
+        # arcs at n = 5) are drawn too, plus up to four two-arc paths
+        # 0 -> u -> n - 1, which the flow pushes before its first search.
+        # Every capacity is over one drawn denominator, so some are
+        # Fractions.  The side is the minimal min cut: it lies inside the
+        # source side of every least cut, whichever flow was pushed first.
         nodes, arcs = draw_network(data, max_arcs=20)
         n = len(nodes)
+        for u in data.draw(st.lists(st.integers(1, n - 2), max_size=4),
+                           label="two-arc paths"):
+            arcs += [(0, u, data.draw(st.integers(0, 4), label="cap")),
+                     (u, n - 1, data.draw(st.integers(0, 4), label="cap"))]
+        scale = data.draw(st.sampled_from([1, 2, 3]), label="denominator")
+        arcs = [(t, h, Q(cap, scale) if scale > 1 else cap) for t, h, cap in arcs]
 
         def capacity(side):
             return sum(cap for t, h, cap in arcs if t in side and h not in side)
 
         inner = nodes[1:-1]
-        least = min(capacity({0, *combo}) for r in range(len(inner) + 1)
-                    for combo in itertools.combinations(inner, r))
+        sides = [{0, *combo} for r in range(len(inner) + 1)
+                 for combo in itertools.combinations(inner, r)]
+        least = min(map(capacity, sides))
         flow, side = max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1)
         assert flow == least
         assert 0 in side and n - 1 not in side
         assert capacity(side) == least
+        assert all(side <= cut for cut in sides if capacity(cut) == least)
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)

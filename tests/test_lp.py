@@ -611,14 +611,32 @@ class TestTDI:
         assert found >= 5
 
     def test_fractional_cutting_plane_dual_is_uncrossed(self):
+        # The only pool instance whose TDI check uncrosses.  Its numbers are
+        # data, recorded before the simplex's unit pivots and the max-flow's
+        # pre-push: a change that moves the pivot path off them fails here
+        # rather than silently dropping the one real input of ``_uncross``.
         inst = uncrossing_instance()
         lp = lpsolve._build_degree_lp(inst, boxed=False)
-        result, _ = lpsolve._solve_with_cuts(inst, lp, [])
-        assert not all(is_integral(v) for v in result.row_duals)
+        cut_rows = []
+        result, _ = lpsolve._solve_with_cuts(inst, lp, cut_rows)
+        bicut_duals = dict(zip(cut_rows, result.row_duals[-len(cut_rows):]))
+        assert len(cut_rows) == 10
+        assert {U: val for U, val in bicut_duals.items() if not is_integral(val)} == {
+            frozenset({"t0", "t1", "t4", "t5", "t6", "t8"}): Q(7, 2),
+            frozenset({"t0", "t1", "t4", "t5", "t6", "t9"}): Q(3, 2),
+            frozenset({"t0", "t1", "t4", "t5", "t8", "t9"}): Q(1, 2),
+            frozenset({"t0", "t1", "t4", "t5"}): Q(3, 2)}
         out = tdi_spot_check(inst)
-        assert out["uncrossing_steps"] >= 1
+        assert (out["bicut_rows"], out["uncrossing_steps"]) == (10, 3)
         assert out["primal"] == dual_bound(inst, out["y"]) == 123
-        assert all(is_integral(v) for v in out["y"].values())
+        T = ("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9")
+        degree = dict(zip(T, (10, 2, 14, 9, 10, 1, 2, 7, 3, 1)))
+        degree.update(s0=1, s1=37, s2=11)
+        assert out["y"] == {("v", v): val for v, val in degree.items()} | {
+            ("U", frozenset({"s0", "s3", *T})): 6,
+            ("U", frozenset({"t0", "t1", "t4", "t5", "t6", "t8"})): 4,
+            ("U", frozenset({"t0", "t1", "t4", "t5"})): 3,
+            ("U", frozenset({"t0", "t1", "t5"})): 2}
         assert dual_feasible(inst, out["y"])
 
     def test_uncrossing_synthetic_fractional_optima(self):
