@@ -48,7 +48,7 @@ class Instance:
             if side.get(v) not in ("S", "T"):
                 raise InputError("vertex %r must be assigned side 'S' or 'T'" % (v,))
         self.S = frozenset(v for v in digraph.vertices if side[v] == "S")
-        self.T = frozenset(v for v in digraph.vertices if side[v] == "T")
+        self.T = digraph.all_vertices - self.S
         if not self.S or not self.T:
             raise InputError("both sides of the bipartition must be nonempty")
         for i, (tail, head) in enumerate(digraph.arcs):
@@ -59,6 +59,11 @@ class Instance:
         for a, w in enumerate(self.weights):
             if w < 0:
                 raise InputError("arc %d has negative weight" % a)
+
+    def __copy__(self) -> "Instance":
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def weight_of(self, B: Iterable[int]):
         return sum(self.weights[a] for a in B)

@@ -23,6 +23,7 @@ import hashlib
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .bibranching import Instance, bibranching_report, solve_shortest
 from .digraph import Digraph
@@ -72,10 +73,10 @@ def load_instance_data(data: dict) -> Instance:
         if not isinstance(entry, dict):
             raise InputError("arcs[%d] must be an object" % i)
         weights.append(entry.get("weight", 0))
-        ends = (entry.get("tail"), entry.get("head"))
-        if not all(isinstance(v, str) for v in ends):
+        tail, head = entry.get("tail"), entry.get("head")
+        if not (isinstance(tail, str) and isinstance(head, str)):
             raise InputError("arcs[%d].tail and .head must be strings" % i)
-        arcs.append(ends)
+        arcs.append((tail, head))
     digraph = Digraph(ids, arcs)
     return Instance(digraph, side, b, weights)
 
@@ -104,15 +105,37 @@ def load_instance_file(path: str) -> tuple[Instance, str]:
     return instance, digest
 
 
-def _json_value(obj):
-    """json's fallback: a set as its sorted members, a rational as text."""
-    return sorted(obj) if isinstance(obj, (set, frozenset)) else rat_str(obj)
-
-
 def _write_json(obj) -> None:
-    # One write: json.dump would write the document in about a hundred chunks.
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2,
-                                default=_json_value) + "\n")
+    """Write obj and a newline in one write, as ``json.dumps(obj,
+    sort_keys=True, indent=2)`` writes str-keyed dicts, lists, tuples,
+    strings, ints, bools and None, with a set as its sorted members and a
+    rational as ``rat_str`` text, in about half json's time."""
+    def text(obj, newline: str) -> str:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
+        if obj is None:
+            return "null"
+        if obj is True or obj is False:
+            return "true" if obj else "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = [encode_basestring_ascii(k) + ": " + text(v, inner)
+                     for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        if isinstance(obj, (set, frozenset)):
+            obj = sorted(obj)
+        elif not isinstance(obj, (list, tuple)):
+            return encode_basestring_ascii(rat_str(obj))
+        if not obj:
+            return "[]"
+        items = [text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+    sys.stdout.write(text(obj, "\n") + "\n")
 
 
 def emit_report(argv: list, instance_hash: str, status: str, payload: dict) -> None:

@@ -27,19 +27,23 @@ class Digraph:
             raise InputError("duplicate vertex ids")
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self.arcs: tuple[tuple[str, str], ...] = tuple(arcs)
-        for i, (tail, head) in enumerate(self.arcs):
-            if tail not in self._vindex or head not in self._vindex:
-                raise InputError("arc %d has unknown endpoint: %s -> %s" % (i, tail, head))
-            if tail == head:
-                raise InputError("arc %d is a loop at %s" % (i, tail))
         in_acc: dict[str, list[int]] = {v: [] for v in self.vertices}
         out_acc: dict[str, list[int]] = {v: [] for v in self.vertices}
         for i, (tail, head) in enumerate(self.arcs):
+            if tail not in out_acc or head not in in_acc:
+                raise InputError("arc %d has unknown endpoint: %s -> %s" % (i, tail, head))
+            if tail == head:
+                raise InputError("arc %d is a loop at %s" % (i, tail))
             out_acc[tail].append(i)
             in_acc[head].append(i)
         self._in_arcs = {v: tuple(in_acc[v]) for v in self.vertices}
         self._out_arcs = {v: tuple(out_acc[v]) for v in self.vertices}
         self.all_arcs: frozenset[int] = frozenset(range(len(self.arcs)))
+
+    def __copy__(self) -> "Digraph":
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def reversed(self) -> "Digraph":
         """The digraph with every arc reversed, keeping vertex order and arc
@@ -204,12 +208,12 @@ def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
 
     Returns (flow value, source side of a min cut); the value equals the
     cut capacity exactly, and integer capacities give an int value.  Every
-    two-arc path source -> u -> sink is pushed at its bottleneck before the
-    first search; Edmonds-Karp from that feasible flow ends at a maximum
-    flow all the same.  The side is the set of nodes the last, failing
-    augmenting search reached: the minimal min cut, the same for every
-    maximum flow, so it depends neither on the paths taken nor on the
-    pre-push.
+    path source -> sink and source -> u -> sink is pushed at its bottleneck
+    before the first search; Edmonds-Karp from that feasible flow ends at
+    a maximum flow all the same.  The side is the set of nodes the last,
+    failing augmenting search reached: the minimal min cut, the same for
+    every maximum flow, so it depends neither on the paths taken nor on
+    the pre-push.
 
     With ``limit``, the search stops as soon as the flow reaches ``limit``
     (the pre-push may already reach it) and returns (flow pushed so far,
@@ -224,9 +228,15 @@ def max_flow_min_cut(network: FlowNetwork, source, sink, limit=None):
     s, t = index[source], index[sink]
     adj, ends, cap = network.adj, network.ends, network.cap[:]
     flow = 0
-    # Push each two-arc path source -> u -> sink at its bottleneck first.
+    # Push each path source -> sink and source -> u -> sink at its
+    # bottleneck first.
     for first in adj[s]:
         u = ends[first]
+        if u == t:
+            flow += cap[first]
+            cap[first ^ 1] += cap[first]
+            cap[first] = 0
+            continue
         for second in adj[u]:
             if ends[second] == t and cap[first] > 0 and cap[second] > 0:
                 push = min(cap[first], cap[second])

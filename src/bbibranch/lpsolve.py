@@ -117,10 +117,12 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     the row to the other rows and to the reduced-cost row, so each entry
     stays an int unless the data is fractional or a pivot entry is not
     +-1.  With every basic variable within its bounds
-    the basis is optimal.  x is read off the basic values and the
-    nonbasic bounds, each row's dual is its activity's reduced cost (0
-    when basic), and a finite upper bound's dual is a nonbasic x_j's
-    reduced cost when negative, else 0; a max LP's duals are negated.
+    the basis is optimal.  Set-up is one pass over the rows.  x is the
+    nonbasic bounds with the basic values written over them in one pass
+    over the basis, and the duals come from one pass over the columns:
+    each row's dual is its activity's reduced cost (0 when basic), and a
+    finite upper bound's dual is a nonbasic x_j's reduced cost when
+    negative, else 0; a max LP's duals are negated.
     Each result value is an int when integral, a Fraction only otherwise.
     """
     n, m = lp.num_vars, len(lp.rows)
@@ -131,21 +133,23 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     if any(c < 0 and u is None for c, u in zip(cost, lp.upper)):
         raise InputError("LP has no dual-feasible start: a negative min-form "
                          "cost on a column with no upper bound")
-    lower = lp.lower + [None if rel == "<=" else rhs for _, rel, rhs in lp.rows]
-    upper = lp.upper + [None if rel == ">=" else rhs for _, rel, rhs in lp.rows]
     value = [u if c < 0 else l for c, l, u in zip(cost, lp.lower, lp.upper)] + [None] * m
     columns = list(range(n))          # the nonbasic variable of each column
     basis = list(range(n, n + m))     # the basic variable of each row
     # Row i: basis[i] = sum_k tableau[i][k] columns[k], of value beta[i]; the
     # last row holds the reduced costs d, and its beta the min-form objective.
-    tableau = []
-    for coeffs, _, _ in lp.rows:
+    lower, upper, tableau, beta = lp.lower[:], lp.upper[:], [], []
+    for coeffs, rel, rhs in lp.rows:
+        lower.append(None if rel == "<=" else rhs)
+        upper.append(None if rel == ">=" else rhs)
         row = [0] * n
+        activity = 0
         for j, c in coeffs.items():
             row[j] = c
+            activity += c * value[j]
         tableau.append(row)
+        beta.append(activity)
     tableau.append(cost)
-    beta = [sum(c * value[j] for j, c in coeffs.items()) for coeffs, _, _ in lp.rows]
     beta.append(sum(c * v for c, v in zip(cost, value)))
 
     while True:
@@ -204,13 +208,17 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
         value[v] = target
         columns[k], basis[i] = v, columns[k]
 
-    basic = dict(zip(basis, beta))
-    x = [rat(basic[j]) if j in basic else value[j] for j in range(n)]
-    reduced = dict(zip(columns, tableau[-1]))
-    row_duals = [rat(flip * reduced.get(n + i, 0)) for i in range(m)]
-    bound_duals = [None if u is None else rat(flip * min(0, reduced.get(j, 0)))
-                   for j, u in enumerate(lp.upper)]
-    return SimplexResult(status="optimal", x=x, objective=rat(flip * beta[-1]),
+    for v, b in zip(basis, beta):
+        if v < n:
+            value[v] = rat(b)
+    row_duals = [0] * m
+    bound_duals = [None if u is None else 0 for u in lp.upper]
+    for v, d in zip(columns, tableau[-1]):
+        if v >= n:
+            row_duals[v - n] = rat(flip * d)
+        elif d < 0 and bound_duals[v] is not None:
+            bound_duals[v] = rat(flip * d)
+    return SimplexResult(status="optimal", x=value[:n], objective=rat(flip * beta[-1]),
                          row_duals=row_duals, bound_duals=bound_duals)
 
 
@@ -250,13 +258,12 @@ def min_bicut_candidates(instance: Instance, x: list,
     x holds one entry per arc (``Digraph.per_arc``).  The max-flows run on
     the int capacities L x, L the lcm of the denominators of x, and each
     value is returned divided by L.  Scaling leaves Edmonds-Karp's cut, the
-    unique minimal min cut, where it was.  All |T| + |S| flows of a call
-    share the one network it compiles: the digraph, a super-source into S
-    for the flows to each t in T, and a super-sink out of T for the flows
-    from each s in S.  Each super node is a dead end for the other
-    family's flows, so no value or cut changes.  The super arcs hold one
-    more than the digraph arcs' total capacity, so no min cut crosses
-    them: every flow path crosses a digraph arc, as S and T are disjoint.
+    unique minimal min cut, where it was.  Each family runs on its own
+    network, compiled before any flow, with its nodes in vertex order: the
+    flows to each t in T on the arcs into T, S merged into one source; the
+    flows from each s in S on the arcs out of S, T merged into one sink.
+    No arc into S carries flow to T and no arc out of T carries flow from
+    S, so no value or minimal min cut differs from the whole digraph's.
 
     With ``below``, each flow stops once it reaches below * L, and only
     the candidates of value less than ``below`` are returned, in the same
@@ -266,25 +273,27 @@ def min_bicut_candidates(instance: Instance, x: list,
     (``_violated_bicuts``); the fractional points, the needs of 2 or more
     and ``packing_number``'s exact values come here.
     """
-    D = instance.digraph
+    D, S, T = instance.digraph, instance.S, instance.T
     x = D.per_arc(x, "x")
     L = lcm(*(v.denominator for v in x))
-    capacities = [v.numerator * (L // v.denominator) for v in x]
-    big = sum(capacities) + 1
-    # The super nodes are tuples, so no vertex id (a string) equals them.
+    arcs = [(tail, head, v.numerator * (L // v.denominator))
+            for (tail, head), v in zip(D.arcs, x)]
+    # The merged nodes are tuples, so no vertex id (a string) equals them.
     source, sink = ("source",), ("sink",)
-    arcs = [(tail, head, c) for (tail, head), c in zip(D.arcs, capacities)]
-    arcs += [(source, s, big) for s in sorted(instance.S)]
-    arcs += [(t, sink, big) for t in sorted(instance.T)]
-    network = FlowNetwork([*D.vertices, source, sink], arcs)
+    into_T = FlowNetwork([source, *(v for v in D.vertices if v in T)],
+                         [(source if tail in S else tail, head, c)
+                          for tail, head, c in arcs if head in T])
+    out_of_S = FlowNetwork([*(v for v in D.vertices if v in S), sink],
+                           [(tail, sink if head in T else head, c)
+                            for tail, head, c in arcs if tail in S])
     limit = None if below is None else below * L
     results = []
-    pairs = ([(source, t) for t in sorted(instance.T)]
-             + [(s, sink) for s in sorted(instance.S)])
-    for start, end in pairs:
+    for network, start, end, U in (
+            [(into_T, source, t, T) for t in sorted(T)]
+            + [(out_of_S, s, sink, D.all_vertices) for s in sorted(S)]):
         value, side = max_flow_min_cut(network, start, end, limit)
         if side is not None:
-            results.append((ratio(value, L), D.all_vertices - side))
+            results.append((ratio(value, L), U - side))
     return results
 
 
@@ -410,11 +419,12 @@ def _cutting_plane(instance: Instance, boxed: bool):
     return lp, result, cut_rows, rounds, dict(zip(keys, result.row_duals))
 
 
-def _dual_coverage(instance: Instance, key) -> frozenset[int]:
-    """Arcs whose dual constraint contains the variable y(key)."""
+def _dual_coverage(instance: Instance, key):
+    """Arcs whose dual constraint contains the variable y(key): a vertex's
+    arc tuple or a bicut's frozenset."""
     D, (kind, X) = instance.digraph, key
     if kind == "v":
-        return frozenset(D.in_arcs(X) if X in instance.T else D.out_arcs(X))
+        return D.in_arcs(X) if X in instance.T else D.out_arcs(X)
     return D.in_cut(X)
 
 
@@ -423,8 +433,9 @@ def _loads(instance: Instance, y: dict) -> list:
     row's arcs read from the instance (``_dual_coverage``), not from an LP."""
     load = [0] * instance.digraph.num_arcs()
     for key, val in y.items():
-        for a in _dual_coverage(instance, key):
-            load[a] += val
+        if val:
+            for a in _dual_coverage(instance, key):
+                load[a] += val
     return load
 
 
@@ -433,7 +444,7 @@ def dual_bound(instance: Instance, y: dict):
     the max terms complete y to a dual of the boxed LP over all bicuts, so
     by weak duality no b-bibranching weighs less."""
     objective = sum(instance.b[key[1]] * val if key[0] == "v" else val
-                    for key, val in y.items())
+                    for key, val in y.items() if val)
     return objective - sum(max(0, total - w)
                            for total, w in zip(_loads(instance, y), instance.weights))
 
@@ -556,7 +567,11 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
         residual = [r - p for r, p in zip(residual, point)]
     result.append(frozenset(a for a in arcs if residual[a]))
 
-    if [sum(1 for cls in result if a in cls) for a in arcs] != x:
+    count = [0] * len(x)
+    for cls in result:
+        for a in cls:
+            count[a] += 1
+    if count != x:
         raise TheoremViolation("decomposition does not sum to x",
                                payload={"x": x, "classes": result})
     for j, cls in enumerate(result):

@@ -12,15 +12,16 @@ not resolve a 10 % difference on such a host.
 
 Run it from the repository root::
 
-    python tests/ab_commands.py BASE_SRC NEW_SRC [WORKLOAD ...]
+    python tests/ab_commands.py BASE_SRC NEW_SRC ROUNDS [WORKLOAD ...]
 
-For each workload (default: ``solve-small`` and ``pack``) it prints each
-side's p50, mean and p96 of the per-command median times, the new/base
-ratio of each, and whether every command's exit code, stdout and stderr
-matched byte for byte; it exits 1 if one did not.  It re-executes itself
-under ``PYTHONHASHSEED=0`` (``workloads.pin_hash_seed``), the hash seed of
-the benchmark.  The name has no ``test_`` prefix, so pytest does not
-collect it.
+For each round and each workload (default: ``solve-small`` and ``pack``)
+it prints each side's p50, mean and p96 of the per-command median times,
+the new/base ratio of each, and whether every command's exit code, stdout
+and stderr matched byte for byte; after the last round it prints the
+min-max of each ratio over the rounds.  It exits 1 if an output differed.
+It re-executes itself under ``PYTHONHASHSEED=0``
+(``workloads.pin_hash_seed``), the hash seed of the benchmark.  The name
+has no ``test_`` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -98,27 +99,36 @@ def compare(workload, mains, directory: Path):
     return times, same
 
 
+STATS = (("p50", lambda t: percentile(t, 50)), ("mean", statistics.fmean),
+         ("p96", lambda t: percentile(t, 96)))
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) < 2:
+    if len(argv) < 3 or not argv[2].isdigit() or int(argv[2]) < 1:
         print(__doc__, file=sys.stderr)
         return 2
     workloads.pin_hash_seed()
     mains = [load_tree(Path(argv[0]), "bbibranch_base"),
              load_tree(Path(argv[1]), "bbibranch_new")]
+    names = argv[3:] or ["solve-small", "pack"]
+    ratios = {(workload, label): [] for workload in names for label, _ in STATS}
     all_same = True
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in argv[2:] or ["solve-small", "pack"]:
-            times, same = compare(workload, mains, Path(tmp))
-            all_same = all_same and same
-            print("%s: %d commands x %d repeats per side, outputs %s"
-                  % (workload, len(times[0]), REPEATS,
-                     "identical" if same else "DIFFER"))
-            for label, stat in (("p50", lambda t: percentile(t, 50)),
-                                ("mean", statistics.fmean),
-                                ("p96", lambda t: percentile(t, 96))):
-                base, new = stat(times[0]), stat(times[1])
-                print("  %-4s base %8.1f us  new %8.1f us  new/base %.3f"
-                      % (label, base * 1e6, new * 1e6, new / base))
+        for n in range(1, int(argv[2]) + 1):
+            for workload in names:
+                times, same = compare(workload, mains, Path(tmp))
+                all_same = all_same and same
+                print("round %d, %s: %d commands x %d repeats per side, outputs %s"
+                      % (n, workload, len(times[0]), REPEATS,
+                         "identical" if same else "DIFFER"))
+                for label, stat in STATS:
+                    base, new = stat(times[0]), stat(times[1])
+                    ratios[workload, label].append(new / base)
+                    print("  %-4s base %8.1f us  new %8.1f us  new/base %.3f"
+                          % (label, base * 1e6, new * 1e6, new / base))
+    print("new/base over %s rounds, min-max:" % argv[2])
+    for (workload, label), values in ratios.items():
+        print("  %-12s %-4s %.3f-%.3f" % (workload, label, min(values), max(values)))
     return 0 if all_same else 1
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: file formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -10,13 +12,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbibranch import bibranching, cli, lpsolve, mconvex, packing
 from bbibranch.cli import (EXIT_GUARD, EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK,
                            EXIT_THEOREM, load_instance_data)
 from bbibranch.digraph import Digraph
 from bbibranch.errors import GuardError, InputError, TheoremViolation
-from bbibranch.rationals import rat
+from bbibranch.rationals import rat, rat_str
 
 from conftest import (all_bicuts, digest_draws, one_arc_instance,
                       random_instance, repeat_separations, serialize_instance,
@@ -71,7 +75,31 @@ OUTSIDE_GRAMMAR = [
     "", "/2", "1/", "1.5", "0x1", "1e3", "1/0"]
 
 
+def assert_fixed_point(out: str) -> None:
+    """A report or ``gen`` document is written exactly as json writes what
+    it reads back."""
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+@pytest.fixture(autouse=True)
+def reports_are_fixed_points(monkeypatch):
+    # Every document cli writes in-process in this module, the planted
+    # exit-5 payloads included, passes ``assert_fixed_point``.
+    write = cli._write_json
+
+    def checked(obj):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            write(obj)
+        assert_fixed_point(buffer.getvalue())
+        sys.stdout.write(buffer.getvalue())
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+
+
 def run_cli(*argv, files=None, tmp_path=None):
+    """The finished CLI subprocess on argv and the files; what it writes to
+    stdout, if anything, passes ``assert_fixed_point``."""
     paths = []
     if files:
         for name, content in files.items():
@@ -80,7 +108,38 @@ def run_cli(*argv, files=None, tmp_path=None):
             paths.append(str(path))
     cmd = [sys.executable, "-m", "bbibranch.cli"] + [
         str(a) for a in argv] + paths
-    return subprocess.run(cmd, capture_output=True, text=True)
+    run = subprocess.run(cmd, capture_output=True, text=True)
+    if run.stdout:
+        assert_fixed_point(run.stdout)
+    return run
+
+
+def _json_hook(obj):
+    """The ``default`` hook of the ``json.dumps`` call that ``_write_json``
+    replaced: a set as its sorted members, a rational as text."""
+    return sorted(obj) if isinstance(obj, (set, frozenset)) else rat_str(obj)
+
+
+JSON_LEAVES = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(), st.fractions(),
+    st.sets(st.text()), st.frozensets(st.integers()), st.frozensets(st.fractions()))
+JSON_DOCS = st.recursive(
+    JSON_LEAVES, lambda inner: st.one_of(
+        st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=JSON_DOCS)
+def test_write_json_matches_json_dumps(doc):
+    # The writer is json's indent encoder with the old hook, byte for byte:
+    # non-ASCII text, quotes and control characters escaped, nested and
+    # empty containers, sets sorted and rationals as text.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_json(doc)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2,
+                                        default=_json_hook) + "\n"
 
 
 class TestInstanceFormat:
@@ -367,6 +426,7 @@ class TestSolveCommand:
                 for seed in ("0", "1")]
         assert [run.returncode for run in runs] == [EXIT_THEOREM] * 2
         assert runs[0].stdout == runs[1].stdout
+        assert_fixed_point(runs[0].stdout)
         assert runs[0].stderr == runs[1].stderr
         y = json.loads(runs[0].stdout)["result"]["payload"]["y"]
         assert ("U:{t1,t2}" in y) == (fault == "objective")

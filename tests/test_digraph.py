@@ -262,16 +262,21 @@ class TestMaxFlow:
         # returned is a least cut holding the source and not the sink.  Up
         # to 20 arcs, so dense networks with every ordered pair (n(n - 1)
         # arcs at n = 5) are drawn too, plus up to four two-arc paths
-        # 0 -> u -> n - 1, which the flow pushes before its first search.
-        # Every capacity is over one drawn denominator, so some are
-        # Fractions.  The side is the minimal min cut: it lies inside the
-        # source side of every least cut, whichever flow was pushed first.
+        # 0 -> u -> n - 1 and up to three parallel direct arcs 0 -> n - 1,
+        # which the flow pushes before its first search.  Every capacity
+        # is over one drawn denominator, so some are Fractions.  The side
+        # is the minimal min cut: it lies inside the source side of every
+        # least cut, whichever flow was pushed first.  A limit at most the
+        # direct arcs' capacity is reached by that pre-push alone, and the
+        # query returns the flow so far and no side.
         nodes, arcs = draw_network(data, max_arcs=20)
         n = len(nodes)
         for u in data.draw(st.lists(st.integers(1, n - 2), max_size=4),
                            label="two-arc paths"):
             arcs += [(0, u, data.draw(st.integers(0, 4), label="cap")),
                      (u, n - 1, data.draw(st.integers(0, 4), label="cap"))]
+        arcs += [(0, n - 1, cap) for cap in data.draw(
+            st.lists(st.integers(0, 4), max_size=3), label="direct arcs")]
         scale = data.draw(st.sampled_from([1, 2, 3]), label="denominator")
         arcs = [(t, h, Q(cap, scale) if scale > 1 else cap) for t, h, cap in arcs]
 
@@ -287,6 +292,11 @@ class TestMaxFlow:
         assert 0 in side and n - 1 not in side
         assert capacity(side) == least
         assert all(side <= cut for cut in sides if capacity(cut) == least)
+        direct = sum(cap for t, h, cap in arcs if (t, h) == (0, n - 1))
+        if direct:
+            limit = direct * Q(data.draw(st.integers(1, 4), label="limit"), 4)
+            reached, none = max_flow_min_cut(FlowNetwork(nodes, arcs), 0, n - 1, limit)
+            assert none is None and limit <= reached <= least
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)

@@ -367,9 +367,41 @@ class TestSeparation:
             assert min(value for value, _ in candidates) == min(
                 sum(x[a] for a in cut) for _, cut in all_bicuts(inst))
 
+    def test_each_candidate_is_the_largest_minimizer_of_its_family(self):
+        # Candidate i is the flow to the i-th t of sorted T, then the flow
+        # from each s of sorted S.  Its value is the least x(delta^-(U))
+        # over the U within V - S that hold t, or over the U that hold T
+        # and miss s, and its U the union of every such least U (the
+        # minimal min cut's sink side), whatever network the flows run on.
+        # With ``below``, the candidates of value below it stay, unchanged.
+        rng = random.Random(38)
+        for _ in range(60):
+            inst = random_instance(rng, rng.randint(1, 3), rng.randint(1, 3),
+                                   0.5, 2, 5, max_arcs=12, extra_cross=rng.randint(0, 3))
+            D, S, T = inst.digraph, inst.S, inst.T
+            x = [Q(rng.randint(0, 6), rng.choice((1, 2, 3)))
+                 for _ in range(D.num_arcs())]
+            families = [[frozenset((t, *rest)) for r in range(len(T))
+                         for rest in itertools.combinations(sorted(T - {t}), r)]
+                        for t in sorted(T)]
+            families += [[T.union(rest) for r in range(len(S))
+                          for rest in itertools.combinations(sorted(S - {s}), r)]
+                         for s in sorted(S)]
+            expected = []
+            for family in families:
+                value = {U: sum(x[a] for a in D.in_cut(U)) for U in family}
+                least = min(value.values())
+                expected.append((least, frozenset().union(
+                    *(U for U in family if value[U] == least))))
+            assert min_bicut_candidates(inst, x) == expected
+            for below in (1, Q(3, 2), 2):
+                assert min_bicut_candidates(inst, x, below) == [
+                    (value, U) for value, U in expected if value < below]
+
     def test_max_flows_run_on_int_capacities(self, monkeypatch):
-        # Each call compiles its network, capacities included, through
-        # ``lpsolve.FlowNetwork``; every flow runs on such a network.
+        # Each call compiles its two networks, one per bicut family and
+        # capacities included, through ``lpsolve.FlowNetwork``; every flow
+        # runs on such a network.
         compiled, flown = [], []
 
         def compiling(nodes, arcs):
@@ -389,9 +421,9 @@ class TestSeparation:
                  for _ in range(inst.digraph.num_arcs())]
             for value, U in min_bicut_candidates(inst, x):
                 assert value == sum(x[a] for a in inst.digraph.in_cut(U))
-        assert len(compiled) == 5
+        assert len(compiled) == 10
         assert flown and all(any(n is c for c in compiled) for n in flown)
-        # Every residual slot, the super arcs' capacity included.
+        # Every residual slot, the merged source's and sink's arcs included.
         capacities = [c for network in compiled for c in network.cap]
         assert capacities
         assert all(type(c) is int for c in capacities)

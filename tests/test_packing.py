@@ -540,8 +540,9 @@ class TestFullPacking:
         # Rounds with need 1 run at int points and search instead, so on
         # this instance (k = 3) the flows run for the packing number and
         # for the one need-2 round of stage 3.  Each of those two
-        # ``min_bicut_candidates`` calls compiles one network, before any
-        # flow, and runs all |T| + |S| of its flows on it.
+        # ``min_bicut_candidates`` calls compiles two networks, before any
+        # flow, and runs its |T| flows to each t on the first and its |S|
+        # flows from each s on the second.
         events = []
         flow, candidates = lpsolve.max_flow_min_cut, lpsolve.min_bicut_candidates
 
@@ -565,14 +566,17 @@ class TestFullPacking:
         inst = pack_pool_instance(728)
         assert pack_b_bibranchings(inst).k == 3
         assert [need for _, need, _ in calls].count(2) == 1
-        flows = len(inst.S) + len(inst.T)
-        assert [kind for kind, _ in events] == (["call", "compile"] + ["flow"] * flows) * 2
+        nT, nS = len(inst.T), len(inst.S)
+        per_call = ["call", "compile", "compile"] + ["flow"] * (nT + nS)
+        assert [kind for kind, _ in events] == per_call * 2
         networks = []
-        for start in (0, 2 + flows):
-            (_, network), *flown = events[start + 1:start + 2 + flows]
-            assert all(on is network for _, on in flown)
-            networks.append(network)
-        assert networks[0] is not networks[1]
+        for start in (0, len(per_call)):
+            (_, into_T), (_, out_of_S), *flown = events[start + 1:start + len(per_call)]
+            assert into_T is not out_of_S
+            assert all(on is into_T for _, on in flown[:nT])
+            assert all(on is out_of_S for _, on in flown[nT:])
+            networks += [into_T, out_of_S]
+        assert len({id(network) for network in networks}) == 4
 
     def test_mirror_separates_with_the_families_swapped(self):
         # The mirror reverses every arc and swaps S with T, so its flows to

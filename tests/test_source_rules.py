@@ -84,6 +84,7 @@ QUERIES = {
     "load_instance_file": _calls("load_instance_file"),
     "emit_report": _calls("emit_report"),
     "json dump": _calls("dump", "dumps"),
+    "json writer": _calls("_write_json", "encode_basestring_ascii"),
     "gcd or lcm": lambda file, owner, node, in_loop:
         _called(node) in ("gcd", "lcm") and (file, owner, _called(node)),
     # type(x) is int and type(x) is not int: exact int tests, bools excluded.
@@ -198,11 +199,12 @@ def test_every_theorem_violation_carries_a_payload():
 def test_one_max_flow_routine_and_one_network_per_caller():
     # Augmenting along a residual slot updates its twin, ``cap[slot ^ 1]``:
     # only ``max_flow_min_cut`` does so, so it is the one max-flow routine.
-    # Each caller compiles its ``FlowNetwork``, capacities included, once
-    # per call, outside any loop, and runs all its flows on it, so no flow
-    # rebuilds the residual graph.
+    # Each caller compiles its ``FlowNetwork``s, capacities included, once
+    # per call, outside any loop, and runs all its flows on them, so no flow
+    # rebuilds the residual graph: separation one network per bicut family.
     assert set(_sites("twin slot")) == {("digraph.py", "max_flow_min_cut")}
     assert _sites("FlowNetwork") == [
+        ("lpsolve.py", "min_bicut_candidates", False),
         ("lpsolve.py", "min_bicut_candidates", False),
         ("packing.py", "cut_condition_failure", False)]
 
@@ -224,10 +226,14 @@ def test_one_load_and_one_report_per_command():
 
 
 def test_one_json_writer():
-    # Every report and ``gen``'s document is serialized by ``cli._write_json``,
-    # so keys are sorted, sets are sorted lists and rationals are text the
-    # same way in each.
-    assert _sites("json dump") == [("cli.py", "_write_json")]
+    # Every report (``emit_report``) and ``gen``'s document is serialized by
+    # ``cli._write_json``, so keys are sorted, sets are sorted lists and
+    # rationals are text the same way in each.  Its own recursion writes
+    # every string, and nothing in the package calls json.dump or dumps.
+    assert _sites("json dump") == []
+    assert set(_sites("json writer")) == {("cli.py", "_write_json.text"),
+                                          ("cli.py", "emit_report"),
+                                          ("cli.py", "cmd_gen")}
 
 
 def test_one_scale_in_the_simplex():
@@ -278,7 +284,7 @@ class Net:
         raise InfeasibleInstance("no")
         raise TheoremViolation("no evidence")
         self.cap[slot ^ 1] += 1
-        emit_report(load_instance_file(slot), type(slot) is not int)
+        emit_report(load_instance_file(slot), type(slot) is not int, _write_json(slot))
         for arc in arcs:
             FlowNetwork(arcs, arc)
 
