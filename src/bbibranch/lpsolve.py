@@ -39,35 +39,33 @@ from .rationals import is_integral, rat, rat_str, ratio
 # ---------------------------------------------------------------------------
 
 class RationalLP:
-    """min/max c.x subject to rows (coeffs, rel, rhs) and per-variable bounds.
+    """min c.x subject to lower <= x <= upper and lo <= coeffs.x <= hi for
+    each row (coeffs, lo, hi), None standing for an infinite bound.
 
-    ``add_row`` and ``set_bounds`` check a caller's data and read each number
-    through ``rat``.  The LPs this module builds from an instance append
-    their rows to ``rows`` and set ``lower`` and ``upper`` directly: their
-    coefficients are 1 on arcs of the digraph and their bounds ints, so
-    there is nothing to check.
+    ``add_row(coeffs, lo, hi)`` mirrors ``set_bounds(j, lower, upper)``; a
+    fixed row (lo = hi) is an equation.  Both check a caller's data and
+    read each number through ``rat``.  The LPs this module builds from an
+    instance append their rows to ``rows`` and set ``lower`` and ``upper``
+    directly: their coefficients are 1 on arcs of the digraph and their
+    bounds ints, so there is nothing to check.
     """
 
-    def __init__(self, num_vars: int, objective, sense: str = "min"):
-        if sense not in ("min", "max"):
-            raise InputError("sense must be 'min' or 'max'")
+    def __init__(self, num_vars: int, objective):
         if len(objective) != num_vars:
             raise InputError("objective must have one entry per variable (%d)"
                              % num_vars)
         self.num_vars = num_vars
         self.objective = [rat(c) for c in objective]
-        self.sense = sense
-        self.rows: list[tuple[dict[int, object], str, object]] = []
+        self.rows: list[tuple[dict[int, object], Optional[object], Optional[object]]] = []
         self.lower = [0] * num_vars
         self.upper: list[Optional[object]] = [None] * num_vars
 
-    def add_row(self, coeffs: dict[int, object], rel: str, rhs) -> int:
-        if rel not in ("<=", ">=", "="):
-            raise InputError("relation must be one of <=, >=, =")
+    def add_row(self, coeffs: dict[int, object], lo, hi) -> int:
         for j in coeffs:
             self._check_variable(j, "row references")
         clean = {j: q for j, c in coeffs.items() if (q := rat(c))}
-        self.rows.append((clean, rel, rat(rhs)))
+        self.rows.append((clean, None if lo is None else rat(lo),
+                          None if hi is None else rat(hi)))
         return len(self.rows) - 1
 
     def set_bounds(self, j: int, lower, upper) -> None:
@@ -83,10 +81,13 @@ class RationalLP:
 
 @dataclass
 class SimplexResult:
+    """A row's dual is positive only at the row's lo and negative only at
+    its hi, so on a ranged row its sign names the active bound."""
+
     status: str                      # optimal | infeasible
     x: Optional[list] = None
     objective: Optional[object] = None
-    row_duals: Optional[list] = None   # one per original row
+    row_duals: Optional[list] = None   # one per row
     bound_duals: Optional[list] = None  # one per variable; None if unbounded above
 
 
@@ -96,13 +97,13 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     Res. 2, 1977).
 
     Variable j < n is x_j; variable n + i is row i's activity r_i = a_i.x,
-    bounded by its relation: [rhs, inf) for >=, (-inf, rhs] for <= and
-    [rhs, rhs] for =.  The rows' activities start basic, and each x_j
-    nonbasic at the bound its min-form cost favours: its lower bound if the
-    cost is >= 0, else its upper bound.  That start is dual feasible, and
-    an LP without one, a negative min-form cost on a column with no upper
-    bound, is an ``InputError``; every LP a command poses has one.  An
-    upper bound below its lower bound is infeasible.
+    bounded by the row's [lo, hi] as x_j is by its column's.  Bounds below
+    their lower bound, of a column or of a row, are infeasible.  The rows'
+    activities start basic, and each x_j nonbasic at the bound its cost
+    favours: its lower bound if the cost is >= 0, else its upper bound.
+    That start is dual feasible, and an LP without one, a negative cost on
+    a column with no upper bound, is an ``InputError``; every LP a command
+    poses has one.
 
     Each step the basic variable of least index outside its bounds leaves,
     at the bound it violates, found in one pass over the basis.  Of the
@@ -122,14 +123,15 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     over the basis, and the duals come from one pass over the columns:
     each row's dual is its activity's reduced cost (0 when basic), and a
     finite upper bound's dual is a nonbasic x_j's reduced cost when
-    negative, else 0; a max LP's duals are negated.
+    negative, else 0.
     Each result value is an int when integral, a Fraction only otherwise.
     """
     n, m = lp.num_vars, len(lp.rows)
-    flip = 1 if lp.sense == "min" else -1
-    cost = [flip * c for c in lp.objective]
-    if any(u is not None and u < l for l, u in zip(lp.lower, lp.upper)):
+    lower = lp.lower + [lo for _, lo, _ in lp.rows]
+    upper = lp.upper + [hi for _, _, hi in lp.rows]
+    if any(u is not None and l is not None and u < l for l, u in zip(lower, upper)):
         return SimplexResult(status="infeasible")
+    cost = lp.objective[:]  # the pivots rewrite it as the reduced-cost row
     if any(c < 0 and u is None for c, u in zip(cost, lp.upper)):
         raise InputError("LP has no dual-feasible start: a negative min-form "
                          "cost on a column with no upper bound")
@@ -137,11 +139,9 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     columns = list(range(n))          # the nonbasic variable of each column
     basis = list(range(n, n + m))     # the basic variable of each row
     # Row i: basis[i] = sum_k tableau[i][k] columns[k], of value beta[i]; the
-    # last row holds the reduced costs d, and its beta the min-form objective.
-    lower, upper, tableau, beta = lp.lower[:], lp.upper[:], [], []
-    for coeffs, rel, rhs in lp.rows:
-        lower.append(None if rel == "<=" else rhs)
-        upper.append(None if rel == ">=" else rhs)
+    # last row holds the reduced costs d, and its beta the objective.
+    tableau, beta = [], []
+    for coeffs, _, _ in lp.rows:
         row = [0] * n
         activity = 0
         for j, c in coeffs.items():
@@ -215,28 +215,32 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
     bound_duals = [None if u is None else 0 for u in lp.upper]
     for v, d in zip(columns, tableau[-1]):
         if v >= n:
-            row_duals[v - n] = rat(flip * d)
+            row_duals[v - n] = rat(d)
         elif d < 0 and bound_duals[v] is not None:
-            bound_duals[v] = rat(flip * d)
-    return SimplexResult(status="optimal", x=value[:n], objective=rat(flip * beta[-1]),
+            bound_duals[v] = rat(d)
+    return SimplexResult(status="optimal", x=value[:n], objective=rat(beta[-1]),
                          row_duals=row_duals, bound_duals=bound_duals)
 
 
 def dump_lp(lp: RationalLP) -> str:
-    """Human-readable LP text with exact p/q coefficients."""
+    """Human-readable LP text with exact p/q coefficients: "min:" and the
+    objective, then each row and each column as "lo <= body <= hi", an
+    infinite bound written -inf or inf."""
     def term(c, j):
         return "%s x%d" % (rat_str(c), j)
 
-    lines = ["%s: %s" % (lp.sense, " + ".join(term(c, j) for j, c in enumerate(lp.objective)
-                                              if c != 0) or "0")]
-    lines.append("subject to:")
-    for coeffs, rel, rhs in lp.rows:
-        body = " + ".join(term(c, j) for j, c in sorted(coeffs.items()))
-        lines.append("  %s %s %s" % (body or "0", rel, rat_str(rhs)))
+    def line(lo, body, hi):
+        return "  %s <= %s <= %s" % ("-inf" if lo is None else rat_str(lo), body,
+                                     "inf" if hi is None else rat_str(hi))
+
+    lines = ["min: %s" % (" + ".join(term(c, j) for j, c in enumerate(lp.objective)
+                                     if c != 0) or "0"), "subject to:"]
+    for coeffs, lo, hi in lp.rows:
+        lines.append(line(lo, " + ".join(term(c, j) for j, c in sorted(coeffs.items()))
+                          or "0", hi))
     lines.append("bounds:")
     for j in range(lp.num_vars):
-        hi = "inf" if lp.upper[j] is None else rat_str(lp.upper[j])
-        lines.append("  %s <= x%d <= %s" % (rat_str(lp.lower[j]), j, hi))
+        lines.append(line(lp.lower[j], "x%d" % j, lp.upper[j]))
     return "\n".join(lines)
 
 
@@ -355,10 +359,10 @@ def _build_degree_lp(instance: Instance, boxed: bool = True) -> RationalLP:
     """The weight LP with the indegree rows of T, then of the mirror's T (the
     outdegree rows of S)."""
     m = instance.digraph.num_arcs()
-    lp = RationalLP(m, instance.weights, "min")
+    lp = RationalLP(m, instance.weights)
     if boxed:
         lp.upper = [1] * m
-    lp.rows = [(dict.fromkeys(view.digraph.in_arcs(v), 1), ">=", view.b[v])
+    lp.rows = [(dict.fromkeys(view.digraph.in_arcs(v), 1), view.b[v], None)
                for view in (instance, instance.mirror) for v in sorted(view.T)]
     return lp
 
@@ -398,7 +402,7 @@ def _solve_with_cuts(instance: Instance, lp: RationalLP, cut_rows: list):
                 raise TheoremViolation("separated bicut is not violated",
                                        payload={"U": U, "x": _text(result.x)})
             cut_rows.append(U)
-            lp.rows.append((dict.fromkeys(cut, 1), ">=", 1))
+            lp.rows.append((dict.fromkeys(cut, 1), 1, None))
 
 
 def _cutting_plane(instance: Instance, boxed: bool):
@@ -523,12 +527,14 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
     left, the class is a vertex of max(0, x(a) - (j-1)) <= y(a) <= min(1,
     x(a)) and need(R) <= y(R) <= x(R) - (j-1) need(R), so x - y stays in
     the (j-1)-dilated polytope (Baum and Trotter, SIAM J. Alg. Disc. Meth.
-    1981).  Bicut rows are separated (the lower ones by
-    ``_solve_with_cuts``); the last vertex meets every row, so it is a
-    vertex of the full system.  At j = 1 the bounds fix y = x, so the
-    residual is the last class without an LP.  A stage minimizes sum_a 2^a
-    y(a), under which distinct 0/1 points cost differently: its class is
-    the stage's one least 0/1 point, whatever the pivot path.
+    1981).  Each degree row is one ranged LP row.  Bicut rows are
+    separated, one LP row per bound: the lower ones, y(R) >= 1, by
+    ``_solve_with_cuts``, the upper ones at the residual x - y.  The last
+    vertex meets every row, so it is a vertex of the full system.  At
+    j = 1 the bounds fix y = x, so the residual is the last class without
+    an LP.  A stage minimizes sum_a 2^a y(a), under which distinct 0/1
+    points cost differently: its class is the stage's one least 0/1 point,
+    whatever the pivot path.
 
     That each stage vertex is integral is measured, not proved.  For x =
     chi_A the packing theorem puts an integral point in every stage (one
@@ -544,13 +550,11 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
             for view in (instance, instance.mirror) for v in sorted(view.T)]
     residual, result = list(x), []
     for j in range(k, 1, -1):
-        lp = RationalLP(len(x), [1 << a for a in arcs], "min")
+        lp = RationalLP(len(x), [1 << a for a in arcs])
         lp.lower = [max(0, r - (j - 1)) for r in residual]
         lp.upper = [min(1, r) for r in residual]
-        for R, need in rows:
-            coeffs = dict.fromkeys(R, 1)
-            lp.rows += [(coeffs, ">=", need),
-                        (coeffs, "<=", sum(residual[a] for a in R) - (j - 1) * need)]
+        lp.rows = [(dict.fromkeys(R, 1), need, sum(residual[a] for a in R) - (j - 1) * need)
+                   for R, need in rows]
         while (y := _solve_with_cuts(instance, lp, [])[0]).status == "optimal":
             rest = [r - v for r, v in zip(residual, y.x)]
             new = _violated_bicuts(instance, rest, j - 1)
@@ -560,7 +564,7 @@ def decompose(instance: Instance, k: int, x: list[int]) -> list[frozenset[int]]:
                 if sum(rest[a] for a in cut) >= j - 1:
                     raise TheoremViolation("separated bicut is not violated",
                                            payload={"U": U, "x": _text(y.x)})
-                lp.rows.append((dict.fromkeys(cut, 1), "<=",
+                lp.rows.append((dict.fromkeys(cut, 1), None,
                                 sum(residual[a] for a in cut) - (j - 1)))
         point = zero_one_vertex(lp, y)
         result.append(frozenset(a for a in arcs if point[a]))
@@ -665,7 +669,7 @@ def tdi_spot_check(instance: Instance) -> dict:
         for key, val in y.items():
             if key[0] == "U" and val:
                 family.append(key)
-                cover.rows.append((dict.fromkeys(_dual_coverage(instance, key), 1), ">=", 1))
+                cover.rows.append((dict.fromkeys(_dual_coverage(instance, key), 1), 1, None))
         res = simplex_solve(cover)
         y = dict(zip(family, res.row_duals or ()))
         if res.status != "optimal" or not certifies(y):

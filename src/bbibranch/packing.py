@@ -115,23 +115,25 @@ def cut_family(view: Instance, k: int,
 
 @dataclass
 class GPolymatroidSystem:
-    """Explicit inequality rows over the ground cross arcs for one side."""
+    """Explicit rows (coeffs, lo, hi, tag) over the ground cross arcs for
+    one side, each bounded as an LP row is, its other bound None."""
 
     k: int
     var_arcs: list[int]
-    rows: list[tuple[dict[int, int], str, int, str]] = field(default_factory=list)
+    rows: list[tuple] = field(default_factory=list)
 
     def check_point(self, y: dict[int, int], scale: int) -> list[str]:
         """Tags of all rows (bounds included) that the point y / scale
         violates, empty when it is feasible.
 
-        y maps each arc to an int; the test stays in integers, y against
-        scale times each bound.
+        y maps each arc to an int; the test stays in integers, each row's
+        total against scale times each finite bound.
         """
         bad = ["bounds[%d]" % a for a in self.var_arcs if not 0 <= y[a] <= scale]
-        for coeffs, rel, rhs, tag in self.rows:
+        for coeffs, lo, hi, tag in self.rows:
             total = sum(y[a] * c for a, c in coeffs.items())
-            if not (total <= scale * rhs if rel == "<=" else total >= scale * rhs):
+            if (lo is not None and total < scale * lo) or (
+                    hi is not None and total > scale * hi):
                 bad.append(tag)
         return bad
 
@@ -153,18 +155,18 @@ def build_system(view: Instance, k: int,
     for C, gC in cut_family(view, k, ground).items():
         coeffs = {a: 1 for a in C}
         tag = "cut[%s]" % ",".join(str(a) for a in sorted(C))
-        system.rows.append((coeffs, "<=", len(C) - gC + 1, "upper-" + tag))
+        system.rows.append((coeffs, None, len(C) - gC + 1, "upper-" + tag))
         if gC == k:
-            system.rows.append((coeffs, ">=", 1, "lower-" + tag))
+            system.rows.append((coeffs, 1, None, "lower-" + tag))
     D = view.digraph
     for v in sorted(view.T):
         deg = len(D.in_arcs(v)) if degree is None else degree[v]
         coeffs = {a: 1 for a in ground if D.head(a) == v}
-        system.rows.append((coeffs, "<=", deg - (k - 1) * view.b[v],
+        system.rows.append((coeffs, None, deg - (k - 1) * view.b[v],
                             "degree[%s]" % v))
         need = view.b[v] - (deg - len(coeffs))
         if need > 0:
-            system.rows.append((coeffs, ">=", need, "degree-low[%s]" % v))
+            system.rows.append((coeffs, need, None, "degree-low[%s]" % v))
     return system
 
 
@@ -186,11 +188,11 @@ def find_integral_point(p1: GPolymatroidSystem, p2: GPolymatroidSystem) -> dict[
         raise TheoremViolation("uniform point 1/k violates the row system",
                                payload={"rows": violated})
     col = {a: j for j, a in enumerate(arcs)}
-    lp = RationalLP(len(arcs), [1] * len(arcs), "min")
+    lp = RationalLP(len(arcs), [1] * len(arcs))
     for j in range(len(arcs)):
         lp.set_bounds(j, 0, 1)
-    for coeffs, rel, rhs, _ in p1.rows + p2.rows:
-        lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
+    for coeffs, lo, hi, _ in p1.rows + p2.rows:
+        lp.add_row({col[a]: c for a, c in coeffs.items()}, lo, hi)
     return dict(zip(arcs, zero_one_vertex(lp, simplex_solve(lp))))
 
 

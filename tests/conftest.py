@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import operator
 import random
 import sys
 from itertools import combinations
@@ -77,12 +76,33 @@ def _coefficient(rng):
     return Q(rng.randint(-3, 4))
 
 
-def random_lp(rng) -> RationalLP:
-    """Rows mostly hold at a random point within the bounds; some LPs draw
-    their right-hand sides freely and are usually infeasible."""
+# The finite bounds of a drawn <=, >= or = row, as multiples of its slack.
+RELATIONS = ((None, 1), (-1, None), (0, 0))
+
+
+def _row_bounds(shape, rhs, slack=0):
+    """(lo, hi) of a row of the given shape at rhs, loosened by slack."""
+    return tuple(None if side is None else rhs + side * slack for side in shape)
+
+
+def _multiple(row, factor):
+    """factor times row (coeffs, lo, hi), factor != 0; a negative factor
+    swaps the bounds."""
+    coeffs, lo, hi = row
+    lo, hi = (None if v is None else factor * v for v in (lo, hi))
+    return ({j: factor * c for j, c in coeffs.items()},
+            *((lo, hi) if factor > 0 else (hi, lo)))
+
+
+def random_lp(rng) -> tuple[RationalLP, int]:
+    """(LP, sign): sign -1 when the drawn sense is max, which is posed as
+    min of -c, else 1.  Rows mostly hold at a random point within the
+    bounds; some LPs draw their row bounds freely and are usually
+    infeasible."""
     n = rng.randint(1, 5)
-    lp = RationalLP(n, [rng.randint(-3, 5) for _ in range(n)],
-                    rng.choice(("min", "max")))
+    costs = [rng.randint(-3, 5) for _ in range(n)]
+    sign = rng.choice((1, -1))
+    lp = RationalLP(n, [sign * c for c in costs])
     point = []
     for j in range(n):
         lower = rng.choice((0, 0, 0, 1, -1, 2))
@@ -93,40 +113,39 @@ def random_lp(rng) -> RationalLP:
     free_rhs = rng.random() < 0.2
     for _ in range(rng.randint(0, 5)):
         coeffs = {j: _coefficient(rng) for j in range(n) if rng.random() < 0.7}
-        rel = rng.choice(("<=", ">=", "="))
+        shape = rng.choice(RELATIONS)
         if free_rhs:
-            rhs = rng.randint(-4, 8)
+            lp.add_row(coeffs, *_row_bounds(shape, rng.randint(-4, 8)))
         else:
             rhs = sum((c * point[j] for j, c in coeffs.items()), Q(0))
-            rhs += {"<=": 1, ">=": -1, "=": 0}[rel] * rng.randint(0, 2)
-        lp.add_row(coeffs, rel, rhs)
+            lp.add_row(coeffs, *_row_bounds(shape, rhs, rng.randint(0, 2)))
     for _ in range(rng.randint(0, 2)):
         if not lp.rows:
             break
-        coeffs, rel, rhs = rng.choice(lp.rows)
+        row = rng.choice(lp.rows)
         if rng.random() < 0.5:
-            factor = rng.choice((1, -1, 2))
-            flipped = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            lp.add_row({j: factor * c for j, c in coeffs.items()},
-                       rel if factor > 0 else flipped, factor * rhs)
+            lp.add_row(*_multiple(row, rng.choice((1, -1, 2))))
         else:
-            other, rel2, rhs2 = rng.choice(lp.rows)
-            if rel == rel2:
-                total = {j: coeffs.get(j, 0) + other.get(j, 0)
-                         for j in set(coeffs) | set(other)}
-                lp.add_row(total, rel, rhs + rhs2)
-    return lp
+            other = rng.choice(lp.rows)
+            if [v is None for v in row[1:]] == [v is None for v in other[1:]]:
+                lp.add_row({j: row[0].get(j, 0) + other[0].get(j, 0)
+                            for j in set(row[0]) | set(other[0])},
+                           *(None if u is None else u + v
+                             for u, v in zip(row[1:], other[1:])))
+    return lp, sign
 
 
 def random_boxed_lp(rng) -> RationalLP:
     """A small, highly degenerate LP: nearly every variable boxed, with int
     or fractional bounds, fixed variables and now and then an upper bound
-    below its lower bound; rows with small coefficients and right-hand
-    sides, all three relations, and copies of earlier rows (negated or
-    doubled), which make it degenerate."""
+    below its lower bound; rows with small coefficients and one finite
+    bound or two equal ones, and copies of earlier rows (negated or
+    doubled), which make it degenerate.  A drawn max is posed as min of
+    -c."""
     n = rng.randint(3, 8)
-    lp = RationalLP(n, [rng.randint(-3, 3) for _ in range(n)],
-                    rng.choice(("min", "max")))
+    costs = [rng.randint(-3, 3) for _ in range(n)]
+    sign = rng.choice((1, -1))
+    lp = RationalLP(n, [sign * c for c in costs])
     for j in range(n):
         if rng.random() < 0.9:
             lower = rng.choice((0, 0, 1, -1, Q(1, 3)))
@@ -137,13 +156,11 @@ def random_boxed_lp(rng) -> RationalLP:
     for _ in range(rng.randint(2, 6)):
         coeffs = {j: rng.choice((1, 1, -1, 2, Q(1, 2))) for j in range(n)
                   if rng.random() < 0.6}
-        rel = rng.choice(("<=", ">=", "="))
-        lp.add_row(coeffs, rel, rng.choice((-1, 0, 0, 1, 1, 2, 3, Q(1, 2))))
+        shape = rng.choice(RELATIONS)
+        lp.add_row(coeffs, *_row_bounds(shape, rng.choice(
+            (-1, 0, 0, 1, 1, 2, 3, Q(1, 2)))))
         if rng.random() < 0.2:
-            factor = rng.choice((-1, 2))
-            flipped = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            lp.add_row({j: factor * c for j, c in coeffs.items()},
-                       rel if factor > 0 else flipped, factor * lp.rows[-1][2])
+            lp.add_row(*_multiple(lp.rows[-1], rng.choice((-1, 2))))
     return lp
 
 
@@ -301,55 +318,57 @@ def covering_lp(instance: Instance, family) -> RationalLP:
     family.  Over the singletons in degree-row order and then bicuts it is
     ``_build_degree_lp(instance, boxed=False)`` with one >= 1 row per
     bicut, the LP that ``tdi_spot_check`` re-solves."""
-    lp = RationalLP(instance.digraph.num_arcs(), instance.weights, "min")
+    lp = RationalLP(instance.digraph.num_arcs(), instance.weights)
     for key in family:
-        lp.add_row({a: 1 for a in lpsolve._dual_coverage(instance, key)}, ">=",
-                   instance.b[key[1]] if key[0] == "v" else 1)
+        lp.add_row({a: 1 for a in lpsolve._dual_coverage(instance, key)},
+                   instance.b[key[1]] if key[0] == "v" else 1, None)
     return lp
 
 
-HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
-# The sign of a row's dual in min form: a >= row's is >= 0, a <= row's <= 0.
-DUAL_SIGN = {"<=": -1, ">=": 1, "=": 0}
+def _bound_term(dual, lo, hi):
+    """dual times the bound its sign names, lo when positive and hi when
+    negative, 0 for a zero dual; None when that bound is infinite."""
+    if not dual:
+        return 0
+    bound = lo if dual > 0 else hi
+    return None if bound is None else dual * bound
 
 
 def duality_failure(lp, result):
     """The first failing one of four conditions that together prove an
     optimal ``result`` of ``lp`` optimal, exactly and without a pivot; None
-    if all hold.  Duals are read in min form (a max LP's reported duals are
-    negated, a None bound dual is 0):
+    if all hold.  Each row activity a_i.x and each column x_j is checked
+    by one rule; a row's dual is its reported y_i, and a column's is its
+    reduced cost c_j - y.A_j:
 
-    - ``primal``: x meets every row and bound, and the objective is c.x;
-    - ``dual signs``: a >= row's dual is >= 0 and a <= row's <= 0, and a
-      bound dual is <= 0, and 0 where there is no upper bound;
-    - ``reduced costs``: r = c - yA - z >= 0, the lower bounds' duals;
-    - ``dual objective``: y.rhs + z.u + r.l equals the min-form objective.
+    - ``primal``: every activity and column lies in its [lo, hi], and the
+      objective is c.x;
+    - ``dual signs``: a positive dual sits at a finite lo and a negative
+      one at a finite hi;
+    - ``bound duals``: each reported bound dual is the column's dual when
+      that is negative, else 0, and None where there is no upper bound;
+    - ``dual objective``: the sum over rows and columns of each dual times
+      the bound its sign names equals the objective.
     """
-    flip = 1 if lp.sense == "min" else -1
     x = result.x
-    bounds = list(zip(lp.lower, lp.upper))
-    if not (all(HOLDS[rel](sum(c * x[j] for j, c in coeffs.items()), rhs)
-                for coeffs, rel, rhs in lp.rows)
-            and all(lo <= v and (up is None or v <= up)
-                    for v, (lo, up) in zip(x, bounds))
+    bounded = [(sum(c * x[j] for j, c in coeffs.items()), lo, hi)
+               for coeffs, lo, hi in lp.rows] + list(zip(x, lp.lower, lp.upper))
+    if not (all((lo is None or lo <= v) and (hi is None or v <= hi)
+                for v, lo, hi in bounded)
             and result.objective == sum(c * v for c, v in zip(lp.objective, x))):
         return "primal"
-    y = [flip * v for v in result.row_duals]
-    z = [0 if v is None else flip * v for v in result.bound_duals]
-    if not (all(DUAL_SIGN[rel] * v >= 0 for v, (_, rel, _) in zip(y, lp.rows))
-            and all(v <= 0 and (v == 0 or up is not None)
-                    for v, (_, up) in zip(z, bounds))):
-        return "dual signs"
-    r = [flip * c - v for c, v in zip(lp.objective, z)]
-    for v, (coeffs, _, _) in zip(y, lp.rows):
+    reduced = list(lp.objective)
+    for v, (coeffs, _, _) in zip(result.row_duals, lp.rows):
         for j, c in coeffs.items():
-            r[j] -= v * c
-    if any(v < 0 for v in r):
-        return "reduced costs"
-    dual = (sum(v * rhs for v, (_, _, rhs) in zip(y, lp.rows))
-            + sum(v * up for v, (_, up) in zip(z, bounds) if v)
-            + sum(v * lo for v, (lo, _) in zip(r, bounds)))
-    if dual != flip * result.objective:
+            reduced[j] -= v * c
+    terms = [_bound_term(d, lo, hi)
+             for d, (_, lo, hi) in zip(result.row_duals + reduced, bounded)]
+    if None in terms:
+        return "dual signs"
+    if result.bound_duals != [None if up is None else min(d, 0)
+                              for d, up in zip(reduced, lp.upper)]:
+        return "bound duals"
+    if sum(terms) != result.objective:
         return "dual objective"
     return None
 

@@ -1,7 +1,7 @@
 """Byte identity of the CLI over the benchmark pools.
 
 Regenerates every instance of the three ``perfbench`` pools with
-``perfbench/workloads.py``, which it only reads, and 200 more, runs 9,900
+``perfbench/workloads.py``, which it only reads, and 200 more, runs 10,300
 commands on them in-process through ``cli.main`` and writes one SHA-256
 per command (``test_report_digests.run_digest``: exit code, stdout and
 stderr):
@@ -11,7 +11,9 @@ stderr):
   the 1,500 ``solve-small`` instances;
 - ``solve`` and ``check --what tdi`` on the 400 ``solve-sparse``
   instances, whose LPs take the few pivots on an entry other than +-1
-  that the pools hold;
+  that the pools hold, and ``solve --method brute``, which writes the
+  exit-4 report of the brute-force guard on each (every one has more arcs
+  than ``BRUTE_FORCE_ARC_LIMIT``);
 - ``solve``, ``pack`` and ``check --what tdi`` on the first 200
   ``solve-small`` sub-seeds that the pool left out.  The pools hold
   feasible instances only, and every sub-seed below 3,000 that the
@@ -54,7 +56,8 @@ COMMANDS = {
     "pack": (("pack",), ("packing-number",)),
     "solve-small": (("solve",), ("check", "--what", "tdi"),
                     ("check", "--what", "idp", "--trials", "3")),
-    "solve-sparse": (("solve",), ("check", "--what", "tdi")),
+    "solve-sparse": (("solve",), ("check", "--what", "tdi"),
+                     ("solve", "--method", "brute")),
     "infeasible": (("solve",), ("pack",), ("check", "--what", "tdi")),
 }
 INFEASIBLE = 200  # sub-seeds of the "infeasible" group

@@ -613,14 +613,14 @@ def _cli_result(tmp_path, capsys, doc, *argv):
     return code, json.loads(capsys.readouterr().out)["result"]
 
 
-def _fake_x(monkeypatch, x, sense="min"):
-    """Make the first optimal simplex result of the given sense return x."""
+def _fake_x(monkeypatch, x):
+    """Make the first optimal simplex result return x."""
     original = lpsolve.simplex_solve
     faked = []
 
     def fake(lp):
         result = original(lp)
-        if result.status == "optimal" and lp.sense == sense and not faked:
+        if result.status == "optimal" and not faked:
             faked.append(lp)
             result.x = list(x) + [0] * (lp.num_vars - len(x))
         return result

@@ -1,5 +1,6 @@
 """Exact LP machinery: simplex, separation, cutting planes, integral duals."""
 
+import collections
 import copy
 import itertools
 import random
@@ -29,8 +30,8 @@ from conftest import (_dual_family, all_bicuts, bicut_draws, covering_lp,
 class TestSimplex:
     def test_small_min(self):
         # min x0 + 2 x1 s.t. x0 + x1 >= 3, x1 <= 5 -> x = (3, 0)
-        lp = RationalLP(2, [1, 2], "min")
-        lp.add_row({0: 1, 1: 1}, ">=", 3)
+        lp = RationalLP(2, [1, 2])
+        lp.add_row({0: 1, 1: 1}, 3, None)
         lp.set_bounds(1, 0, 5)
         res = simplex_solve(lp)
         assert res.status == "optimal"
@@ -38,49 +39,52 @@ class TestSimplex:
         assert res.x == [Q(3), Q(0)]
 
     def test_small_max_with_duals(self):
-        # max 3x0 + 5x1 s.t. x0 <= 4, 2x1 <= 12, 3x0 + 2x1 <= 18, in the box
-        # [0, 10]^2, which binds nowhere but gives the dual-feasible start.
-        lp = RationalLP(2, [3, 5], "max")
-        lp.add_row({0: 1}, "<=", 4)
-        lp.add_row({1: 2}, "<=", 12)
-        lp.add_row({0: 3, 1: 2}, "<=", 18)
+        # max 3x0 + 5x1, posed as min -3x0 - 5x1, s.t. x0 <= 4, 2x1 <= 12,
+        # 3x0 + 2x1 <= 18, in the box [0, 10]^2, which binds nowhere but
+        # gives the dual-feasible start.
+        lp = RationalLP(2, [-3, -5])
+        lp.add_row({0: 1}, None, 4)
+        lp.add_row({1: 2}, None, 12)
+        lp.add_row({0: 3, 1: 2}, None, 18)
         for j in range(2):
             lp.set_bounds(j, 0, 10)
         res = simplex_solve(lp)
-        assert res.objective == 36
+        assert res.objective == -36
         assert res.x == [Q(2), Q(6)]
-        # Dual: y = (0, 3/2, 1); complementary slackness fixes it uniquely.
-        assert res.row_duals == [Q(0), Q(3, 2), Q(1)]
+        # Dual: y = (0, -3/2, -1), each at its row's hi; complementary
+        # slackness fixes it uniquely.
+        assert res.row_duals == [Q(0), Q(-3, 2), Q(-1)]
         assert res.bound_duals == [0, 0]
 
     def test_equality_rows(self):
-        lp = RationalLP(2, [1, 1], "min")
-        lp.add_row({0: 1, 1: 1}, "=", 2)
-        lp.add_row({0: 1, 1: -1}, "=", 0)
+        lp = RationalLP(2, [1, 1])
+        lp.add_row({0: 1, 1: 1}, 2, 2)
+        lp.add_row({0: 1, 1: -1}, 0, 0)
         res = simplex_solve(lp)
         assert res.status == "optimal"
         assert res.x == [Q(1), Q(1)]
 
     def test_infeasible(self):
-        lp = RationalLP(1, [1], "min")
-        lp.add_row({0: 1}, ">=", 2)
-        lp.add_row({0: 1}, "<=", 1)
+        lp = RationalLP(1, [1])
+        lp.add_row({0: 1}, 2, None)
+        lp.add_row({0: 1}, None, 1)
         assert simplex_solve(lp).status == "infeasible"
 
     def test_unbounded(self):
-        # A negative min-form cost on a column with no upper bound leaves
-        # no dual-feasible start, so an LP that might be unbounded is an
-        # input error; every LP a command poses has such a start.
-        lp = RationalLP(1, [1], "max")
-        lp.add_row({0: 1}, ">=", 0)
+        # A negative cost on a column with no upper bound leaves no
+        # dual-feasible start, so an LP that might be unbounded is an input
+        # error; every LP a command poses has such a start.  Here max x0,
+        # posed as min -x0.
+        lp = RationalLP(1, [-1])
+        lp.add_row({0: 1}, 0, None)
         with pytest.raises(InputError, match="^LP has no dual-feasible start"):
             simplex_solve(lp)
         lp.set_bounds(0, 0, 7)
-        assert simplex_solve(lp).objective == 7
+        assert simplex_solve(lp).objective == -7
 
     def test_rational_pivots_are_exact(self):
-        lp = RationalLP(2, [Q(1, 3), Q(1, 7)], "min")
-        lp.add_row({0: Q(2, 5), 1: Q(3, 11)}, ">=", Q(1, 2))
+        lp = RationalLP(2, [Q(1, 3), Q(1, 7)])
+        lp.add_row({0: Q(2, 5), 1: Q(3, 11)}, Q(1, 2), None)
         res = simplex_solve(lp)
         assert res.status == "optimal"
         assert res.objective == Q(1, 2) / Q(3, 11) * Q(1, 7)
@@ -89,24 +93,24 @@ class TestSimplex:
         rng = random.Random(30)
         for _ in range(25):
             n = rng.randint(1, 3)
-            lp = RationalLP(n, [rng.randint(0, 5) for _ in range(n)], "min")
+            lp = RationalLP(n, [rng.randint(0, 5) for _ in range(n)])
             for _ in range(rng.randint(1, 3)):
                 coeffs = {j: rng.randint(1, 4) for j in range(n)
                           if rng.random() < 0.8}
                 if coeffs:
-                    lp.add_row(coeffs, ">=", rng.randint(0, 6))
+                    lp.add_row(coeffs, rng.randint(0, 6), None)
             for j in range(n):
                 lp.set_bounds(j, 0, rng.randint(3, 9))
             res = simplex_solve(lp)
             if res.status != "optimal":
                 continue
-            dual_obj = sum((res.row_duals[i] * lp.rows[i][2]
+            dual_obj = sum((res.row_duals[i] * lp.rows[i][1]
                             for i in range(len(lp.rows))), Q(0))
             dual_obj += sum((res.bound_duals[j] * lp.upper[j]
                              for j in range(n) if res.bound_duals[j] is not None),
                             Q(0))
             assert dual_obj == res.objective
-            # Sign conventions: >= rows give y >= 0, upper bounds give y <= 0.
+            # Sign conventions: rows at lo give y >= 0, upper bounds y <= 0.
             assert all(y >= 0 for y in res.row_duals)
             assert all(y is None or y <= 0 for y in res.bound_duals)
 
@@ -115,17 +119,17 @@ class TestSimplex:
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9),
            q=st.integers(1, 9), data=st.data())
     def test_scaling_a_row_scales_only_its_dual(self, seed, p, q, data):
-        lp = random_lp(random.Random(seed))
+        lp, _ = random_lp(random.Random(seed))
         assume(lp.rows)
         i = data.draw(st.integers(0, len(lp.rows) - 1), label="row")
         factor = Q(p, q)
-        scaled = RationalLP(lp.num_vars, lp.objective, lp.sense)
+        scaled = RationalLP(lp.num_vars, lp.objective)
         scaled.lower, scaled.upper = list(lp.lower), list(lp.upper)
-        for k, (coeffs, rel, rhs) in enumerate(lp.rows):
+        for k, (coeffs, lo, hi) in enumerate(lp.rows):
             if k == i:
                 coeffs = {j: c * factor for j, c in coeffs.items()}
-                rhs *= factor
-            scaled.add_row(coeffs, rel, rhs)
+                lo, hi = (None if v is None else v * factor for v in (lo, hi))
+            scaled.add_row(coeffs, lo, hi)
         try:
             base = simplex_solve(lp)
         except InputError:
@@ -146,14 +150,29 @@ class TestSimplex:
             assert result.row_duals == base.row_duals
 
     def test_dump_is_deterministic_text(self):
-        lp = RationalLP(2, [1, Q(1, 2)], "min")
-        lp.add_row({0: 1, 1: 2}, ">=", 1)
-        text = dump_lp(lp)
-        assert "min: 1 x0 + 1/2 x1" in text
-        assert "1 x0 + 2 x1 >= 1" in text
+        # Exit-5 payloads carry this text.  Each row prints as a column
+        # does, lo <= body <= hi, an infinite bound as -inf or inf: a
+        # one-sided row, a ranged row, a fixed row and a row with no entry.
+        lp = RationalLP(2, [1, Q(1, 2)])
+        lp.add_row({0: 1, 1: 2}, 1, None)
+        lp.add_row({1: -1, 0: Q(2, 3)}, Q(-1, 2), 3)
+        lp.add_row({0: 1}, 2, 2)
+        lp.add_row({}, None, 0)
+        lp.set_bounds(1, -1, Q(5, 2))
+        assert dump_lp(lp) == "\n".join([
+            "min: 1 x0 + 1/2 x1",
+            "subject to:",
+            "  1 <= 1 x0 + 2 x1 <= inf",
+            "  -1/2 <= 2/3 x0 + -1 x1 <= 3",
+            "  2 <= 1 x0 <= 2",
+            "  -inf <= 0 <= 0",
+            "bounds:",
+            "  0 <= x0 <= inf",
+            "  -1 <= x1 <= 5/2"])
+        assert dump_lp(RationalLP(0, [])) == "min: 0\nsubject to:\nbounds:"
 
     def test_set_bounds_rejects_unknown_variable(self):
-        lp = RationalLP(2, [1, 1], "min")
+        lp = RationalLP(2, [1, 1])
         for j in (-1, 2):
             with pytest.raises(InputError, match="unknown variable %d" % j):
                 lp.set_bounds(j, 0, 1)
@@ -162,9 +181,9 @@ class TestSimplex:
     @pytest.mark.parametrize("build, message", [
         (lambda lp: RationalLP(2, [1]), "one entry per variable"),
         (lambda lp: RationalLP(1, [1, 2, 3]), "one entry per variable"),
-        (lambda lp: lp.add_row({99: 0}, "<=", 1), "unknown variable 99"),
-        (lambda lp: lp.add_row({True: 1}, "<=", 1), "unknown variable True"),
-        (lambda lp: lp.add_row({"a": 1}, "<=", 1), "unknown variable 'a'"),
+        (lambda lp: lp.add_row({99: 0}, None, 1), "unknown variable 99"),
+        (lambda lp: lp.add_row({True: 1}, None, 1), "unknown variable True"),
+        (lambda lp: lp.add_row({"a": 1}, None, 1), "unknown variable 'a'"),
         (lambda lp: lp.set_bounds(True, 0, 1), "unknown variable True"),
         (lambda lp: lp.set_bounds("a", 0, 1), "unknown variable 'a'")],
         ids=["short objective", "long objective", "zero entry out of range",
@@ -185,14 +204,16 @@ class TestSimplex:
         ("1/0", "zero denominator")])
     def test_malformed_number_is_an_input_error(self, bad, message):
         # Every number goes through rat, so an objective entry, a
-        # coefficient, a right-hand side and a bound fail alike.
+        # coefficient, a row bound and a column bound fail alike.
         with pytest.raises(InputError, match=message):
             RationalLP(2, [1, bad])
         lp = RationalLP(2, [1, 1])
         with pytest.raises(InputError, match=message):
-            lp.add_row({0: 1, 1: bad}, "<=", 1)
+            lp.add_row({0: 1, 1: bad}, None, 1)
         with pytest.raises(InputError, match=message):
-            lp.add_row({0: 1}, ">=", bad)
+            lp.add_row({0: 1}, bad, None)
+        with pytest.raises(InputError, match=message):
+            lp.add_row({0: 1}, 0, bad)
         with pytest.raises(InputError, match=message):
             lp.set_bounds(1, bad, None)
         with pytest.raises(InputError, match=message):
@@ -204,14 +225,14 @@ class TestSimplex:
 def _with_bound_rows(lp: RationalLP, objective) -> RationalLP:
     """The LP under ``objective`` with its upper bounds dropped and one
     trailing x_j <= u_j row per bounded j, in variable order."""
-    rows = RationalLP(lp.num_vars, objective, lp.sense)
+    rows = RationalLP(lp.num_vars, objective)
     for j, lower in enumerate(lp.lower):
         rows.set_bounds(j, lower, None)
-    for coeffs, rel, rhs in lp.rows:
-        rows.add_row(coeffs, rel, rhs)
+    for row in lp.rows:
+        rows.add_row(*row)
     for j, upper in enumerate(lp.upper):
         if upper is not None:
-            rows.add_row({j: 1}, "<=", upper)
+            rows.add_row({j: 1}, None, upper)
     return rows
 
 
@@ -222,17 +243,16 @@ def _assert_solves_like_bound_rows(lp: RationalLP) -> None:
     the objective of the explicit LP under the LP's own costs wherever
     that has a dual-feasible start, and an optimum that certifies by LP
     duality."""
-    flip = 1 if lp.sense == "min" else -1
     try:
         got = simplex_solve(lp)
     except InputError:
-        assert any(flip * c < 0 and u is None for c, u in zip(lp.objective, lp.upper))
+        assert any(c < 0 and u is None for c, u in zip(lp.objective, lp.upper))
         return
     assert got.status == simplex_solve(_with_bound_rows(lp, [0] * lp.num_vars)).status
     try:
         want = simplex_solve(_with_bound_rows(lp, lp.objective))
     except InputError:  # no column of the explicit LP has an upper bound
-        assert any(flip * c < 0 for c in lp.objective)
+        assert any(c < 0 for c in lp.objective)
     else:
         assert (got.status, got.objective) == (want.status, want.objective)
     if got.status == "optimal":
@@ -250,26 +270,27 @@ class TestImplicitBounds:
         _assert_solves_like_bound_rows(random_boxed_lp(random.Random(seed)))
 
     def test_redundant_equality_rows(self):
-        # Copies and multiples of equality rows, a row with no entry, and
-        # boxed columns whose bounds hold the optimum.
-        lp = RationalLP(2, [3, 2], "max")
+        # Copies and multiples of fixed rows, a row with no entry, and
+        # boxed columns whose bounds hold the optimum; first max 3x0 + 2x1,
+        # posed as min -3x0 - 2x1.
+        lp = RationalLP(2, [-3, -2])
         lp.set_bounds(0, 2, 6)
         lp.set_bounds(1, -1, 3)
-        lp.add_row({0: 3, 1: 2}, "=", 24)
-        lp.add_row({1: 2}, "=", 6)
-        lp.add_row({}, "<=", 1)
-        lp.add_row({1: -3}, "=", -9)
-        lp.add_row({0: -2, 1: Q(3, 2)}, "=", Q(-15, 2))
+        lp.add_row({0: 3, 1: 2}, 24, 24)
+        lp.add_row({1: 2}, 6, 6)
+        lp.add_row({}, None, 1)
+        lp.add_row({1: -3}, -9, -9)
+        lp.add_row({0: -2, 1: Q(3, 2)}, Q(-15, 2), Q(-15, 2))
         result = simplex_solve(lp)
-        assert (result.x, result.objective) == ([6, 3], 24)
+        assert (result.x, result.objective) == ([6, 3], -24)
         _assert_solves_like_bound_rows(lp)
-        lp = RationalLP(3, [4, 1, 0], "min")
+        lp = RationalLP(3, [4, 1, 0])
         lp.set_bounds(0, -1, 0)
         lp.set_bounds(1, -1, 0)
-        lp.add_row({0: 3, 1: 4}, ">=", 0)
-        lp.add_row({0: -1, 1: -2}, "<=", 2)
-        lp.add_row({0: 2, 1: -1}, "=", 0)
-        lp.add_row({0: 2, 1: -1}, "=", 0)
+        lp.add_row({0: 3, 1: 4}, 0, None)
+        lp.add_row({0: -1, 1: -2}, None, 2)
+        lp.add_row({0: 2, 1: -1}, 0, 0)
+        lp.add_row({0: 2, 1: -1}, 0, 0)
         result = simplex_solve(lp)
         assert (result.x, result.objective) == ([0, 0, 0], 0)
         _assert_solves_like_bound_rows(lp)
@@ -278,10 +299,10 @@ class TestImplicitBounds:
         # min -x0 - 2 x1 with x0 + x1 <= 5/2 on the boxes [1/3, 7/4] and
         # [0, 3/2]: both start at their upper bounds, which breaks the row,
         # and x0 comes down to 1.
-        lp = RationalLP(2, [-1, -2], "min")
+        lp = RationalLP(2, [-1, -2])
         lp.set_bounds(0, Q(1, 3), Q(7, 4))
         lp.set_bounds(1, 0, Q(3, 2))
-        lp.add_row({0: 1, 1: 1}, "<=", Q(5, 2))
+        lp.add_row({0: 1, 1: 1}, None, Q(5, 2))
         result = simplex_solve(lp)
         assert result.x == [1, Q(3, 2)] and result.objective == -4
         _assert_solves_like_bound_rows(lp)
@@ -305,6 +326,79 @@ class TestImplicitBounds:
                 stages.clear()
                 lpsolve.decompose(instance, k, [1] * instance.digraph.num_arcs())
                 _assert_solves_like_bound_rows(stages[0])
+
+
+def _ranged_lp(rng) -> RationalLP:
+    """A small LP whose rows are ranged (lo < hi), fixed (lo = hi), crossed
+    (hi < lo) or one-sided, all placed about a random point within the
+    column bounds or, in some LPs, about random values; a negative cost
+    only on a boxed column."""
+    n = rng.randint(2, 5)
+    lp = RationalLP(n, [rng.randint(-4, 4) for _ in range(n)])
+    point = []
+    for j in range(n):
+        lower = rng.choice((0, 0, -1, 1))
+        width = rng.randint(1, 4) if rng.random() < 0.8 or lp.objective[j] < 0 else None
+        lp.set_bounds(j, lower, None if width is None else lower + width)
+        point.append(lower + rng.randint(0, 3 if width is None else width))
+    free = rng.random() < 0.3
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {j: rng.choice((1, 1, -1, 2, Q(1, 2))) for j in range(n)
+                  if rng.random() < 0.7}
+        at = rng.randint(-3, 6) if free else sum(
+            (c * point[j] for j, c in coeffs.items()), 0)
+        lo, hi = at - rng.randint(0, 2), at + rng.randint(0, 2)
+        kind = rng.random()
+        if kind < 0.15:
+            lo = hi = at
+        elif kind < 0.25:
+            lo = None
+        elif kind < 0.35:
+            hi = None
+        elif kind < 0.42:
+            lo = hi + Q(rng.randint(1, 3), 2)
+        lp.add_row(coeffs, lo, hi)
+    return lp
+
+
+def _halves(lp: RationalLP) -> RationalLP:
+    """The LP with each row of two finite bounds split into its lo half and
+    then its hi half."""
+    halves = RationalLP(lp.num_vars, lp.objective)
+    halves.lower, halves.upper = list(lp.lower), list(lp.upper)
+    for coeffs, lo, hi in lp.rows:
+        if lo is None or hi is None:
+            halves.add_row(coeffs, lo, hi)
+        else:
+            halves.add_row(coeffs, lo, None)
+            halves.add_row(coeffs, None, hi)
+    return halves
+
+
+class TestRangedRows:
+    def test_ranged_rows_solve_like_their_halves(self):
+        # Each LP gives the status and objective of its copy with every
+        # two-sided row split in two one-sided rows, each optimum
+        # certifies by LP duality, and a crossed row makes it infeasible.
+        rng = random.Random(54)
+        statuses, duals = collections.Counter(), set()
+        for _ in range(200):
+            lp = _ranged_lp(rng)
+            got, want = simplex_solve(lp), simplex_solve(_halves(lp))
+            assert (got.status, got.objective) == (want.status, want.objective)
+            if any(lo is not None and hi is not None and hi < lo
+                   for _, lo, hi in lp.rows):
+                assert got.status == "infeasible"
+                statuses["crossed"] += 1
+            else:
+                statuses[got.status] += 1
+            if got.status == "optimal":
+                assert duality_failure(lp, got) is None
+                duals |= {(lo is not None and hi is not None and lo < hi, y > 0)
+                          for y, (_, lo, hi) in zip(got.row_duals, lp.rows) if y}
+        # Ranged rows active at lo and at hi, every status and crossed rows.
+        assert min(statuses.values()) >= 20 and len(statuses) == 3
+        assert {(True, False), (True, True)} <= duals
 
 
 class TestBicuts:
@@ -555,8 +649,8 @@ class TestCuttingPlane:
         assert solved >= 5
 
     def test_zero_one_vertex_guard(self):
-        lp = RationalLP(2, [1, 1], "min")
-        lp.add_row({0: 1, 1: 1}, ">=", 1)
+        lp = RationalLP(2, [1, 1])
+        lp.add_row({0: 1, 1: 1}, 1, None)
         lp.set_bounds(0, 0, 1)
         lp.set_bounds(1, 0, 1)
         x = zero_one_vertex(lp, simplex_solve(lp))
@@ -565,14 +659,15 @@ class TestCuttingPlane:
         with pytest.raises(TheoremViolation) as exc:
             zero_one_vertex(lp, half)
         assert exc.value.payload == {"lp": dump_lp(lp), "x": ["1/2", "1/2"]}
-        lp.add_row({0: 1, 1: 1}, "<=", 0)
+        lp.add_row({0: 1, 1: 1}, None, 0)
         with pytest.raises(TheoremViolation) as exc:
             zero_one_vertex(lp, simplex_solve(lp))
         assert exc.value.payload == {"lp": dump_lp(lp)}
 
     def test_row_duals_are_nonnegative_and_complete(self):
-        # The boxed LP's covering rows all have >= sense, so their duals are
-        # nonnegative; every degree row and generated cut row gets an entry.
+        # The boxed LP's covering rows all bound their activity from below
+        # only, so their duals are nonnegative; every degree row and
+        # generated cut row gets an entry.
         rng = random.Random(34)
         for _ in range(10):
             inst = random_instance(rng, 1, 2, 0.8, 1, 5, max_arcs=8)

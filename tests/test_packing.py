@@ -207,8 +207,8 @@ class TestIntegralPoint:
         # 2/3), (1/2, 1/2, 3/2), (0, 1/4, 1/2) and (1/6, 1/3, 2/3), each
         # as ints over the lcm of its denominators.
         system = GPolymatroidSystem(2, [0, 1, 2], [
-            ({0: 1, 1: 1}, "<=", 1, "r0"), ({1: 1, 2: 1}, ">=", 1, "r1"),
-            ({0: 2, 2: 1}, "<=", 1, "r2")])
+            ({0: 1, 1: 1}, None, 1, "r0"), ({1: 1, 2: 1}, 1, None, "r1"),
+            ({0: 2, 2: 1}, None, 1, "r2")])
         assert system.check_point({0: 3, 1: 2, 2: 4}, 6) == ["r2"]
         assert system.check_point({0: 1, 1: 1, 2: 3}, 2) == ["bounds[2]", "r2"]
         assert system.check_point({0: 0, 1: 1, 2: 2}, 4) == ["r1"]

@@ -1,14 +1,16 @@
 """Golden simplex results: a change to ``simplex_solve`` must keep every value.
 
-Seeded random LPs (``conftest.random_lp``) mix both senses, all three
-relations, negative right-hand sides, rational coefficients, lower
-bounds, finite and fixed upper bounds, and redundant rows (copies,
-negated copies and sums of earlier rows).  For every LP the status,
-``x``, ``objective``, ``row_duals`` and ``bound_duals`` must equal the
-values recorded in ``simplex_golden.json``; when several optima exist,
-this pins the one the dual simplex's Bland rule reaches.  An LP with no
-dual-feasible start (a negative min-form cost on a column with no upper
-bound) is recorded as its ``InputError``.
+Seeded random LPs (``conftest.random_lp``) draw min and max LPs, a max
+posed as min of -c, with rows bounded below, above or fixed (lo = hi),
+negative bounds, rational coefficients, lower bounds, finite and fixed
+upper bounds, and redundant rows (copies, negated copies and sums of
+earlier rows).  For every LP the status, ``x``, ``objective``,
+``row_duals`` and ``bound_duals``, written in the drawn sense (a max LP's
+objective and duals negated back), must equal the values recorded in
+``simplex_golden.json``; when several optima exist, this pins the one the
+dual simplex's Bland rule reaches.  An LP with no dual-feasible start (a
+negative cost on a column with no upper bound) is recorded as its
+``InputError``.
 
 A second set holds LPs shaped like the ones the commands solve, built from
 the forty report-digest draws (``conftest.digest_draws``): the boxed
@@ -19,9 +21,9 @@ the TDI check's covering LP over ``conftest._dual_family``
 to 2 for packing number k, on the whole cross-arc set) as
 ``find_integral_point`` poses them.  Last come the LPs ``decompose``
 solves as ``pack`` runs it, peeling chi_A of every draw with packing
-number k >= 2 into k classes: lower and upper degree rows, bounds fixing
-at 0 the arcs already peeled, and lower and upper bicut rows, each LP
-copied as it stood at that solve.  Then the fourteen LPs that
+number k >= 2 into k classes: one ranged row per degree row, bounds
+fixing at 0 the arcs already peeled, and lower and upper bicut rows, each
+LP copied as it stood at that solve.  Then the fourteen LPs that
 ``tdi_spot_check`` solves, the rounds of its unboxed cutting plane, on one
 draw shaped like the ``solve-sparse`` pool (|S| = 4, |T| = 10, b = 1, m =
 59): 34 of their 312 pivots have an entry other than +-1.  Their results
@@ -63,20 +65,27 @@ def _text(values):
         None if v is None else rat_str(v) for v in values]
 
 
-def record(lp) -> list:
-    """One LP's result as JSON-ready strings, or its rejection."""
+def record(lp, sign=1) -> list:
+    """One LP's result as JSON-ready strings, or its rejection; with sign
+    -1, of the max LP that ``lp`` poses as min of -c, so its objective and
+    duals negated."""
     try:
         result = simplex_solve(lp)
     except InputError as exc:
         return ["InputError", str(exc)]
+
+    def signed(values):
+        return None if values is None else [None if v is None else sign * v
+                                            for v in values]
+
     return [result.status, _text(result.x),
-            None if result.objective is None else rat_str(result.objective),
-            _text(result.row_duals), _text(result.bound_duals)]
+            None if result.objective is None else rat_str(sign * result.objective),
+            _text(signed(result.row_duals)), _text(signed(result.bound_duals))]
 
 
 def golden_records() -> list:
     rng = random.Random(SEED)
-    return [record(random_lp(rng)) for _ in range(COUNT)]
+    return [record(*random_lp(rng)) for _ in range(COUNT)]
 
 
 def solved_lps(run, *args):
@@ -105,7 +114,7 @@ def production_lps():
     for instance in draws:
         lp = _build_degree_lp(instance, boxed=True)
         for _, cut in all_bicuts(instance):
-            lp.add_row({a: 1 for a in cut}, ">=", 1)
+            lp.add_row({a: 1 for a in cut}, 1, None)
         yield lp
         yield covering_lp(instance, _dual_family(instance))
         k = packing_number(instance).k
@@ -114,12 +123,12 @@ def production_lps():
                        for view in (instance, instance.mirror)]
             arcs = systems[0].var_arcs
             col = {a: j for j, a in enumerate(arcs)}
-            lp = RationalLP(len(arcs), [1] * len(arcs), "min")
+            lp = RationalLP(len(arcs), [1] * len(arcs))
             for j in range(len(arcs)):
                 lp.set_bounds(j, 0, 1)
             for system in systems:
-                for coeffs, rel, rhs, _ in system.rows:
-                    lp.add_row({col[a]: c for a, c in coeffs.items()}, rel, rhs)
+                for coeffs, lo, hi, _ in system.rows:
+                    lp.add_row({col[a]: c for a, c in coeffs.items()}, lo, hi)
             yield lp
     for instance in draws:
         k = packing_number(instance).k
@@ -137,7 +146,7 @@ def production_records() -> list:
 def golden_lps() -> list:
     """Every golden LP: the random ones, then the production-shaped ones."""
     rng = random.Random(SEED)
-    return [random_lp(rng) for _ in range(COUNT)] + list(production_lps())
+    return [random_lp(rng)[0] for _ in range(COUNT)] + list(production_lps())
 
 
 def _assert_matches(found, path):
@@ -203,14 +212,15 @@ def test_every_optimal_golden_certifies_by_duality():
 
 def test_duality_check_rejects_planted_faults():
     # Each fault, planted in every optimal golden where it applies, is
-    # named: a nonzero inequality row dual with its sign flipped, an x entry
-    # with a nonzero cost moved by 1, and the objective off by 1.  (An
-    # equality row's dual has no sign condition, and a flipped one can
-    # still certify the optimum, so it is not planted.)
+    # named: a nonzero dual of a row with one finite bound with its sign
+    # flipped, an x entry with a nonzero cost moved by 1, and the objective
+    # off by 1.  (A dual of a row with two finite bounds may take either
+    # sign, and a flipped one can still certify the optimum, so it is not
+    # planted.)
     named = {"row dual": set(), "x": set(), "objective": set()}
     for lp, result in optimal_results():
         for i, v in enumerate(result.row_duals):
-            if v and lp.rows[i][1] != "=":
+            if v and (lp.rows[i][1] is None) != (lp.rows[i][2] is None):
                 duals = list(result.row_duals)
                 duals[i] = -v
                 named["row dual"].add(duality_failure(

@@ -87,6 +87,9 @@ QUERIES = {
     "json writer": _calls("_write_json", "encode_basestring_ascii"),
     "gcd or lcm": lambda file, owner, node, in_loop:
         _called(node) in ("gcd", "lcm") and (file, owner, _called(node)),
+    # A string that names an LP row relation or an LP sense.
+    "LP relation or sense": _where(lambda node: isinstance(node, ast.Constant)
+                                   and node.value in ("<=", ">=", "=", "min", "max")),
     # type(x) is int and type(x) is not int: exact int tests, bools excluded.
     "int test": _where(lambda node: isinstance(node, ast.Compare)
                        and _called(node.left) == "type"
@@ -290,8 +293,15 @@ class Net:
 
             def supply(network):
                 FlowNetwork(network, arc)
-        return Digraph([], []), Fraction(1, 2), json.dumps(arcs), lcm(2, 3)
+        return Digraph([], []), Fraction(1, 2), json.dumps(arcs), lcm(2, 3), "<="
 """
+
+
+def test_no_lp_relation_or_sense_strings():
+    # Every LP is min c.x, and a row (coeffs, lo, hi) is bounded as a column
+    # is, None standing for an infinite bound: no string names a relation
+    # or a sense.
+    assert _sites("LP relation or sense") == []
 
 
 def test_every_query_finds_its_planted_site():
