@@ -251,9 +251,10 @@ def solve_shortest(instance: Instance, method: str = "auto") -> Solution:
     Every route runs on the canonical weights W of ``_canonical``.  D w(B)
     is an int and sum_{a in B} 2^a < 2^m, so a W-optimum B is the
     w-optimum with the least sum_{a in B} 2^a: unique, and so the same arcs
-    whichever route, pivot path or cancel order finds it.  The value is
-    w(B).  The LP's dual bound W* certifies W(B), so floor(W* / 2^m) / D,
-    the reported bound, bounds w from below.  Exit-5 payloads carry W.
+    whichever route, pivot path, cancel order or augmenting path finds it.
+    The value is w(B).  The LP's dual bound W* certifies W(B), so
+    floor(W* / 2^m) / D, the reported bound, bounds w from below.  Exit-5
+    payloads carry W.
     """
     if method not in ("lp", "mflow", "brute", "auto"):
         raise InputError("unknown method %r" % (method,))

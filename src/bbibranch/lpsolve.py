@@ -133,8 +133,8 @@ def simplex_solve(lp: RationalLP) -> SimplexResult:
         return SimplexResult(status="infeasible")
     cost = lp.objective[:]  # the pivots rewrite it as the reduced-cost row
     if any(c < 0 and u is None for c, u in zip(cost, lp.upper)):
-        raise InputError("LP has no dual-feasible start: a negative min-form "
-                         "cost on a column with no upper bound")
+        raise InputError("LP has no dual-feasible start: a negative cost on "
+                         "a column with no upper bound")
     value = [u if c < 0 else l for c, l, u in zip(cost, lp.lower, lp.upper)] + [None] * m
     columns = list(range(n))          # the nonbasic variable of each column
     basis = list(range(n, n + m))     # the basic variable of each row

@@ -225,16 +225,16 @@ def weighted_matroid_intersection(m1, m2, weights, r: int):
     """Minimum-weight common independent set of size exactly r, or None if
     infeasible.
 
-    Shortest augmenting paths in the exchange graph, with (cost, #arcs,
-    lexicographic) tie-breaking for determinism.  m1 and m2 expose
-    circuits(I, outside), from which each exchange graph is built; the
-    ground set is the digraph's arc index range.
+    Augments along min-cost augmenting paths with the fewest arcs (Frank
+    1981).  m1 and m2 expose circuits(I, outside), from which each exchange
+    graph is built; the ground set is range(m), one weight per arc of m1's
+    digraph (``Digraph.per_arc``).  Ties are left to the weights: under
+    ``bibranching._canonical``'s the answer is unique.
     """
     if type(r) is not int or r < 0:
         raise InputError("target size must be a nonnegative integer")
-    ground = sorted(m1.digraph.all_arcs)
-    w = {a: weights[a] for a in ground}
-
+    w = m1.digraph.per_arc(weights, "weights")
+    ground = range(len(w))
     current: set[int] = set()
     while len(current) < r:
         path = _augmenting_path(m1, m2, ground, current, w)
@@ -245,46 +245,45 @@ def weighted_matroid_intersection(m1, m2, weights, r: int):
 
 
 def _augmenting_path(m1, m2, ground, current, w):
-    """Min-cost, then fewest-arcs, then lexicographically least augmenting path."""
+    """Nodes of a min-cost augmenting path with the fewest arcs, or None.
+
+    A node y outside I costs w(y) and x in I costs -w(x).  Bellman-Ford on
+    (cost, #arcs) labels, one predecessor per node; each pass scans the
+    nodes whose label changed.  A min-weight I has no negative cycle (Frank 1981).
+    """
     frozen = frozenset(current)
-    inside = sorted(frozen)
     outside = [y for y in ground if y not in frozen]
     circuits1 = m1.circuits(frozen, outside)
     sources = [y for y in outside if circuits1[y] is None]
     if not sources:
         return None
     circuits2 = m2.circuits(frozen, outside)
-    sinks = {y for y in outside if circuits2[y] is None}
 
     # x -> y when I - x + y is independent in m1, y -> x when in m2; with
     # I + y independent that holds for every x.
-    succ: dict[int, list[int]] = {}
-    for x in inside:
-        succ[x] = [y for y in outside
-                   if circuits1[y] is None or x in circuits1[y]]
+    succ = {x: [y for y in outside if circuits1[y] is None or x in circuits1[y]]
+            for x in frozen}
     for y in outside:
-        succ[y] = [x for x in inside
-                   if circuits2[y] is None or x in circuits2[y]]
+        succ[y] = [x for x in frozen if circuits2[y] is None or x in circuits2[y]]
 
-    node_cost = {e: -w[e] if e in frozen else w[e] for e in ground}
-
-    # Bellman-Ford on (cost, length, path) labels; paths are short here.
-    best: dict[int, tuple] = {y: (node_cost[y], 1, (y,)) for y in sources}
-    for _ in range(len(ground)):
-        changed = False
-        for u in sorted(best):
-            cost, length, path = best[u]
-            # A min-weight current leaves no negative cycle (Frank 1981), so
-            # a label that closes a cycle never beats best[v] and is dropped.
+    label = {y: (w[y], 1) for y in sources}
+    pred = dict.fromkeys(sources)
+    changed = sources
+    while changed:
+        scan, changed = changed, {}
+        for u in scan:
+            cost, arcs = label[u]
             for v in succ[u]:
-                label = (cost + node_cost[v], length + 1, path + (v,))
-                if v not in best or label < best[v]:
-                    best[v] = label
-                    changed = True
-        if not changed:
-            break
+                new = (cost - w[v] if v in frozen else cost + w[v], arcs + 1)
+                if v not in label or new < label[v]:
+                    label[v], pred[v], changed[v] = new, u, None
 
-    candidates = [best[y] for y in sorted(sinks) if y in best]
-    if not candidates:
+    sinks = [y for y in outside if circuits2[y] is None and y in label]
+    if not sinks:
         return None
-    return set(min(candidates)[2])
+    v = min(sinks, key=label.__getitem__)
+    path = set()
+    while v is not None:
+        path.add(v)
+        v = pred[v]
+    return path

@@ -289,23 +289,23 @@ def solve_mflow(instance: Instance) -> Solution:
 
 
 def _min_arc_negative_cycle(nodes, arcs):
-    """A negative cycle with the fewest arcs, deterministically chosen, or
-    None when there is no negative cycle.
+    """A negative cycle with the fewest arcs, or None when there is none.
 
     A negative closed walk with the fewest arcs is a simple cycle, since
     it splits into cycles one of which is negative; so the search finds
-    one within len(nodes) arcs exactly when a negative cycle exists."""
-    order = {node: i for i, node in enumerate(nodes)}
+    one within len(nodes) arcs exactly when a negative cycle exists.  A tie
+    goes to the walk found first, out-arcs in the order given and starts in
+    ``nodes`` order: under ``bibranching._canonical``'s weights every
+    cancel order ends at the same optimum."""
     out_arcs: dict = {node: [] for node in nodes}
-    for arc in sorted(arcs, key=lambda t: (order[t.tail], order[t.head],
-                                           t.flip if t.flip is not None else -1)):
+    for arc in arcs:
         out_arcs[arc.tail].append(arc)
 
     # walks[start][v] = best (cost, trace) over walks start -> v with exactly
     # `length` arcs; each length extends the previous length's table by one arc.
     walks = {start: {start: (0, ())} for start in nodes}
     for length in range(1, len(nodes) + 1):
-        best = None
+        best = (0, ())  # the cheapest negative closed walk of this length
         for start in nodes:
             nxt: dict = {}
             for u, (cost, trace) in walks[start].items():
@@ -314,10 +314,8 @@ def _min_arc_negative_cycle(nodes, arcs):
                     if arc.head not in nxt or cand[0] < nxt[arc.head][0]:
                         nxt[arc.head] = cand
             walks[start] = nxt
-            if start in nxt and nxt[start][0] < 0:
-                cand = (nxt[start][0], order[start], nxt[start][1])
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-        if best is not None:
-            return list(best[2])
+            if start in nxt and nxt[start][0] < best[0]:
+                best = nxt[start]
+        if best[1]:
+            return list(best[1])
     return None

@@ -1,14 +1,17 @@
 """Byte identity of the CLI over the benchmark pools.
 
 Regenerates every instance of the three ``perfbench`` pools with
-``perfbench/workloads.py``, which it only reads, and 200 more, runs 10,300
+``perfbench/workloads.py``, which it only reads, and 200 more, runs 13,300
 commands on them in-process through ``cli.main`` and writes one SHA-256
 per command (``test_report_digests.run_digest``: exit code, stdout and
 stderr):
 
 - ``pack`` and ``packing-number`` on the 2,000 ``pack`` instances;
-- ``solve``, ``check --what tdi`` and ``check --what idp --trials 3`` on
-  the 1,500 ``solve-small`` instances;
+- ``solve``, ``solve --method mflow``, ``check --what tdi``, ``check
+  --what idp --trials 3`` and ``check --what mconvex --trials 3`` on the
+  1,500 ``solve-small`` instances (``mflow`` and ``mconvex`` run the
+  b-branching oracle's matroid intersection, ``mflow`` also its
+  negative-cycle search);
 - ``solve`` and ``check --what tdi`` on the 400 ``solve-sparse``
   instances, whose LPs take the few pivots on an entry other than +-1
   that the pools hold, and ``solve --method brute``, which writes the
@@ -54,8 +57,10 @@ finally:
 
 COMMANDS = {
     "pack": (("pack",), ("packing-number",)),
-    "solve-small": (("solve",), ("check", "--what", "tdi"),
-                    ("check", "--what", "idp", "--trials", "3")),
+    "solve-small": (("solve",), ("solve", "--method", "mflow"),
+                    ("check", "--what", "tdi"),
+                    ("check", "--what", "idp", "--trials", "3"),
+                    ("check", "--what", "mconvex", "--trials", "3")),
     "solve-sparse": (("solve",), ("check", "--what", "tdi"),
                      ("solve", "--method", "brute")),
     "infeasible": (("solve",), ("pack",), ("check", "--what", "tdi")),

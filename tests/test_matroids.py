@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
 from bbibranch.matroids import (PartitionMatroid, SparsityMatroid,
-                                is_b_branching, split_into_b_branchings,
+                                _augmenting_path, is_b_branching,
+                                split_into_b_branchings,
                                 weighted_matroid_intersection)
 from bbibranch.mconvex import BBranchingOracle
 
@@ -307,6 +308,63 @@ class TestWeightedIntersection:
         m2 = SparsityMatroid(D, {"a": 1})
         with pytest.raises(InputError):
             weighted_matroid_intersection(m1, m2, [], -1)
+
+    def test_weights_need_one_entry_per_arc(self):
+        D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
+        m1 = PartitionMatroid(D, {"s": 0, "t": 2})
+        m2 = SparsityMatroid(D, {"s": 2, "t": 2})
+        for weights in ([1], [1, 1, 1], {0: 1}):
+            with pytest.raises(InputError, match=re.escape(
+                    "weights must have exactly one entry per arc (2)")):
+                weighted_matroid_intersection(m1, m2, weights, 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_augmenting_path_is_cheapest_then_fewest_arcs(self, data):
+        # I is a least-weight common independent set of a drawn size, so
+        # its exchange graph has no negative cycle.  The graph is built from
+        # the independence oracles, not from circuits, and every simple
+        # source-to-sink path in it is enumerated.  Weights of -1, 0 and 1
+        # make paths of one cost with different numbers of arcs common, so
+        # a search that compares costs alone can return a longer one.
+        D, b, t = _draw_capped_digraph(data, 7)
+        m = D.num_arcs()
+        w = [data.draw(st.integers(-1, 1), label="w%d" % a) for a in range(m)]
+        commons = [B for B in all_subsets(m) if _within_caps(D, t, B)
+                   and oracle_sparsity_independent(D, b, B)]
+        r = data.draw(st.integers(0, max(len(B) for B in commons)), label="r")
+        I = min((B for B in commons if len(B) == r),
+                key=lambda B: sum(w[a] for a in B))
+        outside = [y for y in range(m) if y not in I]
+        sinks = {y for y in outside
+                 if oracle_sparsity_independent(D, b, I | {y})}
+        succ = {x: [y for y in outside if _within_caps(D, t, I - {x} | {y})]
+                for x in I}
+        succ.update({y: [x for x in I if oracle_sparsity_independent(
+            D, b, I - {x} | {y})] for y in outside})
+        cost = {e: -w[e] if e in I else w[e] for e in range(m)}
+        paths = []
+
+        def extend(path):
+            if path[-1] in sinks:
+                paths.append(path)
+            for v in succ[path[-1]]:
+                if v not in path:
+                    extend(path + [v])
+
+        for y in outside:
+            if _within_caps(D, t, I | {y}):
+                extend([y])
+        got = _augmenting_path(PartitionMatroid(D, t), SparsityMatroid(D, b),
+                               range(m), set(I), w)
+        if not paths:
+            assert got is None
+            return
+        best = min((sum(cost[e] for e in path), len(path)) for path in paths)
+        assert got in [set(path) for path in paths
+                       if (sum(cost[e] for e in path), len(path)) == best]
+        assert I ^ got in commons
 
     @pytest.mark.parametrize("r", [1.5, True, 2.0, "2"])
     def test_target_size_must_be_an_int(self, r):

@@ -16,7 +16,7 @@ from pool_outputs import COMMANDS, differences, pool_digests
 def test_pool_outputs_give_one_digest_per_command(tmp_path):
     digests, exits = pool_digests(tmp_path, limit=3)
     assert len(digests) == 3 * sum(len(commands) for commands in COMMANDS.values())
-    assert sum(exits.values()) == len(digests) == 33
+    assert sum(exits.values()) == len(digests) == 39
     # Every pool command but the brute-force solve exits 0; the three
     # infeasible sub-seeds' solve reports exit 3, and so does one of their
     # TDI checks; the brute-force guard refuses each sparse instance.
