@@ -1,39 +1,18 @@
-"""The two matroids behind b-branchings and weighted matroid intersection.
+"""The sparsity matroid behind b-branchings and weighted matroid intersection.
 
-A b-branching is a common independent set of an indegree partition matroid
-and a sparsity (count) matroid, so a cheapest b-branching with prescribed
-indegrees is a weighted matroid intersection of those two matroids.
+A b-branching is a common independent set of the indegree partition matroid
+and a sparsity (count) matroid, so a cheapest b-branching with indegrees
+exactly t is a weighted matroid intersection.  The partition side is read
+from the arcs' heads; it needs no class.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .bibranching import arc_weights
 from .digraph import Digraph, check_capacities
 from .errors import InputError
-
-
-class PartitionMatroid:
-    """Independence: every vertex v has indegree at most cap(v) in B."""
-
-    def __init__(self, digraph: Digraph, caps: dict[str, int]):
-        self.digraph = digraph
-        self.caps = digraph.per_vertex(
-            caps, "partition cap for %r must be a nonnegative integer", low=0)
-
-    def circuits(self, I: Iterable[int], outside: Iterable[int]):
-        """For each y in outside: None when I + y is independent, else the
-        arcs x of I with I - x + y independent, which are the arcs of I at
-        head(y).  I must be independent."""
-        at: dict[str, list[int]] = {}
-        for x in I:
-            at.setdefault(self.digraph.head(x), []).append(x)
-        result = {}
-        for y in outside:
-            head = self.digraph.head(y)
-            same = at.get(head, ())
-            result[y] = None if len(same) < self.caps[head] else frozenset(same)
-        return result
 
 
 class SparsityMatroid:
@@ -221,50 +200,58 @@ def split_into_b_branchings(digraph: Digraph, b: dict[str, int],
     return rec(0)
 
 
-def weighted_matroid_intersection(m1, m2, weights, r: int):
-    """Minimum-weight common independent set of size exactly r, or None if
-    infeasible.
+def weighted_matroid_intersection(sparsity: SparsityMatroid, t: dict[str, int],
+                                  weights):
+    """The cheapest arc set with indegree exactly t that is independent in
+    sparsity, or None.
 
-    Augments along min-cost augmenting paths with the fewest arcs (Frank
-    1981).  m1 and m2 expose circuits(I, outside), from which each exchange
-    graph is built; the ground set is range(m), one weight per arc of m1's
-    digraph (``Digraph.per_arc``).  Ties are left to the weights: under
-    ``bibranching._canonical``'s the answer is unique.
+    t is a nonnegative int per vertex (``Digraph.per_vertex``) and the
+    weights are read by ``arc_weights``.  The set is a common independent
+    set of size sum(t) of sparsity and the partition matroid of indegree at
+    most t, so sum(t) augmentations find it (Frank 1981).  Under
+    ``bibranching._canonical``'s weights it is unique.
     """
-    if type(r) is not int or r < 0:
-        raise InputError("target size must be a nonnegative integer")
-    w = m1.digraph.per_arc(weights, "weights")
-    ground = range(len(w))
+    digraph = sparsity.digraph
+    t = digraph.per_vertex(
+        t, "target indegree of %r must be a nonnegative integer", low=0)
+    w = arc_weights(digraph, weights)
     current: set[int] = set()
-    while len(current) < r:
-        path = _augmenting_path(m1, m2, ground, current, w)
+    for _ in range(sum(t.values())):
+        path = _augmenting_path(sparsity, t, current, w)
         if path is None:
             return None
         current.symmetric_difference_update(path)
     return frozenset(current)
 
 
-def _augmenting_path(m1, m2, ground, current, w):
+def _augmenting_path(sparsity, t, current, w):
     """Nodes of a min-cost augmenting path with the fewest arcs, or None.
 
-    A node y outside I costs w(y) and x in I costs -w(x).  Bellman-Ford on
-    (cost, #arcs) labels, one predecessor per node; each pass scans the
-    nodes whose label changed.  A min-weight I has no negative cycle (Frank 1981).
+    The exchange graph of I = current, with room(v) = t(v) minus I's
+    indegree at v: the sources are the y outside I whose head has room,
+    the sinks those with I + y sparse; x -> y when y's head has room or is
+    x's head, y -> x for x in the sparsity circuit of I + y (every x when
+    it has none).  y costs w(y) and x costs -w(x).  Bellman-Ford on (cost,
+    #arcs) labels, one predecessor per node, rescanning the nodes whose
+    label changed; a min-weight I has no negative cycle (Frank 1981).
     """
+    digraph = sparsity.digraph
     frozen = frozenset(current)
-    outside = [y for y in ground if y not in frozen]
-    circuits1 = m1.circuits(frozen, outside)
-    sources = [y for y in outside if circuits1[y] is None]
+    room = dict(t)
+    for x in frozen:
+        room[digraph.head(x)] -= 1
+    outside = [y for y in range(len(w)) if y not in frozen]
+    sources = [y for y in outside if room[digraph.head(y)]]
     if not sources:
         return None
-    circuits2 = m2.circuits(frozen, outside)
+    circuits = sparsity.circuits(frozen, outside)
 
-    # x -> y when I - x + y is independent in m1, y -> x when in m2; with
-    # I + y independent that holds for every x.
-    succ = {x: [y for y in outside if circuits1[y] is None or x in circuits1[y]]
-            for x in frozen}
+    # A y at x's head is also a source when that head has room; relaxing
+    # it twice changes no label.
+    succ = {x: sources + [y for y in digraph.in_arcs(digraph.head(x))
+                          if y not in frozen] for x in frozen}
     for y in outside:
-        succ[y] = [x for x in frozen if circuits2[y] is None or x in circuits2[y]]
+        succ[y] = frozen if circuits[y] is None else circuits[y]
 
     label = {y: (w[y], 1) for y in sources}
     pred = dict.fromkeys(sources)
@@ -272,13 +259,13 @@ def _augmenting_path(m1, m2, ground, current, w):
     while changed:
         scan, changed = changed, {}
         for u in scan:
-            cost, arcs = label[u]
+            cost, n = label[u]
             for v in succ[u]:
-                new = (cost - w[v] if v in frozen else cost + w[v], arcs + 1)
+                new = (cost - w[v] if v in frozen else cost + w[v], n + 1)
                 if v not in label or new < label[v]:
                     label[v], pred[v], changed[v] = new, u, None
 
-    sinks = [y for y in outside if circuits2[y] is None and y in label]
+    sinks = [y for y in outside if circuits[y] is None and y in label]
     if not sinks:
         return None
     v = min(sinks, key=label.__getitem__)

@@ -4,7 +4,7 @@ and the submodular-flow style solver for the shortest b-bibranching.
 f(x) is the cheapest b-branching whose indegree vector is exactly b - x;
 g(x) relaxes the equality to >= and reduces to f by clipping x at b.  Each
 oracle holds one sparsity matroid and evaluates f by weighted matroid
-intersection against the partition matroid of t = b - x, memoized.  The
+intersection under the indegree target t = b - x, memoized.  The
 solver reads its exchange costs from one move table per side, the values
 g(z - chi_p + chi_q) - g(z) of every unit move at the current boundary z.
 """
@@ -18,8 +18,8 @@ from .bibranching import (Instance, Solution, arc_weights, bibranching_report,
                           require_feasible, subgraph)
 from .digraph import Digraph
 from .errors import InputError, TheoremViolation
-from .matroids import (PartitionMatroid, SparsityMatroid, is_b_branching,
-                       split_into_b_branchings, weighted_matroid_intersection)
+from .matroids import (SparsityMatroid, is_b_branching, split_into_b_branchings,
+                       weighted_matroid_intersection)
 
 
 class BBranchingOracle:
@@ -46,11 +46,7 @@ class BBranchingOracle:
         result = None
         if all(0 <= c <= self.b[v] for v, c in zip(self.digraph.vertices, key)):
             t = {v: self.b[v] - c for v, c in zip(self.digraph.vertices, key)}
-            # A full-rank common independent set of the partition matroid
-            # with caps t and the sparsity matroid has indegrees exactly t.
-            B = weighted_matroid_intersection(PartitionMatroid(self.digraph, t),
-                                              self.sparsity, self.weights,
-                                              sum(t.values()))
+            B = weighted_matroid_intersection(self.sparsity, t, self.weights)
             if B is not None:
                 result = (sum(self.weights[a] for a in B), B)
         self._memo_f[key] = result

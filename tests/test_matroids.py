@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,8 @@ from hypothesis import strategies as st
 
 from bbibranch.digraph import Digraph
 from bbibranch.errors import InputError
-from bbibranch.matroids import (PartitionMatroid, SparsityMatroid,
-                                _augmenting_path, is_b_branching,
-                                split_into_b_branchings,
+from bbibranch.matroids import (SparsityMatroid, _augmenting_path,
+                                is_b_branching, split_into_b_branchings,
                                 weighted_matroid_intersection)
 from bbibranch.mconvex import BBranchingOracle
 
@@ -21,8 +21,9 @@ from conftest import (all_subsets, oracle_b_branchings, oracle_is_branching,
 
 
 def _draw_capped_digraph(data, max_arcs):
-    """(D, b, t): n <= 5, b <= 3 and caps t <= b.  Endpoint pairs are drawn
-    with repetition, so parallel and antiparallel arcs occur."""
+    """(D, b, t): n <= 5, b <= 3 and indegree targets t <= b.  Endpoint
+    pairs are drawn with repetition, so parallel and antiparallel arcs
+    occur."""
     n = data.draw(st.integers(2, 5), label="n")
     ids = ["v%d" % i for i in range(n)]
     b = {v: data.draw(st.integers(1, 3), label="b(%s)" % v) for v in ids}
@@ -39,29 +40,50 @@ def _within_caps(D, caps, B):
     return all(D.in_degree(B, v) <= caps[v] for v in D.vertices)
 
 
+def _check_exact_target(D, sparse, t, w, got):
+    """got is a least-weight set among the sparse ones with indegree
+    exactly t, or None when there is none."""
+    exact = [B for B in sparse
+             if all(D.in_degree(B, v) == t[v] for v in D.vertices)]
+    if not exact:
+        assert got is None
+    else:
+        assert got in exact
+        assert sum(w[a] for a in got) == min(sum(w[a] for a in B) for B in exact)
+
+
 class TestPartitionMatroid:
+    # The indegree partition matroid has no class: ``is_b_branching`` counts
+    # in-arcs against b, and ``weighted_matroid_intersection`` against its
+    # target t.
+
     def test_caps_respected(self):
         D = Digraph(["a", "b"], [("a", "b"), ("a", "b")])
-        m = PartitionMatroid(D, {"a": 0, "b": 1})
-        # {0} is independent, and arc 1 would put a second arc on b's cap 1.
-        assert m.circuits(frozenset(), [0, 1]) == {0: None, 1: None}
-        assert m.circuits({0}, [1]) == {1: frozenset({0})}
-        # is_b_branching reads the cap through in-degrees: with b(a) = 2 the
-        # two arcs are sparse, so only b's cap rejects them.
+        # With b(a) = 2 the two arcs are sparse, so the indegree at b alone
+        # decides: the intersection meets the targets 1 and 2 there, and
+        # is_b_branching's cap b(b) = 1 rejects the two arcs together.
         b = {"a": 2, "b": 1}
-        assert SparsityMatroid(D, b).violation_witness({0, 1}) is None
+        sparsity = SparsityMatroid(D, b)
+        assert weighted_matroid_intersection(sparsity, {"a": 0, "b": 1},
+                                             [2, 1]) == frozenset({1})
+        assert weighted_matroid_intersection(sparsity, {"a": 0, "b": 2},
+                                             [2, 1]) == frozenset({0, 1})
+        assert sparsity.violation_witness({0, 1}) is None
         assert is_b_branching(D, b, {0})
         assert not is_b_branching(D, b, {0, 1})
 
     def test_negative_cap_rejected(self):
         D = Digraph(["a"], [])
-        with pytest.raises(InputError):
-            PartitionMatroid(D, {"a": -1})
+        with pytest.raises(InputError, match=re.escape(
+                "target indegree of 'a' must be a nonnegative integer")):
+            weighted_matroid_intersection(SparsityMatroid(D, {"a": 1}),
+                                          {"a": -1}, [])
 
     def test_cap_for_an_unknown_vertex_rejected(self):
         D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
         with pytest.raises(InputError, match="unknown vertex id: 'zz'"):
-            PartitionMatroid(D, {"s": 0, "t": 1, "zz": -4})
+            weighted_matroid_intersection(SparsityMatroid(D, {"s": 1, "t": 2}),
+                                          {"s": 0, "t": 1, "zz": -4}, [1, 1])
 
 
 class TestSparsityMatroid:
@@ -134,18 +156,14 @@ class TestCircuits:
                     and oracle_sparsity_independent(D, b, grown)):
                 I = grown
         outside = [y for y in range(D.num_arcs()) if y not in I]
-        for matroid, independent in (
-                (PartitionMatroid(D, t), lambda B: _within_caps(D, t, B)),
-                (SparsityMatroid(D, b),
-                 lambda B: oracle_sparsity_independent(D, b, B))):
-            circuits = matroid.circuits(I, outside)
-            assert sorted(circuits) == outside
-            for y in outside:
-                if independent(I | {y}):
-                    assert circuits[y] is None
-                else:
-                    assert circuits[y] == {x for x in I
-                                           if independent(I - {x} | {y})}
+        circuits = SparsityMatroid(D, b).circuits(I, outside)
+        assert sorted(circuits) == outside
+        for y in outside:
+            if oracle_sparsity_independent(D, b, I | {y}):
+                assert circuits[y] is None
+            else:
+                assert circuits[y] == {x for x in I if oracle_sparsity_independent(
+                    D, b, I - {x} | {y})}
 
     def test_sparsity_circuits_need_an_independent_set(self):
         D = Digraph(["u", "v"], [("u", "v"), ("v", "u")])
@@ -260,74 +278,79 @@ class TestSplitIntoBBranchings:
 
 class TestWeightedIntersection:
     def test_matches_brute_force(self):
+        # Every target t <= b on each seeded draw.
         rng = random.Random(13)
         for _ in range(10):
             D, b, w = random_digraph(rng, rng.randint(2, 4), 0.6, 2)
             m = D.num_arcs()
             if m > 7:
                 continue
-            m1 = PartitionMatroid(D, b)
-            m2 = SparsityMatroid(D, b)
-            commons = [B for B in all_subsets(m)
-                       if _within_caps(D, b, B)
-                       and oracle_sparsity_independent(D, b, B)]
-            for r in range(0, m + 1):
-                of_size = [B for B in commons if len(B) == r]
-                best = min((sum(w[a] for a in B) for B in of_size), default=None)
-                got = weighted_matroid_intersection(m1, m2, w, r)
-                if best is None:
-                    assert got is None
-                else:
-                    assert got is not None and len(got) == r
-                    assert sum(w[a] for a in got) == best
+            sparsity = SparsityMatroid(D, b)
+            sparse = [B for B in all_subsets(m)
+                      if oracle_sparsity_independent(D, b, B)]
+            for t in itertools.product(*(range(b[v] + 1) for v in D.vertices)):
+                t = dict(zip(D.vertices, t))
+                _check_exact_target(D, sparse, t, w,
+                                    weighted_matroid_intersection(sparsity, t, w))
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
     def test_matches_brute_force_with_parallel_arcs(self, data):
+        # The drawn target t and every t - chi_v.
         D, b, t = _draw_capped_digraph(data, 7)
         m = D.num_arcs()
         w = [data.draw(st.integers(-3, 9), label="w%d" % a) for a in range(m)]
-        m1 = PartitionMatroid(D, t)
-        m2 = SparsityMatroid(D, b)
-        commons = [B for B in all_subsets(m) if _within_caps(D, t, B)
-                   and oracle_sparsity_independent(D, b, B)]
-        for r in range(m + 1):
-            best = min((sum(w[a] for a in B) for B in commons if len(B) == r),
-                       default=None)
-            got = weighted_matroid_intersection(m1, m2, w, r)
-            if best is None:
-                assert got is None
-            else:
-                assert got in commons and len(got) == r
-                assert sum(w[a] for a in got) == best
+        sparsity = SparsityMatroid(D, b)
+        sparse = [B for B in all_subsets(m) if oracle_sparsity_independent(D, b, B)]
+        for target in [t] + [{**t, v: t[v] - 1} for v in D.vertices if t[v]]:
+            _check_exact_target(D, sparse, target, w,
+                                weighted_matroid_intersection(sparsity, target, w))
 
     def test_invalid_args(self):
-        D = Digraph(["a"], [])
-        m1 = PartitionMatroid(D, {"a": 1})
-        m2 = SparsityMatroid(D, {"a": 1})
-        with pytest.raises(InputError):
-            weighted_matroid_intersection(m1, m2, [], -1)
+        # Every vertex needs a target: a missing one does not read as 0.
+        D = Digraph(["a", "b"], [("a", "b")])
+        with pytest.raises(InputError, match=re.escape(
+                "target indegree of 'a' must be a nonnegative integer")):
+            weighted_matroid_intersection(SparsityMatroid(D, {"a": 1, "b": 1}),
+                                          {"b": 1}, [1])
 
     def test_weights_need_one_entry_per_arc(self):
         D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
-        m1 = PartitionMatroid(D, {"s": 0, "t": 2})
-        m2 = SparsityMatroid(D, {"s": 2, "t": 2})
+        sparsity = SparsityMatroid(D, {"s": 2, "t": 2})
         for weights in ([1], [1, 1, 1], {0: 1}):
             with pytest.raises(InputError, match=re.escape(
                     "weights must have exactly one entry per arc (2)")):
-                weighted_matroid_intersection(m1, m2, weights, 1)
+                weighted_matroid_intersection(sparsity, {"s": 0, "t": 1}, weights)
+
+    @pytest.mark.parametrize("weights, message", [
+        ([1.5, 2, 0.25], "weight of arc 0 is not a rational: 1.5"),
+        ([1, True, 1], "weight of arc 1 is not a rational: True"),
+        ([1, 2, "0.5"], "weight of arc 2 is not a rational: '0.5'")])
+    def test_weights_follow_the_number_rule(self, weights, message):
+        # Weights are read as ``arc_weights`` reads them: an int, a Fraction
+        # or a 'p/q' string, never a float or a bool.
+        D = Digraph(["s", "t"], [("s", "t")] * 3)
+        sparsity = SparsityMatroid(D, {"s": 3, "t": 3})
+        t = {"s": 0, "t": 2}
+        assert weighted_matroid_intersection(
+            sparsity, t, ["1/2", "3", "1"]) == frozenset({0, 2})
+        assert weighted_matroid_intersection(
+            sparsity, t, [Fraction(7, 2), 3, 4]) == frozenset({0, 1})
+        with pytest.raises(InputError, match=re.escape(message)):
+            weighted_matroid_intersection(sparsity, t, weights)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
     @given(data=st.data())
     def test_augmenting_path_is_cheapest_then_fewest_arcs(self, data):
-        # I is a least-weight common independent set of a drawn size, so
-        # its exchange graph has no negative cycle.  The graph is built from
-        # the independence oracles, not from circuits, and every simple
-        # source-to-sink path in it is enumerated.  Weights of -1, 0 and 1
-        # make paths of one cost with different numbers of arcs common, so
-        # a search that compares costs alone can return a longer one.
+        # I is a least-weight common independent set of a drawn size under
+        # indegree caps t, so its exchange graph has no negative cycle.  The
+        # graph is built from the independence oracles, not from heads and
+        # circuits, and every simple source-to-sink path in it is
+        # enumerated.  Weights of -1, 0 and 1 make paths of one cost with
+        # different numbers of arcs common, so a search that compares costs
+        # alone can return a longer one.
         D, b, t = _draw_capped_digraph(data, 7)
         m = D.num_arcs()
         w = [data.draw(st.integers(-1, 1), label="w%d" % a) for a in range(m)]
@@ -356,8 +379,7 @@ class TestWeightedIntersection:
         for y in outside:
             if _within_caps(D, t, I | {y}):
                 extend([y])
-        got = _augmenting_path(PartitionMatroid(D, t), SparsityMatroid(D, b),
-                               range(m), set(I), w)
+        got = _augmenting_path(SparsityMatroid(D, b), t, set(I), w)
         if not paths:
             assert got is None
             return
@@ -368,12 +390,14 @@ class TestWeightedIntersection:
 
     @pytest.mark.parametrize("r", [1.5, True, 2.0, "2"])
     def test_target_size_must_be_an_int(self, r):
+        # t(v) is the size of the in-arc set at v.
         D = Digraph(["s", "t"], [("s", "t"), ("s", "t")])
-        m1 = PartitionMatroid(D, {"s": 0, "t": 2})
-        m2 = SparsityMatroid(D, {"s": 2, "t": 2})
-        assert weighted_matroid_intersection(m1, m2, [1, 1], 2) == frozenset({0, 1})
-        with pytest.raises(InputError, match="target size must be a nonnegative integer"):
-            weighted_matroid_intersection(m1, m2, [1, 1], r)
+        sparsity = SparsityMatroid(D, {"s": 2, "t": 2})
+        assert weighted_matroid_intersection(
+            sparsity, {"s": 0, "t": 2}, [1, 1]) == frozenset({0, 1})
+        with pytest.raises(InputError, match=re.escape(
+                "target indegree of 't' must be a nonnegative integer")):
+            weighted_matroid_intersection(sparsity, {"s": 0, "t": r}, [1, 1])
 
 
 class TestExactIndegrees:

@@ -17,8 +17,8 @@ from bbibranch.mconvex import (BBranchingOracle, _AuxArc,
                                _min_arc_negative_cycle, check_mnat_exchange,
                                exchange_b_branchings, solve_mflow)
 
-from conftest import (all_subsets, one_arc_instance, oracle_b_branchings,
-                      random_digraph, random_instance)
+from conftest import (all_subsets, bicut_draws, one_arc_instance,
+                      oracle_b_branchings, random_digraph, random_instance)
 from paper_lemmas import _find_any_two_partition, two_partition
 
 
@@ -410,13 +410,25 @@ class TestSolveMflow:
                                               ((5, 11, 0.2), 2, 40),
                                               ((6, 14, 0.15), 16, 52)])
     def test_agrees_with_lp_at_medium_size(self, shape, seed, m):
-        # Weights only: at m = 52 the two routes pick different optima.
+        # Under the canonical weights the optimum is unique, so both exact
+        # routes return the same arcs, past the sizes at which criterion 1
+        # compares them.
         nS, nT, density = shape
         inst = random_instance(random.Random(seed), nS, nT, density, 2, 50,
                                max_arcs=1000)
         assert inst.digraph.num_arcs() == m
-        expected = solve_primal_cutting_plane(inst).solution.weight
-        assert solve_mflow(inst).weight == expected
+        want = solve_primal_cutting_plane(inst).solution
+        got = solve_mflow(inst)
+        assert (got.arcs, got.weight) == (want.arcs, want.weight)
+
+    def test_returns_the_lp_arcs_on_the_bicut_draws(self):
+        # The feasible bicut draws, whose LPs often need bicut rows.
+        draws = [inst for inst in bicut_draws() if feasibility_witness(inst) is None]
+        assert len(draws) == 13
+        for inst in draws:
+            want = solve_primal_cutting_plane(inst).solution
+            got = solve_mflow(inst)
+            assert (got.arcs, got.weight) == (want.arcs, want.weight)
 
     def test_oracle_calls_per_round(self, monkeypatch):
         # Each round reads one move table per side: g(z) and g(z - chi_p +

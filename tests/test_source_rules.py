@@ -136,7 +136,7 @@ def test_module_level_package_imports_are_pinned():
         "digraph": ["errors"],
         "errors": [],
         "lpsolve": ["bibranching", "digraph", "errors", "rationals"],
-        "matroids": ["digraph", "errors"],
+        "matroids": ["bibranching", "digraph", "errors"],
         "mconvex": ["bibranching", "digraph", "errors", "matroids"],
         "packing": ["bibranching", "digraph", "errors", "lpsolve", "matroids"],
         "rationals": ["errors"],
@@ -251,8 +251,8 @@ def test_one_scale_in_the_simplex():
 def test_int_tests_are_pinned():
     # Vertex maps are read by ``Digraph.per_vertex`` and arc maps by
     # ``Digraph.per_arc``, so a hand-written test of a map's entries shows up
-    # here.  The other sites test an arc index, an LP column, a scalar k or
-    # r, a number in ``rationals``, or whether separation's point is integral.
+    # here.  The other sites test an arc index, an LP column, a scalar k, a
+    # number in ``rationals``, or whether separation's point is integral.
     assert set(_sites("int test")) == {
         ("digraph.py", "Digraph.check_arcset"),
         ("digraph.py", "Digraph.per_arc"),
@@ -262,7 +262,6 @@ def test_int_tests_are_pinned():
         ("lpsolve.py", "integer_decomposition_check"),
         ("packing.py", "cut_family"),
         ("packing.py", "partition_cross_arcs"),
-        ("matroids.py", "weighted_matroid_intersection"),
         ("rationals.py", "rat"),
         ("rationals.py", "rat_str"),
         ("rationals.py", "is_integral"),
